@@ -12,9 +12,7 @@ from .abstraction import (
     ReductionSchedule,
     build_abstract,
     build_from_merge_sets,
-    load_abstract,
     refine,
-    save_abstract,
     score_neurons,
 )
 from .bounds import LayerBounds, propagate_abstract, propagate_box
@@ -31,7 +29,7 @@ from .explain import (
     order_features,
 )
 from .fixtures import FixtureSpec, demo_network, make_fixture, mnist_shape_network, random_network
-from .intervals import Interval, IntervalVector, iv_activation, iv_add, iv_affine, iv_subset
+from .intervals import IntervalVector, iv_subset
 from .network import (
     ActivationKind,
     ConcreteNetwork,
@@ -61,16 +59,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AbstractNetwork", "ActivationKind", "ConcreteNetwork", "DimensionError",
     "ExplanationTrace", "FeatureGrouping", "FeatureOrdering", "FixtureSpec",
-    "Interval", "IntervalVector", "Layer", "LayerBounds", "MergeSpec",
+    "IntervalVector", "Layer", "LayerBounds", "MergeSpec",
     "OracleOutcome", "OracleResult", "ProvexError", "ReductionSchedule",
     "RegressionQuery", "STATUS_EARLY_STOP", "STATUS_MINIMAL", "SchemaError",
     "SufficiencyQuery", "ValidationError", "Verdict", "VerdictKind",
     "build_abstract", "build_from_merge_sets", "check_abstract",
     "check_concrete", "check_regression", "count_work", "demo_network",
     "explain_abstraction_refinement", "explain_baseline", "forward",
-    "gen_counterexample", "gradient", "iv_activation", "iv_add", "iv_affine",
-    "iv_subset", "load_abstract", "load_network", "make_fixture",
+    "gen_counterexample", "gradient", "iv_subset", "load_network", "make_fixture",
     "mnist_shape_network", "oracle_check", "order_features", "predict",
     "propagate_abstract", "propagate_box", "random_network", "refine",
-    "save_abstract", "save_network", "score_neurons",
+    "save_network", "score_neurons",
 ]

@@ -18,14 +18,12 @@ nested inside the coarse one for the same query box.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import LayerBounds
-from .errors import DimensionError, SchemaError, ValidationError
-from .intervals import IntervalVector, iv_activation
+from .bounds import LayerBounds, enclose_affine, enclose_layer
+from .errors import DimensionError, ValidationError
 from .network import ActivationKind, ConcreteNetwork
 
 Buckets = tuple[tuple[int, ...], ...]
@@ -66,10 +64,16 @@ class MergeSpec:
 
 @dataclass(frozen=True, eq=False)
 class AbstractLayer:
-    """Dense layer with an interval bias."""
+    """Dense layer with an interval bias, answering the layer protocol.
+
+    Built directly rather than through ``Layer``: a reduction is rebuilt
+    for every query, and ``Layer``'s validation and column statistics
+    would cost more than the sign split below.
+    """
 
     weights: np.ndarray
-    bias: IntervalVector
+    bias_lo: np.ndarray
+    bias_hi: np.ndarray
     activation: ActivationKind
 
     def __post_init__(self):
@@ -87,17 +91,34 @@ class AbstractLayer:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
+    @property
+    def in_dim(self) -> int:
+        return self.weights.shape[1]
+
 
 @dataclass(frozen=True, eq=False)
 class AbstractNetwork:
-    """A reduced network whose set-valued output encloses the original's."""
+    """A reduced network whose set-valued output encloses the original's.
 
-    layers: tuple[AbstractLayer, ...]
-    input_dim: int
-    output_dim: int
+    Layers with no merged neuron on either side are the source network's
+    own ``Layer`` objects; the others are ``AbstractLayer``s.
+    """
+
+    layers: tuple
     spec: MergeSpec
-    reduction_rate: float
     buckets: tuple[Buckets, ...]
+
+    @property
+    def input_dim(self) -> int:
+        return self.layers[0].in_dim
+
+    @property
+    def output_dim(self) -> int:
+        return self.layers[-1].out_dim
+
+    @property
+    def reduction_rate(self) -> float:
+        return self.spec.reduction_rate
 
     @property
     def neuron_count(self) -> int:
@@ -201,99 +222,55 @@ def build_from_merge_sets(
     hidden = len(net.layers) - 1
     if len(merge_sets) != hidden:
         raise DimensionError(f"expected {hidden} merge sets, got {len(merge_sets)}")
-    for k, merged in enumerate(merge_sets):
-        size = net.layers[k].out_dim
-        if any(j < 0 or j >= size for j in merged):
-            raise ValidationError(f"hidden layer {k}: merged indices out of range")
-
     spec = MergeSpec(
         per_layer_merged=tuple(merge_sets),
         hidden_sizes=net.hidden_sizes,
         source_net_id=net.fingerprint,
         query_fingerprint=lb.box_fingerprint,
     )
-    if spec.merged_count == 0:
-        # Nothing to absorb: the reduction is the original network with
-        # degenerate interval biases, so skip the bound propagation.
-        layers = tuple(
-            AbstractLayer(layer.weights, IntervalVector.point(layer.bias), layer.activation)
-            for layer in net.layers
-        )
-        return AbstractNetwork(
-            layers=layers,
-            input_dim=net.input_dim,
-            output_dim=net.output_dim,
-            spec=spec,
-            reduction_rate=spec.reduction_rate,
-            buckets=tuple(() for _ in range(hidden)),
-        )
-
     # Bounds are propagated at full width: a deleted neuron's coordinate is
     # overwritten with its bucket hull, which feeds the next layer exactly
     # what the absorbed bias interval contributes, without slicing weights.
-    cur = lb.input_box
+    # An unreduced build reuses every layer and needs no bounds.
+    needs_bounds = spec.merged_count > 0
+    lo, hi = lb.input_box.lo, lb.input_box.hi
     keep_prev: np.ndarray | None = None  # None means every column survives
-    pending: IntervalVector | None = None
-    out_layers: list[AbstractLayer] = []
+    absorbed = None  # this layer's bias interval, when the previous layer lost neurons
+    out_layers = []
     out_buckets: list[Buckets] = []
 
     for k, layer in enumerate(net.layers):
-        full = iv_activation(
-            layer.activation.value,
-            IntervalVector(
-                layer.weights_pos @ cur.lo + layer.weights_neg @ cur.hi + layer.bias,
-                layer.weights_pos @ cur.hi + layer.weights_neg @ cur.lo + layer.bias,
-            ),
-        )
-        incoming, pending = pending, None
-        bias_lo = layer.bias.copy()
-        bias_hi = layer.bias.copy()
-        if incoming is not None:
-            bias_lo = bias_lo + incoming.lo
-            bias_hi = bias_hi + incoming.hi
-
+        if needs_bounds:
+            lo, hi = enclose_layer(layer, lo, hi)
+        bias_lo, bias_hi = absorbed if absorbed is not None else (layer.bias_lo, layer.bias_hi)
+        absorbed = None
         merged = merge_sets[k] if k < hidden else frozenset()
         if merged:
             if buckets is not None:
                 layer_buckets = buckets[k]
             else:
-                layer_buckets = _chain_buckets(full, merged)
-            pending, hulls = _absorb_buckets(net.layers[k + 1], full, layer_buckets)
+                layer_buckets = _chain_buckets(lo, hi, merged)
+            absorbed, (flat, hull_lo, hull_hi) = _absorb_buckets(net.layers[k + 1], lo, hi, layer_buckets)
             keep = np.array(sorted(set(range(layer.out_dim)) - merged), dtype=int)
             if keep_prev is None:
-                W = np.ascontiguousarray(layer.weights[keep, :])
+                W = layer.weights[keep, :]
             else:
                 W = layer.weights[np.ix_(keep, keep_prev)]
-            out_layers.append(
-                AbstractLayer(W, IntervalVector(bias_lo[keep], bias_hi[keep]), layer.activation)
-            )
-            flat, hull_lo, hull_hi = hulls
-            next_lo = full.lo.copy()
-            next_hi = full.hi.copy()
-            next_lo[flat] = hull_lo
-            next_hi[flat] = hull_hi
-            cur = IntervalVector(next_lo, next_hi)
+            out_layers.append(AbstractLayer(W, bias_lo[keep], bias_hi[keep], layer.activation))
+            # lo and hi are fresh arrays from the kernel, so they are overwritten in place.
+            lo[flat] = hull_lo
+            hi[flat] = hull_hi
             keep_prev = keep
-            out_buckets.append(layer_buckets)
-        else:
-            if keep_prev is None:
-                W = layer.weights
-            else:
-                W = np.ascontiguousarray(layer.weights[:, keep_prev])
-            out_layers.append(AbstractLayer(W, IntervalVector(bias_lo, bias_hi), layer.activation))
-            cur = full
+        elif keep_prev is not None:
+            W = layer.weights[:, keep_prev]
+            out_layers.append(AbstractLayer(W, bias_lo, bias_hi, layer.activation))
             keep_prev = None
-            if k < hidden:
-                out_buckets.append(())
+        else:
+            out_layers.append(layer)
+        if k < hidden:
+            out_buckets.append(layer_buckets if merged else ())
 
-    return AbstractNetwork(
-        layers=tuple(out_layers),
-        input_dim=net.input_dim,
-        output_dim=net.output_dim,
-        spec=spec,
-        reduction_rate=spec.reduction_rate,
-        buckets=tuple(out_buckets),
-    )
+    return AbstractNetwork(layers=tuple(out_layers), spec=spec, buckets=tuple(out_buckets))
 
 
 def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: float) -> AbstractNetwork:
@@ -347,7 +324,7 @@ def _check_fresh(net: ConcreteNetwork, lb: LayerBounds) -> None:
         raise ValidationError("stale layer bounds: computed for a different network")
 
 
-def _chain_buckets(full: IntervalVector, merged: frozenset[int]) -> Buckets:
+def _chain_buckets(lo: np.ndarray, hi: np.ndarray, merged: frozenset[int]) -> Buckets:
     """Group merged neurons with pairwise-overlapping ranges into buckets.
 
     Walking the ranges by lower endpoint, a neuron joins the open bucket
@@ -356,121 +333,42 @@ def _chain_buckets(full: IntervalVector, merged: frozenset[int]) -> Buckets:
     pool together while scattered ranges stay in their own buckets, keeping
     each absorbed hull close to its members.
     """
-    order = sorted(merged, key=lambda j: (full.lo[j], full.hi[j], j))
+    order = sorted(merged, key=lambda j: (lo[j], hi[j], j))
     buckets: list[list[int]] = []
     min_hi = -np.inf
     for j in order:
-        if buckets and full.lo[j] <= min_hi:
+        if buckets and lo[j] <= min_hi:
             buckets[-1].append(j)
-            min_hi = min(min_hi, float(full.hi[j]))
+            min_hi = min(min_hi, float(hi[j]))
         else:
             buckets.append([j])
-            min_hi = float(full.hi[j])
+            min_hi = float(hi[j])
     return tuple(tuple(sorted(b)) for b in buckets)
 
 
-def _absorb_buckets(next_layer, full: IntervalVector, layer_buckets: Buckets):
-    """Interval added to the next layer's bias for the deleted neurons.
+def _absorb_buckets(next_layer, lo: np.ndarray, hi: np.ndarray, layer_buckets: Buckets):
+    """The next layer's bias interval once the deleted neurons are absorbed.
 
     Every deleted neuron contributes through its bucket's hull, so the sum
     collapses to one sign-split product against the hull endpoints gathered
-    per neuron.  Returns the bias interval together with the per-neuron
-    hull arrays so the caller can reuse them.
+    per neuron, added to the next layer's own bias.  Returns the bias
+    interval together with the per-neuron hull arrays so the caller can
+    reuse them.
     """
     sizes = np.array([len(b) for b in layer_buckets])
     flat = np.fromiter((j for b in layer_buckets for j in b), dtype=int, count=int(sizes.sum()))
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    bucket_lo = np.minimum.reduceat(full.lo[flat], starts)
-    bucket_hi = np.maximum.reduceat(full.hi[flat], starts)
+    bucket_lo = np.minimum.reduceat(lo[flat], starts)
+    bucket_hi = np.maximum.reduceat(hi[flat], starts)
     member_of = np.repeat(np.arange(len(sizes)), sizes)
     hull_lo = bucket_lo[member_of]
     hull_hi = bucket_hi[member_of]
-    pos = next_layer.weights_pos[:, flat]
-    neg = next_layer.weights_neg[:, flat]
-    lo = pos @ hull_lo + neg @ hull_hi
-    hi = pos @ hull_hi + neg @ hull_lo
-    return IntervalVector(lo, hi), (flat, hull_lo, hull_hi)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: the network JSON schema extended with interval biases
-# ("bias_lo"/"bias_hi"; a degenerate bias may use plain "bias") plus the
-# reduction metadata needed to keep refining a reloaded network.
-# ---------------------------------------------------------------------------
-
-
-def abstract_to_dict(anet: AbstractNetwork) -> dict:
-    layers = []
-    for layer in anet.layers:
-        entry = {
-            "kind": "dense",
-            "activation": layer.activation.value,
-            "weights": [[float(w) for w in row] for row in layer.weights],
-        }
-        if np.array_equal(layer.bias.lo, layer.bias.hi):
-            entry["bias"] = [float(b) for b in layer.bias.lo]
-        else:
-            entry["bias_lo"] = [float(b) for b in layer.bias.lo]
-            entry["bias_hi"] = [float(b) for b in layer.bias.hi]
-        layers.append(entry)
-    return {
-        "input_dim": anet.input_dim,
-        "layers": layers,
-        "reduction": {
-            "rate": anet.reduction_rate,
-            "hidden_sizes": list(anet.spec.hidden_sizes),
-            "merged": [sorted(m) for m in anet.spec.per_layer_merged],
-            "buckets": [[list(b) for b in layer] for layer in anet.buckets],
-            "source_net_id": anet.spec.source_net_id,
-            "query_fingerprint": anet.spec.query_fingerprint,
-        },
-    }
-
-
-def save_abstract(anet: AbstractNetwork) -> str:
-    return json.dumps(abstract_to_dict(anet))
-
-
-def load_abstract(data: str | bytes) -> AbstractNetwork:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("document", f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "layers" not in doc or "reduction" not in doc:
-        raise SchemaError("document", "expected an object with 'layers' and 'reduction'")
-    layers = []
-    for i, raw in enumerate(doc["layers"]):
-        where = f"layers[{i}]"
-        weights = np.asarray(raw.get("weights"), dtype=np.float64)
-        if weights.ndim != 2:
-            raise SchemaError(f"{where}.weights", "expected a matrix")
-        if "bias" in raw:
-            lo = hi = np.asarray(raw["bias"], dtype=np.float64)
-        else:
-            lo = np.asarray(raw.get("bias_lo"), dtype=np.float64)
-            hi = np.asarray(raw.get("bias_hi"), dtype=np.float64)
-        try:
-            bias = IntervalVector(lo, hi)
-        except (ValidationError, DimensionError) as exc:
-            raise SchemaError(f"{where}.bias", str(exc)) from exc
-        act = raw.get("activation")
-        if act not in {k.value for k in ActivationKind}:
-            raise SchemaError(f"{where}.activation", f"unknown activation {act!r}")
-        layers.append(AbstractLayer(weights, bias, ActivationKind(act)))
-    red = doc["reduction"]
-    spec = MergeSpec(
-        per_layer_merged=tuple(frozenset(m) for m in red["merged"]),
-        hidden_sizes=tuple(red["hidden_sizes"]),
-        source_net_id=red.get("source_net_id", ""),
-        query_fingerprint=red.get("query_fingerprint", ""),
+    bias = enclose_affine(
+        next_layer.weights_pos[:, flat],
+        next_layer.weights_neg[:, flat],
+        hull_lo,
+        hull_hi,
+        next_layer.bias_lo,
+        next_layer.bias_hi,
     )
-    return AbstractNetwork(
-        layers=tuple(layers),
-        input_dim=int(doc["input_dim"]),
-        output_dim=layers[-1].out_dim,
-        spec=spec,
-        reduction_rate=float(red["rate"]),
-        buckets=tuple(tuple(tuple(b) for b in layer) for layer in red["buckets"]),
-    )
+    return bias, (flat, hull_lo, hull_hi)

@@ -1,10 +1,15 @@
 """Sound set propagation through concrete and reduced networks.
 
-``propagate_box`` pushes an input box layer by layer through a network and
-records one enclosure per layer.  Every reachable activation vector of the
-network over the box is contained in the recorded enclosures; the final
-entry encloses the output set.  ``propagate_abstract`` does the same for a
-reduced network whose biases are intervals.
+All box propagation in the package runs through one kernel,
+``enclose_affine``: the sign-split enclosure of ``activation(W @ v + b)``
+over a box, computed on raw endpoint arrays.  ``enclose_layer`` applies it
+to any layer of the shared layer protocol (``weights_pos``,
+``weights_neg``, ``bias_lo``, ``bias_hi``, ``activation``), which a
+concrete ``Layer`` answers with a point bias and a reduced layer with an
+interval bias.  ``propagate_box`` records one enclosure per layer of a
+concrete network; ``propagate_abstract`` returns the output enclosure of a
+reduced one.  Every reachable activation vector over the box is contained
+in the recorded enclosures; the final entry encloses the output set.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .intervals import IntervalVector, iv_activation, iv_affine, iv_subset
+from .intervals import IntervalVector, apply_activation, iv_subset
 from .network import ConcreteNetwork
 
 
@@ -40,19 +45,36 @@ class LayerBounds:
         return self.net_fingerprint == net.fingerprint
 
 
+def enclose_affine(pos, neg, lo, hi, bias_lo, bias_hi, activation: str = "identity"):
+    """Tightest box around ``activation(W @ v + b)`` for v in [lo, hi], b in [bias_lo, bias_hi].
+
+    ``pos`` and ``neg`` are the nonnegative and nonpositive parts of W, so
+    every output endpoint is attained at a corner of the input box.  The
+    activation is monotone nondecreasing and maps endpoints to endpoints.
+    """
+    out_lo = pos @ lo + neg @ hi + bias_lo
+    out_hi = pos @ hi + neg @ lo + bias_hi
+    return apply_activation(activation, out_lo), apply_activation(activation, out_hi)
+
+
+def enclose_layer(layer, lo, hi):
+    """One layer of the layer protocol applied to the box [lo, hi]."""
+    return enclose_affine(
+        layer.weights_pos, layer.weights_neg, lo, hi, layer.bias_lo, layer.bias_hi, layer.activation.value
+    )
+
+
 def propagate_box(net: ConcreteNetwork, input_box: IntervalVector) -> LayerBounds:
     """Enclose the reachable set of every layer over ``input_box``."""
     if len(input_box) != net.input_dim:
         raise DimensionError(f"box has {len(input_box)} dimensions, network expects {net.input_dim}")
     if not iv_subset(input_box, net.input_domain, slack=1e-12):
         raise ValidationError("input box exceeds the network's input domain")
-    cur = input_box
+    lo, hi = input_box.lo, input_box.hi
     per_layer = []
     for layer in net.layers:
-        lo = layer.weights_pos @ cur.lo + layer.weights_neg @ cur.hi + layer.bias
-        hi = layer.weights_pos @ cur.hi + layer.weights_neg @ cur.lo + layer.bias
-        cur = iv_activation(layer.activation.value, IntervalVector(lo, hi))
-        per_layer.append(cur)
+        lo, hi = enclose_layer(layer, lo, hi)
+        per_layer.append(IntervalVector(lo, hi))
     return LayerBounds(
         input_box=input_box,
         per_layer=tuple(per_layer),
@@ -64,23 +86,16 @@ def propagate_box(net: ConcreteNetwork, input_box: IntervalVector) -> LayerBound
 def propagate_abstract(anet, input_box: IntervalVector) -> IntervalVector:
     """Output enclosure of a reduced network over ``input_box``.
 
-    ``anet`` is any object exposing ``input_dim`` and ``layers`` of
-    (weights, interval bias, activation) triples.  The enclosure is valid
-    for boxes contained in the box the reduction was built against.
+    ``anet`` is any object exposing ``input_dim`` and ``layers`` that follow
+    the layer protocol.  The enclosure is valid for boxes contained in the
+    box the reduction was built against.
     """
     if len(input_box) != anet.input_dim:
         raise DimensionError(f"box has {len(input_box)} dimensions, network expects {anet.input_dim}")
-    cur = input_box
+    lo, hi = input_box.lo, input_box.hi
     for layer in anet.layers:
-        pos = getattr(layer, "weights_pos", None)
-        if pos is None:
-            cur = iv_activation(layer.activation.value, iv_affine(layer.weights, layer.bias, cur))
-            continue
-        neg = layer.weights_neg
-        lo = pos @ cur.lo + neg @ cur.hi + layer.bias.lo
-        hi = pos @ cur.hi + neg @ cur.lo + layer.bias.hi
-        cur = iv_activation(layer.activation.value, IntervalVector(lo, hi))
-    return cur
+        lo, hi = enclose_layer(layer, lo, hi)
+    return IntervalVector(lo, hi)
 
 
 def sample_box(box: IntervalVector, count: int, rng: np.random.Generator) -> np.ndarray:

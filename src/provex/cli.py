@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +65,6 @@ class RunConfig:
     backend: str = "enclosure"
     seed: int = 0
     out: str = "."
-    workers: int = 1
 
     def to_dict(self) -> dict:
         return {
@@ -80,7 +78,6 @@ class RunConfig:
             "backend": self.backend,
             "seed": self.seed,
             "out": self.out,
-            "workers": self.workers,
         }
 
 
@@ -97,7 +94,6 @@ def _config_from_args(args) -> RunConfig:
         backend=args.backend,
         seed=args.seed,
         out=args.out,
-        workers=getattr(args, "workers", 1),
     )
 
 
@@ -251,13 +247,7 @@ def cmd_bench(args) -> int:
     try:
         net = _read_network(config.network)
         os.makedirs(config.out, exist_ok=True)
-        jobs = list(enumerate(config.inputs))
-        if config.workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(lambda job: _bench_instance(net, config, *job), jobs))
-        else:
-            results = [_bench_instance(net, config, idx, path) for idx, path in jobs]
-        results.sort(key=lambda r: r[0])
+        results = [_bench_instance(net, config, idx, path) for idx, path in enumerate(config.inputs)]
 
         csv_path = os.path.join(config.out, "bench.csv")
         fields = [
@@ -286,7 +276,10 @@ def cmd_bench(args) -> int:
 
         mismatched = [idx for idx, _, equal, _ in results if not equal]
         if mismatched:
-            print(f"error: explanation size mismatch on instances {mismatched}", file=sys.stderr)
+            print(
+                f"error: the two searches return different explanations on instances {mismatched}",
+                file=sys.stderr,
+            )
             return EXIT_EQUIVALENCE_FAILURE
         return EXIT_OK
     except (ProvexError, OSError) as exc:
@@ -399,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="compare both search algorithms")
     common(p_bench, multi_input=True)
-    p_bench.add_argument("--workers", type=int, default=1)
     p_bench.set_defaults(func=cmd_bench)
 
     p_render = sub.add_parser("render", help="render report masks as images")

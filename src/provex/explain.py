@@ -346,7 +346,7 @@ def explain_abstraction_refinement(
                 kept.discard(g)
                 carried = rate
             else:
-                witness = gen_counterexample(net, anet, q, rng=rng)
+                witness = gen_counterexample(net, verdict.enclosure, q, rng=rng)
                 if witness is not None:
                     witness_used = True
                     decided = True

@@ -1,9 +1,10 @@
-"""Closed-interval arithmetic over real vectors.
+"""Axis-aligned boxes over real vectors, and the activations they pass through.
 
 All set propagation in this package runs on axis-aligned boxes, stored as
-paired float64 arrays of lower and upper endpoints.  Scalar-by-interval
-products split on the sign of the scalar, so the affine image of a box is
-enclosed by the tightest axis-aligned box.  Endpoints are plain binary64
+paired float64 arrays of lower and upper endpoints.  The one interval step
+that moves a box through a layer, a sign-split affine enclosure followed by
+a monotone activation, lives in ``bounds.enclose_affine``; this module holds
+the box type and the elementwise activations.  Endpoints are plain binary64
 without directed rounding; containment assertions in the test suite carry
 a 1e-9 slack instead.
 """
@@ -11,14 +12,10 @@ a 1e-9 slack instead.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-
-SUPPORTED_ACTIVATIONS = ("relu", "sigmoid", "tanh", "identity")
 
 
 def _as_vector(values, name: str) -> np.ndarray:
@@ -26,27 +23,6 @@ def _as_vector(values, name: str) -> np.ndarray:
     if arr.ndim != 1:
         raise DimensionError(f"{name} must be one-dimensional, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A closed real interval [lo, hi]; degenerate intervals are points."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValidationError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValidationError(f"interval lower bound {self.lo} exceeds upper bound {self.hi}")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, value: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= value <= self.hi + slack
 
 
 class IntervalVector:
@@ -72,29 +48,11 @@ class IntervalVector:
         object.__setattr__(self, "hi", hi)
 
     @classmethod
-    def point(cls, values) -> "IntervalVector":
-        arr = _as_vector(values, "values")
-        return cls(arr, arr)
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "IntervalVector":
-        lo = [p[0] for p in pairs]
-        hi = [p[1] for p in pairs]
-        return cls(lo, hi)
-
-    @classmethod
     def unit_box(cls, n: int) -> "IntervalVector":
         return cls(np.zeros(n), np.ones(n))
 
     def __len__(self) -> int:
         return self.lo.shape[0]
-
-    def __getitem__(self, i: int) -> Interval:
-        return Interval(float(self.lo[i]), float(self.hi[i]))
-
-    def __iter__(self) -> Iterator[Interval]:
-        for i in range(len(self)):
-            yield self[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalVector):
@@ -113,10 +71,6 @@ class IntervalVector:
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def take(self, indices) -> "IntervalVector":
-        idx = np.asarray(indices, dtype=int)
-        return IntervalVector(self.lo[idx], self.hi[idx])
-
     def contains_point(self, x, slack: float = 0.0) -> bool:
         arr = _as_vector(x, "x")
         if arr.shape != self.lo.shape:
@@ -126,36 +80,6 @@ class IntervalVector:
     def fingerprint(self) -> str:
         digest = hashlib.sha256(self.lo.tobytes() + self.hi.tobytes())
         return digest.hexdigest()[:16]
-
-
-def iv_add(a: IntervalVector, b: IntervalVector) -> IntervalVector:
-    """Elementwise interval sum: the exact Minkowski sum of two boxes."""
-    if len(a) != len(b):
-        raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
-    return IntervalVector(a.lo + b.lo, a.hi + b.hi)
-
-
-def iv_affine(W, b: IntervalVector, v: IntervalVector) -> IntervalVector:
-    """Tightest box enclosure of W @ v + b for a box v and interval bias b.
-
-    Each scalar weight is sign-split, so every output interval endpoint is
-    attained by some corner of the input box.
-    """
-    W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2:
-        raise DimensionError(f"weight matrix must be 2-D, got shape {W.shape}")
-    if not np.isfinite(W).all():
-        raise ValidationError("weight matrix contains non-finite entries")
-    m, n = W.shape
-    if n != len(v):
-        raise DimensionError(f"matrix expects {n} inputs, box has {len(v)}")
-    if m != len(b):
-        raise DimensionError(f"matrix produces {m} outputs, bias has {len(b)}")
-    pos = np.clip(W, 0.0, None)
-    neg = np.clip(W, None, 0.0)
-    lo = pos @ v.lo + neg @ v.hi + b.lo
-    hi = pos @ v.hi + neg @ v.lo + b.hi
-    return IntervalVector(lo, hi)
 
 
 def apply_activation(kind: str, values: np.ndarray) -> np.ndarray:
@@ -169,15 +93,6 @@ def apply_activation(kind: str, values: np.ndarray) -> np.ndarray:
     if kind == "identity":
         return np.asarray(values, dtype=np.float64)
     raise ValidationError(f"unsupported activation kind: {kind!r}")
-
-
-def iv_activation(kind: str, v: IntervalVector) -> IntervalVector:
-    """Exact image of a box under a monotone nondecreasing activation."""
-    if kind not in SUPPORTED_ACTIVATIONS:
-        raise ValidationError(f"unsupported activation kind: {kind!r}")
-    if kind == "identity":
-        return v
-    return IntervalVector(apply_activation(kind, v.lo), apply_activation(kind, v.hi))
 
 
 def iv_subset(a: IntervalVector, b: IntervalVector, slack: float = 0.0) -> bool:

@@ -28,7 +28,13 @@ class ActivationKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class Layer:
-    """One dense layer: ``activation(weights @ h + bias)``."""
+    """One dense layer: ``activation(weights @ h + bias)``.
+
+    Besides its parameters, a layer answers the layer protocol that box
+    propagation reads (``weights_pos``, ``weights_neg``, ``bias_lo``,
+    ``bias_hi``, ``activation``); a reduced network's layers answer the
+    same attributes with an interval bias.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
@@ -63,6 +69,15 @@ class Layer:
         colmax = np.max(np.abs(W), axis=0)
         colmax.setflags(write=False)
         object.__setattr__(self, "weights_abs_colmax", colmax)
+
+    @property
+    def bias_lo(self) -> np.ndarray:
+        """Lower bias endpoint; a concrete layer's bias interval is a point."""
+        return self.bias
+
+    @property
+    def bias_hi(self) -> np.ndarray:
+        return self.bias
 
     @property
     def out_dim(self) -> int:
@@ -151,10 +166,6 @@ def forward_batch(net: ConcreteNetwork, xs) -> np.ndarray:
 def predict(net: ConcreteNetwork, x) -> int:
     """Argmax class of the logits; ties break toward the lowest index."""
     return int(np.argmax(forward(net, x)))
-
-
-def predict_batch(net: ConcreteNetwork, xs) -> np.ndarray:
-    return np.argmax(forward_batch(net, xs), axis=1)
 
 
 def _activation_derivative(kind: ActivationKind, pre: np.ndarray, post: np.ndarray) -> np.ndarray:

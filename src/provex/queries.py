@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .abstraction import AbstractNetwork
-from .bounds import propagate_abstract, propagate_box
+from .bounds import propagate_abstract, propagate_box, sample_box
 from .errors import DimensionError, ValidationError
 from .intervals import IntervalVector
 from .network import ConcreteNetwork, forward, forward_batch, gradient, predict
@@ -29,9 +29,12 @@ class VerdictKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class Verdict:
+    """A check's outcome and margin; ``check_abstract`` adds the output enclosure."""
+
     kind: VerdictKind
     margin: float
     witness: np.ndarray | None = None
+    enclosure: IntervalVector | None = None
 
     @property
     def is_sufficient(self) -> bool:
@@ -51,6 +54,23 @@ def _query_box(x: np.ndarray, fixed: frozenset[int], epsilon: float, domain: Int
     return IntervalVector(lo, hi)
 
 
+def _validate_instance(x, fixed_features, epsilon: float, domain: IntervalVector):
+    """The instance as a vector and the fixed features as a set, once both are checked."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise DimensionError(f"instance must be a vector, got shape {x.shape}")
+    if len(domain) != x.shape[0]:
+        raise DimensionError("instance and domain lengths disagree")
+    if epsilon < 0:
+        raise ValidationError("epsilon must be nonnegative")
+    fixed = frozenset(int(i) for i in fixed_features)
+    if any(i < 0 or i >= x.shape[0] for i in fixed):
+        raise ValidationError("fixed feature index out of range")
+    if not domain.contains_point(x):
+        raise ValidationError("instance lies outside the domain")
+    return x, fixed
+
+
 @dataclass(frozen=True, eq=False)
 class SufficiencyQuery:
     """Is fixing ``fixed_features`` of x enough to pin the predicted class?"""
@@ -62,18 +82,7 @@ class SufficiencyQuery:
     domain: IntervalVector
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 1:
-            raise DimensionError(f"instance must be a vector, got shape {x.shape}")
-        if len(self.domain) != x.shape[0]:
-            raise DimensionError("instance and domain lengths disagree")
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be nonnegative")
-        fixed = frozenset(int(i) for i in self.fixed_features)
-        if any(i < 0 or i >= x.shape[0] for i in fixed):
-            raise ValidationError("fixed feature index out of range")
-        if not self.domain.contains_point(np.clip(x, self.domain.lo, self.domain.hi)):
-            raise ValidationError("instance lies outside the domain")
+        x, fixed = _validate_instance(self.x, self.fixed_features, self.epsilon, self.domain)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "fixed_features", fixed)
 
@@ -97,28 +106,29 @@ class RegressionQuery:
     domain: IntervalVector
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 1:
-            raise DimensionError(f"instance must be a vector, got shape {x.shape}")
-        if len(self.domain) != x.shape[0]:
-            raise DimensionError("instance and domain lengths disagree")
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be nonnegative")
+        x, fixed = _validate_instance(self.x, self.fixed_features, self.epsilon, self.domain)
         if self.delta <= 0:
             raise ValidationError("delta must be positive")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "fixed_features", frozenset(int(i) for i in self.fixed_features))
+        object.__setattr__(self, "fixed_features", fixed)
 
     def query_box(self) -> IntervalVector:
         return _query_box(self.x, self.fixed_features, self.epsilon, self.domain)
 
 
-def _separation_margin(out: IntervalVector, target: int) -> float:
-    """lo of the target logit minus the largest hi among the others."""
+def _separation(out: IntervalVector, target: int) -> tuple[float, bool]:
+    """Margin of the target class over the others, and whether it certifies the target.
+
+    The margin is the target's lower bound minus the largest upper bound
+    among the other classes.  ``predict`` breaks ties toward the lower
+    index, so a class below the target must stay strictly under the
+    target's lower bound, while a class above it may touch it.
+    """
     others_hi = np.delete(out.hi, target)
     if others_hi.size == 0:
-        return float("inf")
-    return float(out.lo[target] - np.max(others_hi))
+        return float("inf"), True
+    margin = float(out.lo[target] - np.max(others_hi))
+    return margin, margin >= 0 and not np.any(out.hi[:target] >= out.lo[target])
 
 
 def _validate_target(net: ConcreteNetwork, q: SufficiencyQuery) -> None:
@@ -128,46 +138,53 @@ def _validate_target(net: ConcreteNetwork, q: SufficiencyQuery) -> None:
         raise ValidationError("target class does not match the network's prediction for x")
 
 
-def _candidate_points(
-    net: ConcreteNetwork,
-    q: SufficiencyQuery,
-    box: IntervalVector,
-    out: IntervalVector,
-    rng: np.random.Generator,
-    n_random: int = 64,
-) -> np.ndarray:
-    """Candidate misclassification points inside the query box.
+def _candidates(q, box: IntervalVector, toward_hi, rng=None, n_random: int = 0) -> np.ndarray:
+    """Witness candidates inside the query box, one per row, in a fixed order.
 
-    One gradient-sign corner per top-2 runner-up class (the corner that
-    maximizes the linearized logit gap), the box center, and seeded
-    uniform points.
+    The box center; then one corner per mask in ``toward_hi``, taking the
+    upper endpoint where the mask is set and the lower one elsewhere, with
+    the fixed features pinned to x; then ``n_random`` uniform samples.
+    """
+    fixed = list(q.fixed_features)
+    rows = [box.midpoint]
+    for up in toward_hi:
+        corner = np.where(up, box.hi, box.lo)
+        corner[fixed] = q.x[fixed]
+        rows.append(corner)
+    if n_random > 0:
+        rows.extend(sample_box(box, n_random, rng))
+    return np.asarray(rows)
+
+
+def _gap_corners(net: ConcreteNetwork, q: SufficiencyQuery, box: IntervalVector, out: IntervalVector) -> list:
+    """Corner masks that maximize the linearized logit gap to the top-2 runner-ups.
+
+    Runner-ups are ranked by their upper bounds in ``out``; each gap is
+    linearized at the box center.
     """
     center = box.midpoint
-    candidates = [center]
     runner_ups = [j for j in np.argsort(-out.hi) if j != q.target][:2]
-    for j in runner_ups:
-        d = gradient(net, center, int(j)) - gradient(net, center, q.target)
-        corner = np.where(d > 0, box.hi, box.lo)
-        corner[list(q.fixed_features)] = q.x[list(q.fixed_features)]
-        candidates.append(corner)
-    if n_random > 0:
-        lo = np.broadcast_to(box.lo, (n_random, len(box)))
-        hi = np.broadcast_to(box.hi, (n_random, len(box)))
-        candidates.extend(rng.uniform(lo, hi))
-    return np.asarray(candidates)
+    return [gradient(net, center, int(j)) - gradient(net, center, q.target) > 0 for j in runner_ups]
+
+
+def _misclassified(net: ConcreteNetwork, target: int, cands: np.ndarray) -> np.ndarray | None:
+    """The first candidate the network does not assign to ``target``, if any."""
+    labels = np.argmax(forward_batch(net, cands), axis=1)
+    bad = np.nonzero(labels != target)[0]
+    return cands[bad[0]] if bad.size else None
 
 
 def check_abstract(anet: AbstractNetwork, q: SufficiencyQuery) -> Verdict:
     """Enclosure check on a reduced network: Sufficient or Uncertain.
 
     Witnesses are never produced here; they are only certified against the
-    concrete network.
+    concrete network.  The verdict carries the output enclosure, so
+    counterexample search can rank runner-ups without propagating again.
     """
     out = propagate_abstract(anet, q.query_box())
-    margin = _separation_margin(out, q.target)
-    if margin >= 0:
-        return Verdict(VerdictKind.SUFFICIENT, margin)
-    return Verdict(VerdictKind.UNCERTAIN, margin)
+    margin, separated = _separation(out, q.target)
+    kind = VerdictKind.SUFFICIENT if separated else VerdictKind.UNCERTAIN
+    return Verdict(kind, margin, enclosure=out)
 
 
 def check_concrete(
@@ -179,15 +196,14 @@ def check_concrete(
     _validate_target(net, q)
     box = q.query_box()
     out = propagate_box(net, box).final
-    margin = _separation_margin(out, q.target)
-    if margin >= 0:
+    margin, separated = _separation(out, q.target)
+    if separated:
         return Verdict(VerdictKind.SUFFICIENT, margin)
     rng = rng if rng is not None else np.random.default_rng(0)
-    cands = _candidate_points(net, q, box, out, rng)
-    labels = np.argmax(forward_batch(net, cands), axis=1)
-    bad = np.nonzero(labels != q.target)[0]
-    if bad.size:
-        return Verdict(VerdictKind.INSUFFICIENT, margin, witness=cands[bad[0]])
+    cands = _candidates(q, box, _gap_corners(net, q, box, out), rng, 64)
+    witness = _misclassified(net, q.target, cands)
+    if witness is not None:
+        return Verdict(VerdictKind.INSUFFICIENT, margin, witness=witness)
     return Verdict(VerdictKind.UNCERTAIN, margin)
 
 
@@ -206,14 +222,9 @@ def check_regression(
     if margin >= 0:
         return Verdict(VerdictKind.SUFFICIENT, margin)
     rng = rng if rng is not None else np.random.default_rng(0)
-    center = box.midpoint
-    d = gradient(net, center, 0)
-    corners = [np.where(d > 0, box.hi, box.lo), np.where(d > 0, box.lo, box.hi)]
-    for c in corners:
-        c[list(q.fixed_features)] = q.x[list(q.fixed_features)]
-    lo = np.broadcast_to(box.lo, (64, len(box)))
-    hi = np.broadcast_to(box.hi, (64, len(box)))
-    cands = np.vstack([center[None, :], corners, rng.uniform(lo, hi)])
+    up = gradient(net, box.midpoint, 0) > 0
+    # The corners that maximize and minimize the linearized output.
+    cands = _candidates(q, box, (up, ~up), rng, 64)
     values = forward_batch(net, cands)[:, 0]
     bad = np.nonzero(np.abs(values - ref) > q.delta)[0]
     if bad.size:
@@ -223,27 +234,23 @@ def check_regression(
 
 def gen_counterexample(
     net: ConcreteNetwork,
-    anet: AbstractNetwork,
+    enclosure: IntervalVector,
     q: SufficiencyQuery,
     rng: np.random.Generator | None = None,
     n_random: int = 64,
 ) -> np.ndarray | None:
     """Search the query box for a point the concrete network misclassifies.
 
-    Called after an Uncertain enclosure verdict.  Runner-up classes are
-    ranked by the reduced network's upper bounds; every candidate is
-    evaluated exactly, so a returned witness is a genuine counterexample.
-    Absence of a witness is a normal outcome.
+    Called after an Uncertain enclosure verdict, with the output enclosure
+    that verdict was decided on (``Verdict.enclosure``); runner-up classes
+    are ranked by its upper bounds.  Every candidate is evaluated exactly,
+    so a returned witness is a genuine counterexample.  Absence of a
+    witness is a normal outcome.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     box = q.query_box()
-    out = propagate_abstract(anet, box)
-    cands = _candidate_points(net, q, box, out, rng, n_random=n_random)
-    labels = np.argmax(forward_batch(net, cands), axis=1)
-    bad = np.nonzero(labels != q.target)[0]
-    if bad.size:
-        return cands[bad[0]]
-    return None
+    cands = _candidates(q, box, _gap_corners(net, q, box, enclosure), rng, n_random)
+    return _misclassified(net, q.target, cands)
 
 
 class OracleOutcome(str, Enum):
@@ -282,27 +289,20 @@ def oracle_check(net: ConcreteNetwork, q: SufficiencyQuery, budget: int = 1 << 1
         box = stack.pop()
         out = propagate_box(net, box).final
         evaluations += 1
-        if _separation_margin(out, q.target) >= 0:
+        if _separation(out, q.target)[1]:
             continue
-        points = [box.midpoint]
-        runner_ups = [j for j in np.argsort(-out.hi) if j != q.target][:2]
-        for j in runner_ups:
-            d = gradient(net, box.midpoint, int(j)) - gradient(net, box.midpoint, q.target)
-            corner = np.where(d > 0, box.hi, box.lo)
-            corner[fixed_idx] = q.x[fixed_idx]
-            points.append(corner)
-        labels = np.argmax(forward_batch(net, np.asarray(points)), axis=1)
-        bad = np.nonzero(labels != q.target)[0]
-        if bad.size:
-            return OracleResult(OracleOutcome.WITNESS, np.asarray(points)[bad[0]], splits, evaluations)
+        witness = _misclassified(net, q.target, _candidates(q, box, _gap_corners(net, q, box, out)))
+        if witness is not None:
+            return OracleResult(OracleOutcome.WITNESS, witness, splits, evaluations)
         widths = box.width.copy()
         if fixed_idx:
             widths[fixed_idx] = 0.0
         dim = int(np.argmax(widths))
         if widths[dim] <= 0.0:
-            # Degenerate box whose only point classifies correctly. The
-            # enclosure of a point is that point, so this cannot happen
-            # unless separation is an exact tie; treat as discharged.
+            # The box is a single point, its center, which was just evaluated
+            # exactly.  argmax breaks ties toward the lower index, as the
+            # separation rule does, so the target holds there, ties included;
+            # only rounding in the enclosure kept it from discharging.
             continue
         if splits >= budget:
             return OracleResult(OracleOutcome.EXHAUSTED, None, splits, evaluations)

@@ -8,9 +8,7 @@ from provex.abstraction import (
     ReductionSchedule,
     build_abstract,
     build_from_merge_sets,
-    load_abstract,
     refine,
-    save_abstract,
     score_neurons,
 )
 from provex.bounds import propagate_abstract, propagate_box, sample_box
@@ -19,10 +17,6 @@ from provex.fixtures import random_network
 from provex.intervals import IntervalVector, iv_subset
 from provex.network import forward_batch
 from provex.queries import check_abstract
-
-
-def bounds_for(net, box_pairs):
-    return propagate_box(net, IntervalVector.from_pairs(box_pairs))
 
 
 class TestScoring:
@@ -94,10 +88,21 @@ class TestConstruction:
         lb = propagate_box(net, net.input_domain)
         anet = build_abstract(net, lb, 1.0)
         assert anet.reduction_rate == 1.0
+        assert len(anet.layers) == len(net.layers)
         for al, cl in zip(anet.layers, net.layers):
-            np.testing.assert_array_equal(al.weights, cl.weights)
-            np.testing.assert_array_equal(al.bias.lo, cl.bias)
-            np.testing.assert_array_equal(al.bias.hi, cl.bias)
+            assert al is cl
+            np.testing.assert_array_equal(al.bias_lo, cl.bias)
+            np.testing.assert_array_equal(al.bias_hi, cl.bias)
+
+    def test_untouched_layers_are_the_source_layers(self):
+        # Only layers next to a merged layer are rebuilt; the rest are reused.
+        net, _ = small_net_and_instance(5, hidden=(10, 8, 6))
+        lb = propagate_box(net, net.input_domain)
+        anet = build_from_merge_sets(net, lb, (frozenset(), frozenset({1, 4}), frozenset()))
+        reused = [al is cl for al, cl in zip(anet.layers, net.layers)]
+        assert reused == [True, False, False, True]
+        assert (anet.input_dim, anet.output_dim) == (net.input_dim, net.output_dim)
+        assert anet.reduction_rate == anet.spec.reduction_rate == 22 / 24
 
     def test_rate_out_of_range(self, demo):
         net, x = demo
@@ -153,7 +158,7 @@ class TestConstruction:
         anet = build_abstract(net, lb, 0.5)
         for k, layer in enumerate(anet.layers):
             merged_upstream = k > 0 and len(anet.spec.per_layer_merged[k - 1]) > 0
-            degenerate = np.array_equal(layer.bias.lo, layer.bias.hi)
+            degenerate = np.array_equal(layer.bias_lo, layer.bias_hi)
             assert degenerate != merged_upstream
 
     def test_determinism(self):
@@ -263,24 +268,3 @@ class TestSchedule:
     def test_from_string(self):
         sched = ReductionSchedule.from_string("0.1,0.4,1.0")
         assert sched.rates == (0.1, 0.4, 1.0)
-
-
-class TestSerialization:
-    def test_roundtrip_preserves_propagation(self):
-        net, _ = small_net_and_instance(13, hidden=(9, 9))
-        lb = propagate_box(net, net.input_domain)
-        anet = build_abstract(net, lb, 0.5)
-        clone = load_abstract(save_abstract(anet))
-        out_a = propagate_abstract(anet, net.input_domain)
-        out_b = propagate_abstract(clone, net.input_domain)
-        np.testing.assert_array_equal(out_a.lo, out_b.lo)
-        np.testing.assert_array_equal(out_a.hi, out_b.hi)
-        assert clone.spec.per_layer_merged == anet.spec.per_layer_merged
-        assert clone.reduction_rate == anet.reduction_rate
-
-    def test_degenerate_bias_serializes_plain(self, demo):
-        net, _ = demo
-        lb = propagate_box(net, net.input_domain)
-        doc = save_abstract(build_abstract(net, lb, 1.0))
-        assert '"bias_lo"' not in doc
-        assert '"bias"' in doc

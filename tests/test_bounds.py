@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_query, random_subbox, small_net_and_instance
-from provex.abstraction import build_abstract
-from provex.bounds import propagate_abstract, propagate_box, sample_box
+from provex.abstraction import AbstractLayer, build_abstract
+from provex.bounds import enclose_layer, propagate_abstract, propagate_box, sample_box
 from provex.errors import DimensionError, ValidationError
+from provex.fixtures import random_network
 from provex.intervals import IntervalVector, iv_subset
-from provex.network import forward, forward_batch
+from provex.network import ActivationKind, forward, forward_batch
 
 
 class TestPropagateBox:
@@ -25,7 +29,7 @@ class TestPropagateBox:
 
     def test_degenerate_box_matches_forward(self, demo):
         net, x = demo
-        lb = propagate_box(net, IntervalVector.point(x))
+        lb = propagate_box(net, IntervalVector(x, x))
         h = x
         for layer, layer_iv in zip(net.layers, lb.per_layer):
             from provex.intervals import apply_activation
@@ -76,7 +80,7 @@ class TestPropagateBox:
 
     def test_fingerprints_recorded(self, demo):
         net, x = demo
-        box = IntervalVector.point(x)
+        box = IntervalVector(x, x)
         lb = propagate_box(net, box)
         assert lb.net_fingerprint == net.fingerprint
         assert lb.box_fingerprint == box.fingerprint()
@@ -108,7 +112,7 @@ class TestPropagateAbstract:
 
     def test_dimension_error(self, demo):
         net, x = demo
-        lb = propagate_box(net, IntervalVector.point(x))
+        lb = propagate_box(net, IntervalVector(x, x))
         anet = build_abstract(net, lb, 1.0)
         with pytest.raises(DimensionError):
             propagate_abstract(anet, IntervalVector.unit_box(7))
@@ -125,3 +129,82 @@ class TestPropagateAbstract:
             logits = forward_batch(net, sample_box(box, 500, rng))
             assert np.all(logits >= out.lo - 1e-9)
             assert np.all(logits <= out.hi + 1e-9)
+
+
+# Property tests of the single propagation kernel.  Every network and box is
+# drawn by hypothesis; the containment slack is the suite's usual 1e-9.
+
+unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def nets_and_boxes(draw):
+    """A random network, a box in its domain, and a sub-box of that box."""
+    n = draw(st.integers(1, 6))
+    hidden = tuple(draw(st.lists(st.integers(1, 8), max_size=3)))
+    activation = draw(st.sampled_from(["relu", "sigmoid", "tanh", "identity"]))
+    net = random_network(n, hidden, draw(st.integers(1, 4)), activation, seed=draw(st.integers(0, 2**16)))
+    pts = draw(arrays(np.float64, (4, n), elements=unit))
+    lo, hi = np.minimum(pts[0], pts[1]), np.maximum(pts[0], pts[1])
+    t = np.sort(pts[2:], axis=0)
+    inner_lo = np.clip(lo + t[0] * (hi - lo), lo, hi)
+    inner_hi = np.clip(lo + t[1] * (hi - lo), inner_lo, hi)
+    return net, IntervalVector(lo, hi), IntervalVector(inner_lo, inner_hi)
+
+
+def assert_contains(out, values):
+    assert np.all(values >= out.lo - 1e-9)
+    assert np.all(values <= out.hi + 1e-9)
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(nets_and_boxes(), st.integers(0, 2**16))
+    def test_point_bias_enclosure_contains_samples(self, case, seed):
+        net, box, _ = case
+        out = propagate_box(net, box).final
+        assert_contains(out, forward_batch(net, sample_box(box, 64, np.random.default_rng(seed))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(nets_and_boxes(), st.floats(0.05, 1.0), st.integers(0, 2**16))
+    def test_interval_bias_enclosure_contains_samples(self, case, rate, seed):
+        # A reduction's enclosure holds for its build box and every box inside it.
+        net, box, inner = case
+        anet = build_abstract(net, propagate_box(net, box), rate)
+        rng = np.random.default_rng(seed)
+        for b in (box, inner):
+            assert_contains(propagate_abstract(anet, b), forward_batch(net, sample_box(b, 64, rng)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, (3, 4, 5), elements=st.floats(-2, 2)), st.integers(0, 2**16))
+    def test_kernel_encloses_every_bias_in_the_interval(self, params, seed):
+        W, b1, b2 = params[0], params[1, :, 0], params[2, :, 0]
+        bias_lo, bias_hi = np.minimum(b1, b2), np.maximum(b1, b2)
+        lo, hi = np.minimum(params[1, 0], params[2, 0]), np.maximum(params[1, 0], params[2, 0])
+        layer = AbstractLayer(W, bias_lo, bias_hi, ActivationKind.TANH)
+        out = IntervalVector(*enclose_layer(layer, lo, hi))
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(lo, hi, size=(64, 5))
+        bs = rng.uniform(bias_lo, bias_hi, size=(64, 4))
+        assert_contains(out, np.tanh(xs @ W.T + bs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(nets_and_boxes(), st.floats(0.05, 1.0))
+    def test_subbox_enclosures_nest(self, case, rate):
+        net, box, inner = case
+        outer_lb = propagate_box(net, box)
+        for a, b in zip(propagate_box(net, inner).per_layer, outer_lb.per_layer):
+            assert iv_subset(a, b, 1e-9)
+        anet = build_abstract(net, outer_lb, rate)
+        assert iv_subset(propagate_abstract(anet, inner), propagate_abstract(anet, box), 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nets_and_boxes())
+    def test_unreduced_propagation_is_bit_identical(self, case):
+        net, box, inner = case
+        anet = build_abstract(net, propagate_box(net, box), 1.0)
+        for b in (box, inner):
+            want = propagate_box(net, b).final
+            got = propagate_abstract(anet, b)
+            assert got.lo.tobytes() == want.lo.tobytes()
+            assert got.hi.tobytes() == want.hi.tobytes()

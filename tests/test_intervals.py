@@ -1,36 +1,42 @@
 """Interval arithmetic: exactness, soundness, and error contracts."""
 
-import math
-
 import numpy as np
 import pytest
 
+from provex.bounds import enclose_affine, propagate_box
 from provex.errors import DimensionError, ValidationError
-from provex.intervals import (
-    Interval,
-    IntervalVector,
-    iv_activation,
-    iv_add,
-    iv_affine,
-    iv_subset,
-)
+from provex.intervals import IntervalVector, apply_activation, iv_subset
+from provex.network import ConcreteNetwork, Layer
 
 
 def iv(*pairs):
-    return IntervalVector.from_pairs(pairs)
+    lo, hi = zip(*pairs)
+    return IntervalVector(lo, hi)
+
+
+def affine(W, b, box):
+    """Output enclosure of the one-layer identity net ``W @ v + b`` over ``box``."""
+    net = ConcreteNetwork((Layer(np.asarray(W, dtype=float), np.asarray(b, dtype=float), "identity"),), box)
+    return propagate_box(net, box).final
+
+
+def activate(kind, box):
+    """Enclosure of ``kind`` applied elementwise to ``box``."""
+    n = len(box)
+    return IntervalVector(*enclose_affine(np.eye(n), np.zeros((n, n)), box.lo, box.hi, 0.0, 0.0, kind))
 
 
 class TestIntervalInvariants:
     def test_reversed_endpoints_rejected(self):
         with pytest.raises(ValidationError):
-            Interval(2.0, 1.0)
+            IntervalVector([2.0], [1.0])
         with pytest.raises(ValidationError):
             IntervalVector([0.0, 3.0], [1.0, 2.0])
 
     def test_degenerate_intervals_are_points(self):
-        v = IntervalVector.point([1.5, -2.0])
+        v = IntervalVector([1.5, -2.0], [1.5, -2.0])
         assert np.all(v.width == 0.0)
-        assert v[0] == Interval(1.5, 1.5)
+        assert (v.lo[0], v.hi[0]) == (1.5, 1.5)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
@@ -39,63 +45,32 @@ class TestIntervalInvariants:
             IntervalVector([np.nan], [1.0])
 
 
-class TestAdd:
-    def test_endpoint_addition(self):
-        out = iv_add(iv((1, 2)), iv((3, 4)))
-        assert out[0] == Interval(4.0, 6.0)
-
-    def test_zero_point_identity(self):
-        v = iv((1, 2), (-3, 5))
-        zero = IntervalVector.point([0.0, 0.0])
-        assert iv_add(v, zero) == v
-
-    def test_symmetric(self):
-        out = iv_add(iv((-1, 1)), iv((-1, 1)))
-        assert out[0] == Interval(-2.0, 2.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            iv_add(iv((0, 1)), iv((0, 1), (0, 1)))
-
-    def test_commutative_and_associative_within_ulps(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            vals = rng.uniform(-10, 10, size=(3, 4, 2))
-            boxes = [IntervalVector(np.minimum(v[:, 0], v[:, 1]), np.maximum(v[:, 0], v[:, 1])) for v in vals]
-            a, b, c = boxes
-            ab = iv_add(a, b)
-            ba = iv_add(b, a)
-            assert ab == ba
-            left = iv_add(ab, c)
-            right = iv_add(a, iv_add(b, c))
-            for arr_l, arr_r in ((left.lo, right.lo), (left.hi, right.hi)):
-                tol = np.array([2 * math.ulp(max(abs(l), abs(r), 1.0)) for l, r in zip(arr_l, arr_r)])
-                assert np.all(np.abs(arr_l - arr_r) <= tol)
-
-
 class TestAffine:
+    """The sign-split affine step, through ``propagate_box`` on one-layer identity nets."""
+
     def test_three_input_row(self):
-        out = iv_affine(np.array([[2.0, 2.0, 1.0]]), IntervalVector.point([0.0]), iv((0, 1), (1, 1), (1, 1)))
-        assert out[0] == Interval(3.0, 5.0)
+        out = affine([[2.0, 2.0, 1.0]], [0.0], iv((0, 1), (1, 1), (1, 1)))
+        assert (out.lo[0], out.hi[0]) == (3.0, 5.0)
 
     def test_identity_map(self):
         v = iv((0, 1), (-2, 3))
-        out = iv_affine(np.eye(2), IntervalVector.point([0.0, 0.0]), v)
+        out = affine(np.eye(2), [0.0, 0.0], v)
         assert out == v
 
     def test_second_row(self):
-        out = iv_affine(np.array([[2.0, 1.0, 1.0]]), IntervalVector.point([0.0]), iv((3, 5), (3, 5), (6, 7)))
-        assert out[0] == Interval(15.0, 22.0)
+        out = affine([[2.0, 1.0, 1.0]], [0.0], iv((3, 5), (3, 5), (6, 7)))
+        assert (out.lo[0], out.hi[0]) == (15.0, 22.0)
 
     def test_shape_mismatch(self):
+        net = ConcreteNetwork((Layer(np.eye(2), np.zeros(2), "identity"),))
         with pytest.raises(DimensionError):
-            iv_affine(np.eye(2), IntervalVector.point([0.0, 0.0]), iv((0, 1)))
+            propagate_box(net, iv((0, 1)))
         with pytest.raises(DimensionError):
-            iv_affine(np.eye(2), IntervalVector.point([0.0]), iv((0, 1), (0, 1)))
+            Layer(np.eye(2), np.zeros(1), "identity")
 
     def test_non_finite_weight(self):
         with pytest.raises(ValidationError):
-            iv_affine(np.array([[np.inf]]), IntervalVector.point([0.0]), iv((0, 1)))
+            Layer(np.array([[np.inf]]), np.zeros(1), "identity")
 
     def test_enclosure_soundness_on_samples(self):
         # Every image of a point in the box lies inside the affine box image.
@@ -107,7 +82,7 @@ class TestAffine:
             lo = rng.uniform(-2, 2, n)
             hi = lo + rng.uniform(0, 2, n)
             box = IntervalVector(lo, hi)
-            out = iv_affine(W, IntervalVector.point(b), box)
+            out = affine(W, b, box)
             pts = rng.uniform(lo, hi, size=(50, n))
             images = pts @ W.T + b
             assert np.all(images >= out.lo - 1e-9)
@@ -120,7 +95,7 @@ class TestAffine:
         lo = rng.uniform(-1, 0, 4)
         hi = rng.uniform(0, 1, 4)
         box = IntervalVector(lo, hi)
-        out = iv_affine(W, IntervalVector.point(np.zeros(3)), box)
+        out = affine(W, np.zeros(3), box)
         for i in range(3):
             corner_hi = np.where(W[i] > 0, hi, lo)
             corner_lo = np.where(W[i] > 0, lo, hi)
@@ -129,21 +104,23 @@ class TestAffine:
 
 
 class TestActivation:
+    """The activation half of the interval step, on identity weights."""
+
     def test_relu_clamps_at_zero(self):
-        out = iv_activation("relu", iv((-2, 3)))
-        assert out[0] == Interval(0.0, 3.0)
+        out = activate("relu", iv((-2, 3)))
+        assert (out.lo[0], out.hi[0]) == (0.0, 3.0)
 
     def test_sigmoid_point(self):
-        out = iv_activation("sigmoid", iv((0, 0)))
-        assert out[0] == Interval(0.5, 0.5)
+        out = activate("sigmoid", iv((0, 0)))
+        assert (out.lo[0], out.hi[0]) == (0.5, 0.5)
 
     def test_identity_unchanged(self):
         v = iv((-1, 4), (0, 0))
-        assert iv_activation("identity", v) is v
+        assert activate("identity", v) == v
 
     def test_unsupported_kind(self):
         with pytest.raises(ValidationError):
-            iv_activation("softplus", iv((0, 1)))
+            activate("softplus", iv((0, 1)))
 
     @pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh", "identity"])
     def test_exact_endpoint_images(self, kind):
@@ -151,9 +128,7 @@ class TestActivation:
         rng = np.random.default_rng(11)
         lo = rng.uniform(-5, 5, 20)
         hi = lo + rng.uniform(0, 5, 20)
-        out = iv_activation(kind, IntervalVector(lo, hi))
-        from provex.intervals import apply_activation
-
+        out = activate(kind, IntervalVector(lo, hi))
         np.testing.assert_array_equal(out.lo, apply_activation(kind, lo))
         np.testing.assert_array_equal(out.hi, apply_activation(kind, hi))
 

@@ -220,7 +220,7 @@ class TestCrossChecks:
         for seed in range(8):
             net = random_network(5, (7, 7), 3, "relu" if seed % 2 else "sigmoid", seed=seed)
             x = uniform_instances(net, 1, seed=seed)[0]
-            lb = propagate_box(net, IntervalVector.point(x))
+            lb = propagate_box(net, IntervalVector(x, x))
             y = forward(net, x)
             assert np.all(y >= lb.final.lo - 1e-9)
             assert np.all(y <= lb.final.hi + 1e-9)

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import make_query, small_net_and_instance
 from provex.abstraction import build_abstract, build_from_merge_sets, refine
-from provex.bounds import propagate_box
+from provex.bounds import propagate_abstract, propagate_box, sample_box
 from provex.errors import ValidationError
+from provex.explain import explain_abstraction_refinement, explain_baseline
 from provex.fixtures import random_network, uniform_instances
 from provex.network import ConcreteNetwork, Layer, forward, forward_batch, predict
 from provex.queries import (
@@ -14,7 +15,8 @@ from provex.queries import (
     RegressionQuery,
     SufficiencyQuery,
     VerdictKind,
-    _candidate_points,
+    _candidates,
+    _gap_corners,
     check_abstract,
     check_concrete,
     check_regression,
@@ -51,6 +53,16 @@ class TestQueryBox:
             SufficiencyQuery(x, frozenset({7}), 0.1, 1, net.input_domain)
         with pytest.raises(ValidationError):
             SufficiencyQuery(x, frozenset(), -0.1, 1, net.input_domain)
+
+    def test_instance_outside_domain_rejected(self):
+        net = ConcreteNetwork((Layer(np.array([[1.0], [-1.0]]), np.array([0.0, 1.0]), "identity"),))
+        scalar = ConcreteNetwork((Layer(np.array([[1.0]]), np.zeros(1), "identity"),))
+        with pytest.raises(ValidationError, match="outside the domain"):
+            SufficiencyQuery(np.array([2.0]), frozenset(), 0.1, 0, net.input_domain)
+        with pytest.raises(ValidationError, match="outside the domain"):
+            RegressionQuery(np.array([2.0]), frozenset(), 0.1, 1.0, scalar.input_domain)
+        with pytest.raises(ValidationError, match="outside the domain"):
+            RegressionQuery(np.array([-1e-9]), frozenset(), 0.1, 1.0, scalar.input_domain)
 
 
 class TestCheckConcrete:
@@ -203,6 +215,75 @@ class TestCheckRegression:
                 assert np.all(np.abs(vals - ref) <= q.delta + 1e-12)
 
 
+class TestTieBreaking:
+    """predict() breaks logit ties toward the lower index; verdicts must agree."""
+
+    def tie_case(self):
+        # logits = (x, 1 - x): at x = 0.25 class 1 wins, but x = 0.5 ties and
+        # predict picks class 0, and x = 0.5 lies in the 0.25-box around 0.25.
+        net = ConcreteNetwork((Layer(np.array([[1.0], [-1.0]]), np.array([0.0, 1.0]), "identity"),))
+        x = np.array([0.25])
+        return net, x, make_query(net, x, fixed=set(), epsilon=0.25)
+
+    def test_tie_with_lower_class_is_not_sufficient(self):
+        net, x, q = self.tie_case()
+        assert q.target == 1 and predict(net, np.array([0.5])) == 0
+        v = check_concrete(net, q)
+        assert v.margin == 0.0
+        assert v.is_insufficient
+        assert predict(net, v.witness) == 0
+        anet = build_abstract(net, propagate_box(net, q.query_box()), 1.0)
+        assert not check_abstract(anet, q).is_sufficient
+
+    def test_oracle_refutes_the_tie(self):
+        net, x, q = self.tie_case()
+        result = oracle_check(net, q)
+        assert result.outcome is OracleOutcome.WITNESS
+        assert predict(net, result.witness) == 0
+
+    def test_searches_keep_the_feature(self):
+        net, x, _ = self.tie_case()
+        for search in (explain_baseline, explain_abstraction_refinement):
+            kept, trace = search(net, x, 0.25)
+            assert kept == frozenset({0})
+            assert trace.final == ("1",)
+
+    def test_tie_with_higher_class_is_sufficient(self):
+        # Mirrored: logits = (1 - x, x) at x = 0.75, so the runner-up that
+        # touches the target sits above it and predict keeps class 0.
+        net = ConcreteNetwork((Layer(np.array([[-1.0], [1.0]]), np.array([1.0, 0.0]), "identity"),))
+        x = np.array([0.25])
+        q = make_query(net, x, fixed=set(), epsilon=0.25)
+        assert q.target == 0 and predict(net, np.array([0.5])) == 0
+        v = check_concrete(net, q)
+        assert v.margin == 0.0 and v.is_sufficient
+        assert oracle_check(net, q).proved
+
+
+class TestCandidates:
+    def test_order_center_corners_then_samples(self):
+        net, x = small_net_and_instance(3, input_dim=5, hidden=(8,), output_dim=3)
+        q = make_query(net, x, fixed={1, 3}, epsilon=0.3)
+        box = q.query_box()
+        up = np.array([True, False, True, False, False])
+        cands = _candidates(q, box, [up, ~up], np.random.default_rng(5), 4)
+        assert cands.shape == (7, 5)
+        np.testing.assert_array_equal(cands[0], box.midpoint)
+        for row, mask in zip(cands[1:3], (up, ~up)):
+            expected = np.where(mask, box.hi, box.lo)
+            expected[[1, 3]] = x[[1, 3]]
+            np.testing.assert_array_equal(row, expected)
+        np.testing.assert_array_equal(cands[3:], sample_box(box, 4, np.random.default_rng(5)))
+
+    def test_verdict_carries_the_enclosure_it_was_decided_on(self):
+        net, x = small_net_and_instance(4)
+        q = make_query(net, x, fixed={0, 1}, epsilon=0.3)
+        lb = propagate_box(net, q.query_box())
+        anet = build_abstract(net, lb, 0.5)
+        out = check_abstract(anet, q).enclosure
+        assert out == propagate_abstract(anet, q.query_box())
+
+
 class TestGenCounterexample:
     def test_degenerate_box_never_yields_witness(self):
         for seed in range(5):
@@ -210,7 +291,7 @@ class TestGenCounterexample:
             q = make_query(net, x, fixed=set(), epsilon=0.0)
             lb = propagate_box(net, q.query_box())
             anet = build_abstract(net, lb, 0.5)
-            assert gen_counterexample(net, anet, q) is None
+            assert gen_counterexample(net, check_abstract(anet, q).enclosure, q) is None
 
     def test_corner_candidate_is_optimal_for_linear_net(self):
         # For a linear two-class network, the gradient-sign corner attains
@@ -224,7 +305,7 @@ class TestGenCounterexample:
         out = propagate_box(net, box).final
         t = q.target
         j = 1 - t
-        cands = _candidate_points(net, q, box, out, np.random.default_rng(0), n_random=0)
+        cands = _candidates(q, box, _gap_corners(net, q, box, out))
         gap = forward_batch(net, cands)[:, j] - forward_batch(net, cands)[:, t]
         d = W[j] - W[t]
         best = np.where(d > 0, box.hi, box.lo)
@@ -245,10 +326,11 @@ class TestGenCounterexample:
                 continue
             lb = propagate_box(net, q.query_box())
             anet = build_abstract(net, lb, 0.5)
-            if check_abstract(anet, q).is_sufficient:
+            verdict = check_abstract(anet, q)
+            if verdict.is_sufficient:
                 continue
             cases += 1
-            if gen_counterexample(net, anet, q, rng=np.random.default_rng(seed)) is not None:
+            if gen_counterexample(net, verdict.enclosure, q, rng=np.random.default_rng(seed)) is not None:
                 hits += 1
         assert cases == 200
         assert hits >= 0.7 * cases
@@ -259,9 +341,10 @@ class TestGenCounterexample:
             q = make_query(net, x, fixed={0}, epsilon=0.5)
             lb = propagate_box(net, q.query_box())
             anet = build_abstract(net, lb, 0.5)
-            if check_abstract(anet, q).is_sufficient:
+            verdict = check_abstract(anet, q)
+            if verdict.is_sufficient:
                 continue
-            w = gen_counterexample(net, anet, q, rng=np.random.default_rng(seed))
+            w = gen_counterexample(net, verdict.enclosure, q, rng=np.random.default_rng(seed))
             if w is not None:
                 assert q.query_box().contains_point(w)
                 assert predict(net, w) != q.target
