@@ -101,12 +101,16 @@ class AbstractNetwork:
     """A reduced network whose set-valued output encloses the original's.
 
     Layers with no merged neuron on either side are the source network's
-    own ``Layer`` objects; the others are ``AbstractLayer``s.
+    own ``Layer`` objects; the others are ``AbstractLayer``s.  ``ranking``
+    is ``score_neurons`` of the build's bounds when ``build_abstract``
+    scored them, so refining against the same bounds need not score them
+    again.
     """
 
     layers: tuple
     spec: MergeSpec
     buckets: tuple[Buckets, ...]
+    ranking: list | None = None
 
     @property
     def input_dim(self) -> int:
@@ -180,9 +184,8 @@ def score_neurons(net: ConcreteNetwork, lb: LayerBounds) -> list[list[tuple[int,
     return ranked
 
 
-def select_merge_sets(net: ConcreteNetwork, lb: LayerBounds, rate: float) -> tuple[frozenset[int], ...]:
-    """Pick the globally lowest-scored hidden neurons to reach ``rate``."""
-    ranked = score_neurons(net, lb)
+def select_merge_sets(ranked, rate: float) -> tuple[frozenset[int], ...]:
+    """Pick the globally lowest-scored hidden neurons of a ``score_neurons`` ranking to reach ``rate``."""
     flat = [
         (score, k, j)
         for k, layer_scores in enumerate(ranked)
@@ -202,8 +205,8 @@ def build_abstract(net: ConcreteNetwork, lb: LayerBounds, rate: float) -> Abstra
     """Reduce ``net`` toward ``rate`` against the box recorded in ``lb``."""
     if not 0.0 < rate <= 1.0:
         raise ValidationError(f"reduction rate must lie in (0, 1], got {rate}")
-    _check_fresh(net, lb)
-    return build_from_merge_sets(net, lb, select_merge_sets(net, lb, rate))
+    ranked = score_neurons(net, lb)
+    return build_from_merge_sets(net, lb, select_merge_sets(ranked, rate), ranking=ranked)
 
 
 def build_from_merge_sets(
@@ -211,12 +214,15 @@ def build_from_merge_sets(
     lb: LayerBounds,
     merge_sets: tuple[frozenset[int], ...],
     buckets: tuple[Buckets, ...] | None = None,
+    ranking: list | None = None,
 ) -> AbstractNetwork:
     """Construct the reduced network for an explicit choice of merge sets.
 
     When ``buckets`` is omitted, merged neurons within each layer are
     grouped by chaining overlapping activation ranges; passing buckets
     (as refinement does) preserves a previously chosen structure.
+    ``ranking``, the caller's ``score_neurons(net, lb)``, is carried on
+    the result for ``refine``.
     """
     _check_fresh(net, lb)
     hidden = len(net.layers) - 1
@@ -270,7 +276,7 @@ def build_from_merge_sets(
         if k < hidden:
             out_buckets.append(layer_buckets if merged else ())
 
-    return AbstractNetwork(layers=tuple(out_layers), spec=spec, buckets=tuple(out_buckets))
+    return AbstractNetwork(layers=tuple(out_layers), spec=spec, buckets=tuple(out_buckets), ranking=ranking)
 
 
 def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: float) -> AbstractNetwork:
@@ -278,7 +284,9 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
 
     The new merge sets are a subset of the previous ones and surviving
     buckets keep their structure, so for any box inside the build box the
-    refined enclosure is nested inside the previous one.
+    refined enclosure is nested inside the previous one.  The ranking
+    carried on ``prev`` is reused when ``prev`` was built against the box
+    of ``lb``.
     """
     if rate <= prev.reduction_rate:
         raise ValidationError(
@@ -290,7 +298,9 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
     if prev.spec.source_net_id != net.fingerprint:
         raise ValidationError("reduced network was built from a different network")
 
-    ranked = score_neurons(net, lb)
+    ranked = prev.ranking
+    if ranked is None or prev.spec.query_fingerprint != lb.box_fingerprint:
+        ranked = score_neurons(net, lb)
     score_of = {}
     for k, layer_scores in enumerate(ranked):
         for j, score in layer_scores:
@@ -316,7 +326,7 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
         )
         for k, layer_buckets in enumerate(prev.buckets)
     )
-    return build_from_merge_sets(net, lb, new_sets, buckets=new_buckets)
+    return build_from_merge_sets(net, lb, new_sets, buckets=new_buckets, ranking=ranked)
 
 
 def _check_fresh(net: ConcreteNetwork, lb: LayerBounds) -> None:

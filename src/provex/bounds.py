@@ -2,14 +2,16 @@
 
 All box propagation in the package runs through one kernel,
 ``enclose_affine``: the sign-split enclosure of ``activation(W @ v + b)``
-over a box, computed on raw endpoint arrays.  ``enclose_layer`` applies it
-to any layer of the shared layer protocol (``weights_pos``,
-``weights_neg``, ``bias_lo``, ``bias_hi``, ``activation``), which a
-concrete ``Layer`` answers with a point bias and a reduced layer with an
-interval bias.  ``propagate_box`` records one enclosure per layer of a
-concrete network; ``propagate_abstract`` returns the output enclosure of a
-reduced one.  Every reachable activation vector over the box is contained
-in the recorded enclosures; the final entry encloses the output set.
+over a box, computed on raw endpoint arrays that hold one box or a batch
+of boxes, one per row.  ``enclose_layer`` applies it to any layer of the
+shared layer protocol (``weights_pos``, ``weights_neg``, ``bias_lo``,
+``bias_hi``, ``activation``), which a concrete ``Layer`` answers with a
+point bias and a reduced layer with an interval bias.  ``propagate_box``
+records one enclosure per layer of a concrete network;
+``propagate_abstract`` returns the output enclosure of a reduced one, and
+``propagate_rows`` the output enclosures of a batch of boxes.  Every
+reachable activation vector over the box is contained in the recorded
+enclosures; the final entry encloses the output set.
 """
 
 from __future__ import annotations
@@ -51,9 +53,11 @@ def enclose_affine(pos, neg, lo, hi, bias_lo, bias_hi, activation: str = "identi
     ``pos`` and ``neg`` are the nonnegative and nonpositive parts of W, so
     every output endpoint is attained at a corner of the input box.  The
     activation is monotone nondecreasing and maps endpoints to endpoints.
+    ``lo`` and ``hi`` are one box of shape (n,) or a batch of shape (B, n),
+    one box per row; the result has the same leading shape.
     """
-    out_lo = pos @ lo + neg @ hi + bias_lo
-    out_hi = pos @ hi + neg @ lo + bias_hi
+    out_lo = lo @ pos.T + hi @ neg.T + bias_lo
+    out_hi = hi @ pos.T + lo @ neg.T + bias_hi
     return apply_activation(activation, out_lo), apply_activation(activation, out_hi)
 
 
@@ -92,10 +96,19 @@ def propagate_abstract(anet, input_box: IntervalVector) -> IntervalVector:
     """
     if len(input_box) != anet.input_dim:
         raise DimensionError(f"box has {len(input_box)} dimensions, network expects {anet.input_dim}")
-    lo, hi = input_box.lo, input_box.hi
-    for layer in anet.layers:
+    return IntervalVector(*propagate_rows(anet.layers, input_box.lo, input_box.hi))
+
+
+def propagate_rows(layers, lo, hi):
+    """Output enclosures of a batch of boxes, one per row of ``lo`` and ``hi``.
+
+    All boxes go through every layer together, one matrix product per
+    endpoint and sign.  Unchecked: the caller keeps the boxes inside the
+    input domain (and, for a reduced network, inside its build box).
+    """
+    for layer in layers:
         lo, hi = enclose_layer(layer, lo, hi)
-    return IntervalVector(lo, hi)
+    return lo, hi
 
 
 def sample_box(box: IntervalVector, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,7 +3,8 @@
 Both searches start from the full feature set and walk the features in a
 chosen order, dropping a feature whenever the remaining fixed set is still
 verified sufficient.  The baseline search asks every question on the
-original network; the abstraction-refinement search asks it on a reduced
+original network, asking its enclosure checks in speculative batches (see
+``_enclosure_walk``); the abstraction-refinement search asks it on a reduced
 network first, falls back to concrete counterexample search when the
 reduced check is inconclusive, and only then refines the reduction.  After
 every step the kept set is provably sufficient, so the search can stop
@@ -26,9 +27,10 @@ from .queries import (
     OracleOutcome,
     SufficiencyQuery,
     VerdictKind,
-    check_concrete,
-    gen_counterexample,
     check_abstract,
+    enclosure_verdicts,
+    find_witnesses,
+    gen_counterexample,
     oracle_check,
 )
 
@@ -36,6 +38,9 @@ STATUS_MINIMAL = "MinimalSufficient"
 STATUS_EARLY_STOP = "SufficientEarlyStop"
 
 ORDERING_POLICIES = ("sensitivity", "in-order", "random")
+
+# Most query boxes the baseline's enclosure walk puts in one bound pass.
+MAX_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -244,54 +249,111 @@ def explain_baseline(
         raise ValidationError(f"unknown backend {backend!r}")
     x, grouping, ordering, target = _prepare(net, x, grouping, ordering, seed)
     rng = np.random.default_rng(seed)
-    kept = set(range(len(grouping.groups)))
     trace = ExplanationTrace(group_count=len(grouping.groups))
     t0 = time.monotonic()
-    for g in ordering.resolved:
-        fixed = grouping.features_of(kept - {g})
-        q = SufficiencyQuery(x, fixed, epsilon, target, net.input_domain)
+    if backend == "enclosure":
+        kept = _enclosure_walk(net, x, epsilon, target, grouping, ordering, rng, trace)
+    else:
+        kept = _oracle_walk(net, x, epsilon, target, grouping, ordering, oracle_budget, trace)
+    trace.final = grouping.ids_of(kept)
+    trace.wall_time = time.monotonic() - t0
+    return frozenset(kept), trace
+
+
+def _enclosure_walk(net, x, epsilon, target, grouping, ordering, rng, trace) -> set[int]:
+    """The baseline's greedy walk on enclosure checks, in speculative batches.
+
+    A batch takes the next groups g_1..g_B and guesses that the last
+    verdict repeats.  After a drop, box i frees g_1..g_i on top of the
+    groups already dropped (nested boxes); after a keep, it frees g_i alone
+    on top of them.  All B boxes share one bound pass.  Up to and including
+    the first box that breaks the guess, every box is exactly the query the
+    one-at-a-time walk asks at that step, so those steps are taken and the
+    rest of the batch is discarded.  The steps that fail share one witness
+    search, which draws from ``rng`` in step order.  B doubles after a
+    batch that matches the guess throughout and halves after one that
+    breaks it, within 1..MAX_BATCH.  A step's ``elapsed`` is its batch's
+    wall time split evenly over the steps the batch took.
+    """
+    box = SufficiencyQuery(x, frozenset(), epsilon, target, net.input_domain).query_box()
+    members = [np.asarray(group, dtype=int) for group in grouping.groups]
+    dropped = np.zeros(net.input_dim, dtype=bool)  # features of the dropped groups
+    kept = set(range(len(grouping.groups)))
+    order = ordering.resolved
+    start, size, guess = 0, 1, True
+    while start < len(order):
         t1 = time.monotonic()
-        if backend == "enclosure":
-            verdict = check_concrete(net, q, rng=rng)
-            if verdict.is_sufficient:
+        batch = order[start : start + size]
+        free = np.repeat(dropped[None], len(batch), axis=0)
+        for i, g in enumerate(batch):
+            free[slice(i, None) if guess else i, members[g]] = True
+        lo = np.where(free, box.lo, x)
+        hi = np.where(free, box.hi, x)
+        margins, separated, out_hi = enclosure_verdicts(net, target, lo, hi)
+        broken = np.flatnonzero(separated != guess)
+        taken = int(broken[0]) + 1 if broken.size else len(batch)
+        failed = [i for i in range(taken) if not separated[i]]
+        witnesses = dict(zip(failed, find_witnesses(net, target, lo[failed], hi[failed], out_hi[failed], rng)))
+        for i, g in enumerate(batch[:taken]):
+            if separated[i]:
                 kept.discard(g)
+                dropped[members[g]] = True
+                verdict = VerdictKind.SUFFICIENT
+            elif witnesses[i] is not None:
+                verdict = VerdictKind.INSUFFICIENT
+            else:
+                verdict = VerdictKind.UNCERTAIN
             trace.steps.append(
                 StepRecord(
                     group_id=grouping.ids[g],
                     rate=1.0,
-                    verdict=verdict.kind.value,
-                    witness_used=verdict.is_insufficient,
-                    elapsed=time.monotonic() - t1,
-                    margin=verdict.margin,
+                    verdict=verdict.value,
+                    witness_used=verdict is VerdictKind.INSUFFICIENT,
+                    elapsed=0.0,
+                    margin=float(margins[i]),
                     queried_neurons=net.neuron_count,
                     neuron_evals=net.neuron_count,
                 )
             )
-        else:
-            result = oracle_check(net, q, budget=oracle_budget)
-            if result.proved:
-                kept.discard(g)
-            verdict_name = {
-                OracleOutcome.PROVED_SUFFICIENT: VerdictKind.SUFFICIENT.value,
-                OracleOutcome.WITNESS: VerdictKind.INSUFFICIENT.value,
-                OracleOutcome.EXHAUSTED: VerdictKind.UNCERTAIN.value,
-            }[result.outcome]
-            trace.steps.append(
-                StepRecord(
-                    group_id=grouping.ids[g],
-                    rate=1.0,
-                    verdict=verdict_name,
-                    witness_used=result.outcome is OracleOutcome.WITNESS,
-                    elapsed=time.monotonic() - t1,
-                    margin=None,
-                    queried_neurons=net.neuron_count,
-                    neuron_evals=net.neuron_count * result.evaluations,
-                )
-            )
+        share = (time.monotonic() - t1) / taken
+        for step in trace.steps[-taken:]:
+            step.elapsed = share
         trace.snapshots[1.0] = grouping.ids_of(kept)
-    trace.final = grouping.ids_of(kept)
-    trace.wall_time = time.monotonic() - t0
-    return frozenset(kept), trace
+        start += taken
+        guess = bool(separated[taken - 1])
+        size = max(size // 2, 1) if broken.size else min(2 * size, MAX_BATCH)
+    return kept
+
+
+def _oracle_walk(net, x, epsilon, target, grouping, ordering, budget, trace) -> set[int]:
+    """The baseline's greedy walk with the complete oracle, one query per step."""
+    kept = set(range(len(grouping.groups)))
+    for g in ordering.resolved:
+        fixed = grouping.features_of(kept - {g})
+        q = SufficiencyQuery(x, fixed, epsilon, target, net.input_domain)
+        t1 = time.monotonic()
+        result = oracle_check(net, q, budget=budget)
+        if result.proved:
+            kept.discard(g)
+        verdict_name = {
+            OracleOutcome.PROVED_SUFFICIENT: VerdictKind.SUFFICIENT.value,
+            OracleOutcome.WITNESS: VerdictKind.INSUFFICIENT.value,
+            OracleOutcome.EXHAUSTED: VerdictKind.UNCERTAIN.value,
+        }[result.outcome]
+        trace.steps.append(
+            StepRecord(
+                group_id=grouping.ids[g],
+                rate=1.0,
+                verdict=verdict_name,
+                witness_used=result.outcome is OracleOutcome.WITNESS,
+                elapsed=time.monotonic() - t1,
+                margin=None,
+                queried_neurons=net.neuron_count,
+                neuron_evals=net.neuron_count * result.evaluations,
+            )
+        )
+        trace.snapshots[1.0] = grouping.ids_of(kept)
+    return kept
 
 
 def explain_abstraction_refinement(

@@ -105,11 +105,8 @@ def iv_subset(a: IntervalVector, b: IntervalVector, slack: float = 0.0) -> bool:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Branch on sign to avoid overflow in exp for large |z|.
+    # exp(-|z|) never overflows.  It is exp(-z) for z >= 0 and exp(z) below,
+    # so the result is 1 / (1 + exp(-z)) or exp(z) / (1 + exp(z)) exactly.
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)

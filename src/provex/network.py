@@ -186,17 +186,36 @@ def gradient(net: ConcreteNetwork, x, out_index: int) -> np.ndarray:
     h = np.asarray(x, dtype=np.float64)
     if h.shape != (net.input_dim,):
         raise DimensionError(f"input has shape {h.shape}, expected ({net.input_dim},)")
+    return gradients(net, h[None], [[out_index]])[0, 0]
+
+
+def gradients(net: ConcreteNetwork, xs, out_indices) -> np.ndarray:
+    """Input gradients of chosen logits at a batch of points.
+
+    Row p of ``out_indices`` names the logits wanted at row p of ``xs``.
+    One forward and one backward pass over all rows return an array of
+    shape (points, logits per point, inputs).
+    """
+    h = np.asarray(xs, dtype=np.float64)
+    idx = np.asarray(out_indices, dtype=int)
+    if h.ndim != 2 or h.shape[1] != net.input_dim:
+        raise DimensionError(f"batch has shape {h.shape}, expected (*, {net.input_dim})")
+    if idx.ndim != 2 or idx.shape[0] != h.shape[0]:
+        raise DimensionError(f"expected one row of logit indices per point, got shape {idx.shape}")
     pres, posts = [], []
     for layer in net.layers:
-        pre = layer.weights @ h + layer.bias
+        pre = h @ layer.weights.T + layer.bias
         h = apply_activation(layer.activation.value, pre)
         pres.append(pre)
         posts.append(h)
-    g = np.zeros(net.output_dim)
-    g[out_index] = 1.0
+    # One backward row per (point, logit), points outermost.
+    per_point = idx.shape[1]
+    g = np.zeros((idx.size, net.output_dim))
+    g[np.arange(idx.size), idx.ravel()] = 1.0
     for layer, pre, post in zip(reversed(net.layers), reversed(pres), reversed(posts)):
-        g = (g * _activation_derivative(layer.activation, pre, post)) @ layer.weights
-    return g
+        slope = _activation_derivative(layer.activation, pre, post)
+        g = (g * np.repeat(slope, per_point, axis=0)) @ layer.weights
+    return g.reshape(idx.shape[0], per_point, net.input_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,13 @@ from enum import Enum
 import numpy as np
 
 from .abstraction import AbstractNetwork
-from .bounds import propagate_abstract, propagate_box, sample_box
+from .bounds import propagate_abstract, propagate_box, propagate_rows
 from .errors import DimensionError, ValidationError
 from .intervals import IntervalVector
-from .network import ConcreteNetwork, forward, forward_batch, gradient, predict
+from .network import ConcreteNetwork, forward, forward_batch, gradient, gradients, predict
+
+# Candidate rows per forward pass of a batched witness search.
+WITNESS_CHUNK_ROWS = 1024
 
 
 class VerdictKind(str, Enum):
@@ -116,19 +119,36 @@ class RegressionQuery:
         return _query_box(self.x, self.fixed_features, self.epsilon, self.domain)
 
 
-def _separation(out: IntervalVector, target: int) -> tuple[float, bool]:
+def _separation(lo: np.ndarray, hi: np.ndarray, target: int):
     """Margin of the target class over the others, and whether it certifies the target.
 
-    The margin is the target's lower bound minus the largest upper bound
-    among the other classes.  ``predict`` breaks ties toward the lower
-    index, so a class below the target must stay strictly under the
-    target's lower bound, while a class above it may touch it.
+    ``lo`` and ``hi`` are the output enclosure of one box, or of a batch
+    with one box per row; margins and flags come back per box.  The margin
+    is the target's lower bound minus the largest upper bound among the
+    other classes.  ``predict`` breaks ties toward the lower index, so a
+    class below the target must stay strictly under the target's lower
+    bound, while a class above it may touch it.
     """
-    others_hi = np.delete(out.hi, target)
-    if others_hi.size == 0:
-        return float("inf"), True
-    margin = float(out.lo[target] - np.max(others_hi))
-    return margin, margin >= 0 and not np.any(out.hi[:target] >= out.lo[target])
+    others_hi = np.delete(hi, target, axis=-1)
+    if others_hi.shape[-1] == 0:
+        return np.full(lo.shape[:-1], np.inf), np.ones(lo.shape[:-1], dtype=bool)
+    target_lo = lo[..., target]
+    margin = target_lo - np.max(others_hi, axis=-1)
+    lower_touch = np.any(hi[..., :target] >= target_lo[..., None], axis=-1)
+    return margin, (margin >= 0) & ~lower_touch
+
+
+def enclosure_verdicts(net: ConcreteNetwork, target: int, lo: np.ndarray, hi: np.ndarray):
+    """Enclosure check of a batch of query boxes, one per row, in one bound pass.
+
+    Returns each box's margin, whether it certifies ``target``, and its
+    output upper bounds, which rank runner-up classes for ``find_witnesses``.
+    The boxes are not validated; ``check_concrete`` is the checked form for
+    one query.
+    """
+    out_lo, out_hi = propagate_rows(net.layers, lo, hi)
+    margin, separated = _separation(out_lo, out_hi, target)
+    return margin, separated, out_hi
 
 
 def _validate_target(net: ConcreteNetwork, q: SufficiencyQuery) -> None:
@@ -138,40 +158,71 @@ def _validate_target(net: ConcreteNetwork, q: SufficiencyQuery) -> None:
         raise ValidationError("target class does not match the network's prediction for x")
 
 
-def _candidates(q, box: IntervalVector, toward_hi, rng=None, n_random: int = 0) -> np.ndarray:
-    """Witness candidates inside the query box, one per row, in a fixed order.
+def _candidates(lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rng=None, n_random: int = 0) -> np.ndarray:
+    """Witness candidates inside a batch of boxes, in a fixed order per box.
 
-    The box center; then one corner per mask in ``toward_hi``, taking the
-    upper endpoint where the mask is set and the lower one elsewhere, with
-    the fixed features pinned to x; then ``n_random`` uniform samples.
+    ``lo`` and ``hi`` hold one box per row and ``toward_hi`` one stack of
+    corner masks per box.  Each box gets its center; then one corner per
+    mask, taking the upper endpoint where the mask is set and the lower one
+    elsewhere; then ``n_random`` uniform samples.  The samples of all boxes
+    come from one draw, box after box, which is the stream that one draw
+    per box in the same order would give.  Fixed features need no pinning:
+    a query box is already degenerate there.  Returns shape (boxes,
+    candidates per box, inputs).
     """
-    fixed = list(q.fixed_features)
-    rows = [box.midpoint]
-    for up in toward_hi:
-        corner = np.where(up, box.hi, box.lo)
-        corner[fixed] = q.x[fixed]
-        rows.append(corner)
+    lo, hi = lo[:, None, :], hi[:, None, :]
+    parts = [0.5 * (lo + hi), np.where(toward_hi, hi, lo)]
     if n_random > 0:
-        rows.extend(sample_box(box, n_random, rng))
-    return np.asarray(rows)
+        shape = (lo.shape[0], n_random, lo.shape[2])
+        parts.append(rng.uniform(np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)))
+    return np.concatenate(parts, axis=1)
 
 
-def _gap_corners(net: ConcreteNetwork, q: SufficiencyQuery, box: IntervalVector, out: IntervalVector) -> list:
-    """Corner masks that maximize the linearized logit gap to the top-2 runner-ups.
+def _gap_corners(net: ConcreteNetwork, target: int, lo: np.ndarray, hi: np.ndarray, out_hi: np.ndarray) -> np.ndarray:
+    """Per box, the corner masks that maximize the linearized logit gap to the top-2 runner-ups.
 
-    Runner-ups are ranked by their upper bounds in ``out``; each gap is
-    linearized at the box center.
+    Runner-ups are ranked by the box's output upper bounds (a row of
+    ``out_hi``); each gap is linearized at the box center.  One forward and
+    one backward pass give every center's gradients for the target and its
+    runner-ups.  Returns shape (boxes, runner-ups, inputs).
     """
-    center = box.midpoint
-    runner_ups = [j for j in np.argsort(-out.hi) if j != q.target][:2]
-    return [gradient(net, center, int(j)) - gradient(net, center, q.target) > 0 for j in runner_ups]
+    ranked = np.argsort(-out_hi, axis=1)
+    runner_ups = ranked[ranked != target].reshape(lo.shape[0], -1)[:, :2]
+    logits = np.concatenate([np.full((lo.shape[0], 1), target), runner_ups], axis=1)
+    grads = gradients(net, 0.5 * (lo + hi), logits)
+    return grads[:, 1:, :] - grads[:, :1, :] > 0
 
 
-def _misclassified(net: ConcreteNetwork, target: int, cands: np.ndarray) -> np.ndarray | None:
-    """The first candidate the network does not assign to ``target``, if any."""
-    labels = np.argmax(forward_batch(net, cands), axis=1)
-    bad = np.nonzero(labels != target)[0]
-    return cands[bad[0]] if bad.size else None
+def find_witnesses(
+    net: ConcreteNetwork,
+    target: int,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    out_hi: np.ndarray,
+    rng: np.random.Generator | None,
+    n_random: int = 64,
+) -> list:
+    """Search each box, one per row of ``lo``/``hi``, for a point not assigned to ``target``.
+
+    Per box the candidates are its center, then its ``_gap_corners``
+    (ranked by the box's output upper bounds, a row of ``out_hi``), then
+    ``n_random`` samples from ``rng`` (see ``_candidates``; ``rng`` may be
+    None when ``n_random`` is 0).  Every
+    candidate is evaluated exactly, at most ``WITNESS_CHUNK_ROWS`` per
+    forward pass, so a returned witness is a genuine counterexample; a box
+    without one gets None.
+    """
+    boxes = lo.shape[0]
+    if boxes == 0:
+        return []
+    cands = _candidates(lo, hi, _gap_corners(net, target, lo, hi, out_hi), rng, n_random)
+    rows = cands.reshape(-1, lo.shape[1])
+    labels = np.concatenate([
+        np.argmax(forward_batch(net, rows[i : i + WITNESS_CHUNK_ROWS]), axis=1)
+        for i in range(0, rows.shape[0], WITNESS_CHUNK_ROWS)
+    ])
+    wrong = labels.reshape(boxes, -1) != target
+    return [cands[b, np.argmax(wrong[b])] if wrong[b].any() else None for b in range(boxes)]
 
 
 def check_abstract(anet: AbstractNetwork, q: SufficiencyQuery) -> Verdict:
@@ -182,9 +233,9 @@ def check_abstract(anet: AbstractNetwork, q: SufficiencyQuery) -> Verdict:
     counterexample search can rank runner-ups without propagating again.
     """
     out = propagate_abstract(anet, q.query_box())
-    margin, separated = _separation(out, q.target)
+    margin, separated = _separation(out.lo, out.hi, q.target)
     kind = VerdictKind.SUFFICIENT if separated else VerdictKind.UNCERTAIN
-    return Verdict(kind, margin, enclosure=out)
+    return Verdict(kind, float(margin), enclosure=out)
 
 
 def check_concrete(
@@ -196,12 +247,12 @@ def check_concrete(
     _validate_target(net, q)
     box = q.query_box()
     out = propagate_box(net, box).final
-    margin, separated = _separation(out, q.target)
+    margin, separated = _separation(out.lo, out.hi, q.target)
+    margin = float(margin)
     if separated:
         return Verdict(VerdictKind.SUFFICIENT, margin)
     rng = rng if rng is not None else np.random.default_rng(0)
-    cands = _candidates(q, box, _gap_corners(net, q, box, out), rng, 64)
-    witness = _misclassified(net, q.target, cands)
+    witness = find_witnesses(net, q.target, box.lo[None], box.hi[None], out.hi[None], rng)[0]
     if witness is not None:
         return Verdict(VerdictKind.INSUFFICIENT, margin, witness=witness)
     return Verdict(VerdictKind.UNCERTAIN, margin)
@@ -224,7 +275,7 @@ def check_regression(
     rng = rng if rng is not None else np.random.default_rng(0)
     up = gradient(net, box.midpoint, 0) > 0
     # The corners that maximize and minimize the linearized output.
-    cands = _candidates(q, box, (up, ~up), rng, 64)
+    cands = _candidates(box.lo[None], box.hi[None], np.stack([up, ~up])[None], rng, 64)[0]
     values = forward_batch(net, cands)[:, 0]
     bad = np.nonzero(np.abs(values - ref) > q.delta)[0]
     if bad.size:
@@ -249,8 +300,7 @@ def gen_counterexample(
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     box = q.query_box()
-    cands = _candidates(q, box, _gap_corners(net, q, box, enclosure), rng, n_random)
-    return _misclassified(net, q.target, cands)
+    return find_witnesses(net, q.target, box.lo[None], box.hi[None], enclosure.hi[None], rng, n_random)[0]
 
 
 class OracleOutcome(str, Enum):
@@ -289,9 +339,9 @@ def oracle_check(net: ConcreteNetwork, q: SufficiencyQuery, budget: int = 1 << 1
         box = stack.pop()
         out = propagate_box(net, box).final
         evaluations += 1
-        if _separation(out, q.target)[1]:
+        if _separation(out.lo, out.hi, q.target)[1]:
             continue
-        witness = _misclassified(net, q.target, _candidates(q, box, _gap_corners(net, q, box, out)))
+        witness = find_witnesses(net, q.target, box.lo[None], box.hi[None], out.hi[None], None, 0)[0]
         if witness is not None:
             return OracleResult(OracleOutcome.WITNESS, witness, splits, evaluations)
         widths = box.width.copy()

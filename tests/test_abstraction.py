@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_query, random_subbox, small_net_and_instance
+from provex import abstraction
 from provex.abstraction import (
     ReductionSchedule,
     build_abstract,
@@ -223,6 +224,42 @@ class TestRefine:
         for small, big in zip(fine.spec.per_layer_merged, coarse.spec.per_layer_merged):
             assert small <= big
         assert fine.spec.merged_count < coarse.spec.merged_count
+
+    def test_refinement_reuses_the_build_ranking(self, monkeypatch):
+        # A chain scores its bounds once, at the build, and refines to the
+        # same merge sets and buckets as one that scores again at each step.
+        calls = []
+        score = abstraction.score_neurons
+
+        def counting(net, lb):
+            calls.append(lb)
+            return score(net, lb)
+
+        monkeypatch.setattr(abstraction, "score_neurons", counting)
+        for seed in range(10):
+            net, _ = small_net_and_instance(seed, hidden=(12, 10))
+            lb = propagate_box(net, net.input_domain)
+            carried = build_abstract(net, lb, 0.2)
+            assert carried.ranking == score(net, lb)
+            rescored = build_from_merge_sets(net, lb, carried.spec.per_layer_merged, carried.buckets)
+            assert rescored.ranking is None
+            calls.clear()
+            for rate in (0.5, 0.8, 1.0):
+                carried = refine(net, carried, lb, rate)
+                rescored = refine(net, rescored, lb, rate)
+                assert carried.spec.per_layer_merged == rescored.spec.per_layer_merged
+                assert carried.buckets == rescored.buckets
+            # Only the first refine of the unscored chain scored.
+            assert len(calls) == 1
+
+    def test_ranking_of_another_box_is_not_reused(self):
+        net, x = small_net_and_instance(4, hidden=(12, 10))
+        wide = propagate_box(net, net.input_domain)
+        q = make_query(net, x, fixed={0, 1}, epsilon=0.2)
+        narrow = propagate_box(net, q.query_box())
+        built = build_abstract(net, wide, 0.3)
+        refined = refine(net, built, narrow, 0.6)
+        assert refined.ranking == score_neurons(net, narrow)
 
     def test_enclosures_nest_along_chain(self):
         # Chain of refinements: enclosures shrink and still contain the

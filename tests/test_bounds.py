@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import make_query, random_subbox, small_net_and_instance
 from provex.abstraction import AbstractLayer, build_abstract
-from provex.bounds import enclose_layer, propagate_abstract, propagate_box, sample_box
+from provex.bounds import enclose_layer, propagate_abstract, propagate_box, propagate_rows, sample_box
 from provex.errors import DimensionError, ValidationError
 from provex.fixtures import random_network
 from provex.intervals import IntervalVector, iv_subset
@@ -208,3 +208,33 @@ class TestKernelProperties:
             got = propagate_abstract(anet, b)
             assert got.lo.tobytes() == want.lo.tobytes()
             assert got.hi.tobytes() == want.hi.tobytes()
+
+
+class TestBatchedKernel:
+    """Many boxes in one pass through ``propagate_rows``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(nets_and_boxes(), st.integers(1, 16), st.integers(0, 2**16))
+    def test_every_row_contains_its_samples(self, case, boxes, seed):
+        net, box, _ = case
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(size=(2, boxes, len(box))), axis=0)
+        lo = box.lo + t[0] * box.width
+        hi = np.clip(box.lo + t[1] * box.width, lo, box.hi)
+        out_lo, out_hi = propagate_rows(net.layers, lo, hi)
+        assert out_lo.shape == out_hi.shape == (boxes, net.output_dim)
+        for row in range(boxes):
+            row_box = IntervalVector(lo[row], hi[row])
+            out = IntervalVector(out_lo[row], out_hi[row])
+            assert_contains(out, forward_batch(net, sample_box(row_box, 64, rng)))
+
+    def test_one_row_is_bit_identical_to_propagate_box(self):
+        # The nets of acceptance criterion c07.
+        for seed in range(50):
+            act = ("relu", "sigmoid", "tanh")[seed % 3]
+            net = random_network(6, (10, 8), 3, act, seed=seed + 700)
+            lo, hi = random_subbox(net, np.random.default_rng(seed))
+            want = propagate_box(net, IntervalVector(lo, hi)).final
+            for got_lo, got_hi in (propagate_rows(net.layers, lo, hi), propagate_rows(net.layers, lo[None], hi[None])):
+                assert got_lo.reshape(-1).tobytes() == want.lo.tobytes()
+                assert got_hi.reshape(-1).tobytes() == want.hi.tobytes()

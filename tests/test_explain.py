@@ -19,8 +19,9 @@ from provex.explain import (
     order_features,
 )
 from provex.fixtures import random_network, uniform_instances
-from provex.network import load_network, predict
-from provex.queries import OracleOutcome, check_concrete, oracle_check
+from provex import explain as explain_module
+from provex.network import ConcreteNetwork, Layer, load_network, predict
+from provex.queries import OracleOutcome, SufficiencyQuery, VerdictKind, check_concrete, oracle_check
 
 IDENTITY_DOC = json.dumps(
     {
@@ -239,3 +240,98 @@ class TestWorkReport:
         assert len(doc["steps"]) == len(trace.steps)
         rates = [snap["rate"] for snap in doc["snapshots"]]
         assert rates == sorted(rates)
+
+
+def _replay(net, x, epsilon, grouping, seed, monkeypatch):
+    """Run the batched walk, then ask every step again one at a time.
+
+    The walk's witnesses are recorded by wrapping the batched witness
+    search; the replay asks each step's query with ``check_concrete`` and
+    one generator seeded like the walk's, and checks the verdict, the
+    witness and the kept set step by step.
+    """
+    found = []
+    search = explain_module.find_witnesses
+
+    def recording(*args, **kwargs):
+        witnesses = search(*args, **kwargs)
+        found.extend(witnesses)
+        return witnesses
+
+    monkeypatch.setattr(explain_module, "find_witnesses", recording)
+    ordering = order_features(net, x, grouping, "sensitivity")
+    kept, trace = explain_baseline(net, x, epsilon, grouping, ordering, seed=seed)
+    monkeypatch.undo()
+
+    rng = np.random.default_rng(seed)
+    target = predict(net, x)
+    replay_kept = set(range(len(grouping.groups)))
+    witnesses = iter(found)
+    assert len(trace.steps) == len(ordering.resolved)
+    for g, step in zip(ordering.resolved, trace.steps):
+        q = SufficiencyQuery(x, grouping.features_of(replay_kept - {g}), epsilon, target, net.input_domain)
+        verdict = check_concrete(net, q, rng=rng)
+        assert step.group_id == grouping.ids[g]
+        assert step.verdict == verdict.kind.value
+        assert step.witness_used == verdict.is_insufficient
+        if verdict.is_sufficient:
+            replay_kept.discard(g)
+        else:
+            walked = next(witnesses)
+            if verdict.witness is None:
+                assert walked is None
+            else:
+                assert walked.tobytes() == verdict.witness.tobytes()
+    assert next(witnesses, "none left") == "none left"
+    assert kept == frozenset(replay_kept)
+    return trace
+
+
+class TestBatchedWalk:
+    """The enclosure walk's speculative batches ask exactly the one-at-a-time queries."""
+
+    def test_replay_on_the_search_equivalence_nets(self, monkeypatch):
+        # The nets and instances of acceptance criterion c05.
+        verdicts = set()
+        for seed in range(100):
+            act = "relu" if seed % 2 == 0 else "sigmoid"
+            net = random_network(7, (12, 10), 3, act, seed=seed + 300)
+            x = uniform_instances(net, 1, seed=seed)[0]
+            trace = _replay(net, x, 0.1, FeatureGrouping.singletons(7), seed, monkeypatch)
+            verdicts.update(step.verdict for step in trace.steps)
+        assert verdicts == {kind.value for kind in VerdictKind}
+
+    def test_replay_on_the_tie_net(self, monkeypatch):
+        # logits = (x, 1 - x) at x = 0.25: the box reaches the tie at 0.5.
+        net = ConcreteNetwork((Layer(np.array([[1.0], [-1.0]]), np.array([0.0, 1.0]), "identity"),))
+        trace = _replay(net, np.array([0.25]), 0.25, FeatureGrouping.singletons(1), 0, monkeypatch)
+        assert [step.verdict for step in trace.steps] == ["insufficient"]
+
+    def test_replay_with_rgb_groups(self, monkeypatch):
+        net = random_network(48, (16,), 3, "relu", seed=21)
+        x = uniform_instances(net, 1, seed=21)[0]
+        trace = _replay(net, x, 0.2, FeatureGrouping.rgb_pixels(48), 21, monkeypatch)
+        assert {step.verdict for step in trace.steps} == {kind.value for kind in VerdictKind}
+
+    def test_long_walk_fills_whole_batches(self, monkeypatch):
+        # 64 features give runs long enough for the largest batch.
+        batches = []
+        walk = explain_module.enclosure_verdicts
+
+        def recording(net, target, lo, hi):
+            batches.append(lo.shape[0])
+            return walk(net, target, lo, hi)
+
+        monkeypatch.setattr(explain_module, "enclosure_verdicts", recording)
+        net = random_network(64, (32,), 4, "sigmoid", seed=5)
+        x = uniform_instances(net, 1, seed=5)[0]
+        explain_baseline(net, x, 0.05)
+        monkeypatch.undo()
+        assert max(batches) == explain_module.MAX_BATCH
+        _replay(net, x, 0.05, FeatureGrouping.singletons(64), 0, monkeypatch)
+
+    def test_step_times_share_out_the_batches(self):
+        net, x = small_net_and_instance(6, input_dim=12, hidden=(10,))
+        _, trace = explain_baseline(net, x, 0.2)
+        assert all(step.elapsed > 0 for step in trace.steps)
+        assert sum(step.elapsed for step in trace.steps) <= trace.wall_time

@@ -154,3 +154,29 @@ class TestSubset:
     def test_negative_slack_rejected(self):
         with pytest.raises(ValidationError):
             iv_subset(iv((0, 1)), iv((0, 1)), -1.0)
+
+
+def _two_branch_sigmoid(z):
+    # The branch-on-sign formula the sigmoid had before it dropped mask scatter.
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoidBits:
+    """The sigmoid returns the bits of the two-branch formula, edge cases included."""
+
+    def test_edge_values(self):
+        z = np.array([0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 745.0, -745.0, 800.0, -800.0])
+        with np.errstate(under="ignore"):
+            assert np.array_equal(apply_activation("sigmoid", z), _two_branch_sigmoid(z))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 800.0])
+    def test_random_arrays(self, scale):
+        z = np.random.default_rng(int(scale * 10)).normal(scale=scale, size=(67, 200))
+        with np.errstate(under="ignore"):
+            assert np.array_equal(apply_activation("sigmoid", z), _two_branch_sigmoid(z))

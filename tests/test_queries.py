@@ -266,7 +266,7 @@ class TestCandidates:
         q = make_query(net, x, fixed={1, 3}, epsilon=0.3)
         box = q.query_box()
         up = np.array([True, False, True, False, False])
-        cands = _candidates(q, box, [up, ~up], np.random.default_rng(5), 4)
+        cands = _candidates(box.lo[None], box.hi[None], np.stack([up, ~up])[None], np.random.default_rng(5), 4)[0]
         assert cands.shape == (7, 5)
         np.testing.assert_array_equal(cands[0], box.midpoint)
         for row, mask in zip(cands[1:3], (up, ~up)):
@@ -274,6 +274,17 @@ class TestCandidates:
             expected[[1, 3]] = x[[1, 3]]
             np.testing.assert_array_equal(row, expected)
         np.testing.assert_array_equal(cands[3:], sample_box(box, 4, np.random.default_rng(5)))
+
+    def test_one_draw_for_many_boxes_equals_one_draw_per_box(self):
+        net, x = small_net_and_instance(3, input_dim=5, hidden=(8,), output_dim=3)
+        boxes = [make_query(net, x, fixed=fixed, epsilon=0.3).query_box() for fixed in ({1, 3}, set(), {0, 2, 4})]
+        lo = np.stack([b.lo for b in boxes])
+        hi = np.stack([b.hi for b in boxes])
+        corners = np.zeros((3, 2, 5), dtype=bool)
+        cands = _candidates(lo, hi, corners, np.random.default_rng(8), 6)
+        rng = np.random.default_rng(8)
+        for b, box in enumerate(boxes):
+            np.testing.assert_array_equal(cands[b, 3:], sample_box(box, 6, rng))
 
     def test_verdict_carries_the_enclosure_it_was_decided_on(self):
         net, x = small_net_and_instance(4)
@@ -305,7 +316,8 @@ class TestGenCounterexample:
         out = propagate_box(net, box).final
         t = q.target
         j = 1 - t
-        cands = _candidates(q, box, _gap_corners(net, q, box, out))
+        corners = _gap_corners(net, t, box.lo[None], box.hi[None], out.hi[None])
+        cands = _candidates(box.lo[None], box.hi[None], corners)[0]
         gap = forward_batch(net, cands)[:, j] - forward_batch(net, cands)[:, t]
         d = W[j] - W[t]
         best = np.where(d > 0, box.hi, box.lo)
