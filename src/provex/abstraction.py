@@ -14,6 +14,9 @@ member range.
 Refinement un-merges the highest-scored deleted neurons while preserving
 the surviving bucket structure, which guarantees the refined enclosure is
 nested inside the coarse one for the same query box.
+
+Rankings and buckets are kept as index arrays and ordered with numpy
+sorts whose keys reproduce the documented tie-breaking exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +29,15 @@ from .bounds import LayerBounds, enclose_affine, enclose_layer
 from .errors import DimensionError, ValidationError
 from .network import ActivationKind, ConcreteNetwork
 
-Buckets = tuple[tuple[int, ...], ...]
+# Per hidden layer: neuron indices, lowest score first, and their scores in that order.
+Ranking = tuple[tuple[np.ndarray, np.ndarray], ...]
+# Per hidden layer: the merged neurons bucket after bucket, each bucket in
+# ascending index order, and the bucket sizes.  A layer with no merged
+# neuron has two empty arrays.
+Buckets = tuple[np.ndarray, np.ndarray]
+_NO_NEURONS = np.empty(0, dtype=int)
+_NO_NEURONS.setflags(write=False)
+NO_BUCKETS: Buckets = (_NO_NEURONS, _NO_NEURONS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +53,8 @@ class MergeSpec:
         if len(self.per_layer_merged) != len(self.hidden_sizes):
             raise DimensionError("one merge set per hidden layer required")
         for k, (merged, size) in enumerate(zip(self.per_layer_merged, self.hidden_sizes)):
-            if any(j < 0 or j >= size for j in merged):
+            idx = _indices(merged)
+            if idx.size and (idx.min() < 0 or idx.max() >= size):
                 raise ValidationError(f"hidden layer {k}: merged indices out of range")
 
     @property
@@ -110,7 +122,7 @@ class AbstractNetwork:
     layers: tuple
     spec: MergeSpec
     buckets: tuple[Buckets, ...]
-    ranking: list | None = None
+    ranking: Ranking | None = None
 
     @property
     def input_dim(self) -> int:
@@ -166,39 +178,38 @@ class ReductionSchedule:
         return None
 
 
-def score_neurons(net: ConcreteNetwork, lb: LayerBounds) -> list[list[tuple[int, float]]]:
+def score_neurons(net: ConcreteNetwork, lb: LayerBounds) -> Ranking:
     """Rank hidden neurons by estimated enclosure damage if merged.
 
     The score of neuron j in hidden layer k is the width of its activation
     range times the largest outgoing weight magnitude: an upper bound on
     how much absorbing it can widen any single downstream pre-activation.
-    Lowest first; ties break by neuron index.
+    Per hidden layer, returns the neuron indices lowest first, ties broken
+    by neuron index, and their scores in that order.
     """
     _check_fresh(net, lb)
     ranked = []
     for k in range(len(net.layers) - 1):
-        widths = lb.per_layer[k].width
-        scores = widths * net.layers[k + 1].weights_abs_colmax
-        order = sorted(range(len(scores)), key=lambda j: (scores[j], j))
-        ranked.append([(j, float(scores[j])) for j in order])
-    return ranked
+        scores = lb.per_layer[k].width * net.layers[k + 1].weights_abs_colmax
+        order = np.argsort(scores, kind="stable")
+        ranked.append((order, scores[order]))
+    return tuple(ranked)
 
 
-def select_merge_sets(ranked, rate: float) -> tuple[frozenset[int], ...]:
-    """Pick the globally lowest-scored hidden neurons of a ``score_neurons`` ranking to reach ``rate``."""
-    flat = [
-        (score, k, j)
-        for k, layer_scores in enumerate(ranked)
-        for (j, score) in layer_scores
-    ]
-    flat.sort()
-    total = len(flat)
-    merged_count = int(round((1.0 - rate) * total))
-    chosen = flat[:merged_count]
-    sets = [set() for _ in ranked]
-    for _, k, j in chosen:
-        sets[k].add(j)
-    return tuple(frozenset(s) for s in sets)
+def select_merge_sets(ranked: Ranking, rate: float) -> tuple[frozenset[int], ...]:
+    """Pick the globally lowest-scored hidden neurons of a ``score_neurons`` ranking to reach ``rate``.
+
+    Neurons are taken by score, ties broken by layer and then by index.
+    """
+    if not ranked:
+        return ()
+    neuron = np.concatenate([order for order, _ in ranked])
+    layer = np.repeat(np.arange(len(ranked)), [order.size for order, _ in ranked])
+    score = np.concatenate([scores for _, scores in ranked])
+    merged_count = int(round((1.0 - rate) * neuron.size))
+    chosen = np.lexsort((neuron, layer, score))[:merged_count]
+    neuron, layer = neuron[chosen], layer[chosen]
+    return tuple(frozenset(neuron[layer == k].tolist()) for k in range(len(ranked)))
 
 
 def build_abstract(net: ConcreteNetwork, lb: LayerBounds, rate: float) -> AbstractNetwork:
@@ -214,7 +225,7 @@ def build_from_merge_sets(
     lb: LayerBounds,
     merge_sets: tuple[frozenset[int], ...],
     buckets: tuple[Buckets, ...] | None = None,
-    ranking: list | None = None,
+    ranking: Ranking | None = None,
 ) -> AbstractNetwork:
     """Construct the reduced network for an explicit choice of merge sets.
 
@@ -237,33 +248,41 @@ def build_from_merge_sets(
     # Bounds are propagated at full width: a deleted neuron's coordinate is
     # overwritten with its bucket hull, which feeds the next layer exactly
     # what the absorbed bias interval contributes, without slicing weights.
-    # An unreduced build reuses every layer and needs no bounds.
-    needs_bounds = spec.merged_count > 0
-    lo, hi = lb.input_box.lo, lb.input_box.hi
+    # They are needed from the first merged layer to the last one.  Up to
+    # the first, nothing upstream is merged, so the build box's own bounds
+    # in ``lb`` hold there bit for bit and are copied rather than
+    # recomputed.  An unreduced build reuses every layer and needs none.
+    merged_layers = [k for k, merged in enumerate(merge_sets) if merged]
+    first, last = (merged_layers[0], merged_layers[-1]) if merged_layers else (-1, -2)
     keep_prev: np.ndarray | None = None  # None means every column survives
     absorbed = None  # this layer's bias interval, when the previous layer lost neurons
     out_layers = []
     out_buckets: list[Buckets] = []
 
     for k, layer in enumerate(net.layers):
-        if needs_bounds:
+        if k == first:
+            lo, hi = lb.per_layer[k].lo.copy(), lb.per_layer[k].hi.copy()
+        elif first < k <= last:
             lo, hi = enclose_layer(layer, lo, hi)
         bias_lo, bias_hi = absorbed if absorbed is not None else (layer.bias_lo, layer.bias_hi)
         absorbed = None
-        merged = merge_sets[k] if k < hidden else frozenset()
-        if merged:
+        merged = _indices(merge_sets[k]) if k < hidden else _NO_NEURONS
+        layer_buckets = NO_BUCKETS
+        if merged.size:
             if buckets is not None:
                 layer_buckets = buckets[k]
             else:
                 layer_buckets = _chain_buckets(lo, hi, merged)
             absorbed, (flat, hull_lo, hull_hi) = _absorb_buckets(net.layers[k + 1], lo, hi, layer_buckets)
-            keep = np.array(sorted(set(range(layer.out_dim)) - merged), dtype=int)
+            survives = np.ones(layer.out_dim, dtype=bool)
+            survives[merged] = False
+            keep = np.flatnonzero(survives)
             if keep_prev is None:
                 W = layer.weights[keep, :]
             else:
                 W = layer.weights[np.ix_(keep, keep_prev)]
             out_layers.append(AbstractLayer(W, bias_lo[keep], bias_hi[keep], layer.activation))
-            # lo and hi are fresh arrays from the kernel, so they are overwritten in place.
+            # lo and hi are this build's own arrays, so they are overwritten in place.
             lo[flat] = hull_lo
             hi[flat] = hull_hi
             keep_prev = keep
@@ -274,7 +293,7 @@ def build_from_merge_sets(
         else:
             out_layers.append(layer)
         if k < hidden:
-            out_buckets.append(layer_buckets if merged else ())
+            out_buckets.append(layer_buckets)
 
     return AbstractNetwork(layers=tuple(out_layers), spec=spec, buckets=tuple(out_buckets), ranking=ranking)
 
@@ -301,32 +320,31 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
     ranked = prev.ranking
     if ranked is None or prev.spec.query_fingerprint != lb.box_fingerprint:
         ranked = score_neurons(net, lb)
-    score_of = {}
-    for k, layer_scores in enumerate(ranked):
-        for j, score in layer_scores:
-            score_of[(k, j)] = score
-    merged_flat = [
-        (k, j) for k, merged in enumerate(prev.spec.per_layer_merged) for j in sorted(merged)
-    ]
+    sizes = prev.spec.hidden_sizes
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(int)
+    score_by_neuron = np.empty(prev.spec.total_hidden)
+    for offset, (order, scores) in zip(offsets, ranked):
+        score_by_neuron[offset + order] = scores
+    merged = [_indices(m) for m in prev.spec.per_layer_merged]
+    neuron = np.concatenate(merged)
+    layer = np.repeat(np.arange(len(merged)), [m.size for m in merged])
+    flat = offsets[layer] + neuron
     # Highest scores unmerge first; ties release the earliest neuron first.
-    merged_flat.sort(key=lambda kj: (-score_of[kj], kj[0], kj[1]))
-    total = prev.spec.total_hidden
-    target_merged = int(round((1.0 - rate) * total))
-    to_unmerge = set(merged_flat[: max(len(merged_flat) - target_merged, 0)])
+    release = np.lexsort((neuron, layer, -score_by_neuron[flat]))
+    target_merged = int(round((1.0 - rate) * prev.spec.total_hidden))
+    released = np.zeros(prev.spec.total_hidden, dtype=bool)
+    released[flat[release[: max(neuron.size - target_merged, 0)]]] = True
 
     new_sets = tuple(
-        frozenset(j for j in merged if (k, j) not in to_unmerge)
-        for k, merged in enumerate(prev.spec.per_layer_merged)
+        frozenset(m[~released[offset + m]].tolist()) for offset, m in zip(offsets, merged)
     )
-    new_buckets = tuple(
-        tuple(
-            kept
-            for bucket in layer_buckets
-            if (kept := tuple(j for j in bucket if (k, j) not in to_unmerge))
-        )
-        for k, layer_buckets in enumerate(prev.buckets)
-    )
-    return build_from_merge_sets(net, lb, new_sets, buckets=new_buckets, ranking=ranked)
+    new_buckets = []
+    for offset, (members, bucket_sizes) in zip(offsets, prev.buckets):
+        stays = ~released[offset + members]
+        bucket_of = np.repeat(np.arange(bucket_sizes.size), bucket_sizes)
+        left = np.bincount(bucket_of[stays], minlength=bucket_sizes.size)
+        new_buckets.append((members[stays], left[left > 0]))
+    return build_from_merge_sets(net, lb, new_sets, buckets=tuple(new_buckets), ranking=ranked)
 
 
 def _check_fresh(net: ConcreteNetwork, lb: LayerBounds) -> None:
@@ -334,26 +352,32 @@ def _check_fresh(net: ConcreteNetwork, lb: LayerBounds) -> None:
         raise ValidationError("stale layer bounds: computed for a different network")
 
 
-def _chain_buckets(lo: np.ndarray, hi: np.ndarray, merged: frozenset[int]) -> Buckets:
+def _indices(merged) -> np.ndarray:
+    """A merge set's neuron indices as an integer array, in no particular order."""
+    return np.fromiter(merged, dtype=int, count=len(merged))
+
+
+def _chain_buckets(lo: np.ndarray, hi: np.ndarray, merged: np.ndarray) -> Buckets:
     """Group merged neurons with pairwise-overlapping ranges into buckets.
 
-    Walking the ranges by lower endpoint, a neuron joins the open bucket
-    only while every member still shares a common point (its lower endpoint
-    does not exceed the smallest upper endpoint seen).  Saturated clusters
-    pool together while scattered ranges stay in their own buckets, keeping
-    each absorbed hull close to its members.
+    Walking the ranges by lower endpoint (then upper endpoint, then index),
+    a neuron joins the open bucket only while every member still shares a
+    common point (its lower endpoint does not exceed the smallest upper
+    endpoint seen).  Saturated clusters pool together while scattered
+    ranges stay in their own buckets, keeping each absorbed hull close to
+    its members.
     """
-    order = sorted(merged, key=lambda j: (lo[j], hi[j], j))
-    buckets: list[list[int]] = []
+    order = merged[np.lexsort((merged, hi[merged], lo[merged]))]
+    opens = np.zeros(order.size, dtype=bool)
     min_hi = -np.inf
-    for j in order:
-        if buckets and lo[j] <= min_hi:
-            buckets[-1].append(j)
-            min_hi = min(min_hi, float(hi[j]))
+    for i, (l, h) in enumerate(zip(lo[order].tolist(), hi[order].tolist())):
+        if i and l <= min_hi:
+            min_hi = min(min_hi, h)
         else:
-            buckets.append([j])
-            min_hi = float(hi[j])
-    return tuple(tuple(sorted(b)) for b in buckets)
+            opens[i] = True
+            min_hi = h
+    bucket_of = np.cumsum(opens)
+    return order[np.lexsort((order, bucket_of))], np.bincount(bucket_of)[1:]
 
 
 def _absorb_buckets(next_layer, lo: np.ndarray, hi: np.ndarray, layer_buckets: Buckets):
@@ -365,8 +389,7 @@ def _absorb_buckets(next_layer, lo: np.ndarray, hi: np.ndarray, layer_buckets: B
     interval together with the per-neuron hull arrays so the caller can
     reuse them.
     """
-    sizes = np.array([len(b) for b in layer_buckets])
-    flat = np.fromiter((j for b in layer_buckets for j in b), dtype=int, count=int(sizes.sum()))
+    flat, sizes = layer_buckets
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     bucket_lo = np.minimum.reduceat(lo[flat], starts)
     bucket_hi = np.maximum.reduceat(hi[flat], starts)

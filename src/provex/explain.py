@@ -6,7 +6,9 @@ verified sufficient.  The baseline search asks every question on the
 original network, asking its enclosure checks in speculative batches (see
 ``_enclosure_walk``); the abstraction-refinement search asks it on a reduced
 network first, falls back to concrete counterexample search when the
-reduced check is inconclusive, and only then refines the reduction.  After
+reduced check is inconclusive, and only then refines the reduction.  Once
+it carries the schedule's last rate, its remaining questions are the
+baseline's, and it hands them to the same batched walk.  After
 every step the kept set is provably sufficient, so the search can stop
 early at any time and still return a valid (possibly non-minimal)
 explanation.
@@ -22,15 +24,14 @@ import numpy as np
 from .abstraction import ReductionSchedule, build_abstract, refine
 from .bounds import propagate_box
 from .errors import DimensionError, ValidationError
+from .intervals import IntervalVector
 from .network import ConcreteNetwork, gradient, predict
 from .queries import (
     OracleOutcome,
     SufficiencyQuery,
     VerdictKind,
-    check_abstract,
     enclosure_verdicts,
     find_witnesses,
-    gen_counterexample,
     oracle_check,
 )
 
@@ -39,7 +40,7 @@ STATUS_EARLY_STOP = "SufficientEarlyStop"
 
 ORDERING_POLICIES = ("sensitivity", "in-order", "random")
 
-# Most query boxes the baseline's enclosure walk puts in one bound pass.
+# Most query boxes the enclosure walk puts in one bound pass.
 MAX_BATCH = 16
 
 
@@ -252,7 +253,8 @@ def explain_baseline(
     trace = ExplanationTrace(group_count=len(grouping.groups))
     t0 = time.monotonic()
     if backend == "enclosure":
-        kept = _enclosure_walk(net, x, epsilon, target, grouping, ordering, rng, trace)
+        kept = set(range(len(grouping.groups)))
+        _enclosure_walk(net, x, epsilon, target, grouping, ordering.resolved, kept, rng, trace)
     else:
         kept = _oracle_walk(net, x, epsilon, target, grouping, ordering, oracle_budget, trace)
     trace.final = grouping.ids_of(kept)
@@ -260,8 +262,14 @@ def explain_baseline(
     return frozenset(kept), trace
 
 
-def _enclosure_walk(net, x, epsilon, target, grouping, ordering, rng, trace) -> set[int]:
-    """The baseline's greedy walk on enclosure checks, in speculative batches.
+def _enclosure_walk(net, x, epsilon, target, grouping, order, kept, rng, trace, deadline=None) -> bool:
+    """The greedy walk on concrete enclosure checks, in speculative batches.
+
+    Walks the group indices in ``order`` starting from the kept set
+    ``kept``, which it updates in place; the groups outside it are already
+    dropped and stay free.  The baseline walks its whole order from the
+    full set; the abstraction-refinement search hands over the rest of its
+    order once it carries the schedule's last rate.
 
     A batch takes the next groups g_1..g_B and guesses that the last
     verdict repeats.  After a drop, box i frees g_1..g_i on top of the
@@ -270,18 +278,22 @@ def _enclosure_walk(net, x, epsilon, target, grouping, ordering, rng, trace) -> 
     the first box that breaks the guess, every box is exactly the query the
     one-at-a-time walk asks at that step, so those steps are taken and the
     rest of the batch is discarded.  The steps that fail share one witness
-    search, which draws from ``rng`` in step order.  B doubles after a
-    batch that matches the guess throughout and halves after one that
-    breaks it, within 1..MAX_BATCH.  A step's ``elapsed`` is its batch's
-    wall time split evenly over the steps the batch took.
+    search, which draws from ``rng`` in step order.  B starts at 1, doubles
+    after a batch that matches the guess throughout and halves after one
+    that breaks it, within 1..MAX_BATCH.  A step's ``elapsed`` is its
+    batch's wall time split evenly over the steps the batch took.  The
+    deadline is checked before every batch; returns whether it stopped the
+    walk before the end of ``order``.
     """
     box = SufficiencyQuery(x, frozenset(), epsilon, target, net.input_domain).query_box()
     members = [np.asarray(group, dtype=int) for group in grouping.groups]
     dropped = np.zeros(net.input_dim, dtype=bool)  # features of the dropped groups
-    kept = set(range(len(grouping.groups)))
-    order = ordering.resolved
+    for g in set(range(len(grouping.groups))) - kept:
+        dropped[members[g]] = True
     start, size, guess = 0, 1, True
     while start < len(order):
+        if deadline is not None and time.monotonic() >= deadline:
+            return True
         t1 = time.monotonic()
         batch = order[start : start + size]
         free = np.repeat(dropped[None], len(batch), axis=0)
@@ -322,7 +334,7 @@ def _enclosure_walk(net, x, epsilon, target, grouping, ordering, rng, trace) -> 
         start += taken
         guess = bool(separated[taken - 1])
         size = max(size // 2, 1) if broken.size else min(2 * size, MAX_BATCH)
-    return kept
+    return False
 
 
 def _oracle_walk(net, x, epsilon, target, grouping, ordering, budget, trace) -> set[int]:
@@ -374,9 +386,21 @@ def explain_abstraction_refinement(
     rate and retried.  At rate 1.0 the reduced check coincides with the
     concrete enclosure check, so an inconclusive verdict there pins the
     feature.  The rate a successful check was answered at carries forward
-    to later features and never decreases.  On timeout the current kept
-    set, which is sufficient after every step, is returned as an early
-    stop.
+    to later features and never decreases.
+
+    Once the carried rate is the schedule's last, 1.0, every later step is
+    the concrete enclosure check of the baseline, so the rest of the order
+    goes to ``_enclosure_walk`` with the kept set, the witness generator
+    and the deadline: same queries, same verdicts, asked in batches.  Its
+    steps record, like every step here, the enclosure verdict
+    (``sufficient`` or ``uncertain``) with a found counterexample in
+    ``witness_used``, and their ``elapsed`` is the batch's time split over
+    its steps.
+
+    Query boxes are built from feature masks; each step reduces the network
+    against its own box, starting from that box's concrete bounds.  On
+    timeout the current kept set, which is sufficient after every step, is
+    returned as an early stop.
     """
     x, grouping, ordering, target = _prepare(net, x, grouping, ordering, seed)
     if schedule is None:
@@ -388,44 +412,54 @@ def explain_abstraction_refinement(
     deadline = None if timeout is None else t0 + timeout
     carried = schedule.rates[0]
     stopped = False
+    box = SufficiencyQuery(x, frozenset(), epsilon, target, net.input_domain).query_box()
+    members = [np.asarray(group, dtype=int) for group in grouping.groups]
+    dropped = np.zeros(net.input_dim, dtype=bool)  # features of the dropped groups
+    order = ordering.resolved
 
-    for g in ordering.resolved:
+    for position, g in enumerate(order):
+        if carried == schedule.rates[-1]:
+            walked = len(trace.steps)
+            stopped = _enclosure_walk(net, x, epsilon, target, grouping, order[position:], kept, rng, trace, deadline)
+            for step in trace.steps[walked:]:
+                if step.witness_used:
+                    step.verdict = VerdictKind.UNCERTAIN.value
+            break
         if deadline is not None and time.monotonic() >= deadline:
             stopped = True
             break
-        fixed = grouping.features_of(kept - {g})
-        q = SufficiencyQuery(x, fixed, epsilon, target, net.input_domain)
-        lb = propagate_box(net, q.query_box())
+        free = dropped.copy()
+        free[members[g]] = True
+        lo = np.where(free, box.lo, x)
+        hi = np.where(free, box.hi, x)
+        lb = propagate_box(net, IntervalVector(lo, hi))
         rate = carried
         anet = build_abstract(net, lb, rate)
         while True:
             t1 = time.monotonic()
-            verdict = check_abstract(anet, q)
+            margin, separated, out_hi = enclosure_verdicts(anet, target, lo, hi)
             elapsed = time.monotonic() - t1
             witness_used = False
-            decided = verdict.is_sufficient
-            if verdict.is_sufficient:
+            if separated:
                 kept.discard(g)
+                dropped[members[g]] = True
                 carried = rate
             else:
-                witness = gen_counterexample(net, verdict.enclosure, q, rng=rng)
-                if witness is not None:
-                    witness_used = True
-                    decided = True
+                witness_used = find_witnesses(net, target, lo[None], hi[None], out_hi[None], rng)[0] is not None
             trace.steps.append(
                 StepRecord(
                     group_id=grouping.ids[g],
                     rate=rate,
-                    verdict=verdict.kind.value,
+                    verdict=(VerdictKind.SUFFICIENT if separated else VerdictKind.UNCERTAIN).value,
                     witness_used=witness_used,
                     elapsed=elapsed,
-                    margin=verdict.margin,
+                    margin=float(margin),
                     queried_neurons=anet.neuron_count,
                     neuron_evals=anet.neuron_count,
                 )
             )
             trace.snapshots[rate] = grouping.ids_of(kept)
-            if decided:
+            if separated or witness_used:
                 break
             next_rate = schedule.next_after(max(rate, anet.reduction_rate))
             if next_rate is None:

@@ -138,13 +138,15 @@ def _separation(lo: np.ndarray, hi: np.ndarray, target: int):
     return margin, (margin >= 0) & ~lower_touch
 
 
-def enclosure_verdicts(net: ConcreteNetwork, target: int, lo: np.ndarray, hi: np.ndarray):
+def enclosure_verdicts(net, target: int, lo: np.ndarray, hi: np.ndarray):
     """Enclosure check of a batch of query boxes, one per row, in one bound pass.
 
-    Returns each box's margin, whether it certifies ``target``, and its
-    output upper bounds, which rank runner-up classes for ``find_witnesses``.
-    The boxes are not validated; ``check_concrete`` is the checked form for
-    one query.
+    ``net`` is a concrete network or a reduction, whose enclosures hold for
+    boxes inside its build box; a single box of shape (n,) gives scalar
+    results.  Returns each box's margin, whether it certifies ``target``,
+    and its output upper bounds, which rank runner-up classes for
+    ``find_witnesses``.  The boxes are not validated; ``check_concrete`` and
+    ``check_abstract`` are the checked forms for one query.
     """
     out_lo, out_hi = propagate_rows(net.layers, lo, hi)
     margin, separated = _separation(out_lo, out_hi, target)

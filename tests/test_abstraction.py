@@ -20,15 +20,22 @@ from provex.network import forward_batch
 from provex.queries import check_abstract
 
 
+def same_pairs(a, b):
+    """Whether two rankings, or two per-layer bucket tuples, hold equal arrays."""
+    return len(a) == len(b) and all(
+        len(pa) == len(pb) and all(np.array_equal(x, y) for x, y in zip(pa, pb)) for pa, pb in zip(a, b)
+    )
+
+
 class TestScoring:
     def test_saturated_neuron_ranked_first(self):
         # A neuron whose activation range has near-zero width scores ~0.
         net = random_network(4, (6,), 2, "sigmoid", seed=1)
         lb = propagate_box(net, net.input_domain)
         widths = lb.per_layer[0].width.copy()
-        ranked = score_neurons(net, lb)[0]
+        order, _ = score_neurons(net, lb)[0]
         narrow = int(np.argmin(widths))
-        head = [j for j, _ in ranked[:3]]
+        head = order[:3].tolist()
         assert narrow in head
 
     def test_zero_outgoing_weight_scores_zero(self, demo):
@@ -43,8 +50,8 @@ class TestScoring:
             net.input_domain,
         )
         lb = propagate_box(cut, cut.input_domain)
-        ranked = dict(score_neurons(cut, lb)[0])
-        assert ranked[0] == 0.0
+        order, scores = score_neurons(cut, lb)[0]
+        assert dict(zip(order.tolist(), scores.tolist()))[0] == 0.0
 
     def test_scored_removal_beats_random_removal(self):
         # Removing the lowest-scored neurons gives an output enclosure no
@@ -168,7 +175,7 @@ class TestConstruction:
         a = build_abstract(net, lb, 0.4)
         b = build_abstract(net, lb, 0.4)
         assert a.spec.per_layer_merged == b.spec.per_layer_merged
-        assert a.buckets == b.buckets
+        assert same_pairs(a.buckets, b.buckets)
         out_a = propagate_abstract(a, net.input_domain)
         out_b = propagate_abstract(b, net.input_domain)
         np.testing.assert_array_equal(out_a.lo, out_b.lo)
@@ -240,7 +247,7 @@ class TestRefine:
             net, _ = small_net_and_instance(seed, hidden=(12, 10))
             lb = propagate_box(net, net.input_domain)
             carried = build_abstract(net, lb, 0.2)
-            assert carried.ranking == score(net, lb)
+            assert same_pairs(carried.ranking, score(net, lb))
             rescored = build_from_merge_sets(net, lb, carried.spec.per_layer_merged, carried.buckets)
             assert rescored.ranking is None
             calls.clear()
@@ -248,7 +255,7 @@ class TestRefine:
                 carried = refine(net, carried, lb, rate)
                 rescored = refine(net, rescored, lb, rate)
                 assert carried.spec.per_layer_merged == rescored.spec.per_layer_merged
-                assert carried.buckets == rescored.buckets
+                assert same_pairs(carried.buckets, rescored.buckets)
             # Only the first refine of the unscored chain scored.
             assert len(calls) == 1
 
@@ -259,7 +266,7 @@ class TestRefine:
         narrow = propagate_box(net, q.query_box())
         built = build_abstract(net, wide, 0.3)
         refined = refine(net, built, narrow, 0.6)
-        assert refined.ranking == score_neurons(net, narrow)
+        assert same_pairs(refined.ranking, score_neurons(net, narrow))
 
     def test_enclosures_nest_along_chain(self):
         # Chain of refinements: enclosures shrink and still contain the
@@ -305,3 +312,235 @@ class TestSchedule:
     def test_from_string(self):
         sched = ReductionSchedule.from_string("0.1,0.4,1.0")
         assert sched.rates == (0.1, 0.4, 1.0)
+
+
+# The rankings and buckets of the ``sorted``-based forms the numpy ones
+# replaced, kept as the reference for their order and tie-breaking.
+
+
+def sorted_score_neurons(net, lb):
+    ranked = []
+    for k in range(len(net.layers) - 1):
+        scores = lb.per_layer[k].width * net.layers[k + 1].weights_abs_colmax
+        order = sorted(range(len(scores)), key=lambda j: (scores[j], j))
+        ranked.append([(j, float(scores[j])) for j in order])
+    return ranked
+
+
+def sorted_select_merge_sets(ranked, rate):
+    flat = sorted((score, k, j) for k, layer_scores in enumerate(ranked) for (j, score) in layer_scores)
+    sets = [set() for _ in ranked]
+    for _, k, j in flat[: int(round((1.0 - rate) * len(flat)))]:
+        sets[k].add(j)
+    return tuple(frozenset(s) for s in sets)
+
+
+def sorted_chain_buckets(lo, hi, merged):
+    buckets = []
+    min_hi = -np.inf
+    for j in sorted(merged, key=lambda j: (lo[j], hi[j], j)):
+        if buckets and lo[j] <= min_hi:
+            buckets[-1].append(j)
+            min_hi = min(min_hi, float(hi[j]))
+        else:
+            buckets.append([j])
+            min_hi = float(hi[j])
+    return tuple(tuple(sorted(b)) for b in buckets)
+
+
+def sorted_refine_sets(ranked, merge_sets, buckets, total, rate):
+    """Merge sets and buckets (as tuples) after ``refine``'s unmerge step."""
+    score_of = {(k, j): score for k, layer_scores in enumerate(ranked) for j, score in layer_scores}
+    merged_flat = [(k, j) for k, merged in enumerate(merge_sets) for j in sorted(merged)]
+    merged_flat.sort(key=lambda kj: (-score_of[kj], kj[0], kj[1]))
+    to_unmerge = set(merged_flat[: max(len(merged_flat) - int(round((1.0 - rate) * total)), 0)])
+    new_sets = tuple(
+        frozenset(j for j in merged if (k, j) not in to_unmerge) for k, merged in enumerate(merge_sets)
+    )
+    new_buckets = tuple(
+        tuple(kept for bucket in layer if (kept := tuple(j for j in bucket if (k, j) not in to_unmerge)))
+        for k, layer in enumerate(buckets)
+    )
+    return new_sets, new_buckets
+
+
+def as_pairs(ranking):
+    return [list(zip(order.tolist(), scores.tolist())) for order, scores in ranking]
+
+
+def as_tuples(layer_buckets):
+    members, sizes = layer_buckets
+    ends = np.cumsum(sizes)
+    return tuple(tuple(members[end - size : end].tolist()) for size, end in zip(sizes, ends))
+
+
+def dead_relu_net(seed, hidden=(12, 12), dead=(True, True)):
+    """A relu net whose chosen hidden layers never fire on the unit box: every score there is 0."""
+    from provex.network import ConcreteNetwork, Layer
+
+    base = random_network(6, hidden, 3, "relu", seed=seed)
+    layers = tuple(
+        Layer(layer.weights, layer.bias - 10.0, layer.activation) if k < len(dead) and dead[k] else layer
+        for k, layer in enumerate(base.layers)
+    )
+    return ConcreteNetwork(layers, base.input_domain)
+
+
+def ordering_cases():
+    """(net, layer bounds) pairs: random sub-boxes of random nets, and dead-relu nets."""
+    rng = np.random.default_rng(5)
+    for seed in range(40):
+        act = ("relu", "sigmoid", "tanh")[seed % 3]
+        net, _ = small_net_and_instance(seed, hidden=(12, 10, 8), activation=act)
+        lo, hi = random_subbox(net, rng)
+        yield net, propagate_box(net, IntervalVector(lo, hi))
+    for seed, dead in ((1, (True, True)), (2, (True, False)), (3, (False, True))):
+        net = dead_relu_net(seed, dead=dead)
+        yield net, propagate_box(net, net.input_domain)
+
+
+class TestNumpyOrdering:
+    """Numpy rankings and buckets reproduce the ``sorted`` forms, ties included."""
+
+    def test_score_ranking(self):
+        ties = 0
+        for net, lb in ordering_cases():
+            ranking = score_neurons(net, lb)
+            assert as_pairs(ranking) == sorted_score_neurons(net, lb)
+            ties += sum(int(np.sum(scores[1:] == scores[:-1])) for _, scores in ranking)
+        assert ties > 20  # the dead layers' zero scores break by index
+
+    def test_merge_selection(self):
+        for net, lb in ordering_cases():
+            ranking = score_neurons(net, lb)
+            for rate in (0.1, 0.3, 0.5, 0.77, 0.9, 1.0):
+                assert abstraction.select_merge_sets(ranking, rate) == sorted_select_merge_sets(
+                    sorted_score_neurons(net, lb), rate
+                )
+
+    def test_equal_scores_across_layers_break_by_layer(self):
+        # Both hidden layers dead: every score is 0, so layer 0 goes first.
+        net = dead_relu_net(1)
+        ranking = score_neurons(net, propagate_box(net, net.input_domain))
+        sets = abstraction.select_merge_sets(ranking, 0.75)
+        assert sets == (frozenset(range(6)), frozenset())
+        # Scores tied across layers by construction, beside distinct ones.
+        ranking = (
+            (np.array([2, 0, 1]), np.array([0.5, 1.0, 1.0])),
+            (np.array([1, 0, 2]), np.array([0.5, 0.5, 1.0])),
+        )
+        pairs = as_pairs(ranking)
+        for rate in np.linspace(0.0, 1.0, 7)[1:]:
+            assert abstraction.select_merge_sets(ranking, rate) == sorted_select_merge_sets(pairs, rate)
+
+    def test_chain_buckets(self):
+        rng = np.random.default_rng(9)
+        for trial in range(200):
+            n = int(rng.integers(1, 30))
+            # Few distinct endpoints, so many ranges share a lower endpoint or both.
+            lo = rng.choice([0.0, 0.25, 0.5, 0.75], n)
+            hi = lo + rng.choice([0.0, 0.25, 0.5], n)
+            merged = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            got = abstraction._chain_buckets(lo, hi, merged)
+            assert as_tuples(got) == sorted_chain_buckets(lo, hi, frozenset(merged.tolist()))
+        for net, lb in ordering_cases():
+            for k, bounds in enumerate(lb.per_layer[:-1]):
+                merged = np.arange(0, bounds.lo.size, 2)
+                got = abstraction._chain_buckets(bounds.lo, bounds.hi, merged)
+                assert as_tuples(got) == sorted_chain_buckets(bounds.lo, bounds.hi, frozenset(merged.tolist()))
+
+    def test_refine_unmerge_order(self):
+        for net, lb in ordering_cases():
+            ranked = sorted_score_neurons(net, lb)
+            anet = build_abstract(net, lb, 0.1)
+            for rate in (0.3, 0.55, 0.8, 1.0):
+                expected = sorted_refine_sets(
+                    ranked, anet.spec.per_layer_merged, [as_tuples(b) for b in anet.buckets],
+                    anet.spec.total_hidden, rate,
+                )
+                anet = refine(net, anet, lb, rate)
+                assert anet.spec.per_layer_merged == expected[0]
+                assert tuple(as_tuples(b) for b in anet.buckets) == expected[1]
+
+
+def rebuilt_from_the_input_box(net, lb, merge_sets):
+    """The reduction with every bound re-propagated from ``lb.input_box``, as before builds started from ``lb``."""
+    from provex.abstraction import AbstractLayer, _absorb_buckets, _chain_buckets
+    from provex.bounds import enclose_layer
+
+    lo, hi = lb.input_box.lo, lb.input_box.hi
+    keep_prev, absorbed, layers, buckets = None, None, [], []
+    for k, layer in enumerate(net.layers):
+        lo, hi = enclose_layer(layer, lo, hi)
+        bias_lo, bias_hi = absorbed if absorbed is not None else (layer.bias_lo, layer.bias_hi)
+        absorbed = None
+        merged = merge_sets[k] if k < len(merge_sets) else frozenset()
+        if merged:
+            layer_buckets = _chain_buckets(lo, hi, np.array(sorted(merged)))
+            absorbed, (flat, hull_lo, hull_hi) = _absorb_buckets(net.layers[k + 1], lo, hi, layer_buckets)
+            keep = np.array(sorted(set(range(layer.out_dim)) - merged), dtype=int)
+            W = layer.weights[keep, :] if keep_prev is None else layer.weights[np.ix_(keep, keep_prev)]
+            layers.append(AbstractLayer(W, bias_lo[keep], bias_hi[keep], layer.activation))
+            lo[flat], hi[flat] = hull_lo, hull_hi
+            keep_prev = keep
+            buckets.append(layer_buckets)
+        else:
+            if keep_prev is not None:
+                layers.append(AbstractLayer(layer.weights[:, keep_prev], bias_lo, bias_hi, layer.activation))
+            else:
+                layers.append(layer)
+            keep_prev = None
+            if k < len(merge_sets):
+                buckets.append(None)
+    return layers, buckets
+
+
+class TestBuildFromBounds:
+    """A build starts from the bounds in ``lb`` and matches one that re-propagates them."""
+
+    @staticmethod
+    def c07_cases():
+        # The nets and boxes of acceptance criterion c07.
+        from provex.fixtures import uniform_instances
+
+        for seed in range(50):
+            act = ("relu", "sigmoid", "tanh")[seed % 3]
+            net = random_network(6, (10, 8), 3, act, seed=seed + 700)
+            x = uniform_instances(net, 1, seed=seed)[0]
+            rng = np.random.default_rng(seed)
+            free = rng.choice(6, size=3, replace=False)
+            lo, hi = x.copy(), x.copy()
+            lo[free] = np.maximum(0.0, x[free] - 0.2)
+            hi[free] = np.minimum(1.0, x[free] + 0.2)
+            yield net, IntervalVector(lo, hi)
+
+    @staticmethod
+    def assert_same_build(net, lb, anet):
+        layers, buckets = rebuilt_from_the_input_box(net, lb, anet.spec.per_layer_merged)
+        assert len(layers) == len(anet.layers)
+        for k, (got, want) in enumerate(zip(anet.layers, layers)):
+            # A source layer is reused as it is; a rebuilt one has the same bytes.
+            assert (got is net.layers[k]) == (want is net.layers[k])
+            for name in ("weights", "bias_lo", "bias_hi"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for got, want in zip(anet.buckets, buckets):
+            if want is None:
+                assert got[0].size == 0 and got[1].size == 0
+            else:
+                assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        out = propagate_abstract(anet, lb.input_box)
+        ref = propagate_abstract(type(anet)(tuple(layers), anet.spec, anet.buckets), lb.input_box)
+        assert out.lo.tobytes() == ref.lo.tobytes() and out.hi.tobytes() == ref.hi.tobytes()
+
+    def test_every_rate_on_the_c07_nets(self):
+        for net, box in self.c07_cases():
+            lb = propagate_box(net, box)
+            for rate in np.round(np.arange(1, 11) / 10, 1):
+                self.assert_same_build(net, lb, build_abstract(net, lb, float(rate)))
+
+    def test_layer_zero_untouched(self):
+        for net, box in self.c07_cases():
+            lb = propagate_box(net, box)
+            anet = build_from_merge_sets(net, lb, (frozenset(), frozenset({1, 3, 4, 6})))
+            assert anet.layers[0] is net.layers[0]
+            self.assert_same_build(net, lb, anet)

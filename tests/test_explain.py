@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import make_query, small_net_and_instance
-from provex.abstraction import ReductionSchedule
+from provex.abstraction import ReductionSchedule, build_abstract, refine
+from provex.bounds import propagate_box
 from provex.errors import ValidationError
 from provex.explain import (
     STATUS_EARLY_STOP,
     STATUS_MINIMAL,
+    ExplanationTrace,
     FeatureGrouping,
     FeatureOrdering,
+    StepRecord,
     count_work,
     explain_abstraction_refinement,
     explain_baseline,
@@ -21,7 +24,15 @@ from provex.explain import (
 from provex.fixtures import random_network, uniform_instances
 from provex import explain as explain_module
 from provex.network import ConcreteNetwork, Layer, load_network, predict
-from provex.queries import OracleOutcome, SufficiencyQuery, VerdictKind, check_concrete, oracle_check
+from provex.queries import (
+    OracleOutcome,
+    SufficiencyQuery,
+    VerdictKind,
+    check_abstract,
+    check_concrete,
+    gen_counterexample,
+    oracle_check,
+)
 
 IDENTITY_DOC = json.dumps(
     {
@@ -335,3 +346,152 @@ class TestBatchedWalk:
         _, trace = explain_baseline(net, x, 0.2)
         assert all(step.elapsed > 0 for step in trace.steps)
         assert sum(step.elapsed for step in trace.steps) <= trace.wall_time
+
+
+def one_query_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed):
+    """The abstraction-refinement search asking every query alone, as it did before its tail was batched.
+
+    Kept as the reference for the search: each step builds its query,
+    propagates its box, reduces the network against it at the carried rate
+    and refines until a verdict is reached.
+    """
+    target = predict(net, x)
+    rng = np.random.default_rng(seed)
+    kept = set(range(len(grouping.groups)))
+    trace = ExplanationTrace(group_count=len(grouping.groups))
+    carried = schedule.rates[0]
+    for g in ordering.resolved:
+        q = SufficiencyQuery(x, grouping.features_of(kept - {g}), epsilon, target, net.input_domain)
+        lb = propagate_box(net, q.query_box())
+        rate = carried
+        anet = build_abstract(net, lb, rate)
+        while True:
+            verdict = check_abstract(anet, q)
+            witness_used = False
+            if verdict.is_sufficient:
+                kept.discard(g)
+                carried = rate
+            else:
+                witness_used = gen_counterexample(net, verdict.enclosure, q, rng=rng) is not None
+            trace.steps.append(
+                StepRecord(
+                    grouping.ids[g], rate, verdict.kind.value, witness_used, 0.0,
+                    verdict.margin, anet.neuron_count, anet.neuron_count,
+                )
+            )
+            trace.snapshots[rate] = grouping.ids_of(kept)
+            if verdict.is_sufficient or witness_used:
+                break
+            next_rate = schedule.next_after(max(rate, anet.reduction_rate))
+            if next_rate is None:
+                break
+            anet = refine(net, anet, lb, next_rate)
+            trace.refinements += 1
+            rate = next_rate
+    trace.final = grouping.ids_of(kept)
+    return frozenset(kept), trace
+
+
+def assert_same_search(net, x, epsilon, schedule, seed, monkeypatch):
+    """Run the search and its one-query-at-a-time reference; return the tail lengths handed to the walk."""
+    handed = []
+    walk = explain_module._enclosure_walk
+
+    def recording(net_, x_, epsilon_, target, grouping_, order, *rest, **kwargs):
+        handed.append(len(order))
+        return walk(net_, x_, epsilon_, target, grouping_, order, *rest, **kwargs)
+
+    monkeypatch.setattr(explain_module, "_enclosure_walk", recording)
+    grouping = FeatureGrouping.singletons(net.input_dim)
+    ordering = order_features(net, x, grouping, "sensitivity")
+    kept, trace = explain_abstraction_refinement(net, x, epsilon, grouping, ordering, schedule, seed=seed)
+    monkeypatch.undo()
+    ref_kept, ref = one_query_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed)
+    assert kept == ref_kept
+    assert trace.final == ref.final
+    assert trace.status == STATUS_MINIMAL
+    assert trace.refinements == ref.refinements
+    assert trace.snapshots == ref.snapshots
+    assert len(trace.steps) == len(ref.steps)
+    for got, want in zip(trace.steps, ref.steps):
+        assert (got.group_id, got.rate, got.verdict, got.witness_used, got.queried_neurons, got.neuron_evals) == (
+            want.group_id, want.rate, want.verdict, want.witness_used, want.queried_neurons, want.neuron_evals
+        )
+        # A batched tail sums its matrix products in another order.
+        assert abs(got.margin - want.margin) <= 1e-12
+        if got.rate < 1.0:
+            assert got.margin == want.margin
+    return handed
+
+
+def tail_net():
+    """A 40-input sigmoid net whose carried rate reaches 1.0 at its 15th feature of 40."""
+    net = random_network(40, (30, 30), 3, "sigmoid", seed=1)
+    return net, uniform_instances(net, 1, seed=1)[0], 0.2
+
+
+class TestRateOneTail:
+    """The search's rate-1.0 tail runs on the batched walk and asks the same queries."""
+
+    def test_same_trace_on_the_search_equivalence_nets(self, monkeypatch):
+        # The nets and instances of acceptance criterion c05, with the
+        # default schedule and with a short one that reaches 1.0 sooner.
+        tails = {}
+        for rates in ((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0), (0.5, 1.0)):
+            tails[rates] = 0
+            for seed in range(100):
+                act = "relu" if seed % 2 == 0 else "sigmoid"
+                net = random_network(7, (12, 10), 3, act, seed=seed + 300)
+                x = uniform_instances(net, 1, seed=seed)[0]
+                handed = assert_same_search(net, x, 0.1, ReductionSchedule(rates), seed, monkeypatch)
+                tails[rates] += bool(handed)
+        assert tails == {(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0): 1, (0.5, 1.0): 28}
+
+    def test_whole_walk_as_a_tail_keeps_the_search_verdict_names(self, monkeypatch):
+        # With only rate 1.0 the whole order is the tail; pinned features
+        # show as uncertain with witness_used, as they do below rate 1.0.
+        witnessed = 0
+        for seed in range(100):
+            act = "relu" if seed % 2 == 0 else "sigmoid"
+            net = random_network(7, (12, 10), 3, act, seed=seed + 300)
+            x = uniform_instances(net, 1, seed=seed)[0]
+            handed = assert_same_search(net, x, 0.1, ReductionSchedule((1.0,)), seed, monkeypatch)
+            assert handed == [7]
+            _, trace = explain_abstraction_refinement(net, x, 0.1, schedule=ReductionSchedule((1.0,)), seed=seed)
+            assert {step.verdict for step in trace.steps} <= {"sufficient", "uncertain"}
+            witnessed += sum(step.witness_used for step in trace.steps)
+        assert witnessed > 0
+
+    def test_wider_net_hands_off_before_its_last_feature(self, monkeypatch):
+        net, x, epsilon = tail_net()
+        handed = assert_same_search(net, x, epsilon, ReductionSchedule.default(), 0, monkeypatch)
+        assert handed == [25]
+
+    def test_timeout_inside_the_tail(self, monkeypatch):
+        # A fake clock that only the tail's batches advance, one second each:
+        # with a 1.5 s timeout the walk asks two batches and stops.
+        net, x, epsilon = tail_net()
+        _, full = explain_abstraction_refinement(net, x, epsilon)
+        clock = [0.0]
+        verdicts = explain_module.enclosure_verdicts
+
+        def ticking(net_, target, lo, hi):
+            if lo.ndim == 2:
+                clock[0] += 1.0
+            return verdicts(net_, target, lo, hi)
+
+        monkeypatch.setattr(explain_module.time, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(explain_module, "enclosure_verdicts", ticking)
+        kept, trace = explain_abstraction_refinement(net, x, epsilon, timeout=1.5)
+        monkeypatch.undo()
+        assert clock[0] == 2.0
+        assert trace.status == STATUS_EARLY_STOP
+        walked = len({step.group_id for step in trace.steps})
+        assert 15 < walked < 40
+        assert [s.to_dict() | {"elapsed": 0} for s in trace.steps] == [
+            s.to_dict() | {"elapsed": 0} for s in full.steps[: len(trace.steps)]
+        ]
+        assert frozenset(kept) >= frozenset(int(i) - 1 for i in full.final)
+        grouping = FeatureGrouping.singletons(40)
+        q = make_query(net, x, grouping.features_of(kept), epsilon)
+        assert check_concrete(net, q).is_sufficient
