@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 ok, 1 error, 2 early stop on timeout, 3 insufficient,
 4 uncertain, 5 equivalence failure.  Feature and group ids on the CLI
-surface are one-based.  Set PROVEX_LOG={error|info|debug} for logging.
+surface are one-based.  Set PROVEX_LOG={error|info|debug} for logging;
+with debug, explain logs one line per query of its trace.
 """
 
 from __future__ import annotations
@@ -164,6 +165,12 @@ def cmd_explain(args) -> int:
             json.dump(report, fh, indent=2)
             fh.write("\n")
         _write_masks(config.out, grouping, trace.to_dict())
+        if log.isEnabledFor(logging.DEBUG):
+            for step in trace.steps:
+                log.debug(
+                    "step group %s rate %g verdict %s margin %r witness_used %s elapsed %.3g",
+                    step.group_id, step.rate, step.verdict, step.margin, step.witness_used, step.elapsed,
+                )
         log.info("explanation size %d, status %s", len(trace.final), trace.status)
         return EXIT_EARLY_STOP if trace.status == STATUS_EARLY_STOP else EXIT_OK
     except (ProvexError, OSError) as exc:

@@ -6,9 +6,10 @@ verified sufficient.  The baseline search asks every question on the
 original network, asking its enclosure checks in speculative batches (see
 ``_enclosure_walk``); the abstraction-refinement search asks it on a reduced
 network first, falls back to concrete counterexample search when the
-reduced check is inconclusive, and only then refines the reduction.  Once
-it carries the schedule's last rate, its remaining questions are the
-baseline's, and it hands them to the same batched walk.  After
+reduced check is inconclusive, and only then refines the reduction.  Below
+the schedule's last rate it asks its steps in speculative windows that
+share one reduction; once it carries that rate, its remaining questions
+are the baseline's, and it hands them to the same batched walk.  After
 every step the kept set is provably sufficient, so the search can stop
 early at any time and still return a valid (possibly non-minimal)
 explanation.
@@ -40,7 +41,8 @@ STATUS_EARLY_STOP = "SufficientEarlyStop"
 
 ORDERING_POLICIES = ("sensitivity", "in-order", "random")
 
-# Most query boxes the enclosure walk puts in one bound pass.
+# Most query boxes a batch of the enclosure walk, or a window of the
+# abstraction-refinement search, puts in one bound pass.
 MAX_BATCH = 16
 
 
@@ -282,6 +284,7 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, kept, rng, trace, 
     after a batch that matches the guess throughout and halves after one
     that breaks it, within 1..MAX_BATCH.  A step's ``elapsed`` is its
     batch's wall time split evenly over the steps the batch took.  The
+    snapshot at rate 1.0 is recorded once, when the walk ends.  The
     deadline is checked before every batch; returns whether it stopped the
     walk before the end of ``order``.
     """
@@ -290,10 +293,11 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, kept, rng, trace, 
     dropped = np.zeros(net.input_dim, dtype=bool)  # features of the dropped groups
     for g in set(range(len(grouping.groups))) - kept:
         dropped[members[g]] = True
-    start, size, guess = 0, 1, True
+    start, size, guess, stopped = 0, 1, True, False
     while start < len(order):
         if deadline is not None and time.monotonic() >= deadline:
-            return True
+            stopped = True
+            break
         t1 = time.monotonic()
         batch = order[start : start + size]
         free = np.repeat(dropped[None], len(batch), axis=0)
@@ -330,11 +334,12 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, kept, rng, trace, 
         share = (time.monotonic() - t1) / taken
         for step in trace.steps[-taken:]:
             step.elapsed = share
-        trace.snapshots[1.0] = grouping.ids_of(kept)
         start += taken
         guess = bool(separated[taken - 1])
         size = max(size // 2, 1) if broken.size else min(2 * size, MAX_BATCH)
-    return False
+    if start:
+        trace.snapshots[1.0] = grouping.ids_of(kept)
+    return stopped
 
 
 def _oracle_walk(net, x, epsilon, target, grouping, ordering, budget, trace) -> set[int]:
@@ -364,6 +369,7 @@ def _oracle_walk(net, x, epsilon, target, grouping, ordering, budget, trace) -> 
                 neuron_evals=net.neuron_count * result.evaluations,
             )
         )
+    if trace.steps:
         trace.snapshots[1.0] = grouping.ids_of(kept)
     return kept
 
@@ -380,13 +386,33 @@ def explain_abstraction_refinement(
 ) -> tuple[frozenset[int], ExplanationTrace]:
     """Greedy search that verifies each drop on a reduced network first.
 
-    Per feature: check the candidate drop on the reduction at the carried
+    Per feature: check the candidate drop on a reduction at the carried
     rate; a sufficient verdict drops the feature, a concrete counterexample
-    pins it, and otherwise the reduction is refined to the next scheduled
-    rate and retried.  At rate 1.0 the reduced check coincides with the
-    concrete enclosure check, so an inconclusive verdict there pins the
-    feature.  The rate a successful check was answered at carries forward
-    to later features and never decreases.
+    pins it, and otherwise the feature's own reduction is refined to the
+    next scheduled rate and retried.  At rate 1.0 the reduced check
+    coincides with the concrete enclosure check, so an inconclusive verdict
+    there pins the feature.  The rate a successful check was answered at
+    carries forward to later features and never decreases.
+
+    Below rate 1.0 the steps are asked in speculative windows that share
+    one reduction.  A window takes the next groups g_1..g_B; its box i
+    frees g_1..g_i on top of the groups already dropped, so its last box
+    contains all the others.  The window propagates that box once, reduces
+    the network against it once at the carried rate, and checks all B
+    boxes on that reduction in one bound pass.  A reduction encloses the
+    concrete enclosure of every box inside its build box, so each leading
+    separated row is a sound drop, which the concrete walk makes too; the
+    window takes those rows as ``sufficient`` steps at the carried rate,
+    with margins on the window's reduction.  Its first failing row is asked
+    again as a window of one, on its own box (reusing the build when that
+    box is the build box): a separated verdict there drops it, and an
+    inconclusive one goes on to counterexample search and the refinement
+    chain.  B starts at 1, doubles after a window whose rows all separate,
+    halves after one with a failing row and drops to 1 after a pin, within
+    1..MAX_BATCH.  A window's wall time, build included, is split evenly
+    over the steps it took, an inconclusive row asked alone counting as
+    taken; a window that took none hands its time on to the next window.
+    A step after a refinement times the refinement and its check.
 
     Once the carried rate is the schedule's last, 1.0, every later step is
     the concrete enclosure check of the baseline, so the rest of the order
@@ -394,11 +420,9 @@ def explain_abstraction_refinement(
     and the deadline: same queries, same verdicts, asked in batches.  Its
     steps record, like every step here, the enclosure verdict
     (``sufficient`` or ``uncertain``) with a found counterexample in
-    ``witness_used``, and their ``elapsed`` is the batch's time split over
-    its steps.
+    ``witness_used``.
 
-    Query boxes are built from feature masks; each step reduces the network
-    against its own box, starting from that box's concrete bounds.  On
+    The deadline is checked before every window and every refinement.  On
     timeout the current kept set, which is sufficient after every step, is
     returned as an early stop.
     """
@@ -416,50 +440,79 @@ def explain_abstraction_refinement(
     members = [np.asarray(group, dtype=int) for group in grouping.groups]
     dropped = np.zeros(net.input_dim, dtype=bool)  # features of the dropped groups
     order = ordering.resolved
+    drops: list[int] = []  # dropped groups, in the order they were dropped
+    drops_at: dict[float, int] = {}  # per rate, the drops made up to its last step
+    position, size, reask, build = 0, 1, False, None
 
-    for position, g in enumerate(order):
-        if carried == schedule.rates[-1]:
-            walked = len(trace.steps)
-            stopped = _enclosure_walk(net, x, epsilon, target, grouping, order[position:], kept, rng, trace, deadline)
-            for step in trace.steps[walked:]:
-                if step.witness_used:
-                    step.verdict = VerdictKind.UNCERTAIN.value
-            break
+    def record(g, rate, verdict, witness_used, elapsed, margin, anet):
+        if verdict is VerdictKind.SUFFICIENT:
+            kept.discard(g)
+            dropped[members[g]] = True
+            drops.append(g)
+        trace.steps.append(
+            StepRecord(
+                group_id=grouping.ids[g],
+                rate=rate,
+                verdict=verdict.value,
+                witness_used=witness_used,
+                elapsed=elapsed,
+                margin=float(margin),
+                queried_neurons=anet.neuron_count,
+                neuron_evals=anet.neuron_count,
+            )
+        )
+        drops_at[rate] = len(drops)
+
+    while position < len(order) and carried != schedule.rates[-1]:
         if deadline is not None and time.monotonic() >= deadline:
             stopped = True
             break
-        free = dropped.copy()
-        free[members[g]] = True
+        if not reask:
+            t1 = time.monotonic()
+        window = order[position : position + (1 if reask else size)]
+        free = np.repeat(dropped[None], len(window), axis=0)
+        for i, g in enumerate(window):
+            free[i:, members[g]] = True
         lo = np.where(free, box.lo, x)
         hi = np.where(free, box.hi, x)
-        lb = propagate_box(net, IntervalVector(lo, hi))
-        rate = carried
-        anet = build_abstract(net, lb, rate)
-        while True:
+        if build is None:
+            lb = propagate_box(net, IntervalVector(lo[-1], hi[-1]))
+            build = lb, build_abstract(net, lb, carried)
+        lb, anet = build
+        margins, separated, out_hi = enclosure_verdicts(anet, target, lo, hi)
+        taken = int(np.argmin(separated)) if not separated.all() else len(window)
+        for i in range(taken):
+            record(window[i], carried, VerdictKind.SUFFICIENT, False, 0.0, margins[i], anet)
+        if taken:
+            share = (time.monotonic() - t1) / taken
+            for step in trace.steps[-taken:]:
+                step.elapsed = share
             t1 = time.monotonic()
-            margin, separated, out_hi = enclosure_verdicts(anet, target, lo, hi)
-            elapsed = time.monotonic() - t1
+        position += taken
+        if taken == len(window):
+            size = size if reask else min(2 * size, MAX_BATCH)
+            reask, build = False, None
+            continue
+        if len(window) > 1:
+            # The failing row was checked on a larger box's reduction (or,
+            # as the last row, in a batch): ask it again alone, on its own box.
+            size, reask = max(size // 2, 1), True
+            build = build if taken == len(window) - 1 else None
+            continue
+
+        # One row on its own box's reduction, inconclusive: counterexample
+        # search, then refinement of the same reduction until a verdict.
+        g, rate = window[0], carried
+        elapsed = time.monotonic() - t1
+        while True:
+            verdict = VerdictKind.SUFFICIENT if separated[0] else VerdictKind.UNCERTAIN
             witness_used = False
-            if separated:
-                kept.discard(g)
-                dropped[members[g]] = True
+            if separated[0]:
                 carried = rate
             else:
-                witness_used = find_witnesses(net, target, lo[None], hi[None], out_hi[None], rng)[0] is not None
-            trace.steps.append(
-                StepRecord(
-                    group_id=grouping.ids[g],
-                    rate=rate,
-                    verdict=(VerdictKind.SUFFICIENT if separated else VerdictKind.UNCERTAIN).value,
-                    witness_used=witness_used,
-                    elapsed=elapsed,
-                    margin=float(margin),
-                    queried_neurons=anet.neuron_count,
-                    neuron_evals=anet.neuron_count,
-                )
-            )
-            trace.snapshots[rate] = grouping.ids_of(kept)
-            if separated or witness_used:
+                witness_used = find_witnesses(net, target, lo, hi, out_hi, rng)[0] is not None
+            record(g, rate, verdict, witness_used, elapsed, margins[0], anet)
+            if separated[0] or witness_used:
                 break
             next_rate = schedule.next_after(max(rate, anet.reduction_rate))
             if next_rate is None:
@@ -467,11 +520,30 @@ def explain_abstraction_refinement(
             if deadline is not None and time.monotonic() >= deadline:
                 stopped = True
                 break
+            t1 = time.monotonic()
             anet = refine(net, anet, lb, next_rate)
             trace.refinements += 1
             rate = next_rate
+            margins, separated, out_hi = enclosure_verdicts(anet, target, lo, hi)
+            elapsed = time.monotonic() - t1
         if stopped:
             break
+        position += 1
+        if not separated[0]:
+            size = 1
+        reask, build = False, None
+
+    # A rate's snapshot is the kept set after its last step, rebuilt once
+    # here from the drop order rather than stored after every step.
+    every = set(range(len(grouping.groups)))
+    for rate, count in drops_at.items():
+        trace.snapshots[rate] = grouping.ids_of(every.difference(drops[:count]))
+    if carried == schedule.rates[-1] and position < len(order) and not stopped:
+        walked = len(trace.steps)
+        stopped = _enclosure_walk(net, x, epsilon, target, grouping, order[position:], kept, rng, trace, deadline)
+        for step in trace.steps[walked:]:
+            if step.witness_used:
+                step.verdict = VerdictKind.UNCERTAIN.value
 
     trace.final = grouping.ids_of(kept)
     trace.status = STATUS_EARLY_STOP if stopped else STATUS_MINIMAL

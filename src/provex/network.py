@@ -256,19 +256,38 @@ def save_network(net: ConcreteNetwork) -> str:
     return json.dumps(network_to_dict(net))
 
 
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _require(doc: dict, key: str, kind, where: str):
     if key not in doc:
         raise SchemaError(f"{where}.{key}" if where else key, "missing required field")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    # JSON true and false load as bool, a subclass of int; no field is boolean.
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise SchemaError(f"{where}.{key}" if where else key, f"expected {kind.__name__}")
     return value
+
+
+def _numbers(values: list, field_name: str) -> np.ndarray:
+    """A JSON list of finite numbers as a float vector; an entry of another type is named by its index."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        j = next(j for j, v in enumerate(values) if type(v) not in _NUMBER_TYPES)
+        raise SchemaError(f"{field_name}[{j}]", f"expected a number, got {type(values[j]).__name__}")
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise SchemaError(field_name, "contains a number too large for a float") from None
+    if not np.isfinite(arr).all():
+        raise SchemaError(field_name, "contains non-finite numbers")
+    return arr
 
 
 def _parse_matrix(rows, field_name: str, expect_cols: int | None) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise SchemaError(field_name, "expected a non-empty list of rows")
     width = None
+    parsed = []
     for r, row in enumerate(rows):
         if not isinstance(row, list) or not row:
             raise SchemaError(f"{field_name}[{r}]", "expected a non-empty list of numbers")
@@ -276,9 +295,8 @@ def _parse_matrix(rows, field_name: str, expect_cols: int | None) -> np.ndarray:
             width = len(row)
         elif len(row) != width:
             raise SchemaError(f"{field_name}[{r}]", f"expected {width} entries, got {len(row)}")
-    arr = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise SchemaError(field_name, "contains non-finite numbers")
+        parsed.append(_numbers(row, f"{field_name}[{r}]"))
+    arr = np.stack(parsed)
     if expect_cols is not None and arr.shape[1] != expect_cols:
         raise SchemaError(field_name, f"expected {expect_cols} columns, got {arr.shape[1]}")
     return arr
@@ -313,11 +331,9 @@ def network_from_dict(doc: dict) -> ConcreteNetwork:
             raise SchemaError(f"{where}.activation", f"unknown activation {act!r}")
         weights = _parse_matrix(_require(raw, "weights", list, where), f"{where}.weights", prev_out)
         bias_raw = _require(raw, "bias", list, where)
-        bias = np.asarray(bias_raw, dtype=np.float64)
-        if bias.ndim != 1 or bias.shape[0] != weights.shape[0]:
-            raise SchemaError(f"{where}.bias", f"expected length {weights.shape[0]}, got {bias.shape}")
-        if not np.isfinite(bias).all():
-            raise SchemaError(f"{where}.bias", "contains non-finite numbers")
+        bias = _numbers(bias_raw, f"{where}.bias")
+        if bias.shape[0] != weights.shape[0]:
+            raise SchemaError(f"{where}.bias", f"expected length {weights.shape[0]}, got {bias.shape[0]}")
         layers.append(Layer(weights, bias, ActivationKind(act)))
         prev_out = weights.shape[0]
 
@@ -333,6 +349,8 @@ def network_from_dict(doc: dict) -> ConcreteNetwork:
         hi = _require(raw_dom, "hi", list, "input_domain")
         if len(lo) != input_dim or len(hi) != input_dim:
             raise SchemaError("input_domain", f"expected length {input_dim}")
+        lo = _numbers(lo, "input_domain.lo")
+        hi = _numbers(hi, "input_domain.hi")
         try:
             domain = IntervalVector(lo, hi)
         except (ValidationError, DimensionError) as exc:

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .abstraction import AbstractNetwork
-from .bounds import propagate_abstract, propagate_box, propagate_rows
+from .bounds import propagate_abstract, propagate_box, propagate_rows, uniform_draw
 from .errors import DimensionError, ValidationError
 from .intervals import IntervalVector
 from .network import ConcreteNetwork, forward, forward_batch, gradient, gradients, predict
@@ -175,8 +175,7 @@ def _candidates(lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rng=None,
     lo, hi = lo[:, None, :], hi[:, None, :]
     parts = [0.5 * (lo + hi), np.where(toward_hi, hi, lo)]
     if n_random > 0:
-        shape = (lo.shape[0], n_random, lo.shape[2])
-        parts.append(rng.uniform(np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)))
+        parts.append(uniform_draw(lo, hi, (lo.shape[0], n_random, lo.shape[2]), rng))
     return np.concatenate(parts, axis=1)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -104,6 +105,48 @@ class TestExplainCommand:
             return json.dumps(report, sort_keys=True)
 
         assert run("a") == run("b")
+
+
+    def test_malformed_number_is_an_error_without_traceback(self, demo_files, tmp_path, capsys):
+        _, inst_path = demo_files
+        net_path = tmp_path / "bad.json"
+        doc = json.loads(save_network(demo_network()[0]))
+        doc["layers"][0]["weights"][1][2] = "a"
+        net_path.write_text(json.dumps(doc))
+        code = main([
+            "explain", "--network", str(net_path), "--input", inst_path,
+            "--epsilon", "0.1", "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: layers[0].weights[1][2]: expected a number")
+        assert "Traceback" not in err
+
+    def test_debug_logs_one_line_per_step(self, demo_files, tmp_path, caplog):
+        net_path, inst_path = demo_files
+        out = tmp_path / "out"
+        with caplog.at_level(logging.DEBUG, logger="provex"):
+            assert main([
+                "explain", "--network", net_path, "--input", inst_path,
+                "--epsilon", "1.0", "--schedule", "0.1,0.4,1.0", "--out", str(out),
+            ]) == 0
+        steps = read_report(out)["trace"]["steps"]
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(lines) == len(steps) > 0
+        for line, step in zip(lines, steps):
+            assert line.startswith(
+                f"step group {step['group']} rate {step['rate']:g} verdict {step['verdict']} "
+                f"margin {step['margin']!r} witness_used {step['witness_used']} elapsed "
+            )
+
+    def test_info_logs_no_step_lines(self, demo_files, tmp_path, caplog):
+        net_path, inst_path = demo_files
+        with caplog.at_level(logging.INFO, logger="provex"):
+            assert main([
+                "explain", "--network", net_path, "--input", inst_path,
+                "--epsilon", "1.0", "--out", str(tmp_path / "out"),
+            ]) == 0
+        assert [r.levelno for r in caplog.records] == [logging.INFO]
 
 
 class TestVerifyCommand:

@@ -298,17 +298,21 @@ def _replay(net, x, epsilon, grouping, seed, monkeypatch):
     return trace
 
 
+def search_equivalence_nets():
+    """The nets and instances of acceptance criterion c05."""
+    for seed in range(100):
+        act = "relu" if seed % 2 == 0 else "sigmoid"
+        net = random_network(7, (12, 10), 3, act, seed=seed + 300)
+        yield net, uniform_instances(net, 1, seed=seed)[0], 0.1, seed
+
+
 class TestBatchedWalk:
     """The enclosure walk's speculative batches ask exactly the one-at-a-time queries."""
 
     def test_replay_on_the_search_equivalence_nets(self, monkeypatch):
-        # The nets and instances of acceptance criterion c05.
         verdicts = set()
-        for seed in range(100):
-            act = "relu" if seed % 2 == 0 else "sigmoid"
-            net = random_network(7, (12, 10), 3, act, seed=seed + 300)
-            x = uniform_instances(net, 1, seed=seed)[0]
-            trace = _replay(net, x, 0.1, FeatureGrouping.singletons(7), seed, monkeypatch)
+        for net, x, epsilon, seed in search_equivalence_nets():
+            trace = _replay(net, x, epsilon, FeatureGrouping.singletons(7), seed, monkeypatch)
             verdicts.update(step.verdict for step in trace.steps)
         assert verdicts == {kind.value for kind in VerdictKind}
 
@@ -392,8 +396,58 @@ def one_query_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed):
     return frozenset(kept), trace
 
 
+def record_windows(net, monkeypatch):
+    """Wrap the search's reductions and reduced checks; return how each step below the tail was answered.
+
+    Every reduced check must keep its rows inside its reduction's build
+    box.  A one-row check answers one step, on that step's own box (the
+    row must be the build box itself).  A check of B > 1 rows is a window:
+    it answers its leading separated rows, each on a larger box's
+    reduction.  The returned list holds, step by step, whether the step
+    was answered on its own box.
+    """
+    built = {}  # id of a reduction -> (the reduction, its build box)
+    own_box = []
+    build, refine_, verdicts = explain_module.build_abstract, explain_module.refine, explain_module.enclosure_verdicts
+
+    def building(net_, lb, rate):
+        anet = build(net_, lb, rate)
+        built[id(anet)] = anet, lb.input_box
+        return anet
+
+    def refining(net_, prev, lb, rate):
+        anet = refine_(net_, prev, lb, rate)
+        built[id(anet)] = anet, lb.input_box
+        return anet
+
+    def checking(net_, target, lo, hi):
+        margins, separated, out_hi = verdicts(net_, target, lo, hi)
+        if net_ is not net:
+            _, box = built[id(net_)]
+            assert lo.ndim == 2
+            assert np.all(box.lo <= lo) and np.all(hi <= box.hi)
+            if lo.shape[0] == 1:
+                assert lo[0].tobytes() == box.lo.tobytes() and hi[0].tobytes() == box.hi.tobytes()
+                own_box.append(True)
+            else:
+                own_box.extend([False] * (int(np.argmin(separated)) if not separated.all() else len(lo)))
+        return margins, separated, out_hi
+
+    monkeypatch.setattr(explain_module, "build_abstract", building)
+    monkeypatch.setattr(explain_module, "refine", refining)
+    monkeypatch.setattr(explain_module, "enclosure_verdicts", checking)
+    return own_box
+
+
 def assert_same_search(net, x, epsilon, schedule, seed, monkeypatch):
-    """Run the search and its one-query-at-a-time reference; return the tail lengths handed to the walk."""
+    """Run the search and its one-query-at-a-time reference.
+
+    Returns the tail lengths handed to the walk and, per step below the
+    tail, whether it was answered on its own box.  A step a window took
+    on a larger box's reduction is re-certified by ``check_concrete`` with
+    the kept set as of that step, and its margin lies between 0 and the
+    concrete enclosure's; every other step's margin is the reference's.
+    """
     handed = []
     walk = explain_module._enclosure_walk
 
@@ -402,6 +456,7 @@ def assert_same_search(net, x, epsilon, schedule, seed, monkeypatch):
         return walk(net_, x_, epsilon_, target, grouping_, order, *rest, **kwargs)
 
     monkeypatch.setattr(explain_module, "_enclosure_walk", recording)
+    own_box = record_windows(net, monkeypatch)
     grouping = FeatureGrouping.singletons(net.input_dim)
     ordering = order_features(net, x, grouping, "sensitivity")
     kept, trace = explain_abstraction_refinement(net, x, epsilon, grouping, ordering, schedule, seed=seed)
@@ -413,15 +468,30 @@ def assert_same_search(net, x, epsilon, schedule, seed, monkeypatch):
     assert trace.refinements == ref.refinements
     assert trace.snapshots == ref.snapshots
     assert len(trace.steps) == len(ref.steps)
-    for got, want in zip(trace.steps, ref.steps):
+    assert len(own_box) == len(trace.steps) - sum(handed)
+    target = predict(net, x)
+    replay_kept = set(range(len(grouping.groups)))
+    for k, (got, want) in enumerate(zip(trace.steps, ref.steps)):
         assert (got.group_id, got.rate, got.verdict, got.witness_used, got.queried_neurons, got.neuron_evals) == (
             want.group_id, want.rate, want.verdict, want.witness_used, want.queried_neurons, want.neuron_evals
         )
-        # A batched tail sums its matrix products in another order.
-        assert abs(got.margin - want.margin) <= 1e-12
-        if got.rate < 1.0:
+        g = grouping.ids.index(got.group_id)
+        if k >= len(own_box):
+            # A batched tail sums its matrix products in another order.
+            assert got.rate == 1.0
+            assert abs(got.margin - want.margin) <= 1e-12
+        elif own_box[k]:
             assert got.margin == want.margin
-    return handed
+        else:
+            assert got.verdict == "sufficient"
+            q = make_query(net, x, grouping.features_of(replay_kept - {g}), epsilon)
+            assert check_concrete(net, q).is_sufficient
+            box = q.query_box()
+            concrete = explain_module.enclosure_verdicts(net, target, box.lo, box.hi)[0]
+            assert 0.0 <= got.margin <= concrete + 1e-12
+        if got.verdict == "sufficient":
+            replay_kept.discard(g)
+    return handed, own_box
 
 
 def tail_net():
@@ -430,53 +500,57 @@ def tail_net():
     return net, uniform_instances(net, 1, seed=1)[0], 0.2
 
 
+def long_window_net():
+    """A 64-input sigmoid net whose windows reach MAX_BATCH before its carried rate reaches 1.0."""
+    net = random_network(64, (32, 32), 4, "sigmoid", seed=3)
+    return net, uniform_instances(net, 1, seed=3)[0], 0.1
+
+
 class TestRateOneTail:
     """The search's rate-1.0 tail runs on the batched walk and asks the same queries."""
 
     def test_same_trace_on_the_search_equivalence_nets(self, monkeypatch):
-        # The nets and instances of acceptance criterion c05, with the
-        # default schedule and with a short one that reaches 1.0 sooner.
+        # The default schedule, and a short one that reaches 1.0 sooner.
         tails = {}
+        windowed = 0
         for rates in ((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0), (0.5, 1.0)):
             tails[rates] = 0
-            for seed in range(100):
-                act = "relu" if seed % 2 == 0 else "sigmoid"
-                net = random_network(7, (12, 10), 3, act, seed=seed + 300)
-                x = uniform_instances(net, 1, seed=seed)[0]
-                handed = assert_same_search(net, x, 0.1, ReductionSchedule(rates), seed, monkeypatch)
+            for net, x, epsilon, seed in search_equivalence_nets():
+                handed, own_box = assert_same_search(net, x, epsilon, ReductionSchedule(rates), seed, monkeypatch)
                 tails[rates] += bool(handed)
+                windowed += own_box.count(False)
         assert tails == {(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0): 1, (0.5, 1.0): 28}
+        assert windowed > 0
 
     def test_whole_walk_as_a_tail_keeps_the_search_verdict_names(self, monkeypatch):
         # With only rate 1.0 the whole order is the tail; pinned features
         # show as uncertain with witness_used, as they do below rate 1.0.
         witnessed = 0
-        for seed in range(100):
-            act = "relu" if seed % 2 == 0 else "sigmoid"
-            net = random_network(7, (12, 10), 3, act, seed=seed + 300)
-            x = uniform_instances(net, 1, seed=seed)[0]
-            handed = assert_same_search(net, x, 0.1, ReductionSchedule((1.0,)), seed, monkeypatch)
+        for net, x, epsilon, seed in search_equivalence_nets():
+            handed, _ = assert_same_search(net, x, epsilon, ReductionSchedule((1.0,)), seed, monkeypatch)
             assert handed == [7]
-            _, trace = explain_abstraction_refinement(net, x, 0.1, schedule=ReductionSchedule((1.0,)), seed=seed)
+            _, trace = explain_abstraction_refinement(net, x, epsilon, schedule=ReductionSchedule((1.0,)), seed=seed)
             assert {step.verdict for step in trace.steps} <= {"sufficient", "uncertain"}
             witnessed += sum(step.witness_used for step in trace.steps)
         assert witnessed > 0
 
     def test_wider_net_hands_off_before_its_last_feature(self, monkeypatch):
         net, x, epsilon = tail_net()
-        handed = assert_same_search(net, x, epsilon, ReductionSchedule.default(), 0, monkeypatch)
+        handed, own_box = assert_same_search(net, x, epsilon, ReductionSchedule.default(), 0, monkeypatch)
         assert handed == [25]
+        assert not all(own_box)
 
     def test_timeout_inside_the_tail(self, monkeypatch):
         # A fake clock that only the tail's batches advance, one second each:
-        # with a 1.5 s timeout the walk asks two batches and stops.
+        # with a 1.5 s timeout the walk asks two batches and stops.  The
+        # tail's checks are the only ones on the concrete network.
         net, x, epsilon = tail_net()
         _, full = explain_abstraction_refinement(net, x, epsilon)
         clock = [0.0]
         verdicts = explain_module.enclosure_verdicts
 
         def ticking(net_, target, lo, hi):
-            if lo.ndim == 2:
+            if net_ is net:
                 clock[0] += 1.0
             return verdicts(net_, target, lo, hi)
 
@@ -495,3 +569,44 @@ class TestRateOneTail:
         grouping = FeatureGrouping.singletons(40)
         q = make_query(net, x, grouping.features_of(kept), epsilon)
         assert check_concrete(net, q).is_sufficient
+
+
+class TestWindows:
+    """Below rate 1.0 the search asks its steps in windows that share one reduction.
+
+    ``assert_same_search`` checks every window: its rows lie inside its
+    build box, the steps it takes are re-certified by the concrete check,
+    and every step asked on its own box has the reference's margin.
+    """
+
+    def test_long_runs_fill_whole_windows(self, monkeypatch):
+        net, x, epsilon = long_window_net()
+        rows = []
+        verdicts = explain_module.enclosure_verdicts
+
+        def recording(net_, target, lo, hi):
+            if net_ is not net:
+                rows.append(lo.shape[0])
+            return verdicts(net_, target, lo, hi)
+
+        monkeypatch.setattr(explain_module, "enclosure_verdicts", recording)
+        explain_abstraction_refinement(net, x, epsilon)
+        monkeypatch.undo()
+        assert max(rows) == explain_module.MAX_BATCH
+        _, own_box = assert_same_search(net, x, epsilon, ReductionSchedule.default(), 0, monkeypatch)
+        assert own_box.count(False) >= explain_module.MAX_BATCH
+
+    def test_one_row_windows_are_the_reference_search(self, monkeypatch):
+        # With windows of one row every step is asked on its own box, so
+        # every margin below the tail is the reference's, bit for bit.
+        cases = list(search_equivalence_nets()) + [(*tail_net(), 0), (*long_window_net(), 0)]
+        for net, x, epsilon, seed in cases:
+            monkeypatch.setattr(explain_module, "MAX_BATCH", 1)
+            _, own_box = assert_same_search(net, x, epsilon, ReductionSchedule.default(), seed, monkeypatch)
+            assert all(own_box)
+
+    def test_step_times_share_out_the_windows(self):
+        net, x, epsilon = long_window_net()
+        _, trace = explain_abstraction_refinement(net, x, epsilon)
+        assert all(step.elapsed > 0 for step in trace.steps)
+        assert sum(step.elapsed for step in trace.steps) <= trace.wall_time

@@ -1,12 +1,15 @@
 """Network model: evaluation, prediction, gradients, and serialization."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from provex.bounds import propagate_box
-from provex.errors import DimensionError, SchemaError, ValidationError
+from provex.errors import DimensionError, ProvexError, SchemaError, ValidationError
 from provex.fixtures import random_network, uniform_instances
 from provex.intervals import IntervalVector, apply_activation
 from provex.network import (
@@ -43,6 +46,97 @@ def naive_forward(net, x):
             out.append(acc)
         h = [float(apply_activation(layer.activation.value, np.array([v]))[0]) for v in out]
     return np.array(h)
+
+
+VALID_DOC = {
+    "input_dim": 3,
+    "input_domain": {"lo": [0, 0, -1], "hi": [1, 1.5, 1]},
+    "layers": [
+        {"kind": "dense", "activation": "relu", "weights": [[1, 0.5, -2], [0, 1, 3]], "bias": [0, 0.25]},
+        {"kind": "dense", "activation": "identity", "weights": [[1, -1], [2, 0.5]], "bias": [0, 1]},
+    ],
+}
+
+
+def _path(keys) -> str:
+    """A field's keys as a SchemaError names them, such as ``layers[0].weights[1][2]``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+def _fields(value, keys=()):
+    """Every field of a JSON document below its root, as (keys, value)."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield keys + (key,), item
+        yield from _fields(item, keys + (key,))
+
+
+def _load_with(keys, value):
+    """Load VALID_DOC with one field replaced; return the SchemaError it raises."""
+    doc = copy.deepcopy(VALID_DOC)
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    with pytest.raises(ProvexError) as err:
+        load_network(json.dumps(doc))
+    assert isinstance(err.value, SchemaError)
+    return err.value
+
+
+_JSON_KINDS = {
+    "number": st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "string": st.text(max_size=4),
+    "list": st.lists(st.one_of(st.text(max_size=2), st.booleans(), st.none()), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+def _kind(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "list", dict: "object"}[type(value)]
+
+
+def wrong_typed(value):
+    """Any JSON value whose type differs from ``value``'s."""
+    return st.one_of([strategy for kind, strategy in _JSON_KINDS.items() if kind != _kind(value)])
+
+
+class TestSchemaRejection:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_wrong_typed_field_is_named(self, data):
+        keys, value = data.draw(st.sampled_from(list(_fields(VALID_DOC))))
+        field = _load_with(keys, data.draw(wrong_typed(value))).field
+        assert field == _path(keys) or field.startswith((_path(keys) + "[", _path(keys) + "."))
+
+    def test_valid_document_loads(self):
+        net = load_network(json.dumps(VALID_DOC))
+        np.testing.assert_array_equal(net.input_domain.hi, [1, 1.5, 1])
+
+    @pytest.mark.parametrize("keys, value", [
+        (("layers", 0, "weights", 1, 2), "a"),
+        (("layers", 0, "weights", 0, 0), True),
+        (("layers", 1, "bias", 1), False),
+        (("layers", 1, "bias", 0), "0.5"),
+        (("input_domain", "lo", 2), "a"),
+        (("input_domain", "hi", 0), None),
+        (("input_dim",), True),
+    ])
+    def test_strings_and_booleans_in_numbers(self, keys, value):
+        assert _load_with(keys, value).field == _path(keys)
+
+    @pytest.mark.parametrize("keys, value", [
+        (("layers", 0, "bias", 0), 10**400),
+        (("input_domain", "lo", 1), float("-inf")),
+    ])
+    def test_numbers_a_float_cannot_hold(self, keys, value):
+        assert _load_with(keys, value).field == _path(keys[:-1])
 
 
 class TestLoader:

@@ -9,6 +9,7 @@ from provex.bounds import propagate_abstract, propagate_box, sample_box
 from provex.errors import ValidationError
 from provex.explain import explain_abstraction_refinement, explain_baseline
 from provex.fixtures import random_network, uniform_instances
+from provex.intervals import IntervalVector
 from provex.network import ConcreteNetwork, Layer, forward, forward_batch, predict
 from provex.queries import (
     OracleOutcome,
@@ -285,6 +286,29 @@ class TestCandidates:
         rng = np.random.default_rng(8)
         for b, box in enumerate(boxes):
             np.testing.assert_array_equal(cands[b, 3:], sample_box(box, 6, rng))
+
+    @pytest.mark.parametrize("inputs", [100, 784])
+    @pytest.mark.parametrize("boxes", [1, 16])
+    def test_samples_are_numpys_uniform_draw(self, inputs, boxes):
+        # The candidates' samples and sample_box must be rng.uniform's bits
+        # and leave the generator where rng.uniform leaves it, degenerate
+        # (fixed) features included; if numpy changes its formula, this fails.
+        rng = np.random.default_rng(inputs + boxes)
+        lo = rng.uniform(0.0, 0.9, (boxes, inputs))
+        hi = lo + rng.uniform(0.0, 0.1, (boxes, inputs))
+        hi[:, ::3] = lo[:, ::3]
+        hi[1:2] = lo[1:2]  # with 16 boxes, one wholly degenerate box
+        shape = (boxes, 64, inputs)
+        ours, numpys = np.random.default_rng(7), np.random.default_rng(7)
+        cands = _candidates(lo, hi, np.zeros((boxes, 0, inputs), dtype=bool), ours, 64)
+        want = numpys.uniform(np.broadcast_to(lo[:, None], shape), np.broadcast_to(hi[:, None], shape))
+        assert cands[:, 1:].tobytes() == want.tobytes()
+        assert ours.bit_generator.state == numpys.bit_generator.state
+        box = IntervalVector(lo[-1], hi[-1])
+        got = sample_box(box, 5, ours)
+        want = numpys.uniform(np.broadcast_to(box.lo, (5, inputs)), np.broadcast_to(box.hi, (5, inputs)))
+        assert got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
     def test_verdict_carries_the_enclosure_it_was_decided_on(self):
         net, x = small_net_and_instance(4)
