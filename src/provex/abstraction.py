@@ -80,24 +80,26 @@ class AbstractLayer:
 
     Built directly rather than through ``Layer``: a reduction is rebuilt
     for every query, and ``Layer``'s validation and column statistics
-    would cost more than the sign split below.
+    would cost more than the layer itself.  A reduction passes the sign
+    split of its weights as the same selection of its source layer's
+    ``weights_pos`` and ``weights_neg``; without one it is computed here.
     """
 
     weights: np.ndarray
     bias_lo: np.ndarray
     bias_hi: np.ndarray
     activation: ActivationKind
+    weights_pos: np.ndarray | None = None
+    weights_neg: np.ndarray | None = None
 
     def __post_init__(self):
         W = np.ascontiguousarray(self.weights, dtype=np.float64)
-        W.setflags(write=False)
-        object.__setattr__(self, "weights", W)
-        pos = np.clip(W, 0.0, None)
-        neg = np.clip(W, None, 0.0)
-        pos.setflags(write=False)
-        neg.setflags(write=False)
-        object.__setattr__(self, "weights_pos", pos)
-        object.__setattr__(self, "weights_neg", neg)
+        pos = np.clip(W, 0.0, None) if self.weights_pos is None else self.weights_pos
+        neg = np.clip(W, None, 0.0) if self.weights_neg is None else self.weights_neg
+        for name, array in (("weights", W), ("weights_pos", pos), ("weights_neg", neg)):
+            array = np.ascontiguousarray(array)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def out_dim(self) -> int:
@@ -277,18 +279,14 @@ def build_from_merge_sets(
             survives = np.ones(layer.out_dim, dtype=bool)
             survives[merged] = False
             keep = np.flatnonzero(survives)
-            if keep_prev is None:
-                W = layer.weights[keep, :]
-            else:
-                W = layer.weights[np.ix_(keep, keep_prev)]
-            out_layers.append(AbstractLayer(W, bias_lo[keep], bias_hi[keep], layer.activation))
+            index = keep if keep_prev is None else np.ix_(keep, keep_prev)
+            out_layers.append(_reduced_layer(layer, index, bias_lo[keep], bias_hi[keep]))
             # lo and hi are this build's own arrays, so they are overwritten in place.
             lo[flat] = hull_lo
             hi[flat] = hull_hi
             keep_prev = keep
         elif keep_prev is not None:
-            W = layer.weights[:, keep_prev]
-            out_layers.append(AbstractLayer(W, bias_lo, bias_hi, layer.activation))
+            out_layers.append(_reduced_layer(layer, (slice(None), keep_prev), bias_lo, bias_hi))
             keep_prev = None
         else:
             out_layers.append(layer)
@@ -345,6 +343,18 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
         left = np.bincount(bucket_of[stays], minlength=bucket_sizes.size)
         new_buckets.append((members[stays], left[left > 0]))
     return build_from_merge_sets(net, lb, new_sets, buckets=tuple(new_buckets), ranking=ranked)
+
+
+def _reduced_layer(layer, index, bias_lo: np.ndarray, bias_hi: np.ndarray) -> AbstractLayer:
+    """The rows and columns ``index`` of a source layer, with its sign split selected alike."""
+    return AbstractLayer(
+        layer.weights[index],
+        bias_lo,
+        bias_hi,
+        layer.activation,
+        weights_pos=layer.weights_pos[index],
+        weights_neg=layer.weights_neg[index],
+    )
 
 
 def _check_fresh(net: ConcreteNetwork, lb: LayerBounds) -> None:

@@ -2,17 +2,18 @@
 
 Both searches start from the full feature set and walk the features in a
 chosen order, dropping a feature whenever the remaining fixed set is still
-verified sufficient.  The baseline search asks every question on the
-original network, asking its enclosure checks in speculative batches (see
-``_enclosure_walk``); the abstraction-refinement search asks it on a reduced
-network first, falls back to concrete counterexample search when the
-reduced check is inconclusive, and only then refines the reduction.  Below
-the schedule's last rate it asks its steps in speculative windows that
-share one reduction; once it carries that rate, its remaining questions
-are the baseline's, and it hands them to the same batched walk.  After
-every step the kept set is provably sufficient, so the search can stop
-early at any time and still return a valid (possibly non-minimal)
-explanation.
+verified sufficient.  Both run on one walk, ``_enclosure_walk``, which asks
+its enclosure checks in speculative batches.  The baseline asks every check
+on the original network.  The abstraction-refinement search decides every
+feature with the same concrete enclosure and uses reductions only to label
+its drops: a run of drops below the schedule's last rate is proved on one
+reduction built against the run's largest box, and a drop that reduction
+cannot prove is labelled with the coarsest scheduled rate whose reduction
+of its own box proves it.  A feature the concrete enclosure does not drop
+is pinned at once, with no reduction and no refinement, so both searches
+keep the same features.  After every step the kept set is provably
+sufficient, so the search can stop early at any time and still return a
+valid (possibly non-minimal) explanation.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .queries import (
     OracleOutcome,
     SufficiencyQuery,
     VerdictKind,
+    _separation,
     enclosure_verdicts,
     find_witnesses,
     oracle_check,
@@ -41,8 +43,7 @@ STATUS_EARLY_STOP = "SufficientEarlyStop"
 
 ORDERING_POLICIES = ("sensitivity", "in-order", "random")
 
-# Most query boxes a batch of the enclosure walk, or a window of the
-# abstraction-refinement search, puts in one bound pass.
+# Most query boxes a batch of the enclosure walk puts in one bound pass.
 MAX_BATCH = 16
 
 
@@ -255,8 +256,7 @@ def explain_baseline(
     trace = ExplanationTrace(group_count=len(grouping.groups))
     t0 = time.monotonic()
     if backend == "enclosure":
-        kept = set(range(len(grouping.groups)))
-        _enclosure_walk(net, x, epsilon, target, grouping, ordering.resolved, kept, rng, trace)
+        kept, _ = _enclosure_walk(net, x, epsilon, target, grouping, ordering.resolved, rng, trace)
     else:
         kept = _oracle_walk(net, x, epsilon, target, grouping, ordering, oracle_budget, trace)
     trace.final = grouping.ids_of(kept)
@@ -264,82 +264,167 @@ def explain_baseline(
     return frozenset(kept), trace
 
 
-def _enclosure_walk(net, x, epsilon, target, grouping, order, kept, rng, trace, deadline=None) -> bool:
+def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedule=None, deadline=None):
     """The greedy walk on concrete enclosure checks, in speculative batches.
 
-    Walks the group indices in ``order`` starting from the kept set
-    ``kept``, which it updates in place; the groups outside it are already
-    dropped and stay free.  The baseline walks its whole order from the
-    full set; the abstraction-refinement search hands over the rest of its
-    order once it carries the schedule's last rate.
+    Walks the group indices in ``order`` from the full set and returns the
+    kept set and whether the deadline stopped the walk before the end of
+    ``order``; the deadline is checked before every batch and every
+    refinement.
 
     A batch takes the next groups g_1..g_B and guesses that the last
     verdict repeats.  After a drop, box i frees g_1..g_i on top of the
     groups already dropped (nested boxes); after a keep, it frees g_i alone
-    on top of them.  All B boxes share one bound pass.  Up to and including
-    the first box that breaks the guess, every box is exactly the query the
-    one-at-a-time walk asks at that step, so those steps are taken and the
-    rest of the batch is discarded.  The steps that fail share one witness
-    search, which draws from ``rng`` in step order.  B starts at 1, doubles
-    after a batch that matches the guess throughout and halves after one
-    that breaks it, within 1..MAX_BATCH.  A step's ``elapsed`` is its
-    batch's wall time split evenly over the steps the batch took.  The
-    snapshot at rate 1.0 is recorded once, when the walk ends.  The
-    deadline is checked before every batch; returns whether it stopped the
-    walk before the end of ``order``.
+    on top of them.  Up to and including the first box that breaks the
+    guess, every box is exactly the query the one-at-a-time walk asks at
+    that step, so those steps are taken and the rest of the batch is
+    discarded.  All B boxes share one bound pass, and the steps that fail
+    share one witness search, which draws from ``rng`` in step order.  B
+    starts at 1, doubles after a batch that matches the guess throughout
+    and halves after one that breaks it, within 1..MAX_BATCH.
+
+    With no ``schedule`` (the baseline) every batch is checked on the
+    network itself.  With one, the carried rate starts at the schedule's
+    first rate, and while it is below 1.0 a batch that guesses "drop" is
+    checked on one reduction, built against its last (largest) box at the
+    carried rate.  Its leading separated rows are drops at the carried
+    rate, with their margins on that reduction: a reduction encloses the
+    concrete enclosure of every box inside its build box.  Its first
+    failing row, and every row of any other batch, is decided by the
+    concrete enclosure.  A row it does not separate is pinned at once:
+    one step at rate 1.0 with its concrete margin and its witness search
+    shared with the batch.  A row it separates below rate 1.0 goes to the
+    reduction built against its own box at the carried rate, refined rate
+    by rate until it separates, with one step per rate and no witness
+    search (a concretely separated box has none); the rate that proves the
+    drop becomes the carried rate.  A reduction at rate 1.0 is the network
+    itself, so the chain ends there; a row still unseparated there by
+    rounding is kept.  The kept set is therefore the baseline's.  A
+    witnessed pin is ``insufficient`` in the baseline and ``uncertain``
+    with ``witness_used`` under a schedule, whose steps record enclosure
+    verdicts.
+
+    A step's ``elapsed`` is its batch's wall time split evenly over the
+    steps the batch recorded.  A rate's snapshot is the kept set after its
+    last drop, so pins never move it; the snapshot at rate 1.0 is the kept
+    set when the walk ends.
     """
     box = SufficiencyQuery(x, frozenset(), epsilon, target, net.input_domain).query_box()
     members = [np.asarray(group, dtype=int) for group in grouping.groups]
+    every = set(range(len(grouping.groups)))
+    kept = set(every)
     dropped = np.zeros(net.input_dim, dtype=bool)  # features of the dropped groups
-    for g in set(range(len(grouping.groups))) - kept:
-        dropped[members[g]] = True
+    drops: list[int] = []  # dropped groups, in the order they were dropped
+    drops_at: dict[float, int] = {}  # per rate below 1.0, the drops made up to its last drop
+    carried = 1.0 if schedule is None else schedule.rates[0]
+    witnessed = VerdictKind.INSUFFICIENT if schedule is None else VerdictKind.UNCERTAIN
     start, size, guess, stopped = 0, 1, True, False
+
+    def record(g, rate, separated, margin, neurons, witness_used=False):
+        if separated:
+            kept.discard(g)
+            dropped[members[g]] = True
+            drops.append(g)
+            if rate < 1.0:
+                drops_at[rate] = len(drops)
+        verdict = VerdictKind.SUFFICIENT if separated else witnessed if witness_used else VerdictKind.UNCERTAIN
+        trace.steps.append(
+            StepRecord(
+                group_id=grouping.ids[g],
+                rate=rate,
+                verdict=verdict.value,
+                witness_used=witness_used,
+                elapsed=0.0,
+                margin=float(margin),
+                queried_neurons=neurons,
+                neuron_evals=neurons,
+            )
+        )
+
+    def label(g, lb, lo, hi, anet=None):
+        """Drop a concretely separated row at the coarsest rate its own box's reduction proves.
+
+        ``lb`` holds the bounds of the row's own box; ``anet``, when given,
+        is its reduction at the carried rate.
+        """
+        nonlocal carried, stopped
+        rate = carried
+        anet = anet if anet is not None else build_abstract(net, lb, rate)
+        while True:
+            margin, separated, _ = enclosure_verdicts(anet, target, lo, hi)
+            record(g, rate, separated, margin, anet.neuron_count)
+            if separated:
+                carried = rate
+                return
+            rate = schedule.next_after(max(rate, anet.reduction_rate))
+            if rate is None:
+                return
+            if deadline is not None and time.monotonic() >= deadline:
+                stopped = True
+                return
+            anet = refine(net, anet, lb, rate)
+            trace.refinements += 1
+
     while start < len(order):
         if deadline is not None and time.monotonic() >= deadline:
             stopped = True
             break
         t1 = time.monotonic()
+        walked = len(trace.steps)
         batch = order[start : start + size]
         free = np.repeat(dropped[None], len(batch), axis=0)
         for i, g in enumerate(batch):
             free[slice(i, None) if guess else i, members[g]] = True
         lo = np.where(free, box.lo, x)
         hi = np.where(free, box.hi, x)
-        margins, separated, out_hi = enclosure_verdicts(net, target, lo, hi)
-        broken = np.flatnonzero(separated != guess)
-        taken = int(broken[0]) + 1 if broken.size else len(batch)
-        failed = [i for i in range(taken) if not separated[i]]
-        witnesses = dict(zip(failed, find_witnesses(net, target, lo[failed], hi[failed], out_hi[failed], rng)))
-        for i, g in enumerate(batch[:taken]):
-            if separated[i]:
-                kept.discard(g)
-                dropped[members[g]] = True
-                verdict = VerdictKind.SUFFICIENT
-            elif witnesses[i] is not None:
-                verdict = VerdictKind.INSUFFICIENT
-            else:
-                verdict = VerdictKind.UNCERTAIN
-            trace.steps.append(
-                StepRecord(
-                    group_id=grouping.ids[g],
-                    rate=1.0,
-                    verdict=verdict.value,
-                    witness_used=verdict is VerdictKind.INSUFFICIENT,
-                    elapsed=0.0,
-                    margin=float(margins[i]),
-                    queried_neurons=net.neuron_count,
-                    neuron_evals=net.neuron_count,
-                )
-            )
-        share = (time.monotonic() - t1) / taken
-        for step in trace.steps[-taken:]:
+        if guess and carried < 1.0:
+            lb = propagate_box(net, IntervalVector(lo[-1], hi[-1]))
+            anet = build_abstract(net, lb, carried)
+            margins, separated, _ = enclosure_verdicts(anet, target, lo, hi)
+            taken = len(batch) if separated.all() else int(np.argmin(separated)) + 1
+            broken = not separated[taken - 1]
+            for i in range(taken - broken):
+                record(batch[i], carried, True, margins[i], anet.neuron_count)
+            if broken:
+                f = taken - 1
+                if f < len(batch) - 1:
+                    lb, anet = propagate_box(net, IntervalVector(lo[f], hi[f])), None
+                margin, concrete = _separation(lb.final.lo, lb.final.hi, target)
+                if concrete:
+                    label(batch[f], lb, lo[f], hi[f], anet)
+                else:
+                    witness = find_witnesses(net, target, lo[f : f + 1], hi[f : f + 1], lb.final.hi[None], rng)[0]
+                    record(batch[f], 1.0, False, margin, net.neuron_count, witness is not None)
+        else:
+            margins, separated, out_hi = enclosure_verdicts(net, target, lo, hi)
+            breaks = np.flatnonzero(separated != guess)
+            broken = breaks.size > 0
+            taken = int(breaks[0]) + 1 if broken else len(batch)
+            failed = [i for i in range(taken) if not separated[i]]
+            witnesses = dict(zip(failed, find_witnesses(net, target, lo[failed], hi[failed], out_hi[failed], rng)))
+            for i, g in enumerate(batch[:taken]):
+                if not separated[i]:
+                    record(g, 1.0, False, margins[i], net.neuron_count, witnesses[i] is not None)
+                elif carried == 1.0:
+                    record(g, 1.0, True, margins[i], net.neuron_count)
+                else:
+                    label(g, propagate_box(net, IntervalVector(lo[i], hi[i])), lo[i], hi[i])
+        share = (time.monotonic() - t1) / max(len(trace.steps) - walked, 1)
+        for step in trace.steps[walked:]:
             step.elapsed = share
+        if stopped:
+            break
         start += taken
-        guess = bool(separated[taken - 1])
-        size = max(size // 2, 1) if broken.size else min(2 * size, MAX_BATCH)
-    if start:
+        guess = batch[taken - 1] not in kept
+        size = max(size // 2, 1) if broken else min(2 * size, MAX_BATCH)
+
+    # A rate's snapshot is the kept set after its last drop, rebuilt once
+    # here from the drop order rather than stored after every step.
+    for rate, count in drops_at.items():
+        trace.snapshots[rate] = grouping.ids_of(every.difference(drops[:count]))
+    if trace.steps:
         trace.snapshots[1.0] = grouping.ids_of(kept)
-    return stopped
+    return kept, stopped
 
 
 def _oracle_walk(net, x, epsilon, target, grouping, ordering, budget, trace) -> set[int]:
@@ -384,45 +469,23 @@ def explain_abstraction_refinement(
     timeout: float | None = None,
     seed: int = 0,
 ) -> tuple[frozenset[int], ExplanationTrace]:
-    """Greedy search that verifies each drop on a reduced network first.
+    """Greedy search whose drops are labelled with the coarsest reduction that proves them.
 
-    Per feature: check the candidate drop on a reduction at the carried
-    rate; a sufficient verdict drops the feature, a concrete counterexample
-    pins it, and otherwise the feature's own reduction is refined to the
-    next scheduled rate and retried.  At rate 1.0 the reduced check
-    coincides with the concrete enclosure check, so an inconclusive verdict
-    there pins the feature.  The rate a successful check was answered at
-    carries forward to later features and never decreases.
+    Every feature is decided by the concrete enclosure check, as in the
+    baseline, so both searches keep the same features.  A feature the
+    concrete check cannot drop is pinned at once: one ``uncertain`` step
+    at rate 1.0 with its concrete margin, the full network's neuron count,
+    and ``witness_used`` set when a counterexample was found.  A dropped
+    feature is checked on a reduction of the network at the carried rate,
+    which is refined to the next scheduled rate until it proves the drop;
+    each rate tried is one step and each refinement counts in
+    ``trace.refinements``.  The rate that proved a drop carries forward to
+    later features and never decreases, so per-rate snapshots shrink as
+    the rate grows.  Below rate 1.0, a run of drops shares one reduction
+    built against the run's largest box (see ``_enclosure_walk``); from
+    rate 1.0 on, every step is the baseline's.
 
-    Below rate 1.0 the steps are asked in speculative windows that share
-    one reduction.  A window takes the next groups g_1..g_B; its box i
-    frees g_1..g_i on top of the groups already dropped, so its last box
-    contains all the others.  The window propagates that box once, reduces
-    the network against it once at the carried rate, and checks all B
-    boxes on that reduction in one bound pass.  A reduction encloses the
-    concrete enclosure of every box inside its build box, so each leading
-    separated row is a sound drop, which the concrete walk makes too; the
-    window takes those rows as ``sufficient`` steps at the carried rate,
-    with margins on the window's reduction.  Its first failing row is asked
-    again as a window of one, on its own box (reusing the build when that
-    box is the build box): a separated verdict there drops it, and an
-    inconclusive one goes on to counterexample search and the refinement
-    chain.  B starts at 1, doubles after a window whose rows all separate,
-    halves after one with a failing row and drops to 1 after a pin, within
-    1..MAX_BATCH.  A window's wall time, build included, is split evenly
-    over the steps it took, an inconclusive row asked alone counting as
-    taken; a window that took none hands its time on to the next window.
-    A step after a refinement times the refinement and its check.
-
-    Once the carried rate is the schedule's last, 1.0, every later step is
-    the concrete enclosure check of the baseline, so the rest of the order
-    goes to ``_enclosure_walk`` with the kept set, the witness generator
-    and the deadline: same queries, same verdicts, asked in batches.  Its
-    steps record, like every step here, the enclosure verdict
-    (``sufficient`` or ``uncertain``) with a found counterexample in
-    ``witness_used``.
-
-    The deadline is checked before every window and every refinement.  On
+    The deadline is checked before every batch and every refinement.  On
     timeout the current kept set, which is sufficient after every step, is
     returned as an early stop.
     """
@@ -430,121 +493,12 @@ def explain_abstraction_refinement(
     if schedule is None:
         schedule = ReductionSchedule.default()
     rng = np.random.default_rng(seed)
-    kept = set(range(len(grouping.groups)))
     trace = ExplanationTrace(group_count=len(grouping.groups))
     t0 = time.monotonic()
     deadline = None if timeout is None else t0 + timeout
-    carried = schedule.rates[0]
-    stopped = False
-    box = SufficiencyQuery(x, frozenset(), epsilon, target, net.input_domain).query_box()
-    members = [np.asarray(group, dtype=int) for group in grouping.groups]
-    dropped = np.zeros(net.input_dim, dtype=bool)  # features of the dropped groups
-    order = ordering.resolved
-    drops: list[int] = []  # dropped groups, in the order they were dropped
-    drops_at: dict[float, int] = {}  # per rate, the drops made up to its last step
-    position, size, reask, build = 0, 1, False, None
-
-    def record(g, rate, verdict, witness_used, elapsed, margin, anet):
-        if verdict is VerdictKind.SUFFICIENT:
-            kept.discard(g)
-            dropped[members[g]] = True
-            drops.append(g)
-        trace.steps.append(
-            StepRecord(
-                group_id=grouping.ids[g],
-                rate=rate,
-                verdict=verdict.value,
-                witness_used=witness_used,
-                elapsed=elapsed,
-                margin=float(margin),
-                queried_neurons=anet.neuron_count,
-                neuron_evals=anet.neuron_count,
-            )
-        )
-        drops_at[rate] = len(drops)
-
-    while position < len(order) and carried != schedule.rates[-1]:
-        if deadline is not None and time.monotonic() >= deadline:
-            stopped = True
-            break
-        if not reask:
-            t1 = time.monotonic()
-        window = order[position : position + (1 if reask else size)]
-        free = np.repeat(dropped[None], len(window), axis=0)
-        for i, g in enumerate(window):
-            free[i:, members[g]] = True
-        lo = np.where(free, box.lo, x)
-        hi = np.where(free, box.hi, x)
-        if build is None:
-            lb = propagate_box(net, IntervalVector(lo[-1], hi[-1]))
-            build = lb, build_abstract(net, lb, carried)
-        lb, anet = build
-        margins, separated, out_hi = enclosure_verdicts(anet, target, lo, hi)
-        taken = int(np.argmin(separated)) if not separated.all() else len(window)
-        for i in range(taken):
-            record(window[i], carried, VerdictKind.SUFFICIENT, False, 0.0, margins[i], anet)
-        if taken:
-            share = (time.monotonic() - t1) / taken
-            for step in trace.steps[-taken:]:
-                step.elapsed = share
-            t1 = time.monotonic()
-        position += taken
-        if taken == len(window):
-            size = size if reask else min(2 * size, MAX_BATCH)
-            reask, build = False, None
-            continue
-        if len(window) > 1:
-            # The failing row was checked on a larger box's reduction (or,
-            # as the last row, in a batch): ask it again alone, on its own box.
-            size, reask = max(size // 2, 1), True
-            build = build if taken == len(window) - 1 else None
-            continue
-
-        # One row on its own box's reduction, inconclusive: counterexample
-        # search, then refinement of the same reduction until a verdict.
-        g, rate = window[0], carried
-        elapsed = time.monotonic() - t1
-        while True:
-            verdict = VerdictKind.SUFFICIENT if separated[0] else VerdictKind.UNCERTAIN
-            witness_used = False
-            if separated[0]:
-                carried = rate
-            else:
-                witness_used = find_witnesses(net, target, lo, hi, out_hi, rng)[0] is not None
-            record(g, rate, verdict, witness_used, elapsed, margins[0], anet)
-            if separated[0] or witness_used:
-                break
-            next_rate = schedule.next_after(max(rate, anet.reduction_rate))
-            if next_rate is None:
-                break  # inconclusive on the full network: the feature stays
-            if deadline is not None and time.monotonic() >= deadline:
-                stopped = True
-                break
-            t1 = time.monotonic()
-            anet = refine(net, anet, lb, next_rate)
-            trace.refinements += 1
-            rate = next_rate
-            margins, separated, out_hi = enclosure_verdicts(anet, target, lo, hi)
-            elapsed = time.monotonic() - t1
-        if stopped:
-            break
-        position += 1
-        if not separated[0]:
-            size = 1
-        reask, build = False, None
-
-    # A rate's snapshot is the kept set after its last step, rebuilt once
-    # here from the drop order rather than stored after every step.
-    every = set(range(len(grouping.groups)))
-    for rate, count in drops_at.items():
-        trace.snapshots[rate] = grouping.ids_of(every.difference(drops[:count]))
-    if carried == schedule.rates[-1] and position < len(order) and not stopped:
-        walked = len(trace.steps)
-        stopped = _enclosure_walk(net, x, epsilon, target, grouping, order[position:], kept, rng, trace, deadline)
-        for step in trace.steps[walked:]:
-            if step.witness_used:
-                step.verdict = VerdictKind.UNCERTAIN.value
-
+    kept, stopped = _enclosure_walk(
+        net, x, epsilon, target, grouping, ordering.resolved, rng, trace, schedule, deadline
+    )
     trace.final = grouping.ids_of(kept)
     trace.status = STATUS_EARLY_STOP if stopped else STATUS_MINIMAL
     trace.wall_time = time.monotonic() - t0

@@ -136,10 +136,21 @@ class ConcreteNetwork:
 
     @property
     def fingerprint(self) -> str:
-        """Stable content hash; identical for structurally equal networks."""
+        """Stable content hash; identical for structurally equal networks.
+
+        SHA-256 over every layer's shape, activation, weight bytes and bias
+        bytes, then the input domain's endpoint bytes.  A JSON round trip
+        restores every float64 bit for bit, so it keeps the hash.
+        """
         if not self._fingerprint:
-            digest = hashlib.sha256(save_network(self).encode("utf-8")).hexdigest()
-            object.__setattr__(self, "_fingerprint", digest)
+            digest = hashlib.sha256()
+            for layer in self.layers:
+                digest.update(f"{layer.weights.shape} {layer.activation.value};".encode())
+                digest.update(layer.weights.tobytes())
+                digest.update(layer.bias.tobytes())
+            digest.update(self.input_domain.lo.tobytes())
+            digest.update(self.input_domain.hi.tobytes())
+            object.__setattr__(self, "_fingerprint", digest.hexdigest())
         return self._fingerprint
 
 

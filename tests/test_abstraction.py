@@ -112,6 +112,25 @@ class TestConstruction:
         assert (anet.input_dim, anet.output_dim) == (net.input_dim, net.output_dim)
         assert anet.reduction_rate == anet.spec.reduction_rate == 22 / 24
 
+    def test_reduced_sign_split_is_the_clip_of_the_weights(self):
+        # A reduced layer selects its source layer's sign split; the halves
+        # must be exactly the clip of its own weights, layer by layer.
+        from provex.abstraction import AbstractLayer
+
+        rebuilt = 0
+        for seed in range(20):
+            act = ("relu", "sigmoid", "tanh")[seed % 3]
+            net, _ = small_net_and_instance(seed, hidden=(10, 8, 6), activation=act)
+            lb = propagate_box(net, net.input_domain)
+            for rate in (0.1, 0.4, 0.7, 0.95):
+                for layer in build_abstract(net, lb, rate).layers:
+                    if isinstance(layer, AbstractLayer):
+                        rebuilt += 1
+                        assert layer.weights_pos.tobytes() == np.clip(layer.weights, 0.0, None).tobytes()
+                        assert layer.weights_neg.tobytes() == np.clip(layer.weights, None, 0.0).tobytes()
+                        assert layer.weights_pos.flags.c_contiguous and layer.weights_neg.flags.c_contiguous
+        assert rebuilt > 0
+
     def test_rate_out_of_range(self, demo):
         net, x = demo
         lb = propagate_box(net, net.input_domain)

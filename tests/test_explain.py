@@ -30,7 +30,6 @@ from provex.queries import (
     VerdictKind,
     check_abstract,
     check_concrete,
-    gen_counterexample,
     oracle_check,
 )
 
@@ -156,6 +155,8 @@ class TestAbstractionRefinement:
             assert trace_a.refinements == 0
 
     def test_demo_trace_shows_refinement_progress(self, demo):
+        # Feature 2 needs one refinement to prove its drop; feature 3 fails
+        # the concrete check and is pinned in one step, with no refinement.
         net, x = demo
         sched = ReductionSchedule((0.1, 0.4, 1.0))
         kept, trace = explain_abstraction_refinement(net, x, 1.0, schedule=sched)
@@ -164,7 +165,14 @@ class TestAbstractionRefinement:
         assert trace.snapshots[0.1] == ("2", "3")
         assert trace.snapshots[0.4] == ("3",)
         assert trace.snapshots[1.0] == ("3",)
-        assert trace.refinements == 2
+        assert trace.refinements == 1
+        assert [(s.group_id, s.rate, s.verdict) for s in trace.steps] == [
+            ("1", 0.1, "sufficient"),
+            ("2", 0.1, "uncertain"),
+            ("2", 0.4, "sufficient"),
+            ("3", 1.0, "uncertain"),
+        ]
+        assert trace.steps[-1].queried_neurons == net.neuron_count
 
     def test_matches_baseline_on_random_nets(self):
         for seed in range(30):
@@ -353,11 +361,15 @@ class TestBatchedWalk:
 
 
 def one_query_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed):
-    """The abstraction-refinement search asking every query alone, as it did before its tail was batched.
+    """The concrete-first abstraction-refinement search asking every query alone.
 
-    Kept as the reference for the search: each step builds its query,
-    propagates its box, reduces the network against it at the carried rate
-    and refines until a verdict is reached.
+    Kept as the reference for the search.  Each step asks its query with
+    ``check_concrete`` and the seeded generator.  A feature the check cannot
+    drop is pinned with one step at rate 1.0.  A dropped one is checked on
+    the reduction of its own box at the carried rate, refined rate by rate
+    until it proves the drop, with one step per rate; that rate is carried
+    on.  A rate's snapshot is the kept set after its last drop, and the
+    snapshot at rate 1.0 is the final set.
     """
     target = predict(net, x)
     rng = np.random.default_rng(seed)
@@ -366,48 +378,50 @@ def one_query_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed):
     carried = schedule.rates[0]
     for g in ordering.resolved:
         q = SufficiencyQuery(x, grouping.features_of(kept - {g}), epsilon, target, net.input_domain)
+        verdict = check_concrete(net, q, rng=rng)
+        if not verdict.is_sufficient:
+            trace.steps.append(
+                StepRecord(
+                    grouping.ids[g], 1.0, "uncertain", verdict.is_insufficient, 0.0,
+                    verdict.margin, net.neuron_count, net.neuron_count,
+                )
+            )
+            continue
         lb = propagate_box(net, q.query_box())
         rate = carried
         anet = build_abstract(net, lb, rate)
         while True:
             verdict = check_abstract(anet, q)
-            witness_used = False
-            if verdict.is_sufficient:
-                kept.discard(g)
-                carried = rate
-            else:
-                witness_used = gen_counterexample(net, verdict.enclosure, q, rng=rng) is not None
             trace.steps.append(
                 StepRecord(
-                    grouping.ids[g], rate, verdict.kind.value, witness_used, 0.0,
+                    grouping.ids[g], rate, verdict.kind.value, False, 0.0,
                     verdict.margin, anet.neuron_count, anet.neuron_count,
                 )
             )
-            trace.snapshots[rate] = grouping.ids_of(kept)
-            if verdict.is_sufficient or witness_used:
+            if verdict.is_sufficient:
+                kept.discard(g)
+                carried = rate
+                if rate < 1.0:
+                    trace.snapshots[rate] = grouping.ids_of(kept)
                 break
-            next_rate = schedule.next_after(max(rate, anet.reduction_rate))
-            if next_rate is None:
+            rate = schedule.next_after(max(rate, anet.reduction_rate))
+            if rate is None:
                 break
-            anet = refine(net, anet, lb, next_rate)
+            anet = refine(net, anet, lb, rate)
             trace.refinements += 1
-            rate = next_rate
+    trace.snapshots[1.0] = grouping.ids_of(kept)
     trace.final = grouping.ids_of(kept)
     return frozenset(kept), trace
 
 
-def record_windows(net, monkeypatch):
-    """Wrap the search's reductions and reduced checks; return how each step below the tail was answered.
+def record_reduced_checks(net, monkeypatch):
+    """Wrap the search's reductions and reduced checks; return the row count of every batched reduced check.
 
     Every reduced check must keep its rows inside its reduction's build
-    box.  A one-row check answers one step, on that step's own box (the
-    row must be the build box itself).  A check of B > 1 rows is a window:
-    it answers its leading separated rows, each on a larger box's
-    reduction.  The returned list holds, step by step, whether the step
-    was answered on its own box.
+    box, which is what makes a separated row a sound drop.
     """
     built = {}  # id of a reduction -> (the reduction, its build box)
-    own_box = []
+    rows = []
     build, refine_, verdicts = explain_module.build_abstract, explain_module.refine, explain_module.enclosure_verdicts
 
     def building(net_, lb, rate):
@@ -421,77 +435,68 @@ def record_windows(net, monkeypatch):
         return anet
 
     def checking(net_, target, lo, hi):
-        margins, separated, out_hi = verdicts(net_, target, lo, hi)
         if net_ is not net:
             _, box = built[id(net_)]
-            assert lo.ndim == 2
             assert np.all(box.lo <= lo) and np.all(hi <= box.hi)
-            if lo.shape[0] == 1:
-                assert lo[0].tobytes() == box.lo.tobytes() and hi[0].tobytes() == box.hi.tobytes()
-                own_box.append(True)
-            else:
-                own_box.extend([False] * (int(np.argmin(separated)) if not separated.all() else len(lo)))
-        return margins, separated, out_hi
+            if lo.ndim == 2:
+                rows.append(lo.shape[0])
+        return verdicts(net_, target, lo, hi)
 
     monkeypatch.setattr(explain_module, "build_abstract", building)
     monkeypatch.setattr(explain_module, "refine", refining)
     monkeypatch.setattr(explain_module, "enclosure_verdicts", checking)
-    return own_box
+    return rows
 
 
-def assert_same_search(net, x, epsilon, schedule, seed, monkeypatch):
-    """Run the search and its one-query-at-a-time reference.
+def assert_same_search(net, x, epsilon, schedule, seed, monkeypatch, exact=False):
+    """Run the search and its one-query-at-a-time reference; return the trace and the windowed step count.
 
-    Returns the tail lengths handed to the walk and, per step below the
-    tail, whether it was answered on its own box.  A step a window took
-    on a larger box's reduction is re-certified by ``check_concrete`` with
-    the kept set as of that step, and its margin lies between 0 and the
-    concrete enclosure's; every other step's margin is the reference's.
+    Kept sets, finals, snapshots, refinements and every step's group,
+    rate, verdict, witness and neuron counts must be the reference's, and
+    the kept set must be the baseline's.  A step asked alone on its own
+    box has the reference's margin bit for bit (with ``exact``, every step
+    must).  Otherwise the step is either a concrete step at rate 1.0 from
+    a batched pass, whose margin may differ in the last bits, or a drop a
+    window took on a larger box's reduction: a windowed step, which is
+    re-certified by ``check_concrete`` with the kept set as of that step
+    and whose margin lies between 0 and the concrete enclosure's.
     """
-    handed = []
-    walk = explain_module._enclosure_walk
-
-    def recording(net_, x_, epsilon_, target, grouping_, order, *rest, **kwargs):
-        handed.append(len(order))
-        return walk(net_, x_, epsilon_, target, grouping_, order, *rest, **kwargs)
-
-    monkeypatch.setattr(explain_module, "_enclosure_walk", recording)
-    own_box = record_windows(net, monkeypatch)
+    record_reduced_checks(net, monkeypatch)
     grouping = FeatureGrouping.singletons(net.input_dim)
     ordering = order_features(net, x, grouping, "sensitivity")
     kept, trace = explain_abstraction_refinement(net, x, epsilon, grouping, ordering, schedule, seed=seed)
     monkeypatch.undo()
     ref_kept, ref = one_query_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed)
     assert kept == ref_kept
+    assert kept == explain_baseline(net, x, epsilon, grouping, ordering, seed=seed)[0]
     assert trace.final == ref.final
     assert trace.status == STATUS_MINIMAL
     assert trace.refinements == ref.refinements
     assert trace.snapshots == ref.snapshots
     assert len(trace.steps) == len(ref.steps)
-    assert len(own_box) == len(trace.steps) - sum(handed)
     target = predict(net, x)
     replay_kept = set(range(len(grouping.groups)))
-    for k, (got, want) in enumerate(zip(trace.steps, ref.steps)):
+    windowed = 0
+    for got, want in zip(trace.steps, ref.steps):
         assert (got.group_id, got.rate, got.verdict, got.witness_used, got.queried_neurons, got.neuron_evals) == (
             want.group_id, want.rate, want.verdict, want.witness_used, want.queried_neurons, want.neuron_evals
         )
         g = grouping.ids.index(got.group_id)
-        if k >= len(own_box):
-            # A batched tail sums its matrix products in another order.
-            assert got.rate == 1.0
-            assert abs(got.margin - want.margin) <= 1e-12
-        elif own_box[k]:
-            assert got.margin == want.margin
-        else:
-            assert got.verdict == "sufficient"
+        if got.margin != want.margin:
+            assert not exact
             q = make_query(net, x, grouping.features_of(replay_kept - {g}), epsilon)
-            assert check_concrete(net, q).is_sufficient
-            box = q.query_box()
-            concrete = explain_module.enclosure_verdicts(net, target, box.lo, box.hi)[0]
-            assert 0.0 <= got.margin <= concrete + 1e-12
+            if got.rate == 1.0 and got.queried_neurons == net.neuron_count:
+                assert abs(got.margin - want.margin) <= 1e-12
+            else:
+                assert got.verdict == "sufficient"
+                assert check_concrete(net, q).is_sufficient
+                box = q.query_box()
+                concrete = explain_module.enclosure_verdicts(net, target, box.lo, box.hi)[0]
+                assert 0.0 <= got.margin <= concrete + 1e-12
+                windowed += 1
         if got.verdict == "sufficient":
             replay_kept.discard(g)
-    return handed, own_box
+    return trace, windowed
 
 
 def tail_net():
@@ -506,59 +511,96 @@ def long_window_net():
     return net, uniform_instances(net, 1, seed=3)[0], 0.1
 
 
+def relu100_cases():
+    """The network and epsilon of the relu100-boundary benchmark workload, on 4 instances."""
+    net = random_network(100, (50,), 10, "relu", seed=4)
+    for x in uniform_instances(net, 4, seed=11):
+        yield net, x, 0.3, 0
+
+
 class TestRateOneTail:
-    """The search's rate-1.0 tail runs on the batched walk and asks the same queries."""
+    """Once the carried rate is 1.0, every later step is the baseline's concrete batch."""
 
     def test_same_trace_on_the_search_equivalence_nets(self, monkeypatch):
         # The default schedule, and a short one that reaches 1.0 sooner.
+        # ``tails`` counts the runs that carry rate 1.0 into later features.
         tails = {}
         windowed = 0
         for rates in ((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0), (0.5, 1.0)):
             tails[rates] = 0
             for net, x, epsilon, seed in search_equivalence_nets():
-                handed, own_box = assert_same_search(net, x, epsilon, ReductionSchedule(rates), seed, monkeypatch)
-                tails[rates] += bool(handed)
-                windowed += own_box.count(False)
+                trace, count = assert_same_search(net, x, epsilon, ReductionSchedule(rates), seed, monkeypatch)
+                drops = [k for k, s in enumerate(trace.steps) if s.rate == 1.0 and s.verdict == "sufficient"]
+                tails[rates] += bool(drops) and drops[0] < len(trace.steps) - 1
+                windowed += count
         assert tails == {(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0): 1, (0.5, 1.0): 28}
         assert windowed > 0
 
     def test_whole_walk_as_a_tail_keeps_the_search_verdict_names(self, monkeypatch):
-        # With only rate 1.0 the whole order is the tail; pinned features
-        # show as uncertain with witness_used, as they do below rate 1.0.
+        # With only rate 1.0 the whole walk is the baseline's, with no
+        # reduction; pinned features show as uncertain with witness_used.
         witnessed = 0
         for net, x, epsilon, seed in search_equivalence_nets():
-            handed, _ = assert_same_search(net, x, epsilon, ReductionSchedule((1.0,)), seed, monkeypatch)
-            assert handed == [7]
-            _, trace = explain_abstraction_refinement(net, x, epsilon, schedule=ReductionSchedule((1.0,)), seed=seed)
+            rows = record_reduced_checks(net, monkeypatch)
+            trace, _ = assert_same_search(net, x, epsilon, ReductionSchedule((1.0,)), seed, monkeypatch)
+            assert rows == []
+            _, base = explain_baseline(net, x, epsilon, seed=seed)
+            assert [(s.group_id, s.margin, s.witness_used) for s in trace.steps] == [
+                (s.group_id, s.margin, s.verdict == "insufficient") for s in base.steps
+            ]
             assert {step.verdict for step in trace.steps} <= {"sufficient", "uncertain"}
             witnessed += sum(step.witness_used for step in trace.steps)
         assert witnessed > 0
 
     def test_wider_net_hands_off_before_its_last_feature(self, monkeypatch):
+        # The carried rate reaches 1.0 at the 15th feature; the last 25
+        # features are asked in concrete batches, with no reduction built
+        # or refined after that drop.
         net, x, epsilon = tail_net()
-        handed, own_box = assert_same_search(net, x, epsilon, ReductionSchedule.default(), 0, monkeypatch)
-        assert handed == [25]
-        assert not all(own_box)
+        events = []
+        build, refine_ = explain_module.build_abstract, explain_module.refine
+        monkeypatch.setattr(explain_module, "build_abstract", lambda *a: events.append("build") or build(*a))
+        monkeypatch.setattr(explain_module, "refine", lambda *a: events.append("refine") or refine_(*a))
+        monkeypatch.setattr(
+            explain_module, "StepRecord", lambda **kw: events.append((kw["rate"], kw["verdict"])) or StepRecord(**kw)
+        )
+        _, trace = explain_abstraction_refinement(net, x, epsilon)
+        monkeypatch.undo()
+        first = events.index((1.0, "sufficient"))
+        assert "build" in events[:first] and not {"build", "refine"} & set(events[first:])
+        steps = [(s.rate, s.verdict) for s in trace.steps]
+        assert len({s.group_id for s in trace.steps[steps.index((1.0, "sufficient")) + 1 :]}) == 25
+        _, windowed = assert_same_search(net, x, epsilon, ReductionSchedule.default(), 0, monkeypatch)
+        assert windowed > 0
 
     def test_timeout_inside_the_tail(self, monkeypatch):
-        # A fake clock that only the tail's batches advance, one second each:
-        # with a 1.5 s timeout the walk asks two batches and stops.  The
-        # tail's checks are the only ones on the concrete network.
+        # A fake clock that only concrete checks advance, one second each.
+        # The timeout lets the walk ask two batches past the last reduction
+        # of the full run, so it stops inside the rate-1.0 tail.
         net, x, epsilon = tail_net()
-        _, full = explain_abstraction_refinement(net, x, epsilon)
         clock = [0.0]
-        verdicts = explain_module.enclosure_verdicts
+        events = []
+        build, verdicts = explain_module.build_abstract, explain_module.enclosure_verdicts
 
         def ticking(net_, target, lo, hi):
             if net_ is net:
                 clock[0] += 1.0
+                events.append("concrete")
             return verdicts(net_, target, lo, hi)
+
+        def building(*args):
+            events.append("build")
+            return build(*args)
 
         monkeypatch.setattr(explain_module.time, "monotonic", lambda: clock[0])
         monkeypatch.setattr(explain_module, "enclosure_verdicts", ticking)
-        kept, trace = explain_abstraction_refinement(net, x, epsilon, timeout=1.5)
+        monkeypatch.setattr(explain_module, "build_abstract", building)
+        _, full = explain_abstraction_refinement(net, x, epsilon)
+        before_tail = events[: len(events) - events[::-1].index("build")].count("concrete")
+        clock[0] = 0.0
+        kept, trace = explain_abstraction_refinement(net, x, epsilon, timeout=before_tail + 1.5)
         monkeypatch.undo()
-        assert clock[0] == 2.0
+        assert clock[0] == before_tail + 2.0
         assert trace.status == STATUS_EARLY_STOP
         walked = len({step.group_id for step in trace.steps})
         assert 15 < walked < 40
@@ -572,41 +614,104 @@ class TestRateOneTail:
 
 
 class TestWindows:
-    """Below rate 1.0 the search asks its steps in windows that share one reduction.
+    """Below rate 1.0 a run of drops shares one reduction, built against the run's largest box.
 
     ``assert_same_search`` checks every window: its rows lie inside its
     build box, the steps it takes are re-certified by the concrete check,
-    and every step asked on its own box has the reference's margin.
+    and every other step has the reference's margin.
     """
 
     def test_long_runs_fill_whole_windows(self, monkeypatch):
         net, x, epsilon = long_window_net()
-        rows = []
-        verdicts = explain_module.enclosure_verdicts
-
-        def recording(net_, target, lo, hi):
-            if net_ is not net:
-                rows.append(lo.shape[0])
-            return verdicts(net_, target, lo, hi)
-
-        monkeypatch.setattr(explain_module, "enclosure_verdicts", recording)
+        rows = record_reduced_checks(net, monkeypatch)
         explain_abstraction_refinement(net, x, epsilon)
         monkeypatch.undo()
         assert max(rows) == explain_module.MAX_BATCH
-        _, own_box = assert_same_search(net, x, epsilon, ReductionSchedule.default(), 0, monkeypatch)
-        assert own_box.count(False) >= explain_module.MAX_BATCH
+        _, windowed = assert_same_search(net, x, epsilon, ReductionSchedule.default(), 0, monkeypatch)
+        assert windowed >= explain_module.MAX_BATCH
 
     def test_one_row_windows_are_the_reference_search(self, monkeypatch):
-        # With windows of one row every step is asked on its own box, so
-        # every margin below the tail is the reference's, bit for bit.
+        # With batches of one row every step is asked on its own box, so
+        # every margin is the reference's, bit for bit.
         cases = list(search_equivalence_nets()) + [(*tail_net(), 0), (*long_window_net(), 0)]
         for net, x, epsilon, seed in cases:
             monkeypatch.setattr(explain_module, "MAX_BATCH", 1)
-            _, own_box = assert_same_search(net, x, epsilon, ReductionSchedule.default(), seed, monkeypatch)
-            assert all(own_box)
+            assert_same_search(net, x, epsilon, ReductionSchedule.default(), seed, monkeypatch, exact=True)
 
     def test_step_times_share_out_the_windows(self):
         net, x, epsilon = long_window_net()
         _, trace = explain_abstraction_refinement(net, x, epsilon)
         assert all(step.elapsed > 0 for step in trace.steps)
         assert sum(step.elapsed for step in trace.steps) <= trace.wall_time
+
+
+def invariant_cases():
+    """The c05 nets, the two wider sigmoid nets and relu100-boundary instances."""
+    yield from search_equivalence_nets()
+    yield (*tail_net(), 0)
+    yield (*long_window_net(), 0)
+    yield from relu100_cases()
+
+
+class TestConcreteFirst:
+    """The concrete enclosure decides every feature; reductions only label drops."""
+
+    def test_pins_fail_concretely_and_carry_the_baseline_witnesses(self):
+        pins = witnessed = 0
+        for net, x, epsilon, seed in invariant_cases():
+            grouping = FeatureGrouping.singletons(net.input_dim)
+            ordering = order_features(net, x, grouping, "sensitivity")
+            kept, trace = explain_abstraction_refinement(net, x, epsilon, grouping, ordering, seed=seed)
+            _, base = explain_baseline(net, x, epsilon, grouping, ordering, seed=seed)
+            insufficient = {s.group_id: s.verdict == "insufficient" for s in base.steps}
+            target = predict(net, x)
+            replay_kept = set(range(len(grouping.groups)))
+            steps_of = {}
+            for step in trace.steps:
+                steps_of.setdefault(step.group_id, []).append(step)
+                g = grouping.ids.index(step.group_id)
+                if step.verdict == "sufficient":
+                    replay_kept.discard(g)
+                    continue
+                if g not in kept:
+                    continue  # a drop's step below the rate that proved it
+                box = make_query(net, x, grouping.features_of(replay_kept - {g}), epsilon).query_box()
+                margin, separated, _ = explain_module.enclosure_verdicts(net, target, box.lo, box.hi)
+                assert not separated
+                assert abs(step.margin - margin) <= 1e-12
+                assert (step.rate, step.verdict, step.queried_neurons) == (1.0, "uncertain", net.neuron_count)
+                assert step.witness_used == insufficient[step.group_id]
+                pins += 1
+                witnessed += step.witness_used
+            assert all(len(steps_of[grouping.ids[g]]) == 1 for g in kept)
+        assert pins > 0 and witnessed > 0
+
+    def test_every_drop_is_certified_concretely(self):
+        for net, x, epsilon, seed in invariant_cases():
+            grouping = FeatureGrouping.singletons(net.input_dim)
+            _, trace = explain_abstraction_refinement(net, x, epsilon, grouping, seed=seed)
+            replay_kept = set(range(len(grouping.groups)))
+            for step in trace.steps:
+                if step.verdict == "sufficient":
+                    replay_kept.discard(grouping.ids.index(step.group_id))
+                    q = make_query(net, x, grouping.features_of(replay_kept), epsilon)
+                    assert check_concrete(net, q).is_sufficient
+
+    def test_no_witness_search_inside_a_drop_chain(self, monkeypatch):
+        # Every kept feature is a pin, searched once; a drop chain that
+        # searched a box would add one.
+        searched = []
+        search = explain_module.find_witnesses
+
+        def counting(net_, target, lo, *rest):
+            searched.append(lo.shape[0])
+            return search(net_, target, lo, *rest)
+
+        monkeypatch.setattr(explain_module, "find_witnesses", counting)
+        chains = 0
+        for net, x, epsilon, seed in invariant_cases():
+            searched.clear()
+            kept, trace = explain_abstraction_refinement(net, x, epsilon, seed=seed)
+            assert sum(searched) == len(kept)
+            chains += trace.refinements > 0
+        assert chains > 0

@@ -218,6 +218,41 @@ class TestLoader:
         assert net.fingerprint == reloaded.fingerprint
 
 
+class TestFingerprint:
+    """The fingerprint tells apart networks that differ in any weight bit, activation or domain."""
+
+    @staticmethod
+    def rebuilt(net, layer_index=None, weights=None, activation=None, domain=None):
+        layers = list(net.layers)
+        if layer_index is not None:
+            old = layers[layer_index]
+            layers[layer_index] = Layer(
+                old.weights if weights is None else weights, old.bias, activation or old.activation
+            )
+        return ConcreteNetwork(tuple(layers), domain or net.input_domain)
+
+    def test_structurally_equal_networks_hash_equal(self):
+        net = random_network(5, (7, 6), 3, "sigmoid", seed=9)
+        assert self.rebuilt(net).fingerprint == net.fingerprint
+        assert self.rebuilt(net, 1, weights=net.layers[1].weights.copy()).fingerprint == net.fingerprint
+
+    def test_one_ulp_weight_change(self):
+        net = random_network(5, (7, 6), 3, "sigmoid", seed=9)
+        weights = net.layers[1].weights.copy()
+        weights[2, 3] = np.nextafter(weights[2, 3], np.inf)
+        assert self.rebuilt(net, 1, weights=weights).fingerprint != net.fingerprint
+
+    def test_changed_activation(self):
+        net = random_network(5, (7, 6), 3, "sigmoid", seed=9)
+        assert self.rebuilt(net, 0, activation=ActivationKind.TANH).fingerprint != net.fingerprint
+
+    def test_changed_domain(self):
+        net = random_network(5, (7, 6), 3, "sigmoid", seed=9)
+        hi = np.ones(5)
+        hi[4] = 2.0
+        assert self.rebuilt(net, domain=IntervalVector(np.zeros(5), hi)).fingerprint != net.fingerprint
+
+
 class TestForward:
     def test_demo_logits(self, demo):
         net, x = demo
