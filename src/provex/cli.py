@@ -8,10 +8,10 @@ Subcommands:
     render    turn a report into PGM/PPM mask images
     fixture   write a generated network (and instances) to disk
 
-Exit codes: 0 ok, 1 error, 2 early stop on timeout, 3 insufficient,
-4 uncertain, 5 equivalence failure.  Feature and group ids on the CLI
-surface are one-based.  Set PROVEX_LOG={error|info|debug} for logging;
-with debug, explain logs one line per query of its trace.
+Exit codes: 0 ok, 1 error (a usage error too), 2 early stop on timeout,
+3 insufficient, 4 uncertain, 5 equivalence failure.  Feature and group
+ids on the CLI surface are one-based.  Set PROVEX_LOG={error|info|debug}
+for logging; with debug, explain logs one line per query of its trace.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .explain import (
 from .fixtures import FixtureSpec, make_fixture
 from .images import load_instance, save_instance_csv, write_image
 from .network import ConcreteNetwork, load_network, predict, save_network
-from .queries import OracleOutcome, SufficiencyQuery, check_concrete, oracle_check
+from .queries import SufficiencyQuery, check_concrete, oracle_check
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,50 +51,6 @@ GRAY_FLAG = 128
 RGB_FLAG = (255, 0, 255)
 
 log = logging.getLogger("provex")
-
-
-@dataclass
-class RunConfig:
-    network: str
-    inputs: list[str]
-    epsilon: float
-    order: str = "sensitivity"
-    groups: str = "none"
-    schedule: str = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
-    timeout: float | None = None
-    backend: str = "enclosure"
-    seed: int = 0
-    out: str = "."
-
-    def to_dict(self) -> dict:
-        return {
-            "network": self.network,
-            "inputs": list(self.inputs),
-            "epsilon": self.epsilon,
-            "order": self.order,
-            "groups": self.groups,
-            "schedule": self.schedule,
-            "timeout": self.timeout,
-            "backend": self.backend,
-            "seed": self.seed,
-            "out": self.out,
-        }
-
-
-def _config_from_args(args) -> RunConfig:
-    inputs = args.input if isinstance(args.input, list) else [args.input]
-    return RunConfig(
-        network=args.network,
-        inputs=inputs,
-        epsilon=args.epsilon,
-        order=args.order,
-        groups=args.groups,
-        schedule=args.schedule,
-        timeout=args.timeout,
-        backend=args.backend,
-        seed=args.seed,
-        out=args.out,
-    )
 
 
 def _read_network(path: str) -> ConcreteNetwork:
@@ -131,40 +86,62 @@ def _write_masks(out_dir: str, grouping: FeatureGrouping, trace_dict: dict) -> N
         fh.write(",".join(str(v) for v in mask) + "\n")
 
 
-def _run_one_explain(net, x, config: RunConfig, seed: int):
-    grouping = _grouping_for(config.groups, net.input_dim)
-    ordering = order_features(net, x, grouping, config.order, seed=seed)
-    if config.backend == "oracle":
-        kept, trace = explain_baseline(
-            net, x, config.epsilon, grouping, ordering, backend="oracle", seed=seed
-        )
-    else:
-        schedule = ReductionSchedule.from_string(config.schedule)
-        kept, trace = explain_abstraction_refinement(
-            net, x, config.epsilon, grouping, ordering,
-            schedule=schedule, timeout=config.timeout, seed=seed,
-        )
-    return kept, trace, grouping
+def _schedule(text: str | None) -> ReductionSchedule | None:
+    """The ``--schedule`` rates; None leaves the search its default schedule."""
+    return None if text is None else ReductionSchedule.from_string(text)
+
+
+def _report_config(args) -> dict:
+    """The flags of an ``explain`` run, as ``report.json`` records them."""
+    schedule = args.schedule
+    if schedule is None:
+        schedule = ",".join(str(rate) for rate in ReductionSchedule.default().rates)
+    return {
+        "network": args.network,
+        "inputs": [args.input],
+        "epsilon": args.epsilon,
+        "order": args.order,
+        "groups": args.groups,
+        "schedule": schedule,
+        "timeout": args.timeout,
+        "backend": args.backend,
+        "seed": args.seed,
+        "out": args.out,
+    }
 
 
 def cmd_explain(args) -> int:
-    config = _config_from_args(args)
     try:
-        net = _read_network(config.network)
-        x, _ = load_instance(config.inputs[0])
-        os.makedirs(config.out, exist_ok=True)
-        _, trace, grouping = _run_one_explain(net, x, config, config.seed)
+        if args.backend == "oracle":
+            # The oracle search has no deadline and no reduction schedule.
+            for flag, value in (("--timeout", args.timeout), ("--schedule", args.schedule)):
+                if value is not None:
+                    raise ProvexError(f"{flag} does not apply to --backend oracle")
+        net = _read_network(args.network)
+        x, _ = load_instance(args.input)
+        os.makedirs(args.out, exist_ok=True)
+        grouping = _grouping_for(args.groups, net.input_dim)
+        ordering = order_features(net, x, grouping, args.order, seed=args.seed)
+        if args.backend == "oracle":
+            _, trace = explain_baseline(
+                net, x, args.epsilon, grouping, ordering, backend="oracle", seed=args.seed
+            )
+        else:
+            _, trace = explain_abstraction_refinement(
+                net, x, args.epsilon, grouping, ordering,
+                schedule=_schedule(args.schedule), timeout=args.timeout, seed=args.seed,
+            )
         report = {
             "final": list(trace.final),
             "status": trace.status,
             "trace": trace.to_dict(),
             "work": count_work(trace).to_dict(),
-            "config": config.to_dict(),
+            "config": _report_config(args),
         }
-        with open(os.path.join(config.out, "report.json"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-        _write_masks(config.out, grouping, trace.to_dict())
+        _write_masks(args.out, grouping, trace.to_dict())
         if log.isEnabledFor(logging.DEBUG):
             for step in trace.steps:
                 log.debug(
@@ -192,16 +169,10 @@ def cmd_verify(args) -> int:
         )
         if args.backend == "oracle":
             result = oracle_check(net, q, budget=args.budget)
-            outcome = {
-                OracleOutcome.PROVED_SUFFICIENT: "sufficient",
-                OracleOutcome.WITNESS: "insufficient",
-                OracleOutcome.EXHAUSTED: "uncertain",
-            }[result.outcome]
-            witness = result.witness
+            outcome, witness = result.verdict.value, result.witness
         else:
             verdict = check_concrete(net, q, rng=np.random.default_rng(args.seed))
-            outcome = verdict.kind.value
-            witness = verdict.witness
+            outcome, witness = verdict.kind.value, verdict.witness
         if witness is not None:
             print(f"{outcome} witness={','.join(repr(float(v)) for v in witness)}")
         else:
@@ -216,17 +187,15 @@ def cmd_verify(args) -> int:
         return EXIT_ERROR
 
 
-def _bench_instance(net, config: RunConfig, idx: int, path: str):
+def _bench_instance(net, args, idx: int, path: str):
     x, _ = load_instance(path)
-    seed = (config.seed * 1000003 + idx) & 0x7FFFFFFF
-    grouping = _grouping_for(config.groups, net.input_dim)
-    ordering = order_features(net, x, grouping, config.order, seed=seed)
-    schedule = ReductionSchedule.from_string(config.schedule)
-    kept_b, trace_b = explain_baseline(
-        net, x, config.epsilon, grouping, ordering, backend="enclosure", seed=seed
-    )
+    seed = (args.seed * 1000003 + idx) & 0x7FFFFFFF
+    grouping = _grouping_for(args.groups, net.input_dim)
+    ordering = order_features(net, x, grouping, args.order, seed=seed)
+    schedule = _schedule(args.schedule)
+    kept_b, trace_b = explain_baseline(net, x, args.epsilon, grouping, ordering, seed=seed)
     kept_a, trace_a = explain_abstraction_refinement(
-        net, x, config.epsilon, grouping, ordering, schedule=schedule, seed=seed
+        net, x, args.epsilon, grouping, ordering, schedule=schedule, seed=seed
     )
     rows = []
     for name, kept, trace in (
@@ -250,13 +219,12 @@ def _bench_instance(net, config: RunConfig, idx: int, path: str):
 
 
 def cmd_bench(args) -> int:
-    config = _config_from_args(args)
     try:
-        net = _read_network(config.network)
-        os.makedirs(config.out, exist_ok=True)
-        results = [_bench_instance(net, config, idx, path) for idx, path in enumerate(config.inputs)]
+        net = _read_network(args.network)
+        os.makedirs(args.out, exist_ok=True)
+        results = [_bench_instance(net, args, idx, path) for idx, path in enumerate(args.input)]
 
-        csv_path = os.path.join(config.out, "bench.csv")
+        csv_path = os.path.join(args.out, "bench.csv")
         fields = [
             "instance", "algorithm", "explanation_size", "queries",
             "refinements", "neuron_evaluations", "wall_time",
@@ -277,7 +245,7 @@ def cmd_bench(args) -> int:
                 f"{rate:g}": sum(v) / len(v) for rate, v in sorted(times_by_rate.items())
             },
         }
-        with open(os.path.join(config.out, "bench_summary.json"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(args.out, "bench_summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
 
@@ -363,8 +331,16 @@ def cmd_fixture(args) -> int:
         return EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit with EXIT_ERROR, not 2, which is the early stop's code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="provex", description=__doc__)
+    parser = _Parser(prog="provex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, multi_input=False):
@@ -376,15 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, required=True, help="perturbation radius")
         p.add_argument("--order", choices=["sensitivity", "in-order", "random"], default="sensitivity")
         p.add_argument("--groups", choices=["none", "rgb"], default="none")
-        p.add_argument("--schedule", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
-                       help="comma-separated reduction rates ending at 1.0")
-        p.add_argument("--timeout", type=float, default=None, help="seconds before early stop")
-        p.add_argument("--backend", choices=["enclosure", "oracle"], default="enclosure")
+        p.add_argument("--schedule", help="comma-separated reduction rates ending at 1.0 "
+                       "(default: 0.1 to 1.0 in steps of 0.1)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=".", help="output directory")
 
     p_explain = sub.add_parser("explain", help="search for a minimal sufficient explanation")
     common(p_explain)
+    p_explain.add_argument("--timeout", type=float, help="seconds before early stop")
+    p_explain.add_argument("--backend", choices=["enclosure", "oracle"], default="enclosure")
     p_explain.set_defaults(func=cmd_explain)
 
     p_verify = sub.add_parser("verify", help="check one feature subset for sufficiency")

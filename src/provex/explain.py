@@ -437,16 +437,11 @@ def _oracle_walk(net, x, epsilon, target, grouping, ordering, budget, trace) -> 
         result = oracle_check(net, q, budget=budget)
         if result.proved:
             kept.discard(g)
-        verdict_name = {
-            OracleOutcome.PROVED_SUFFICIENT: VerdictKind.SUFFICIENT.value,
-            OracleOutcome.WITNESS: VerdictKind.INSUFFICIENT.value,
-            OracleOutcome.EXHAUSTED: VerdictKind.UNCERTAIN.value,
-        }[result.outcome]
         trace.steps.append(
             StepRecord(
                 group_id=grouping.ids[g],
                 rate=1.0,
-                verdict=verdict_name,
+                verdict=result.verdict.value,
                 witness_used=result.outcome is OracleOutcome.WITNESS,
                 elapsed=time.monotonic() - t1,
                 margin=None,

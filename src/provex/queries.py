@@ -20,9 +20,6 @@ from .errors import DimensionError, ValidationError
 from .intervals import IntervalVector
 from .network import ConcreteNetwork, forward, forward_batch, gradient, gradients, predict
 
-# Candidate rows per forward pass of a batched witness search.
-WITNESS_CHUNK_ROWS = 1024
-
 
 class VerdictKind(str, Enum):
     SUFFICIENT = "sufficient"
@@ -88,10 +85,6 @@ class SufficiencyQuery:
         x, fixed = _validate_instance(self.x, self.fixed_features, self.epsilon, self.domain)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "fixed_features", fixed)
-
-    @property
-    def free_features(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.x.shape[0]) if i not in self.fixed_features)
 
     def query_box(self) -> IntervalVector:
         """Fixed dimensions pin to x; free ones span the clamped epsilon range."""
@@ -208,20 +201,15 @@ def find_witnesses(
     Per box the candidates are its center, then its ``_gap_corners``
     (ranked by the box's output upper bounds, a row of ``out_hi``), then
     ``n_random`` samples from ``rng`` (see ``_candidates``; ``rng`` may be
-    None when ``n_random`` is 0).  Every
-    candidate is evaluated exactly, at most ``WITNESS_CHUNK_ROWS`` per
-    forward pass, so a returned witness is a genuine counterexample; a box
-    without one gets None.
+    None when ``n_random`` is 0).  The candidates of all boxes are evaluated
+    exactly in one forward pass, so a returned witness is a genuine
+    counterexample; a box without one gets None.
     """
     boxes = lo.shape[0]
     if boxes == 0:
         return []
     cands = _candidates(lo, hi, _gap_corners(net, target, lo, hi, out_hi), rng, n_random)
-    rows = cands.reshape(-1, lo.shape[1])
-    labels = np.concatenate([
-        np.argmax(forward_batch(net, rows[i : i + WITNESS_CHUNK_ROWS]), axis=1)
-        for i in range(0, rows.shape[0], WITNESS_CHUNK_ROWS)
-    ])
+    labels = np.argmax(forward_batch(net, cands.reshape(-1, lo.shape[1])), axis=1)
     wrong = labels.reshape(boxes, -1) != target
     return [cands[b, np.argmax(wrong[b])] if wrong[b].any() else None for b in range(boxes)]
 
@@ -289,7 +277,6 @@ def gen_counterexample(
     enclosure: IntervalVector,
     q: SufficiencyQuery,
     rng: np.random.Generator | None = None,
-    n_random: int = 64,
 ) -> np.ndarray | None:
     """Search the query box for a point the concrete network misclassifies.
 
@@ -301,7 +288,7 @@ def gen_counterexample(
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     box = q.query_box()
-    return find_witnesses(net, q.target, box.lo[None], box.hi[None], enclosure.hi[None], rng, n_random)[0]
+    return find_witnesses(net, q.target, box.lo[None], box.hi[None], enclosure.hi[None], rng)[0]
 
 
 class OracleOutcome(str, Enum):
@@ -320,6 +307,15 @@ class OracleResult:
     @property
     def proved(self) -> bool:
         return self.outcome is OracleOutcome.PROVED_SUFFICIENT
+
+    @property
+    def verdict(self) -> VerdictKind:
+        """The outcome as the enclosure checks name it; an exhausted budget is uncertain."""
+        return {
+            OracleOutcome.PROVED_SUFFICIENT: VerdictKind.SUFFICIENT,
+            OracleOutcome.WITNESS: VerdictKind.INSUFFICIENT,
+            OracleOutcome.EXHAUSTED: VerdictKind.UNCERTAIN,
+        }[self.outcome]
 
 
 def oracle_check(net: ConcreteNetwork, q: SufficiencyQuery, budget: int = 1 << 16) -> OracleResult:

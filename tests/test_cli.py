@@ -148,6 +148,79 @@ class TestExplainCommand:
             ]) == 0
         assert [r.levelno for r in caplog.records] == [logging.INFO]
 
+    def test_default_config_is_recorded_in_full(self, demo_files, tmp_path):
+        net_path, inst_path = demo_files
+        out = tmp_path / "out"
+        assert main([
+            "explain", "--network", net_path, "--input", inst_path,
+            "--epsilon", "1.0", "--out", str(out),
+        ]) == 0
+        config = read_report(out)["config"]
+        assert list(config) == [
+            "network", "inputs", "epsilon", "order", "groups",
+            "schedule", "timeout", "backend", "seed", "out",
+        ]
+        assert config == {
+            "network": net_path,
+            "inputs": [inst_path],
+            "epsilon": 1.0,
+            "order": "sensitivity",
+            "groups": "none",
+            "schedule": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
+            "timeout": None,
+            "backend": "enclosure",
+            "seed": 0,
+            "out": str(out),
+        }
+
+    def test_oracle_run_records_the_default_schedule(self, demo_files, tmp_path):
+        net_path, inst_path = demo_files
+        out = tmp_path / "out"
+        assert main([
+            "explain", "--network", net_path, "--input", inst_path,
+            "--epsilon", "1.0", "--backend", "oracle", "--out", str(out),
+        ]) == 0
+        config = read_report(out)["config"]
+        assert config["backend"] == "oracle"
+        assert config["schedule"] == "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
+        assert config["timeout"] is None
+
+    @pytest.mark.parametrize("flag, value", [("--timeout", "0"), ("--schedule", "0.5,1.0")])
+    def test_oracle_rejects_flags_it_cannot_honour(self, demo_files, tmp_path, capsys, flag, value):
+        net_path, inst_path = demo_files
+        out = tmp_path / "out"
+        code = main([
+            "explain", "--network", net_path, "--input", inst_path,
+            "--epsilon", "1.0", "--backend", "oracle", flag, value, "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert flag in err
+        assert not out.exists()
+
+    def test_unknown_flag_exits_1(self, demo_files, capsys):
+        net_path, inst_path = demo_files
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "explain", "--network", net_path, "--input", inst_path,
+                "--epsilon", "1.0", "--no-such-flag",
+            ])
+        assert exc.value.code == 1
+        assert "error: unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+    def test_missing_required_flag_exits_1(self, demo_files):
+        net_path, _ = demo_files
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "--network", net_path, "--epsilon", "1.0"])
+        assert exc.value.code == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "--help"])
+        assert exc.value.code == 0
+        assert "--timeout" in capsys.readouterr().out
+
 
 class TestVerifyCommand:
     def test_demo_subset_sufficient(self, demo_files, capsys):
@@ -212,6 +285,18 @@ class TestVerifyCommand:
             if code == 4:
                 return
         pytest.skip("no uncertain seed found")
+
+    def test_oracle_result_verdict_names_each_outcome(self):
+        from provex.queries import OracleOutcome, OracleResult, VerdictKind
+
+        verdicts = {
+            outcome: OracleResult(outcome, None, 0, 0).verdict for outcome in OracleOutcome
+        }
+        assert verdicts == {
+            OracleOutcome.PROVED_SUFFICIENT: VerdictKind.SUFFICIENT,
+            OracleOutcome.WITNESS: VerdictKind.INSUFFICIENT,
+            OracleOutcome.EXHAUSTED: VerdictKind.UNCERTAIN,
+        }
 
     def test_bad_subset_is_error(self, demo_files):
         net_path, inst_path = demo_files
@@ -303,6 +388,21 @@ class TestBenchCommand:
         lines = (out / "bench.csv").read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("instance,algorithm")
+
+    @pytest.mark.parametrize("flag, value", [("--timeout", "1"), ("--backend", "oracle")])
+    def test_explain_only_flags_are_usage_errors(self, tmp_path, capsys, flag, value):
+        net = random_network(4, (6,), 2, "relu", seed=1)
+        net_path = tmp_path / "net.json"
+        net_path.write_text(save_network(net))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "bench", "--network", str(net_path), "--epsilon", "0.1",
+                flag, value, "--out", str(out),
+            ])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRenderCommand:
