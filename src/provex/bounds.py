@@ -54,11 +54,18 @@ def enclose_affine(pos, neg, lo, hi, bias_lo, bias_hi, activation: str = "identi
     every output endpoint is attained at a corner of the input box.  The
     activation is monotone nondecreasing and maps endpoints to endpoints.
     ``lo`` and ``hi`` are one box of shape (n,) or a batch of shape (B, n),
-    one box per row; the result has the same leading shape.
+    one box per row; the result has the same leading shape.  Each endpoint
+    is ``lo @ pos.T + hi @ neg.T + bias_lo`` (and its mirror), summed left
+    to right in place in the first product's fresh array, which then takes
+    the activation in place too.
     """
-    out_lo = lo @ pos.T + hi @ neg.T + bias_lo
-    out_hi = hi @ pos.T + lo @ neg.T + bias_hi
-    return apply_activation(activation, out_lo), apply_activation(activation, out_hi)
+    out_lo = lo @ pos.T
+    out_lo += hi @ neg.T
+    out_lo += bias_lo
+    out_hi = hi @ pos.T
+    out_hi += lo @ neg.T
+    out_hi += bias_hi
+    return apply_activation(activation, out_lo, out=out_lo), apply_activation(activation, out_hi, out=out_hi)
 
 
 def enclose_layer(layer, lo, hi):

@@ -157,6 +157,10 @@ def cmd_explain(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
+        # The oracle has no generator and the enclosure check no split budget.
+        flag, value = ("--budget", args.budget) if args.backend == "enclosure" else ("--seed", args.seed)
+        if value is not None:
+            raise ProvexError(f"{flag} does not apply to --backend {args.backend}")
         net = _read_network(args.network)
         x, _ = load_instance(args.input)
         subset = frozenset(int(tok) - 1 for tok in args.subset.split(",") if tok.strip())
@@ -168,10 +172,10 @@ def cmd_verify(args) -> int:
             domain=net.input_domain,
         )
         if args.backend == "oracle":
-            result = oracle_check(net, q, budget=args.budget)
+            result = oracle_check(net, q) if args.budget is None else oracle_check(net, q, budget=args.budget)
             outcome, witness = result.verdict.value, result.witness
         else:
-            verdict = check_concrete(net, q, rng=np.random.default_rng(args.seed))
+            verdict = check_concrete(net, q, rng=np.random.default_rng(0 if args.seed is None else args.seed))
             outcome, witness = verdict.kind.value, verdict.witness
         if witness is not None:
             print(f"{outcome} witness={','.join(repr(float(v)) for v in witness)}")
@@ -187,12 +191,11 @@ def cmd_verify(args) -> int:
         return EXIT_ERROR
 
 
-def _bench_instance(net, args, idx: int, path: str):
+def _bench_instance(net, args, schedule, idx: int, path: str):
     x, _ = load_instance(path)
     seed = (args.seed * 1000003 + idx) & 0x7FFFFFFF
     grouping = _grouping_for(args.groups, net.input_dim)
     ordering = order_features(net, x, grouping, args.order, seed=seed)
-    schedule = _schedule(args.schedule)
     kept_b, trace_b = explain_baseline(net, x, args.epsilon, grouping, ordering, seed=seed)
     kept_a, trace_a = explain_abstraction_refinement(
         net, x, args.epsilon, grouping, ordering, schedule=schedule, seed=seed
@@ -220,9 +223,10 @@ def _bench_instance(net, args, idx: int, path: str):
 
 def cmd_bench(args) -> int:
     try:
+        schedule = _schedule(args.schedule)
         net = _read_network(args.network)
         os.makedirs(args.out, exist_ok=True)
-        results = [_bench_instance(net, args, idx, path) for idx, path in enumerate(args.input)]
+        results = [_bench_instance(net, args, schedule, idx, path) for idx, path in enumerate(args.input)]
 
         csv_path = os.path.join(args.out, "bench.csv")
         fields = [
@@ -369,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--subset", required=True, help="comma-separated one-based feature ids")
     p_verify.add_argument("--epsilon", type=float, required=True)
     p_verify.add_argument("--backend", choices=["enclosure", "oracle"], default="enclosure")
-    p_verify.add_argument("--budget", type=int, default=1 << 16)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--budget", type=int, help="oracle split budget (default: 65536)")
+    p_verify.add_argument("--seed", type=int, help="seed of the enclosure check's witness search (default: 0)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="compare both search algorithms")

@@ -278,10 +278,17 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
     on top of them.  Up to and including the first box that breaks the
     guess, every box is exactly the query the one-at-a-time walk asks at
     that step, so those steps are taken and the rest of the batch is
-    discarded.  All B boxes share one bound pass, and the steps that fail
-    share one witness search, which draws from ``rng`` in step order.  B
-    starts at 1, doubles after a batch that matches the guess throughout
-    and halves after one that breaks it, within 1..MAX_BATCH.
+    discarded.  All B boxes share one bound pass.  B starts at 1, doubles
+    after a batch that matches the guess throughout and halves after one
+    that breaks it, within 1..MAX_BATCH.
+
+    A step that fails is a pin.  Its box joins a queue of witness
+    searches, which is searched in calls of exactly MAX_BATCH boxes, and
+    whatever remains is searched when the walk ends or stops.  The boxes
+    are searched in step order and the samples of a call come from one
+    draw of ``rng``, box after box, so the stream, and every witness, is
+    the one-at-a-time walk's.  A pin's verdict and ``witness_used`` are
+    filled in when its search returns; nothing else waits on them.
 
     With no ``schedule`` (the baseline) every batch is checked on the
     network itself.  With one, the carried rate starts at the schedule's
@@ -292,8 +299,8 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
     concrete enclosure of every box inside its build box.  Its first
     failing row, and every row of any other batch, is decided by the
     concrete enclosure.  A row it does not separate is pinned at once:
-    one step at rate 1.0 with its concrete margin and its witness search
-    shared with the batch.  A row it separates below rate 1.0 goes to the
+    one step at rate 1.0 with its concrete margin, queued for the witness
+    search like any other pin.  A row it separates below rate 1.0 goes to the
     reduction built against its own box at the carried rate, refined rate
     by rate until it separates, with one step per rate and no witness
     search (a concretely separated box has none); the rate that proves the
@@ -304,42 +311,64 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
     with ``witness_used`` under a schedule, whose steps record enclosure
     verdicts.
 
-    A step's ``elapsed`` is its batch's wall time split evenly over the
-    steps the batch recorded.  A rate's snapshot is the kept set after its
+    A step's ``elapsed`` is its batch's wall time without the witness
+    searches made during it, split evenly over the steps the batch
+    recorded; a pin adds an equal share of the search that labels it.
+    These intervals do not overlap, so the steps' times add up to no more
+    than the walk's.  A rate's snapshot is the kept set after its
     last drop, so pins never move it; the snapshot at rate 1.0 is the kept
     set when the walk ends.
     """
     box = SufficiencyQuery(x, frozenset(), epsilon, target, net.input_domain).query_box()
     members = [np.asarray(group, dtype=int) for group in grouping.groups]
+    neurons = net.neuron_count
     every = set(range(len(grouping.groups)))
     kept = set(every)
     dropped = np.zeros(net.input_dim, dtype=bool)  # features of the dropped groups
     drops: list[int] = []  # dropped groups, in the order they were dropped
     drops_at: dict[float, int] = {}  # per rate below 1.0, the drops made up to its last drop
+    pending = []  # pins awaiting their witness search: (step, lo, hi, out_hi), in step order
     carried = 1.0 if schedule is None else schedule.rates[0]
     witnessed = VerdictKind.INSUFFICIENT if schedule is None else VerdictKind.UNCERTAIN
     start, size, guess, stopped = 0, 1, True, False
 
-    def record(g, rate, separated, margin, neurons, witness_used=False):
+    def record(g, rate, separated, margin, queried):
         if separated:
             kept.discard(g)
             dropped[members[g]] = True
             drops.append(g)
             if rate < 1.0:
                 drops_at[rate] = len(drops)
-        verdict = VerdictKind.SUFFICIENT if separated else witnessed if witness_used else VerdictKind.UNCERTAIN
-        trace.steps.append(
-            StepRecord(
-                group_id=grouping.ids[g],
-                rate=rate,
-                verdict=verdict.value,
-                witness_used=witness_used,
-                elapsed=0.0,
-                margin=float(margin),
-                queried_neurons=neurons,
-                neuron_evals=neurons,
-            )
+        step = StepRecord(
+            group_id=grouping.ids[g],
+            rate=rate,
+            verdict=(VerdictKind.SUFFICIENT if separated else VerdictKind.UNCERTAIN).value,
+            witness_used=False,
+            elapsed=0.0,
+            margin=float(margin),
+            queried_neurons=queried,
+            neuron_evals=queried,
         )
+        trace.steps.append(step)
+        return step
+
+    def pin(g, margin, lo, hi, out_hi):
+        """Keep g at rate 1.0; its box joins the queue of witness searches."""
+        pending.append((record(g, 1.0, False, margin, neurons), lo, hi, out_hi))
+
+    def search(count):
+        """Label the first ``count`` queued pins with one witness search; return its wall time."""
+        t = time.monotonic()
+        steps, lo, hi, out_hi = zip(*pending[:count])
+        del pending[:count]
+        witnesses = find_witnesses(net, target, np.stack(lo), np.stack(hi), np.stack(out_hi), rng)
+        seconds = time.monotonic() - t
+        for step, witness in zip(steps, witnesses):
+            if witness is not None:
+                step.verdict = witnessed.value
+                step.witness_used = True
+            step.elapsed += seconds / count
+        return seconds
 
     def label(g, lb, lo, hi, anet=None):
         """Drop a concretely separated row at the coarsest rate its own box's reduction proves.
@@ -393,30 +422,32 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
                 if concrete:
                     label(batch[f], lb, lo[f], hi[f], anet)
                 else:
-                    witness = find_witnesses(net, target, lo[f : f + 1], hi[f : f + 1], lb.final.hi[None], rng)[0]
-                    record(batch[f], 1.0, False, margin, net.neuron_count, witness is not None)
+                    pin(batch[f], margin, lo[f], hi[f], lb.final.hi)
         else:
             margins, separated, out_hi = enclosure_verdicts(net, target, lo, hi)
             breaks = np.flatnonzero(separated != guess)
             broken = breaks.size > 0
             taken = int(breaks[0]) + 1 if broken else len(batch)
-            failed = [i for i in range(taken) if not separated[i]]
-            witnesses = dict(zip(failed, find_witnesses(net, target, lo[failed], hi[failed], out_hi[failed], rng)))
             for i, g in enumerate(batch[:taken]):
                 if not separated[i]:
-                    record(g, 1.0, False, margins[i], net.neuron_count, witnesses[i] is not None)
+                    pin(g, margins[i], lo[i], hi[i], out_hi[i])
                 elif carried == 1.0:
-                    record(g, 1.0, True, margins[i], net.neuron_count)
+                    record(g, 1.0, True, margins[i], neurons)
                 else:
                     label(g, propagate_box(net, IntervalVector(lo[i], hi[i])), lo[i], hi[i])
-        share = (time.monotonic() - t1) / max(len(trace.steps) - walked, 1)
+        searched = 0.0
+        while len(pending) >= MAX_BATCH:
+            searched += search(MAX_BATCH)
+        share = (time.monotonic() - t1 - searched) / max(len(trace.steps) - walked, 1)
         for step in trace.steps[walked:]:
-            step.elapsed = share
+            step.elapsed += share
         if stopped:
             break
         start += taken
         guess = batch[taken - 1] not in kept
         size = max(size // 2, 1) if broken else min(2 * size, MAX_BATCH)
+    if pending:
+        search(len(pending))
 
     # A rate's snapshot is the kept set after its last drop, rebuilt once
     # here from the drop order rather than stored after every step.

@@ -7,6 +7,16 @@ a monotone activation, lives in ``bounds.enclose_affine``; this module holds
 the box type and the elementwise activations.  Endpoints are plain binary64
 without directed rounding; containment assertions in the test suite carry
 a 1e-9 slack instead.
+
+An activation returns a fresh array and never writes into its argument,
+which may be a frozen enclosure endpoint, unless its caller hands it an
+``out`` array; the forward pass and the bound kernel hand it the fresh
+pre-activation they own, so no layer allocates a second full-size result.
+The sigmoid is evaluated as ``max(e, z >= 0) / (1 + e)`` with
+``e = exp(-|z|)``, computed in place.  Since 0 <= e <= 1, the numerator is
+1 where z >= 0 and e elsewhere, so the result has the bits of
+``where(z >= 0, 1, e) / (1 + e)``: 1 / (1 + exp(-z)) for z >= 0 and
+exp(z) / (1 + exp(z)) below, with no overflow.
 """
 
 from __future__ import annotations
@@ -82,16 +92,24 @@ class IntervalVector:
         return digest.hexdigest()[:16]
 
 
-def apply_activation(kind: str, values: np.ndarray) -> np.ndarray:
-    """Apply a supported elementwise activation to an array."""
+def apply_activation(kind: str, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply a supported elementwise activation to an array.
+
+    The result is a fresh array and ``values`` is left untouched, unless
+    the caller passes ``out`` (which may be ``values`` itself, when the
+    caller owns it) to receive the result.
+    """
     if kind == "relu":
-        return np.maximum(values, 0.0)
+        return np.maximum(values, 0.0, out=out)
     if kind == "sigmoid":
-        return _sigmoid(values)
+        return _sigmoid(values, out)
     if kind == "tanh":
-        return np.tanh(values)
+        return np.tanh(values, out=out)
     if kind == "identity":
-        return np.asarray(values, dtype=np.float64)
+        if out is None:
+            return np.asarray(values, dtype=np.float64)
+        out[...] = values
+        return out
     raise ValidationError(f"unsupported activation kind: {kind!r}")
 
 
@@ -104,9 +122,17 @@ def iv_subset(a: IntervalVector, b: IntervalVector, slack: float = 0.0) -> bool:
     return bool(np.all(b.lo - slack <= a.lo) and np.all(a.hi <= b.hi + slack))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # exp(-|z|) never overflows.  It is exp(-z) for z >= 0 and exp(z) below,
     # so the result is 1 / (1 + exp(-z)) or exp(z) / (1 + exp(z)) exactly.
+    # The numerator is max(e, z >= 0): e <= 1, so the max is 1 where z >= 0
+    # and e elsewhere, the bits of where(z >= 0, 1, e) without its cost.
+    # The sign mask is taken first, so ``out`` may be z itself.
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    upper = z >= 0
+    e = np.abs(z, out=np.empty_like(z) if out is None else out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denominator = e + 1.0
+    np.maximum(e, upper, out=e)
+    return np.divide(e, denominator, out=e)

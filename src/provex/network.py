@@ -170,7 +170,11 @@ def forward_batch(net: ConcreteNetwork, xs) -> np.ndarray:
     if h.ndim != 2 or h.shape[1] != net.input_dim:
         raise DimensionError(f"batch has shape {h.shape}, expected (*, {net.input_dim})")
     for layer in net.layers:
-        h = apply_activation(layer.activation.value, h @ layer.weights.T + layer.bias)
+        # The product is a fresh array, so the bias and the activation go
+        # into it in place, and each layer holds one array of its width.
+        h = h @ layer.weights.T
+        h += layer.bias
+        h = apply_activation(layer.activation.value, h, out=h)
     return h
 
 
@@ -215,7 +219,8 @@ def gradients(net: ConcreteNetwork, xs, out_indices) -> np.ndarray:
         raise DimensionError(f"expected one row of logit indices per point, got shape {idx.shape}")
     pres, posts = [], []
     for layer in net.layers:
-        pre = h @ layer.weights.T + layer.bias
+        pre = h @ layer.weights.T
+        pre += layer.bias
         h = apply_activation(layer.activation.value, pre)
         pres.append(pre)
         posts.append(h)

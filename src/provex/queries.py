@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .abstraction import AbstractNetwork
-from .bounds import propagate_abstract, propagate_box, propagate_rows, uniform_draw
+from .bounds import propagate_abstract, propagate_box, propagate_rows
 from .errors import DimensionError, ValidationError
 from .intervals import IntervalVector
 from .network import ConcreteNetwork, forward, forward_batch, gradient, gradients, predict
@@ -122,9 +122,12 @@ def _separation(lo: np.ndarray, hi: np.ndarray, target: int):
     class below the target must stay strictly under the target's lower
     bound, while a class above it may touch it.
     """
-    others_hi = np.delete(hi, target, axis=-1)
-    if others_hi.shape[-1] == 0:
+    if hi.shape[-1] == 1:
         return np.full(lo.shape[:-1], np.inf), np.ones(lo.shape[:-1], dtype=bool)
+    # The target's own upper bound is masked with -inf rather than deleted;
+    # the other bounds are finite, so the maximum is theirs.
+    others_hi = hi.copy()
+    others_hi[..., target] = -np.inf
     target_lo = lo[..., target]
     margin = target_lo - np.max(others_hi, axis=-1)
     lower_touch = np.any(hi[..., :target] >= target_lo[..., None], axis=-1)
@@ -153,23 +156,54 @@ def _validate_target(net: ConcreteNetwork, q: SufficiencyQuery) -> None:
         raise ValidationError("target class does not match the network's prediction for x")
 
 
-def _candidates(lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rng=None, n_random: int = 0) -> np.ndarray:
-    """Witness candidates inside a batch of boxes, in a fixed order per box.
+def _candidate_rows(lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rng=None, n_random: int = 0):
+    """Witness candidates of a batch of boxes in one contiguous buffer, and where each box's are.
 
     ``lo`` and ``hi`` hold one box per row and ``toward_hi`` one stack of
     corner masks per box.  Each box gets its center; then one corner per
     mask, taking the upper endpoint where the mask is set and the lower one
-    elsewhere; then ``n_random`` uniform samples.  The samples of all boxes
-    come from one draw, box after box, which is the stream that one draw
-    per box in the same order would give.  Fixed features need no pinning:
-    a query box is already degenerate there.  Returns shape (boxes,
-    candidates per box, inputs).
+    elsewhere; then ``n_random`` uniform samples.  Fixed features need no
+    pinning: a query box is already degenerate there.
+
+    The buffer holds, in blocks, the centers of all boxes, then their
+    corners box after box, then their samples box after box.  The sample
+    block is filled by one ``rng.random`` draw and scaled in place to
+    ``(hi - lo) * r + lo``, which is ``bounds.uniform_draw``'s formula with
+    its operands swapped, so it has the same bits and leaves ``rng`` in the
+    same state as one draw per box in box order.  Row ``order[b, j]`` of
+    the buffer is box b's candidate j in the order center, corners,
+    samples.  Returns the buffer, of shape (rows, inputs), and ``order``.
     """
-    lo, hi = lo[:, None, :], hi[:, None, :]
-    parts = [0.5 * (lo + hi), np.where(toward_hi, hi, lo)]
+    boxes, inputs = lo.shape
+    corners = toward_hi.shape[1]
+    per_box = 1 + corners + n_random
+    rows = np.empty((boxes * per_box, inputs))
+    centers = rows[:boxes]
+    np.add(lo, hi, out=centers)
+    centers *= 0.5
+    corner_rows = rows[boxes : boxes * (1 + corners)].reshape(boxes, corners, inputs)
+    corner_rows[...] = lo[:, None, :]
+    np.copyto(corner_rows, hi[:, None, :], where=toward_hi)
     if n_random > 0:
-        parts.append(uniform_draw(lo, hi, (lo.shape[0], n_random, lo.shape[2]), rng))
-    return np.concatenate(parts, axis=1)
+        samples = rows[boxes * (1 + corners) :].reshape(boxes, n_random, inputs)
+        rng.random(out=samples)
+        samples *= (hi - lo)[:, None, :]
+        samples += lo[:, None, :]
+    order = np.concatenate(
+        [
+            np.arange(boxes)[:, None],
+            boxes + np.arange(boxes * corners).reshape(boxes, corners),
+            boxes * (1 + corners) + np.arange(boxes * n_random).reshape(boxes, n_random),
+        ],
+        axis=1,
+    )
+    return rows, order
+
+
+def _candidates(lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rng=None, n_random: int = 0) -> np.ndarray:
+    """The candidates of ``_candidate_rows`` per box, of shape (boxes, candidates per box, inputs)."""
+    rows, order = _candidate_rows(lo, hi, toward_hi, rng, n_random)
+    return rows[order]
 
 
 def _gap_corners(net: ConcreteNetwork, target: int, lo: np.ndarray, hi: np.ndarray, out_hi: np.ndarray) -> np.ndarray:
@@ -200,18 +234,21 @@ def find_witnesses(
 
     Per box the candidates are its center, then its ``_gap_corners``
     (ranked by the box's output upper bounds, a row of ``out_hi``), then
-    ``n_random`` samples from ``rng`` (see ``_candidates``; ``rng`` may be
-    None when ``n_random`` is 0).  The candidates of all boxes are evaluated
-    exactly in one forward pass, so a returned witness is a genuine
-    counterexample; a box without one gets None.
+    ``n_random`` samples from ``rng`` (``rng`` may be None when
+    ``n_random`` is 0).  The candidates of all boxes sit in one contiguous
+    buffer, in blocks (all centers, all corners, all samples; see
+    ``_candidate_rows``), and are evaluated exactly in one forward pass, so
+    a returned witness is a genuine counterexample.  Each box's labels are
+    read back in its own candidate order, so its witness is its first
+    misclassified candidate; a box without one gets None.
     """
     boxes = lo.shape[0]
     if boxes == 0:
         return []
-    cands = _candidates(lo, hi, _gap_corners(net, target, lo, hi, out_hi), rng, n_random)
-    labels = np.argmax(forward_batch(net, cands.reshape(-1, lo.shape[1])), axis=1)
-    wrong = labels.reshape(boxes, -1) != target
-    return [cands[b, np.argmax(wrong[b])] if wrong[b].any() else None for b in range(boxes)]
+    rows, order = _candidate_rows(lo, hi, _gap_corners(net, target, lo, hi, out_hi), rng, n_random)
+    wrong = (np.argmax(forward_batch(net, rows), axis=1) != target)[order]
+    first = np.argmax(wrong, axis=1)
+    return [rows[order[b, first[b]]].copy() if wrong[b, first[b]] else None for b in range(boxes)]
 
 
 def check_abstract(anet: AbstractNetwork, q: SufficiencyQuery) -> Verdict:

@@ -7,10 +7,12 @@ import logging
 import numpy as np
 import pytest
 
+from conftest import make_query
 from provex.cli import main
 from provex.fixtures import demo_network, random_network, uniform_instances
 from provex.images import read_image, save_instance_csv, write_image
 from provex.network import forward, predict, save_network
+from provex.queries import check_concrete
 
 
 @pytest.fixture
@@ -298,6 +300,49 @@ class TestVerifyCommand:
             OracleOutcome.EXHAUSTED: VerdictKind.UNCERTAIN,
         }
 
+    @pytest.mark.parametrize("backend, flag, value", [("enclosure", "--budget", "0"), ("oracle", "--seed", "3")])
+    def test_rejects_the_flag_its_backend_does_not_read(self, tmp_path, capsys, backend, flag, value):
+        # Rejected before the network is read: the path does not exist.
+        code = main([
+            "verify", "--network", str(tmp_path / "missing.json"), "--input", str(tmp_path / "x.csv"),
+            "--subset", "1", "--epsilon", "1.0", "--backend", backend, flag, value,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {flag} does not apply to --backend {backend}\n"
+
+    def test_oracle_budget_is_read_and_defaults_to_the_library_budget(self, demo_files, capsys):
+        # Feature 1 alone is sufficient on the demo net, but only after splits.
+        net_path, inst_path = demo_files
+        base = ["verify", "--network", net_path, "--input", inst_path, "--subset", "1", "--epsilon", "1.0"]
+        assert main(base + ["--backend", "oracle"]) == 0
+        assert main(base + ["--backend", "oracle", "--budget", str(1 << 16)]) == 0
+        assert main(base + ["--backend", "oracle", "--budget", "0"]) == 4
+        assert capsys.readouterr().out.split() == ["sufficient", "sufficient", "uncertain"]
+
+    def test_enclosure_seed_defaults_to_0(self, tmp_path, capsys):
+        # A case whose witness comes from a random sample, so it depends on the seed.
+        for seed in range(200):
+            net = random_network(4, (6,), 3, "relu", seed=seed)
+            x = uniform_instances(net, 1, seed=seed)[0]
+            q = make_query(net, x, fixed=set(), epsilon=0.5)
+            witnesses = {
+                s: check_concrete(net, q, rng=np.random.default_rng(s)).witness for s in (0, 1)
+            }
+            if all(w is not None for w in witnesses.values()) and not np.array_equal(*witnesses.values()):
+                break
+        else:
+            pytest.skip("no seed-dependent witness found")
+        net_path = tmp_path / "net.json"
+        net_path.write_text(save_network(net))
+        inst_path = tmp_path / "x.csv"
+        save_instance_csv(str(inst_path), x)
+        base = ["verify", "--network", str(net_path), "--input", str(inst_path), "--subset", "", "--epsilon", "0.5"]
+        printed = []
+        for extra in ([], ["--seed", "0"], ["--seed", "1"]):
+            assert main(base + extra) == 3
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] != printed[2]
+
     def test_bad_subset_is_error(self, demo_files):
         net_path, inst_path = demo_files
         code = main([
@@ -388,6 +433,19 @@ class TestBenchCommand:
         lines = (out / "bench.csv").read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("instance,algorithm")
+
+    def test_bad_schedule_is_rejected_before_any_instance(self, tmp_path, capsys):
+        # No --input: the schedule is parsed once, not once per instance.
+        net = random_network(4, (6,), 2, "relu", seed=1)
+        net_path = tmp_path / "net.json"
+        net_path.write_text(save_network(net))
+        out = tmp_path / "out"
+        code = main([
+            "bench", "--network", str(net_path), "--epsilon", "0.1", "--schedule", "bogus", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: could not parse schedule 'bogus'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--timeout", "1"), ("--backend", "oracle")])
     def test_explain_only_flags_are_usage_errors(self, tmp_path, capsys, flag, value):

@@ -1,11 +1,13 @@
 """Explanation searches: orderings, traces, equivalence, and early stop."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from conftest import make_query, small_net_and_instance
+from test_kernel_bits import reference_find_witnesses
 from provex.abstraction import ReductionSchedule, build_abstract, refine
 from provex.bounds import propagate_box
 from provex.errors import ValidationError
@@ -511,10 +513,10 @@ def long_window_net():
     return net, uniform_instances(net, 1, seed=3)[0], 0.1
 
 
-def relu100_cases():
-    """The network and epsilon of the relu100-boundary benchmark workload, on 4 instances."""
+def relu100_cases(count=4):
+    """The network and epsilon of the relu100-boundary benchmark workload, on ``count`` instances."""
     net = random_network(100, (50,), 10, "relu", seed=4)
-    for x in uniform_instances(net, 4, seed=11):
+    for x in uniform_instances(net, count, seed=11):
         yield net, x, 0.3, 0
 
 
@@ -715,3 +717,129 @@ class TestConcreteFirst:
             assert sum(searched) == len(kept)
             chains += trace.refinements > 0
         assert chains > 0
+
+
+SEARCHES = (explain_baseline, explain_abstraction_refinement)
+
+
+def pin_search_cases():
+    """The c05 nets and 8 relu100-boundary instances."""
+    yield from search_equivalence_nets()
+    yield from relu100_cases(8)
+
+
+def search_pins_per_batch(search, net, x, epsilon, seed, monkeypatch):
+    """Run ``search``, then label its pins again with one witness search per batch.
+
+    The walk queues its pins and searches them in calls of ``MAX_BATCH``
+    boxes.  The reference searches the pins of each batch together, with
+    the reference witness search and a generator seeded like the search's:
+    a batch is told apart by the count of enclosure checks made before its
+    pins were recorded.  Returns the trace, the walk's pin steps, the box
+    count of each of its witness-search calls, its witnesses and the
+    reference's, one per pin in step order.
+    """
+    checks = [0]
+    batch_of = {}  # id of a step -> enclosure checks made before it was recorded
+    calls, boxes, found = [], [], []
+    verdicts, find = explain_module.enclosure_verdicts, explain_module.find_witnesses
+
+    def checking(*args):
+        checks[0] += 1
+        return verdicts(*args)
+
+    def recording(**kwargs):
+        step = StepRecord(**kwargs)
+        batch_of[id(step)] = checks[0]
+        return step
+
+    def searching(net_, target, lo, hi, out_hi, rng):
+        calls.append(lo.shape[0])
+        boxes.extend(zip(lo.copy(), hi.copy(), out_hi.copy()))
+        witnesses = find(net_, target, lo, hi, out_hi, rng)
+        found.extend(witnesses)
+        return witnesses
+
+    monkeypatch.setattr(explain_module, "enclosure_verdicts", checking)
+    monkeypatch.setattr(explain_module, "StepRecord", recording)
+    monkeypatch.setattr(explain_module, "find_witnesses", searching)
+    kept, trace = search(net, x, epsilon, seed=seed)
+    monkeypatch.undo()
+    final = set(trace.final)
+    pins = [step for step in trace.steps if step.group_id in final]
+    assert len(pins) == len(boxes) == len(kept)
+    rng = np.random.default_rng(seed)
+    target = predict(net, x)
+    reference = []
+    for _, batch in itertools.groupby(range(len(pins)), key=lambda k: batch_of[id(pins[k])]):
+        lo, hi, out_hi = (np.stack(column) for column in zip(*(boxes[k] for k in batch)))
+        reference.extend(reference_find_witnesses(net, target, lo, hi, out_hi, rng))
+    return trace, pins, calls, found, reference
+
+
+class TestPinSearches:
+    """Pins wait in a queue and are searched in calls of exactly MAX_BATCH boxes, plus the remainder."""
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_same_labels_as_one_search_per_batch(self, search, monkeypatch):
+        witnessed = full_calls = 0
+        for net, x, epsilon, seed in pin_search_cases():
+            trace, pins, calls, found, reference = search_pins_per_batch(search, net, x, epsilon, seed, monkeypatch)
+            for step, got, want in zip(pins, found, reference):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.tobytes() == want.tobytes()
+                named = "insufficient" if search is explain_baseline else "uncertain"
+                assert (step.verdict, step.witness_used) == ((named, True) if want is not None else ("uncertain", False))
+                witnessed += want is not None
+            assert all(count == explain_module.MAX_BATCH for count in calls[:-1])
+            assert all(0 < count <= explain_module.MAX_BATCH for count in calls)
+            full_calls += calls.count(explain_module.MAX_BATCH)
+        assert witnessed > 0 and full_calls > 0
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_step_times_add_up_within_the_wall_time(self, search):
+        for net, x, epsilon, seed in pin_search_cases():
+            _, trace = search(net, x, epsilon, seed=seed)
+            assert all(step.elapsed > 0 for step in trace.steps)
+            assert sum(step.elapsed for step in trace.steps) <= trace.wall_time
+
+    def test_timeout_still_labels_every_pin(self, monkeypatch):
+        # A fake clock that only concrete checks advance, one second each.
+        # With a timeout of k + 0.5 a run stops after k + 1 concrete checks
+        # of the full run's n; the pins it queued before the stop are
+        # searched and labelled as in the full run.
+        clock = [0.0]
+        verdicts, find = explain_module.enclosure_verdicts, explain_module.find_witnesses
+        searched = []
+
+        def ticking(net_, target, lo, hi):
+            if net_ is net:
+                clock[0] += 1.0
+            return verdicts(net_, target, lo, hi)
+
+        def searching(net_, target, lo, *rest):
+            searched.append(lo.shape[0])
+            return find(net_, target, lo, *rest)
+
+        monkeypatch.setattr(explain_module.time, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(explain_module, "enclosure_verdicts", ticking)
+        monkeypatch.setattr(explain_module, "find_witnesses", searching)
+        stops = witnessed = 0
+        for net, x, epsilon, seed in itertools.islice(search_equivalence_nets(), 40):
+            clock[0] = 0.0
+            _, full = explain_abstraction_refinement(net, x, epsilon, seed=seed)
+            for k in range(int(clock[0]) - 1):
+                clock[0] = 0.0
+                searched.clear()
+                _, trace = explain_abstraction_refinement(net, x, epsilon, timeout=k + 0.5, seed=seed)
+                assert trace.status == STATUS_EARLY_STOP
+                assert [s.to_dict() | {"elapsed": 0} for s in trace.steps] == [
+                    s.to_dict() | {"elapsed": 0} for s in full.steps[: len(trace.steps)]
+                ]
+                pins = [s for s in trace.steps if s.group_id in full.final]
+                assert sum(searched) == len(pins)
+                stops += 1
+                witnessed += any(s.witness_used for s in pins)
+        monkeypatch.undo()
+        assert stops > 0 and witnessed > 0

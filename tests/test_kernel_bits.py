@@ -1,0 +1,285 @@
+"""The numeric kernels keep the bits of their plain forms.
+
+Each kernel on the hot path computes in place, into its own temporaries.
+The plain, one-expression forms are kept here as references, and every
+kernel must return exactly their bits (``np.array_equal`` or byte
+equality), leave the generator where they leave it, and never write into
+its arguments.
+"""
+
+import numpy as np
+import pytest
+
+from provex.bounds import enclose_affine, propagate_rows
+from provex.fixtures import random_network, uniform_instances
+from provex.intervals import apply_activation
+from provex.network import ConcreteNetwork, Layer, forward, forward_batch, gradients
+from provex.queries import _candidates, _gap_corners, _separation, find_witnesses
+
+ACTIVATIONS = ("relu", "sigmoid", "tanh")
+
+
+# ---------------------------------------------------------------------------
+# Reference forms
+# ---------------------------------------------------------------------------
+
+
+def reference_sigmoid(z):
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def reference_activation(kind, values):
+    if kind == "relu":
+        return np.maximum(values, 0.0)
+    if kind == "sigmoid":
+        return reference_sigmoid(values)
+    if kind == "tanh":
+        return np.tanh(values)
+    return values
+
+
+def reference_forward_batch(net, xs):
+    h = np.asarray(xs, dtype=np.float64)
+    for layer in net.layers:
+        h = reference_activation(layer.activation.value, h @ layer.weights.T + layer.bias)
+    return h
+
+
+def reference_enclose_affine(pos, neg, lo, hi, bias_lo, bias_hi, activation="identity"):
+    out_lo = lo @ pos.T + hi @ neg.T + bias_lo
+    out_hi = hi @ pos.T + lo @ neg.T + bias_hi
+    return reference_activation(activation, out_lo), reference_activation(activation, out_hi)
+
+
+def reference_separation(lo, hi, target):
+    others_hi = np.delete(hi, target, axis=-1)
+    if others_hi.shape[-1] == 0:
+        return np.full(lo.shape[:-1], np.inf), np.ones(lo.shape[:-1], dtype=bool)
+    target_lo = lo[..., target]
+    margin = target_lo - np.max(others_hi, axis=-1)
+    lower_touch = np.any(hi[..., :target] >= target_lo[..., None], axis=-1)
+    return margin, (margin >= 0) & ~lower_touch
+
+
+def reference_candidates(lo, hi, toward_hi, rng=None, n_random=0):
+    lo, hi = lo[:, None, :], hi[:, None, :]
+    parts = [0.5 * (lo + hi), np.where(toward_hi, hi, lo)]
+    if n_random > 0:
+        parts.append(lo + (hi - lo) * rng.random((lo.shape[0], n_random, lo.shape[2])))
+    return np.concatenate(parts, axis=1)
+
+
+def reference_find_witnesses(net, target, lo, hi, out_hi, rng, n_random=64):
+    """One candidate array per box, built with ``np.concatenate``, evaluated in one pass."""
+    boxes = lo.shape[0]
+    if boxes == 0:
+        return []
+    cands = reference_candidates(lo, hi, _gap_corners(net, target, lo, hi, out_hi), rng, n_random)
+    labels = np.argmax(reference_forward_batch(net, cands.reshape(-1, lo.shape[1])), axis=1)
+    wrong = labels.reshape(boxes, -1) != target
+    return [cands[b, np.argmax(wrong[b])] if wrong[b].any() else None for b in range(boxes)]
+
+
+# ---------------------------------------------------------------------------
+# Cases
+# ---------------------------------------------------------------------------
+
+
+def nets():
+    """Relu, sigmoid and tanh nets of two depths, and a one-class net."""
+    for k, act in enumerate(ACTIVATIONS):
+        yield random_network(9, (12,), 3, act, seed=40 + k)
+        yield random_network(20, (16, 12, 8), 5, act, seed=50 + k)
+    rng = np.random.default_rng(3)
+    yield ConcreteNetwork(
+        (Layer(rng.normal(size=(6, 5)), rng.normal(size=6), "tanh"), Layer(rng.normal(size=(1, 6)), [0.3], "identity"))
+    )
+
+
+def boxes_of(net, count, seed, width=0.5):
+    """``count`` random boxes around the net's instances, some features fixed, inside the domain."""
+    rng = np.random.default_rng(seed)
+    xs = uniform_instances(net, count, seed=seed)
+    half = width * rng.random(xs.shape)
+    half[rng.random(xs.shape) < 0.3] = 0.0
+    lo = np.maximum(net.input_domain.lo, xs - half)
+    hi = np.minimum(net.input_domain.hi, xs + half)
+    return xs, lo, hi
+
+
+class TestActivationKernels:
+    @pytest.mark.parametrize("shape", [(7,), (16, 200), (1072, 200)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 40.0, 800.0])
+    def test_sigmoid_has_the_where_forms_bits(self, shape, scale):
+        z = np.random.default_rng(int(scale) + len(shape)).normal(scale=scale, size=shape)
+        z.flat[:4] = (0.0, -0.0, 745.0, -745.0)
+        with np.errstate(under="ignore"):
+            assert np.array_equal(apply_activation("sigmoid", z), reference_sigmoid(z))
+
+    @pytest.mark.parametrize("kind", ACTIVATIONS + ("identity",))
+    def test_argument_is_left_untouched(self, kind):
+        z = np.random.default_rng(1).normal(scale=5.0, size=(16, 30))
+        z[0, :3] = (0.0, -0.0, -800.0)
+        before = z.copy()
+        with np.errstate(under="ignore"):
+            out = apply_activation(kind, z)
+            assert np.array_equal(out, reference_activation(kind, before))
+        assert z.tobytes() == before.tobytes()
+        if kind != "identity":
+            assert not np.shares_memory(out, z)
+
+    @pytest.mark.parametrize("kind", ACTIVATIONS + ("identity",))
+    def test_in_place_result_has_the_same_bits(self, kind):
+        # The forward pass and the bound kernel hand over their own fresh
+        # pre-activations as ``out``.
+        z = np.random.default_rng(2).normal(scale=5.0, size=(16, 30))
+        z[0, :3] = (0.0, -0.0, -800.0)
+        own = z.copy()
+        with np.errstate(under="ignore"):
+            out = apply_activation(kind, own, out=own)
+            assert out is own
+            assert np.array_equal(out, reference_activation(kind, z))
+            other = np.empty_like(z)
+            assert apply_activation(kind, z, out=other) is other
+            assert np.array_equal(other, reference_activation(kind, z))
+
+    @pytest.mark.parametrize("kind", ACTIVATIONS)
+    def test_read_only_argument(self, kind):
+        # Enclosure endpoints are frozen arrays.
+        z = np.linspace(-5.0, 5.0, 11)
+        z.setflags(write=False)
+        assert np.array_equal(apply_activation(kind, z), reference_activation(kind, z))
+
+
+class TestAffineKernels:
+    @pytest.mark.parametrize("rows", [1, 16, 1072])
+    def test_forward_batch_is_the_plain_product(self, rows):
+        for net in nets():
+            xs = np.random.default_rng(rows).random((rows, net.input_dim))
+            assert np.array_equal(forward_batch(net, xs), reference_forward_batch(net, xs))
+
+    def test_gradients_forward_half_is_the_plain_product(self):
+        # The backward pass reads the pre-activations, so equal gradients
+        # against the plain forward below means equal pre-activations.
+        for net in nets():
+            xs = np.random.default_rng(5).random((4, net.input_dim))
+            idx = np.zeros((4, 1), dtype=int)
+            h, pres, posts = xs, [], []
+            for layer in net.layers:
+                pre = h @ layer.weights.T + layer.bias
+                h = reference_activation(layer.activation.value, pre)
+                pres.append(pre)
+                posts.append(h)
+            g = np.zeros((4, net.output_dim))
+            g[:, 0] = 1.0
+            for layer, pre, post in zip(reversed(net.layers), reversed(pres), reversed(posts)):
+                kind = layer.activation.value
+                slope = {
+                    "relu": (pre > 0).astype(np.float64),
+                    "sigmoid": post * (1.0 - post),
+                    "tanh": 1.0 - post * post,
+                }.get(kind, np.ones_like(pre))
+                g = (g * slope) @ layer.weights
+            assert np.array_equal(gradients(net, xs, idx)[:, 0], g)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_enclose_affine_is_the_plain_sum(self, batched):
+        rng = np.random.default_rng(8)
+        for net in nets():
+            _, lo, hi = boxes_of(net, 16 if batched else 1, seed=9)
+            if not batched:
+                lo, hi = lo[0], hi[0]
+            want_lo, want_hi = lo, hi
+            for layer in net.layers:
+                # A point bias, then an interval bias around it.
+                spread = rng.random(layer.out_dim)
+                for bias_lo, bias_hi in ((layer.bias, layer.bias), (layer.bias - spread, layer.bias + spread)):
+                    args = (layer.weights_pos, layer.weights_neg, want_lo, want_hi, bias_lo, bias_hi, layer.activation.value)
+                    got, want = enclose_affine(*args), reference_enclose_affine(*args)
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                want_lo, want_hi = want
+            got_lo, got_hi = propagate_rows(net.layers, lo, hi)
+            ref_lo, ref_hi = lo, hi
+            for layer in net.layers:
+                ref_lo, ref_hi = reference_enclose_affine(
+                    layer.weights_pos, layer.weights_neg, ref_lo, ref_hi, layer.bias, layer.bias, layer.activation.value
+                )
+            assert np.array_equal(got_lo, ref_lo) and np.array_equal(got_hi, ref_hi)
+
+
+class TestSeparationKernel:
+    @pytest.mark.parametrize("classes", [1, 2, 5])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_masking_is_the_deletion(self, classes, batched):
+        rng = np.random.default_rng(classes)
+        for trial in range(50):
+            shape = (16, classes) if batched else (classes,)
+            lo = rng.normal(size=shape)
+            hi = lo + rng.random(shape) * (trial % 3)
+            if trial % 5 == 0:
+                hi = np.round(hi, 1)  # ties between classes
+                lo = np.minimum(lo, hi)
+            for target in range(classes):
+                got, want = _separation(lo, hi, target), reference_separation(lo, hi, target)
+                assert got[0].tobytes() == np.asarray(want[0]).tobytes()
+                assert np.array_equal(got[1], want[1])
+                assert np.shape(got[0]) == np.shape(want[0])
+
+    def test_arguments_are_left_untouched(self):
+        lo = np.zeros((3, 4))
+        hi = np.ones((3, 4))
+        _separation(lo, hi, 2)
+        assert np.array_equal(hi, np.ones((3, 4))) and np.array_equal(lo, np.zeros((3, 4)))
+
+
+class TestWitnessSearchBits:
+    @pytest.mark.parametrize("n_random", [0, 64])
+    @pytest.mark.parametrize("boxes", [1, 16])
+    def test_candidates_are_the_concatenation(self, boxes, n_random):
+        for net in nets():
+            _, lo, hi = boxes_of(net, boxes, seed=boxes + n_random)
+            corners = np.random.default_rng(4).random((boxes, 2, net.input_dim)) < 0.5
+            ours, theirs = np.random.default_rng(6), np.random.default_rng(6)
+            got = _candidates(lo, hi, corners, ours, n_random)
+            want = reference_candidates(lo, hi, corners, theirs, n_random)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("n_random", [0, 64])
+    @pytest.mark.parametrize("boxes", [1, 16])
+    def test_same_witnesses_and_generator_state(self, boxes, n_random):
+        found = missed = 0
+        for k, net in enumerate(nets()):
+            for width in (0.05, 0.5):
+                xs, lo, hi = boxes_of(net, boxes, seed=10 * k + boxes, width=width)
+                target = int(np.argmax(forward(net, xs[0])))
+                out_hi = propagate_rows(net.layers, lo, hi)[1]
+                ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+                got = find_witnesses(net, target, lo, hi, out_hi, ours, n_random)
+                want = reference_find_witnesses(net, target, lo, hi, out_hi, theirs, n_random)
+                assert len(got) == len(want) == boxes
+                for g, w in zip(got, want):
+                    assert (g is None) == (w is None)
+                    if w is not None:
+                        assert g.tobytes() == w.tobytes()
+                        found += 1
+                    else:
+                        missed += 1
+                assert ours.bit_generator.state == theirs.bit_generator.state
+        assert found > 0 and missed > 0
+
+    def test_one_class_net_never_has_a_witness(self):
+        net = list(nets())[-1]
+        _, lo, hi = boxes_of(net, 16, seed=1)
+        out_hi = propagate_rows(net.layers, lo, hi)[1]
+        assert find_witnesses(net, 0, lo, hi, out_hi, np.random.default_rng(0)) == [None] * 16
+
+    def test_arguments_are_left_untouched(self):
+        net = random_network(9, (12,), 3, "sigmoid", seed=40)
+        _, lo, hi = boxes_of(net, 16, seed=2)
+        out_hi = propagate_rows(net.layers, lo, hi)[1]
+        before = [a.copy() for a in (lo, hi, out_hi)]
+        find_witnesses(net, 0, lo, hi, out_hi, np.random.default_rng(0))
+        assert all(np.array_equal(a, b) for a, b in zip((lo, hi, out_hi), before))
