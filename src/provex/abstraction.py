@@ -42,12 +42,11 @@ NO_BUCKETS: Buckets = (_NO_NEURONS, _NO_NEURONS)
 
 @dataclass(frozen=True, eq=False)
 class MergeSpec:
-    """Which hidden neurons were merged away, and for which query."""
+    """Which hidden neurons were merged away, and from which network."""
 
     per_layer_merged: tuple[frozenset[int], ...]
     hidden_sizes: tuple[int, ...]
     source_net_id: str
-    query_fingerprint: str
 
     def __post_init__(self):
         if len(self.per_layer_merged) != len(self.hidden_sizes):
@@ -80,24 +79,21 @@ class AbstractLayer:
 
     Built directly rather than through ``Layer``: a reduction is rebuilt
     for every query, and ``Layer``'s validation and column statistics
-    would cost more than the layer itself.  A reduction passes the sign
-    split of its weights as the same selection of its source layer's
-    ``weights_pos`` and ``weights_neg``; without one it is computed here.
+    would cost more than the layer itself.  The sign split of the weights
+    is the same selection of the source layer's ``weights_pos`` and
+    ``weights_neg``, so it is never recomputed.
     """
 
     weights: np.ndarray
     bias_lo: np.ndarray
     bias_hi: np.ndarray
     activation: ActivationKind
-    weights_pos: np.ndarray | None = None
-    weights_neg: np.ndarray | None = None
+    weights_pos: np.ndarray
+    weights_neg: np.ndarray
 
     def __post_init__(self):
-        W = np.ascontiguousarray(self.weights, dtype=np.float64)
-        pos = np.clip(W, 0.0, None) if self.weights_pos is None else self.weights_pos
-        neg = np.clip(W, None, 0.0) if self.weights_neg is None else self.weights_neg
-        for name, array in (("weights", W), ("weights_pos", pos), ("weights_neg", neg)):
-            array = np.ascontiguousarray(array)
+        for name in ("weights", "weights_pos", "weights_neg"):
+            array = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -115,16 +111,12 @@ class AbstractNetwork:
     """A reduced network whose set-valued output encloses the original's.
 
     Layers with no merged neuron on either side are the source network's
-    own ``Layer`` objects; the others are ``AbstractLayer``s.  ``ranking``
-    is ``score_neurons`` of the build's bounds when ``build_abstract``
-    scored them, so refining against the same bounds need not score them
-    again.
+    own ``Layer`` objects; the others are ``AbstractLayer``s.
     """
 
     layers: tuple
     spec: MergeSpec
     buckets: tuple[Buckets, ...]
-    ranking: Ranking | None = None
 
     @property
     def input_dim(self) -> int:
@@ -188,14 +180,24 @@ def score_neurons(net: ConcreteNetwork, lb: LayerBounds) -> Ranking:
     how much absorbing it can widen any single downstream pre-activation.
     Per hidden layer, returns the neuron indices lowest first, ties broken
     by neuron index, and their scores in that order.
+
+    Bounds that pass the staleness check fix the network, so the ranking
+    depends on the bounds alone: it is computed once per ``LayerBounds``
+    object and kept there, in read-only arrays, for the build and every
+    refinement against those bounds.
     """
     _check_fresh(net, lb)
-    ranked = []
-    for k in range(len(net.layers) - 1):
-        scores = lb.per_layer[k].width * net.layers[k + 1].weights_abs_colmax
-        order = np.argsort(scores, kind="stable")
-        ranked.append((order, scores[order]))
-    return tuple(ranked)
+    if lb._ranking is None:
+        ranked = []
+        for k in range(len(net.layers) - 1):
+            scores = lb.per_layer[k].width * net.layers[k + 1].weights_abs_colmax
+            order = np.argsort(scores, kind="stable")
+            scores = scores[order]
+            order.setflags(write=False)
+            scores.setflags(write=False)
+            ranked.append((order, scores))
+        object.__setattr__(lb, "_ranking", tuple(ranked))
+    return lb._ranking
 
 
 def select_merge_sets(ranked: Ranking, rate: float) -> tuple[frozenset[int], ...]:
@@ -218,8 +220,7 @@ def build_abstract(net: ConcreteNetwork, lb: LayerBounds, rate: float) -> Abstra
     """Reduce ``net`` toward ``rate`` against the box recorded in ``lb``."""
     if not 0.0 < rate <= 1.0:
         raise ValidationError(f"reduction rate must lie in (0, 1], got {rate}")
-    ranked = score_neurons(net, lb)
-    return build_from_merge_sets(net, lb, select_merge_sets(ranked, rate), ranking=ranked)
+    return build_from_merge_sets(net, lb, select_merge_sets(score_neurons(net, lb), rate))
 
 
 def build_from_merge_sets(
@@ -227,15 +228,12 @@ def build_from_merge_sets(
     lb: LayerBounds,
     merge_sets: tuple[frozenset[int], ...],
     buckets: tuple[Buckets, ...] | None = None,
-    ranking: Ranking | None = None,
 ) -> AbstractNetwork:
     """Construct the reduced network for an explicit choice of merge sets.
 
     When ``buckets`` is omitted, merged neurons within each layer are
     grouped by chaining overlapping activation ranges; passing buckets
     (as refinement does) preserves a previously chosen structure.
-    ``ranking``, the caller's ``score_neurons(net, lb)``, is carried on
-    the result for ``refine``.
     """
     _check_fresh(net, lb)
     hidden = len(net.layers) - 1
@@ -245,7 +243,6 @@ def build_from_merge_sets(
         per_layer_merged=tuple(merge_sets),
         hidden_sizes=net.hidden_sizes,
         source_net_id=net.fingerprint,
-        query_fingerprint=lb.box_fingerprint,
     )
     # Bounds are propagated at full width: a deleted neuron's coordinate is
     # overwritten with its bucket hull, which feeds the next layer exactly
@@ -293,7 +290,7 @@ def build_from_merge_sets(
         if k < hidden:
             out_buckets.append(layer_buckets)
 
-    return AbstractNetwork(layers=tuple(out_layers), spec=spec, buckets=tuple(out_buckets), ranking=ranking)
+    return AbstractNetwork(layers=tuple(out_layers), spec=spec, buckets=tuple(out_buckets))
 
 
 def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: float) -> AbstractNetwork:
@@ -301,9 +298,9 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
 
     The new merge sets are a subset of the previous ones and surviving
     buckets keep their structure, so for any box inside the build box the
-    refined enclosure is nested inside the previous one.  The ranking
-    carried on ``prev`` is reused when ``prev`` was built against the box
-    of ``lb``.
+    refined enclosure is nested inside the previous one.  The neurons are
+    ranked by ``score_neurons(net, lb)``, which a chain against the same
+    bounds computes once.
     """
     if rate <= prev.reduction_rate:
         raise ValidationError(
@@ -315,9 +312,7 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
     if prev.spec.source_net_id != net.fingerprint:
         raise ValidationError("reduced network was built from a different network")
 
-    ranked = prev.ranking
-    if ranked is None or prev.spec.query_fingerprint != lb.box_fingerprint:
-        ranked = score_neurons(net, lb)
+    ranked = score_neurons(net, lb)
     sizes = prev.spec.hidden_sizes
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(int)
     score_by_neuron = np.empty(prev.spec.total_hidden)
@@ -342,7 +337,7 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
         bucket_of = np.repeat(np.arange(bucket_sizes.size), bucket_sizes)
         left = np.bincount(bucket_of[stays], minlength=bucket_sizes.size)
         new_buckets.append((members[stays], left[left > 0]))
-    return build_from_merge_sets(net, lb, new_sets, buckets=tuple(new_buckets), ranking=ranked)
+    return build_from_merge_sets(net, lb, new_sets, buckets=tuple(new_buckets))
 
 
 def _reduced_layer(layer, index, bias_lo: np.ndarray, bias_hi: np.ndarray) -> AbstractLayer:

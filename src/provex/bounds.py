@@ -11,12 +11,15 @@ records one enclosure per layer of a concrete network;
 ``propagate_abstract`` returns the output enclosure of a reduced one, and
 ``propagate_rows`` the output enclosures of a batch of boxes.  Every
 reachable activation vector over the box is contained in the recorded
-enclosures; the final entry encloses the output set.
+enclosures; the final entry encloses the output set.  A ``LayerBounds``
+names the network it was computed for, and keeps the neuron ranking that
+reductions against its box are built from once ``score_neurons`` has
+computed it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,14 +32,16 @@ from .network import ConcreteNetwork
 class LayerBounds:
     """Per-layer post-activation enclosures for one (network, box) pair.
 
-    Fingerprints tie the bounds to the exact network and box they were
+    ``net_fingerprint`` ties the bounds to the exact network they were
     computed for, so downstream consumers can reject stale bounds.
+    ``_ranking`` is ``abstraction.score_neurons`` of these bounds, kept
+    here the first time it is computed.
     """
 
     input_box: IntervalVector
     per_layer: tuple[IntervalVector, ...]
     net_fingerprint: str
-    box_fingerprint: str
+    _ranking: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def final(self) -> IntervalVector:
@@ -86,12 +91,7 @@ def propagate_box(net: ConcreteNetwork, input_box: IntervalVector) -> LayerBound
     for layer in net.layers:
         lo, hi = enclose_layer(layer, lo, hi)
         per_layer.append(IntervalVector(lo, hi))
-    return LayerBounds(
-        input_box=input_box,
-        per_layer=tuple(per_layer),
-        net_fingerprint=net.fingerprint,
-        box_fingerprint=input_box.fingerprint(),
-    )
+    return LayerBounds(input_box=input_box, per_layer=tuple(per_layer), net_fingerprint=net.fingerprint)
 
 
 def propagate_abstract(anet, input_box: IntervalVector) -> IntervalVector:

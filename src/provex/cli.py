@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .abstraction import ReductionSchedule
-from .errors import ProvexError
+from .errors import ProvexError, SchemaError
 from .explain import (
     STATUS_EARLY_STOP,
     FeatureGrouping,
@@ -37,7 +37,7 @@ from .explain import (
 )
 from .fixtures import FixtureSpec, make_fixture
 from .images import load_instance, save_instance_csv, write_image
-from .network import ConcreteNetwork, load_network, predict, save_network
+from .network import ConcreteNetwork, _load_json, _require, load_network, predict, save_network
 from .queries import SufficiencyQuery, check_concrete, oracle_check
 
 EXIT_OK = 0
@@ -54,7 +54,7 @@ log = logging.getLogger("provex")
 
 
 def _read_network(path: str) -> ConcreteNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return load_network(fh.read())
 
 
@@ -91,6 +91,12 @@ def _schedule(text: str | None) -> ReductionSchedule | None:
     return None if text is None else ReductionSchedule.from_string(text)
 
 
+def _check_seed(seed: int | None) -> None:
+    """A generator seed must be nonnegative; numpy rejects others with a bare ``ValueError``."""
+    if seed is not None and seed < 0:
+        raise ProvexError(f"--seed must be nonnegative, got {seed}")
+
+
 def _report_config(args) -> dict:
     """The flags of an ``explain`` run, as ``report.json`` records them."""
     schedule = args.schedule
@@ -111,84 +117,81 @@ def _report_config(args) -> dict:
 
 
 def cmd_explain(args) -> int:
-    try:
-        if args.backend == "oracle":
-            # The oracle search has no deadline and no reduction schedule.
-            for flag, value in (("--timeout", args.timeout), ("--schedule", args.schedule)):
-                if value is not None:
-                    raise ProvexError(f"{flag} does not apply to --backend oracle")
-        net = _read_network(args.network)
-        x, _ = load_instance(args.input)
-        os.makedirs(args.out, exist_ok=True)
-        grouping = _grouping_for(args.groups, net.input_dim)
-        ordering = order_features(net, x, grouping, args.order, seed=args.seed)
-        if args.backend == "oracle":
-            _, trace = explain_baseline(
-                net, x, args.epsilon, grouping, ordering, backend="oracle", seed=args.seed
+    if args.backend == "oracle":
+        # The oracle search has no deadline and no reduction schedule.
+        for flag, value in (("--timeout", args.timeout), ("--schedule", args.schedule)):
+            if value is not None:
+                raise ProvexError(f"{flag} does not apply to --backend oracle")
+    _check_seed(args.seed)
+    net = _read_network(args.network)
+    x, _ = load_instance(args.input)
+    os.makedirs(args.out, exist_ok=True)
+    grouping = _grouping_for(args.groups, net.input_dim)
+    ordering = order_features(net, x, grouping, args.order, seed=args.seed)
+    if args.backend == "oracle":
+        _, trace = explain_baseline(
+            net, x, args.epsilon, grouping, ordering, backend="oracle", seed=args.seed
+        )
+    else:
+        _, trace = explain_abstraction_refinement(
+            net, x, args.epsilon, grouping, ordering,
+            schedule=_schedule(args.schedule), timeout=args.timeout, seed=args.seed,
+        )
+    report = {
+        "final": list(trace.final),
+        "status": trace.status,
+        "trace": trace.to_dict(),
+        "work": count_work(trace).to_dict(),
+        "config": _report_config(args),
+    }
+    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    _write_masks(args.out, grouping, report["trace"])
+    if log.isEnabledFor(logging.DEBUG):
+        for step in trace.steps:
+            log.debug(
+                "step group %s rate %g verdict %s margin %r witness_used %s elapsed %.3g",
+                step.group_id, step.rate, step.verdict, step.margin, step.witness_used, step.elapsed,
             )
-        else:
-            _, trace = explain_abstraction_refinement(
-                net, x, args.epsilon, grouping, ordering,
-                schedule=_schedule(args.schedule), timeout=args.timeout, seed=args.seed,
-            )
-        report = {
-            "final": list(trace.final),
-            "status": trace.status,
-            "trace": trace.to_dict(),
-            "work": count_work(trace).to_dict(),
-            "config": _report_config(args),
-        }
-        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        _write_masks(args.out, grouping, trace.to_dict())
-        if log.isEnabledFor(logging.DEBUG):
-            for step in trace.steps:
-                log.debug(
-                    "step group %s rate %g verdict %s margin %r witness_used %s elapsed %.3g",
-                    step.group_id, step.rate, step.verdict, step.margin, step.witness_used, step.elapsed,
-                )
-        log.info("explanation size %d, status %s", len(trace.final), trace.status)
-        return EXIT_EARLY_STOP if trace.status == STATUS_EARLY_STOP else EXIT_OK
-    except (ProvexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    log.info("explanation size %d, status %s", len(trace.final), trace.status)
+    return EXIT_EARLY_STOP if trace.status == STATUS_EARLY_STOP else EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    # The oracle has no generator and the enclosure check no split budget.
+    flag, value = ("--budget", args.budget) if args.backend == "enclosure" else ("--seed", args.seed)
+    if value is not None:
+        raise ProvexError(f"{flag} does not apply to --backend {args.backend}")
+    _check_seed(args.seed)
+    net = _read_network(args.network)
+    x, _ = load_instance(args.input)
     try:
-        # The oracle has no generator and the enclosure check no split budget.
-        flag, value = ("--budget", args.budget) if args.backend == "enclosure" else ("--seed", args.seed)
-        if value is not None:
-            raise ProvexError(f"{flag} does not apply to --backend {args.backend}")
-        net = _read_network(args.network)
-        x, _ = load_instance(args.input)
         subset = frozenset(int(tok) - 1 for tok in args.subset.split(",") if tok.strip())
-        q = SufficiencyQuery(
-            x=x,
-            fixed_features=subset,
-            epsilon=args.epsilon,
-            target=predict(net, x),
-            domain=net.input_domain,
-        )
-        if args.backend == "oracle":
-            result = oracle_check(net, q) if args.budget is None else oracle_check(net, q, budget=args.budget)
-            outcome, witness = result.verdict.value, result.witness
-        else:
-            verdict = check_concrete(net, q, rng=np.random.default_rng(0 if args.seed is None else args.seed))
-            outcome, witness = verdict.kind.value, verdict.witness
-        if witness is not None:
-            print(f"{outcome} witness={','.join(repr(float(v)) for v in witness)}")
-        else:
-            print(outcome)
-        return {
-            "sufficient": EXIT_OK,
-            "insufficient": EXIT_INSUFFICIENT,
-            "uncertain": EXIT_UNCERTAIN,
-        }[outcome]
-    except (ProvexError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except ValueError:
+        raise ProvexError(f"--subset: expected comma-separated feature ids, got {args.subset!r}") from None
+    q = SufficiencyQuery(
+        x=x,
+        fixed_features=subset,
+        epsilon=args.epsilon,
+        target=predict(net, x),
+        domain=net.input_domain,
+    )
+    if args.backend == "oracle":
+        result = oracle_check(net, q) if args.budget is None else oracle_check(net, q, budget=args.budget)
+        outcome, witness = result.verdict.value, result.witness
+    else:
+        verdict = check_concrete(net, q, rng=np.random.default_rng(0 if args.seed is None else args.seed))
+        outcome, witness = verdict.kind.value, verdict.witness
+    if witness is not None:
+        print(f"{outcome} witness={','.join(repr(float(v)) for v in witness)}")
+    else:
+        print(outcome)
+    return {
+        "sufficient": EXIT_OK,
+        "insufficient": EXIT_INSUFFICIENT,
+        "uncertain": EXIT_UNCERTAIN,
+    }[outcome]
 
 
 def _bench_instance(net, args, schedule, idx: int, path: str):
@@ -222,48 +225,44 @@ def _bench_instance(net, args, schedule, idx: int, path: str):
 
 
 def cmd_bench(args) -> int:
-    try:
-        schedule = _schedule(args.schedule)
-        net = _read_network(args.network)
-        os.makedirs(args.out, exist_ok=True)
-        results = [_bench_instance(net, args, schedule, idx, path) for idx, path in enumerate(args.input)]
+    schedule = _schedule(args.schedule)
+    net = _read_network(args.network)
+    os.makedirs(args.out, exist_ok=True)
+    results = [_bench_instance(net, args, schedule, idx, path) for idx, path in enumerate(args.input)]
 
-        csv_path = os.path.join(args.out, "bench.csv")
-        fields = [
-            "instance", "algorithm", "explanation_size", "queries",
-            "refinements", "neuron_evaluations", "wall_time",
-        ]
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            for _, rows, _, _ in results:
-                writer.writerows(rows)
+    csv_path = os.path.join(args.out, "bench.csv")
+    fields = [
+        "instance", "algorithm", "explanation_size", "queries",
+        "refinements", "neuron_evaluations", "wall_time",
+    ]
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        for _, rows, _, _ in results:
+            writer.writerows(rows)
 
-        times_by_rate: dict[float, list[float]] = {}
-        for _, _, _, timings in results:
-            for rate, elapsed in timings:
-                times_by_rate.setdefault(rate, []).append(elapsed)
-        summary = {
-            "instances": len(results),
-            "mean_query_time_by_rate": {
-                f"{rate:g}": sum(v) / len(v) for rate, v in sorted(times_by_rate.items())
-            },
-        }
-        with open(os.path.join(args.out, "bench_summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+    times_by_rate: dict[float, list[float]] = {}
+    for _, _, _, timings in results:
+        for rate, elapsed in timings:
+            times_by_rate.setdefault(rate, []).append(elapsed)
+    summary = {
+        "instances": len(results),
+        "mean_query_time_by_rate": {
+            f"{rate:g}": sum(v) / len(v) for rate, v in sorted(times_by_rate.items())
+        },
+    }
+    with open(os.path.join(args.out, "bench_summary.json"), "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2)
+        fh.write("\n")
 
-        mismatched = [idx for idx, _, equal, _ in results if not equal]
-        if mismatched:
-            print(
-                f"error: the two searches return different explanations on instances {mismatched}",
-                file=sys.stderr,
-            )
-            return EXIT_EQUIVALENCE_FAILURE
-        return EXIT_OK
-    except (ProvexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    mismatched = [idx for idx, _, equal, _ in results if not equal]
+    if mismatched:
+        print(
+            f"error: the two searches return different explanations on instances {mismatched}",
+            file=sys.stderr,
+        )
+        return EXIT_EQUIVALENCE_FAILURE
+    return EXIT_OK
 
 
 def _panel(image: np.ndarray, grouping: FeatureGrouping, ids: tuple[str, ...]) -> np.ndarray:
@@ -278,61 +277,69 @@ def _panel(image: np.ndarray, grouping: FeatureGrouping, ids: tuple[str, ...]) -
     return panel
 
 
-def cmd_render(args) -> int:
-    try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-        config = report["config"]
-        instance_path = config["inputs"][0]
-        vec, shape = load_instance(instance_path)
-        if shape is None:
-            print("error: instance is not image-shaped", file=sys.stderr)
-            return EXIT_ERROR
-        image = vec.reshape(shape)
-        grouping = _grouping_for(config["groups"], vec.shape[0])
-        os.makedirs(args.out, exist_ok=True)
-        ext = "pgm" if image.ndim == 2 else "ppm"
+def _report_ids(doc: dict, key: str, where: str, grouping: FeatureGrouping) -> tuple[str, ...]:
+    """The group ids listed at ``where.key`` of a report, each one a group of ``grouping``."""
+    ids = _require(doc, key, list, where)
+    known = set(grouping.ids)
+    for j, gid in enumerate(ids):
+        if not isinstance(gid, str) or gid not in known:
+            raise SchemaError(f"{where}.{key}[{j}]" if where else f"{key}[{j}]", f"unknown group id {gid!r}")
+    return tuple(ids)
 
-        panels = []
-        if args.layout == "grid":
-            for snap in report["trace"]["snapshots"]:
-                panels.append(_panel(image, grouping, tuple(snap["explanation"])))
-        panels.append(_panel(image, grouping, tuple(report["final"])))
-        strip = np.concatenate(panels, axis=1)
-        name = "mask_grid" if args.layout == "grid" else "mask_final"
-        out_path = os.path.join(args.out, f"{name}.{ext}")
-        write_image(out_path, strip)
-        log.info("wrote %s with %d panel(s)", out_path, len(panels))
-        return EXIT_OK
-    except (ProvexError, OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+
+def cmd_render(args) -> int:
+    with open(args.report, "rb") as fh:
+        report = _load_json(fh.read())
+    config = _require(report, "config", dict, "")
+    inputs = _require(config, "inputs", list, "config")
+    if not inputs or not isinstance(inputs[0], str):
+        raise SchemaError("config.inputs", "expected a non-empty list of instance paths")
+    vec, shape = load_instance(inputs[0])
+    if shape is None:
+        raise ProvexError("instance is not image-shaped")
+    image = vec.reshape(shape)
+    grouping = _grouping_for(_require(config, "groups", str, "config"), vec.shape[0])
+    os.makedirs(args.out, exist_ok=True)
+    ext = "pgm" if image.ndim == 2 else "ppm"
+
+    explanations = []
+    if args.layout == "grid":
+        trace = _require(report, "trace", dict, "")
+        for i, snap in enumerate(_require(trace, "snapshots", list, "trace")):
+            explanations.append(_report_ids(snap, "explanation", f"trace.snapshots[{i}]", grouping))
+    explanations.append(_report_ids(report, "final", "", grouping))
+    panels = [_panel(image, grouping, ids) for ids in explanations]
+    strip = np.concatenate(panels, axis=1)
+    name = "mask_grid" if args.layout == "grid" else "mask_final"
+    out_path = os.path.join(args.out, f"{name}.{ext}")
+    write_image(out_path, strip)
+    log.info("wrote %s with %d panel(s)", out_path, len(panels))
+    return EXIT_OK
 
 
 def cmd_fixture(args) -> int:
     try:
         hidden = tuple(int(w) for w in args.widths.split(",") if w.strip()) if args.widths else (16, 16)
-        spec = FixtureSpec(
-            kind=args.kind,
-            seed=args.seed,
-            input_dim=args.input_dim,
-            hidden=hidden,
-            output_dim=args.output_dim,
-            activation=args.activation,
-            instances=args.instances,
-        )
-        net, instances = make_fixture(spec)
-        os.makedirs(args.out, exist_ok=True)
-        net_path = os.path.join(args.out, "network.json")
-        with open(net_path, "w", encoding="utf-8") as fh:
-            fh.write(save_network(net))
-        for i, row in enumerate(instances):
-            save_instance_csv(os.path.join(args.out, f"instance_{i:03d}.csv"), row)
-        log.info("wrote %s and %d instance(s)", net_path, len(instances))
-        return EXIT_OK
-    except (ProvexError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except ValueError:
+        raise ProvexError(f"--widths: expected comma-separated integers, got {args.widths!r}") from None
+    spec = FixtureSpec(
+        kind=args.kind,
+        seed=args.seed,
+        input_dim=args.input_dim,
+        hidden=hidden,
+        output_dim=args.output_dim,
+        activation=args.activation,
+        instances=args.instances,
+    )
+    net, instances = make_fixture(spec)
+    os.makedirs(args.out, exist_ok=True)
+    net_path = os.path.join(args.out, "network.json")
+    with open(net_path, "w", encoding="utf-8") as fh:
+        fh.write(save_network(net))
+    for i, row in enumerate(instances):
+        save_instance_csv(os.path.join(args.out, f"instance_{i:03d}.csv"), row)
+    log.info("wrote %s and %d instance(s)", net_path, len(instances))
+    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -409,9 +416,12 @@ def _setup_logging() -> None:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ProvexError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def main_entry() -> None:

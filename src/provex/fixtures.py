@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .network import ActivationKind, ConcreteNetwork, Layer, load_network
+from .network import ActivationKind, ConcreteNetwork, Layer
 
 _INCREMENT = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -84,6 +84,8 @@ def random_network(
     act = ActivationKind(activation)
     stream = SplitMix64(seed)
     dims = [input_dim, *hidden, output_dim]
+    if min(dims) < 1:
+        raise ValidationError(f"layer widths must be positive, got {dims}")
     layers = []
     for k in range(len(dims) - 1):
         fan_in, fan_out = dims[k], dims[k + 1]
@@ -118,7 +120,6 @@ class FixtureSpec:
     hidden: tuple[int, ...] = (16, 16)
     output_dim: int = 3
     activation: str = "relu"
-    path: str | None = None
     instances: int = 1
 
 
@@ -131,11 +132,6 @@ def make_fixture(spec: FixtureSpec) -> tuple[ConcreteNetwork, np.ndarray]:
         net = random_network(spec.input_dim, spec.hidden, spec.output_dim, spec.activation, spec.seed)
     elif spec.kind == "mnist_shape":
         net = mnist_shape_network(spec.seed)
-    elif spec.kind == "custom":
-        if spec.path is None:
-            raise ValidationError("custom fixtures need a path")
-        with open(spec.path, "r", encoding="utf-8") as fh:
-            net = load_network(fh.read())
     else:
         raise ValidationError(f"unknown fixture kind {spec.kind!r}")
     return net, uniform_instances(net, spec.instances, spec.seed)

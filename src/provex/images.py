@@ -86,12 +86,12 @@ def load_instance(path: str) -> tuple[np.ndarray, tuple[int, ...] | None]:
     if lower.endswith((".pgm", ".ppm")):
         img = read_image(path)
         return img.reshape(-1), img.shape
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    parts = [p for chunk in text.split() for p in chunk.split(",") if p]
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
+        parts = [p for chunk in raw.decode("utf-8").split() for p in chunk.split(",") if p]
         vec = np.array([float(p) for p in parts], dtype=np.float64)
-    except ValueError as exc:
+    except ValueError as exc:  # undecodable bytes or a non-numeric entry
         raise SchemaError("instance", f"non-numeric value in {path}") from exc
     if vec.size == 0:
         raise SchemaError("instance", f"no values found in {path}")

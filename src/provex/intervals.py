@@ -21,8 +21,6 @@ exp(z) / (1 + exp(z)) below, with no overflow.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .errors import DimensionError, ValidationError
@@ -86,10 +84,6 @@ class IntervalVector:
         if arr.shape != self.lo.shape:
             raise DimensionError(f"point has length {arr.shape[0]}, box has {len(self)}")
         return bool(np.all(self.lo - slack <= arr) and np.all(arr <= self.hi + slack))
-
-    def fingerprint(self) -> str:
-        digest = hashlib.sha256(self.lo.tobytes() + self.hi.tobytes())
-        return digest.hexdigest()[:16]
 
 
 def apply_activation(kind: str, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -155,13 +155,11 @@ class ConcreteNetwork:
 
 
 def forward(net: ConcreteNetwork, x) -> np.ndarray:
-    """Evaluate the network layer by layer and return the logits."""
+    """The logits of one input: ``forward_batch`` of a one-row batch."""
     h = np.asarray(x, dtype=np.float64)
     if h.shape != (net.input_dim,):
         raise DimensionError(f"input has shape {h.shape}, expected ({net.input_dim},)")
-    for layer in net.layers:
-        h = apply_activation(layer.activation.value, layer.weights @ h + layer.bias)
-    return h
+    return forward_batch(net, h[None])[0]
 
 
 def forward_batch(net: ConcreteNetwork, xs) -> np.ndarray:
@@ -276,6 +274,8 @@ _NUMBER_TYPES = frozenset({int, float})
 
 
 def _require(doc: dict, key: str, kind, where: str):
+    if not isinstance(doc, dict):
+        raise SchemaError(where or "document", "expected a JSON object")
     if key not in doc:
         raise SchemaError(f"{where}.{key}" if where else key, "missing required field")
     value = doc[key]
@@ -319,8 +319,6 @@ def _parse_matrix(rows, field_name: str, expect_cols: int | None) -> np.ndarray:
 
 
 def network_from_dict(doc: dict) -> ConcreteNetwork:
-    if not isinstance(doc, dict):
-        raise SchemaError("document", "expected a JSON object")
     input_dim = _require(doc, "input_dim", int, "")
     if input_dim < 1:
         raise SchemaError("input_dim", f"must be positive, got {input_dim}")
@@ -375,12 +373,14 @@ def network_from_dict(doc: dict) -> ConcreteNetwork:
     return ConcreteNetwork(tuple(layers), domain)
 
 
+def _load_json(data: str | bytes):
+    """A parsed JSON document; undecodable bytes or invalid JSON raise a ``SchemaError``."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except ValueError as exc:
+        raise SchemaError("document", f"invalid JSON: {exc}") from exc
+
+
 def load_network(data: str | bytes) -> ConcreteNetwork:
     """Parse and validate a serialized network document."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("document", f"invalid JSON: {exc}") from exc
-    return network_from_dict(doc)
+    return network_from_dict(_load_json(data))

@@ -89,6 +89,29 @@ class TestScoring:
         with pytest.raises(ValidationError):
             build_abstract(net_b, lb, 0.5)
 
+    def test_stale_bounds_rejected_once_they_hold_a_ranking(self):
+        # The kept ranking is read only after the staleness check.
+        net_a, _ = small_net_and_instance(1)
+        net_b, _ = small_net_and_instance(2)
+        lb = propagate_box(net_a, net_a.input_domain)
+        anet = build_abstract(net_a, lb, 0.5)
+        assert score_neurons(net_a, lb) is score_neurons(net_a, lb)
+        with pytest.raises(ValidationError):
+            score_neurons(net_b, lb)
+        with pytest.raises(ValidationError):
+            build_abstract(net_b, lb, 0.5)
+        with pytest.raises(ValidationError):
+            refine(net_b, anet, lb, 0.8)
+
+    def test_kept_ranking_is_read_only(self):
+        net, _ = small_net_and_instance(3, hidden=(12, 10))
+        lb = propagate_box(net, net.input_domain)
+        for order, scores in score_neurons(net, lb):
+            for array in (order, scores):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = array[-1]
+
 
 class TestConstruction:
     def test_full_rate_is_structurally_identical(self, demo):
@@ -205,7 +228,6 @@ class TestConstruction:
         anet = build_abstract(net, lb, 0.4)
         assert anet.spec.merged_count == round(0.6 * 20)
         assert anet.reduction_rate == pytest.approx(1 - anet.spec.merged_count / 20)
-        assert anet.spec.query_fingerprint == lb.box_fingerprint
 
 
 class TestRefine:
@@ -252,40 +274,59 @@ class TestRefine:
         assert fine.spec.merged_count < coarse.spec.merged_count
 
     def test_refinement_reuses_the_build_ranking(self, monkeypatch):
-        # A chain scores its bounds once, at the build, and refines to the
-        # same merge sets and buckets as one that scores again at each step.
-        calls = []
-        score = abstraction.score_neurons
+        # A chain against one bounds object scores them once, at the build,
+        # and refines to the merge sets and buckets of a chain that
+        # propagates the same box afresh at every step.  Scoring is counted
+        # by its sorts: ``argsort`` runs once per hidden layer per scoring.
+        sorts = []
 
-        def counting(net, lb):
-            calls.append(lb)
-            return score(net, lb)
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(abstraction, "score_neurons", counting)
+            def argsort(self, *args, **kwargs):
+                sorts.append(1)
+                return np.argsort(*args, **kwargs)
+
+        monkeypatch.setattr(abstraction, "np", CountingNumpy())
+        rng = np.random.default_rng(13)
         for seed in range(10):
             net, _ = small_net_and_instance(seed, hidden=(12, 10))
-            lb = propagate_box(net, net.input_domain)
-            carried = build_abstract(net, lb, 0.2)
-            assert same_pairs(carried.ranking, score(net, lb))
-            rescored = build_from_merge_sets(net, lb, carried.spec.per_layer_merged, carried.buckets)
-            assert rescored.ranking is None
-            calls.clear()
+            box = IntervalVector(*random_subbox(net, rng))
+            lb = propagate_box(net, box)
+            sorts.clear()
+            shared = [build_abstract(net, lb, 0.2)]
             for rate in (0.5, 0.8, 1.0):
-                carried = refine(net, carried, lb, rate)
-                rescored = refine(net, rescored, lb, rate)
-                assert carried.spec.per_layer_merged == rescored.spec.per_layer_merged
-                assert same_pairs(carried.buckets, rescored.buckets)
-            # Only the first refine of the unscored chain scored.
-            assert len(calls) == 1
+                shared.append(refine(net, shared[-1], lb, rate))
+            assert len(sorts) == 2
+            sorts.clear()
+            fresh = [build_abstract(net, propagate_box(net, box), 0.2)]
+            for rate in (0.5, 0.8, 1.0):
+                fresh.append(refine(net, fresh[-1], propagate_box(net, box), rate))
+            assert len(sorts) == 8
+            for a, b in zip(shared, fresh):
+                assert a.spec.per_layer_merged == b.spec.per_layer_merged
+                assert same_pairs(a.buckets, b.buckets)
 
     def test_ranking_of_another_box_is_not_reused(self):
+        # Refining a reduction built against the whole domain against a
+        # narrower box unmerges by the narrow box's ranking.
         net, x = small_net_and_instance(4, hidden=(12, 10))
         wide = propagate_box(net, net.input_domain)
         q = make_query(net, x, fixed={0, 1}, epsilon=0.2)
         narrow = propagate_box(net, q.query_box())
         built = build_abstract(net, wide, 0.3)
         refined = refine(net, built, narrow, 0.6)
-        assert same_pairs(refined.ranking, score_neurons(net, narrow))
+        expected = {
+            name: sorted_refine_sets(
+                as_pairs(score_neurons(net, lb)), built.spec.per_layer_merged,
+                [as_tuples(b) for b in built.buckets], built.spec.total_hidden, 0.6,
+            )
+            for name, lb in (("wide", wide), ("narrow", narrow))
+        }
+        assert expected["wide"] != expected["narrow"]
+        assert refined.spec.per_layer_merged == expected["narrow"][0]
+        assert tuple(as_tuples(b) for b in refined.buckets) == expected["narrow"][1]
 
     def test_enclosures_nest_along_chain(self):
         # Chain of refinements: enclosures shrink and still contain the
@@ -482,6 +523,10 @@ class TestNumpyOrdering:
                 assert tuple(as_tuples(b) for b in anet.buckets) == expected[1]
 
 
+def sign_split(W):
+    return np.clip(W, 0.0, None), np.clip(W, None, 0.0)
+
+
 def rebuilt_from_the_input_box(net, lb, merge_sets):
     """The reduction with every bound re-propagated from ``lb.input_box``, as before builds started from ``lb``."""
     from provex.abstraction import AbstractLayer, _absorb_buckets, _chain_buckets
@@ -499,13 +544,14 @@ def rebuilt_from_the_input_box(net, lb, merge_sets):
             absorbed, (flat, hull_lo, hull_hi) = _absorb_buckets(net.layers[k + 1], lo, hi, layer_buckets)
             keep = np.array(sorted(set(range(layer.out_dim)) - merged), dtype=int)
             W = layer.weights[keep, :] if keep_prev is None else layer.weights[np.ix_(keep, keep_prev)]
-            layers.append(AbstractLayer(W, bias_lo[keep], bias_hi[keep], layer.activation))
+            layers.append(AbstractLayer(W, bias_lo[keep], bias_hi[keep], layer.activation, *sign_split(W)))
             lo[flat], hi[flat] = hull_lo, hull_hi
             keep_prev = keep
             buckets.append(layer_buckets)
         else:
             if keep_prev is not None:
-                layers.append(AbstractLayer(layer.weights[:, keep_prev], bias_lo, bias_hi, layer.activation))
+                W = layer.weights[:, keep_prev]
+                layers.append(AbstractLayer(W, bias_lo, bias_hi, layer.activation, *sign_split(W)))
             else:
                 layers.append(layer)
             keep_prev = None

@@ -83,7 +83,6 @@ class TestPropagateBox:
         box = IntervalVector(x, x)
         lb = propagate_box(net, box)
         assert lb.net_fingerprint == net.fingerprint
-        assert lb.box_fingerprint == box.fingerprint()
         assert lb.matches(net)
 
 
@@ -181,7 +180,7 @@ class TestKernelProperties:
         W, b1, b2 = params[0], params[1, :, 0], params[2, :, 0]
         bias_lo, bias_hi = np.minimum(b1, b2), np.maximum(b1, b2)
         lo, hi = np.minimum(params[1, 0], params[2, 0]), np.maximum(params[1, 0], params[2, 0])
-        layer = AbstractLayer(W, bias_lo, bias_hi, ActivationKind.TANH)
+        layer = AbstractLayer(W, bias_lo, bias_hi, ActivationKind.TANH, np.clip(W, 0.0, None), np.clip(W, None, 0.0))
         out = IntervalVector(*enclose_layer(layer, lo, hi))
         rng = np.random.default_rng(seed)
         xs = rng.uniform(lo, hi, size=(64, 5))

@@ -351,6 +351,28 @@ class TestVerifyCommand:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--subset", "1,x"], "--subset: expected comma-separated feature ids, got '1,x'"),
+            (["--subset", "1", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+        ],
+    )
+    def test_unparsable_flag_values_are_errors(self, demo_files, capsys, flags, message):
+        net_path, inst_path = demo_files
+        code = main(["verify", "--network", net_path, "--input", inst_path, "--epsilon", "0.5", *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("which, message", [(0, "document: invalid JSON:"), (1, "instance: non-numeric value")])
+    def test_undecodable_file_is_a_schema_error(self, demo_files, tmp_path, capsys, which, message):
+        files = list(demo_files)
+        files[which] = str(tmp_path / "undecodable")
+        (tmp_path / "undecodable").write_bytes(b"\xff\xfe{}")
+        code = main(["verify", "--network", files[0], "--input", files[1], "--subset", "1", "--epsilon", "0.5"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
 
 class TestBenchCommand:
     def test_bench_rows_and_equivalence(self, tmp_path):
@@ -513,6 +535,45 @@ class TestRenderCommand:
         assert code == 0
         assert read_image(str(out / "mask_final.pgm")).shape == (4, 4)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.pop("config"), "config: missing required field"),
+            (lambda r: r["config"].update(inputs=[]), "config.inputs: expected a non-empty list of instance paths"),
+            (lambda r: r["config"].update(inputs=[7]), "config.inputs: expected a non-empty list of instance paths"),
+            (lambda r: r["config"].pop("groups"), "config.groups: missing required field"),
+            (lambda r: r["trace"].pop("snapshots"), "trace.snapshots: missing required field"),
+            (lambda r: r["trace"]["snapshots"][0].pop("explanation"), "trace.snapshots[0].explanation: missing required field"),
+            (lambda r: r.update(final=["99"]), "final[0]: unknown group id '99'"),
+            (lambda r: r.update(final="1"), "final: expected list"),
+            (lambda r: r["trace"].update(snapshots=[3]), "trace.snapshots[0]: expected a JSON object"),
+        ],
+    )
+    def test_malformed_report_names_the_field(self, tmp_path, capsys, edit, message):
+        net_path, img_path, _ = self.make_image_case(tmp_path)
+        out = tmp_path / "out"
+        main([
+            "explain", "--network", net_path, "--input", img_path,
+            "--epsilon", "0.3", "--schedule", "0.5,1.0", "--out", str(out),
+        ])
+        report = read_report(out)
+        edit(report)
+        (out / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        code = main(["render", "--report", str(out / "report.json"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[1, 2]", "document: expected a JSON object"), ("{nope", "document: invalid JSON: ")],
+    )
+    def test_report_that_is_no_json_object_is_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        assert main(["render", "--report", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_non_image_instance_is_error(self, demo_files, tmp_path):
         net_path, inst_path = demo_files
         out = tmp_path / "out"
@@ -525,6 +586,18 @@ class TestRenderCommand:
 
 
 class TestFixtureCommand:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--widths", "8,x"], "--widths: expected comma-separated integers, got '8,x'"),
+            (["--input-dim", "-2"], "layer widths must be positive, got [-2, 16, 16, 3]"),
+        ],
+    )
+    def test_bad_shape_flags_are_errors(self, tmp_path, capsys, flags, message):
+        assert main(["fixture", *flags, "--out", str(tmp_path / "fx")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "fx").exists()
+
     def test_writes_network_and_instances(self, tmp_path):
         out = tmp_path / "fx"
         code = main([

@@ -108,14 +108,6 @@ class TestMakeFixture:
         assert save_network(net_a) == save_network(net_b)
         np.testing.assert_array_equal(xs_a, xs_b)
 
-    def test_custom_kind_loads_file(self, tmp_path):
-        net = random_network(4, (5,), 2, "relu", seed=8)
-        path = tmp_path / "net.json"
-        path.write_text(save_network(net))
-        loaded, xs = make_fixture(FixtureSpec(kind="custom", path=str(path), instances=3))
-        assert loaded.fingerprint == net.fingerprint
-        assert xs.shape == (3, 4)
-
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             make_fixture(FixtureSpec(kind="zoo"))

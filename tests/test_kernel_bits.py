@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from provex.bounds import enclose_affine, propagate_rows
-from provex.fixtures import random_network, uniform_instances
+from provex.fixtures import mnist_shape_network, random_network, uniform_instances
 from provex.intervals import apply_activation
 from provex.network import ConcreteNetwork, Layer, forward, forward_batch, gradients
 from provex.queries import _candidates, _gap_corners, _separation, find_witnesses
@@ -38,6 +38,14 @@ def reference_activation(kind, values):
     if kind == "tanh":
         return np.tanh(values)
     return values
+
+
+def reference_forward(net, x):
+    """The one-input form: ``W @ h + b`` on a vector, layer by layer."""
+    h = np.asarray(x, dtype=np.float64)
+    for layer in net.layers:
+        h = reference_activation(layer.activation.value, layer.weights @ h + layer.bias)
+    return h
 
 
 def reference_forward_batch(net, xs):
@@ -159,6 +167,15 @@ class TestAffineKernels:
         for net in nets():
             xs = np.random.default_rng(rows).random((rows, net.input_dim))
             assert np.array_equal(forward_batch(net, xs), reference_forward_batch(net, xs))
+
+    def test_forward_is_the_plain_one_input_form(self):
+        # ``forward`` evaluates a one-row batch; it keeps the bits of the vector form.
+        cases = [(net, uniform_instances(net, 8, seed=net.input_dim)) for net in nets()]
+        mnist = mnist_shape_network(seed=3)
+        cases.append((mnist, uniform_instances(mnist, 4, seed=11)))
+        for net, xs in cases:
+            for x in xs:
+                assert np.array_equal(forward(net, x), reference_forward(net, x))
 
     def test_gradients_forward_half_is_the_plain_product(self):
         # The backward pass reads the pre-activations, so equal gradients
