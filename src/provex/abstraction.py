@@ -15,8 +15,21 @@ Refinement un-merges the highest-scored deleted neurons while preserving
 the surviving bucket structure, which guarantees the refined enclosure is
 nested inside the coarse one for the same query box.
 
-Rankings and buckets are kept as index arrays and ordered with numpy
-sorts whose keys reproduce the documented tie-breaking exactly.
+Rankings, merge sets and buckets are kept as index arrays and ordered with
+numpy sorts whose keys reproduce the documented tie-breaking exactly; a
+``MergeSpec`` makes its frozensets once per build.
+
+Cost model.  A build costs what the reduction keeps.  Each layer with
+merged neurons takes one full-width sign-split product of the next layer's
+weights against its hulled endpoints, masked to exact zeros at the kept
+neurons, so no weight column is gathered for it.  When a layer is merged
+whole, that product is the next layer's pre-activation over the hulled box,
+bit for bit, so the next layer's bounds are its activation and no second
+product runs.  Only a layer that keeps neurons, between the first merged
+layer and the last, pays one ``enclose_layer`` more for the next layer's
+bounds.  A reduced check of a network with a layer merged whole carries
+one row from the last layer with no inputs on (see
+``bounds.propagate_rows``).
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ import numpy as np
 
 from .bounds import LayerBounds, enclose_affine, enclose_layer
 from .errors import DimensionError, ValidationError
+from .intervals import apply_activation
 from .network import ActivationKind, ConcreteNetwork
 
 # Per hidden layer: neuron indices, lowest score first, and their scores in that order.
@@ -52,8 +66,7 @@ class MergeSpec:
         if len(self.per_layer_merged) != len(self.hidden_sizes):
             raise DimensionError("one merge set per hidden layer required")
         for k, (merged, size) in enumerate(zip(self.per_layer_merged, self.hidden_sizes)):
-            idx = _indices(merged)
-            if idx.size and (idx.min() < 0 or idx.max() >= size):
+            if merged and (min(merged) < 0 or max(merged) >= size):
                 raise ValidationError(f"hidden layer {k}: merged indices out of range")
 
     @property
@@ -205,53 +218,89 @@ def select_merge_sets(ranked: Ranking, rate: float) -> tuple[frozenset[int], ...
 
     Neurons are taken by score, ties broken by layer and then by index.
     """
-    if not ranked:
-        return ()
-    neuron = np.concatenate([order for order, _ in ranked])
-    layer = np.repeat(np.arange(len(ranked)), [order.size for order, _ in ranked])
-    score = np.concatenate([scores for _, scores in ranked])
-    merged_count = int(round((1.0 - rate) * neuron.size))
-    chosen = np.lexsort((neuron, layer, score))[:merged_count]
-    neuron, layer = neuron[chosen], layer[chosen]
-    return tuple(frozenset(neuron[layer == k].tolist()) for k in range(len(ranked)))
+    return tuple(frozenset(merged.tolist()) for merged in _select_merged(ranked, rate))
+
+
+def _select_merged(ranked: Ranking, rate: float) -> tuple[np.ndarray, ...]:
+    """``select_merge_sets`` as index arrays, one per hidden layer.
+
+    A layer's ranking is ordered by score, so whatever the global order
+    (score, layer, index) takes from a layer is every neuron below some
+    score plus some of the neurons scored exactly that.  So no global sort
+    is needed: the ``count``-th smallest score is found by a partition,
+    every lower score is taken, and the neurons scored exactly that are
+    taken layer by layer, lowest index first, until ``count`` are merged.
+    """
+    count = int(round((1.0 - rate) * sum(order.size for order, _ in ranked)))
+    if count <= 0:
+        return tuple(order[:0] for order, _ in ranked)
+    threshold = np.partition(np.concatenate([scores for _, scores in ranked]), count - 1)[count - 1]
+    below = [int(np.searchsorted(scores, threshold, "left")) for _, scores in ranked]
+    left = count - sum(below)
+    merged = []
+    for (order, scores), taken in zip(ranked, below):
+        upto = int(np.searchsorted(scores, threshold, "right"))
+        tied = min(upto - taken, left)
+        left -= tied
+        if tied:
+            merged.append(np.concatenate((order[:taken], np.sort(order[taken:upto])[:tied])))
+        else:
+            merged.append(order[:taken])
+    return tuple(merged)
 
 
 def build_abstract(net: ConcreteNetwork, lb: LayerBounds, rate: float) -> AbstractNetwork:
     """Reduce ``net`` toward ``rate`` against the box recorded in ``lb``."""
     if not 0.0 < rate <= 1.0:
         raise ValidationError(f"reduction rate must lie in (0, 1], got {rate}")
-    return build_from_merge_sets(net, lb, select_merge_sets(score_neurons(net, lb), rate))
+    return build_from_merge_sets(net, lb, _select_merged(score_neurons(net, lb), rate))
 
 
 def build_from_merge_sets(
     net: ConcreteNetwork,
     lb: LayerBounds,
-    merge_sets: tuple[frozenset[int], ...],
+    merge_sets: tuple,
     buckets: tuple[Buckets, ...] | None = None,
 ) -> AbstractNetwork:
     """Construct the reduced network for an explicit choice of merge sets.
 
-    When ``buckets`` is omitted, merged neurons within each layer are
-    grouped by chaining overlapping activation ranges; passing buckets
-    (as refinement does) preserves a previously chosen structure.
+    ``merge_sets`` holds one set of neuron indices per hidden layer, as a
+    frozenset or an integer array.  When ``buckets`` is omitted, merged
+    neurons within each layer are grouped by chaining overlapping
+    activation ranges; passing buckets (as refinement does) preserves a
+    previously chosen structure.
+
+    Bounds are propagated at full width, from the first merged layer to the
+    last: a deleted neuron's coordinate is overwritten with its bucket hull.
+    Up to the first merged layer nothing upstream is merged, so the build
+    box's own bounds in ``lb`` hold there bit for bit and are copied rather
+    than recomputed; an unreduced build reuses every layer and needs none.
+
+    Cost: a layer with merged neurons takes one full-width sign-split
+    product of the next layer against its hulled endpoints, with exact
+    zeros at the kept neurons, so no weight column is gathered and only
+    the order of summation differs from a product over the merged columns
+    alone.  A layer merged whole has no zeros, so that product is the next
+    layer's pre-activation over the hulled box, with ``enclose_layer``'s
+    bits: the next layer's bounds are its activation, and no second pass
+    runs.  A layer that keeps neurons pays one ``enclose_layer`` more for
+    the next layer's bounds.  The reduced weights are row and column
+    selections of the source layer's, and a fully merged layer's are
+    empty.
     """
     _check_fresh(net, lb)
     hidden = len(net.layers) - 1
     if len(merge_sets) != hidden:
         raise DimensionError(f"expected {hidden} merge sets, got {len(merge_sets)}")
     spec = MergeSpec(
-        per_layer_merged=tuple(merge_sets),
+        per_layer_merged=tuple(
+            frozenset(merged.tolist()) if isinstance(merged, np.ndarray) else merged for merged in merge_sets
+        ),
         hidden_sizes=net.hidden_sizes,
         source_net_id=net.fingerprint,
     )
-    # Bounds are propagated at full width: a deleted neuron's coordinate is
-    # overwritten with its bucket hull, which feeds the next layer exactly
-    # what the absorbed bias interval contributes, without slicing weights.
-    # They are needed from the first merged layer to the last one.  Up to
-    # the first, nothing upstream is merged, so the build box's own bounds
-    # in ``lb`` hold there bit for bit and are copied rather than
-    # recomputed.  An unreduced build reuses every layer and needs none.
-    merged_layers = [k for k, merged in enumerate(merge_sets) if merged]
+    indices = [merged if isinstance(merged, np.ndarray) else _indices(merged) for merged in merge_sets]
+    merged_layers = [k for k, merged in enumerate(indices) if merged.size]
     first, last = (merged_layers[0], merged_layers[-1]) if merged_layers else (-1, -2)
     keep_prev: np.ndarray | None = None  # None means every column survives
     absorbed = None  # this layer's bias interval, when the previous layer lost neurons
@@ -261,34 +310,44 @@ def build_from_merge_sets(
     for k, layer in enumerate(net.layers):
         if k == first:
             lo, hi = lb.per_layer[k].lo.copy(), lb.per_layer[k].hi.copy()
-        elif first < k <= last:
-            lo, hi = enclose_layer(layer, lo, hi)
         bias_lo, bias_hi = absorbed if absorbed is not None else (layer.bias_lo, layer.bias_hi)
         absorbed = None
-        merged = _indices(merge_sets[k]) if k < hidden else _NO_NEURONS
+        merged = indices[k] if k < hidden else _NO_NEURONS
         layer_buckets = NO_BUCKETS
+        whole = k < hidden and len(spec.per_layer_merged[k]) == layer.out_dim
         if merged.size:
-            if buckets is not None:
-                layer_buckets = buckets[k]
-            else:
-                layer_buckets = _chain_buckets(lo, hi, merged)
+            layer_buckets = buckets[k] if buckets is not None else _chain_buckets(lo, hi, merged)
             absorbed, (flat, hull_lo, hull_hi) = _absorb_buckets(net.layers[k + 1], lo, hi, layer_buckets)
-            survives = np.ones(layer.out_dim, dtype=bool)
-            survives[merged] = False
-            keep = np.flatnonzero(survives)
-            index = keep if keep_prev is None else np.ix_(keep, keep_prev)
-            out_layers.append(_reduced_layer(layer, index, bias_lo[keep], bias_hi[keep]))
-            # lo and hi are this build's own arrays, so they are overwritten in place.
-            lo[flat] = hull_lo
-            hi[flat] = hull_hi
+            if whole:
+                keep = _NO_NEURONS
+            else:
+                survives = np.ones(layer.out_dim, dtype=bool)
+                survives[merged] = False
+                keep = np.flatnonzero(survives)
+            out_layers.append(_reduced_layer(layer, keep, keep_prev, bias_lo[keep], bias_hi[keep]))
+            if not whole:
+                # lo and hi are this build's own arrays, so they are overwritten in place.
+                lo[flat] = hull_lo
+                hi[flat] = hull_hi
             keep_prev = keep
         elif keep_prev is not None:
-            out_layers.append(_reduced_layer(layer, (slice(None), keep_prev), bias_lo, bias_hi))
+            out_layers.append(_reduced_layer(layer, None, keep_prev, bias_lo, bias_hi))
             keep_prev = None
         else:
             out_layers.append(layer)
         if k < hidden:
             out_buckets.append(layer_buckets)
+        if first <= k < last:
+            # The next layer's bounds over the hulled box.  Merged whole,
+            # this layer feeds the next one only through the absorbed
+            # interval, which is that layer's pre-activation.
+            following = net.layers[k + 1]
+            if whole:
+                kind = following.activation.value
+                lo = apply_activation(kind, absorbed[0], out=np.empty_like(absorbed[0]))
+                hi = apply_activation(kind, absorbed[1], out=np.empty_like(absorbed[1]))
+            else:
+                lo, hi = enclose_layer(following, lo, hi)
 
     return AbstractNetwork(layers=tuple(out_layers), spec=spec, buckets=tuple(out_buckets))
 
@@ -318,7 +377,8 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
     score_by_neuron = np.empty(prev.spec.total_hidden)
     for offset, (order, scores) in zip(offsets, ranked):
         score_by_neuron[offset + order] = scores
-    merged = [_indices(m) for m in prev.spec.per_layer_merged]
+    # A layer's buckets hold exactly its merged neurons.
+    merged = [members for members, _ in prev.buckets]
     neuron = np.concatenate(merged)
     layer = np.repeat(np.arange(len(merged)), [m.size for m in merged])
     flat = offsets[layer] + neuron
@@ -328,27 +388,35 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
     released = np.zeros(prev.spec.total_hidden, dtype=bool)
     released[flat[release[: max(neuron.size - target_merged, 0)]]] = True
 
-    new_sets = tuple(
-        frozenset(m[~released[offset + m]].tolist()) for offset, m in zip(offsets, merged)
-    )
     new_buckets = []
     for offset, (members, bucket_sizes) in zip(offsets, prev.buckets):
         stays = ~released[offset + members]
         bucket_of = np.repeat(np.arange(bucket_sizes.size), bucket_sizes)
         left = np.bincount(bucket_of[stays], minlength=bucket_sizes.size)
         new_buckets.append((members[stays], left[left > 0]))
+    new_sets = tuple(members for members, _ in new_buckets)
     return build_from_merge_sets(net, lb, new_sets, buckets=tuple(new_buckets))
 
 
-def _reduced_layer(layer, index, bias_lo: np.ndarray, bias_hi: np.ndarray) -> AbstractLayer:
-    """The rows and columns ``index`` of a source layer, with its sign split selected alike."""
+def _reduced_layer(layer, rows, cols, bias_lo: np.ndarray, bias_hi: np.ndarray) -> AbstractLayer:
+    """The ``rows`` and ``cols`` of a source layer (None keeps all), with its sign split selected alike.
+
+    Rows and columns are selected one after the other, which copies the
+    same entries as one outer-product index in half the time.
+    """
+
+    def select(matrix):
+        if rows is not None:
+            matrix = matrix[rows]
+        return matrix if cols is None else matrix[:, cols]
+
     return AbstractLayer(
-        layer.weights[index],
+        select(layer.weights),
         bias_lo,
         bias_hi,
         layer.activation,
-        weights_pos=layer.weights_pos[index],
-        weights_neg=layer.weights_neg[index],
+        weights_pos=select(layer.weights_pos),
+        weights_neg=select(layer.weights_neg),
     )
 
 
@@ -373,39 +441,44 @@ def _chain_buckets(lo: np.ndarray, hi: np.ndarray, merged: np.ndarray) -> Bucket
     its members.
     """
     order = merged[np.lexsort((merged, hi[merged], lo[merged]))]
-    opens = np.zeros(order.size, dtype=bool)
-    min_hi = -np.inf
+    starts = []
+    min_hi = -np.inf  # below every endpoint, so the first neuron opens a bucket
     for i, (l, h) in enumerate(zip(lo[order].tolist(), hi[order].tolist())):
-        if i and l <= min_hi:
-            min_hi = min(min_hi, h)
-        else:
-            opens[i] = True
+        if l > min_hi:
+            starts.append(i)
             min_hi = h
-    bucket_of = np.cumsum(opens)
-    return order[np.lexsort((order, bucket_of))], np.bincount(bucket_of)[1:]
+        elif h < min_hi:
+            min_hi = h
+    sizes = np.diff(starts + [order.size])
+    bucket_of = np.repeat(np.arange(sizes.size), sizes)
+    return order[np.lexsort((order, bucket_of))], sizes
 
 
 def _absorb_buckets(next_layer, lo: np.ndarray, hi: np.ndarray, layer_buckets: Buckets):
     """The next layer's bias interval once the deleted neurons are absorbed.
 
     Every deleted neuron contributes through its bucket's hull, so the sum
-    collapses to one sign-split product against the hull endpoints gathered
-    per neuron, added to the next layer's own bias.  Returns the bias
-    interval together with the per-neuron hull arrays so the caller can
-    reuse them.
+    collapses to one sign-split product against the hull endpoints, added
+    to the next layer's own bias.  The product runs over the full width of
+    the next layer's weights, against endpoint vectors that hold each
+    deleted neuron's hull and exact zeros at the kept ones: no weight
+    column is gathered, and a kept neuron adds an exact zero.  Returns the
+    bias interval together with the per-neuron hull arrays so the caller
+    can reuse them.
     """
     flat, sizes = layer_buckets
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    bucket_lo = np.minimum.reduceat(lo[flat], starts)
-    bucket_hi = np.maximum.reduceat(hi[flat], starts)
-    member_of = np.repeat(np.arange(len(sizes)), sizes)
-    hull_lo = bucket_lo[member_of]
-    hull_hi = bucket_hi[member_of]
+    starts = np.cumsum(sizes) - sizes
+    hull_lo = np.repeat(np.minimum.reduceat(lo[flat], starts), sizes)
+    hull_hi = np.repeat(np.maximum.reduceat(hi[flat], starts), sizes)
+    masked_lo = np.zeros_like(lo)
+    masked_hi = np.zeros_like(hi)
+    masked_lo[flat] = hull_lo
+    masked_hi[flat] = hull_hi
     bias = enclose_affine(
-        next_layer.weights_pos[:, flat],
-        next_layer.weights_neg[:, flat],
-        hull_lo,
-        hull_hi,
+        next_layer.weights_pos,
+        next_layer.weights_neg,
+        masked_lo,
+        masked_hi,
         next_layer.bias_lo,
         next_layer.bias_hi,
     )

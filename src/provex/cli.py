@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .abstraction import ReductionSchedule
-from .errors import ProvexError, SchemaError
+from .errors import ProvexError, SchemaError, ValidationError
 from .explain import (
     STATUS_EARLY_STOP,
     FeatureGrouping,
@@ -164,6 +164,8 @@ def cmd_verify(args) -> int:
     if value is not None:
         raise ProvexError(f"{flag} does not apply to --backend {args.backend}")
     _check_seed(args.seed)
+    if args.budget is not None and args.budget < 0:
+        raise ValidationError(f"--budget must be nonnegative, got {args.budget}")
     net = _read_network(args.network)
     x, _ = load_instance(args.input)
     try:
@@ -226,6 +228,8 @@ def _bench_instance(net, args, schedule, idx: int, path: str):
 
 def cmd_bench(args) -> int:
     schedule = _schedule(args.schedule)
+    if not args.input:
+        raise ValidationError("--input: bench needs at least one instance")
     net = _read_network(args.network)
     os.makedirs(args.out, exist_ok=True)
     results = [_bench_instance(net, args, schedule, idx, path) for idx, path in enumerate(args.input)]
@@ -318,6 +322,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_fixture(args) -> int:
+    if args.instances < 0:
+        raise ValidationError(f"--instances must be nonnegative, got {args.instances}")
     try:
         hidden = tuple(int(w) for w in args.widths.split(",") if w.strip()) if args.widths else (16, 16)
     except ValueError:
@@ -357,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, multi_input=False):
         p.add_argument("--network", required=True, help="network JSON path")
         if multi_input:
-            p.add_argument("--input", action="append", default=[], help="instance path (repeatable)")
+            p.add_argument("--input", action="append", default=[], help="instance path (repeatable, at least one)")
         else:
             p.add_argument("--input", required=True, help="instance path (CSV, PGM, or PPM)")
         p.add_argument("--epsilon", type=float, required=True, help="perturbation radius")

@@ -251,6 +251,8 @@ def explain_baseline(
     """
     if backend not in ("enclosure", "oracle"):
         raise ValidationError(f"unknown backend {backend!r}")
+    if oracle_budget < 0:
+        raise ValidationError(f"oracle split budget must be nonnegative, got {oracle_budget}")
     x, grouping, ordering, target = _prepare(net, x, grouping, ordering, seed)
     rng = np.random.default_rng(seed)
     trace = ExplanationTrace(group_count=len(grouping.groups))

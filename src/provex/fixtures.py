@@ -104,6 +104,8 @@ def mnist_shape_network(seed: int = 0) -> ConcreteNetwork:
 
 def uniform_instances(net: ConcreteNetwork, count: int, seed: int = 0) -> np.ndarray:
     """Instances drawn uniformly from the network's input domain, one per row."""
+    if count < 0:
+        raise ValidationError(f"instance count must be nonnegative, got {count}")
     stream = SplitMix64(seed ^ 0x5CA1AB1E)
     u = stream.uniform(0.0, 1.0, count * net.input_dim).reshape(count, net.input_dim)
     lo, hi = net.input_domain.lo, net.input_domain.hi

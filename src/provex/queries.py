@@ -364,6 +364,8 @@ def oracle_check(net: ConcreteNetwork, q: SufficiencyQuery, budget: int = 1 << 1
     exactly and any misclassification is returned as a witness.  Exhausted
     means the split budget ran out with sub-boxes still open.
     """
+    if budget < 0:
+        raise ValidationError(f"split budget must be nonnegative, got {budget}")
     _validate_target(net, q)
     fixed_idx = list(q.fixed_features)
     stack = [q.query_box()]

@@ -609,3 +609,240 @@ class TestBuildFromBounds:
             anet = build_from_merge_sets(net, lb, (frozenset(), frozenset({1, 3, 4, 6})))
             assert anet.layers[0] is net.layers[0]
             self.assert_same_build(net, lb, anet)
+
+
+def gathered_absorb(next_layer, lo, hi, layer_buckets):
+    """The absorbed bias interval as a product over the gathered merged columns alone.
+
+    The reference for ``_absorb_buckets``' full-width product, which has
+    exact zeros at the kept neurons: the two differ only in the order of
+    summation.
+    """
+    from provex.bounds import enclose_affine
+
+    flat, sizes = layer_buckets
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    member_of = np.repeat(np.arange(len(sizes)), sizes)
+    hull_lo = np.minimum.reduceat(lo[flat], starts)[member_of]
+    hull_hi = np.maximum.reduceat(hi[flat], starts)[member_of]
+    bias = enclose_affine(
+        next_layer.weights_pos[:, flat], next_layer.weights_neg[:, flat],
+        hull_lo, hull_hi, next_layer.bias_lo, next_layer.bias_hi,
+    )
+    return bias, (flat, hull_lo, hull_hi)
+
+
+def gathered_build(net, lb, merge_sets, buckets=None):
+    """A reduction built layer by layer with ``enclose_layer`` and gathered absorption.
+
+    Returns the layers as (weights, weights_pos, weights_neg, bias_lo,
+    bias_hi, absorbed) tuples, the buckets, and the bounds each merged
+    layer is bucketed and absorbed from, before its hulls are written.
+    """
+    from provex.bounds import enclose_layer
+
+    hidden = len(net.layers) - 1
+    merged_layers = [k for k, merged in enumerate(merge_sets) if merged]
+    first, last = (merged_layers[0], merged_layers[-1]) if merged_layers else (-1, -2)
+    keep_prev, absorbed, layers, out_buckets, bounds = None, None, [], [], []
+    for k, layer in enumerate(net.layers):
+        if k == first:
+            lo, hi = lb.per_layer[k].lo.copy(), lb.per_layer[k].hi.copy()
+        elif first < k <= last:
+            lo, hi = enclose_layer(layer, lo, hi)
+        bias_lo, bias_hi = absorbed if absorbed is not None else (layer.bias_lo, layer.bias_hi)
+        was_absorbed, absorbed = absorbed is not None, None
+        merged = sorted(merge_sets[k]) if k < hidden else []
+        rows = np.arange(layer.out_dim)
+        layer_buckets = abstraction.NO_BUCKETS
+        if merged:
+            bounds.append((lo.copy(), hi.copy()))
+            if buckets is not None:
+                layer_buckets = buckets[k]
+            else:
+                layer_buckets = abstraction._chain_buckets(lo, hi, np.array(merged))
+            absorbed, (flat, hull_lo, hull_hi) = gathered_absorb(net.layers[k + 1], lo, hi, layer_buckets)
+            lo[flat], hi[flat] = hull_lo, hull_hi
+            rows = np.setdiff1d(rows, merged)
+        cols = np.arange(layer.in_dim) if keep_prev is None else keep_prev
+        pick = np.ix_(rows, cols)
+        layers.append((
+            layer.weights[pick], layer.weights_pos[pick], layer.weights_neg[pick],
+            bias_lo[rows], bias_hi[rows], was_absorbed,
+        ))
+        keep_prev = rows if merged else None
+        if k < hidden:
+            out_buckets.append(layer_buckets)
+    return layers, out_buckets, bounds
+
+
+def c03_cases():
+    """The nets and boxes of acceptance criterion c03."""
+    from provex.fixtures import uniform_instances
+
+    rng = np.random.default_rng(2)
+    for seed in range(200):
+        act = "relu" if seed % 2 == 0 else "sigmoid"
+        net = random_network(6, (12, 10), 3, act, seed=seed + 4000)
+        x = uniform_instances(net, 1, seed=seed)[0]
+        free = rng.choice(6, size=3, replace=False)
+        lo, hi = x.copy(), x.copy()
+        lo[free] = np.maximum(0.0, x[free] - 0.15)
+        hi[free] = np.minimum(1.0, x[free] + 0.15)
+        yield net, IntervalVector(lo, hi)
+
+
+def mnist_cases():
+    """Two boxes of the 784-input sigmoid net: every feature free, and about 30% free."""
+    from provex.fixtures import mnist_shape_network, uniform_instances
+
+    net = mnist_shape_network(seed=3)
+    x = uniform_instances(net, 1, seed=11)[0]
+    lo, hi = np.maximum(0.0, x - 1e-4), np.minimum(1.0, x + 1e-4)
+    yield net, IntervalVector(lo, hi)
+    fixed = np.random.default_rng(0).random(784) >= 0.3
+    yield net, IntervalVector(np.where(fixed, x, lo), np.where(fixed, x, hi))
+
+
+def reduction_cases():
+    """(net, bounds, reductions): each scheduled rate built, and a refine chain from rate 0.1."""
+    rates = ReductionSchedule.default().rates
+    boxes = [*TestBuildFromBounds.c07_cases(), *c03_cases(), *mnist_cases()]
+    for net, box in boxes:
+        lb = propagate_box(net, box)
+        built = [build_abstract(net, lb, rate) for rate in rates]
+        chain = [built[0]]
+        for rate in rates[1:]:
+            chain.append(refine(net, chain[-1], lb, rate))
+        yield net, lb, built, chain
+
+
+def as_bucket_arrays(layer_buckets):
+    """Bucket tuples in the (members, sizes) array form."""
+    if not layer_buckets:
+        return abstraction.NO_BUCKETS
+    return np.array([j for b in layer_buckets for j in b], dtype=int), np.array([len(b) for b in layer_buckets])
+
+
+class TestGatherFreeBuild:
+    """Builds against the reference that gathers merged columns and propagates every layer."""
+
+    @staticmethod
+    def assert_matches_reference(net, lb, anet, merge_sets, buckets, monkeypatch):
+        seen = []
+        absorb = abstraction._absorb_buckets
+
+        def spy(next_layer, lo, hi, layer_buckets):
+            seen.append((lo.copy(), hi.copy()))
+            return absorb(next_layer, lo, hi, layer_buckets)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(abstraction, "_absorb_buckets", spy)
+            rebuilt = build_from_merge_sets(net, lb, anet.spec.per_layer_merged, anet.buckets)
+        layers, ref_buckets, ref_bounds = gathered_build(net, lb, merge_sets, buckets)
+        assert anet.spec.per_layer_merged == merge_sets
+        assert len(anet.buckets) == len(ref_buckets)
+        for got, want in zip(anet.buckets, ref_buckets):
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        for built in (anet, rebuilt):
+            for got, (W, pos, neg, bias_lo, bias_hi, absorbed) in zip(built.layers, layers):
+                for name, want in (("weights", W), ("weights_pos", pos), ("weights_neg", neg)):
+                    assert getattr(got, name).shape == want.shape
+                    assert getattr(got, name).tobytes() == want.tobytes()
+                if absorbed:
+                    for have, want in ((got.bias_lo, bias_lo), (got.bias_hi, bias_hi)):
+                        assert np.all(np.abs(have - want) <= 1e-12 * (1.0 + np.abs(want)))
+                else:
+                    assert got.bias_lo.tobytes() == bias_lo.tobytes()
+                    assert got.bias_hi.tobytes() == bias_hi.tobytes()
+        # Every merged layer is bucketed and absorbed from the reference's
+        # bounds, bit for bit: after a fully merged layer these come from its
+        # absorbed interval instead of a second pass.
+        assert len(seen) == len(ref_bounds)
+        for (lo, hi), (want_lo, want_hi) in zip(seen, ref_bounds):
+            assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+        return len(ref_bounds)
+
+    @staticmethod
+    def assert_samples_inside(net, lb, anet, rng):
+        """Sampled activations of the kept neurons lie in the reduction's enclosures of the build box."""
+        from provex.bounds import enclose_layer
+        from provex.intervals import apply_activation
+
+        points = sample_box(lb.input_box, 16, rng)
+        lo, hi = lb.input_box.lo, lb.input_box.hi
+        merge_sets = anet.spec.per_layer_merged + (frozenset(),)
+        for layer, source, merged in zip(anet.layers, net.layers, merge_sets):
+            points = apply_activation(source.activation.value, points @ source.weights.T + source.bias)
+            lo, hi = enclose_layer(layer, lo, hi)
+            kept = points[:, np.setdiff1d(np.arange(source.out_dim), sorted(merged))]
+            assert np.all(kept >= lo - 1e-9) and np.all(kept <= hi + 1e-9)
+
+    def test_every_rate_and_refine_chain(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        rates = ReductionSchedule.default().rates
+        fused = 0
+        for net, lb, built, chain in reduction_cases():
+            ranked = sorted_score_neurons(net, lb)
+            for rate, anet in zip(rates, built):
+                expected = sorted_select_merge_sets(ranked, rate)
+                self.assert_matches_reference(net, lb, anet, expected, None, monkeypatch)
+                fused += sum(
+                    layer.out_dim == 0 and k < len(anet.layers) - 1 for k, layer in enumerate(anet.layers)
+                )
+                self.assert_samples_inside(net, lb, anet, rng)
+            for prev, anet, rate in zip(chain, chain[1:], rates[1:]):
+                sets, buckets = sorted_refine_sets(
+                    ranked, prev.spec.per_layer_merged, [as_tuples(b) for b in prev.buckets],
+                    prev.spec.total_hidden, rate,
+                )
+                buckets = tuple(as_bucket_arrays(b) for b in buckets)
+                self.assert_matches_reference(net, lb, anet, sets, buckets, monkeypatch)
+        assert fused > 100  # layers merged whole, which take the fused path, are covered
+
+
+
+class TestRowCollapse:
+    """From the last layer with no inputs on, a reduced pass carries one row."""
+
+    @staticmethod
+    def uncollapsed(layers, lo, hi):
+        from provex.bounds import enclose_layer
+
+        for layer in layers:
+            lo, hi = enclose_layer(layer, lo, hi)
+        return lo, hi
+
+    def test_rows_are_copies_of_the_one_row_result(self):
+        from provex.bounds import propagate_rows
+
+        rng = np.random.default_rng(23)
+        collapsed = whole = 0
+        for net, lb, built, chain in reduction_cases():
+            for anet in built + chain[1:]:
+                a, b = sample_box(lb.input_box, 5, rng), sample_box(lb.input_box, 5, rng)
+                lo, hi = np.minimum(a, b), np.maximum(a, b)
+                got = propagate_rows(anet.layers, lo, hi)
+                want = self.uncollapsed(anet.layers, lo, hi)
+                if any(layer.in_dim == 0 for layer in anet.layers[1:]):
+                    collapsed += 1
+                    one = propagate_rows(anet.layers, lo[0], hi[0])
+                    for have, row, ref in zip(got, one, want):
+                        assert have.shape == ref.shape and row.shape == ref.shape[1:]
+                        assert have.tobytes() == np.tile(row, (5, 1)).tobytes()
+                        assert np.all(np.abs(have - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+                else:
+                    whole += 1
+                    for have, ref in zip(got, want):
+                        assert have.tobytes() == ref.tobytes()
+        assert collapsed > 100 and whole > 100
+
+    def test_concrete_networks_are_never_collapsed(self):
+        from provex.bounds import propagate_rows
+
+        rng = np.random.default_rng(29)
+        for net, box in TestBuildFromBounds.c07_cases():
+            lo = sample_box(box, 4, rng)
+            got = propagate_rows(net.layers, lo, lo)
+            want = self.uncollapsed(net.layers, lo, lo)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()

@@ -310,6 +310,15 @@ class TestVerifyCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: {flag} does not apply to --backend {backend}\n"
 
+    def test_negative_budget_is_an_error(self, demo_files, capsys):
+        net_path, inst_path = demo_files
+        code = main([
+            "verify", "--network", net_path, "--input", inst_path, "--subset", "1",
+            "--epsilon", "1.0", "--backend", "oracle", "--budget", "-1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --budget must be nonnegative, got -1\n"
+
     def test_oracle_budget_is_read_and_defaults_to_the_library_budget(self, demo_files, capsys):
         # Feature 1 alone is sufficient on the demo net, but only after splits.
         net_path, inst_path = demo_files
@@ -443,7 +452,7 @@ class TestBenchCommand:
         assert code == 5
         assert "different explanations on instances [0]" in capsys.readouterr().err
 
-    def test_empty_instance_list_header_only(self, tmp_path):
+    def test_no_input_is_an_error_before_any_output(self, tmp_path, capsys):
         net = random_network(4, (6,), 2, "relu", seed=1)
         net_path = tmp_path / "net.json"
         net_path.write_text(save_network(net))
@@ -451,10 +460,9 @@ class TestBenchCommand:
         code = main([
             "bench", "--network", str(net_path), "--epsilon", "0.1", "--out", str(out),
         ])
-        assert code == 0
-        lines = (out / "bench.csv").read_text().strip().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("instance,algorithm")
+        assert code == 1
+        assert capsys.readouterr().err == "error: --input: bench needs at least one instance\n"
+        assert not out.exists()
 
     def test_bad_schedule_is_rejected_before_any_instance(self, tmp_path, capsys):
         # No --input: the schedule is parsed once, not once per instance.
@@ -596,6 +604,12 @@ class TestFixtureCommand:
     def test_bad_shape_flags_are_errors(self, tmp_path, capsys, flags, message):
         assert main(["fixture", *flags, "--out", str(tmp_path / "fx")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "fx").exists()
+
+    @pytest.mark.parametrize("kind", ["random", "demo"])
+    def test_negative_instance_count_is_an_error(self, tmp_path, capsys, kind):
+        assert main(["fixture", "--kind", kind, "--instances", "-1", "--out", str(tmp_path / "fx")]) == 1
+        assert capsys.readouterr().err == "error: --instances must be nonnegative, got -1\n"
         assert not (tmp_path / "fx").exists()
 
     def test_writes_network_and_instances(self, tmp_path):

@@ -83,6 +83,12 @@ class TestRandomNetworks:
         assert np.all(xs >= 0.0) and np.all(xs <= 1.0)
         np.testing.assert_array_equal(uniform_instances(net, 50, seed=3), xs)
 
+    def test_negative_instance_count_rejected(self):
+        net = random_network(6, (9,), 3, "relu", seed=3)
+        assert uniform_instances(net, 0, seed=3).shape == (0, 6)
+        with pytest.raises(ValidationError, match="instance count must be nonnegative, got -1"):
+            uniform_instances(net, -1, seed=3)
+
 
 class TestMnistShape:
     def test_architecture(self):

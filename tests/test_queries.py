@@ -430,6 +430,14 @@ class TestOracle:
             )
             assert result.splits == 0
 
+    def test_negative_budget_rejected(self):
+        net, x = small_net_and_instance(0, input_dim=5, hidden=(8,), output_dim=3)
+        q = make_query(net, x, fixed=set(), epsilon=0.4)
+        with pytest.raises(ValidationError, match="split budget must be nonnegative, got -1"):
+            oracle_check(net, q, budget=-1)
+        with pytest.raises(ValidationError, match="oracle split budget must be nonnegative, got -1"):
+            explain_baseline(net, x, 0.4, backend="oracle", oracle_budget=-1)
+
     def test_agrees_with_dense_grid(self):
         # Verdicts never contradict an exhaustive grid falsifier on nets
         # with four free features.
