@@ -106,9 +106,13 @@ class AbstractLayer:
 
     def __post_init__(self):
         for name in ("weights", "weights_pos", "weights_neg"):
-            array = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            array = getattr(self, name)
+            # A build hands over fresh contiguous selections; only other
+            # arrays are converted.
+            if not (isinstance(array, np.ndarray) and array.dtype == np.float64 and array.flags.c_contiguous):
+                array = np.ascontiguousarray(array, dtype=np.float64)
+                object.__setattr__(self, name, array)
             array.setflags(write=False)
-            object.__setattr__(self, name, array)
 
     @property
     def out_dim(self) -> int:
@@ -402,8 +406,14 @@ def _reduced_layer(layer, rows, cols, bias_lo: np.ndarray, bias_hi: np.ndarray) 
     """The ``rows`` and ``cols`` of a source layer (None keeps all), with its sign split selected alike.
 
     Rows and columns are selected one after the other, which copies the
-    same entries as one outer-product index in half the time.
+    same entries as one outer-product index in half the time.  When a
+    layer merged whole leaves no rows or no columns, the selections are
+    one shared empty array, and nothing is gathered.
     """
+    shape = (layer.out_dim if rows is None else rows.size, layer.in_dim if cols is None else cols.size)
+    if 0 in shape:
+        empty = np.empty(shape)
+        return AbstractLayer(empty, bias_lo, bias_hi, layer.activation, weights_pos=empty, weights_neg=empty)
 
     def select(matrix):
         if rows is not None:

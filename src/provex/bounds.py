@@ -90,7 +90,7 @@ def propagate_box(net: ConcreteNetwork, input_box: IntervalVector) -> LayerBound
     per_layer = []
     for layer in net.layers:
         lo, hi = enclose_layer(layer, lo, hi)
-        per_layer.append(IntervalVector(lo, hi))
+        per_layer.append(IntervalVector.adopt(lo, hi))
     return LayerBounds(input_box=input_box, per_layer=tuple(per_layer), net_fingerprint=net.fingerprint)
 
 

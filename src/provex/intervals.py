@@ -56,6 +56,23 @@ class IntervalVector:
         object.__setattr__(self, "hi", hi)
 
     @classmethod
+    def adopt(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalVector":
+        """A box over endpoint vectors the caller owns and hands over, frozen in place, not copied.
+
+        For the bound kernel's fresh output, whose shapes agree and whose
+        endpoints are ordered by construction, so only finiteness is
+        checked.  The caller must not keep a writable reference.
+        """
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValidationError("interval endpoints must be finite")
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        box = cls.__new__(cls)
+        object.__setattr__(box, "lo", lo)
+        object.__setattr__(box, "hi", hi)
+        return box
+
+    @classmethod
     def unit_box(cls, n: int) -> "IntervalVector":
         return cls(np.zeros(n), np.ones(n))
 

@@ -167,7 +167,17 @@ def forward_batch(net: ConcreteNetwork, xs) -> np.ndarray:
     h = np.asarray(xs, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != net.input_dim:
         raise DimensionError(f"batch has shape {h.shape}, expected (*, {net.input_dim})")
-    for layer in net.layers:
+    return forward_rows(net.layers, h)
+
+
+def forward_rows(layers, h: np.ndarray) -> np.ndarray:
+    """Rows of ``h`` through a stack of layers, unchecked; ``h`` is never written.
+
+    ``forward_batch`` runs it on a whole network.  Splitting the stack,
+    ``forward_rows(layers[k:], forward_rows(layers[:k], h))``, gives the
+    bits of one call.
+    """
+    for layer in layers:
         # The product is a fresh array, so the bias and the activation go
         # into it in place, and each layer holds one array of its width.
         h = h @ layer.weights.T

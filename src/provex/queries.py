@@ -5,6 +5,14 @@ rest range over a clamped epsilon-box.  A subset is sufficient when the
 predicted class cannot change anywhere in that box.  Enclosure-based checks
 are sound but incomplete: a failed separation yields either a concrete
 counterexample (validated on the real network) or an Uncertain verdict.
+
+Counterexample search (``find_witnesses``) evaluates each box's candidate
+points exactly.  On a network with more than one hidden layer it first
+runs the first layer on every candidate and screens each box: where the
+interval pass of the remaining layers over the hull of its candidates'
+first-layer activations certifies the target, none of them is a witness,
+and the box skips the rest of the exact pass.  The screen changes no
+label.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from .abstraction import AbstractNetwork
 from .bounds import propagate_abstract, propagate_box, propagate_rows
 from .errors import DimensionError, ValidationError
 from .intervals import IntervalVector
-from .network import ConcreteNetwork, forward, forward_batch, gradient, gradients, predict
+from .network import ConcreteNetwork, forward, forward_batch, forward_rows, gradient, gradients, predict
 
 
 class VerdictKind(str, Enum):
@@ -237,18 +245,71 @@ def find_witnesses(
     ``n_random`` samples from ``rng`` (``rng`` may be None when
     ``n_random`` is 0).  The candidates of all boxes sit in one contiguous
     buffer, in blocks (all centers, all corners, all samples; see
-    ``_candidate_rows``), and are evaluated exactly in one forward pass, so
-    a returned witness is a genuine counterexample.  Each box's labels are
-    read back in its own candidate order, so its witness is its first
-    misclassified candidate; a box without one gets None.
+    ``_candidate_rows``), and are evaluated exactly, so a returned witness
+    is a genuine counterexample.  Each box's labels are read back in its
+    own candidate order, so its witness is its first misclassified
+    candidate; a box without one gets None.
+
+    A network with one hidden layer evaluates the buffer in one
+    ``forward_batch`` pass.  A deeper one runs its first layer on the whole
+    buffer and then screens each box (``_screen``): a box whose
+    candidates' first-layer hull certifies ``target`` holds no witness and
+    gets None without its remaining layers.  Only the other boxes' rows,
+    in buffer order, finish the pass; where no box closes, that is the
+    whole first-layer array, with the bits of one ``forward_batch``.  The
+    screen drops a candidate only where an enclosure proves it is
+    classified as ``target``, so no label changes.  On one hidden layer
+    it would cost the very output layer it saves.
     """
     boxes = lo.shape[0]
     if boxes == 0:
         return []
-    rows, order = _candidate_rows(lo, hi, _gap_corners(net, target, lo, hi, out_hi), rng, n_random)
-    wrong = (np.argmax(forward_batch(net, rows), axis=1) != target)[order]
+    toward_hi = _gap_corners(net, target, lo, hi, out_hi)
+    rows, order = _candidate_rows(lo, hi, toward_hi, rng, n_random)
+    if len(net.layers) < 3:
+        labels = np.argmax(forward_batch(net, rows), axis=1)
+    else:
+        first_layer = forward_rows(net.layers[:1], rows)
+        closed = _screen(net, target, first_layer, boxes, toward_hi.shape[1])
+        if closed.all():
+            return [None] * boxes
+        rest = net.layers[1:]
+        if closed.any():
+            # A closed box's candidates are all classified as the target.
+            open_rows = np.zeros(rows.shape[0], dtype=bool)
+            open_rows[order[~closed]] = True
+            labels = np.full(rows.shape[0], target)
+            labels[open_rows] = np.argmax(forward_rows(rest, first_layer[open_rows]), axis=1)
+        else:
+            labels = np.argmax(forward_rows(rest, first_layer), axis=1)
+    wrong = (labels != target)[order]
     first = np.argmax(wrong, axis=1)
     return [rows[order[b, first[b]]].copy() if wrong[b, first[b]] else None for b in range(boxes)]
+
+
+def _screen(net: ConcreteNetwork, target: int, first_layer: np.ndarray, boxes: int, corners: int) -> np.ndarray:
+    """Per box, whether the hull of its candidates' first-layer activations certifies ``target``.
+
+    ``first_layer`` holds the first layer's output for every row of a
+    ``_candidate_rows`` buffer of ``boxes`` boxes with ``corners`` corners
+    each.  Its blocks reshape to views of shape (boxes, k, width), so each
+    box's hull is a min and a max per block, with no gather.  The hulls,
+    one row per box, go through the remaining layers in one interval pass;
+    where the output enclosure separates, every candidate of that box is
+    classified as the target, ties included, as ``_separation`` decides.
+    """
+    hull_lo = first_layer[:boxes].copy()
+    hull_hi = hull_lo.copy()
+    width = first_layer.shape[1]
+    corner_end = boxes * (1 + corners)
+    for block in (first_layer[boxes:corner_end], first_layer[corner_end:]):
+        # With no runner-up class or no samples, a block is empty.
+        if block.size:
+            block = block.reshape(boxes, -1, width)
+            np.minimum(hull_lo, block.min(axis=1), out=hull_lo)
+            np.maximum(hull_hi, block.max(axis=1), out=hull_hi)
+    out_lo, out_hi = propagate_rows(net.layers[1:], hull_lo, hull_hi)
+    return _separation(out_lo, out_hi, target)[1]
 
 
 def check_abstract(anet: AbstractNetwork, q: SufficiencyQuery) -> Verdict:

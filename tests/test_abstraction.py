@@ -6,6 +6,7 @@ import pytest
 from conftest import make_query, random_subbox, small_net_and_instance
 from provex import abstraction
 from provex.abstraction import (
+    AbstractLayer,
     ReductionSchedule,
     build_abstract,
     build_from_merge_sets,
@@ -16,7 +17,7 @@ from provex.bounds import propagate_abstract, propagate_box, sample_box
 from provex.errors import ValidationError
 from provex.fixtures import random_network
 from provex.intervals import IntervalVector, iv_subset
-from provex.network import forward_batch
+from provex.network import ActivationKind, forward_batch
 from provex.queries import check_abstract
 
 
@@ -124,6 +125,26 @@ class TestConstruction:
             assert al is cl
             np.testing.assert_array_equal(al.bias_lo, cl.bias)
             np.testing.assert_array_equal(al.bias_hi, cl.bias)
+
+    def test_layers_beside_a_layer_merged_whole_are_empty(self):
+        net, _ = small_net_and_instance(5, hidden=(10, 8, 6))
+        lb = propagate_box(net, net.input_domain)
+        anet = build_from_merge_sets(net, lb, (frozenset(), frozenset(range(8)), frozenset({2})))
+        shapes = [layer.weights.shape for layer in anet.layers]
+        assert shapes == [(10, net.input_dim), (0, 10), (5, 0), (net.output_dim, 5)]
+        for layer in anet.layers[1:3]:
+            for array in (layer.weights, layer.weights_pos, layer.weights_neg):
+                assert array.dtype == np.float64 and array.flags.c_contiguous and not array.flags.writeable
+
+    def test_abstract_layer_keeps_contiguous_float_arrays(self):
+        w = np.arange(6.0).reshape(2, 3)
+        bias = np.zeros(2)
+        layer = AbstractLayer(w, bias, bias, ActivationKind.RELU, np.clip(w, 0, None), np.clip(w, None, 0))
+        assert layer.weights is w and not w.flags.writeable
+        fortran, as_list = np.asfortranarray(np.ones((2, 3))), [[1, 1, 1], [1, 1, 1]]
+        other = AbstractLayer(fortran, bias, bias, ActivationKind.RELU, as_list, np.zeros((2, 3)))
+        for array in (other.weights, other.weights_pos, other.weights_neg):
+            assert array.dtype == np.float64 and array.flags.c_contiguous and not array.flags.writeable
 
     def test_untouched_layers_are_the_source_layers(self):
         # Only layers next to a merged layer are rebuilt; the rest are reused.

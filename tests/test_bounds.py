@@ -12,7 +12,7 @@ from provex.bounds import enclose_layer, propagate_abstract, propagate_box, prop
 from provex.errors import DimensionError, ValidationError
 from provex.fixtures import random_network
 from provex.intervals import IntervalVector, iv_subset
-from provex.network import ActivationKind, forward, forward_batch
+from provex.network import ActivationKind, ConcreteNetwork, Layer, forward, forward_batch
 
 
 class TestPropagateBox:
@@ -77,6 +77,24 @@ class TestPropagateBox:
             lb_inner = propagate_box(net, inner)
             for a, b in zip(lb_inner.per_layer, lb_outer.per_layer):
                 assert iv_subset(a, b, 1e-9)
+
+    def test_layer_enclosures_are_the_kernel_output_frozen(self):
+        # Each layer's enclosure holds the kernel's own arrays, read-only,
+        # with the bits of the bare ``enclose_layer`` loop.
+        for seed in range(10):
+            net, _ = small_net_and_instance(seed, hidden=(9, 7), activation=("relu", "sigmoid", "tanh")[seed % 3])
+            lo, hi = random_subbox(net, np.random.default_rng(seed))
+            lb = propagate_box(net, IntervalVector(lo, hi))
+            for layer, iv in zip(net.layers, lb.per_layer):
+                lo, hi = enclose_layer(layer, lo, hi)
+                assert iv.lo.tobytes() == lo.tobytes() and iv.hi.tobytes() == hi.tobytes()
+                assert not (iv.lo.flags.writeable or iv.hi.flags.writeable)
+
+    def test_overflowing_layer_rejected(self):
+        big = np.full((2, 2), 1e200)
+        net = ConcreteNetwork((Layer(big, np.zeros(2), "relu"), Layer(big, np.zeros(2), "identity")))
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="finite"):
+            propagate_box(net, net.input_domain)
 
     def test_fingerprints_recorded(self, demo):
         net, x = demo

@@ -45,6 +45,21 @@ class TestIntervalInvariants:
             IntervalVector([np.nan], [1.0])
 
 
+class TestAdopt:
+    def test_arrays_are_taken_over_and_frozen(self):
+        lo, hi = np.array([0.0, 1.0]), np.array([0.5, 2.0])
+        box = IntervalVector.adopt(lo, hi)
+        assert box.lo is lo and box.hi is hi
+        assert not (lo.flags.writeable or hi.flags.writeable)
+        assert box == IntervalVector([0.0, 1.0], [0.5, 2.0])
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValidationError):
+            IntervalVector.adopt(np.array([0.0]), np.array([np.inf]))
+        with pytest.raises(ValidationError):
+            IntervalVector.adopt(np.array([np.nan]), np.array([1.0]))
+
+
 class TestAffine:
     """The sign-split affine step, through ``propagate_box`` on one-layer identity nets."""
 

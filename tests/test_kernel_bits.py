@@ -13,8 +13,9 @@ import pytest
 from provex.bounds import enclose_affine, propagate_rows
 from provex.fixtures import mnist_shape_network, random_network, uniform_instances
 from provex.intervals import apply_activation
-from provex.network import ConcreteNetwork, Layer, forward, forward_batch, gradients
-from provex.queries import _candidates, _gap_corners, _separation, find_witnesses
+from provex import queries
+from provex.network import ConcreteNetwork, Layer, forward, forward_batch, forward_rows, gradients
+from provex.queries import _candidate_rows, _candidates, _gap_corners, _screen, _separation, find_witnesses
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
@@ -106,6 +107,45 @@ def nets():
     )
 
 
+def screen_nets(count):
+    """``count`` nets with 1-3 hidden layers whose class moves within the unit box.
+
+    Relu, sigmoid and tanh in turn, 4-12 inputs, widths 4-16 and 2-5
+    classes; the weights are scaled up from 1/sqrt(fan_in), by more for
+    the flatter sigmoid, so that boxes of width 0.04-0.6 often hold
+    points of another class.
+    """
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        act = ACTIVATIONS[seed % 3]
+        gain = 4.0 if act == "sigmoid" else 1.5
+        inputs = int(rng.integers(4, 13))
+        hidden = rng.integers(4, 17, size=1 + seed // 3 % 3)
+        dims = [inputs, *hidden, int(rng.integers(2, 6))]
+        layers = []
+        for k in range(len(dims) - 1):
+            weights = rng.normal(scale=gain / np.sqrt(dims[k]), size=(dims[k + 1], dims[k]))
+            bias = rng.normal(scale=0.1, size=dims[k + 1])
+            layers.append(Layer(weights, bias, act if k < len(dims) - 2 else "identity"))
+        yield seed, ConcreteNetwork(tuple(layers))
+
+
+def screen_cases(count):
+    """Per net of ``screen_nets``, 1 and 16 boxes with ``n_random`` 0 and 64, and epsilons 0.02-0.3."""
+    for seed, net in screen_nets(count):
+        for boxes in (1, 16):
+            for n_random in (0, 64):
+                rng = np.random.default_rng(7 * seed + boxes + n_random)
+                xs = rng.random((boxes, net.input_dim))
+                half = rng.choice([0.02, 0.1, 0.3], size=(boxes, 1)) * np.ones(xs.shape)
+                half[rng.random(xs.shape) < 0.3] = 0.0
+                lo = np.maximum(0.0, xs - half)
+                hi = np.minimum(1.0, xs + half)
+                target = int(np.argmax(forward(net, xs[0])))
+                out_hi = propagate_rows(net.layers, lo, hi)[1]
+                yield seed, net, target, lo, hi, out_hi, n_random
+
+
 def boxes_of(net, count, seed, width=0.5):
     """``count`` random boxes around the net's instances, some features fixed, inside the domain."""
     rng = np.random.default_rng(seed)
@@ -176,6 +216,13 @@ class TestAffineKernels:
         for net, xs in cases:
             for x in xs:
                 assert np.array_equal(forward(net, x), reference_forward(net, x))
+
+    def test_a_split_stack_has_the_bits_of_one_pass(self):
+        for net in nets():
+            xs = np.random.default_rng(8).random((67, net.input_dim))
+            for k in range(len(net.layers) + 1):
+                split = forward_rows(net.layers[k:], forward_rows(net.layers[:k], xs))
+                assert split.tobytes() == forward_batch(net, xs).tobytes()
 
     def test_gradients_forward_half_is_the_plain_product(self):
         # The backward pass reads the pre-activations, so equal gradients
@@ -300,3 +347,103 @@ class TestWitnessSearchBits:
         before = [a.copy() for a in (lo, hi, out_hi)]
         find_witnesses(net, 0, lo, hi, out_hi, np.random.default_rng(0))
         assert all(np.array_equal(a, b) for a, b in zip((lo, hi, out_hi), before))
+
+
+class TestScreenedWitnessSearch:
+    """Nets with a hidden layer after the first screen each box on its candidates' first-layer hull."""
+
+    def test_same_witnesses_as_the_unscreened_search(self):
+        found = deep_found = 0
+        for seed, net, target, lo, hi, out_hi, n_random in screen_cases(300):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = find_witnesses(net, target, lo, hi, out_hi, ours, n_random)
+            want = reference_find_witnesses(net, target, lo, hi, out_hi, theirs, n_random)
+            assert [g is None for g in got] == [w is None for w in want]
+            for g, w in zip(got, want):
+                assert w is None or g.tobytes() == w.tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            hits = sum(w is not None for w in want)
+            found += hits
+            deep_found += hits if len(net.layers) > 2 else 0
+        # 10,200 boxes in 1,200 calls; the counts keep the comparison from going vacuous.
+        assert found > 2000 and deep_found > 1000
+
+    def test_closed_boxes_hold_only_the_target(self):
+        closed_boxes = partly_closed_calls = 0
+        for seed, net, target, lo, hi, out_hi, n_random in screen_cases(150):
+            if len(net.layers) < 3:
+                continue
+            toward_hi = _gap_corners(net, target, lo, hi, out_hi)
+            rows, order = _candidate_rows(lo, hi, toward_hi, np.random.default_rng(seed), n_random)
+            first = net.layers[0]
+            first_layer = reference_activation(first.activation.value, rows @ first.weights.T + first.bias)
+            closed = _screen(net, target, first_layer, lo.shape[0], toward_hi.shape[1])
+            for b in np.flatnonzero(closed):
+                assert (np.argmax(forward_batch(net, rows[order[b]]), axis=1) == target).all()
+            closed_boxes += int(closed.sum())
+            partly_closed_calls += bool(closed.any() and not closed.all())
+        assert closed_boxes > 500 and partly_closed_calls > 50
+
+    def test_two_layer_net_makes_one_forward_pass(self, monkeypatch):
+        calls = count_passes(monkeypatch)
+        net = random_network(9, (12,), 3, "relu", seed=40)
+        _, lo, hi = boxes_of(net, 16, seed=2)
+        out_hi = propagate_rows(net.layers, lo, hi)[1]
+        find_witnesses(net, 0, lo, hi, out_hi, np.random.default_rng(0))
+        assert calls == [("forward_batch", 16 * 67)]
+
+    def test_deeper_net_runs_the_first_layer_on_the_whole_buffer(self, monkeypatch):
+        calls = count_passes(monkeypatch)
+        _, net = list(screen_nets(4))[3]
+        assert len(net.layers) == 3
+        _, lo, hi = boxes_of(net, 16, seed=2)
+        out_hi = propagate_rows(net.layers, lo, hi)[1]
+        find_witnesses(net, 0, lo, hi, out_hi, np.random.default_rng(0))
+        corners = min(2, net.output_dim - 1)
+        assert calls[0] == ("forward_rows", 16 * (1 + corners + 64))
+        assert all(name == "forward_rows" for name, _ in calls)
+
+    def test_mnist_pins_close_without_the_later_layers(self, monkeypatch):
+        # The boxes' own enclosures do not separate, as for every pin; the
+        # hull of their candidates' first-layer activations does.
+        net = mnist_shape_network(seed=3)
+        xs = uniform_instances(net, 2, seed=11)
+        rng = np.random.default_rng(5)
+        lo, hi = [], []
+        for x in xs:
+            for share in np.linspace(0.75, 1.0, 8):
+                free = rng.random(x.shape) < share
+                lo.append(np.where(free, np.maximum(0.0, x - 1e-4), x))
+                hi.append(np.where(free, np.minimum(1.0, x + 1e-4), x))
+        lo, hi = np.array(lo), np.array(hi)
+        target = int(np.argmax(forward(net, xs[0])))
+        assert all(int(np.argmax(forward(net, x))) == target for x in xs)
+        out_lo, out_hi = propagate_rows(net.layers, lo, hi)
+        assert not _separation(out_lo, out_hi, target)[1].any()
+        calls = count_passes(monkeypatch)
+        assert find_witnesses(net, target, lo, hi, out_hi, np.random.default_rng(0)) == [None] * 16
+        assert calls == [("forward_rows", 16 * 67)]
+
+    @pytest.mark.parametrize("n_random", [0, 64])
+    def test_one_class_deep_net_never_has_a_witness(self, n_random):
+        # No runner-up class leaves the corner block empty.
+        net = random_network(9, (12, 8), 1, "tanh", seed=41)
+        _, lo, hi = boxes_of(net, 16, seed=1)
+        out_hi = propagate_rows(net.layers, lo, hi)[1]
+        assert find_witnesses(net, 0, lo, hi, out_hi, np.random.default_rng(0), n_random) == [None] * 16
+
+
+def count_passes(monkeypatch):
+    """Record the exact passes ``find_witnesses`` makes, by name and row count."""
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(first, xs):
+            calls.append((name, len(xs)))
+            return fn(first, xs)
+
+        return wrapped
+
+    monkeypatch.setattr(queries, "forward_batch", recording("forward_batch", queries.forward_batch))
+    monkeypatch.setattr(queries, "forward_rows", recording("forward_rows", queries.forward_rows))
+    return calls
