@@ -4,9 +4,9 @@ A reduced network is built from a concrete one by deleting a set of hidden
 neurons per layer and absorbing their bounded contribution to the next
 layer into that layer's bias as an interval.  Deleted neurons are grouped
 into buckets of overlapping activation ranges; each bucket contributes
-through the interval hull of its members' ranges, with every outgoing
-weight sign-split and the per-weight products Minkowski-summed.  Absorbing
-a hull (rather than each member's own range) is what makes a coarse
+through the interval hull of its members' ranges, its products with the
+outgoing weights Minkowski-summed by the bound kernel.  Absorbing a hull
+(rather than each member's own range) is what makes a coarse
 reduction genuinely looser than the original network, so refinement has
 observable effect; soundness is unaffected because the hull contains every
 member range.
@@ -20,15 +20,15 @@ numpy sorts whose keys reproduce the documented tie-breaking exactly; a
 ``MergeSpec`` makes its frozensets once per build.
 
 Cost model.  A build costs what the reduction keeps.  Each layer with
-merged neurons takes one full-width sign-split product of the next layer's
-weights against its hulled endpoints, masked to exact zeros at the kept
-neurons, so no weight column is gathered for it.  When a layer is merged
-whole, that product is the next layer's pre-activation over the hulled box,
-bit for bit, so the next layer's bounds are its activation and no second
-product runs.  Only a layer that keeps neurons, between the first merged
-layer and the last, pays one ``enclose_layer`` more for the next layer's
-bounds.  A reduced check of a network with a layer merged whole carries
-one row from the last layer with no inputs on (see
+merged neurons takes one full-width ``bounds.enclose_affine`` pass of the
+next layer's weights against its hulled endpoints, masked to exact zeros
+at the kept neurons, so no weight column is gathered for it.  When a layer
+is merged whole, that pass is the next layer's pre-activation over the
+hulled box, bit for bit, so the next layer's bounds are its activation and
+no second pass runs.  Only a layer that keeps neurons, between the first
+merged layer and the last, pays one ``enclose_layer`` more for the next
+layer's bounds.  A reduced check of a network with a layer merged whole
+carries one row from the last layer with no inputs on (see
 ``bounds.propagate_rows``).
 """
 
@@ -92,20 +92,19 @@ class AbstractLayer:
 
     Built directly rather than through ``Layer``: a reduction is rebuilt
     for every query, and ``Layer``'s validation and column statistics
-    would cost more than the layer itself.  The sign split of the weights
-    is the same selection of the source layer's ``weights_pos`` and
-    ``weights_neg``, so it is never recomputed.
+    would cost more than the layer itself.  ``weights_neg``, the
+    nonpositive part the bound kernel reads beside ``weights``, is the
+    same selection of the source layer's, so it is never recomputed.
     """
 
     weights: np.ndarray
     bias_lo: np.ndarray
     bias_hi: np.ndarray
     activation: ActivationKind
-    weights_pos: np.ndarray
     weights_neg: np.ndarray
 
     def __post_init__(self):
-        for name in ("weights", "weights_pos", "weights_neg"):
+        for name in ("weights", "weights_neg"):
             array = getattr(self, name)
             # A build hands over fresh contiguous selections; only other
             # arrays are converted.
@@ -162,6 +161,9 @@ class ReductionSchedule:
         rates = tuple(float(r) for r in self.rates)
         if not rates:
             raise ValidationError("schedule must contain at least one rate")
+        for r in rates:  # NaN passes every comparison below
+            if not np.isfinite(r):
+                raise ValidationError(f"schedule rate {r} is not a finite number")
         if rates[0] <= 0.0:
             raise ValidationError("schedule rates must be positive")
         if any(b <= a for a, b in zip(rates, rates[1:])):
@@ -280,12 +282,12 @@ def build_from_merge_sets(
     box's own bounds in ``lb`` hold there bit for bit and are copied rather
     than recomputed; an unreduced build reuses every layer and needs none.
 
-    Cost: a layer with merged neurons takes one full-width sign-split
-    product of the next layer against its hulled endpoints, with exact
-    zeros at the kept neurons, so no weight column is gathered and only
-    the order of summation differs from a product over the merged columns
-    alone.  A layer merged whole has no zeros, so that product is the next
-    layer's pre-activation over the hulled box, with ``enclose_layer``'s
+    Cost: a layer with merged neurons takes one full-width kernel pass of
+    the next layer against its hulled endpoints, with exact zeros at the
+    kept neurons, so no weight column is gathered and only the order of
+    summation differs from a pass over the merged columns alone.  A layer
+    merged whole has no zeros, so that pass is the next layer's
+    pre-activation over the hulled box, with ``enclose_layer``'s
     bits: the next layer's bounds are its activation, and no second pass
     runs.  A layer that keeps neurons pays one ``enclose_layer`` more for
     the next layer's bounds.  The reduced weights are row and column
@@ -365,7 +367,7 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
     ranked by ``score_neurons(net, lb)``, which a chain against the same
     bounds computes once.
     """
-    if rate <= prev.reduction_rate:
+    if not rate > prev.reduction_rate:  # NaN too
         raise ValidationError(
             f"refinement rate {rate} must exceed the current rate {prev.reduction_rate}"
         )
@@ -403,7 +405,7 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
 
 
 def _reduced_layer(layer, rows, cols, bias_lo: np.ndarray, bias_hi: np.ndarray) -> AbstractLayer:
-    """The ``rows`` and ``cols`` of a source layer (None keeps all), with its sign split selected alike.
+    """The ``rows`` and ``cols`` of a source layer (None keeps all), its ``weights_neg`` selected alike.
 
     Rows and columns are selected one after the other, which copies the
     same entries as one outer-product index in half the time.  When a
@@ -413,7 +415,7 @@ def _reduced_layer(layer, rows, cols, bias_lo: np.ndarray, bias_hi: np.ndarray) 
     shape = (layer.out_dim if rows is None else rows.size, layer.in_dim if cols is None else cols.size)
     if 0 in shape:
         empty = np.empty(shape)
-        return AbstractLayer(empty, bias_lo, bias_hi, layer.activation, weights_pos=empty, weights_neg=empty)
+        return AbstractLayer(empty, bias_lo, bias_hi, layer.activation, weights_neg=empty)
 
     def select(matrix):
         if rows is not None:
@@ -421,12 +423,7 @@ def _reduced_layer(layer, rows, cols, bias_lo: np.ndarray, bias_hi: np.ndarray) 
         return matrix if cols is None else matrix[:, cols]
 
     return AbstractLayer(
-        select(layer.weights),
-        bias_lo,
-        bias_hi,
-        layer.activation,
-        weights_pos=select(layer.weights_pos),
-        weights_neg=select(layer.weights_neg),
+        select(layer.weights), bias_lo, bias_hi, layer.activation, weights_neg=select(layer.weights_neg)
     )
 
 
@@ -468,8 +465,8 @@ def _absorb_buckets(next_layer, lo: np.ndarray, hi: np.ndarray, layer_buckets: B
     """The next layer's bias interval once the deleted neurons are absorbed.
 
     Every deleted neuron contributes through its bucket's hull, so the sum
-    collapses to one sign-split product against the hull endpoints, added
-    to the next layer's own bias.  The product runs over the full width of
+    collapses to one kernel pass against the hull endpoints, added to the
+    next layer's own bias.  The pass runs over the full width of
     the next layer's weights, against endpoint vectors that hold each
     deleted neuron's hull and exact zeros at the kept ones: no weight
     column is gathered, and a kept neuron adds an exact zero.  Returns the
@@ -484,12 +481,6 @@ def _absorb_buckets(next_layer, lo: np.ndarray, hi: np.ndarray, layer_buckets: B
     masked_hi = np.zeros_like(hi)
     masked_lo[flat] = hull_lo
     masked_hi[flat] = hull_hi
-    bias = enclose_affine(
-        next_layer.weights_pos,
-        next_layer.weights_neg,
-        masked_lo,
-        masked_hi,
-        next_layer.bias_lo,
-        next_layer.bias_hi,
-    )
+    weights, neg = next_layer.weights, next_layer.weights_neg
+    bias = enclose_affine(weights, neg, masked_lo, masked_hi, next_layer.bias_lo, next_layer.bias_hi)
     return bias, (flat, hull_lo, hull_hi)

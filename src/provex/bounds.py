@@ -1,13 +1,14 @@
 """Sound set propagation through concrete and reduced networks.
 
 All box propagation in the package runs through one kernel,
-``enclose_affine``: the sign-split enclosure of ``activation(W @ v + b)``
+``enclose_affine``: the anchor-width enclosure of ``activation(W @ v + b)``
 over a box, computed on raw endpoint arrays that hold one box or a batch
 of boxes, one per row.  ``enclose_layer`` applies it to any layer of the
-shared layer protocol (``weights_pos``, ``weights_neg``, ``bias_lo``,
+shared layer protocol (``weights``, ``weights_neg``, ``bias_lo``,
 ``bias_hi``, ``activation``), which a concrete ``Layer`` answers with a
-point bias and a reduced layer with an interval bias.  ``propagate_box``
-records one enclosure per layer of a concrete network;
+point bias and a reduced layer with an interval bias.  A point box (every
+width zero) encloses exactly its own forward pass, bit for bit.
+``propagate_box`` records one enclosure per layer of a concrete network;
 ``propagate_abstract`` returns the output enclosure of a reduced one, and
 ``propagate_rows`` the output enclosures of a batch of boxes.  Every
 reachable activation vector over the box is contained in the recorded
@@ -52,31 +53,35 @@ class LayerBounds:
         return self.net_fingerprint == net.fingerprint
 
 
-def enclose_affine(pos, neg, lo, hi, bias_lo, bias_hi, activation: str = "identity"):
+def enclose_affine(w, neg, lo, hi, bias_lo, bias_hi, activation: str = "identity"):
     """Tightest box around ``activation(W @ v + b)`` for v in [lo, hi], b in [bias_lo, bias_hi].
 
-    ``pos`` and ``neg`` are the nonnegative and nonpositive parts of W, so
-    every output endpoint is attained at a corner of the input box.  The
-    activation is monotone nondecreasing and maps endpoints to endpoints.
-    ``lo`` and ``hi`` are one box of shape (n,) or a batch of shape (B, n),
-    one box per row; the result has the same leading shape.  Each endpoint
-    is ``lo @ pos.T + hi @ neg.T + bias_lo`` (and its mirror), summed left
-    to right in place in the first product's fresh array, which then takes
-    the activation in place too.
+    Anchor-width form, with ``w`` = W and ``neg`` its nonpositive part: the
+    sign-split endpoints ``lo @ W⁺ᵀ + hi @ W⁻ᵀ`` and ``hi @ W⁺ᵀ + lo @ W⁻ᵀ``
+    are ``lo @ Wᵀ + s`` and ``hi @ Wᵀ - s`` with ``s = (hi - lo) @ W⁻ᵀ``, in
+    three products instead of four.  Each is summed left to right in place
+    in its fresh product, bias last, so a zero width adds an exact zero and
+    a point box's endpoints are its forward pass bit for bit.  The rounded
+    anchors of a nearly flat box can cross by an ulp (in real arithmetic
+    they never do), so their hull takes the monotone activation, in place.
+    ``lo`` and ``hi`` hold one box, shape (n,), or one per row, (B, n).
     """
-    out_lo = lo @ pos.T
-    out_lo += hi @ neg.T
+    s = (hi - lo) @ neg.T
+    out_lo = lo @ w.T
+    out_lo += s
     out_lo += bias_lo
-    out_hi = hi @ pos.T
-    out_hi += lo @ neg.T
+    out_hi = hi @ w.T
+    out_hi -= s
     out_hi += bias_hi
-    return apply_activation(activation, out_lo, out=out_lo), apply_activation(activation, out_hi, out=out_hi)
+    hull_lo = np.minimum(out_lo, out_hi)
+    np.maximum(out_hi, out_lo, out=out_hi)
+    return apply_activation(activation, hull_lo, out=hull_lo), apply_activation(activation, out_hi, out=out_hi)
 
 
 def enclose_layer(layer, lo, hi):
     """One layer of the layer protocol applied to the box [lo, hi]."""
     return enclose_affine(
-        layer.weights_pos, layer.weights_neg, lo, hi, layer.bias_lo, layer.bias_hi, layer.activation.value
+        layer.weights, layer.weights_neg, lo, hi, layer.bias_lo, layer.bias_hi, layer.activation.value
     )
 
 
@@ -109,9 +114,9 @@ def propagate_abstract(anet, input_box: IntervalVector) -> IntervalVector:
 def propagate_rows(layers, lo, hi):
     """Output enclosures of a batch of boxes, one per row of ``lo`` and ``hi``.
 
-    All boxes go through every layer together, one matrix product per
-    endpoint and sign.  Unchecked: the caller keeps the boxes inside the
-    input domain (and, for a reduced network, inside its build box).
+    All boxes go through every layer together, three matrix products per
+    layer.  Unchecked: the caller keeps the boxes inside the input domain
+    (and, for a reduced network, inside its build box).
 
     Row collapse: a layer with no inputs (``in_dim == 0``, because a
     reduction merged the whole layer before it) gives every box the same

@@ -88,13 +88,16 @@ def _write_masks(out_dir: str, grouping: FeatureGrouping, trace_dict: dict) -> N
 
 def _schedule(text: str | None) -> ReductionSchedule | None:
     """The ``--schedule`` rates; None leaves the search its default schedule."""
-    return None if text is None else ReductionSchedule.from_string(text)
+    try:
+        return None if text is None else ReductionSchedule.from_string(text)
+    except ValidationError as exc:
+        raise ValidationError(f"--schedule: {exc}") from None
 
 
-def _check_seed(seed: int | None) -> None:
-    """A generator seed must be nonnegative; numpy rejects others with a bare ``ValueError``."""
-    if seed is not None and seed < 0:
-        raise ProvexError(f"--seed must be nonnegative, got {seed}")
+def _check_nonnegative(flag: str, value) -> None:
+    """A given number must be nonnegative; NaN, which passes every later comparison, is not."""
+    if value is not None and not value >= 0:
+        raise ValidationError(f"{flag} must be nonnegative, got {value}")
 
 
 def _report_config(args) -> dict:
@@ -122,7 +125,9 @@ def cmd_explain(args) -> int:
         for flag, value in (("--timeout", args.timeout), ("--schedule", args.schedule)):
             if value is not None:
                 raise ProvexError(f"{flag} does not apply to --backend oracle")
-    _check_seed(args.seed)
+    for flag, value in (("--seed", args.seed), ("--epsilon", args.epsilon), ("--timeout", args.timeout)):
+        _check_nonnegative(flag, value)
+    schedule = _schedule(args.schedule)
     net = _read_network(args.network)
     x, _ = load_instance(args.input)
     os.makedirs(args.out, exist_ok=True)
@@ -135,7 +140,7 @@ def cmd_explain(args) -> int:
     else:
         _, trace = explain_abstraction_refinement(
             net, x, args.epsilon, grouping, ordering,
-            schedule=_schedule(args.schedule), timeout=args.timeout, seed=args.seed,
+            schedule=schedule, timeout=args.timeout, seed=args.seed,
         )
     report = {
         "final": list(trace.final),
@@ -163,9 +168,8 @@ def cmd_verify(args) -> int:
     flag, value = ("--budget", args.budget) if args.backend == "enclosure" else ("--seed", args.seed)
     if value is not None:
         raise ProvexError(f"{flag} does not apply to --backend {args.backend}")
-    _check_seed(args.seed)
-    if args.budget is not None and args.budget < 0:
-        raise ValidationError(f"--budget must be nonnegative, got {args.budget}")
+    for flag, value in (("--seed", args.seed), ("--epsilon", args.epsilon), ("--budget", args.budget)):
+        _check_nonnegative(flag, value)
     net = _read_network(args.network)
     x, _ = load_instance(args.input)
     try:
@@ -227,6 +231,7 @@ def _bench_instance(net, args, schedule, idx: int, path: str):
 
 
 def cmd_bench(args) -> int:
+    _check_nonnegative("--epsilon", args.epsilon)
     schedule = _schedule(args.schedule)
     if not args.input:
         raise ValidationError("--input: bench needs at least one instance")
@@ -322,8 +327,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_fixture(args) -> int:
-    if args.instances < 0:
-        raise ValidationError(f"--instances must be nonnegative, got {args.instances}")
+    _check_nonnegative("--instances", args.instances)
     try:
         hidden = tuple(int(w) for w in args.widths.split(",") if w.strip()) if args.widths else (16, 16)
     except ValueError:

@@ -517,6 +517,8 @@ def explain_abstraction_refinement(
     timeout the current kept set, which is sufficient after every step, is
     returned as an early stop.
     """
+    if timeout is not None and not timeout >= 0:  # NaN too
+        raise ValidationError(f"timeout must be nonnegative, got {timeout}")
     x, grouping, ordering, target = _prepare(net, x, grouping, ordering, seed)
     if schedule is None:
         schedule = ReductionSchedule.default()

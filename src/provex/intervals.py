@@ -2,11 +2,11 @@
 
 All set propagation in this package runs on axis-aligned boxes, stored as
 paired float64 arrays of lower and upper endpoints.  The one interval step
-that moves a box through a layer, a sign-split affine enclosure followed by
-a monotone activation, lives in ``bounds.enclose_affine``; this module holds
-the box type and the elementwise activations.  Endpoints are plain binary64
-without directed rounding; containment assertions in the test suite carry
-a 1e-9 slack instead.
+that moves a box through a layer, an anchor-width affine enclosure and a
+monotone activation, lives in ``bounds.enclose_affine``; this module holds
+the box type and the activations.  A point box encloses its forward pass
+bit for bit; wider boxes' endpoints are plain binary64 without directed
+rounding, so containment tests on them carry a 1e-9 slack instead.
 
 An activation returns a fresh array and never writes into its argument,
 which may be a frozen enclosure endpoint, unless its caller hands it an

@@ -31,9 +31,10 @@ class Layer:
     """One dense layer: ``activation(weights @ h + bias)``.
 
     Besides its parameters, a layer answers the layer protocol that box
-    propagation reads (``weights_pos``, ``weights_neg``, ``bias_lo``,
+    propagation reads (``weights``, ``weights_neg``, ``bias_lo``,
     ``bias_hi``, ``activation``); a reduced network's layers answer the
-    same attributes with an interval bias.
+    same attributes with an interval bias.  The bound kernel anchors on
+    ``weights`` itself, so a point box encloses exactly the forward pass.
     """
 
     weights: np.ndarray
@@ -58,13 +59,10 @@ class Layer:
         object.__setattr__(self, "weights", W)
         object.__setattr__(self, "bias", b)
         object.__setattr__(self, "activation", ActivationKind(self.activation))
-        # Sign-split halves are precomputed once; box propagation and
-        # reduction building hit them on every query.
-        pos = np.clip(W, 0.0, None)
+        # The nonpositive part is precomputed once; box propagation and
+        # reduction building hit it on every query.
         neg = np.clip(W, None, 0.0)
-        pos.setflags(write=False)
         neg.setflags(write=False)
-        object.__setattr__(self, "weights_pos", pos)
         object.__setattr__(self, "weights_neg", neg)
         colmax = np.max(np.abs(W), axis=0)
         colmax.setflags(write=False)

@@ -69,8 +69,8 @@ def _validate_instance(x, fixed_features, epsilon: float, domain: IntervalVector
         raise DimensionError(f"instance must be a vector, got shape {x.shape}")
     if len(domain) != x.shape[0]:
         raise DimensionError("instance and domain lengths disagree")
-    if epsilon < 0:
-        raise ValidationError("epsilon must be nonnegative")
+    if not epsilon >= 0:  # NaN too
+        raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
     fixed = frozenset(int(i) for i in fixed_features)
     if any(i < 0 or i >= x.shape[0] for i in fixed):
         raise ValidationError("fixed feature index out of range")
@@ -111,8 +111,8 @@ class RegressionQuery:
 
     def __post_init__(self):
         x, fixed = _validate_instance(self.x, self.fixed_features, self.epsilon, self.domain)
-        if self.delta <= 0:
-            raise ValidationError("delta must be positive")
+        if not self.delta > 0:  # NaN too
+            raise ValidationError(f"delta must be positive, got {self.delta}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "fixed_features", fixed)
 

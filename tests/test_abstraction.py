@@ -133,17 +133,19 @@ class TestConstruction:
         shapes = [layer.weights.shape for layer in anet.layers]
         assert shapes == [(10, net.input_dim), (0, 10), (5, 0), (net.output_dim, 5)]
         for layer in anet.layers[1:3]:
-            for array in (layer.weights, layer.weights_pos, layer.weights_neg):
+            for array in (layer.weights, layer.weights_neg):
                 assert array.dtype == np.float64 and array.flags.c_contiguous and not array.flags.writeable
 
     def test_abstract_layer_keeps_contiguous_float_arrays(self):
         w = np.arange(6.0).reshape(2, 3)
         bias = np.zeros(2)
-        layer = AbstractLayer(w, bias, bias, ActivationKind.RELU, np.clip(w, 0, None), np.clip(w, None, 0))
+        neg = np.clip(w, None, 0)
+        layer = AbstractLayer(w, bias, bias, ActivationKind.RELU, neg)
         assert layer.weights is w and not w.flags.writeable
-        fortran, as_list = np.asfortranarray(np.ones((2, 3))), [[1, 1, 1], [1, 1, 1]]
-        other = AbstractLayer(fortran, bias, bias, ActivationKind.RELU, as_list, np.zeros((2, 3)))
-        for array in (other.weights, other.weights_pos, other.weights_neg):
+        assert layer.weights_neg is neg and not neg.flags.writeable
+        fortran, as_list = np.asfortranarray(np.ones((2, 3))), [[-1, -1, -1], [-1, -1, -1]]
+        other = AbstractLayer(fortran, bias, bias, ActivationKind.RELU, as_list)
+        for array in (other.weights, other.weights_neg):
             assert array.dtype == np.float64 and array.flags.c_contiguous and not array.flags.writeable
 
     def test_untouched_layers_are_the_source_layers(self):
@@ -157,7 +159,7 @@ class TestConstruction:
         assert anet.reduction_rate == anet.spec.reduction_rate == 22 / 24
 
     def test_reduced_sign_split_is_the_clip_of_the_weights(self):
-        # A reduced layer selects its source layer's sign split; the halves
+        # A reduced layer selects its source layer's nonpositive part; it
         # must be exactly the clip of its own weights, layer by layer.
         from provex.abstraction import AbstractLayer
 
@@ -170,9 +172,8 @@ class TestConstruction:
                 for layer in build_abstract(net, lb, rate).layers:
                     if isinstance(layer, AbstractLayer):
                         rebuilt += 1
-                        assert layer.weights_pos.tobytes() == np.clip(layer.weights, 0.0, None).tobytes()
                         assert layer.weights_neg.tobytes() == np.clip(layer.weights, None, 0.0).tobytes()
-                        assert layer.weights_pos.flags.c_contiguous and layer.weights_neg.flags.c_contiguous
+                        assert layer.weights.flags.c_contiguous and layer.weights_neg.flags.c_contiguous
         assert rebuilt > 0
 
     def test_rate_out_of_range(self, demo):
@@ -284,6 +285,8 @@ class TestRefine:
         anet = build_abstract(net, lb, 0.5)
         with pytest.raises(ValidationError):
             refine(net, anet, lb, anet.reduction_rate)
+        with pytest.raises(ValidationError, match="refinement rate nan"):
+            refine(net, anet, lb, float("nan"))
 
     def test_refined_merge_sets_nest(self):
         net, _ = small_net_and_instance(11, hidden=(12, 12))
@@ -383,6 +386,15 @@ class TestSchedule:
             ReductionSchedule((0.5, 0.4, 1.0))
         with pytest.raises(ValidationError):
             ReductionSchedule((0.5, 0.9))
+
+    @pytest.mark.parametrize("rates", [(0.5, float("nan"), 1.0), (float("nan"), 1.0), (0.5, float("inf"))])
+    def test_non_finite_rates_rejected(self, rates):
+        # NaN passes both the positivity and the increasing check.
+        bad = next(r for r in rates if not np.isfinite(r))
+        with pytest.raises(ValidationError, match=f"schedule rate {bad} is not a finite number"):
+            ReductionSchedule(rates)
+        with pytest.raises(ValidationError, match="not a finite number"):
+            ReductionSchedule.from_string(",".join(str(r) for r in rates))
 
     def test_next_after(self):
         sched = ReductionSchedule((0.25, 0.5, 1.0))
@@ -544,8 +556,8 @@ class TestNumpyOrdering:
                 assert tuple(as_tuples(b) for b in anet.buckets) == expected[1]
 
 
-def sign_split(W):
-    return np.clip(W, 0.0, None), np.clip(W, None, 0.0)
+def nonpositive(W):
+    return np.clip(W, None, 0.0)
 
 
 def rebuilt_from_the_input_box(net, lb, merge_sets):
@@ -565,14 +577,14 @@ def rebuilt_from_the_input_box(net, lb, merge_sets):
             absorbed, (flat, hull_lo, hull_hi) = _absorb_buckets(net.layers[k + 1], lo, hi, layer_buckets)
             keep = np.array(sorted(set(range(layer.out_dim)) - merged), dtype=int)
             W = layer.weights[keep, :] if keep_prev is None else layer.weights[np.ix_(keep, keep_prev)]
-            layers.append(AbstractLayer(W, bias_lo[keep], bias_hi[keep], layer.activation, *sign_split(W)))
+            layers.append(AbstractLayer(W, bias_lo[keep], bias_hi[keep], layer.activation, nonpositive(W)))
             lo[flat], hi[flat] = hull_lo, hull_hi
             keep_prev = keep
             buckets.append(layer_buckets)
         else:
             if keep_prev is not None:
                 W = layer.weights[:, keep_prev]
-                layers.append(AbstractLayer(W, bias_lo, bias_hi, layer.activation, *sign_split(W)))
+                layers.append(AbstractLayer(W, bias_lo, bias_hi, layer.activation, nonpositive(W)))
             else:
                 layers.append(layer)
             keep_prev = None
@@ -647,7 +659,7 @@ def gathered_absorb(next_layer, lo, hi, layer_buckets):
     hull_lo = np.minimum.reduceat(lo[flat], starts)[member_of]
     hull_hi = np.maximum.reduceat(hi[flat], starts)[member_of]
     bias = enclose_affine(
-        next_layer.weights_pos[:, flat], next_layer.weights_neg[:, flat],
+        next_layer.weights[:, flat], next_layer.weights_neg[:, flat],
         hull_lo, hull_hi, next_layer.bias_lo, next_layer.bias_hi,
     )
     return bias, (flat, hull_lo, hull_hi)
@@ -656,8 +668,8 @@ def gathered_absorb(next_layer, lo, hi, layer_buckets):
 def gathered_build(net, lb, merge_sets, buckets=None):
     """A reduction built layer by layer with ``enclose_layer`` and gathered absorption.
 
-    Returns the layers as (weights, weights_pos, weights_neg, bias_lo,
-    bias_hi, absorbed) tuples, the buckets, and the bounds each merged
+    Returns the layers as (weights, weights_neg, bias_lo, bias_hi,
+    absorbed) tuples, the buckets, and the bounds each merged
     layer is bucketed and absorbed from, before its hulls are written.
     """
     from provex.bounds import enclose_layer
@@ -688,7 +700,7 @@ def gathered_build(net, lb, merge_sets, buckets=None):
         cols = np.arange(layer.in_dim) if keep_prev is None else keep_prev
         pick = np.ix_(rows, cols)
         layers.append((
-            layer.weights[pick], layer.weights_pos[pick], layer.weights_neg[pick],
+            layer.weights[pick], layer.weights_neg[pick],
             bias_lo[rows], bias_hi[rows], was_absorbed,
         ))
         keep_prev = rows if merged else None
@@ -766,8 +778,8 @@ class TestGatherFreeBuild:
         for got, want in zip(anet.buckets, ref_buckets):
             assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
         for built in (anet, rebuilt):
-            for got, (W, pos, neg, bias_lo, bias_hi, absorbed) in zip(built.layers, layers):
-                for name, want in (("weights", W), ("weights_pos", pos), ("weights_neg", neg)):
+            for got, (W, neg, bias_lo, bias_hi, absorbed) in zip(built.layers, layers):
+                for name, want in (("weights", W), ("weights_neg", neg)):
                     assert getattr(got, name).shape == want.shape
                     assert getattr(got, name).tobytes() == want.tobytes()
                 if absorbed:

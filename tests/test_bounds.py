@@ -198,7 +198,7 @@ class TestKernelProperties:
         W, b1, b2 = params[0], params[1, :, 0], params[2, :, 0]
         bias_lo, bias_hi = np.minimum(b1, b2), np.maximum(b1, b2)
         lo, hi = np.minimum(params[1, 0], params[2, 0]), np.maximum(params[1, 0], params[2, 0])
-        layer = AbstractLayer(W, bias_lo, bias_hi, ActivationKind.TANH, np.clip(W, 0.0, None), np.clip(W, None, 0.0))
+        layer = AbstractLayer(W, bias_lo, bias_hi, ActivationKind.TANH, np.clip(W, None, 0.0))
         out = IntervalVector(*enclose_layer(layer, lo, hi))
         rng = np.random.default_rng(seed)
         xs = rng.uniform(lo, hi, size=(64, 5))
@@ -255,3 +255,58 @@ class TestBatchedKernel:
             for got_lo, got_hi in (propagate_rows(net.layers, lo, hi), propagate_rows(net.layers, lo[None], hi[None])):
                 assert got_lo.reshape(-1).tobytes() == want.lo.tobytes()
                 assert got_hi.reshape(-1).tobytes() == want.hi.tobytes()
+
+
+def point_box_nets():
+    """Relu, sigmoid and tanh nets of one to three hidden layers, and the 784-input sigmoid net."""
+    from provex.fixtures import mnist_shape_network
+
+    for depth in (1, 2, 3):
+        for k, act in enumerate(("relu", "sigmoid", "tanh")):
+            yield random_network(12, (16,) * depth, 5, act, seed=60 + 3 * depth + k)
+    yield mnist_shape_network(seed=3)
+
+
+class TestPointBoxes:
+    """A point box encloses exactly its own forward pass, with zero slack."""
+
+    @pytest.mark.parametrize("rows", [1, 16])
+    def test_rows_are_the_forward_pass(self, rows):
+        from provex.fixtures import uniform_instances
+        from provex.network import forward_rows
+
+        for net in point_box_nets():
+            xs = uniform_instances(net, rows, seed=rows)
+            lo, hi = propagate_rows(net.layers, xs, xs)
+            want = forward_rows(net.layers, xs).tobytes()
+            assert lo.tobytes() == want and hi.tobytes() == want
+
+    def test_box_is_the_forward_pass(self):
+        from provex.fixtures import uniform_instances
+        from provex.network import forward_rows
+
+        for net in point_box_nets():
+            for x in uniform_instances(net, 3, seed=5):
+                lb = propagate_box(net, IntervalVector(x, x))
+                for k, layer_iv in enumerate(lb.per_layer):
+                    want = forward_rows(net.layers[: k + 1], x[None])[0].tobytes()
+                    assert layer_iv.lo.tobytes() == want and layer_iv.hi.tobytes() == want
+                want = forward(net, x).tobytes()
+                assert lb.final.lo.tobytes() == want and lb.final.hi.tobytes() == want
+
+    def test_every_logit_lies_in_its_own_point_enclosure(self):
+        # 200 random nets, 25 instances each: 25,000 logits, no slack.
+        from provex.fixtures import uniform_instances
+
+        outside = 0
+        for seed in range(200):
+            act = ("relu", "sigmoid", "tanh")[seed % 3]
+            net = random_network(10, (12,) * (1 + seed % 3), 5, act, seed=2000 + seed)
+            xs = uniform_instances(net, 25, seed=seed)
+            logits = forward_batch(net, xs)
+            lo, hi = propagate_rows(net.layers, xs, xs)
+            outside += int(np.sum((logits < lo) | (logits > hi)))
+            # One box alone holds the forward pass of its one input.
+            lb = propagate_box(net, IntervalVector(xs[0], xs[0]))
+            assert lb.final.contains_point(forward(net, xs[0]), slack=0.0)
+        assert outside == 0

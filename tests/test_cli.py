@@ -201,6 +201,25 @@ class TestExplainCommand:
         assert flag in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--schedule", "0.5,nan,1"], "--schedule: schedule rate nan is not a finite number"),
+            (["--schedule", "nan,1"], "--schedule: schedule rate nan is not a finite number"),
+            (["--epsilon", "nan"], "--epsilon must be nonnegative, got nan"),
+            (["--epsilon", "-0.5"], "--epsilon must be nonnegative, got -0.5"),
+            (["--timeout", "nan"], "--timeout must be nonnegative, got nan"),
+            (["--timeout", "-1"], "--timeout must be nonnegative, got -1.0"),
+        ],
+    )
+    def test_flag_that_is_no_valid_number_is_named(self, demo_files, tmp_path, capsys, flags, message):
+        net_path, inst_path = demo_files
+        out = tmp_path / "out"
+        code = main(["explain", "--network", net_path, "--input", inst_path, "--epsilon", "1.0", *flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_flag_exits_1(self, demo_files, capsys):
         net_path, inst_path = demo_files
         with pytest.raises(SystemExit) as exc:
@@ -352,6 +371,12 @@ class TestVerifyCommand:
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1] != printed[2]
 
+    def test_nan_epsilon_is_named(self, demo_files, capsys):
+        net_path, inst_path = demo_files
+        code = main(["verify", "--network", net_path, "--input", inst_path, "--subset", "1", "--epsilon", "nan"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --epsilon must be nonnegative, got nan\n"
+
     def test_bad_subset_is_error(self, demo_files):
         net_path, inst_path = demo_files
         code = main([
@@ -474,7 +499,17 @@ class TestBenchCommand:
             "bench", "--network", str(net_path), "--epsilon", "0.1", "--schedule", "bogus", "--out", str(out),
         ])
         assert code == 1
-        assert capsys.readouterr().err == "error: could not parse schedule 'bogus'\n"
+        assert capsys.readouterr().err == "error: --schedule: could not parse schedule 'bogus'\n"
+        assert not out.exists()
+
+    def test_nan_epsilon_is_rejected_before_any_instance(self, tmp_path, capsys):
+        net = random_network(4, (6,), 2, "relu", seed=1)
+        net_path = tmp_path / "net.json"
+        net_path.write_text(save_network(net))
+        out = tmp_path / "out"
+        code = main(["bench", "--network", str(net_path), "--epsilon", "nan", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --epsilon must be nonnegative, got nan\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--timeout", "1"), ("--backend", "oracle")])

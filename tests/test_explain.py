@@ -228,6 +228,14 @@ class TestAbstractionRefinement:
         assert trace.final == ("1", "2", "3")
         assert trace.steps == []
 
+    @pytest.mark.parametrize("timeout", [float("nan"), -1.0])
+    def test_timeout_that_is_no_nonnegative_number_is_rejected(self, demo, timeout):
+        # A NaN deadline is never reached, and a negative one stopped the
+        # search before its first batch.
+        net, x = demo
+        with pytest.raises(ValidationError, match=f"timeout must be nonnegative, got {timeout}"):
+            explain_abstraction_refinement(net, x, 1.0, timeout=timeout)
+
     def test_grouped_channels_move_together(self):
         net = random_network(6, (10,), 2, "relu", seed=5)
         x = uniform_instances(net, 1, seed=5)[0]

@@ -56,7 +56,18 @@ def reference_forward_batch(net, xs):
     return h
 
 
-def reference_enclose_affine(pos, neg, lo, hi, bias_lo, bias_hi, activation="identity"):
+def reference_enclose_affine(w, neg, lo, hi, bias_lo, bias_hi, activation="identity"):
+    """The anchor-width form: each endpoint anchored on its own product, widened by the width's."""
+    s = (hi - lo) @ neg.T
+    out_lo = lo @ w.T + s + bias_lo
+    out_hi = hi @ w.T - s + bias_hi
+    hull = np.minimum(out_lo, out_hi), np.maximum(out_hi, out_lo)
+    return reference_activation(activation, hull[0]), reference_activation(activation, hull[1])
+
+
+def sign_split_enclose_affine(w, lo, hi, bias_lo, bias_hi, activation="identity"):
+    """The four-product form the anchor-width kernel replaced: the same bounds in real arithmetic."""
+    pos, neg = np.clip(w, 0.0, None), np.clip(w, None, 0.0)
     out_lo = lo @ pos.T + hi @ neg.T + bias_lo
     out_hi = hi @ pos.T + lo @ neg.T + bias_hi
     return reference_activation(activation, out_lo), reference_activation(activation, out_hi)
@@ -260,7 +271,7 @@ class TestAffineKernels:
                 # A point bias, then an interval bias around it.
                 spread = rng.random(layer.out_dim)
                 for bias_lo, bias_hi in ((layer.bias, layer.bias), (layer.bias - spread, layer.bias + spread)):
-                    args = (layer.weights_pos, layer.weights_neg, want_lo, want_hi, bias_lo, bias_hi, layer.activation.value)
+                    args = (layer.weights, layer.weights_neg, want_lo, want_hi, bias_lo, bias_hi, layer.activation.value)
                     got, want = enclose_affine(*args), reference_enclose_affine(*args)
                     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
                 want_lo, want_hi = want
@@ -268,9 +279,46 @@ class TestAffineKernels:
             ref_lo, ref_hi = lo, hi
             for layer in net.layers:
                 ref_lo, ref_hi = reference_enclose_affine(
-                    layer.weights_pos, layer.weights_neg, ref_lo, ref_hi, layer.bias, layer.bias, layer.activation.value
+                    layer.weights, layer.weights_neg, ref_lo, ref_hi, layer.bias, layer.bias, layer.activation.value
                 )
             assert np.array_equal(got_lo, ref_lo) and np.array_equal(got_hi, ref_hi)
+
+
+    def test_enclose_affine_is_the_sign_split_form_up_to_rounding(self):
+        # Three products give the four-product form's bounds in real arithmetic.
+        rng = np.random.default_rng(12)
+        compared = 0
+        for seed in range(60):
+            act = ACTIVATIONS[seed % 3]
+            net = random_network(10, (12,) * (1 + seed % 3), 4, act, seed=900 + seed)
+            _, lo, hi = boxes_of(net, 16, seed=seed, width=(0.5, 1e-3, 1e-8)[seed % 3])
+            for layer in net.layers:
+                spread = rng.random(layer.out_dim)
+                for bias_lo, bias_hi in ((layer.bias, layer.bias), (layer.bias - spread, layer.bias + spread)):
+                    kind = layer.activation.value
+                    got = enclose_affine(layer.weights, layer.weights_neg, lo, hi, bias_lo, bias_hi, kind)
+                    want = sign_split_enclose_affine(layer.weights, lo, hi, bias_lo, bias_hi, kind)
+                    for have, old in zip(got, want):
+                        assert np.all(np.abs(have - old) <= 1e-12 * (1.0 + np.abs(old)))
+                        compared += have.size
+                lo, hi = got
+        assert compared > 10_000
+
+    def test_crossed_anchors_are_hulled(self):
+        # Where a box is nearly a point, the two separately rounded anchors
+        # can cross by an ulp; the kernel returns their hull, which is ordered.
+        crossed = 0
+        for seed in range(40):
+            net = random_network(30, (30,), 3, "tanh", seed=seed)
+            _, lo, hi = boxes_of(net, 16, seed=seed, width=3e-17)
+            layer = net.layers[0]
+            s = (hi - lo) @ layer.weights_neg.T
+            raw_lo, raw_hi = lo @ layer.weights.T + s + layer.bias, hi @ layer.weights.T - s + layer.bias
+            crossed += int(np.sum(raw_lo > raw_hi))
+            got_lo, got_hi = enclose_affine(layer.weights, layer.weights_neg, lo, hi, layer.bias, layer.bias)
+            assert np.all(got_lo <= got_hi)
+            assert np.array_equal(got_lo, np.minimum(raw_lo, raw_hi)) and np.array_equal(got_hi, np.maximum(raw_lo, raw_hi))
+        assert crossed > 0
 
 
 class TestSeparationKernel:

@@ -55,6 +55,20 @@ class TestQueryBox:
         with pytest.raises(ValidationError):
             SufficiencyQuery(x, frozenset(), -0.1, 1, net.input_domain)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), -0.1])
+    def test_epsilon_that_is_no_nonnegative_number_is_named(self, demo, epsilon):
+        net, x = demo
+        with pytest.raises(ValidationError, match=f"epsilon must be nonnegative, got {epsilon}"):
+            SufficiencyQuery(x, frozenset(), epsilon, 1, net.input_domain)
+        with pytest.raises(ValidationError, match="epsilon"):
+            RegressionQuery(x, frozenset(), epsilon, 1.0, net.input_domain)
+
+    @pytest.mark.parametrize("delta", [float("nan"), 0.0])
+    def test_delta_that_is_no_positive_number_is_named(self, demo, delta):
+        net, x = demo
+        with pytest.raises(ValidationError, match=f"delta must be positive, got {delta}"):
+            RegressionQuery(x, frozenset(), 0.1, delta, net.input_domain)
+
     def test_instance_outside_domain_rejected(self):
         net = ConcreteNetwork((Layer(np.array([[1.0], [-1.0]]), np.array([0.0, 1.0]), "identity"),))
         scalar = ConcreteNetwork((Layer(np.array([[1.0]]), np.zeros(1), "identity"),))
