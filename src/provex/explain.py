@@ -105,6 +105,11 @@ class FeatureOrdering:
             raise ValidationError("resolved ordering must be a permutation of the groups")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+
+
 def order_features(
     net: ConcreteNetwork,
     x,
@@ -118,6 +123,7 @@ def order_features(
     over each group and visits the least sensitive groups first, since
     those are the most likely to be dropped.
     """
+    _check_seed(seed)
     n_groups = len(grouping.groups)
     if policy == "in-order":
         return FeatureOrdering(policy, tuple(range(n_groups)))
@@ -220,6 +226,7 @@ def count_work(trace: ExplanationTrace) -> WorkReport:
 
 
 def _prepare(net, x, grouping, ordering, seed):
+    _check_seed(seed)
     x = np.asarray(x, dtype=np.float64)
     if grouping is None:
         grouping = FeatureGrouping.singletons(net.input_dim)
@@ -287,10 +294,12 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
     A step that fails is a pin.  Its box joins a queue of witness
     searches, which is searched in calls of exactly MAX_BATCH boxes, and
     whatever remains is searched when the walk ends or stops.  The boxes
-    are searched in step order and the samples of a call come from one
-    draw of ``rng``, box after box, so the stream, and every witness, is
-    the one-at-a-time walk's.  A pin's verdict and ``witness_used`` are
-    filled in when its search returns; nothing else waits on them.
+    are searched in step order, and the samples of a call come from one
+    draw of ``rng`` over the features free in any of its boxes, so the
+    stream, and every witness, is that of one ``find_witnesses`` call per
+    MAX_BATCH pins in step order, and one for the rest; it is not the
+    stream of one search per pin.  A pin's verdict and ``witness_used``
+    are filled in when its search returns; nothing else waits on them.
 
     With no ``schedule`` (the baseline) every batch is checked on the
     network itself.  With one, the carried rate starts at the schedule's

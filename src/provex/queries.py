@@ -6,13 +6,16 @@ predicted class cannot change anywhere in that box.  Enclosure-based checks
 are sound but incomplete: a failed separation yields either a concrete
 counterexample (validated on the real network) or an Uncertain verdict.
 
-Counterexample search (``find_witnesses``) evaluates each box's candidate
-points exactly.  On a network with more than one hidden layer it first
-runs the first layer on every candidate and screens each box: where the
+Counterexample search (``find_witnesses``) tries each box's center and
+gradient corners as exact rows, and random samples drawn only over the
+features free in some box of the call.  A sample's first layer is its
+box's lower corner through the layer plus a low-rank update for its free
+features, so a sample costs what its free features cost; a sample flagged
+as misclassified is rebuilt and confirmed with ``predict``.  On a network
+with more than one hidden layer each box is then screened: where the
 interval pass of the remaining layers over the hull of its candidates'
 first-layer activations certifies the target, none of them is a witness,
-and the box skips the rest of the exact pass.  The screen changes no
-label.
+and the box skips the rest of the pass.  The screen changes no label.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from enum import Enum
 import numpy as np
 
 from .abstraction import AbstractNetwork
-from .bounds import propagate_abstract, propagate_box, propagate_rows
+from .bounds import propagate_abstract, propagate_box, propagate_rows, uniform_draw
 from .errors import DimensionError, ValidationError
-from .intervals import IntervalVector
+from .intervals import IntervalVector, apply_activation
 from .network import ConcreteNetwork, forward, forward_batch, forward_rows, gradient, gradients, predict
 
 
@@ -62,6 +65,11 @@ def _query_box(x: np.ndarray, fixed: frozenset[int], epsilon: float, domain: Int
     return IntervalVector(lo, hi)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not an index."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _validate_instance(x, fixed_features, epsilon: float, domain: IntervalVector):
     """The instance as a vector and the fixed features as a set, once both are checked."""
     x = np.asarray(x, dtype=np.float64)
@@ -71,7 +79,11 @@ def _validate_instance(x, fixed_features, epsilon: float, domain: IntervalVector
         raise DimensionError("instance and domain lengths disagree")
     if not epsilon >= 0:  # NaN too
         raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
-    fixed = frozenset(int(i) for i in fixed_features)
+    fixed = list(fixed_features)
+    bad = [i for i in fixed if not _is_integer(i)]
+    if bad:
+        raise ValidationError(f"fixed_features must hold integer indices, got {bad[0]!r}")
+    fixed = frozenset(int(i) for i in fixed)
     if any(i < 0 or i >= x.shape[0] for i in fixed):
         raise ValidationError("fixed feature index out of range")
     if not domain.contains_point(x):
@@ -91,8 +103,11 @@ class SufficiencyQuery:
 
     def __post_init__(self):
         x, fixed = _validate_instance(self.x, self.fixed_features, self.epsilon, self.domain)
+        if not _is_integer(self.target):
+            raise ValidationError(f"target must be an integer class index, got {self.target!r}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "fixed_features", fixed)
+        object.__setattr__(self, "target", int(self.target))
 
     def query_box(self) -> IntervalVector:
         """Fixed dimensions pin to x; free ones span the clamped epsilon range."""
@@ -164,54 +179,41 @@ def _validate_target(net: ConcreteNetwork, q: SufficiencyQuery) -> None:
         raise ValidationError("target class does not match the network's prediction for x")
 
 
-def _candidate_rows(lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rng=None, n_random: int = 0):
-    """Witness candidates of a batch of boxes in one contiguous buffer, and where each box's are.
+def _candidate_rows(lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray) -> np.ndarray:
+    """The exact witness candidates of a batch of boxes in one contiguous buffer.
 
     ``lo`` and ``hi`` hold one box per row and ``toward_hi`` one stack of
-    corner masks per box.  Each box gets its center; then one corner per
+    corner masks per box.  Each box gets its center, then one corner per
     mask, taking the upper endpoint where the mask is set and the lower one
-    elsewhere; then ``n_random`` uniform samples.  Fixed features need no
-    pinning: a query box is already degenerate there.
-
-    The buffer holds, in blocks, the centers of all boxes, then their
-    corners box after box, then their samples box after box.  The sample
-    block is filled by one ``rng.random`` draw and scaled in place to
-    ``(hi - lo) * r + lo``, which is ``bounds.uniform_draw``'s formula with
-    its operands swapped, so it has the same bits and leaves ``rng`` in the
-    same state as one draw per box in box order.  Row ``order[b, j]`` of
-    the buffer is box b's candidate j in the order center, corners,
-    samples.  Returns the buffer, of shape (rows, inputs), and ``order``.
+    elsewhere.  Fixed features need no pinning: a query box is already
+    degenerate there.  The buffer holds the centers of all boxes, then
+    their corners box after box; shape (boxes * (1 + corners), inputs).
     """
     boxes, inputs = lo.shape
     corners = toward_hi.shape[1]
-    per_box = 1 + corners + n_random
-    rows = np.empty((boxes * per_box, inputs))
+    rows = np.empty((boxes * (1 + corners), inputs))
     centers = rows[:boxes]
     np.add(lo, hi, out=centers)
     centers *= 0.5
-    corner_rows = rows[boxes : boxes * (1 + corners)].reshape(boxes, corners, inputs)
+    corner_rows = rows[boxes:].reshape(boxes, corners, inputs)
     corner_rows[...] = lo[:, None, :]
     np.copyto(corner_rows, hi[:, None, :], where=toward_hi)
-    if n_random > 0:
-        samples = rows[boxes * (1 + corners) :].reshape(boxes, n_random, inputs)
-        rng.random(out=samples)
-        samples *= (hi - lo)[:, None, :]
-        samples += lo[:, None, :]
-    order = np.concatenate(
-        [
-            np.arange(boxes)[:, None],
-            boxes + np.arange(boxes * corners).reshape(boxes, corners),
-            boxes * (1 + corners) + np.arange(boxes * n_random).reshape(boxes, n_random),
-        ],
-        axis=1,
-    )
-    return rows, order
+    return rows
 
 
 def _candidates(lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rng=None, n_random: int = 0) -> np.ndarray:
-    """The candidates of ``_candidate_rows`` per box, of shape (boxes, candidates per box, inputs)."""
-    rows, order = _candidate_rows(lo, hi, toward_hi, rng, n_random)
-    return rows[order]
+    """Per box its center, its corners and ``n_random`` full-width uniform samples.
+
+    Shape (boxes, candidates per box, inputs).  The samples are one
+    ``uniform_draw`` of shape (boxes, n_random, inputs), so they leave
+    ``rng`` where one draw per box in box order leaves it.
+    """
+    boxes, inputs = lo.shape
+    rows = _candidate_rows(lo, hi, toward_hi)
+    parts = [rows[:boxes, None], rows[boxes:].reshape(boxes, -1, inputs)]
+    if n_random > 0:
+        parts.append(uniform_draw(lo[:, None], hi[:, None], (boxes, n_random, inputs), rng))
+    return np.concatenate(parts, axis=1)
 
 
 def _gap_corners(net: ConcreteNetwork, target: int, lo: np.ndarray, hi: np.ndarray, out_hi: np.ndarray) -> np.ndarray:
@@ -242,49 +244,125 @@ def find_witnesses(
 
     Per box the candidates are its center, then its ``_gap_corners``
     (ranked by the box's output upper bounds, a row of ``out_hi``), then
-    ``n_random`` samples from ``rng`` (``rng`` may be None when
-    ``n_random`` is 0).  The candidates of all boxes sit in one contiguous
-    buffer, in blocks (all centers, all corners, all samples; see
-    ``_candidate_rows``), and are evaluated exactly, so a returned witness
-    is a genuine counterexample.  Each box's labels are read back in its
-    own candidate order, so its witness is its first misclassified
-    candidate; a box without one gets None.
+    ``n_random`` uniform samples.  A box's witness is its first
+    misclassified candidate in that order; a box without one gets None.
 
-    A network with one hidden layer evaluates the buffer in one
-    ``forward_batch`` pass.  A deeper one runs its first layer on the whole
-    buffer and then screens each box (``_screen``): a box whose
-    candidates' first-layer hull certifies ``target`` holds no witness and
-    gets None without its remaining layers.  Only the other boxes' rows,
-    in buffer order, finish the pass; where no box closes, that is the
-    whole first-layer array, with the bits of one ``forward_batch``.  The
-    screen drops a candidate only where an enclosure proves it is
-    classified as ``target``, so no label changes.  On one hidden layer
-    it would cost the very output layer it saves.
+    The samples are drawn only over the features free in any box of the
+    call: one ``rng.random((boxes, n_random, free))`` draw, box after box,
+    scaled in place by the boxes' widths there.  A fixed feature has zero
+    width, so each sample is uniform over its own box, and sample j of
+    box b is ``lo[b]`` plus row j of its offsets on those features, with
+    ``bounds.uniform_draw``'s bits.  Each box takes ``n_random`` times
+    ``free`` draws, where a full-width draw takes ``n_random`` times the
+    input width, so the stream depends on the call's boxes together.
+    With ``n_random`` 0, or no free feature in the call, nothing is drawn
+    (``rng`` may then be None).
+
+    Centers and corners are exact rows (``_candidate_rows``).  A sample's
+    first-layer pre-activation is its box's anchor ``lo[b] @ Wᵀ + b₀`` plus
+    one product of rank ``free`` for the whole call (``_first_layer``), so
+    no full-width sample row is formed; it equals the sample's own row up
+    to rounding.  A sample flagged as misclassified is rebuilt and kept
+    only if ``predict`` confirms it, so every returned witness is a
+    genuine counterexample.
+
+    The remaining layers run on the first-layer activations of all
+    candidates, exact rows first, then samples.  A network with two or
+    more layers after the first screens each box first (``_screen``): a
+    box whose candidates' first-layer hull certifies ``target`` holds no
+    witness and gets None without its remaining layers.  Only the other
+    boxes' rows, in buffer order, finish the pass.  The screen drops a
+    candidate only where an enclosure proves it is classified as
+    ``target``, so no label changes.  With one layer after the first it
+    would cost the very layer it saves.
     """
+    if n_random < 0:
+        raise ValidationError(f"n_random must be nonnegative, got {n_random}")
     boxes = lo.shape[0]
     if boxes == 0:
         return []
     toward_hi = _gap_corners(net, target, lo, hi, out_hi)
-    rows, order = _candidate_rows(lo, hi, toward_hi, rng, n_random)
-    if len(net.layers) < 3:
-        labels = np.argmax(forward_batch(net, rows), axis=1)
+    rows = _candidate_rows(lo, hi, toward_hi)
+    free = np.flatnonzero((hi > lo).any(axis=0))
+    if free.size == 0:
+        n_random = 0  # every box is a point, which its center already is
+    offsets = np.empty((boxes, 0, free.size))
+    if n_random:
+        # The draw fills the front of a buffer sized for every feature.  Its
+        # size does not grow as the walk frees features, so the allocator
+        # reuses it; a growing one is mapped afresh, page faults and all, on
+        # every call (about 20,000 minor faults per mnist instance).
+        size = boxes * n_random * free.size
+        offsets = np.empty(boxes * n_random * lo.shape[1])[:size].reshape(boxes, n_random, free.size)
+        rng.random(out=offsets)
+        offsets *= (hi - lo)[:, None, free]
+    exact, corners = rows.shape[0], toward_hi.shape[1]
+    # Row order[b, j] of the first-layer array is box b's candidate j.
+    order = np.concatenate(
+        [
+            np.arange(boxes)[:, None],
+            boxes + np.arange(boxes * corners).reshape(boxes, corners),
+            exact + np.arange(boxes * n_random).reshape(boxes, n_random),
+        ],
+        axis=1,
+    )
+    first_layer = _first_layer(net.layers[0], rows, lo, free, offsets)
+    rest = net.layers[1:]
+    if len(rest) < 2:
+        labels = np.argmax(forward_rows(rest, first_layer), axis=1)
     else:
-        first_layer = forward_rows(net.layers[:1], rows)
-        closed = _screen(net, target, first_layer, boxes, toward_hi.shape[1])
+        closed = _screen(net, target, first_layer, boxes, corners)
         if closed.all():
             return [None] * boxes
-        rest = net.layers[1:]
         if closed.any():
             # A closed box's candidates are all classified as the target.
-            open_rows = np.zeros(rows.shape[0], dtype=bool)
+            open_rows = np.zeros(first_layer.shape[0], dtype=bool)
             open_rows[order[~closed]] = True
-            labels = np.full(rows.shape[0], target)
+            labels = np.full(first_layer.shape[0], target)
             labels[open_rows] = np.argmax(forward_rows(rest, first_layer[open_rows]), axis=1)
         else:
             labels = np.argmax(forward_rows(rest, first_layer), axis=1)
     wrong = (labels != target)[order]
-    first = np.argmax(wrong, axis=1)
-    return [rows[order[b, first[b]]].copy() if wrong[b, first[b]] else None for b in range(boxes)]
+    witnesses = []
+    for b in range(boxes):
+        witness = None
+        for j in np.flatnonzero(wrong[b]):
+            if order[b, j] < exact:
+                witness = rows[order[b, j]].copy()
+                break
+            sample = lo[b].copy()
+            sample[free] += offsets[b, j - 1 - corners]
+            if predict(net, sample) != target:
+                witness = sample
+                break
+        witnesses.append(witness)
+    return witnesses
+
+
+def _first_layer(layer, rows: np.ndarray, lo: np.ndarray, free: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The first layer's activations of the exact rows, then of the samples, in one array.
+
+    ``rows`` go through ``rows @ Wᵀ + b``, with the bits of
+    ``forward_rows``.  Sample j of box b is ``lo[b]`` plus ``offsets[b, j]``
+    on the features ``free``, so its pre-activation is the box's anchor
+    ``lo[b] @ Wᵀ + b`` plus ``offsets[b, j] @ W[:, free]ᵀ``: one product of
+    shape (boxes * n_random, free) by (free, width) for all samples.
+    Returns shape (exact rows + boxes * n_random, width); the samples
+    follow the rows box after box.
+    """
+    exact = rows.shape[0]
+    boxes, n_random, _ = offsets.shape
+    out = np.empty((exact + boxes * n_random, layer.out_dim))
+    np.matmul(rows, layer.weights.T, out=out[:exact])
+    out[:exact] += layer.bias
+    if n_random:
+        samples = out[exact:]
+        np.matmul(offsets.reshape(-1, free.size), layer.weights.T[free], out=samples)
+        anchor = lo @ layer.weights.T
+        anchor += layer.bias
+        per_box = samples.reshape(boxes, n_random, -1)
+        per_box += anchor[:, None]
+    return apply_activation(layer.activation.value, out, out=out)
 
 
 def _screen(net: ConcreteNetwork, target: int, first_layer: np.ndarray, boxes: int, corners: int) -> np.ndarray:
@@ -380,10 +458,12 @@ def gen_counterexample(
 
     Called after an Uncertain enclosure verdict, with the output enclosure
     that verdict was decided on (``Verdict.enclosure``); runner-up classes
-    are ranked by its upper bounds.  Every candidate is evaluated exactly,
-    so a returned witness is a genuine counterexample.  Absence of a
-    witness is a normal outcome.
+    are ranked by its upper bounds.  The search is ``find_witnesses``, so
+    a returned witness is a genuine counterexample.  Absence of a witness
+    is a normal outcome.  The target is checked as ``check_concrete``
+    checks it.
     """
+    _validate_target(net, q)
     rng = rng if rng is not None else np.random.default_rng(0)
     box = q.query_box()
     return find_witnesses(net, q.target, box.lo[None], box.hi[None], enclosure.hi[None], rng)[0]

@@ -97,6 +97,17 @@ class TestOrdering:
         ordering = order_features(net, x, FeatureGrouping.singletons(3), "sensitivity")
         assert ordering.resolved == (0, 1, 2)
 
+    @pytest.mark.parametrize("search", ["order_features", "explain_baseline", "explain_abstraction_refinement"])
+    def test_negative_seed_is_named(self, demo, search):
+        net, x = demo
+        call = {
+            "order_features": lambda: order_features(net, x, FeatureGrouping.singletons(3), "random", seed=-1),
+            "explain_baseline": lambda: explain_baseline(net, x, 0.5, seed=-1),
+            "explain_abstraction_refinement": lambda: explain_abstraction_refinement(net, x, 0.5, seed=-1),
+        }[search]
+        with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+            call()
+
     def test_resolved_must_be_permutation(self):
         with pytest.raises(ValidationError):
             FeatureOrdering("in-order", (0, 0, 1))

@@ -15,7 +15,8 @@ from provex.fixtures import mnist_shape_network, random_network, uniform_instanc
 from provex.intervals import apply_activation
 from provex import queries
 from provex.network import ConcreteNetwork, Layer, forward, forward_batch, forward_rows, gradients
-from provex.queries import _candidate_rows, _candidates, _gap_corners, _screen, _separation, find_witnesses
+from provex.errors import ValidationError
+from provex.queries import _candidate_rows, _candidates, _first_layer, _gap_corners, _screen, _separation, find_witnesses
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
@@ -83,20 +84,29 @@ def reference_separation(lo, hi, target):
     return margin, (margin >= 0) & ~lower_touch
 
 
-def reference_candidates(lo, hi, toward_hi, rng=None, n_random=0):
+def reference_candidates(lo, hi, toward_hi, rng=None, n_random=0, free=None):
+    """Centers, corners, then ``n_random`` samples per box, drawn over the features ``free`` (default all).
+
+    A sample is ``lo`` with ``(hi - lo) * r`` added on ``free``, r one draw
+    of shape (boxes, n_random, len(free)).
+    """
+    free = np.arange(lo.shape[1]) if free is None else free
     lo, hi = lo[:, None, :], hi[:, None, :]
     parts = [0.5 * (lo + hi), np.where(toward_hi, hi, lo)]
     if n_random > 0:
-        parts.append(lo + (hi - lo) * rng.random((lo.shape[0], n_random, lo.shape[2])))
+        samples = np.repeat(lo, n_random, axis=1)
+        samples[:, :, free] += (hi - lo)[:, :, free] * rng.random((lo.shape[0], n_random, free.size))
+        parts.append(samples)
     return np.concatenate(parts, axis=1)
 
 
 def reference_find_witnesses(net, target, lo, hi, out_hi, rng, n_random=64):
-    """One candidate array per box, built with ``np.concatenate``, evaluated in one pass."""
+    """One candidate array per box, samples drawn over the call's free features, every row evaluated whole."""
     boxes = lo.shape[0]
     if boxes == 0:
         return []
-    cands = reference_candidates(lo, hi, _gap_corners(net, target, lo, hi, out_hi), rng, n_random)
+    free = np.flatnonzero((hi > lo).any(axis=0))
+    cands = reference_candidates(lo, hi, _gap_corners(net, target, lo, hi, out_hi), rng, n_random, free)
     labels = np.argmax(reference_forward_batch(net, cands.reshape(-1, lo.shape[1])), axis=1)
     wrong = labels.reshape(boxes, -1) != target
     return [cands[b, np.argmax(wrong[b])] if wrong[b].any() else None for b in range(boxes)]
@@ -422,23 +432,27 @@ class TestScreenedWitnessSearch:
             if len(net.layers) < 3:
                 continue
             toward_hi = _gap_corners(net, target, lo, hi, out_hi)
-            rows, order = _candidate_rows(lo, hi, toward_hi, np.random.default_rng(seed), n_random)
-            first = net.layers[0]
-            first_layer = reference_activation(first.activation.value, rows @ first.weights.T + first.bias)
+            free = np.flatnonzero((hi > lo).any(axis=0))
+            offsets = np.random.default_rng(seed).random((lo.shape[0], n_random, free.size))
+            offsets *= (hi - lo)[:, None, free]
+            first_layer = _first_layer(net.layers[0], _candidate_rows(lo, hi, toward_hi), lo, free, offsets)
             closed = _screen(net, target, first_layer, lo.shape[0], toward_hi.shape[1])
+            # Every candidate as a whole row: center, corners, then lo plus the offsets on the free features.
+            cands = reference_candidates(lo, hi, toward_hi, np.random.default_rng(seed), n_random, free)
             for b in np.flatnonzero(closed):
-                assert (np.argmax(forward_batch(net, rows[order[b]]), axis=1) == target).all()
+                assert (np.argmax(forward_batch(net, cands[b]), axis=1) == target).all()
             closed_boxes += int(closed.sum())
             partly_closed_calls += bool(closed.any() and not closed.all())
         assert closed_boxes > 500 and partly_closed_calls > 50
 
     def test_two_layer_net_makes_one_forward_pass(self, monkeypatch):
+        # No screen: the output layer runs once on every candidate's first-layer activations.
         calls = count_passes(monkeypatch)
         net = random_network(9, (12,), 3, "relu", seed=40)
         _, lo, hi = boxes_of(net, 16, seed=2)
         out_hi = propagate_rows(net.layers, lo, hi)[1]
         find_witnesses(net, 0, lo, hi, out_hi, np.random.default_rng(0))
-        assert calls == [("forward_batch", 16 * 67)]
+        assert calls == [("_first_layer", 16 * 67), ("forward_rows", 16 * 67)]
 
     def test_deeper_net_runs_the_first_layer_on_the_whole_buffer(self, monkeypatch):
         calls = count_passes(monkeypatch)
@@ -448,8 +462,8 @@ class TestScreenedWitnessSearch:
         out_hi = propagate_rows(net.layers, lo, hi)[1]
         find_witnesses(net, 0, lo, hi, out_hi, np.random.default_rng(0))
         corners = min(2, net.output_dim - 1)
-        assert calls[0] == ("forward_rows", 16 * (1 + corners + 64))
-        assert all(name == "forward_rows" for name, _ in calls)
+        assert calls[0] == ("_first_layer", 16 * (1 + corners + 64))
+        assert all(name == "forward_rows" for name, _ in calls[1:])
 
     def test_mnist_pins_close_without_the_later_layers(self, monkeypatch):
         # The boxes' own enclosures do not separate, as for every pin; the
@@ -470,7 +484,7 @@ class TestScreenedWitnessSearch:
         assert not _separation(out_lo, out_hi, target)[1].any()
         calls = count_passes(monkeypatch)
         assert find_witnesses(net, target, lo, hi, out_hi, np.random.default_rng(0)) == [None] * 16
-        assert calls == [("forward_rows", 16 * 67)]
+        assert calls == [("_first_layer", 16 * 67)]
 
     @pytest.mark.parametrize("n_random", [0, 64])
     def test_one_class_deep_net_never_has_a_witness(self, n_random):
@@ -481,9 +495,117 @@ class TestScreenedWitnessSearch:
         assert find_witnesses(net, 0, lo, hi, out_hi, np.random.default_rng(0), n_random) == [None] * 16
 
 
+def exact_rows_of(net, target, lo, hi, out_hi):
+    """Per box, the bytes of its center and corner rows."""
+    toward_hi = _gap_corners(net, target, lo, hi, out_hi)
+    rows = reference_candidates(lo, hi, toward_hi)
+    return [{row.tobytes() for row in rows[b]} for b in range(lo.shape[0])]
+
+
+class TestFreeFeatureSamples:
+    """Samples are drawn over the call's free features and enter the first layer as a low-rank update."""
+
+    def test_witnesses_are_counterexamples_inside_their_boxes(self):
+        samples = 0
+        for seed, net, target, lo, hi, out_hi, n_random in screen_cases(300):
+            got = find_witnesses(net, target, lo, hi, out_hi, np.random.default_rng(seed), n_random)
+            exact = exact_rows_of(net, target, lo, hi, out_hi)
+            for b, witness in enumerate(got):
+                if witness is None:
+                    continue
+                assert np.all(lo[b] <= witness) and np.all(witness <= hi[b])
+                fixed = lo[b] == hi[b]
+                assert witness[fixed].tobytes() == lo[b][fixed].tobytes()
+                assert int(np.argmax(forward(net, witness))) != target
+                samples += witness.tobytes() not in exact[b]
+        # Witnesses that only a sample found keep the rebuilt samples in the check.
+        assert samples > 10
+
+    def test_a_flagged_sample_is_kept_only_if_predict_confirms_it(self, monkeypatch):
+        cases = list(screen_cases(60))
+        plain = [find_witnesses(*case[1:6], np.random.default_rng(case[0]), case[6]) for case in cases]
+        # A predict that never confirms: only centers and corners can be witnesses.
+        target_of = [0]
+        monkeypatch.setattr(queries, "predict", lambda net, x: target_of[0])
+        dropped = 0
+        for case, want in zip(cases, plain):
+            seed, net, target, lo, hi, out_hi, n_random = case
+            target_of[0] = target
+            got = find_witnesses(net, target, lo, hi, out_hi, np.random.default_rng(seed), n_random)
+            exact = exact_rows_of(net, target, lo, hi, out_hi)
+            for b, (g, w) in enumerate(zip(got, want)):
+                if w is not None and w.tobytes() in exact[b]:
+                    assert g.tobytes() == w.tobytes()
+                else:
+                    assert g is None
+                    dropped += w is not None
+        assert dropped > 0
+
+    def test_the_draw_covers_only_the_features_free_in_some_box(self):
+        net = random_network(100, (50,), 10, "relu", seed=4)
+        xs = uniform_instances(net, 16, seed=4)
+        rng = np.random.default_rng(9)
+        free = rng.random(xs.shape) < 0.035
+        lo, hi = np.where(free, np.maximum(0.0, xs - 0.3), xs), np.where(free, np.minimum(1.0, xs + 0.3), xs)
+        union = int(free.any(axis=0).sum())
+        assert 0 < union < 100
+        out_hi = propagate_rows(net.layers, lo, hi)[1]
+        ours, theirs = np.random.default_rng(2), np.random.default_rng(2)
+        find_witnesses(net, int(np.argmax(forward(net, xs[0]))), lo, hi, out_hi, ours)
+        theirs.random((16, 64, union))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_nothing_is_drawn_without_free_features(self):
+        # Point boxes: their samples would all be their centers.
+        net = random_network(9, (12, 8), 3, "tanh", seed=41)
+        _, lo, _ = boxes_of(net, 16, seed=1)
+        out_hi = propagate_rows(net.layers, lo, lo)[1]
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        got = find_witnesses(net, 0, lo, lo, out_hi, rng, 64)
+        assert rng.bit_generator.state == before
+        want = find_witnesses(net, 0, lo, lo, out_hi, None, 64)
+        assert [g if g is None else g.tobytes() for g in got] == [w if w is None else w.tobytes() for w in want]
+
+    def test_no_samples_need_no_generator(self):
+        net = random_network(9, (12, 8), 3, "tanh", seed=41)
+        _, lo, hi = boxes_of(net, 16, seed=1)
+        assert (hi > lo).any()
+        find_witnesses(net, 0, lo, hi, propagate_rows(net.layers, lo, hi)[1], None, 0)
+
+    def test_negative_sample_count_is_named(self):
+        net = random_network(9, (12,), 3, "relu", seed=40)
+        _, lo, hi = boxes_of(net, 4, seed=2)
+        out_hi = propagate_rows(net.layers, lo, hi)[1]
+        with pytest.raises(ValidationError, match="n_random must be nonnegative, got -1"):
+            find_witnesses(net, 0, lo, hi, out_hi, np.random.default_rng(0), -1)
+
+    def test_first_layer_of_the_samples_is_their_rows_up_to_rounding(self):
+        for seed, net, target, lo, hi, out_hi, n_random in screen_cases(40):
+            if n_random == 0:
+                continue
+            toward_hi = _gap_corners(net, target, lo, hi, out_hi)
+            rows = _candidate_rows(lo, hi, toward_hi)
+            free = np.flatnonzero((hi > lo).any(axis=0))
+            offsets = np.random.default_rng(seed).random((lo.shape[0], n_random, free.size))
+            offsets *= (hi - lo)[:, None, free]
+            got = _first_layer(net.layers[0], rows, lo, free, offsets)
+            first = net.layers[0]
+            assert got[: len(rows)].tobytes() == forward_rows((first,), rows).tobytes()
+            cands = reference_candidates(lo, hi, toward_hi, np.random.default_rng(seed), n_random, free)
+            whole = forward_rows((first,), cands[:, 1 + toward_hi.shape[1] :].reshape(-1, lo.shape[1]))
+            assert np.allclose(got[len(rows) :], whole, rtol=1e-12, atol=1e-12)
+
 def count_passes(monkeypatch):
-    """Record the exact passes ``find_witnesses`` makes, by name and row count."""
+    """Record the passes ``find_witnesses`` makes, by name and row count.
+
+    ``_first_layer`` counts its exact rows and its samples.
+    """
     calls = []
+
+    def first_layer(layer, rows, lo, free, offsets):
+        calls.append(("_first_layer", len(rows) + offsets.shape[0] * offsets.shape[1]))
+        return search_first_layer(layer, rows, lo, free, offsets)
 
     def recording(name, fn):
         def wrapped(first, xs):
@@ -492,6 +614,8 @@ def count_passes(monkeypatch):
 
         return wrapped
 
+    search_first_layer = queries._first_layer
+    monkeypatch.setattr(queries, "_first_layer", first_layer)
     monkeypatch.setattr(queries, "forward_batch", recording("forward_batch", queries.forward_batch))
     monkeypatch.setattr(queries, "forward_rows", recording("forward_rows", queries.forward_rows))
     return calls

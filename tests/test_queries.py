@@ -6,7 +6,7 @@ import pytest
 from conftest import make_query, small_net_and_instance
 from provex.abstraction import build_abstract, build_from_merge_sets, refine
 from provex.bounds import propagate_abstract, propagate_box, sample_box
-from provex.errors import ValidationError
+from provex.errors import DimensionError, ValidationError
 from provex.explain import explain_abstraction_refinement, explain_baseline
 from provex.fixtures import random_network, uniform_instances
 from provex.intervals import IntervalVector
@@ -68,6 +68,29 @@ class TestQueryBox:
         net, x = demo
         with pytest.raises(ValidationError, match=f"delta must be positive, got {delta}"):
             RegressionQuery(x, frozenset(), 0.1, delta, net.input_domain)
+
+    def test_non_integer_fixed_feature_is_named(self, demo):
+        # A float index was truncated to the feature below it.
+        net, x = demo
+        with pytest.raises(ValidationError, match="fixed_features must hold integer indices, got 1.5"):
+            SufficiencyQuery(x, frozenset({0, 1.5}), 0.1, 1, net.input_domain)
+        with pytest.raises(ValidationError, match="fixed_features"):
+            RegressionQuery(x, frozenset({1.0}), 0.1, 1.0, net.input_domain)
+        q = SufficiencyQuery(x, frozenset({np.int64(1), np.int32(2)}), 0.1, 1, net.input_domain)
+        assert q.fixed_features == {1, 2} and all(type(i) is int for i in q.fixed_features)
+        assert RegressionQuery(x, frozenset({np.int64(0)}), 0.1, 1.0, net.input_domain).fixed_features == {0}
+
+    @pytest.mark.parametrize("target", [1.0, "1", True, None])
+    def test_non_integer_target_is_named(self, demo, target):
+        net, x = demo
+        with pytest.raises(ValidationError, match="target must be an integer class index"):
+            SufficiencyQuery(x, frozenset(), 0.1, target, net.input_domain)
+
+    def test_numpy_integer_target_is_valid(self, demo):
+        net, x = demo
+        q = SufficiencyQuery(x, frozenset(), 0.1, np.int64(predict(net, x)), net.input_domain)
+        assert type(q.target) is int
+        assert check_concrete(net, q).kind is check_concrete(net, make_query(net, x, set(), 0.1)).kind
 
     def test_instance_outside_domain_rejected(self):
         net = ConcreteNetwork((Layer(np.array([[1.0], [-1.0]]), np.array([0.0, 1.0]), "identity"),))
@@ -384,6 +407,15 @@ class TestGenCounterexample:
                 hits += 1
         assert cases == 200
         assert hits >= 0.7 * cases
+
+    def test_target_is_checked_as_check_concrete_checks_it(self):
+        net, x = small_net_and_instance(1)
+        enclosure = propagate_box(net, make_query(net, x, set(), 0.5).query_box()).final
+        with pytest.raises(DimensionError, match="target 7 out of range for 3 classes"):
+            gen_counterexample(net, enclosure, SufficiencyQuery(x, frozenset(), 0.5, 7, net.input_domain))
+        other = (predict(net, x) + 1) % net.output_dim
+        with pytest.raises(ValidationError, match="does not match the network's prediction"):
+            gen_counterexample(net, enclosure, SufficiencyQuery(x, frozenset(), 0.5, other, net.input_domain))
 
     def test_returned_witness_is_validated(self):
         for seed in range(50):
