@@ -35,6 +35,7 @@ from .network import (
     ConcreteNetwork,
     Layer,
     forward,
+    forward_batch,
     gradient,
     load_network,
     predict,
@@ -66,8 +67,8 @@ __all__ = [
     "build_abstract", "build_from_merge_sets", "check_abstract",
     "check_concrete", "check_regression", "count_work", "demo_network",
     "explain_abstraction_refinement", "explain_baseline", "forward",
-    "gen_counterexample", "gradient", "iv_subset", "load_network", "make_fixture",
-    "mnist_shape_network", "oracle_check", "order_features", "predict",
-    "propagate_abstract", "propagate_box", "random_network", "refine",
-    "save_network", "score_neurons",
+    "forward_batch", "gen_counterexample", "gradient", "iv_subset",
+    "load_network", "make_fixture", "mnist_shape_network", "oracle_check",
+    "order_features", "predict", "propagate_abstract", "propagate_box",
+    "random_network", "refine", "save_network", "score_neurons",
 ]

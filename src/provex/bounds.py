@@ -143,17 +143,11 @@ def propagate_rows(layers, lo, hi):
     return lo, hi
 
 
-def uniform_draw(lo, hi, shape, rng: np.random.Generator) -> np.ndarray:
-    """``rng.uniform(lo, hi, shape)`` for endpoints that broadcast to ``shape``, in half the time.
-
-    ``lo + (hi - lo) * rng.random(shape)`` is the formula numpy's
-    ``uniform`` evaluates, so the draw has the same bits and leaves the
-    generator in the same state; ``uniform`` spends the difference
-    broadcasting its arguments element by element.
-    """
-    return lo + (hi - lo) * rng.random(shape)
-
-
 def sample_box(box: IntervalVector, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample of points from a box, one per row."""
-    return uniform_draw(box.lo, box.hi, (count, len(box)), rng)
+    """Uniform sample of points from a box, one per row.
+
+    ``lo + width * rng.random(...)`` is the formula numpy's ``uniform``
+    evaluates, so the draw has its bits and leaves the generator where it
+    leaves it, in half the time.
+    """
+    return box.lo + box.width * rng.random((count, len(box)))

@@ -176,6 +176,8 @@ def cmd_verify(args) -> int:
         subset = frozenset(int(tok) - 1 for tok in args.subset.split(",") if tok.strip())
     except ValueError:
         raise ProvexError(f"--subset: expected comma-separated feature ids, got {args.subset!r}") from None
+    if any(not 0 <= i < net.input_dim for i in subset):
+        raise ValidationError(f"--subset: feature ids run from 1 to {net.input_dim}, got {args.subset!r}")
     q = SufficiencyQuery(
         x=x,
         fixed_features=subset,
@@ -326,21 +328,37 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def cmd_fixture(args) -> int:
-    _check_nonnegative("--instances", args.instances)
+def _widths(text: str) -> tuple[int, ...]:
+    """The ``--widths`` hidden widths: at least one integer."""
     try:
-        hidden = tuple(int(w) for w in args.widths.split(",") if w.strip()) if args.widths else (16, 16)
+        hidden = tuple(int(w) for w in text.split(",") if w.strip())
     except ValueError:
-        raise ProvexError(f"--widths: expected comma-separated integers, got {args.widths!r}") from None
-    spec = FixtureSpec(
-        kind=args.kind,
-        seed=args.seed,
-        input_dim=args.input_dim,
-        hidden=hidden,
-        output_dim=args.output_dim,
-        activation=args.activation,
-        instances=args.instances,
-    )
+        hidden = ()
+    if not hidden:
+        raise ProvexError(f"--widths: expected comma-separated integers, got {text!r}")
+    return hidden
+
+
+def cmd_fixture(args) -> int:
+    for flag, value in (("--seed", args.seed), ("--instances", args.instances)):
+        _check_nonnegative(flag, value)
+    # Each flag given, with the FixtureSpec field it sets; a kind rejects the flags it never reads.
+    given = {
+        "--seed": ("seed", args.seed),
+        "--input-dim": ("input_dim", args.input_dim),
+        "--widths": ("hidden", None if args.widths is None else _widths(args.widths)),
+        "--output-dim": ("output_dim", args.output_dim),
+        "--activation": ("activation", args.activation),
+        "--instances": ("instances", args.instances),
+    }
+    read = {"random": set(given), "mnist_shape": {"--seed", "--instances"}, "demo": set()}[args.kind]
+    fields = {}
+    for flag, (name, value) in given.items():
+        if value is not None:
+            if flag not in read:
+                raise ProvexError(f"{flag} does not apply to --kind {args.kind}")
+            fields[name] = value
+    spec = FixtureSpec(kind=args.kind, **fields)
     net, instances = make_fixture(spec)
     os.makedirs(args.out, exist_ok=True)
     net_path = os.path.join(args.out, "network.json")
@@ -406,12 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fixture = sub.add_parser("fixture", help="write a generated network and instances")
     p_fixture.add_argument("--kind", choices=["demo", "random", "mnist_shape"], default="random")
-    p_fixture.add_argument("--seed", type=int, default=0)
-    p_fixture.add_argument("--input-dim", type=int, default=8)
-    p_fixture.add_argument("--widths", default="16,16", help="comma-separated hidden widths")
-    p_fixture.add_argument("--output-dim", type=int, default=3)
-    p_fixture.add_argument("--activation", choices=["relu", "sigmoid", "tanh"], default="relu")
-    p_fixture.add_argument("--instances", type=int, default=1)
+    p_fixture.add_argument("--seed", type=int, help="weight and instance seed (default: 0; not for demo)")
+    p_fixture.add_argument("--input-dim", type=int, help="input width (default: 8; random only)")
+    p_fixture.add_argument("--widths", help="comma-separated hidden widths (default: 16,16; random only)")
+    p_fixture.add_argument("--output-dim", type=int, help="class count (default: 3; random only)")
+    p_fixture.add_argument("--activation", choices=["relu", "sigmoid", "tanh"],
+                           help="hidden activation (default: relu; random only)")
+    p_fixture.add_argument("--instances", type=int, help="instance count (default: 1; not for demo)")
     p_fixture.add_argument("--out", default=".")
     p_fixture.set_defaults(func=cmd_fixture)
 

@@ -6,16 +6,17 @@ predicted class cannot change anywhere in that box.  Enclosure-based checks
 are sound but incomplete: a failed separation yields either a concrete
 counterexample (validated on the real network) or an Uncertain verdict.
 
-Counterexample search (``find_witnesses``) tries each box's center and
-gradient corners as exact rows, and random samples drawn only over the
-features free in some box of the call.  A sample's first layer is its
-box's lower corner through the layer plus a low-rank update for its free
-features, so a sample costs what its free features cost; a sample flagged
-as misclassified is rebuilt and confirmed with ``predict``.  On a network
-with more than one hidden layer each box is then screened: where the
-interval pass of the remaining layers over the hull of its candidates'
-first-layer activations certifies the target, none of them is a witness,
-and the box skips the rest of the pass.  The screen changes no label.
+Counterexample search draws every candidate through ``_candidates``: each
+box's center and gradient corners as exact rows, and random samples drawn
+only over the features free in some box of the call, whose first layer is
+the box's lower corner through the layer plus a low-rank update.  One pass
+labels (for regression, measures) every candidate, and a flagged candidate
+is kept only if a pass of its own row confirms it, so every witness is a
+genuine counterexample.  On a network with more than one hidden layer
+``find_witnesses`` screens each box first: where the interval pass of the
+remaining layers over the hull of its candidates' first-layer activations
+certifies the target, the box skips the rest of the pass.  The screen
+changes no label.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from enum import Enum
 import numpy as np
 
 from .abstraction import AbstractNetwork
-from .bounds import propagate_abstract, propagate_box, propagate_rows, uniform_draw
+from .bounds import propagate_abstract, propagate_box, propagate_rows
 from .errors import DimensionError, ValidationError
 from .intervals import IntervalVector, apply_activation
-from .network import ConcreteNetwork, forward, forward_batch, forward_rows, gradient, gradients, predict
+from .network import ConcreteNetwork, forward, forward_rows, gradient, gradients, predict
 
 
 class VerdictKind(str, Enum):
@@ -201,21 +202,6 @@ def _candidate_rows(lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray) -> np
     return rows
 
 
-def _candidates(lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rng=None, n_random: int = 0) -> np.ndarray:
-    """Per box its center, its corners and ``n_random`` full-width uniform samples.
-
-    Shape (boxes, candidates per box, inputs).  The samples are one
-    ``uniform_draw`` of shape (boxes, n_random, inputs), so they leave
-    ``rng`` where one draw per box in box order leaves it.
-    """
-    boxes, inputs = lo.shape
-    rows = _candidate_rows(lo, hi, toward_hi)
-    parts = [rows[:boxes, None], rows[boxes:].reshape(boxes, -1, inputs)]
-    if n_random > 0:
-        parts.append(uniform_draw(lo[:, None], hi[:, None], (boxes, n_random, inputs), rng))
-    return np.concatenate(parts, axis=1)
-
-
 def _gap_corners(net: ConcreteNetwork, target: int, lo: np.ndarray, hi: np.ndarray, out_hi: np.ndarray) -> np.ndarray:
     """Per box, the corner masks that maximize the linearized logit gap to the top-2 runner-ups.
 
@@ -242,39 +228,23 @@ def find_witnesses(
 ) -> list:
     """Search each box, one per row of ``lo``/``hi``, for a point not assigned to ``target``.
 
-    Per box the candidates are its center, then its ``_gap_corners``
-    (ranked by the box's output upper bounds, a row of ``out_hi``), then
-    ``n_random`` uniform samples.  A box's witness is its first
-    misclassified candidate in that order; a box without one gets None.
+    Per box the candidates are those of ``_candidates``: its center, then
+    its ``_gap_corners`` (ranked by the box's output upper bounds, a row of
+    ``out_hi``), then ``n_random`` uniform samples drawn over the features
+    free in any box of the call.  The remaining layers label every
+    candidate in one pass over their first-layer activations.  Every
+    candidate labelled misclassified is rebuilt as an input row, in
+    candidate order, and kept only if ``predict`` confirms it on that row
+    alone (a batched row's bits may differ from its own pass), so every
+    returned witness is a genuine counterexample.  A box's witness is its
+    first confirmed candidate; a box without one gets None.
 
-    The samples are drawn only over the features free in any box of the
-    call: one ``rng.random((boxes, n_random, free))`` draw, box after box,
-    scaled in place by the boxes' widths there.  A fixed feature has zero
-    width, so each sample is uniform over its own box, and sample j of
-    box b is ``lo[b]`` plus row j of its offsets on those features, with
-    ``bounds.uniform_draw``'s bits.  Each box takes ``n_random`` times
-    ``free`` draws, where a full-width draw takes ``n_random`` times the
-    input width, so the stream depends on the call's boxes together.
-    With ``n_random`` 0, or no free feature in the call, nothing is drawn
-    (``rng`` may then be None).
-
-    Centers and corners are exact rows (``_candidate_rows``).  A sample's
-    first-layer pre-activation is its box's anchor ``lo[b] @ Wᵀ + b₀`` plus
-    one product of rank ``free`` for the whole call (``_first_layer``), so
-    no full-width sample row is formed; it equals the sample's own row up
-    to rounding.  A sample flagged as misclassified is rebuilt and kept
-    only if ``predict`` confirms it, so every returned witness is a
-    genuine counterexample.
-
-    The remaining layers run on the first-layer activations of all
-    candidates, exact rows first, then samples.  A network with two or
-    more layers after the first screens each box first (``_screen``): a
-    box whose candidates' first-layer hull certifies ``target`` holds no
-    witness and gets None without its remaining layers.  Only the other
-    boxes' rows, in buffer order, finish the pass.  The screen drops a
-    candidate only where an enclosure proves it is classified as
-    ``target``, so no label changes.  With one layer after the first it
-    would cost the very layer it saves.
+    A network with two or more layers after the first screens each box
+    first (``_screen``): a box whose candidates' first-layer hull
+    certifies ``target`` holds no witness, and its rows are left out of
+    the label pass.  The screen drops a candidate only where an enclosure
+    proves it is classified as ``target``, so no label changes.  With one
+    layer after the first it would cost the very layer it saves.
     """
     if n_random < 0:
         raise ValidationError(f"n_random must be nonnegative, got {n_random}")
@@ -282,6 +252,55 @@ def find_witnesses(
     if boxes == 0:
         return []
     toward_hi = _gap_corners(net, target, lo, hi, out_hi)
+    first_layer, order, candidate = _candidates(net.layers[0], lo, hi, toward_hi, rng, n_random)
+    rest = net.layers[1:]
+    open_rows = slice(None)
+    if len(rest) >= 2:
+        closed = _screen(net, target, first_layer, boxes, toward_hi.shape[1])
+        if closed.all():
+            return [None] * boxes
+        if closed.any():
+            # A closed box's candidates are all classified as the target.
+            open_rows = np.zeros(first_layer.shape[0], dtype=bool)
+            open_rows[order[~closed]] = True
+    labels = np.full(first_layer.shape[0], target)
+    labels[open_rows] = np.argmax(forward_rows(rest, first_layer[open_rows]), axis=1)
+    wrong = (labels != target)[order]
+    return [
+        _first_confirmed(candidate, b, wrong[b], lambda point: predict(net, point) != target) for b in range(boxes)
+    ]
+
+
+def _first_confirmed(candidate, b: int, flagged: np.ndarray, confirms):
+    """Box b's first flagged candidate that ``confirms`` holds for on its own row, or None."""
+    for j in np.flatnonzero(flagged):
+        point = candidate(b, j)
+        if confirms(point):
+            return point
+    return None
+
+
+def _candidates(layer, lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rng, n_random: int):
+    """Every witness candidate of a batch of boxes, through ``layer``, the network's first.
+
+    Per box the candidates are its center and one corner per mask of
+    ``toward_hi`` (``_candidate_rows``), then ``n_random`` uniform samples.
+    The samples are drawn only over the features free in any box of the
+    call: one ``rng.random((boxes, n_random, free))`` draw, box after box,
+    scaled in place by the boxes' widths there.  A fixed feature has zero
+    width, so each sample is uniform over its own box, and sample j of box
+    b is ``lo[b]`` plus row j of its offsets on those features, with the
+    bits of ``rng.uniform`` there.  Each box takes ``n_random`` times
+    ``free`` draws, so the stream depends on the call's boxes together.
+    With ``n_random`` 0, or no free feature in the call, nothing is drawn
+    (``rng`` may then be None).
+
+    Returns the first layer's activations of every candidate
+    (``_first_layer``); ``order``, where ``order[b, j]`` is the row there
+    of box b's candidate j; and ``candidate(b, j)``, which rebuilds that
+    candidate as a fresh input row.
+    """
+    boxes, inputs = lo.shape
     rows = _candidate_rows(lo, hi, toward_hi)
     free = np.flatnonzero((hi > lo).any(axis=0))
     if free.size == 0:
@@ -293,11 +312,10 @@ def find_witnesses(
         # reuses it; a growing one is mapped afresh, page faults and all, on
         # every call (about 20,000 minor faults per mnist instance).
         size = boxes * n_random * free.size
-        offsets = np.empty(boxes * n_random * lo.shape[1])[:size].reshape(boxes, n_random, free.size)
+        offsets = np.empty(boxes * n_random * inputs)[:size].reshape(boxes, n_random, free.size)
         rng.random(out=offsets)
         offsets *= (hi - lo)[:, None, free]
     exact, corners = rows.shape[0], toward_hi.shape[1]
-    # Row order[b, j] of the first-layer array is box b's candidate j.
     order = np.concatenate(
         [
             np.arange(boxes)[:, None],
@@ -306,37 +324,15 @@ def find_witnesses(
         ],
         axis=1,
     )
-    first_layer = _first_layer(net.layers[0], rows, lo, free, offsets)
-    rest = net.layers[1:]
-    if len(rest) < 2:
-        labels = np.argmax(forward_rows(rest, first_layer), axis=1)
-    else:
-        closed = _screen(net, target, first_layer, boxes, corners)
-        if closed.all():
-            return [None] * boxes
-        if closed.any():
-            # A closed box's candidates are all classified as the target.
-            open_rows = np.zeros(first_layer.shape[0], dtype=bool)
-            open_rows[order[~closed]] = True
-            labels = np.full(first_layer.shape[0], target)
-            labels[open_rows] = np.argmax(forward_rows(rest, first_layer[open_rows]), axis=1)
-        else:
-            labels = np.argmax(forward_rows(rest, first_layer), axis=1)
-    wrong = (labels != target)[order]
-    witnesses = []
-    for b in range(boxes):
-        witness = None
-        for j in np.flatnonzero(wrong[b]):
-            if order[b, j] < exact:
-                witness = rows[order[b, j]].copy()
-                break
-            sample = lo[b].copy()
-            sample[free] += offsets[b, j - 1 - corners]
-            if predict(net, sample) != target:
-                witness = sample
-                break
-        witnesses.append(witness)
-    return witnesses
+
+    def candidate(b: int, j: int) -> np.ndarray:
+        if j <= corners:
+            return rows[order[b, j]].copy()
+        point = lo[b].copy()
+        point[free] += offsets[b, j - 1 - corners]
+        return point
+
+    return _first_layer(layer, rows, lo, free, offsets), order, candidate
 
 
 def _first_layer(layer, rows: np.ndarray, lo: np.ndarray, free: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -428,7 +424,11 @@ def check_regression(
     q: RegressionQuery,
     rng: np.random.Generator | None = None,
 ) -> Verdict:
-    """Sufficiency for scalar outputs: enclosure within f(x) +- delta."""
+    """Sufficiency for scalar outputs: enclosure within f(x) +- delta.
+
+    Failing that, the first ``_candidates`` point that ``forward`` on its
+    own row puts outside f(x) +- delta is a witness.
+    """
     if net.output_dim != 1:
         raise ValidationError("regression queries require a single-output network")
     box = q.query_box()
@@ -439,12 +439,13 @@ def check_regression(
         return Verdict(VerdictKind.SUFFICIENT, margin)
     rng = rng if rng is not None else np.random.default_rng(0)
     up = gradient(net, box.midpoint, 0) > 0
-    # The corners that maximize and minimize the linearized output.
-    cands = _candidates(box.lo[None], box.hi[None], np.stack([up, ~up])[None], rng, 64)[0]
-    values = forward_batch(net, cands)[:, 0]
-    bad = np.nonzero(np.abs(values - ref) > q.delta)[0]
-    if bad.size:
-        return Verdict(VerdictKind.INSUFFICIENT, margin, witness=cands[bad[0]])
+    # The corners that maximize and minimize the linearized output, then 64 samples.
+    corners = np.stack([up, ~up])[None]
+    first_layer, order, candidate = _candidates(net.layers[0], box.lo[None], box.hi[None], corners, rng, 64)
+    far = np.abs(forward_rows(net.layers[1:], first_layer)[order[0], 0] - ref) > q.delta
+    witness = _first_confirmed(candidate, 0, far, lambda point: abs(forward(net, point)[0] - ref) > q.delta)
+    if witness is not None:
+        return Verdict(VerdictKind.INSUFFICIENT, margin, witness=witness)
     return Verdict(VerdictKind.UNCERTAIN, margin)
 
 
@@ -508,7 +509,6 @@ def oracle_check(net: ConcreteNetwork, q: SufficiencyQuery, budget: int = 1 << 1
     if budget < 0:
         raise ValidationError(f"split budget must be nonnegative, got {budget}")
     _validate_target(net, q)
-    fixed_idx = list(q.fixed_features)
     stack = [q.query_box()]
     splits = 0
     evaluations = 0
@@ -521,9 +521,7 @@ def oracle_check(net: ConcreteNetwork, q: SufficiencyQuery, budget: int = 1 << 1
         witness = find_witnesses(net, q.target, box.lo[None], box.hi[None], out.hi[None], None, 0)[0]
         if witness is not None:
             return OracleResult(OracleOutcome.WITNESS, witness, splits, evaluations)
-        widths = box.width.copy()
-        if fixed_idx:
-            widths[fixed_idx] = 0.0
+        widths = box.width
         dim = int(np.argmax(widths))
         if widths[dim] <= 0.0:
             # The box is a single point, its center, which was just evaluated

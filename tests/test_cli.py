@@ -11,7 +11,7 @@ from conftest import make_query
 from provex.cli import main
 from provex.fixtures import demo_network, random_network, uniform_instances
 from provex.images import read_image, save_instance_csv, write_image
-from provex.network import forward, predict, save_network
+from provex.network import forward, load_network, predict, save_network
 from provex.queries import check_concrete
 
 
@@ -377,13 +377,15 @@ class TestVerifyCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: --epsilon must be nonnegative, got nan\n"
 
-    def test_bad_subset_is_error(self, demo_files):
+    def test_bad_subset_is_error(self, demo_files, capsys):
         net_path, inst_path = demo_files
-        code = main([
-            "verify", "--network", net_path, "--input", inst_path,
-            "--subset", "9", "--epsilon", "0.5",
-        ])
-        assert code == 1
+        for subset in ("9", "0", "1,4"):
+            code = main([
+                "verify", "--network", net_path, "--input", inst_path,
+                "--subset", subset, "--epsilon", "0.5",
+            ])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: --subset: feature ids run from 1 to 3, got {subset!r}\n"
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -634,6 +636,9 @@ class TestFixtureCommand:
         [
             (["--widths", "8,x"], "--widths: expected comma-separated integers, got '8,x'"),
             (["--input-dim", "-2"], "layer widths must be positive, got [-2, 16, 16, 3]"),
+            (["--widths", ""], "--widths: expected comma-separated integers, got ''"),
+            (["--widths", ", ,"], "--widths: expected comma-separated integers, got ', ,'"),
+            (["--seed", "-1"], "--seed must be nonnegative, got -1"),
         ],
     )
     def test_bad_shape_flags_are_errors(self, tmp_path, capsys, flags, message):
@@ -646,6 +651,45 @@ class TestFixtureCommand:
         assert main(["fixture", "--kind", kind, "--instances", "-1", "--out", str(tmp_path / "fx")]) == 1
         assert capsys.readouterr().err == "error: --instances must be nonnegative, got -1\n"
         assert not (tmp_path / "fx").exists()
+
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [
+            ("demo", ["--input-dim", "4"]),
+            ("demo", ["--widths", "8"]),
+            ("demo", ["--output-dim", "2"]),
+            ("demo", ["--activation", "relu"]),
+            ("demo", ["--seed", "0"]),
+            ("demo", ["--instances", "1"]),
+            ("mnist_shape", ["--input-dim", "784"]),
+            ("mnist_shape", ["--widths", "200"]),
+            ("mnist_shape", ["--output-dim", "10"]),
+            ("mnist_shape", ["--activation", "sigmoid"]),
+        ],
+    )
+    def test_flags_the_kind_never_reads_are_errors(self, tmp_path, capsys, kind, flags):
+        assert main(["fixture", "--kind", kind, *flags, "--out", str(tmp_path / "fx")]) == 1
+        assert capsys.readouterr().err == f"error: {flags[0]} does not apply to --kind {kind}\n"
+        assert not (tmp_path / "fx").exists()
+
+    @pytest.mark.parametrize(
+        "flags, want",
+        [
+            ([], random_network(8, (16, 16), 3, "relu", seed=0)),
+            (["--kind", "demo"], demo_network()[0]),
+            (["--seed", "3", "--widths", "5"], random_network(8, (5,), 3, "relu", seed=3)),
+        ],
+    )
+    def test_defaults_fill_the_flags_not_given(self, tmp_path, flags, want):
+        out = tmp_path / "fx"
+        assert main(["fixture", *flags, "--out", str(out)]) == 0
+        assert load_network((out / "network.json").read_bytes()).fingerprint == want.fingerprint
+        assert len(list(out.glob("instance_*.csv"))) == 1
+
+    def test_mnist_shape_reads_its_seed_and_instance_count(self, tmp_path):
+        out = tmp_path / "fx"
+        assert main(["fixture", "--kind", "mnist_shape", "--seed", "2", "--instances", "2", "--out", str(out)]) == 0
+        assert len(list(out.glob("instance_*.csv"))) == 2
 
     def test_writes_network_and_instances(self, tmp_path):
         out = tmp_path / "fx"

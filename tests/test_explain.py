@@ -32,6 +32,8 @@ from provex.queries import (
     VerdictKind,
     check_abstract,
     check_concrete,
+    enclosure_verdicts,
+    find_witnesses,
     oracle_check,
 )
 
@@ -285,10 +287,13 @@ class TestWorkReport:
 def _replay(net, x, epsilon, grouping, seed, monkeypatch):
     """Run the batched walk, then ask every step again one at a time.
 
-    The walk's witnesses are recorded by wrapping the batched witness
-    search; the replay asks each step's query with ``check_concrete`` and
-    one generator seeded like the walk's, and checks the verdict, the
-    witness and the kept set step by step.
+    The replay decides each step's query with the concrete enclosure check
+    of its box alone, and checks step by step whether the step is
+    sufficient and the kept set.  The walk's witnesses are recorded by
+    wrapping the batched witness search.  They must be those of one
+    ``find_witnesses`` call per ``MAX_BATCH`` of the replay's pins in step
+    order, with a generator seeded like the walk's, and a pin is
+    insufficient exactly where it has a witness.
     """
     found = []
     search = explain_module.find_witnesses
@@ -303,27 +308,34 @@ def _replay(net, x, epsilon, grouping, seed, monkeypatch):
     kept, trace = explain_baseline(net, x, epsilon, grouping, ordering, seed=seed)
     monkeypatch.undo()
 
-    rng = np.random.default_rng(seed)
     target = predict(net, x)
     replay_kept = set(range(len(grouping.groups)))
-    witnesses = iter(found)
+    pins, boxes = [], []
     assert len(trace.steps) == len(ordering.resolved)
     for g, step in zip(ordering.resolved, trace.steps):
         q = SufficiencyQuery(x, grouping.features_of(replay_kept - {g}), epsilon, target, net.input_domain)
-        verdict = check_concrete(net, q, rng=rng)
+        box = q.query_box()
+        _, separated, out_hi = enclosure_verdicts(net, target, box.lo, box.hi)
         assert step.group_id == grouping.ids[g]
-        assert step.verdict == verdict.kind.value
-        assert step.witness_used == verdict.is_insufficient
-        if verdict.is_sufficient:
+        assert (step.verdict == VerdictKind.SUFFICIENT.value) == separated
+        if separated:
             replay_kept.discard(g)
         else:
-            walked = next(witnesses)
-            if verdict.witness is None:
-                assert walked is None
-            else:
-                assert walked.tobytes() == verdict.witness.tobytes()
-    assert next(witnesses, "none left") == "none left"
+            pins.append(step)
+            boxes.append((box.lo, box.hi, out_hi))
     assert kept == frozenset(replay_kept)
+
+    rng = np.random.default_rng(seed)
+    reference = []
+    for start in range(0, len(boxes), explain_module.MAX_BATCH):
+        lo, hi, out_hi = (np.stack(column) for column in zip(*boxes[start : start + explain_module.MAX_BATCH]))
+        reference.extend(find_witnesses(net, target, lo, hi, out_hi, rng))
+    assert len(found) == len(reference) == len(pins)
+    for step, walked, want in zip(pins, found, reference):
+        assert (walked is None) == (want is None)
+        assert want is None or walked.tobytes() == want.tobytes()
+        named = VerdictKind.UNCERTAIN if want is None else VerdictKind.INSUFFICIENT
+        assert (step.verdict, step.witness_used) == (named.value, want is not None)
     return trace
 
 

@@ -360,13 +360,18 @@ class TestWitnessSearchBits:
     @pytest.mark.parametrize("n_random", [0, 64])
     @pytest.mark.parametrize("boxes", [1, 16])
     def test_candidates_are_the_concatenation(self, boxes, n_random):
+        # Every rebuilt candidate is the reference's row, in the reference's order.
         for net in nets():
             _, lo, hi = boxes_of(net, boxes, seed=boxes + n_random)
             corners = np.random.default_rng(4).random((boxes, 2, net.input_dim)) < 0.5
+            free = np.flatnonzero((hi > lo).any(axis=0))
             ours, theirs = np.random.default_rng(6), np.random.default_rng(6)
-            got = _candidates(lo, hi, corners, ours, n_random)
-            want = reference_candidates(lo, hi, corners, theirs, n_random)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            first_layer, order, candidate = _candidates(net.layers[0], lo, hi, corners, ours, n_random)
+            want = reference_candidates(lo, hi, corners, theirs, n_random, free)
+            assert order.shape == want.shape[:2] == (boxes, 3 + n_random)
+            assert sorted(order.ravel()) == list(range(first_layer.shape[0]))
+            got = np.array([[candidate(b, j) for j in range(order.shape[1])] for b in range(boxes)])
+            assert got.tobytes() == want.tobytes()
             assert ours.bit_generator.state == theirs.bit_generator.state
 
     @pytest.mark.parametrize("n_random", [0, 64])
@@ -524,22 +529,19 @@ class TestFreeFeatureSamples:
     def test_a_flagged_sample_is_kept_only_if_predict_confirms_it(self, monkeypatch):
         cases = list(screen_cases(60))
         plain = [find_witnesses(*case[1:6], np.random.default_rng(case[0]), case[6]) for case in cases]
-        # A predict that never confirms: only centers and corners can be witnesses.
+        # A predict that never confirms: no candidate is a witness, samples, centers and corners alike.
         target_of = [0]
         monkeypatch.setattr(queries, "predict", lambda net, x: target_of[0])
-        dropped = 0
+        dropped = exact_dropped = 0
         for case, want in zip(cases, plain):
             seed, net, target, lo, hi, out_hi, n_random = case
             target_of[0] = target
             got = find_witnesses(net, target, lo, hi, out_hi, np.random.default_rng(seed), n_random)
+            assert all(g is None for g in got)
             exact = exact_rows_of(net, target, lo, hi, out_hi)
-            for b, (g, w) in enumerate(zip(got, want)):
-                if w is not None and w.tobytes() in exact[b]:
-                    assert g.tobytes() == w.tobytes()
-                else:
-                    assert g is None
-                    dropped += w is not None
-        assert dropped > 0
+            dropped += sum(w is not None for w in want)
+            exact_dropped += sum(w is not None and w.tobytes() in exact[b] for b, w in enumerate(want))
+        assert exact_dropped > 0 and dropped > exact_dropped
 
     def test_the_draw_covers_only_the_features_free_in_some_box(self):
         net = random_network(100, (50,), 10, "relu", seed=4)
@@ -616,6 +618,5 @@ def count_passes(monkeypatch):
 
     search_first_layer = queries._first_layer
     monkeypatch.setattr(queries, "_first_layer", first_layer)
-    monkeypatch.setattr(queries, "forward_batch", recording("forward_batch", queries.forward_batch))
     monkeypatch.setattr(queries, "forward_rows", recording("forward_rows", queries.forward_rows))
     return calls

@@ -10,12 +10,14 @@ from provex.errors import DimensionError, ValidationError
 from provex.explain import explain_abstraction_refinement, explain_baseline
 from provex.fixtures import random_network, uniform_instances
 from provex.intervals import IntervalVector
+from provex import queries
 from provex.network import ConcreteNetwork, Layer, forward, forward_batch, predict
 from provex.queries import (
     OracleOutcome,
     RegressionQuery,
     SufficiencyQuery,
     VerdictKind,
+    _candidate_rows,
     _candidates,
     _gap_corners,
     check_abstract,
@@ -225,6 +227,39 @@ class TestCheckRegression:
                 assert q.query_box().contains_point(v.witness)
         assert found >= 15
 
+    def test_a_candidate_forward_never_confirms_is_no_witness(self, monkeypatch):
+        # A forward that gives every point the output of x: the pass of the
+        # candidates still flags some, but none is confirmed on its own row.
+        flagged = 0
+        for seed in range(20):
+            net = self.scalar_net(seed)
+            x = uniform_instances(net, 1, seed=seed)[0]
+            q = RegressionQuery(x, frozenset(), 1.0, 1e-4, net.input_domain)
+            plain = check_regression(net, q, rng=np.random.default_rng(seed))
+            monkeypatch.setattr(queries, "forward", lambda net_, point: forward(net_, x))
+            v = check_regression(net, q, rng=np.random.default_rng(seed))
+            monkeypatch.undo()
+            assert v.kind is VerdictKind.UNCERTAIN and v.witness is None
+            assert v.margin == plain.margin
+            flagged += plain.is_insufficient
+        assert flagged >= 15
+
+    def test_the_draw_covers_only_the_free_features(self):
+        witnessed = 0
+        for seed in range(10):
+            net = self.scalar_net(seed)
+            x = uniform_instances(net, 1, seed=seed)[0]
+            q = RegressionQuery(x, frozenset({0, 2}), 1.0, 1e-4, net.input_domain)
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            v = check_regression(net, q, rng=ours)
+            assert not v.is_sufficient
+            theirs.random((1, 64, 3))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            if v.is_insufficient:
+                assert v.witness[[0, 2]].tobytes() == x[[0, 2]].tobytes()
+                witnessed += 1
+        assert witnessed > 0
+
     def test_multi_output_rejected(self, demo):
         net, x = demo
         q = RegressionQuery(x, frozenset(), 0.1, 1.0, net.input_domain)
@@ -298,28 +333,42 @@ class TestTieBreaking:
         assert oracle_check(net, q).proved
 
 
+def rebuilt(candidate, order):
+    """Every candidate of a ``_candidates`` call as an input row, shape (boxes, candidates, inputs)."""
+    return np.array([[candidate(b, j) for j in range(order.shape[1])] for b in range(order.shape[0])])
+
+
 class TestCandidates:
     def test_order_center_corners_then_samples(self):
         net, x = small_net_and_instance(3, input_dim=5, hidden=(8,), output_dim=3)
         q = make_query(net, x, fixed={1, 3}, epsilon=0.3)
         box = q.query_box()
         up = np.array([True, False, True, False, False])
-        cands = _candidates(box.lo[None], box.hi[None], np.stack([up, ~up])[None], np.random.default_rng(5), 4)[0]
+        _, order, candidate = _candidates(
+            net.layers[0], box.lo[None], box.hi[None], np.stack([up, ~up])[None], np.random.default_rng(5), 4
+        )
+        cands = rebuilt(candidate, order)[0]
         assert cands.shape == (7, 5)
         np.testing.assert_array_equal(cands[0], box.midpoint)
         for row, mask in zip(cands[1:3], (up, ~up)):
             expected = np.where(mask, box.hi, box.lo)
             expected[[1, 3]] = x[[1, 3]]
             np.testing.assert_array_equal(row, expected)
-        np.testing.assert_array_equal(cands[3:], sample_box(box, 4, np.random.default_rng(5)))
+        # The samples are drawn over the free features alone; the fixed ones keep x.
+        free = [0, 2, 4]
+        sample = np.random.default_rng(5).uniform(box.lo[free], box.hi[free], (4, 3))
+        np.testing.assert_array_equal(cands[3:][:, free], sample)
+        np.testing.assert_array_equal(cands[3:][:, [1, 3]], np.tile(x[[1, 3]], (4, 1)))
 
     def test_one_draw_for_many_boxes_equals_one_draw_per_box(self):
+        # Every feature is free in some box, so each box's samples are a whole-box draw of its own.
         net, x = small_net_and_instance(3, input_dim=5, hidden=(8,), output_dim=3)
         boxes = [make_query(net, x, fixed=fixed, epsilon=0.3).query_box() for fixed in ({1, 3}, set(), {0, 2, 4})]
         lo = np.stack([b.lo for b in boxes])
         hi = np.stack([b.hi for b in boxes])
         corners = np.zeros((3, 2, 5), dtype=bool)
-        cands = _candidates(lo, hi, corners, np.random.default_rng(8), 6)
+        _, order, candidate = _candidates(net.layers[0], lo, hi, corners, np.random.default_rng(8), 6)
+        cands = rebuilt(candidate, order)
         rng = np.random.default_rng(8)
         for b, box in enumerate(boxes):
             np.testing.assert_array_equal(cands[b, 3:], sample_box(box, 6, rng))
@@ -327,19 +376,26 @@ class TestCandidates:
     @pytest.mark.parametrize("inputs", [100, 784])
     @pytest.mark.parametrize("boxes", [1, 16])
     def test_samples_are_numpys_uniform_draw(self, inputs, boxes):
-        # The candidates' samples and sample_box must be rng.uniform's bits
-        # and leave the generator where rng.uniform leaves it, degenerate
-        # (fixed) features included; if numpy changes its formula, this fails.
+        # The candidates' samples must be rng.uniform's bits over the
+        # features free in some box, and leave the generator where that
+        # draw leaves it; sample_box must be rng.uniform's bits over the
+        # whole box, degenerate (fixed) features included.  If numpy
+        # changes its formula, this fails.
         rng = np.random.default_rng(inputs + boxes)
         lo = rng.uniform(0.0, 0.9, (boxes, inputs))
         hi = lo + rng.uniform(0.0, 0.1, (boxes, inputs))
         hi[:, ::3] = lo[:, ::3]
         hi[1:2] = lo[1:2]  # with 16 boxes, one wholly degenerate box
-        shape = (boxes, 64, inputs)
+        free = np.flatnonzero((hi > lo).any(axis=0))
+        shape = (boxes, 64, free.size)
         ours, numpys = np.random.default_rng(7), np.random.default_rng(7)
-        cands = _candidates(lo, hi, np.zeros((boxes, 0, inputs), dtype=bool), ours, 64)
-        want = numpys.uniform(np.broadcast_to(lo[:, None], shape), np.broadcast_to(hi[:, None], shape))
-        assert cands[:, 1:].tobytes() == want.tobytes()
+        layer = Layer(np.ones((2, inputs)), np.zeros(2), "relu")
+        _, order, candidate = _candidates(layer, lo, hi, np.zeros((boxes, 0, inputs), dtype=bool), ours, 64)
+        cands = rebuilt(candidate, order)[:, 1:]
+        want = numpys.uniform(np.broadcast_to(lo[:, None, free], shape), np.broadcast_to(hi[:, None, free], shape))
+        assert cands[..., free].tobytes() == want.tobytes()
+        fixed = np.setdiff1d(np.arange(inputs), free)
+        assert cands[..., fixed].tobytes() == np.repeat(lo[:, None, fixed], 64, axis=1).tobytes()
         assert ours.bit_generator.state == numpys.bit_generator.state
         box = IntervalVector(lo[-1], hi[-1])
         got = sample_box(box, 5, ours)
@@ -378,7 +434,7 @@ class TestGenCounterexample:
         t = q.target
         j = 1 - t
         corners = _gap_corners(net, t, box.lo[None], box.hi[None], out.hi[None])
-        cands = _candidates(box.lo[None], box.hi[None], corners)[0]
+        cands = _candidate_rows(box.lo[None], box.hi[None], corners)
         gap = forward_batch(net, cands)[:, j] - forward_batch(net, cands)[:, t]
         d = W[j] - W[t]
         best = np.where(d > 0, box.hi, box.lo)
@@ -463,6 +519,25 @@ class TestOracle:
                 assert q.query_box().contains_point(result.witness)
                 assert predict(net, result.witness) != q.target
         assert witnessed > 0
+
+    def test_no_split_changes_a_fixed_feature(self, monkeypatch):
+        boxes = []
+        propagate = queries.propagate_box
+
+        def recording(net_, box):
+            boxes.append(box)
+            return propagate(net_, box)
+
+        monkeypatch.setattr(queries, "propagate_box", recording)
+        splits = 0
+        for seed in range(30):
+            net, x = small_net_and_instance(seed, input_dim=4, hidden=(6,), output_dim=3)
+            fixed = [0, 2]
+            boxes.clear()
+            splits += oracle_check(net, make_query(net, x, fixed=set(fixed), epsilon=0.5), budget=256).splits
+            for box in boxes:
+                assert box.lo[fixed].tobytes() == box.hi[fixed].tobytes() == x[fixed].tobytes()
+        assert splits > 50
 
     def test_exhausted_on_zero_budget(self):
         for seed in range(20):
