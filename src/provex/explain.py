@@ -4,16 +4,17 @@ Both searches start from the full feature set and walk the features in a
 chosen order, dropping a feature whenever the remaining fixed set is still
 verified sufficient.  Both run on one walk, ``_enclosure_walk``, which asks
 its enclosure checks in speculative batches.  The baseline asks every check
-on the original network.  The abstraction-refinement search decides every
-feature with the same concrete enclosure and uses reductions only to label
-its drops: a run of drops below the schedule's last rate is proved on one
-reduction built against the run's largest box, and a drop that reduction
-cannot prove is labelled with the coarsest scheduled rate whose reduction
-of its own box proves it.  A feature the concrete enclosure does not drop
-is pinned at once, with no reduction and no refinement, so both searches
-keep the same features.  After every step the kept set is provably
-sufficient, so the search can stop early at any time and still return a
-valid (possibly non-minimal) explanation.
+on the original network; under the complete oracle, a step the enclosure
+check cannot drop goes to ``oracle_check``.  The abstraction-refinement
+search decides every feature with the same concrete enclosure and uses
+reductions only to label its drops: a run of drops below the schedule's
+last rate is proved on one reduction built against the run's largest box,
+and a drop that reduction cannot prove is labelled with the coarsest
+scheduled rate whose reduction of its own box proves it.  A feature the
+concrete enclosure does not drop is pinned at once, with no reduction and
+no refinement, so both searches keep the same features.  After every step
+the kept set is provably sufficient, so the search can stop early at any
+time and still return a valid (possibly non-minimal) explanation.
 """
 
 from __future__ import annotations
@@ -147,8 +148,7 @@ class StepRecord:
     verdict: str
     witness_used: bool
     elapsed: float
-    margin: float | None
-    queried_neurons: int
+    margin: float
     neuron_evals: int
 
     def to_dict(self) -> dict:
@@ -159,7 +159,6 @@ class StepRecord:
             "witness_used": self.witness_used,
             "elapsed": self.elapsed,
             "margin": self.margin,
-            "queried_neurons": self.queried_neurons,
             "neuron_evals": self.neuron_evals,
         }
 
@@ -248,32 +247,36 @@ def explain_baseline(
     ordering: FeatureOrdering | None = None,
     backend: str = "enclosure",
     seed: int = 0,
-    oracle_budget: int = 1 << 16,
+    oracle_budget: int | None = None,
 ) -> tuple[frozenset[int], ExplanationTrace]:
     """Greedy search querying the original network for every candidate drop.
 
     With the ``oracle`` backend on small inputs the result is subset-minimal
     in the exact sense; with the ``enclosure`` backend minimality is
-    relative to the incomplete enclosure verifier.
+    relative to the incomplete enclosure verifier.  The oracle, with
+    ``oracle_budget`` splits (default 65536, and an error with the
+    ``enclosure`` backend), decides every step the enclosure check cannot
+    drop, one query per batch of ``_enclosure_walk``.
     """
     if backend not in ("enclosure", "oracle"):
         raise ValidationError(f"unknown backend {backend!r}")
-    if oracle_budget < 0:
-        raise ValidationError(f"oracle split budget must be nonnegative, got {oracle_budget}")
+    if backend == "enclosure" and oracle_budget is not None:
+        raise ValidationError("oracle_budget does not apply to the enclosure backend")
+    if backend == "oracle":
+        oracle_budget = 1 << 16 if oracle_budget is None else oracle_budget
+        if oracle_budget < 0:
+            raise ValidationError(f"oracle split budget must be nonnegative, got {oracle_budget}")
     x, grouping, ordering, target = _prepare(net, x, grouping, ordering, seed)
     rng = np.random.default_rng(seed)
     trace = ExplanationTrace(group_count=len(grouping.groups))
     t0 = time.monotonic()
-    if backend == "enclosure":
-        kept, _ = _enclosure_walk(net, x, epsilon, target, grouping, ordering.resolved, rng, trace)
-    else:
-        kept = _oracle_walk(net, x, epsilon, target, grouping, ordering, oracle_budget, trace)
+    kept, _ = _enclosure_walk(net, x, epsilon, target, grouping, ordering.resolved, rng, trace, budget=oracle_budget)
     trace.final = grouping.ids_of(kept)
     trace.wall_time = time.monotonic() - t0
     return frozenset(kept), trace
 
 
-def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedule=None, deadline=None):
+def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedule=None, deadline=None, budget=None):
     """The greedy walk on concrete enclosure checks, in speculative batches.
 
     Walks the group indices in ``order`` from the full set and returns the
@@ -300,6 +303,15 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
     MAX_BATCH pins in step order, and one for the rest; it is not the
     stream of one search per pin.  A pin's verdict and ``witness_used``
     are filled in when its search returns; nothing else waits on them.
+
+    With a split ``budget`` (the baseline under the complete oracle), B is
+    capped at 1: after a "keep" guess an oracle proof would change the
+    boxes of the batch's later rows.  A pin goes to ``oracle_check`` on the
+    same query instead of the queue: a proof drops its group, a witness
+    makes it ``insufficient`` with ``witness_used``, an exhausted budget
+    leaves it ``uncertain``, and its ``neuron_evals`` count every box the
+    oracle propagated.  A separated row is a drop with no split, as the
+    oracle's root box would discharge it.
 
     With no ``schedule`` (the baseline) every batch is checked on the
     network itself.  With one, the carried rate starts at the schedule's
@@ -341,9 +353,10 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
     pending = []  # pins awaiting their witness search: (step, lo, hi, out_hi), in step order
     carried = 1.0 if schedule is None else schedule.rates[0]
     witnessed = VerdictKind.INSUFFICIENT if schedule is None else VerdictKind.UNCERTAIN
+    cap = MAX_BATCH if budget is None else 1
     start, size, guess, stopped = 0, 1, True, False
 
-    def record(g, rate, separated, margin, queried):
+    def record(g, rate, separated, margin, neuron_evals):
         if separated:
             kept.discard(g)
             dropped[members[g]] = True
@@ -357,15 +370,21 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
             witness_used=False,
             elapsed=0.0,
             margin=float(margin),
-            queried_neurons=queried,
-            neuron_evals=queried,
+            neuron_evals=neuron_evals,
         )
         trace.steps.append(step)
         return step
 
     def pin(g, margin, lo, hi, out_hi):
-        """Keep g at rate 1.0; its box joins the queue of witness searches."""
-        pending.append((record(g, 1.0, False, margin, neurons), lo, hi, out_hi))
+        """Keep g at rate 1.0 with its box queued for a witness search, or let the oracle decide it."""
+        if budget is None:
+            pending.append((record(g, 1.0, False, margin, neurons), lo, hi, out_hi))
+            return
+        q = SufficiencyQuery(x, grouping.features_of(kept - {g}), epsilon, target, net.input_domain)
+        result = oracle_check(net, q, budget)
+        step = record(g, 1.0, result.proved, margin, neurons * result.evaluations)
+        step.verdict = result.verdict.value
+        step.witness_used = result.outcome is OracleOutcome.WITNESS
 
     def search(count):
         """Label the first ``count`` queued pins with one witness search; return its wall time."""
@@ -456,7 +475,7 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
             break
         start += taken
         guess = batch[taken - 1] not in kept
-        size = max(size // 2, 1) if broken else min(2 * size, MAX_BATCH)
+        size = max(size // 2, 1) if broken else min(2 * size, cap)
     if pending:
         search(len(pending))
 
@@ -467,33 +486,6 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
     if trace.steps:
         trace.snapshots[1.0] = grouping.ids_of(kept)
     return kept, stopped
-
-
-def _oracle_walk(net, x, epsilon, target, grouping, ordering, budget, trace) -> set[int]:
-    """The baseline's greedy walk with the complete oracle, one query per step."""
-    kept = set(range(len(grouping.groups)))
-    for g in ordering.resolved:
-        fixed = grouping.features_of(kept - {g})
-        q = SufficiencyQuery(x, fixed, epsilon, target, net.input_domain)
-        t1 = time.monotonic()
-        result = oracle_check(net, q, budget=budget)
-        if result.proved:
-            kept.discard(g)
-        trace.steps.append(
-            StepRecord(
-                group_id=grouping.ids[g],
-                rate=1.0,
-                verdict=result.verdict.value,
-                witness_used=result.outcome is OracleOutcome.WITNESS,
-                elapsed=time.monotonic() - t1,
-                margin=None,
-                queried_neurons=net.neuron_count,
-                neuron_evals=net.neuron_count * result.evaluations,
-            )
-        )
-    if trace.steps:
-        trace.snapshots[1.0] = grouping.ids_of(kept)
-    return kept
 
 
 def explain_abstraction_refinement(

@@ -46,6 +46,8 @@ def read_image(path: str) -> np.ndarray:
         width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
     except ValueError as exc:
         raise SchemaError("header", "non-numeric image dimensions") from exc
+    if width < 1 or height < 1:
+        raise SchemaError("header", f"image dimensions must be positive, got {width} x {height}")
     if maxval != 255:
         raise SchemaError("maxval", f"only 8-bit images are supported, got maxval {maxval}")
     pos += 1  # single whitespace byte after maxval

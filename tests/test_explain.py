@@ -187,7 +187,7 @@ class TestAbstractionRefinement:
             ("2", 0.4, "sufficient"),
             ("3", 1.0, "uncertain"),
         ]
-        assert trace.steps[-1].queried_neurons == net.neuron_count
+        assert trace.steps[-1].neuron_evals == net.neuron_count
 
     def test_matches_baseline_on_random_nets(self):
         for seed in range(30):
@@ -416,7 +416,7 @@ def one_query_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed):
             trace.steps.append(
                 StepRecord(
                     grouping.ids[g], 1.0, "uncertain", verdict.is_insufficient, 0.0,
-                    verdict.margin, net.neuron_count, net.neuron_count,
+                    verdict.margin, net.neuron_count,
                 )
             )
             continue
@@ -428,7 +428,7 @@ def one_query_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed):
             trace.steps.append(
                 StepRecord(
                     grouping.ids[g], rate, verdict.kind.value, False, 0.0,
-                    verdict.margin, anet.neuron_count, anet.neuron_count,
+                    verdict.margin, anet.neuron_count,
                 )
             )
             if verdict.is_sufficient:
@@ -511,14 +511,14 @@ def assert_same_search(net, x, epsilon, schedule, seed, monkeypatch, exact=False
     replay_kept = set(range(len(grouping.groups)))
     windowed = 0
     for got, want in zip(trace.steps, ref.steps):
-        assert (got.group_id, got.rate, got.verdict, got.witness_used, got.queried_neurons, got.neuron_evals) == (
-            want.group_id, want.rate, want.verdict, want.witness_used, want.queried_neurons, want.neuron_evals
+        assert (got.group_id, got.rate, got.verdict, got.witness_used, got.neuron_evals) == (
+            want.group_id, want.rate, want.verdict, want.witness_used, want.neuron_evals
         )
         g = grouping.ids.index(got.group_id)
         if got.margin != want.margin:
             assert not exact
             q = make_query(net, x, grouping.features_of(replay_kept - {g}), epsilon)
-            if got.rate == 1.0 and got.queried_neurons == net.neuron_count:
+            if got.rate == 1.0 and got.neuron_evals == net.neuron_count:
                 assert abs(got.margin - want.margin) <= 1e-12
             else:
                 assert got.verdict == "sufficient"
@@ -712,7 +712,7 @@ class TestConcreteFirst:
                 margin, separated, _ = explain_module.enclosure_verdicts(net, target, box.lo, box.hi)
                 assert not separated
                 assert abs(step.margin - margin) <= 1e-12
-                assert (step.rate, step.verdict, step.queried_neurons) == (1.0, "uncertain", net.neuron_count)
+                assert (step.rate, step.verdict, step.neuron_evals) == (1.0, "uncertain", net.neuron_count)
                 assert step.witness_used == insufficient[step.group_id]
                 pins += 1
                 witnessed += step.witness_used
@@ -874,3 +874,77 @@ class TestPinSearches:
                 witnessed += any(s.witness_used for s in pins)
         monkeypatch.undo()
         assert stops > 0 and witnessed > 0
+
+
+def oracle_one_query_per_step(net, x, epsilon, grouping, ordering, budget):
+    """The oracle search asking every query alone with ``oracle_check``, no enclosure check first.
+
+    Kept as the reference for the oracle search on the walk; returns the
+    kept set, final, snapshots and every step's (group, rate, verdict,
+    witness_used, neuron_evals).
+    """
+    kept = set(range(len(grouping.groups)))
+    steps = []
+    for g in ordering.resolved:
+        result = oracle_check(net, make_query(net, x, grouping.features_of(kept - {g}), epsilon), budget=budget)
+        if result.proved:
+            kept.discard(g)
+        witnessed = result.outcome is OracleOutcome.WITNESS
+        steps.append((grouping.ids[g], 1.0, result.verdict.value, witnessed, net.neuron_count * result.evaluations))
+    snapshots = {1.0: grouping.ids_of(kept)} if steps else {}
+    return kept, grouping.ids_of(kept), snapshots, steps
+
+
+def oracle_cases():
+    """(net, x, epsilon, budget) cases for the oracle search.
+
+    c06's first 40 nets and 2-hidden-layer nets of each activation, under a
+    budget small enough that exhausted queries stay cheap, and one budget-0
+    case.
+    """
+    for s in range(1, 41):
+        net = random_network(6, (8,), 2, "relu", seed=s + 600)
+        yield net, uniform_instances(net, 1, seed=s)[0], 0.15, 1 << 10
+    for s, act in enumerate(("relu", "sigmoid", "tanh", "relu", "sigmoid", "tanh"), start=1):
+        net = random_network(5, (7, 6), 3, act, seed=s + 2000)
+        yield net, uniform_instances(net, 1, seed=s)[0], 0.25, 1 << 10
+    net = random_network(6, (8,), 2, "relu", seed=601)
+    yield net, uniform_instances(net, 1, seed=1)[0], 0.3, 0
+
+
+class TestOracleWalk:
+    """The oracle search runs on the enclosure walk, one query per batch."""
+
+    def test_matches_one_query_per_step(self, monkeypatch):
+        rows, searched = [], []
+        verdicts = explain_module.enclosure_verdicts
+        monkeypatch.setattr(
+            explain_module, "enclosure_verdicts", lambda *a: rows.append(a[2].shape[0]) or verdicts(*a)
+        )
+        monkeypatch.setattr(explain_module, "find_witnesses", lambda *a: searched.append(a))
+        seen = set()
+        for net, x, epsilon, budget in oracle_cases():
+            grouping = FeatureGrouping.singletons(net.input_dim)
+            ordering = order_features(net, x, grouping)
+            kept, trace = explain_baseline(
+                net, x, epsilon, grouping, ordering, backend="oracle", oracle_budget=budget
+            )
+            ref_kept, final, snapshots, steps = oracle_one_query_per_step(net, x, epsilon, grouping, ordering, budget)
+            assert kept == ref_kept
+            assert trace.final == final
+            assert trace.snapshots == snapshots
+            assert [(s.group_id, s.rate, s.verdict, s.witness_used, s.neuron_evals) for s in trace.steps] == steps
+            # Every step records its root box's enclosure margin.
+            target = predict(net, x)
+            replay_kept = set(range(len(grouping.groups)))
+            for step in trace.steps:
+                g = grouping.ids.index(step.group_id)
+                box = make_query(net, x, grouping.features_of(replay_kept - {g}), epsilon).query_box()
+                assert abs(step.margin - verdicts(net, target, box.lo, box.hi)[0]) <= 1e-12
+                if step.verdict == "sufficient":
+                    replay_kept.discard(g)
+                split = step.neuron_evals > net.neuron_count
+                seen.add((step.verdict, split))
+        assert set(rows) == {1} and not searched
+        # Drops with and without splits, witnesses, and exhausted budgets all occur.
+        assert {("sufficient", False), ("sufficient", True), ("insufficient", False), ("uncertain", False)} <= seen

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from provex.cli import main
 from provex.errors import SchemaError
+from provex.fixtures import random_network
 from provex.images import load_instance, read_image, save_instance_csv, write_image
+from provex.network import save_network
 
 
 class TestImageRoundTrip:
@@ -49,6 +52,25 @@ class TestImageRoundTrip:
         path.write_bytes(b"P5\n2 2\n255\n\x00")
         with pytest.raises(SchemaError):
             read_image(str(path))
+
+    @pytest.mark.parametrize("dims", [b"-2 -2", b"-2 3", b"0 4", b"2 0"])
+    def test_nonpositive_dimensions_rejected(self, tmp_path, dims):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(4))
+        with pytest.raises(SchemaError, match="^header: image dimensions must be positive"):
+            read_image(str(path))
+
+    def test_cli_rejects_negative_dimensions_without_traceback(self, tmp_path, capsys):
+        net_path = tmp_path / "net.json"
+        net_path.write_text(save_network(random_network(4, (3,), 2, "relu", seed=0)))
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n-2 -2\n255\n" + bytes(4))
+        code = main([
+            "explain", "--network", str(net_path), "--input", str(path),
+            "--epsilon", "0.1", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: header: image dimensions must be positive")
 
 
 class TestInstanceLoading:

@@ -559,6 +559,12 @@ class TestOracle:
         with pytest.raises(ValidationError, match="oracle split budget must be nonnegative, got -1"):
             explain_baseline(net, x, 0.4, backend="oracle", oracle_budget=-1)
 
+    @pytest.mark.parametrize("budget", [-1, 0, 1 << 16])
+    def test_budget_rejected_with_the_enclosure_backend(self, budget):
+        net, x = small_net_and_instance(0, input_dim=5, hidden=(8,), output_dim=3)
+        with pytest.raises(ValidationError, match="^oracle_budget does not apply to the enclosure backend$"):
+            explain_baseline(net, x, 0.4, backend="enclosure", oracle_budget=budget)
+
     def test_agrees_with_dense_grid(self):
         # Verdicts never contradict an exhaustive grid falsifier on nets
         # with four free features.
