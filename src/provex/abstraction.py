@@ -40,7 +40,7 @@ import numpy as np
 
 from .bounds import LayerBounds, enclose_affine, enclose_layer
 from .errors import DimensionError, ValidationError
-from .intervals import apply_activation
+from .intervals import IntervalVector, apply_activation
 from .network import ActivationKind, ConcreteNetwork
 
 # Per hidden layer: neuron indices, lowest score first, and their scores in that order.
@@ -127,12 +127,15 @@ class AbstractNetwork:
     """A reduced network whose set-valued output encloses the original's.
 
     Layers with no merged neuron on either side are the source network's
-    own ``Layer`` objects; the others are ``AbstractLayer``s.
+    own ``Layer`` objects; the others are ``AbstractLayer``s.  Its
+    enclosures hold only for boxes inside ``build_box``, the box it was
+    built against.
     """
 
     layers: tuple
     spec: MergeSpec
     buckets: tuple[Buckets, ...]
+    build_box: IntervalVector
 
     @property
     def input_dim(self) -> int:
@@ -274,7 +277,8 @@ def build_from_merge_sets(
     frozenset or an integer array.  When ``buckets`` is omitted, merged
     neurons within each layer are grouped by chaining overlapping
     activation ranges; passing buckets (as refinement does) preserves a
-    previously chosen structure.
+    previously chosen structure.  Each layer's buckets must hold exactly
+    its merge set, each neuron once, in buckets of positive size.
 
     Bounds are propagated at full width, from the first merged layer to the
     last: a deleted neuron's coordinate is overwritten with its bucket hull.
@@ -305,6 +309,8 @@ def build_from_merge_sets(
         hidden_sizes=net.hidden_sizes,
         source_net_id=net.fingerprint,
     )
+    if buckets is not None:
+        _check_buckets(buckets, spec.per_layer_merged)
     indices = [merged if isinstance(merged, np.ndarray) else _indices(merged) for merged in merge_sets]
     merged_layers = [k for k, merged in enumerate(indices) if merged.size]
     first, last = (merged_layers[0], merged_layers[-1]) if merged_layers else (-1, -2)
@@ -355,7 +361,9 @@ def build_from_merge_sets(
             else:
                 lo, hi = enclose_layer(following, lo, hi)
 
-    return AbstractNetwork(layers=tuple(out_layers), spec=spec, buckets=tuple(out_buckets))
+    return AbstractNetwork(
+        layers=tuple(out_layers), spec=spec, buckets=tuple(out_buckets), build_box=lb.input_box
+    )
 
 
 def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: float) -> AbstractNetwork:
@@ -430,6 +438,29 @@ def _reduced_layer(layer, rows, cols, bias_lo: np.ndarray, bias_hi: np.ndarray) 
 def _check_fresh(net: ConcreteNetwork, lb: LayerBounds) -> None:
     if not lb.matches(net):
         raise ValidationError("stale layer bounds: computed for a different network")
+
+
+def _check_buckets(buckets: tuple[Buckets, ...], merge_sets: tuple[frozenset[int], ...]) -> None:
+    """Reject buckets that do not split each layer's merge set exactly: every member once, no empty bucket.
+
+    A build deletes every merged neuron but absorbs only the bucket
+    members, so a merged neuron left out of its buckets would drop its
+    contribution from the enclosure.
+    """
+    if len(buckets) != len(merge_sets):
+        raise DimensionError(f"expected {len(merge_sets)} bucket layers, got {len(buckets)}")
+    for k, ((members, sizes), merged) in enumerate(zip(buckets, merge_sets)):
+        members, sizes = np.asarray(members), np.asarray(sizes)
+        if not (
+            members.ndim == sizes.ndim == 1
+            and np.all(sizes > 0)
+            and sizes.sum() == members.size == len(merged)
+            and merged == set(members.tolist())
+        ):
+            raise ValidationError(
+                f"buckets[{k}] must split the merge set of hidden layer {k} into nonempty buckets, "
+                "each merged neuron once"
+            )
 
 
 def _indices(merged) -> np.ndarray:

@@ -102,12 +102,15 @@ def propagate_box(net: ConcreteNetwork, input_box: IntervalVector) -> LayerBound
 def propagate_abstract(anet, input_box: IntervalVector) -> IntervalVector:
     """Output enclosure of a reduced network over ``input_box``.
 
-    ``anet`` is any object exposing ``input_dim`` and ``layers`` that follow
-    the layer protocol.  The enclosure is valid for boxes contained in the
-    box the reduction was built against.
+    ``anet`` is any object exposing ``input_dim``, ``layers`` that follow
+    the layer protocol, and ``build_box``, the box it was built against.
+    The enclosure is valid only for boxes inside that box, so any other box
+    is rejected.
     """
     if len(input_box) != anet.input_dim:
         raise DimensionError(f"box has {len(input_box)} dimensions, network expects {anet.input_dim}")
+    if not iv_subset(input_box, anet.build_box):
+        raise ValidationError("box is not inside the box the reduction was built against")
     return IntervalVector(*propagate_rows(anet.layers, input_box.lo, input_box.hi))
 
 

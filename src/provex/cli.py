@@ -156,8 +156,8 @@ def cmd_explain(args) -> int:
     if log.isEnabledFor(logging.DEBUG):
         for step in trace.steps:
             log.debug(
-                "step group %s rate %g verdict %s margin %r witness_used %s elapsed %.3g",
-                step.group_id, step.rate, step.verdict, step.margin, step.witness_used, step.elapsed,
+                "step group %s rate %g verdict %s margin %r elapsed %.3g",
+                step.group_id, step.rate, step.verdict, step.margin, step.elapsed,
             )
     log.info("explanation size %d, status %s", len(trace.final), trace.status)
     return EXIT_EARLY_STOP if trace.status == STATUS_EARLY_STOP else EXIT_OK

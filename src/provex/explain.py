@@ -2,19 +2,20 @@
 
 Both searches start from the full feature set and walk the features in a
 chosen order, dropping a feature whenever the remaining fixed set is still
-verified sufficient.  Both run on one walk, ``_enclosure_walk``, which asks
-its enclosure checks in speculative batches.  The baseline asks every check
-on the original network; under the complete oracle, a step the enclosure
-check cannot drop goes to ``oracle_check``.  The abstraction-refinement
-search decides every feature with the same concrete enclosure and uses
-reductions only to label its drops: a run of drops below the schedule's
-last rate is proved on one reduction built against the run's largest box,
-and a drop that reduction cannot prove is labelled with the coarsest
-scheduled rate whose reduction of its own box proves it.  A feature the
-concrete enclosure does not drop is pinned at once, with no reduction and
-no refinement, so both searches keep the same features.  After every step
-the kept set is provably sufficient, so the search can stop early at any
-time and still return a valid (possibly non-minimal) explanation.
+verified sufficient.  Both run one body, ``_search``, on one walk,
+``_enclosure_walk``, which asks its enclosure checks in speculative batches.
+The abstraction-refinement search decides every feature with the concrete
+enclosure and uses reductions only to label its drops: a run of drops below
+the schedule's last rate is proved on one reduction built against the run's
+largest box, and a drop that reduction cannot prove is labelled with the
+coarsest scheduled rate whose reduction of its own box proves it.  A feature
+the concrete enclosure does not drop is pinned at once, with no reduction
+and no refinement.  The baseline is that search under the one-rate schedule
+(1.0,), so it asks every check on the original network and keeps the same
+features; under the complete oracle, a step the enclosure check cannot drop
+goes to ``oracle_check``.  After every step the kept set is provably
+sufficient, so the search can stop early at any time and still return a
+valid (possibly non-minimal) explanation.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ from .errors import DimensionError, ValidationError
 from .intervals import IntervalVector
 from .network import ConcreteNetwork, gradient, predict
 from .queries import (
-    OracleOutcome,
     SufficiencyQuery,
     VerdictKind,
+    _check_budget,
+    _is_integer,
+    _is_number,
     _separation,
     enclosure_verdicts,
     find_witnesses,
@@ -107,6 +110,8 @@ class FeatureOrdering:
 
 
 def _check_seed(seed: int) -> None:
+    if not _is_integer(seed):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
 
@@ -146,7 +151,6 @@ class StepRecord:
     group_id: str
     rate: float
     verdict: str
-    witness_used: bool
     elapsed: float
     margin: float
     neuron_evals: int
@@ -156,7 +160,6 @@ class StepRecord:
             "group": self.group_id,
             "rate": self.rate,
             "verdict": self.verdict,
-            "witness_used": self.witness_used,
             "elapsed": self.elapsed,
             "margin": self.margin,
             "neuron_evals": self.neuron_evals,
@@ -224,7 +227,8 @@ def count_work(trace: ExplanationTrace) -> WorkReport:
     )
 
 
-def _prepare(net, x, grouping, ordering, seed):
+def _search(net, x, epsilon, grouping, ordering, seed, schedule, timeout=None, budget=None):
+    """Both searches' body: ``_enclosure_walk`` under ``schedule``, timed from after the setup."""
     _check_seed(seed)
     x = np.asarray(x, dtype=np.float64)
     if grouping is None:
@@ -236,7 +240,17 @@ def _prepare(net, x, grouping, ordering, seed):
     elif len(ordering.resolved) != len(grouping.groups):
         raise DimensionError("ordering and grouping disagree on the number of groups")
     target = predict(net, x)
-    return x, grouping, ordering, target
+    rng = np.random.default_rng(seed)
+    trace = ExplanationTrace(group_count=len(grouping.groups))
+    t0 = time.monotonic()
+    deadline = None if timeout is None else t0 + timeout
+    kept, stopped = _enclosure_walk(
+        net, x, epsilon, target, grouping, ordering.resolved, rng, trace, schedule, deadline, budget
+    )
+    trace.final = grouping.ids_of(kept)
+    trace.status = STATUS_EARLY_STOP if stopped else STATUS_MINIMAL
+    trace.wall_time = time.monotonic() - t0
+    return frozenset(kept), trace
 
 
 def explain_baseline(
@@ -251,7 +265,8 @@ def explain_baseline(
 ) -> tuple[frozenset[int], ExplanationTrace]:
     """Greedy search querying the original network for every candidate drop.
 
-    With the ``oracle`` backend on small inputs the result is subset-minimal
+    It is the abstraction-refinement search under the schedule (1.0,), with
+    no reduction.  With the ``oracle`` backend on small inputs the result is subset-minimal
     in the exact sense; with the ``enclosure`` backend minimality is
     relative to the incomplete enclosure verifier.  The oracle, with
     ``oracle_budget`` splits (default 65536, and an error with the
@@ -264,19 +279,11 @@ def explain_baseline(
         raise ValidationError("oracle_budget does not apply to the enclosure backend")
     if backend == "oracle":
         oracle_budget = 1 << 16 if oracle_budget is None else oracle_budget
-        if oracle_budget < 0:
-            raise ValidationError(f"oracle split budget must be nonnegative, got {oracle_budget}")
-    x, grouping, ordering, target = _prepare(net, x, grouping, ordering, seed)
-    rng = np.random.default_rng(seed)
-    trace = ExplanationTrace(group_count=len(grouping.groups))
-    t0 = time.monotonic()
-    kept, _ = _enclosure_walk(net, x, epsilon, target, grouping, ordering.resolved, rng, trace, budget=oracle_budget)
-    trace.final = grouping.ids_of(kept)
-    trace.wall_time = time.monotonic() - t0
-    return frozenset(kept), trace
+        _check_budget(oracle_budget)
+    return _search(net, x, epsilon, grouping, ordering, seed, ReductionSchedule((1.0,)), budget=oracle_budget)
 
 
-def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedule=None, deadline=None, budget=None):
+def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedule, deadline=None, budget=None):
     """The greedy walk on concrete enclosure checks, in speculative batches.
 
     Walks the group indices in ``order`` from the full set and returns the
@@ -301,21 +308,22 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
     draw of ``rng`` over the features free in any of its boxes, so the
     stream, and every witness, is that of one ``find_witnesses`` call per
     MAX_BATCH pins in step order, and one for the rest; it is not the
-    stream of one search per pin.  A pin's verdict and ``witness_used``
-    are filled in when its search returns; nothing else waits on them.
+    stream of one search per pin.  A pin is ``uncertain`` until its search
+    returns and ``insufficient`` if the search confirms a witness; nothing
+    else waits on its verdict.
 
     With a split ``budget`` (the baseline under the complete oracle), B is
     capped at 1: after a "keep" guess an oracle proof would change the
     boxes of the batch's later rows.  A pin goes to ``oracle_check`` on the
     same query instead of the queue: a proof drops its group, a witness
-    makes it ``insufficient`` with ``witness_used``, an exhausted budget
-    leaves it ``uncertain``, and its ``neuron_evals`` count every box the
-    oracle propagated.  A separated row is a drop with no split, as the
-    oracle's root box would discharge it.
+    makes it ``insufficient``, an exhausted budget leaves it ``uncertain``,
+    and its ``neuron_evals`` count every box the oracle propagated.  A
+    separated row is a drop with no split, as the oracle's root box would
+    discharge it.
 
-    With no ``schedule`` (the baseline) every batch is checked on the
-    network itself.  With one, the carried rate starts at the schedule's
-    first rate, and while it is below 1.0 a batch that guesses "drop" is
+    The carried rate starts at the schedule's first rate; under the
+    one-rate schedule (1.0,), the baseline's, every batch is checked on the
+    network itself.  While it is below 1.0 a batch that guesses "drop" is
     checked on one reduction, built against its last (largest) box at the
     carried rate.  Its leading separated rows are drops at the carried
     rate, with their margins on that reduction: a reduction encloses the
@@ -328,11 +336,9 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
     by rate until it separates, with one step per rate and no witness
     search (a concretely separated box has none); the rate that proves the
     drop becomes the carried rate.  A reduction at rate 1.0 is the network
-    itself, so the chain ends there; a row still unseparated there by
-    rounding is kept.  The kept set is therefore the baseline's.  A
-    witnessed pin is ``insufficient`` in the baseline and ``uncertain``
-    with ``witness_used`` under a schedule, whose steps record enclosure
-    verdicts.
+    itself, so the chain's last rung checks ``net`` (still counted as a
+    refinement) and ends there; a row still unseparated there by rounding
+    is kept.  The kept set is therefore the baseline's.
 
     A step's ``elapsed`` is its batch's wall time without the witness
     searches made during it, split evenly over the steps the batch
@@ -351,8 +357,7 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
     drops: list[int] = []  # dropped groups, in the order they were dropped
     drops_at: dict[float, int] = {}  # per rate below 1.0, the drops made up to its last drop
     pending = []  # pins awaiting their witness search: (step, lo, hi, out_hi), in step order
-    carried = 1.0 if schedule is None else schedule.rates[0]
-    witnessed = VerdictKind.INSUFFICIENT if schedule is None else VerdictKind.UNCERTAIN
+    carried = schedule.rates[0]
     cap = MAX_BATCH if budget is None else 1
     start, size, guess, stopped = 0, 1, True, False
 
@@ -367,7 +372,6 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
             group_id=grouping.ids[g],
             rate=rate,
             verdict=(VerdictKind.SUFFICIENT if separated else VerdictKind.UNCERTAIN).value,
-            witness_used=False,
             elapsed=0.0,
             margin=float(margin),
             neuron_evals=neuron_evals,
@@ -382,9 +386,7 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
             return
         q = SufficiencyQuery(x, grouping.features_of(kept - {g}), epsilon, target, net.input_domain)
         result = oracle_check(net, q, budget)
-        step = record(g, 1.0, result.proved, margin, neurons * result.evaluations)
-        step.verdict = result.verdict.value
-        step.witness_used = result.outcome is OracleOutcome.WITNESS
+        record(g, 1.0, result.proved, margin, neurons * result.evaluations).verdict = result.verdict.value
 
     def search(count):
         """Label the first ``count`` queued pins with one witness search; return its wall time."""
@@ -395,8 +397,7 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
         seconds = time.monotonic() - t
         for step, witness in zip(steps, witnesses):
             if witness is not None:
-                step.verdict = witnessed.value
-                step.witness_used = True
+                step.verdict = VerdictKind.INSUFFICIENT.value
             step.elapsed += seconds / count
         return seconds
 
@@ -415,13 +416,13 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
             if separated:
                 carried = rate
                 return
-            rate = schedule.next_after(max(rate, anet.reduction_rate))
+            rate = None if anet is net else schedule.next_after(max(rate, anet.reduction_rate))
             if rate is None:
                 return
             if deadline is not None and time.monotonic() >= deadline:
                 stopped = True
                 return
-            anet = refine(net, anet, lb, rate)
+            anet = net if rate == 1.0 else refine(net, anet, lb, rate)
             trace.refinements += 1
 
     while start < len(order):
@@ -502,9 +503,9 @@ def explain_abstraction_refinement(
 
     Every feature is decided by the concrete enclosure check, as in the
     baseline, so both searches keep the same features.  A feature the
-    concrete check cannot drop is pinned at once: one ``uncertain`` step
-    at rate 1.0 with its concrete margin, the full network's neuron count,
-    and ``witness_used`` set when a counterexample was found.  A dropped
+    concrete check cannot drop is pinned at once: one step at rate 1.0 with
+    its concrete margin and the full network's neuron count, ``insufficient``
+    when a counterexample was found and ``uncertain`` otherwise.  A dropped
     feature is checked on a reduction of the network at the carried rate,
     which is refined to the next scheduled rate until it proves the drop;
     each rate tried is one step and each refinement counts in
@@ -512,25 +513,18 @@ def explain_abstraction_refinement(
     later features and never decreases, so per-rate snapshots shrink as
     the rate grows.  Below rate 1.0, a run of drops shares one reduction
     built against the run's largest box (see ``_enclosure_walk``); from
-    rate 1.0 on, every step is the baseline's.
+    rate 1.0 on, every step is the baseline's.  With the schedule (1.0,)
+    this search is the baseline.
 
     The deadline is checked before every batch and every refinement.  On
     timeout the current kept set, which is sufficient after every step, is
     returned as an early stop.
     """
-    if timeout is not None and not timeout >= 0:  # NaN too
-        raise ValidationError(f"timeout must be nonnegative, got {timeout}")
-    x, grouping, ordering, target = _prepare(net, x, grouping, ordering, seed)
+    if timeout is not None:
+        if not _is_number(timeout):
+            raise ValidationError(f"timeout must be a number, got {timeout!r}")
+        if not timeout >= 0:  # NaN too
+            raise ValidationError(f"timeout must be nonnegative, got {timeout}")
     if schedule is None:
         schedule = ReductionSchedule.default()
-    rng = np.random.default_rng(seed)
-    trace = ExplanationTrace(group_count=len(grouping.groups))
-    t0 = time.monotonic()
-    deadline = None if timeout is None else t0 + timeout
-    kept, stopped = _enclosure_walk(
-        net, x, epsilon, target, grouping, ordering.resolved, rng, trace, schedule, deadline
-    )
-    trace.final = grouping.ids_of(kept)
-    trace.status = STATUS_EARLY_STOP if stopped else STATUS_MINIMAL
-    trace.wall_time = time.monotonic() - t0
-    return frozenset(kept), trace
+    return _search(net, x, epsilon, grouping, ordering, seed, schedule, timeout)

@@ -21,6 +21,7 @@ changes no label.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,6 +72,19 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a real Python or numpy number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_budget(budget) -> None:
+    """An oracle split budget must be a nonnegative integer."""
+    if not _is_integer(budget):
+        raise ValidationError(f"oracle split budget must be an integer, got {budget!r}")
+    if budget < 0:
+        raise ValidationError(f"oracle split budget must be nonnegative, got {budget}")
+
+
 def _validate_instance(x, fixed_features, epsilon: float, domain: IntervalVector):
     """The instance as a vector and the fixed features as a set, once both are checked."""
     x = np.asarray(x, dtype=np.float64)
@@ -78,6 +92,8 @@ def _validate_instance(x, fixed_features, epsilon: float, domain: IntervalVector
         raise DimensionError(f"instance must be a vector, got shape {x.shape}")
     if len(domain) != x.shape[0]:
         raise DimensionError("instance and domain lengths disagree")
+    if not _is_number(epsilon):
+        raise ValidationError(f"epsilon must be a number, got {epsilon!r}")
     if not epsilon >= 0:  # NaN too
         raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
     fixed = list(fixed_features)
@@ -506,8 +522,7 @@ def oracle_check(net: ConcreteNetwork, q: SufficiencyQuery, budget: int = 1 << 1
     exactly and any misclassification is returned as a witness.  Exhausted
     means the split budget ran out with sub-boxes still open.
     """
-    if budget < 0:
-        raise ValidationError(f"split budget must be nonnegative, got {budget}")
+    _check_budget(budget)
     _validate_target(net, q)
     stack = [q.query_box()]
     splits = 0

@@ -14,11 +14,11 @@ from provex.abstraction import (
     score_neurons,
 )
 from provex.bounds import propagate_abstract, propagate_box, sample_box
-from provex.errors import ValidationError
-from provex.fixtures import random_network
+from provex.errors import DimensionError, ValidationError
+from provex.fixtures import random_network, uniform_instances
 from provex.intervals import IntervalVector, iv_subset
 from provex.network import ActivationKind, forward_batch
-from provex.queries import check_abstract
+from provex.queries import OracleOutcome, check_abstract, enclosure_verdicts, oracle_check
 
 
 def same_pairs(a, b):
@@ -407,6 +407,61 @@ class TestSchedule:
         assert sched.rates == (0.1, 0.4, 1.0)
 
 
+class TestBuildGuards:
+    """A reduction answers only for boxes inside its build box, and takes only buckets that split its merge sets."""
+
+    def test_boxes_outside_the_build_box_are_rejected(self):
+        # Each reduction is built at rate 0.5 on the point box of x and then
+        # asked about the all-free box.  The unchecked batched path still
+        # answers, and on some nets it separates a box that holds a
+        # counterexample; the checked forms refuse to answer at all.
+        unsound = 0
+        for s in range(300):
+            net = random_network(6, (10,), 3, "relu", seed=s)
+            x = uniform_instances(net, 1, seed=s)[0]
+            anet = build_abstract(net, propagate_box(net, IntervalVector(x, x)), 0.5)
+            assert anet.build_box == IntervalVector(x, x)
+            point = make_query(net, x, set(range(6)), 0.5)
+            assert check_abstract(anet, point).enclosure == propagate_abstract(anet, point.query_box())
+            q = make_query(net, x, set(), 0.5)
+            with pytest.raises(ValidationError, match="^box is not inside the box the reduction was built against$"):
+                propagate_abstract(anet, q.query_box())
+            with pytest.raises(ValidationError, match="not inside the box the reduction was built against"):
+                check_abstract(anet, q)
+            box = q.query_box()
+            if not unsound and enclosure_verdicts(anet, q.target, box.lo, box.hi)[1]:
+                unsound += oracle_check(net, q, budget=4096).outcome is OracleOutcome.WITNESS
+        assert unsound
+
+    def test_buckets_must_split_the_merge_sets(self):
+        # Merge set {1, 2} with only neuron 1 in its buckets: the build would
+        # delete neuron 2 without absorbing it.
+        for s in range(20):
+            net = random_network(4, (6,), 3, "sigmoid", seed=s)
+            lb = propagate_box(net, net.input_domain)
+            with pytest.raises(ValidationError, match=r"^buckets\[0\] must split the merge set of hidden layer 0"):
+                build_from_merge_sets(net, lb, (frozenset({1, 2}),), buckets=((np.array([1]), np.array([1])),))
+        net = random_network(4, (6, 5), 3, "sigmoid", seed=1)
+        lb = propagate_box(net, net.input_domain)
+        merge_sets = (frozenset({1, 2}), frozenset({0, 3}))
+        good = build_from_merge_sets(net, lb, merge_sets).buckets
+        wrong = [
+            (0, (np.array([1, 2]), np.array([2, 0]))),  # an empty bucket
+            (0, (np.array([1, 1]), np.array([2]))),  # a neuron twice
+            (0, (np.array([1, 3]), np.array([1, 1]))),  # a neuron outside the merge set
+            (0, (np.array([1, 2]), np.array([1]))),  # sizes that do not add up to the members
+            (1, (np.array([3]), np.array([1]))),  # a merged neuron left out
+        ]
+        for k, layer_buckets in wrong:
+            buckets = tuple(layer_buckets if j == k else b for j, b in enumerate(good))
+            with pytest.raises(ValidationError, match=rf"^buckets\[{k}\]"):
+                build_from_merge_sets(net, lb, merge_sets, buckets=buckets)
+        with pytest.raises(DimensionError):
+            build_from_merge_sets(net, lb, merge_sets, buckets=good[:1])
+        rebuilt = build_from_merge_sets(net, lb, merge_sets, buckets=good)
+        assert same_pairs(rebuilt.buckets, good)
+
+
 # The rankings and buckets of the ``sorted``-based forms the numpy ones
 # replaced, kept as the reference for their order and tie-breaking.
 
@@ -627,7 +682,7 @@ class TestBuildFromBounds:
             else:
                 assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
         out = propagate_abstract(anet, lb.input_box)
-        ref = propagate_abstract(type(anet)(tuple(layers), anet.spec, anet.buckets), lb.input_box)
+        ref = propagate_abstract(type(anet)(tuple(layers), anet.spec, anet.buckets, anet.build_box), lb.input_box)
         assert out.lo.tobytes() == ref.lo.tobytes() and out.hi.tobytes() == ref.hi.tobytes()
 
     def test_every_rate_on_the_c07_nets(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,13 @@ class TestGrouping:
             FeatureGrouping(((0,), (2,)), ("a", "b"))
 
 
+def bad_scalar(search, message, **arguments):
+    """A case of ``search`` called with ``arguments``, which must raise a ValidationError of ``message``."""
+    return pytest.param(
+        search, arguments, message, id=f"{search.__name__}-" + "-".join(f"{k}={v!r}" for k, v in arguments.items())
+    )
+
+
 class TestOrdering:
     def test_identity_network_puts_inactive_features_first(self):
         net = load_network(IDENTITY_DOC)
@@ -109,6 +117,35 @@ class TestOrdering:
         }[search]
         with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
             call()
+
+    @pytest.mark.parametrize(
+        "search, arguments, message",
+        [
+            bad_scalar(explain_abstraction_refinement, "timeout must be a number, got '1'", timeout="1"),
+            bad_scalar(explain_abstraction_refinement, "timeout must be a number, got True", timeout=True),
+            bad_scalar(explain_baseline, "epsilon must be a number, got '0.1'", epsilon="0.1"),
+            bad_scalar(explain_baseline, "epsilon must be a number, got None", epsilon=None),
+            bad_scalar(explain_abstraction_refinement, "epsilon must be a number, got True", epsilon=True),
+            bad_scalar(explain_baseline, "seed must be an integer, got 1.5", seed=1.5),
+            bad_scalar(explain_baseline, "seed must be an integer, got '3'", seed="3"),
+            bad_scalar(explain_abstraction_refinement, "seed must be an integer, got True", seed=True),
+            bad_scalar(
+                explain_baseline, "oracle split budget must be an integer, got '8'", backend="oracle", oracle_budget="8"
+            ),
+            bad_scalar(
+                explain_baseline, "oracle split budget must be an integer, got 2.5", backend="oracle", oracle_budget=2.5
+            ),
+            bad_scalar(
+                explain_baseline, "oracle split budget must be an integer, got True", backend="oracle", oracle_budget=True
+            ),
+        ],
+    )
+    def test_scalar_of_the_wrong_type_is_named(self, demo, search, arguments, message):
+        # A bare TypeError does not name the argument, and a bool or a
+        # fraction taken as a number runs a search nobody asked for.
+        net, x = demo
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            search(net, x, **{"epsilon": 0.5, **arguments})
 
     def test_resolved_must_be_permutation(self):
         with pytest.raises(ValidationError):
@@ -160,14 +197,27 @@ class TestBaseline:
 
 class TestAbstractionRefinement:
     def test_single_rate_schedule_matches_baseline(self):
-        sched = ReductionSchedule((1.0,))
-        for seed in range(10):
-            net, x = small_net_and_instance(seed)
-            kept_a, trace_a = explain_abstraction_refinement(net, x, 0.15, schedule=sched)
-            kept_b, trace_b = explain_baseline(net, x, 0.15)
+        # The baseline is this search under the schedule (1.0,): same kept
+        # set and same trace, field for field apart from the times.
+        def untimed(trace):
+            doc = trace.to_dict()
+            del doc["wall_time"]
+            for step in doc["steps"]:
+                del step["elapsed"]
+            return doc
+
+        verdicts = set()
+        for seed in range(60):
+            act = ("relu", "sigmoid", "tanh")[seed % 3]
+            net = random_network(7, (12, 10), 3, act, seed=seed + 300)
+            x = uniform_instances(net, 1, seed=seed)[0]
+            kept_a, trace_a = explain_abstraction_refinement(net, x, 0.1, schedule=ReductionSchedule((1.0,)), seed=seed)
+            kept_b, trace_b = explain_baseline(net, x, 0.1, seed=seed)
             assert kept_a == kept_b
-            assert len(trace_a.steps) == len(trace_b.steps)
+            assert untimed(trace_a) == untimed(trace_b)
             assert trace_a.refinements == 0
+            verdicts.update(step.verdict for step in trace_a.steps)
+        assert verdicts == {kind.value for kind in VerdictKind}
 
     def test_demo_trace_shows_refinement_progress(self, demo):
         # Feature 2 needs one refinement to prove its drop; feature 3 fails
@@ -232,7 +282,7 @@ class TestAbstractionRefinement:
                 last_step_per_group[step.group_id] = step
             for gid in trace.final:
                 step = last_step_per_group[gid]
-                assert step.witness_used or step.rate == 1.0
+                assert step.verdict == "insufficient" or step.rate == 1.0
 
     def test_timeout_zero_early_stops_with_all_groups(self, demo):
         net, x = demo
@@ -335,7 +385,7 @@ def _replay(net, x, epsilon, grouping, seed, monkeypatch):
         assert (walked is None) == (want is None)
         assert want is None or walked.tobytes() == want.tobytes()
         named = VerdictKind.UNCERTAIN if want is None else VerdictKind.INSUFFICIENT
-        assert (step.verdict, step.witness_used) == (named.value, want is not None)
+        assert step.verdict == named.value
     return trace
 
 
@@ -398,10 +448,10 @@ def one_query_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed):
 
     Kept as the reference for the search.  Each step asks its query with
     ``check_concrete`` and the seeded generator.  A feature the check cannot
-    drop is pinned with one step at rate 1.0.  A dropped one is checked on
-    the reduction of its own box at the carried rate, refined rate by rate
-    until it proves the drop, with one step per rate; that rate is carried
-    on.  A rate's snapshot is the kept set after its last drop, and the
+    drop is pinned with one step at rate 1.0, named by that check.  A
+    dropped one is checked on the reduction of its own box at the carried
+    rate, refined rate by rate until it proves the drop, with one step per
+    rate; that rate is carried on.  A rate's snapshot is the kept set after its last drop, and the
     snapshot at rate 1.0 is the final set.
     """
     target = predict(net, x)
@@ -414,10 +464,7 @@ def one_query_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed):
         verdict = check_concrete(net, q, rng=rng)
         if not verdict.is_sufficient:
             trace.steps.append(
-                StepRecord(
-                    grouping.ids[g], 1.0, "uncertain", verdict.is_insufficient, 0.0,
-                    verdict.margin, net.neuron_count,
-                )
+                StepRecord(grouping.ids[g], 1.0, verdict.kind.value, 0.0, verdict.margin, net.neuron_count)
             )
             continue
         lb = propagate_box(net, q.query_box())
@@ -426,10 +473,7 @@ def one_query_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed):
         while True:
             verdict = check_abstract(anet, q)
             trace.steps.append(
-                StepRecord(
-                    grouping.ids[g], rate, verdict.kind.value, False, 0.0,
-                    verdict.margin, anet.neuron_count,
-                )
+                StepRecord(grouping.ids[g], rate, verdict.kind.value, 0.0, verdict.margin, anet.neuron_count)
             )
             if verdict.is_sufficient:
                 kept.discard(g)
@@ -485,7 +529,7 @@ def assert_same_search(net, x, epsilon, schedule, seed, monkeypatch, exact=False
     """Run the search and its one-query-at-a-time reference; return the trace and the windowed step count.
 
     Kept sets, finals, snapshots, refinements and every step's group,
-    rate, verdict, witness and neuron counts must be the reference's, and
+    rate, verdict and neuron counts must be the reference's, and
     the kept set must be the baseline's.  A step asked alone on its own
     box has the reference's margin bit for bit (with ``exact``, every step
     must).  Otherwise the step is either a concrete step at rate 1.0 from
@@ -511,8 +555,8 @@ def assert_same_search(net, x, epsilon, schedule, seed, monkeypatch, exact=False
     replay_kept = set(range(len(grouping.groups)))
     windowed = 0
     for got, want in zip(trace.steps, ref.steps):
-        assert (got.group_id, got.rate, got.verdict, got.witness_used, got.neuron_evals) == (
-            want.group_id, want.rate, want.verdict, want.witness_used, want.neuron_evals
+        assert (got.group_id, got.rate, got.verdict, got.neuron_evals) == (
+            want.group_id, want.rate, want.verdict, want.neuron_evals
         )
         g = grouping.ids.index(got.group_id)
         if got.margin != want.margin:
@@ -571,18 +615,17 @@ class TestRateOneTail:
 
     def test_whole_walk_as_a_tail_keeps_the_search_verdict_names(self, monkeypatch):
         # With only rate 1.0 the whole walk is the baseline's, with no
-        # reduction; pinned features show as uncertain with witness_used.
+        # reduction; a witnessed pin is insufficient, as in the baseline.
         witnessed = 0
         for net, x, epsilon, seed in search_equivalence_nets():
             rows = record_reduced_checks(net, monkeypatch)
             trace, _ = assert_same_search(net, x, epsilon, ReductionSchedule((1.0,)), seed, monkeypatch)
             assert rows == []
             _, base = explain_baseline(net, x, epsilon, seed=seed)
-            assert [(s.group_id, s.margin, s.witness_used) for s in trace.steps] == [
-                (s.group_id, s.margin, s.verdict == "insufficient") for s in base.steps
+            assert [(s.group_id, s.margin, s.verdict) for s in trace.steps] == [
+                (s.group_id, s.margin, s.verdict) for s in base.steps
             ]
-            assert {step.verdict for step in trace.steps} <= {"sufficient", "uncertain"}
-            witnessed += sum(step.witness_used for step in trace.steps)
+            witnessed += sum(step.verdict == "insufficient" for step in trace.steps)
         assert witnessed > 0
 
     def test_wider_net_hands_off_before_its_last_feature(self, monkeypatch):
@@ -696,7 +739,7 @@ class TestConcreteFirst:
             ordering = order_features(net, x, grouping, "sensitivity")
             kept, trace = explain_abstraction_refinement(net, x, epsilon, grouping, ordering, seed=seed)
             _, base = explain_baseline(net, x, epsilon, grouping, ordering, seed=seed)
-            insufficient = {s.group_id: s.verdict == "insufficient" for s in base.steps}
+            base_verdict = {s.group_id: s.verdict for s in base.steps}
             target = predict(net, x)
             replay_kept = set(range(len(grouping.groups)))
             steps_of = {}
@@ -712,10 +755,10 @@ class TestConcreteFirst:
                 margin, separated, _ = explain_module.enclosure_verdicts(net, target, box.lo, box.hi)
                 assert not separated
                 assert abs(step.margin - margin) <= 1e-12
-                assert (step.rate, step.verdict, step.neuron_evals) == (1.0, "uncertain", net.neuron_count)
-                assert step.witness_used == insufficient[step.group_id]
+                assert (step.rate, step.neuron_evals) == (1.0, net.neuron_count)
+                assert step.verdict == base_verdict[step.group_id]
                 pins += 1
-                witnessed += step.witness_used
+                witnessed += step.verdict == "insufficient"
             assert all(len(steps_of[grouping.ids[g]]) == 1 for g in kept)
         assert pins > 0 and witnessed > 0
 
@@ -820,8 +863,7 @@ class TestPinSearches:
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert got.tobytes() == want.tobytes()
-                named = "insufficient" if search is explain_baseline else "uncertain"
-                assert (step.verdict, step.witness_used) == ((named, True) if want is not None else ("uncertain", False))
+                assert step.verdict == ("uncertain" if want is None else "insufficient")
                 witnessed += want is not None
             assert all(count == explain_module.MAX_BATCH for count in calls[:-1])
             assert all(0 < count <= explain_module.MAX_BATCH for count in calls)
@@ -871,7 +913,7 @@ class TestPinSearches:
                 pins = [s for s in trace.steps if s.group_id in full.final]
                 assert sum(searched) == len(pins)
                 stops += 1
-                witnessed += any(s.witness_used for s in pins)
+                witnessed += any(s.verdict == "insufficient" for s in pins)
         monkeypatch.undo()
         assert stops > 0 and witnessed > 0
 
@@ -881,7 +923,7 @@ def oracle_one_query_per_step(net, x, epsilon, grouping, ordering, budget):
 
     Kept as the reference for the oracle search on the walk; returns the
     kept set, final, snapshots and every step's (group, rate, verdict,
-    witness_used, neuron_evals).
+    neuron_evals).
     """
     kept = set(range(len(grouping.groups)))
     steps = []
@@ -889,8 +931,7 @@ def oracle_one_query_per_step(net, x, epsilon, grouping, ordering, budget):
         result = oracle_check(net, make_query(net, x, grouping.features_of(kept - {g}), epsilon), budget=budget)
         if result.proved:
             kept.discard(g)
-        witnessed = result.outcome is OracleOutcome.WITNESS
-        steps.append((grouping.ids[g], 1.0, result.verdict.value, witnessed, net.neuron_count * result.evaluations))
+        steps.append((grouping.ids[g], 1.0, result.verdict.value, net.neuron_count * result.evaluations))
     snapshots = {1.0: grouping.ids_of(kept)} if steps else {}
     return kept, grouping.ids_of(kept), snapshots, steps
 
@@ -933,7 +974,7 @@ class TestOracleWalk:
             assert kept == ref_kept
             assert trace.final == final
             assert trace.snapshots == snapshots
-            assert [(s.group_id, s.rate, s.verdict, s.witness_used, s.neuron_evals) for s in trace.steps] == steps
+            assert [(s.group_id, s.rate, s.verdict, s.neuron_evals) for s in trace.steps] == steps
             # Every step records its root box's enclosure margin.
             target = predict(net, x)
             replay_kept = set(range(len(grouping.groups)))

@@ -559,6 +559,13 @@ class TestOracle:
         with pytest.raises(ValidationError, match="oracle split budget must be nonnegative, got -1"):
             explain_baseline(net, x, 0.4, backend="oracle", oracle_budget=-1)
 
+    @pytest.mark.parametrize("budget", [2.5, True, "8", None])
+    def test_budget_that_is_no_integer_rejected(self, budget):
+        net, x = small_net_and_instance(0, input_dim=5, hidden=(8,), output_dim=3)
+        q = make_query(net, x, fixed=set(), epsilon=0.4)
+        with pytest.raises(ValidationError, match=f"^oracle split budget must be an integer, got {budget!r}$"):
+            oracle_check(net, q, budget=budget)
+
     @pytest.mark.parametrize("budget", [-1, 0, 1 << 16])
     def test_budget_rejected_with_the_enclosure_backend(self, budget):
         net, x = small_net_and_instance(0, input_dim=5, hidden=(8,), output_dim=3)
