@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import LayerBounds, enclose_affine, enclose_layer
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, check_number
 from .intervals import IntervalVector, apply_activation
 from .network import ActivationKind, ConcreteNetwork
 
@@ -161,12 +161,15 @@ class ReductionSchedule:
     rates: tuple[float, ...]
 
     def __post_init__(self):
-        rates = tuple(float(r) for r in self.rates)
+        if isinstance(self.rates, str) or not hasattr(self.rates, "__iter__"):
+            raise ValidationError(
+                f"schedule rates must be a sequence of numbers, got {self.rates!r}; "
+                "ReductionSchedule.from_string parses text"
+            )
+        # NaN would pass every comparison below.
+        rates = tuple(float(check_number("schedule rate", r)) for r in self.rates)
         if not rates:
             raise ValidationError("schedule must contain at least one rate")
-        for r in rates:  # NaN passes every comparison below
-            if not np.isfinite(r):
-                raise ValidationError(f"schedule rate {r} is not a finite number")
         if rates[0] <= 0.0:
             raise ValidationError("schedule rates must be positive")
         if any(b <= a for a, b in zip(rates, rates[1:])):
@@ -260,8 +263,7 @@ def _select_merged(ranked: Ranking, rate: float) -> tuple[np.ndarray, ...]:
 
 def build_abstract(net: ConcreteNetwork, lb: LayerBounds, rate: float) -> AbstractNetwork:
     """Reduce ``net`` toward ``rate`` against the box recorded in ``lb``."""
-    if not 0.0 < rate <= 1.0:
-        raise ValidationError(f"reduction rate must lie in (0, 1], got {rate}")
+    check_number("reduction rate", rate, positive=True, maximum=1)
     return build_from_merge_sets(net, lb, _select_merged(score_neurons(net, lb), rate))
 
 
@@ -302,6 +304,12 @@ def build_from_merge_sets(
     hidden = len(net.layers) - 1
     if len(merge_sets) != hidden:
         raise DimensionError(f"expected {hidden} merge sets, got {len(merge_sets)}")
+    for k, merged in enumerate(merge_sets):
+        # An integer array is an index array by its dtype; anything else is checked member by member.
+        if not (isinstance(merged, np.ndarray) and merged.dtype.kind in "iu"):
+            name = f"merge_sets[{k}]"
+            for i in merged.tolist() if isinstance(merged, np.ndarray) else merged:
+                check_number(name, i, integer=True, minimum=0, must="hold integer neuron indices")
     spec = MergeSpec(
         per_layer_merged=tuple(
             frozenset(merged.tolist()) if isinstance(merged, np.ndarray) else merged for merged in merge_sets
@@ -375,12 +383,12 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
     ranked by ``score_neurons(net, lb)``, which a chain against the same
     bounds computes once.
     """
-    if not rate > prev.reduction_rate:  # NaN too
+    check_number("refinement rate", rate)
+    if not rate > prev.reduction_rate:
         raise ValidationError(
             f"refinement rate {rate} must exceed the current rate {prev.reduction_rate}"
         )
-    if rate > 1.0:
-        raise ValidationError(f"reduction rate must lie in (0, 1], got {rate}")
+    check_number("reduction rate", rate, positive=True, maximum=1)
     _check_fresh(net, lb)
     if prev.spec.source_net_id != net.fingerprint:
         raise ValidationError("reduced network was built from a different network")

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .abstraction import ReductionSchedule
-from .errors import ProvexError, SchemaError, ValidationError
+from .errors import ProvexError, SchemaError, ValidationError, check_number
 from .explain import (
     STATUS_EARLY_STOP,
     FeatureGrouping,
@@ -94,12 +94,6 @@ def _schedule(text: str | None) -> ReductionSchedule | None:
         raise ValidationError(f"--schedule: {exc}") from None
 
 
-def _check_nonnegative(flag: str, value) -> None:
-    """A given number must be nonnegative; NaN, which passes every later comparison, is not."""
-    if value is not None and not value >= 0:
-        raise ValidationError(f"{flag} must be nonnegative, got {value}")
-
-
 def _report_config(args) -> dict:
     """The flags of an ``explain`` run, as ``report.json`` records them."""
     schedule = args.schedule
@@ -126,7 +120,8 @@ def cmd_explain(args) -> int:
             if value is not None:
                 raise ProvexError(f"{flag} does not apply to --backend oracle")
     for flag, value in (("--seed", args.seed), ("--epsilon", args.epsilon), ("--timeout", args.timeout)):
-        _check_nonnegative(flag, value)
+        if value is not None:
+            check_number(flag, value, minimum=0)
     schedule = _schedule(args.schedule)
     net = _read_network(args.network)
     x, _ = load_instance(args.input)
@@ -169,7 +164,8 @@ def cmd_verify(args) -> int:
     if value is not None:
         raise ProvexError(f"{flag} does not apply to --backend {args.backend}")
     for flag, value in (("--seed", args.seed), ("--epsilon", args.epsilon), ("--budget", args.budget)):
-        _check_nonnegative(flag, value)
+        if value is not None:
+            check_number(flag, value, minimum=0)
     net = _read_network(args.network)
     x, _ = load_instance(args.input)
     try:
@@ -233,7 +229,8 @@ def _bench_instance(net, args, schedule, idx: int, path: str):
 
 
 def cmd_bench(args) -> int:
-    _check_nonnegative("--epsilon", args.epsilon)
+    for flag, value in (("--seed", args.seed), ("--epsilon", args.epsilon)):
+        check_number(flag, value, minimum=0)
     schedule = _schedule(args.schedule)
     if not args.input:
         raise ValidationError("--input: bench needs at least one instance")
@@ -341,7 +338,8 @@ def _widths(text: str) -> tuple[int, ...]:
 
 def cmd_fixture(args) -> int:
     for flag, value in (("--seed", args.seed), ("--instances", args.instances)):
-        _check_nonnegative(flag, value)
+        if value is not None:
+            check_number(flag, value, minimum=0)
     # Each flag given, with the FixtureSpec field it sets; a kind rejects the flags it never reads.
     given = {
         "--seed": ("seed", args.seed),

@@ -27,15 +27,12 @@ import numpy as np
 
 from .abstraction import ReductionSchedule, build_abstract, refine
 from .bounds import propagate_box
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, check_number
 from .intervals import IntervalVector
 from .network import ConcreteNetwork, gradient, predict
 from .queries import (
     SufficiencyQuery,
     VerdictKind,
-    _check_budget,
-    _is_integer,
-    _is_number,
     _separation,
     enclosure_verdicts,
     find_witnesses,
@@ -61,11 +58,21 @@ class FeatureGrouping:
     def __post_init__(self):
         if len(self.groups) != len(self.ids):
             raise DimensionError("one id per group required")
+        named: set[str] = set()
+        for gid in self.ids:
+            # Reports, masks and snapshots name a group by its id alone.
+            if not isinstance(gid, str):
+                raise ValidationError(f"group id {gid!r} is not a string")
+            if gid in named:
+                raise ValidationError(f"group id {gid!r} names more than one group")
+            named.add(gid)
         seen: set[int] = set()
-        for group in self.groups:
+        for k, group in enumerate(self.groups):
             if not group:
                 raise ValidationError("groups must be non-empty")
+            name = f"groups[{k}]"
             for i in group:
+                check_number(name, i, integer=True, minimum=0, must="hold integer feature indices")
                 if i in seen:
                     raise ValidationError(f"feature {i} appears in more than one group")
                 seen.add(i)
@@ -75,11 +82,13 @@ class FeatureGrouping:
     @classmethod
     def singletons(cls, n: int) -> "FeatureGrouping":
         """One group per dimension, named by one-based position."""
+        check_number("n", n, integer=True, minimum=0)
         return cls(tuple((i,) for i in range(n)), tuple(str(i + 1) for i in range(n)))
 
     @classmethod
     def rgb_pixels(cls, n: int) -> "FeatureGrouping":
         """Bundle interleaved RGB channels so each pixel is kept or freed whole."""
+        check_number("n", n, integer=True, minimum=0)
         if n % 3 != 0:
             raise ValidationError(f"rgb grouping needs a multiple of 3 features, got {n}")
         pixels = n // 3
@@ -109,13 +118,6 @@ class FeatureOrdering:
             raise ValidationError("resolved ordering must be a permutation of the groups")
 
 
-def _check_seed(seed: int) -> None:
-    if not _is_integer(seed):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
-
-
 def order_features(
     net: ConcreteNetwork,
     x,
@@ -129,7 +131,7 @@ def order_features(
     over each group and visits the least sensitive groups first, since
     those are the most likely to be dropped.
     """
-    _check_seed(seed)
+    check_number("seed", seed, integer=True, minimum=0)
     n_groups = len(grouping.groups)
     if policy == "in-order":
         return FeatureOrdering(policy, tuple(range(n_groups)))
@@ -229,7 +231,7 @@ def count_work(trace: ExplanationTrace) -> WorkReport:
 
 def _search(net, x, epsilon, grouping, ordering, seed, schedule, timeout=None, budget=None):
     """Both searches' body: ``_enclosure_walk`` under ``schedule``, timed from after the setup."""
-    _check_seed(seed)
+    check_number("seed", seed, integer=True, minimum=0)
     x = np.asarray(x, dtype=np.float64)
     if grouping is None:
         grouping = FeatureGrouping.singletons(net.input_dim)
@@ -279,7 +281,7 @@ def explain_baseline(
         raise ValidationError("oracle_budget does not apply to the enclosure backend")
     if backend == "oracle":
         oracle_budget = 1 << 16 if oracle_budget is None else oracle_budget
-        _check_budget(oracle_budget)
+        check_number("oracle split budget", oracle_budget, integer=True, minimum=0)
     return _search(net, x, epsilon, grouping, ordering, seed, ReductionSchedule((1.0,)), budget=oracle_budget)
 
 
@@ -521,10 +523,9 @@ def explain_abstraction_refinement(
     returned as an early stop.
     """
     if timeout is not None:
-        if not _is_number(timeout):
-            raise ValidationError(f"timeout must be a number, got {timeout!r}")
-        if not timeout >= 0:  # NaN too
-            raise ValidationError(f"timeout must be nonnegative, got {timeout}")
+        check_number("timeout", timeout, minimum=0)
     if schedule is None:
         schedule = ReductionSchedule.default()
+    elif not isinstance(schedule, ReductionSchedule):
+        raise ValidationError(f"schedule must be a ReductionSchedule, got {schedule!r}")
     return _search(net, x, epsilon, grouping, ordering, seed, schedule, timeout)

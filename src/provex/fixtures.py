@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .network import ActivationKind, ConcreteNetwork, Layer
 
 _INCREMENT = np.uint64(0x9E3779B97F4A7C15)
@@ -82,8 +82,11 @@ def random_network(
 ) -> ConcreteNetwork:
     """Seed-determined dense network with the stated hidden widths."""
     act = ActivationKind(activation)
+    check_number("seed", seed, integer=True, minimum=0)
     stream = SplitMix64(seed)
     dims = [input_dim, *hidden, output_dim]
+    for width in dims:
+        check_number("layer widths", width, integer=True)
     if min(dims) < 1:
         raise ValidationError(f"layer widths must be positive, got {dims}")
     layers = []
@@ -104,8 +107,8 @@ def mnist_shape_network(seed: int = 0) -> ConcreteNetwork:
 
 def uniform_instances(net: ConcreteNetwork, count: int, seed: int = 0) -> np.ndarray:
     """Instances drawn uniformly from the network's input domain, one per row."""
-    if count < 0:
-        raise ValidationError(f"instance count must be nonnegative, got {count}")
+    check_number("instance count", count, integer=True, minimum=0)
+    check_number("seed", seed, integer=True, minimum=0)
     stream = SplitMix64(seed ^ 0x5CA1AB1E)
     u = stream.uniform(0.0, 1.0, count * net.input_dim).reshape(count, net.input_dim)
     lo, hi = net.input_domain.lo, net.input_domain.hi

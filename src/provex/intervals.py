@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, check_number
 
 
 def _as_vector(values, name: str) -> np.ndarray:
@@ -128,8 +128,7 @@ def iv_subset(a: IntervalVector, b: IntervalVector, slack: float = 0.0) -> bool:
     """True iff box a is contained in box b, loosened by ``slack`` per side."""
     if len(a) != len(b):
         raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
-    if slack < 0:
-        raise ValidationError("slack must be nonnegative")
+    check_number("slack", slack, minimum=0)
     return bool(np.all(b.lo - slack <= a.lo) and np.all(a.hi <= b.hi + slack))
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, SchemaError, ValidationError
+from .errors import DimensionError, SchemaError, ValidationError, check_number
 from .intervals import IntervalVector, apply_activation
 
 
@@ -202,7 +202,8 @@ def _activation_derivative(kind: ActivationKind, pre: np.ndarray, post: np.ndarr
 
 def gradient(net: ConcreteNetwork, x, out_index: int) -> np.ndarray:
     """Reverse-mode gradient of one output logit with respect to the input."""
-    if not 0 <= out_index < net.output_dim:
+    check_number("out_index", out_index, integer=True, minimum=0)
+    if out_index >= net.output_dim:
         raise DimensionError(f"output index {out_index} out of range for {net.output_dim} logits")
     h = np.asarray(x, dtype=np.float64)
     if h.shape != (net.input_dim,):

@@ -21,7 +21,6 @@ changes no label.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .abstraction import AbstractNetwork
 from .bounds import propagate_abstract, propagate_box, propagate_rows
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, check_number
 from .intervals import IntervalVector, apply_activation
 from .network import ConcreteNetwork, forward, forward_rows, gradient, gradients, predict
 
@@ -67,24 +66,6 @@ def _query_box(x: np.ndarray, fixed: frozenset[int], epsilon: float, domain: Int
     return IntervalVector(lo, hi)
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool is not an index."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """Whether ``value`` is a real Python or numpy number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_budget(budget) -> None:
-    """An oracle split budget must be a nonnegative integer."""
-    if not _is_integer(budget):
-        raise ValidationError(f"oracle split budget must be an integer, got {budget!r}")
-    if budget < 0:
-        raise ValidationError(f"oracle split budget must be nonnegative, got {budget}")
-
-
 def _validate_instance(x, fixed_features, epsilon: float, domain: IntervalVector):
     """The instance as a vector and the fixed features as a set, once both are checked."""
     x = np.asarray(x, dtype=np.float64)
@@ -92,17 +73,11 @@ def _validate_instance(x, fixed_features, epsilon: float, domain: IntervalVector
         raise DimensionError(f"instance must be a vector, got shape {x.shape}")
     if len(domain) != x.shape[0]:
         raise DimensionError("instance and domain lengths disagree")
-    if not _is_number(epsilon):
-        raise ValidationError(f"epsilon must be a number, got {epsilon!r}")
-    if not epsilon >= 0:  # NaN too
-        raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
+    check_number("epsilon", epsilon, minimum=0)
     fixed = list(fixed_features)
-    bad = [i for i in fixed if not _is_integer(i)]
-    if bad:
-        raise ValidationError(f"fixed_features must hold integer indices, got {bad[0]!r}")
+    for i in fixed:
+        check_number("fixed_features", i, integer=True, minimum=0, maximum=x.shape[0] - 1, must="hold integer indices")
     fixed = frozenset(int(i) for i in fixed)
-    if any(i < 0 or i >= x.shape[0] for i in fixed):
-        raise ValidationError("fixed feature index out of range")
     if not domain.contains_point(x):
         raise ValidationError("instance lies outside the domain")
     return x, fixed
@@ -120,8 +95,7 @@ class SufficiencyQuery:
 
     def __post_init__(self):
         x, fixed = _validate_instance(self.x, self.fixed_features, self.epsilon, self.domain)
-        if not _is_integer(self.target):
-            raise ValidationError(f"target must be an integer class index, got {self.target!r}")
+        check_number("target", self.target, integer=True, minimum=0, must="be an integer class index")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "fixed_features", fixed)
         object.__setattr__(self, "target", int(self.target))
@@ -143,8 +117,7 @@ class RegressionQuery:
 
     def __post_init__(self):
         x, fixed = _validate_instance(self.x, self.fixed_features, self.epsilon, self.domain)
-        if not self.delta > 0:  # NaN too
-            raise ValidationError(f"delta must be positive, got {self.delta}")
+        check_number("delta", self.delta, positive=True)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "fixed_features", fixed)
 
@@ -262,8 +235,7 @@ def find_witnesses(
     proves it is classified as ``target``, so no label changes.  With one
     layer after the first it would cost the very layer it saves.
     """
-    if n_random < 0:
-        raise ValidationError(f"n_random must be nonnegative, got {n_random}")
+    check_number("n_random", n_random, integer=True, minimum=0)
     boxes = lo.shape[0]
     if boxes == 0:
         return []
@@ -522,7 +494,7 @@ def oracle_check(net: ConcreteNetwork, q: SufficiencyQuery, budget: int = 1 << 1
     exactly and any misclassification is returned as a witness.  Exhausted
     means the split budget ran out with sub-boxes still open.
     """
-    _check_budget(budget)
+    check_number("oracle split budget", budget, integer=True, minimum=0)
     _validate_target(net, q)
     stack = [q.query_box()]
     splits = 0

@@ -1,5 +1,7 @@
 """Neuron merging: scoring, construction, containment, and refinement nesting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -406,6 +408,18 @@ class TestSchedule:
         sched = ReductionSchedule.from_string("0.1,0.4,1.0")
         assert sched.rates == (0.1, 0.4, 1.0)
 
+    @pytest.mark.parametrize("rates", ["0.5,1.0", "1", None, 1.0])
+    def test_text_or_a_single_value_points_at_from_string(self, rates):
+        # "1" was read as (1.0,), and the others raised a bare ValueError or TypeError.
+        with pytest.raises(ValidationError, match=r"^schedule rates must be a sequence of numbers, .*from_string"):
+            ReductionSchedule(rates)
+
+    @pytest.mark.parametrize("rate", [True, "1", None])
+    def test_rate_that_is_no_number_is_named(self, rate):
+        # (True,) ran as (1.0,).
+        with pytest.raises(ValidationError, match=f"^schedule rate must be a number, got {re.escape(repr(rate))}$"):
+            ReductionSchedule((0.5, rate))
+
 
 class TestBuildGuards:
     """A reduction answers only for boxes inside its build box, and takes only buckets that split its merge sets."""
@@ -460,6 +474,26 @@ class TestBuildGuards:
             build_from_merge_sets(net, lb, merge_sets, buckets=good[:1])
         rebuilt = build_from_merge_sets(net, lb, merge_sets, buckets=good)
         assert same_pairs(rebuilt.buckets, good)
+
+    @pytest.mark.parametrize(
+        "merged, shown",
+        [
+            (frozenset({0.5}), "0.5"),  # merged neuron 0
+            (frozenset({True}), "True"),  # merged neuron 1
+            (np.array([0.7]), "0.7"),  # a bare IndexError
+            (np.array([True]), "True"),
+            (frozenset({0, -1}), None),
+        ],
+    )
+    def test_merge_set_members_must_be_neuron_indices(self, merged, shown):
+        net = random_network(4, (6, 5), 3, "relu", seed=1)
+        lb = propagate_box(net, net.input_domain)
+        message = "must be nonnegative, got -1" if shown is None else f"must hold integer neuron indices, got {shown}"
+        with pytest.raises(ValidationError, match=rf"^merge_sets\[1\] {re.escape(message)}$"):
+            build_from_merge_sets(net, lb, (frozenset({0}), merged))
+        # An integer array of any width is an index array.
+        anet = build_from_merge_sets(net, lb, (np.array([0], dtype=np.int32), np.array([1], dtype=np.uint8)))
+        assert anet.spec.per_layer_merged == (frozenset({0}), frozenset({1}))
 
 
 # The rankings and buckets of the ``sorted``-based forms the numpy ones

@@ -74,6 +74,22 @@ class TestGrouping:
         with pytest.raises(ValidationError):
             FeatureGrouping(((0,), (2,)), ("a", "b"))
 
+    @pytest.mark.parametrize(
+        "groups, ids, message",
+        [
+            # Two groups named "a": the trace, its snapshots and report.json could not tell them apart.
+            (((0,), (1,), (2,), (3,)), ("a", "a", "b", "c"), "group id 'a' names more than one group"),
+            # Reports are read back by id, and a report's ids are strings.
+            (((0,), (1,)), ("a", 2), "group id 2 is not a string"),
+            (((0.0,), (1,)), ("a", "b"), "groups[0] must hold integer feature indices, got 0.0"),
+            (((0,), (1, True)), ("a", "b"), "groups[1] must hold integer feature indices, got True"),
+            (((0,), (-1, 1)), ("a", "b"), "groups[1] must be nonnegative, got -1"),
+        ],
+    )
+    def test_ids_and_indices_are_named(self, groups, ids, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            FeatureGrouping(groups, ids)
+
 
 def bad_scalar(search, message, **arguments):
     """A case of ``search`` called with ``arguments``, which must raise a ValidationError of ``message``."""
@@ -283,6 +299,14 @@ class TestAbstractionRefinement:
             for gid in trace.final:
                 step = last_step_per_group[gid]
                 assert step.verdict == "insufficient" or step.rate == 1.0
+
+    @pytest.mark.parametrize("schedule", [(0.5, 1.0), "0.5,1.0"])
+    def test_schedule_that_is_no_reduction_schedule_is_named(self, demo, schedule):
+        # A tuple raised a bare AttributeError ('tuple' object has no attribute 'rates').
+        net, x = demo
+        message = f"schedule must be a ReductionSchedule, got {schedule!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            explain_abstraction_refinement(net, x, 1.0, schedule=schedule)
 
     def test_timeout_zero_early_stops_with_all_groups(self, demo):
         net, x = demo
