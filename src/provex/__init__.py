@@ -28,7 +28,7 @@ from .explain import (
     explain_baseline,
     order_features,
 )
-from .fixtures import FixtureSpec, demo_network, make_fixture, mnist_shape_network, random_network
+from .fixtures import demo_network, mnist_shape_network, random_network
 from .intervals import IntervalVector, iv_subset
 from .network import (
     ActivationKind,
@@ -59,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbstractNetwork", "ActivationKind", "ConcreteNetwork", "DimensionError",
-    "ExplanationTrace", "FeatureGrouping", "FeatureOrdering", "FixtureSpec",
+    "ExplanationTrace", "FeatureGrouping", "FeatureOrdering",
     "IntervalVector", "Layer", "LayerBounds", "MergeSpec",
     "OracleOutcome", "OracleResult", "ProvexError", "ReductionSchedule",
     "RegressionQuery", "STATUS_EARLY_STOP", "STATUS_MINIMAL", "SchemaError",
@@ -68,7 +68,7 @@ __all__ = [
     "check_concrete", "check_regression", "count_work", "demo_network",
     "explain_abstraction_refinement", "explain_baseline", "forward",
     "forward_batch", "gen_counterexample", "gradient", "iv_subset",
-    "load_network", "make_fixture", "mnist_shape_network", "oracle_check",
+    "load_network", "mnist_shape_network", "oracle_check",
     "order_features", "predict", "propagate_abstract", "propagate_box",
     "random_network", "refine", "save_network", "score_neurons",
 ]

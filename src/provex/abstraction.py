@@ -106,8 +106,9 @@ class AbstractLayer:
     def __post_init__(self):
         for name in ("weights", "weights_neg"):
             array = getattr(self, name)
-            # A build hands over fresh contiguous selections; only other
-            # arrays are converted.
+            # A row selection arrives C-contiguous and is kept; a column
+            # selection arrives Fortran-ordered and, like any other array,
+            # is converted.
             if not (isinstance(array, np.ndarray) and array.dtype == np.float64 and array.flags.c_contiguous):
                 array = np.ascontiguousarray(array, dtype=np.float64)
                 object.__setattr__(self, name, array)
@@ -225,16 +226,11 @@ def score_neurons(net: ConcreteNetwork, lb: LayerBounds) -> Ranking:
     return lb._ranking
 
 
-def select_merge_sets(ranked: Ranking, rate: float) -> tuple[frozenset[int], ...]:
+def select_merge_sets(ranked: Ranking, rate: float) -> tuple[np.ndarray, ...]:
     """Pick the globally lowest-scored hidden neurons of a ``score_neurons`` ranking to reach ``rate``.
 
-    Neurons are taken by score, ties broken by layer and then by index.
-    """
-    return tuple(frozenset(merged.tolist()) for merged in _select_merged(ranked, rate))
-
-
-def _select_merged(ranked: Ranking, rate: float) -> tuple[np.ndarray, ...]:
-    """``select_merge_sets`` as index arrays, one per hidden layer.
+    Neurons are taken by score, ties broken by layer and then by index, and
+    returned as index arrays, one per hidden layer.
 
     A layer's ranking is ordered by score, so whatever the global order
     (score, layer, index) takes from a layer is every neuron below some
@@ -264,7 +260,7 @@ def _select_merged(ranked: Ranking, rate: float) -> tuple[np.ndarray, ...]:
 def build_abstract(net: ConcreteNetwork, lb: LayerBounds, rate: float) -> AbstractNetwork:
     """Reduce ``net`` toward ``rate`` against the box recorded in ``lb``."""
     check_number("reduction rate", rate, positive=True, maximum=1)
-    return build_from_merge_sets(net, lb, _select_merged(score_neurons(net, lb), rate))
+    return build_from_merge_sets(net, lb, select_merge_sets(score_neurons(net, lb), rate))
 
 
 def build_from_merge_sets(
@@ -339,16 +335,15 @@ def build_from_merge_sets(
             layer_buckets = buckets[k] if buckets is not None else _chain_buckets(lo, hi, merged)
             absorbed, (flat, hull_lo, hull_hi) = _absorb_buckets(net.layers[k + 1], lo, hi, layer_buckets)
             if whole:
-                keep = _NO_NEURONS
+                keep = _NO_NEURONS  # spares building and scanning a mask that keeps nothing
             else:
                 survives = np.ones(layer.out_dim, dtype=bool)
                 survives[merged] = False
                 keep = np.flatnonzero(survives)
             out_layers.append(_reduced_layer(layer, keep, keep_prev, bias_lo[keep], bias_hi[keep]))
-            if not whole:
-                # lo and hi are this build's own arrays, so they are overwritten in place.
-                lo[flat] = hull_lo
-                hi[flat] = hull_hi
+            # lo and hi are this build's own arrays, so they are overwritten in place.
+            lo[flat] = hull_lo
+            hi[flat] = hull_hi
             keep_prev = keep
         elif keep_prev is not None:
             out_layers.append(_reduced_layer(layer, None, keep_prev, bias_lo, bias_hi))
@@ -426,7 +421,9 @@ def _reduced_layer(layer, rows, cols, bias_lo: np.ndarray, bias_hi: np.ndarray) 
     Rows and columns are selected one after the other, which copies the
     same entries as one outer-product index in half the time.  When a
     layer merged whole leaves no rows or no columns, the selections are
-    one shared empty array, and nothing is gathered.
+    one shared empty array, and nothing is gathered: selected one after
+    the other, the kept rows of the layer after it would be copied only
+    for the empty column selection to drop them.
     """
     shape = (layer.out_dim if rows is None else rows.size, layer.in_dim if cols is None else cols.size)
     if 0 in shape:

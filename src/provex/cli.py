@@ -28,6 +28,7 @@ import numpy as np
 from .abstraction import ReductionSchedule
 from .errors import ProvexError, SchemaError, ValidationError, check_number
 from .explain import (
+    ORDERING_POLICIES,
     STATUS_EARLY_STOP,
     FeatureGrouping,
     count_work,
@@ -35,10 +36,10 @@ from .explain import (
     explain_baseline,
     order_features,
 )
-from .fixtures import FixtureSpec, make_fixture
+from .fixtures import demo_network, mnist_shape_network, random_network, uniform_instances
 from .images import load_instance, save_instance_csv, write_image
 from .network import ConcreteNetwork, _load_json, _require, load_network, predict, save_network
-from .queries import SufficiencyQuery, check_concrete, oracle_check
+from .queries import ORACLE_BUDGET, SufficiencyQuery, check_concrete, oracle_check
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -340,24 +341,31 @@ def cmd_fixture(args) -> int:
     for flag, value in (("--seed", args.seed), ("--instances", args.instances)):
         if value is not None:
             check_number(flag, value, minimum=0)
-    # Each flag given, with the FixtureSpec field it sets; a kind rejects the flags it never reads.
-    given = {
-        "--seed": ("seed", args.seed),
-        "--input-dim": ("input_dim", args.input_dim),
-        "--widths": ("hidden", None if args.widths is None else _widths(args.widths)),
-        "--output-dim": ("output_dim", args.output_dim),
-        "--activation": ("activation", args.activation),
-        "--instances": ("instances", args.instances),
+    # Each flag, with what was given and its default; a kind rejects the flags it never reads.
+    flags = {
+        "--seed": (args.seed, 0),
+        "--input-dim": (args.input_dim, 8),
+        "--widths": (None if args.widths is None else _widths(args.widths), (16, 16)),
+        "--output-dim": (args.output_dim, 3),
+        "--activation": (args.activation, "relu"),
+        "--instances": (args.instances, 1),
     }
-    read = {"random": set(given), "mnist_shape": {"--seed", "--instances"}, "demo": set()}[args.kind]
-    fields = {}
-    for flag, (name, value) in given.items():
-        if value is not None:
-            if flag not in read:
-                raise ProvexError(f"{flag} does not apply to --kind {args.kind}")
-            fields[name] = value
-    spec = FixtureSpec(kind=args.kind, **fields)
-    net, instances = make_fixture(spec)
+    read = {"random": set(flags), "mnist_shape": {"--seed", "--instances"}, "demo": set()}[args.kind]
+    for flag, (value, _) in flags.items():
+        if value is not None and flag not in read:
+            raise ProvexError(f"{flag} does not apply to --kind {args.kind}")
+    seed, input_dim, hidden, output_dim, activation, count = (
+        default if value is None else value for value, default in flags.values()
+    )
+    if args.kind == "demo":
+        net, x = demo_network()
+        instances = x[None, :]
+    else:
+        if args.kind == "mnist_shape":
+            net = mnist_shape_network(seed)
+        else:
+            net = random_network(input_dim, hidden, output_dim, activation, seed)
+        instances = uniform_instances(net, count, seed)
     os.makedirs(args.out, exist_ok=True)
     net_path = os.path.join(args.out, "network.json")
     with open(net_path, "w", encoding="utf-8") as fh:
@@ -387,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--input", required=True, help="instance path (CSV, PGM, or PPM)")
         p.add_argument("--epsilon", type=float, required=True, help="perturbation radius")
-        p.add_argument("--order", choices=["sensitivity", "in-order", "random"], default="sensitivity")
+        p.add_argument("--order", choices=ORDERING_POLICIES, default="sensitivity")
         p.add_argument("--groups", choices=["none", "rgb"], default="none")
         p.add_argument("--schedule", help="comma-separated reduction rates ending at 1.0 "
                        "(default: 0.1 to 1.0 in steps of 0.1)")
@@ -406,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--subset", required=True, help="comma-separated one-based feature ids")
     p_verify.add_argument("--epsilon", type=float, required=True)
     p_verify.add_argument("--backend", choices=["enclosure", "oracle"], default="enclosure")
-    p_verify.add_argument("--budget", type=int, help="oracle split budget (default: 65536)")
+    p_verify.add_argument("--budget", type=int, help=f"oracle split budget (default: {ORACLE_BUDGET})")
     p_verify.add_argument("--seed", type=int, help="seed of the enclosure check's witness search (default: 0)")
     p_verify.set_defaults(func=cmd_verify)
 

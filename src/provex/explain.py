@@ -31,6 +31,7 @@ from .errors import DimensionError, ValidationError, check_number
 from .intervals import IntervalVector
 from .network import ConcreteNetwork, gradient, predict
 from .queries import (
+    ORACLE_BUDGET,
     SufficiencyQuery,
     VerdictKind,
     _separation,
@@ -110,10 +111,11 @@ class FeatureGrouping:
 class FeatureOrdering:
     """A resolved processing order over group indices."""
 
-    policy: str
     resolved: tuple[int, ...]
 
     def __post_init__(self):
+        for g in self.resolved:
+            check_number("ordering", g, integer=True, minimum=0, must="hold integer group indices")
         if sorted(self.resolved) != list(range(len(self.resolved))):
             raise ValidationError("resolved ordering must be a permutation of the groups")
 
@@ -134,15 +136,15 @@ def order_features(
     check_number("seed", seed, integer=True, minimum=0)
     n_groups = len(grouping.groups)
     if policy == "in-order":
-        return FeatureOrdering(policy, tuple(range(n_groups)))
+        return FeatureOrdering(tuple(range(n_groups)))
     if policy == "random":
         perm = np.random.default_rng(seed).permutation(n_groups)
-        return FeatureOrdering(policy, tuple(int(i) for i in perm))
+        return FeatureOrdering(tuple(int(i) for i in perm))
     if policy == "sensitivity":
         g = np.abs(gradient(net, x, predict(net, x)))
         scores = [float(sum(g[i] for i in group)) for group in grouping.groups]
         order = sorted(range(n_groups), key=lambda k: (scores[k], k))
-        return FeatureOrdering(policy, tuple(order))
+        return FeatureOrdering(tuple(order))
     raise ValidationError(f"unknown ordering policy {policy!r}")
 
 
@@ -271,7 +273,7 @@ def explain_baseline(
     no reduction.  With the ``oracle`` backend on small inputs the result is subset-minimal
     in the exact sense; with the ``enclosure`` backend minimality is
     relative to the incomplete enclosure verifier.  The oracle, with
-    ``oracle_budget`` splits (default 65536, and an error with the
+    ``oracle_budget`` splits (default ``ORACLE_BUDGET``, and an error with the
     ``enclosure`` backend), decides every step the enclosure check cannot
     drop, one query per batch of ``_enclosure_walk``.
     """
@@ -280,7 +282,7 @@ def explain_baseline(
     if backend == "enclosure" and oracle_budget is not None:
         raise ValidationError("oracle_budget does not apply to the enclosure backend")
     if backend == "oracle":
-        oracle_budget = 1 << 16 if oracle_budget is None else oracle_budget
+        oracle_budget = ORACLE_BUDGET if oracle_budget is None else oracle_budget
         check_number("oracle split budget", oracle_budget, integer=True, minimum=0)
     return _search(net, x, epsilon, grouping, ordering, seed, ReductionSchedule((1.0,)), budget=oracle_budget)
 

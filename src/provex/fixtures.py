@@ -15,8 +15,6 @@ of the activations so sufficiency queries are nontrivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError, check_number
@@ -114,29 +112,3 @@ def uniform_instances(net: ConcreteNetwork, count: int, seed: int = 0) -> np.nda
     lo, hi = net.input_domain.lo, net.input_domain.hi
     return lo + (hi - lo) * u
 
-
-@dataclass(frozen=True)
-class FixtureSpec:
-    """Recipe for a reproducible (network, instances) pair."""
-
-    kind: str
-    seed: int = 0
-    input_dim: int = 8
-    hidden: tuple[int, ...] = (16, 16)
-    output_dim: int = 3
-    activation: str = "relu"
-    instances: int = 1
-
-
-def make_fixture(spec: FixtureSpec) -> tuple[ConcreteNetwork, np.ndarray]:
-    """Build the network that ``spec`` describes, plus deterministic instances."""
-    if spec.kind == "demo":
-        net, x = demo_network()
-        return net, x[None, :]
-    if spec.kind == "random":
-        net = random_network(spec.input_dim, spec.hidden, spec.output_dim, spec.activation, spec.seed)
-    elif spec.kind == "mnist_shape":
-        net = mnist_shape_network(spec.seed)
-    else:
-        raise ValidationError(f"unknown fixture kind {spec.kind!r}")
-    return net, uniform_instances(net, spec.instances, spec.seed)

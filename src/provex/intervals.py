@@ -96,11 +96,11 @@ class IntervalVector:
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def contains_point(self, x, slack: float = 0.0) -> bool:
+    def contains_point(self, x) -> bool:
         arr = _as_vector(x, "x")
         if arr.shape != self.lo.shape:
             raise DimensionError(f"point has length {arr.shape[0]}, box has {len(self)}")
-        return bool(np.all(self.lo - slack <= arr) and np.all(arr <= self.hi + slack))
+        return bool(np.all(self.lo <= arr) and np.all(arr <= self.hi))
 
 
 def apply_activation(kind: str, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

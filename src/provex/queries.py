@@ -458,6 +458,10 @@ def gen_counterexample(
     return find_witnesses(net, q.target, box.lo[None], box.hi[None], enclosure.hi[None], rng)[0]
 
 
+# Splits the oracle may make before it reports a query exhausted, unless told otherwise.
+ORACLE_BUDGET = 1 << 16
+
+
 class OracleOutcome(str, Enum):
     PROVED_SUFFICIENT = "proved_sufficient"
     WITNESS = "witness"
@@ -485,7 +489,7 @@ class OracleResult:
         }[self.outcome]
 
 
-def oracle_check(net: ConcreteNetwork, q: SufficiencyQuery, budget: int = 1 << 16) -> OracleResult:
+def oracle_check(net: ConcreteNetwork, q: SufficiencyQuery, budget: int = ORACLE_BUDGET) -> OracleResult:
     """Complete branch-and-bound decision for small free-feature counts.
 
     Recursively bisects the widest free dimension.  A sub-box is discharged

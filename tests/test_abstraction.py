@@ -509,6 +509,11 @@ def sorted_score_neurons(net, lb):
     return ranked
 
 
+def as_sets(merged):
+    """Index arrays, one per hidden layer, as frozensets."""
+    return tuple(frozenset(m.tolist()) for m in merged)
+
+
 def sorted_select_merge_sets(ranked, rate):
     flat = sorted((score, k, j) for k, layer_scores in enumerate(ranked) for (j, score) in layer_scores)
     sets = [set() for _ in ranked]
@@ -596,7 +601,7 @@ class TestNumpyOrdering:
         for net, lb in ordering_cases():
             ranking = score_neurons(net, lb)
             for rate in (0.1, 0.3, 0.5, 0.77, 0.9, 1.0):
-                assert abstraction.select_merge_sets(ranking, rate) == sorted_select_merge_sets(
+                assert as_sets(abstraction.select_merge_sets(ranking, rate)) == sorted_select_merge_sets(
                     sorted_score_neurons(net, lb), rate
                 )
 
@@ -604,7 +609,7 @@ class TestNumpyOrdering:
         # Both hidden layers dead: every score is 0, so layer 0 goes first.
         net = dead_relu_net(1)
         ranking = score_neurons(net, propagate_box(net, net.input_domain))
-        sets = abstraction.select_merge_sets(ranking, 0.75)
+        sets = as_sets(abstraction.select_merge_sets(ranking, 0.75))
         assert sets == (frozenset(range(6)), frozenset())
         # Scores tied across layers by construction, beside distinct ones.
         ranking = (
@@ -613,7 +618,7 @@ class TestNumpyOrdering:
         )
         pairs = as_pairs(ranking)
         for rate in np.linspace(0.0, 1.0, 7)[1:]:
-            assert abstraction.select_merge_sets(ranking, rate) == sorted_select_merge_sets(pairs, rate)
+            assert as_sets(abstraction.select_merge_sets(ranking, rate)) == sorted_select_merge_sets(pairs, rate)
 
     def test_chain_buckets(self):
         rng = np.random.default_rng(9)

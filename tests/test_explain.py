@@ -165,7 +165,14 @@ class TestOrdering:
 
     def test_resolved_must_be_permutation(self):
         with pytest.raises(ValidationError):
-            FeatureOrdering("in-order", (0, 0, 1))
+            FeatureOrdering((0, 0, 1))
+
+    @pytest.mark.parametrize("resolved", [(True, 0, 2), (0.0, 1, 2), ("0", 1, 2)])
+    def test_member_that_is_no_group_index_is_named(self, resolved):
+        # True == 1 and 0.0 == 0, so the first two would pass the permutation check.
+        message = f"ordering must hold integer group indices, got {resolved[0]!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            FeatureOrdering(resolved)
 
 
 class TestBaseline:

@@ -6,10 +6,8 @@ import pytest
 from provex.bounds import propagate_box
 from provex.errors import ValidationError
 from provex.fixtures import (
-    FixtureSpec,
     SplitMix64,
     demo_network,
-    make_fixture,
     mnist_shape_network,
     random_network,
     uniform_instances,
@@ -100,20 +98,3 @@ class TestMnistShape:
             assert layer.activation is ActivationKind.SIGMOID
         assert net.layers[-1].activation is ActivationKind.IDENTITY
 
-
-class TestMakeFixture:
-    def test_demo_kind(self):
-        net, xs = make_fixture(FixtureSpec(kind="demo"))
-        assert xs.shape == (1, 3)
-        assert predict(net, xs[0]) == 1
-
-    def test_random_kind_deterministic(self):
-        spec = FixtureSpec(kind="random", seed=4, input_dim=5, hidden=(6,), output_dim=2)
-        net_a, xs_a = make_fixture(spec)
-        net_b, xs_b = make_fixture(spec)
-        assert save_network(net_a) == save_network(net_b)
-        np.testing.assert_array_equal(xs_a, xs_b)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            make_fixture(FixtureSpec(kind="zoo"))
