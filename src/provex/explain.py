@@ -3,7 +3,8 @@
 Both searches start from the full feature set and walk the features in a
 chosen order, dropping a feature whenever the remaining fixed set is still
 verified sufficient.  Both run one body, ``_search``, on one walk,
-``_enclosure_walk``, which asks its enclosure checks in speculative batches.
+``_enclosure_walk``, which asks its enclosure checks in speculative batches,
+one ``enclosure_verdicts`` call per batch.
 The abstraction-refinement search decides every feature with the concrete
 enclosure and uses reductions only to label its drops: a run of drops below
 the schedule's last rate is proved on one reduction built against the run's
@@ -301,7 +302,8 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
     on top of them.  Up to and including the first box that breaks the
     guess, every box is exactly the query the one-at-a-time walk asks at
     that step, so those steps are taken and the rest of the batch is
-    discarded.  All B boxes share one bound pass.  B starts at 1, doubles
+    discarded.  All B boxes share one bound pass, one ``enclosure_verdicts``
+    call on the network or on the batch's reduction.  B starts at 1, doubles
     after a batch that matches the guess throughout and halves after one
     that breaks it, within 1..MAX_BATCH.
 
@@ -405,14 +407,15 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
             step.elapsed += seconds / count
         return seconds
 
-    def label(g, lb, lo, hi, anet=None):
+    def label(g, lo, hi, lb=None, anet=None):
         """Drop a concretely separated row at the coarsest rate its own box's reduction proves.
 
-        ``lb`` holds the bounds of the row's own box; ``anet``, when given,
-        is its reduction at the carried rate.
+        ``lb``, when given, holds the bounds of the row's own box, and
+        ``anet`` its reduction at the carried rate.
         """
         nonlocal carried, stopped
         rate = carried
+        lb = lb if lb is not None else propagate_box(net, IntervalVector(lo, hi))
         anet = anet if anet is not None else build_abstract(net, lb, rate)
         while True:
             margin, separated, _ = enclosure_verdicts(anet, target, lo, hi)
@@ -441,35 +444,32 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
             free[slice(i, None) if guess else i, members[g]] = True
         lo = np.where(free, box.lo, x)
         hi = np.where(free, box.hi, x)
+        anet = net
         if guess and carried < 1.0:
             lb = propagate_box(net, IntervalVector(lo[-1], hi[-1]))
             anet = build_abstract(net, lb, carried)
-            margins, separated, _ = enclosure_verdicts(anet, target, lo, hi)
-            taken = len(batch) if separated.all() else int(np.argmin(separated)) + 1
-            broken = not separated[taken - 1]
-            for i in range(taken - broken):
-                record(batch[i], carried, True, margins[i], anet.neuron_count)
-            if broken:
-                f = taken - 1
-                if f < len(batch) - 1:
-                    lb, anet = propagate_box(net, IntervalVector(lo[f], hi[f])), None
-                margin, concrete = _separation(lb.final.lo, lb.final.hi, target)
-                if concrete:
-                    label(batch[f], lb, lo[f], hi[f], anet)
-                else:
-                    pin(batch[f], margin, lo[f], hi[f], lb.final.hi)
-        else:
-            margins, separated, out_hi = enclosure_verdicts(net, target, lo, hi)
-            breaks = np.flatnonzero(separated != guess)
-            broken = breaks.size > 0
-            taken = int(breaks[0]) + 1 if broken else len(batch)
-            for i, g in enumerate(batch[:taken]):
-                if not separated[i]:
-                    pin(g, margins[i], lo[i], hi[i], out_hi[i])
-                elif carried == 1.0:
-                    record(g, 1.0, True, margins[i], neurons)
-                else:
-                    label(g, propagate_box(net, IntervalVector(lo[i], hi[i])), lo[i], hi[i])
+        margins, separated, out_hi = enclosure_verdicts(anet, target, lo, hi)
+        breaks = np.flatnonzero(separated != guess)
+        broken = breaks.size > 0
+        taken = int(breaks[0]) + 1 if broken else len(batch)
+        for i, g in enumerate(batch[:taken]):
+            if anet is not net and separated[i]:
+                record(g, carried, True, margins[i], anet.neuron_count)
+                continue
+            own = (None, None)  # the row's own box's bounds and reduction, where already built
+            if anet is not net:
+                # The reduction's failing row is decided by its own box's concrete
+                # enclosure, which replaces the reduction's verdict in the batch's arrays.
+                own = (lb, anet) if i == len(batch) - 1 else (propagate_box(net, IntervalVector(lo[i], hi[i])), None)
+                out = own[0].final
+                margins[i], separated[i] = _separation(out.lo, out.hi, target)
+                out_hi[i] = out.hi
+            if not separated[i]:
+                pin(g, margins[i], lo[i], hi[i], out_hi[i])
+            elif carried == 1.0:
+                record(g, 1.0, True, margins[i], neurons)
+            else:
+                label(g, lo[i], hi[i], *own)
         searched = 0.0
         while len(pending) >= MAX_BATCH:
             searched += search(MAX_BATCH)

@@ -5,6 +5,10 @@ rest range over a clamped epsilon-box.  A subset is sufficient when the
 predicted class cannot change anywhere in that box.  Enclosure-based checks
 are sound but incomplete: a failed separation yields either a concrete
 counterexample (validated on the real network) or an Uncertain verdict.
+Every such check that needs only the output asks ``enclosure_verdicts``:
+``check_concrete``, each sub-box of ``oracle_check`` and each batch of the
+greedy walk.  A query is checked against its network once, by
+``_checked_box``, and every box asked after it lies inside its box.
 
 Counterexample search draws every candidate through ``_candidates``: each
 box's center and gradient corners as exact rows, and random samples drawn
@@ -29,7 +33,7 @@ import numpy as np
 from .abstraction import AbstractNetwork
 from .bounds import propagate_abstract, propagate_box, propagate_rows
 from .errors import DimensionError, ValidationError, check_number
-from .intervals import IntervalVector, apply_activation
+from .intervals import IntervalVector, apply_activation, iv_subset
 from .network import ConcreteNetwork, forward, forward_rows, gradient, gradients, predict
 
 
@@ -154,19 +158,28 @@ def enclosure_verdicts(net, target: int, lo: np.ndarray, hi: np.ndarray):
     boxes inside its build box; a single box of shape (n,) gives scalar
     results.  Returns each box's margin, whether it certifies ``target``,
     and its output upper bounds, which rank runner-up classes for
-    ``find_witnesses``.  The boxes are not validated; ``check_concrete`` and
-    ``check_abstract`` are the checked forms for one query.
+    ``find_witnesses``.  The boxes are not validated: a caller checks its
+    query once (``_checked_box``) and keeps every box it asks inside it.
     """
     out_lo, out_hi = propagate_rows(net.layers, lo, hi)
     margin, separated = _separation(out_lo, out_hi, target)
     return margin, separated, out_hi
 
 
-def _validate_target(net: ConcreteNetwork, q: SufficiencyQuery) -> None:
-    if not 0 <= q.target < net.output_dim:
-        raise DimensionError(f"target {q.target} out of range for {net.output_dim} classes")
+def _check_target(target: int, classes: int) -> None:
+    if not 0 <= target < classes:
+        raise DimensionError(f"target {target} out of range for {classes} classes")
+
+
+def _checked_box(net: ConcreteNetwork, q: SufficiencyQuery) -> IntervalVector:
+    """The query's box, once its target is ``net``'s prediction for x and the box lies in its domain."""
+    _check_target(q.target, net.output_dim)
     if predict(net, q.x) != q.target:
         raise ValidationError("target class does not match the network's prediction for x")
+    box = q.query_box()
+    if not iv_subset(box, net.input_domain, slack=1e-12):
+        raise ValidationError("input box exceeds the network's input domain")
+    return box
 
 
 def _candidate_rows(lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray) -> np.ndarray:
@@ -381,6 +394,7 @@ def check_abstract(anet: AbstractNetwork, q: SufficiencyQuery) -> Verdict:
     concrete network.  The verdict carries the output enclosure, so
     counterexample search can rank runner-ups without propagating again.
     """
+    _check_target(q.target, anet.output_dim)
     out = propagate_abstract(anet, q.query_box())
     margin, separated = _separation(out.lo, out.hi, q.target)
     kind = VerdictKind.SUFFICIENT if separated else VerdictKind.UNCERTAIN
@@ -393,15 +407,13 @@ def check_concrete(
     rng: np.random.Generator | None = None,
 ) -> Verdict:
     """Enclosure check plus candidate falsification on the concrete network."""
-    _validate_target(net, q)
-    box = q.query_box()
-    out = propagate_box(net, box).final
-    margin, separated = _separation(out.lo, out.hi, q.target)
+    box = _checked_box(net, q)
+    margin, separated, out_hi = enclosure_verdicts(net, q.target, box.lo, box.hi)
     margin = float(margin)
     if separated:
         return Verdict(VerdictKind.SUFFICIENT, margin)
     rng = rng if rng is not None else np.random.default_rng(0)
-    witness = find_witnesses(net, q.target, box.lo[None], box.hi[None], out.hi[None], rng)[0]
+    witness = find_witnesses(net, q.target, box.lo[None], box.hi[None], out_hi[None], rng)[0]
     if witness is not None:
         return Verdict(VerdictKind.INSUFFICIENT, margin, witness=witness)
     return Verdict(VerdictKind.UNCERTAIN, margin)
@@ -449,12 +461,11 @@ def gen_counterexample(
     that verdict was decided on (``Verdict.enclosure``); runner-up classes
     are ranked by its upper bounds.  The search is ``find_witnesses``, so
     a returned witness is a genuine counterexample.  Absence of a witness
-    is a normal outcome.  The target is checked as ``check_concrete``
-    checks it.
+    is a normal outcome.  The query is checked as ``check_concrete``
+    checks it (``_checked_box``), so a witness lies in the network's domain.
     """
-    _validate_target(net, q)
+    box = _checked_box(net, q)
     rng = rng if rng is not None else np.random.default_rng(0)
-    box = q.query_box()
     return find_witnesses(net, q.target, box.lo[None], box.hi[None], enclosure.hi[None], rng)[0]
 
 
@@ -492,27 +503,27 @@ class OracleResult:
 def oracle_check(net: ConcreteNetwork, q: SufficiencyQuery, budget: int = ORACLE_BUDGET) -> OracleResult:
     """Complete branch-and-bound decision for small free-feature counts.
 
-    Recursively bisects the widest free dimension.  A sub-box is discharged
-    when its enclosure certifies the target class; the center and the two
-    top runner-up gradient-sign corners of each sub-box are evaluated
-    exactly and any misclassification is returned as a witness.  Exhausted
-    means the split budget ran out with sub-boxes still open.
+    Bisects the widest free dimension depth-first.  A sub-box, a pair of
+    endpoint arrays, is discharged when ``enclosure_verdicts`` certifies the
+    target; its center and two top runner-up gradient-sign corners are
+    evaluated exactly and any misclassification is returned as a witness.
+    Exhausted means the split budget ran out with sub-boxes still open.
     """
     check_number("oracle split budget", budget, integer=True, minimum=0)
-    _validate_target(net, q)
-    stack = [q.query_box()]
+    box = _checked_box(net, q)
+    stack = [(box.lo, box.hi)]
     splits = 0
     evaluations = 0
     while stack:
-        box = stack.pop()
-        out = propagate_box(net, box).final
+        lo, hi = stack.pop()
+        _, separated, out_hi = enclosure_verdicts(net, q.target, lo, hi)
         evaluations += 1
-        if _separation(out.lo, out.hi, q.target)[1]:
+        if separated:
             continue
-        witness = find_witnesses(net, q.target, box.lo[None], box.hi[None], out.hi[None], None, 0)[0]
+        witness = find_witnesses(net, q.target, lo[None], hi[None], out_hi[None], None, 0)[0]
         if witness is not None:
             return OracleResult(OracleOutcome.WITNESS, witness, splits, evaluations)
-        widths = box.width
+        widths = hi - lo
         dim = int(np.argmax(widths))
         if widths[dim] <= 0.0:
             # The box is a single point, its center, which was just evaluated
@@ -523,12 +534,12 @@ def oracle_check(net: ConcreteNetwork, q: SufficiencyQuery, budget: int = ORACLE
         if splits >= budget:
             return OracleResult(OracleOutcome.EXHAUSTED, None, splits, evaluations)
         splits += 1
-        mid = 0.5 * (box.lo[dim] + box.hi[dim])
-        lo_hi = box.hi.copy()
+        mid = 0.5 * (lo[dim] + hi[dim])
+        lo_hi = hi.copy()
         lo_hi[dim] = mid
-        hi_lo = box.lo.copy()
+        hi_lo = lo.copy()
         hi_lo[dim] = mid
         # Lower half is explored first for a deterministic witness order.
-        stack.append(IntervalVector(hi_lo, box.hi))
-        stack.append(IntervalVector(box.lo, lo_hi))
+        stack.append((hi_lo, hi))
+        stack.append((lo, lo_hi))
     return OracleResult(OracleOutcome.PROVED_SUFFICIENT, None, splits, evaluations)

@@ -14,18 +14,50 @@ from provex import queries
 from provex.network import ConcreteNetwork, Layer, forward, forward_batch, predict
 from provex.queries import (
     OracleOutcome,
+    OracleResult,
     RegressionQuery,
     SufficiencyQuery,
     VerdictKind,
     _candidate_rows,
     _candidates,
     _gap_corners,
+    _separation,
     check_abstract,
     check_concrete,
     check_regression,
+    find_witnesses,
     gen_counterexample,
     oracle_check,
 )
+
+
+def reference_oracle(net, q, budget):
+    """The oracle's plain form: a depth-first stack of boxes, each through ``propagate_box``."""
+    stack = [q.query_box()]
+    splits = evaluations = 0
+    while stack:
+        box = stack.pop()
+        out = propagate_box(net, box).final
+        evaluations += 1
+        if _separation(out.lo, out.hi, q.target)[1]:
+            continue
+        witness = find_witnesses(net, q.target, box.lo[None], box.hi[None], out.hi[None], None, 0)[0]
+        if witness is not None:
+            return OracleResult(OracleOutcome.WITNESS, witness, splits, evaluations)
+        dim = int(np.argmax(box.width))
+        if box.width[dim] <= 0.0:
+            continue
+        if splits >= budget:
+            return OracleResult(OracleOutcome.EXHAUSTED, None, splits, evaluations)
+        splits += 1
+        mid = 0.5 * (box.lo[dim] + box.hi[dim])
+        lo_hi = box.hi.copy()
+        lo_hi[dim] = mid
+        hi_lo = box.lo.copy()
+        hi_lo[dim] = mid
+        stack.append(IntervalVector(hi_lo, box.hi))
+        stack.append(IntervalVector(box.lo, lo_hi))
+    return OracleResult(OracleOutcome.PROVED_SUFFICIENT, None, splits, evaluations)
 
 
 class TestQueryBox:
@@ -103,6 +135,27 @@ class TestQueryBox:
             RegressionQuery(np.array([2.0]), frozenset(), 0.1, 1.0, scalar.input_domain)
         with pytest.raises(ValidationError, match="outside the domain"):
             RegressionQuery(np.array([-1e-9]), frozenset(), 0.1, 1.0, scalar.input_domain)
+
+
+class TestQueryCheck:
+    """Every check of a sufficiency query rejects a box outside the network's domain."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            check_concrete,
+            lambda net, q: gen_counterexample(net, IntervalVector(np.full(3, -9.0), np.full(3, 9.0)), q),
+            oracle_check,
+        ],
+        ids=["check_concrete", "gen_counterexample", "oracle_check"],
+    )
+    def test_box_outside_the_network_domain_rejected(self, check):
+        # The query's own domain, [-1, 2]^4, is wider than the network's [0, 1]^4.
+        net, x = small_net_and_instance(1, input_dim=4, hidden=(6,), output_dim=3)
+        wide = IntervalVector(np.full(4, -1.0), np.full(4, 2.0))
+        q = SufficiencyQuery(x, frozenset(), 0.9, predict(net, x), wide)
+        with pytest.raises(ValidationError, match="^input box exceeds the network's input domain$"):
+            check(net, q)
 
 
 class TestCheckConcrete:
@@ -195,6 +248,13 @@ class TestCheckAbstract:
             lb = propagate_box(net, q.query_box())
             anet = build_abstract(net, lb, 0.5)
             assert check_abstract(anet, q).kind is not VerdictKind.INSUFFICIENT
+
+    def test_target_out_of_range_is_named(self):
+        net, x = small_net_and_instance(1)
+        q = SufficiencyQuery(x, frozenset(), 0.3, 7, net.input_domain)
+        anet = build_abstract(net, propagate_box(net, q.query_box()), 0.5)
+        with pytest.raises(DimensionError, match="^target 7 out of range for 3 classes$"):
+            check_abstract(anet, q)
 
 
 class TestCheckRegression:
@@ -522,22 +582,38 @@ class TestOracle:
 
     def test_no_split_changes_a_fixed_feature(self, monkeypatch):
         boxes = []
-        propagate = queries.propagate_box
+        verdicts = queries.enclosure_verdicts
 
-        def recording(net_, box):
-            boxes.append(box)
-            return propagate(net_, box)
+        def recording(net_, target, lo, hi):
+            boxes.append((lo, hi))
+            return verdicts(net_, target, lo, hi)
 
-        monkeypatch.setattr(queries, "propagate_box", recording)
+        monkeypatch.setattr(queries, "enclosure_verdicts", recording)
         splits = 0
         for seed in range(30):
             net, x = small_net_and_instance(seed, input_dim=4, hidden=(6,), output_dim=3)
             fixed = [0, 2]
             boxes.clear()
-            splits += oracle_check(net, make_query(net, x, fixed=set(fixed), epsilon=0.5), budget=256).splits
-            for box in boxes:
-                assert box.lo[fixed].tobytes() == box.hi[fixed].tobytes() == x[fixed].tobytes()
+            result = oracle_check(net, make_query(net, x, fixed=set(fixed), epsilon=0.5), budget=256)
+            splits += result.splits
+            assert len(boxes) == result.evaluations
+            for lo, hi in boxes:
+                assert lo[fixed].tobytes() == hi[fixed].tobytes() == x[fixed].tobytes()
         assert splits > 50
+
+    def test_matches_the_per_sub_box_reference(self):
+        outcomes = set()
+        for seed in range(24):
+            net, x = small_net_and_instance(seed, input_dim=5, hidden=(8,), output_dim=3)
+            for fixed, budget in (({0}, 64), ({0}, 4096), (set(), 64)):
+                q = make_query(net, x, fixed=fixed, epsilon=0.4)
+                got, want = oracle_check(net, q, budget), reference_oracle(net, q, budget)
+                assert (got.outcome, got.splits, got.evaluations) == (want.outcome, want.splits, want.evaluations)
+                assert (got.witness is None) == (want.witness is None)
+                if got.witness is not None:
+                    assert got.witness.tobytes() == want.witness.tobytes()
+                outcomes.add(got.outcome)
+        assert outcomes == set(OracleOutcome)
 
     def test_exhausted_on_zero_budget(self):
         for seed in range(20):
