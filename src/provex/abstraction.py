@@ -11,13 +11,15 @@ reduction genuinely looser than the original network, so refinement has
 observable effect; soundness is unaffected because the hull contains every
 member range.
 
-Refinement un-merges the highest-scored deleted neurons while preserving
-the surviving bucket structure, which guarantees the refined enclosure is
-nested inside the coarse one for the same query box.
+Every hidden neuron is ranked once per ``LayerBounds`` by (score, layer,
+index), one stable sort of its scores by flat id.  A rate merges a prefix
+of that order.  Refinement un-merges the highest-scored deleted neurons
+first while preserving the surviving bucket structure, which guarantees the
+refined enclosure is nested inside the coarse one for the same query box.
 
-Rankings, merge sets and buckets are kept as index arrays and ordered with
-numpy sorts whose keys reproduce the documented tie-breaking exactly; a
-``MergeSpec`` makes its frozensets once per build.
+The ranking, merge sets and buckets are kept as index arrays and ordered
+with numpy sorts whose keys reproduce the documented tie-breaking exactly;
+a ``MergeSpec`` keeps each merge set as a frozenset.
 
 Cost model.  A build costs what the reduction keeps.  Each layer with
 merged neurons takes one full-width ``bounds.enclose_affine`` pass of the
@@ -43,8 +45,10 @@ from .errors import DimensionError, ValidationError, check_number
 from .intervals import IntervalVector, apply_activation
 from .network import ActivationKind, ConcreteNetwork
 
-# Per hidden layer: neuron indices, lowest score first, and their scores in that order.
-Ranking = tuple[tuple[np.ndarray, np.ndarray], ...]
+# Every hidden neuron's score by flat id (its layer's offset plus its index),
+# the flat ids in (score, layer, index) order, and the layer offsets: hidden
+# layer k holds the flat ids from offsets[k] up to offsets[k + 1].
+Ranking = tuple[np.ndarray, np.ndarray, tuple[int, ...]]
 # Per hidden layer: the merged neurons bucket after bucket, each bucket in
 # ascending index order, and the bucket sizes.  A layer with no merged
 # neuron has two empty arrays.
@@ -204,8 +208,8 @@ def score_neurons(net: ConcreteNetwork, lb: LayerBounds) -> Ranking:
     The score of neuron j in hidden layer k is the width of its activation
     range times the largest outgoing weight magnitude: an upper bound on
     how much absorbing it can widen any single downstream pre-activation.
-    Per hidden layer, returns the neuron indices lowest first, ties broken
-    by neuron index, and their scores in that order.
+    One stable sort of the scores by flat id orders every hidden neuron by
+    score, then layer, then index.
 
     Bounds that pass the staleness check fix the network, so the ranking
     depends on the bounds alone: it is computed once per ``LayerBounds``
@@ -214,47 +218,28 @@ def score_neurons(net: ConcreteNetwork, lb: LayerBounds) -> Ranking:
     """
     _check_fresh(net, lb)
     if lb._ranking is None:
-        ranked = []
-        for k in range(len(net.layers) - 1):
-            scores = lb.per_layer[k].width * net.layers[k + 1].weights_abs_colmax
-            order = np.argsort(scores, kind="stable")
-            scores = scores[order]
-            order.setflags(write=False)
-            scores.setflags(write=False)
-            ranked.append((order, scores))
-        object.__setattr__(lb, "_ranking", tuple(ranked))
+        offsets = [0]
+        for size in net.hidden_sizes:
+            offsets.append(offsets[-1] + size)
+        scores = np.empty(offsets[-1])
+        for k, (start, end) in enumerate(zip(offsets, offsets[1:])):
+            np.multiply(lb.per_layer[k].width, net.layers[k + 1].weights_abs_colmax, out=scores[start:end])
+        order = np.argsort(scores, kind="stable")
+        scores.setflags(write=False)
+        order.setflags(write=False)
+        object.__setattr__(lb, "_ranking", (scores, order, tuple(offsets)))
     return lb._ranking
 
 
 def select_merge_sets(ranked: Ranking, rate: float) -> tuple[np.ndarray, ...]:
-    """Pick the globally lowest-scored hidden neurons of a ``score_neurons`` ranking to reach ``rate``.
+    """The first neurons of a ``score_neurons`` ranking that reduce the network to ``rate``.
 
-    Neurons are taken by score, ties broken by layer and then by index, and
-    returned as index arrays, one per hidden layer.
-
-    A layer's ranking is ordered by score, so whatever the global order
-    (score, layer, index) takes from a layer is every neuron below some
-    score plus some of the neurons scored exactly that.  So no global sort
-    is needed: the ``count``-th smallest score is found by a partition,
-    every lower score is taken, and the neurons scored exactly that are
-    taken layer by layer, lowest index first, until ``count`` are merged.
+    They are returned as one sorted index array per hidden layer.
     """
-    count = int(round((1.0 - rate) * sum(order.size for order, _ in ranked)))
-    if count <= 0:
-        return tuple(order[:0] for order, _ in ranked)
-    threshold = np.partition(np.concatenate([scores for _, scores in ranked]), count - 1)[count - 1]
-    below = [int(np.searchsorted(scores, threshold, "left")) for _, scores in ranked]
-    left = count - sum(below)
-    merged = []
-    for (order, scores), taken in zip(ranked, below):
-        upto = int(np.searchsorted(scores, threshold, "right"))
-        tied = min(upto - taken, left)
-        left -= tied
-        if tied:
-            merged.append(np.concatenate((order[:taken], np.sort(order[taken:upto])[:tied])))
-        else:
-            merged.append(order[:taken])
-    return tuple(merged)
+    scores, order, offsets = ranked
+    merged = np.zeros(scores.size, dtype=bool)
+    merged[order[: int(round((1.0 - rate) * scores.size))]] = True
+    return tuple(np.flatnonzero(merged[start:end]) for start, end in zip(offsets, offsets[1:]))
 
 
 def build_abstract(net: ConcreteNetwork, lb: LayerBounds, rate: float) -> AbstractNetwork:
@@ -271,8 +256,9 @@ def build_from_merge_sets(
 ) -> AbstractNetwork:
     """Construct the reduced network for an explicit choice of merge sets.
 
-    ``merge_sets`` holds one set of neuron indices per hidden layer, as a
-    frozenset or an integer array.  When ``buckets`` is omitted, merged
+    ``merge_sets`` holds one set of neuron indices per hidden layer, as any
+    collection or an integer array, each neuron once; the reduction's spec
+    keeps it as a frozenset.  When ``buckets`` is omitted, merged
     neurons within each layer are grouped by chaining overlapping
     activation ranges; passing buckets (as refinement does) preserves a
     previously chosen structure.  Each layer's buckets must hold exactly
@@ -300,22 +286,23 @@ def build_from_merge_sets(
     hidden = len(net.layers) - 1
     if len(merge_sets) != hidden:
         raise DimensionError(f"expected {hidden} merge sets, got {len(merge_sets)}")
+    sets, indices = [], []
     for k, merged in enumerate(merge_sets):
         # An integer array is an index array by its dtype; anything else is checked member by member.
-        if not (isinstance(merged, np.ndarray) and merged.dtype.kind in "iu"):
-            name = f"merge_sets[{k}]"
-            for i in merged.tolist() if isinstance(merged, np.ndarray) else merged:
-                check_number(name, i, integer=True, minimum=0, must="hold integer neuron indices")
-    spec = MergeSpec(
-        per_layer_merged=tuple(
-            frozenset(merged.tolist()) if isinstance(merged, np.ndarray) else merged for merged in merge_sets
-        ),
-        hidden_sizes=net.hidden_sizes,
-        source_net_id=net.fingerprint,
-    )
+        index_array = isinstance(merged, np.ndarray) and merged.dtype.kind in "iu"
+        members = merged.tolist() if isinstance(merged, np.ndarray) else merged
+        if not index_array:
+            for i in members:
+                check_number(f"merge_sets[{k}]", i, integer=True, minimum=0, must="hold integer neuron indices")
+        as_set = frozenset(members)
+        if len(as_set) != len(members):
+            repeated = next(i for i in members if members.count(i) > 1)
+            raise ValidationError(f"merge_sets[{k}] must hold each neuron once, got {repeated} more than once")
+        sets.append(as_set)
+        indices.append(merged if index_array else _indices(as_set))
+    spec = MergeSpec(per_layer_merged=tuple(sets), hidden_sizes=net.hidden_sizes, source_net_id=net.fingerprint)
     if buckets is not None:
         _check_buckets(buckets, spec.per_layer_merged)
-    indices = [merged if isinstance(merged, np.ndarray) else _indices(merged) for merged in merge_sets]
     merged_layers = [k for k, merged in enumerate(indices) if merged.size]
     first, last = (merged_layers[0], merged_layers[-1]) if merged_layers else (-1, -2)
     keep_prev: np.ndarray | None = None  # None means every column survives
@@ -388,26 +375,18 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
     if prev.spec.source_net_id != net.fingerprint:
         raise ValidationError("reduced network was built from a different network")
 
-    ranked = score_neurons(net, lb)
-    sizes = prev.spec.hidden_sizes
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(int)
-    score_by_neuron = np.empty(prev.spec.total_hidden)
-    for offset, (order, scores) in zip(offsets, ranked):
-        score_by_neuron[offset + order] = scores
+    scores, _, offsets = score_neurons(net, lb)
     # A layer's buckets hold exactly its merged neurons.
-    merged = [members for members, _ in prev.buckets]
-    neuron = np.concatenate(merged)
-    layer = np.repeat(np.arange(len(merged)), [m.size for m in merged])
-    flat = offsets[layer] + neuron
-    # Highest scores unmerge first; ties release the earliest neuron first.
-    release = np.lexsort((neuron, layer, -score_by_neuron[flat]))
+    flat = np.concatenate([start + members for start, (members, _) in zip(offsets, prev.buckets)])
+    # Highest scores unmerge first; ties release the lowest layer, then the lowest index, first.
+    release = np.lexsort((flat, -scores[flat]))
     target_merged = int(round((1.0 - rate) * prev.spec.total_hidden))
     released = np.zeros(prev.spec.total_hidden, dtype=bool)
-    released[flat[release[: max(neuron.size - target_merged, 0)]]] = True
+    released[flat[release[: max(flat.size - target_merged, 0)]]] = True
 
     new_buckets = []
-    for offset, (members, bucket_sizes) in zip(offsets, prev.buckets):
-        stays = ~released[offset + members]
+    for start, (members, bucket_sizes) in zip(offsets, prev.buckets):
+        stays = ~released[start + members]
         bucket_of = np.repeat(np.arange(bucket_sizes.size), bucket_sizes)
         left = np.bincount(bucket_of[stays], minlength=bucket_sizes.size)
         new_buckets.append((members[stays], left[left > 0]))

@@ -13,9 +13,9 @@ width zero) encloses exactly its own forward pass, bit for bit.
 ``propagate_rows`` the output enclosures of a batch of boxes.  Every
 reachable activation vector over the box is contained in the recorded
 enclosures; the final entry encloses the output set.  A ``LayerBounds``
-names the network it was computed for, and keeps the neuron ranking that
-reductions against its box are built from once ``score_neurons`` has
-computed it.
+names the network it was computed for, and keeps the one ranking of every
+hidden neuron that reductions against its box merge from and refine by,
+once ``score_neurons`` has computed it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ class LayerBounds:
     ``net_fingerprint`` ties the bounds to the exact network they were
     computed for, so downstream consumers can reject stale bounds.
     ``_ranking`` is ``abstraction.score_neurons`` of these bounds, kept
-    here the first time it is computed.
+    here the first time it is computed: every hidden neuron's score by flat
+    id, the flat ids in (score, layer, index) order, and the layer offsets.
     """
 
     input_box: IntervalVector

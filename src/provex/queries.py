@@ -462,8 +462,11 @@ def gen_counterexample(
     are ranked by its upper bounds.  The search is ``find_witnesses``, so
     a returned witness is a genuine counterexample.  Absence of a witness
     is a normal outcome.  The query is checked as ``check_concrete``
-    checks it (``_checked_box``), so a witness lies in the network's domain.
+    checks it (``_checked_box``), so a witness lies in the network's domain,
+    and the enclosure must bound one output per class.
     """
+    if len(enclosure) != net.output_dim:
+        raise DimensionError(f"enclosure has {len(enclosure)} outputs, network has {net.output_dim} classes")
     box = _checked_box(net, q)
     rng = rng if rng is not None else np.random.default_rng(0)
     return find_witnesses(net, q.target, box.lo[None], box.hi[None], enclosure.hi[None], rng)[0]

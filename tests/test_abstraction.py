@@ -20,7 +20,7 @@ from provex.errors import DimensionError, ValidationError
 from provex.fixtures import random_network, uniform_instances
 from provex.intervals import IntervalVector, iv_subset
 from provex.network import ActivationKind, forward_batch
-from provex.queries import OracleOutcome, check_abstract, enclosure_verdicts, oracle_check
+from provex.queries import OracleOutcome, check_abstract, check_concrete, enclosure_verdicts, oracle_check
 
 
 def same_pairs(a, b):
@@ -36,7 +36,7 @@ class TestScoring:
         net = random_network(4, (6,), 2, "sigmoid", seed=1)
         lb = propagate_box(net, net.input_domain)
         widths = lb.per_layer[0].width.copy()
-        order, _ = score_neurons(net, lb)[0]
+        _, order, _ = score_neurons(net, lb)  # one hidden layer: flat ids are neuron indices
         narrow = int(np.argmin(widths))
         head = order[:3].tolist()
         assert narrow in head
@@ -53,8 +53,8 @@ class TestScoring:
             net.input_domain,
         )
         lb = propagate_box(cut, cut.input_domain)
-        order, scores = score_neurons(cut, lb)[0]
-        assert dict(zip(order.tolist(), scores.tolist()))[0] == 0.0
+        scores, _, _ = score_neurons(cut, lb)  # one hidden layer: flat ids are neuron indices
+        assert scores[0] == 0.0
 
     def test_scored_removal_beats_random_removal(self):
         # Removing the lowest-scored neurons gives an output enclosure no
@@ -109,11 +109,11 @@ class TestScoring:
     def test_kept_ranking_is_read_only(self):
         net, _ = small_net_and_instance(3, hidden=(12, 10))
         lb = propagate_box(net, net.input_domain)
-        for order, scores in score_neurons(net, lb):
-            for array in (order, scores):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = array[-1]
+        scores, order, _ = score_neurons(net, lb)
+        for array in (scores, order):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[-1]
 
 
 class TestConstruction:
@@ -246,6 +246,23 @@ class TestConstruction:
         out_b = propagate_abstract(b, net.input_domain)
         np.testing.assert_array_equal(out_a.lo, out_b.lo)
 
+    def test_network_without_hidden_layer(self):
+        # One identity layer: there is nothing to score, merge or refine.
+        from provex.network import ConcreteNetwork, Layer
+
+        weights = np.array([[1.0, -2.0], [0.5, 1.0], [-1.0, 0.0]])
+        net = ConcreteNetwork((Layer(weights, np.array([0.1, 0.0, -0.2]), "identity"),))
+        lb = propagate_box(net, net.input_domain)
+        scores, order, _ = ranking = score_neurons(net, lb)
+        for array in (scores, order):
+            assert array.size == 0 and not array.flags.writeable
+        assert abstraction.select_merge_sets(ranking, 0.1) == ()
+        q = make_query(net, np.array([0.9, 0.2]), fixed={0}, epsilon=0.3)
+        anet = build_abstract(net, propagate_box(net, q.query_box()), 0.1)
+        assert anet.reduction_rate == 1.0
+        assert len(anet.layers) == 1 and anet.layers[0] is net.layers[0]
+        assert check_abstract(anet, q).margin == check_concrete(net, q).margin
+
     def test_merge_rate_accounting(self):
         net, _ = small_net_and_instance(4, hidden=(10, 10))
         lb = propagate_box(net, net.input_domain)
@@ -303,7 +320,7 @@ class TestRefine:
         # A chain against one bounds object scores them once, at the build,
         # and refines to the merge sets and buckets of a chain that
         # propagates the same box afresh at every step.  Scoring is counted
-        # by its sorts: ``argsort`` runs once per hidden layer per scoring.
+        # by its sorts: ``argsort`` runs once per scoring, over every hidden neuron.
         sorts = []
 
         class CountingNumpy:
@@ -324,12 +341,12 @@ class TestRefine:
             shared = [build_abstract(net, lb, 0.2)]
             for rate in (0.5, 0.8, 1.0):
                 shared.append(refine(net, shared[-1], lb, rate))
-            assert len(sorts) == 2
+            assert len(sorts) == 1
             sorts.clear()
             fresh = [build_abstract(net, propagate_box(net, box), 0.2)]
             for rate in (0.5, 0.8, 1.0):
                 fresh.append(refine(net, fresh[-1], propagate_box(net, box), rate))
-            assert len(sorts) == 8
+            assert len(sorts) == 4
             for a, b in zip(shared, fresh):
                 assert a.spec.per_layer_merged == b.spec.per_layer_merged
                 assert same_pairs(a.buckets, b.buckets)
@@ -495,6 +512,18 @@ class TestBuildGuards:
         anet = build_from_merge_sets(net, lb, (np.array([0], dtype=np.int32), np.array([1], dtype=np.uint8)))
         assert anet.spec.per_layer_merged == (frozenset({0}), frozenset({1}))
 
+    def test_merge_set_is_kept_as_a_set_of_distinct_neurons(self):
+        net = random_network(4, (6,), 3, "relu", seed=1)
+        lb = propagate_box(net, net.input_domain)
+        # A list was kept as given, so its own buckets did not split it.
+        anet = build_from_merge_sets(net, lb, ([0, 1],), buckets=((np.array([0, 1]), np.array([2])),))
+        assert anet.spec.per_layer_merged == (frozenset({0, 1}),)
+        assert type(anet.spec.per_layer_merged[0]) is frozenset
+        # A repeated neuron was counted twice and bucketed twice.
+        for merged in ([0, 0, 1], (1, 0, 1), np.array([0, 0, 1])):
+            with pytest.raises(ValidationError, match=r"^merge_sets\[0\] must hold each neuron once, got [01] more"):
+                build_from_merge_sets(net, lb, (merged,))
+
 
 # The rankings and buckets of the ``sorted``-based forms the numpy ones
 # replaced, kept as the reference for their order and tie-breaking.
@@ -552,7 +581,13 @@ def sorted_refine_sets(ranked, merge_sets, buckets, total, rate):
 
 
 def as_pairs(ranking):
-    return [list(zip(order.tolist(), scores.tolist())) for order, scores in ranking]
+    """A ``score_neurons`` ranking as per-layer (index, score) lists, in ranking order."""
+    scores, order, offsets = ranking
+    scores = scores.tolist()
+    return [
+        [(j - start, scores[j]) for j in order.tolist() if start <= j < end]
+        for start, end in zip(offsets, offsets[1:])
+    ]
 
 
 def as_tuples(layer_buckets):
@@ -592,9 +627,9 @@ class TestNumpyOrdering:
     def test_score_ranking(self):
         ties = 0
         for net, lb in ordering_cases():
-            ranking = score_neurons(net, lb)
-            assert as_pairs(ranking) == sorted_score_neurons(net, lb)
-            ties += sum(int(np.sum(scores[1:] == scores[:-1])) for _, scores in ranking)
+            pairs = as_pairs(score_neurons(net, lb))
+            assert pairs == sorted_score_neurons(net, lb)
+            ties += sum(a == b for layer in pairs for (_, a), (_, b) in zip(layer, layer[1:]))
         assert ties > 20  # the dead layers' zero scores break by index
 
     def test_merge_selection(self):
@@ -611,11 +646,9 @@ class TestNumpyOrdering:
         ranking = score_neurons(net, propagate_box(net, net.input_domain))
         sets = as_sets(abstraction.select_merge_sets(ranking, 0.75))
         assert sets == (frozenset(range(6)), frozenset())
-        # Scores tied across layers by construction, beside distinct ones.
-        ranking = (
-            (np.array([2, 0, 1]), np.array([0.5, 1.0, 1.0])),
-            (np.array([1, 0, 2]), np.array([0.5, 0.5, 1.0])),
-        )
+        # Scores tied across layers by construction, beside distinct ones:
+        # layer 0 scores (1.0, 1.0, 0.5), layer 1 (0.5, 0.5, 1.0).
+        ranking = (np.array([1.0, 1.0, 0.5, 0.5, 0.5, 1.0]), np.array([2, 3, 4, 0, 1, 5]), (0, 3, 6))
         pairs = as_pairs(ranking)
         for rate in np.linspace(0.0, 1.0, 7)[1:]:
             assert as_sets(abstraction.select_merge_sets(ranking, rate)) == sorted_select_merge_sets(pairs, rate)

@@ -533,6 +533,14 @@ class TestGenCounterexample:
         with pytest.raises(ValidationError, match="does not match the network's prediction"):
             gen_counterexample(net, enclosure, SufficiencyQuery(x, frozenset(), 0.5, other, net.input_domain))
 
+    @pytest.mark.parametrize("width", [1, 5])
+    def test_enclosure_must_bound_every_class(self, width):
+        # Width 5 raised a bare IndexError; width 1 ranked no runner-up and returned None.
+        net, x = small_net_and_instance(1, input_dim=4, hidden=(6,), output_dim=3)
+        enclosure = IntervalVector(np.zeros(width), np.arange(float(width)))
+        with pytest.raises(DimensionError, match=f"^enclosure has {width} outputs, network has 3 classes$"):
+            gen_counterexample(net, enclosure, make_query(net, x, set(), 0.5))
+
     def test_returned_witness_is_validated(self):
         for seed in range(50):
             net, x = small_net_and_instance(seed, input_dim=4, hidden=(6,), output_dim=3)
