@@ -11,15 +11,16 @@ reduction genuinely looser than the original network, so refinement has
 observable effect; soundness is unaffected because the hull contains every
 member range.
 
-Every hidden neuron is ranked once per ``LayerBounds`` by (score, layer,
-index), one stable sort of its scores by flat id.  A rate merges a prefix
-of that order.  Refinement un-merges the highest-scored deleted neurons
-first while preserving the surviving bucket structure, which guarantees the
-refined enclosure is nested inside the coarse one for the same query box.
+Every hidden neuron is ranked by (score, layer, index), one stable sort of
+its scores by flat id, computed afresh for each build and each refinement.
+A rate merges a prefix of that order.  Refinement un-merges the
+highest-scored deleted neurons first while preserving the surviving bucket
+structure, which guarantees the refined enclosure is nested inside the
+coarse one for the same query box.
 
 The ranking, merge sets and buckets are kept as index arrays and ordered
 with numpy sorts whose keys reproduce the documented tie-breaking exactly;
-a ``MergeSpec`` keeps each merge set as a frozenset.
+a ``MergeSpec`` checks each merge set and keeps it as a frozenset.
 
 Cost model.  A build costs what the reduction keeps.  Each layer with
 merged neurons takes one full-width ``bounds.enclose_affine`` pass of the
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import LayerBounds, enclose_affine, enclose_layer
-from .errors import DimensionError, ValidationError, check_number
+from .errors import DimensionError, ValidationError, check_indices, check_number
 from .intervals import IntervalVector, apply_activation
 from .network import ActivationKind, ConcreteNetwork
 
@@ -60,7 +61,12 @@ NO_BUCKETS: Buckets = (_NO_NEURONS, _NO_NEURONS)
 
 @dataclass(frozen=True, eq=False)
 class MergeSpec:
-    """Which hidden neurons were merged away, and from which network."""
+    """Which hidden neurons were merged away, and from which network.
+
+    ``per_layer_merged`` takes one collection of neuron indices per hidden
+    layer (an integer array, or any collection), each neuron once; each is
+    checked as ``merge_sets[k]`` and kept as a frozenset.
+    """
 
     per_layer_merged: tuple[frozenset[int], ...]
     hidden_sizes: tuple[int, ...]
@@ -69,9 +75,11 @@ class MergeSpec:
     def __post_init__(self):
         if len(self.per_layer_merged) != len(self.hidden_sizes):
             raise DimensionError("one merge set per hidden layer required")
+        sets = []
         for k, (merged, size) in enumerate(zip(self.per_layer_merged, self.hidden_sizes)):
-            if merged and (min(merged) < 0 or max(merged) >= size):
-                raise ValidationError(f"hidden layer {k}: merged indices out of range")
+            check_indices(f"merge_sets[{k}]", merged, size, must="hold integer neuron indices", each="neuron")
+            sets.append(frozenset(merged.tolist() if isinstance(merged, np.ndarray) else merged))
+        object.__setattr__(self, "per_layer_merged", tuple(sets))
 
     @property
     def total_hidden(self) -> int:
@@ -209,26 +217,17 @@ def score_neurons(net: ConcreteNetwork, lb: LayerBounds) -> Ranking:
     range times the largest outgoing weight magnitude: an upper bound on
     how much absorbing it can widen any single downstream pre-activation.
     One stable sort of the scores by flat id orders every hidden neuron by
-    score, then layer, then index.
-
-    Bounds that pass the staleness check fix the network, so the ranking
-    depends on the bounds alone: it is computed once per ``LayerBounds``
-    object and kept there, in read-only arrays, for the build and every
-    refinement against those bounds.
+    score, then layer, then index.  Returns the scores by flat id, that
+    order, and the layer offsets.
     """
     _check_fresh(net, lb)
-    if lb._ranking is None:
-        offsets = [0]
-        for size in net.hidden_sizes:
-            offsets.append(offsets[-1] + size)
-        scores = np.empty(offsets[-1])
-        for k, (start, end) in enumerate(zip(offsets, offsets[1:])):
-            np.multiply(lb.per_layer[k].width, net.layers[k + 1].weights_abs_colmax, out=scores[start:end])
-        order = np.argsort(scores, kind="stable")
-        scores.setflags(write=False)
-        order.setflags(write=False)
-        object.__setattr__(lb, "_ranking", (scores, order, tuple(offsets)))
-    return lb._ranking
+    offsets = [0]
+    for size in net.hidden_sizes:
+        offsets.append(offsets[-1] + size)
+    scores = np.empty(offsets[-1])
+    for k, (start, end) in enumerate(zip(offsets, offsets[1:])):
+        np.multiply(lb.per_layer[k].width, net.layers[k + 1].weights_abs_colmax, out=scores[start:end])
+    return scores, np.argsort(scores, kind="stable"), tuple(offsets)
 
 
 def select_merge_sets(ranked: Ranking, rate: float) -> tuple[np.ndarray, ...]:
@@ -258,11 +257,13 @@ def build_from_merge_sets(
 
     ``merge_sets`` holds one set of neuron indices per hidden layer, as any
     collection or an integer array, each neuron once; the reduction's spec
-    keeps it as a frozenset.  When ``buckets`` is omitted, merged
+    checks it and keeps it as a frozenset, and an integer array indexes the
+    build as it is.  When ``buckets`` is omitted, merged
     neurons within each layer are grouped by chaining overlapping
     activation ranges; passing buckets (as refinement does) preserves a
     previously chosen structure.  Each layer's buckets must hold exactly
-    its merge set, each neuron once, in buckets of positive size.
+    its merge set, each neuron once, in buckets of positive size; they are
+    kept as integer arrays.
 
     Bounds are propagated at full width, from the first merged layer to the
     last: a deleted neuron's coordinate is overwritten with its bucket hull.
@@ -286,23 +287,14 @@ def build_from_merge_sets(
     hidden = len(net.layers) - 1
     if len(merge_sets) != hidden:
         raise DimensionError(f"expected {hidden} merge sets, got {len(merge_sets)}")
-    sets, indices = [], []
-    for k, merged in enumerate(merge_sets):
-        # An integer array is an index array by its dtype; anything else is checked member by member.
-        index_array = isinstance(merged, np.ndarray) and merged.dtype.kind in "iu"
-        members = merged.tolist() if isinstance(merged, np.ndarray) else merged
-        if not index_array:
-            for i in members:
-                check_number(f"merge_sets[{k}]", i, integer=True, minimum=0, must="hold integer neuron indices")
-        as_set = frozenset(members)
-        if len(as_set) != len(members):
-            repeated = next(i for i in members if members.count(i) > 1)
-            raise ValidationError(f"merge_sets[{k}] must hold each neuron once, got {repeated} more than once")
-        sets.append(as_set)
-        indices.append(merged if index_array else _indices(as_set))
-    spec = MergeSpec(per_layer_merged=tuple(sets), hidden_sizes=net.hidden_sizes, source_net_id=net.fingerprint)
+    spec = MergeSpec(per_layer_merged=tuple(merge_sets), hidden_sizes=net.hidden_sizes, source_net_id=net.fingerprint)
+    # A checked integer array indexes as it is; any other merge set through its frozenset.
+    indices = [
+        merged if isinstance(merged, np.ndarray) and merged.dtype.kind in "iu" else _indices(as_set)
+        for merged, as_set in zip(merge_sets, spec.per_layer_merged)
+    ]
     if buckets is not None:
-        _check_buckets(buckets, spec.per_layer_merged)
+        buckets = _check_buckets(buckets, spec)
     merged_layers = [k for k, merged in enumerate(indices) if merged.size]
     first, last = (merged_layers[0], merged_layers[-1]) if merged_layers else (-1, -2)
     keep_prev: np.ndarray | None = None  # None means every column survives
@@ -362,8 +354,7 @@ def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: f
     The new merge sets are a subset of the previous ones and surviving
     buckets keep their structure, so for any box inside the build box the
     refined enclosure is nested inside the previous one.  The neurons are
-    ranked by ``score_neurons(net, lb)``, which a chain against the same
-    bounds computes once.
+    ranked by ``score_neurons(net, lb)``.
     """
     check_number("refinement rate", rate)
     if not rate > prev.reduction_rate:
@@ -424,27 +415,32 @@ def _check_fresh(net: ConcreteNetwork, lb: LayerBounds) -> None:
         raise ValidationError("stale layer bounds: computed for a different network")
 
 
-def _check_buckets(buckets: tuple[Buckets, ...], merge_sets: tuple[frozenset[int], ...]) -> None:
-    """Reject buckets that do not split each layer's merge set exactly: every member once, no empty bucket.
+def _check_buckets(buckets, spec: MergeSpec) -> tuple[Buckets, ...]:
+    """Each layer's buckets as integer arrays, once they split its merge set exactly.
 
-    A build deletes every merged neuron but absorbs only the bucket
-    members, so a merged neuron left out of its buckets would drop its
-    contribution from the enclosure.
+    Every merged neuron appears once and no bucket is empty; members are
+    checked as ``buckets[k]`` and sizes as ``buckets[k] sizes``.  A build
+    deletes every merged neuron but absorbs only the bucket members, so a
+    merged neuron left out of its buckets would drop its contribution from
+    the enclosure.
     """
+    merge_sets = spec.per_layer_merged
     if len(buckets) != len(merge_sets):
         raise DimensionError(f"expected {len(merge_sets)} bucket layers, got {len(buckets)}")
-    for k, ((members, sizes), merged) in enumerate(zip(buckets, merge_sets)):
-        members, sizes = np.asarray(members), np.asarray(sizes)
-        if not (
-            members.ndim == sizes.ndim == 1
-            and np.all(sizes > 0)
-            and sizes.sum() == members.size == len(merged)
-            and merged == set(members.tolist())
-        ):
+    checked = []
+    for k, ((members, sizes), merged, width) in enumerate(zip(buckets, merge_sets, spec.hidden_sizes)):
+        check_indices(f"buckets[{k}]", members, width, must="hold integer neuron indices", each="neuron")
+        check_indices(f"buckets[{k}] sizes", sizes, len(merged) + 1, must="hold integer bucket sizes")
+        members, sizes = np.asarray(members, dtype=int), np.asarray(sizes, dtype=int)
+        # Distinct members, as many as the merge set holds and all in it, are the merge set.
+        fits = sizes.all() and sizes.sum() == members.size == len(merged)
+        if not (fits and not merged.difference(members.tolist())):
             raise ValidationError(
                 f"buckets[{k}] must split the merge set of hidden layer {k} into nonempty buckets, "
                 "each merged neuron once"
             )
+        checked.append((members, sizes))
+    return tuple(checked)
 
 
 def _indices(merged) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .abstraction import ReductionSchedule, build_abstract, refine
 from .bounds import propagate_box
-from .errors import DimensionError, ValidationError, check_number
+from .errors import DimensionError, ValidationError, check_indices, check_number
 from .intervals import IntervalVector
 from .network import ConcreteNetwork, gradient, predict
 from .queries import (
@@ -68,18 +68,17 @@ class FeatureGrouping:
             if gid in named:
                 raise ValidationError(f"group id {gid!r} names more than one group")
             named.add(gid)
-        seen: set[int] = set()
-        for k, group in enumerate(self.groups):
-            if not group:
-                raise ValidationError("groups must be non-empty")
-            name = f"groups[{k}]"
-            for i in group:
-                check_number(name, i, integer=True, minimum=0, must="hold integer feature indices")
-                if i in seen:
-                    raise ValidationError(f"feature {i} appears in more than one group")
-                seen.add(i)
-        if seen != set(range(len(seen))):
-            raise ValidationError("groups must partition the feature indices exactly")
+        if not all(self.groups):
+            raise ValidationError("groups must be non-empty")
+        # Every feature below the feature count, none twice: an exact partition.
+        features = [i for group in self.groups for i in group]
+        try:
+            check_indices("groups", features, len(features), must="hold integer feature indices", each="feature")
+        except ValidationError:
+            # Name the group that holds the bad member; a feature in two groups keeps the message above.
+            for k, group in enumerate(self.groups):
+                check_indices(f"groups[{k}]", group, len(features), must="hold integer feature indices", each="feature")
+            raise
 
     @classmethod
     def singletons(cls, n: int) -> "FeatureGrouping":
@@ -102,10 +101,13 @@ class FeatureGrouping:
         return sum(len(g) for g in self.groups)
 
     def features_of(self, group_indices) -> frozenset[int]:
+        check_indices("group_indices", group_indices, len(self.groups), must="hold integer group indices")
         return frozenset(i for g in group_indices for i in self.groups[g])
 
     def ids_of(self, group_indices) -> tuple[str, ...]:
-        return tuple(self.ids[g] for g in sorted(group_indices))
+        """The ids of the groups, in group order; each group once."""
+        check_indices("group_indices", group_indices, len(self.groups), must="hold integer group indices", each="group")
+        return tuple([self.ids[g] for g in sorted(group_indices)])
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,8 @@ class FeatureOrdering:
     resolved: tuple[int, ...]
 
     def __post_init__(self):
-        for g in self.resolved:
-            check_number("ordering", g, integer=True, minimum=0, must="hold integer group indices")
-        if sorted(self.resolved) != list(range(len(self.resolved))):
-            raise ValidationError("resolved ordering must be a permutation of the groups")
+        # Every group below the group count, none twice: a permutation.
+        check_indices("ordering", self.resolved, len(self.resolved), must="hold integer group indices", each="group")
 
 
 def order_features(

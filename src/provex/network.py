@@ -92,7 +92,9 @@ class ConcreteNetwork:
 
     layers: tuple[Layer, ...]
     input_domain: IntervalVector | None = None  # defaults to [0,1]^n
-    _fingerprint: str = field(default="", repr=False)
+    # Computed from the layers on first use, never passed in: a given one
+    # would tie bounds of another network to this one.
+    _fingerprint: str = field(default="", init=False, repr=False)
 
     def __post_init__(self):
         layers = tuple(self.layers)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .abstraction import AbstractNetwork
 from .bounds import propagate_abstract, propagate_box, propagate_rows
-from .errors import DimensionError, ValidationError, check_number
+from .errors import DimensionError, ValidationError, check_indices, check_number
 from .intervals import IntervalVector, apply_activation, iv_subset
 from .network import ConcreteNetwork, forward, forward_rows, gradient, gradients, predict
 
@@ -78,10 +78,8 @@ def _validate_instance(x, fixed_features, epsilon: float, domain: IntervalVector
     if len(domain) != x.shape[0]:
         raise DimensionError("instance and domain lengths disagree")
     check_number("epsilon", epsilon, minimum=0)
-    fixed = list(fixed_features)
-    for i in fixed:
-        check_number("fixed_features", i, integer=True, minimum=0, maximum=x.shape[0] - 1, must="hold integer indices")
-    fixed = frozenset(int(i) for i in fixed)
+    # A repeated fixed feature is allowed: the features are kept as a set.
+    fixed = frozenset(map(int, check_indices("fixed_features", fixed_features, x.shape[0])))
     if not domain.contains_point(x):
         raise ValidationError("instance lies outside the domain")
     return x, fixed
@@ -180,6 +178,20 @@ def _checked_box(net: ConcreteNetwork, q: SufficiencyQuery) -> IntervalVector:
     if not iv_subset(box, net.input_domain, slack=1e-12):
         raise ValidationError("input box exceeds the network's input domain")
     return box
+
+
+def _generator(rng):
+    """Check ``rng``; return a function that gives it, or a fresh generator seeded 0 when it is None.
+
+    Called before any work, so a bad ``rng`` is named even where the
+    enclosure decides the query; the default generator is made only when a
+    witness search asks for it.
+    """
+    if rng is None:
+        return lambda: np.random.default_rng(0)
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be a numpy Generator or None, got {rng!r}")
+    return lambda: rng
 
 
 def _candidate_rows(lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray) -> np.ndarray:
@@ -407,13 +419,13 @@ def check_concrete(
     rng: np.random.Generator | None = None,
 ) -> Verdict:
     """Enclosure check plus candidate falsification on the concrete network."""
+    generator = _generator(rng)
     box = _checked_box(net, q)
     margin, separated, out_hi = enclosure_verdicts(net, q.target, box.lo, box.hi)
     margin = float(margin)
     if separated:
         return Verdict(VerdictKind.SUFFICIENT, margin)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    witness = find_witnesses(net, q.target, box.lo[None], box.hi[None], out_hi[None], rng)[0]
+    witness = find_witnesses(net, q.target, box.lo[None], box.hi[None], out_hi[None], generator())[0]
     if witness is not None:
         return Verdict(VerdictKind.INSUFFICIENT, margin, witness=witness)
     return Verdict(VerdictKind.UNCERTAIN, margin)
@@ -429,6 +441,7 @@ def check_regression(
     Failing that, the first ``_candidates`` point that ``forward`` on its
     own row puts outside f(x) +- delta is a witness.
     """
+    generator = _generator(rng)
     if net.output_dim != 1:
         raise ValidationError("regression queries require a single-output network")
     box = q.query_box()
@@ -437,11 +450,10 @@ def check_regression(
     margin = float(q.delta - max(out.hi[0] - ref, ref - out.lo[0]))
     if margin >= 0:
         return Verdict(VerdictKind.SUFFICIENT, margin)
-    rng = rng if rng is not None else np.random.default_rng(0)
     up = gradient(net, box.midpoint, 0) > 0
     # The corners that maximize and minimize the linearized output, then 64 samples.
     corners = np.stack([up, ~up])[None]
-    first_layer, order, candidate = _candidates(net.layers[0], box.lo[None], box.hi[None], corners, rng, 64)
+    first_layer, order, candidate = _candidates(net.layers[0], box.lo[None], box.hi[None], corners, generator(), 64)
     far = np.abs(forward_rows(net.layers[1:], first_layer)[order[0], 0] - ref) > q.delta
     witness = _first_confirmed(candidate, 0, far, lambda point: abs(forward(net, point)[0] - ref) > q.delta)
     if witness is not None:
@@ -465,11 +477,11 @@ def gen_counterexample(
     checks it (``_checked_box``), so a witness lies in the network's domain,
     and the enclosure must bound one output per class.
     """
+    generator = _generator(rng)
     if len(enclosure) != net.output_dim:
         raise DimensionError(f"enclosure has {len(enclosure)} outputs, network has {net.output_dim} classes")
     box = _checked_box(net, q)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return find_witnesses(net, q.target, box.lo[None], box.hi[None], enclosure.hi[None], rng)[0]
+    return find_witnesses(net, q.target, box.lo[None], box.hi[None], enclosure.hi[None], generator())[0]
 
 
 # Splits the oracle may make before it reports a query exhausted, unless told otherwise.

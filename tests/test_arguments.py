@@ -4,7 +4,10 @@ A bool is not a number, text is not a number, NaN is in no range, and an
 integer argument takes no fraction.  Each such value raises a
 ``ValidationError`` whose message begins with the argument's name, so a
 caller can tell which argument was wrong.  The CLI names its flags the same
-way, before it reads any file.
+way, before it reads any file.  Every collection of indices is checked by
+one rule too, ``errors.check_indices``: its members are integers below the
+collection's size, and where the collection is a set of distinct items, none
+appears twice.
 """
 
 import inspect
@@ -15,11 +18,17 @@ import numpy as np
 import pytest
 
 import provex
-from provex.abstraction import ReductionSchedule, build_abstract, build_from_merge_sets, refine
+from provex.abstraction import MergeSpec, ReductionSchedule, build_abstract, build_from_merge_sets, refine
 from provex.bounds import propagate_box
 from provex.cli import main
-from provex.errors import ValidationError, check_number
-from provex.explain import FeatureGrouping, explain_abstraction_refinement, explain_baseline, order_features
+from provex.errors import ValidationError, check_indices, check_number
+from provex.explain import (
+    FeatureGrouping,
+    FeatureOrdering,
+    explain_abstraction_refinement,
+    explain_baseline,
+    order_features,
+)
 from provex.fixtures import demo_network, mnist_shape_network, random_network, uniform_instances
 from provex.intervals import iv_subset
 from provex.network import gradient, predict
@@ -196,6 +205,167 @@ def test_range_forms(bounds, value, message):
 def test_unbounded_numbers_pass_whole():
     assert check_number("x", np.float64(-2.5)) == -2.5
     assert check_number("timeout", float("inf"), minimum=0) == float("inf")
+
+
+@dataclass(frozen=True)
+class Indices:
+    """One index collection: a call that passes a collection holding ``member``, and what its messages begin with."""
+
+    call: object
+    name: str
+    size: int  # members lie in [0, size)
+    good: object  # a member the call accepts
+    repeat: object  # a member the collection already holds, or None where a repeat is allowed
+
+
+GROUPING = FeatureGrouping.singletons(3)
+INDEX_ARGUMENTS = {
+    ("SufficiencyQuery", "fixed_features"): Indices(
+        lambda v: SufficiencyQuery(X, (0, v), 0.1, TARGET, DOMAIN), "fixed_features", 3, 1, None
+    ),
+    ("RegressionQuery", "fixed_features"): Indices(
+        lambda v: RegressionQuery(X, (0, v), 0.1, 1.0, DOMAIN), "fixed_features", 3, 1, None
+    ),
+    ("FeatureGrouping", "groups"): Indices(
+        lambda v: FeatureGrouping(((0,), (v,), (2,)), ("a", "b", "c")), "groups", 3, 1, 0
+    ),
+    ("FeatureOrdering", "resolved"): Indices(lambda v: FeatureOrdering((0, v, 2)), "ordering", 3, 1, 0),
+    ("FeatureGrouping.features_of", "group_indices"): Indices(
+        lambda v: GROUPING.features_of((0, v)), "group_indices", 3, 1, None
+    ),
+    ("FeatureGrouping.ids_of", "group_indices"): Indices(
+        lambda v: GROUPING.ids_of((0, v)), "group_indices", 3, 1, 0
+    ),
+    ("build_from_merge_sets", "merge_sets"): Indices(
+        lambda v: build_from_merge_sets(NET, LB, ((0, v),)), "merge_sets[0]", 3, 1, 0
+    ),
+    ("build_from_merge_sets", "bucket members"): Indices(
+        lambda v: build_from_merge_sets(NET, LB, ((0, 1),), buckets=(((0, v), (2,)),)), "buckets[0]", 3, 1, 0
+    ),
+    ("build_from_merge_sets", "bucket sizes"): Indices(
+        lambda v: build_from_merge_sets(NET, LB, ((0, 1),), buckets=(((0, 1), (1, v)),)), "buckets[0] sizes", 3, 1, None
+    ),
+    ("MergeSpec", "per_layer_merged"): Indices(lambda v: MergeSpec(((0, v),), (3,), "x"), "merge_sets[0]", 3, 1, 0),
+}
+
+
+def bad_members(indices: Indices):
+    yield "1"
+    yield True
+    yield 2.5
+    yield -1
+    yield indices.size
+    if indices.repeat is not None:
+        yield indices.repeat
+
+
+@pytest.mark.parametrize(
+    "indices, member",
+    [
+        pytest.param(indices, member, id=f"{where}.{name}={member!r}")
+        for (where, name), indices in INDEX_ARGUMENTS.items()
+        for member in bad_members(indices)
+    ],
+)
+def test_a_bad_index_is_named(indices, member):
+    with pytest.raises(ValidationError, match=f"^{re.escape(indices.name)}"):
+        indices.call(member)
+
+
+@pytest.mark.parametrize("where, name", list(INDEX_ARGUMENTS))
+def test_each_index_row_accepts_its_good_member(where, name):
+    indices = INDEX_ARGUMENTS[where, name]
+    indices.call(indices.good)
+
+
+NET6 = random_network(4, (6,), 3, "relu", seed=1)
+LB6 = propagate_box(NET6, NET6.input_domain)
+PIXELS = FeatureGrouping.rgb_pixels(6)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # Float bucket members raised a bare IndexError in the build.
+        (
+            lambda: build_from_merge_sets(NET6, LB6, ({0, 1},), buckets=((np.array([0.0, 1.0]), np.array([2])),)),
+            "buckets[0] must hold integer neuron indices, got 0.0",
+        ),
+        # Float sizes raised a bare TypeError; bool sizes were accepted.
+        (
+            lambda: build_from_merge_sets(NET6, LB6, ({0, 1},), buckets=((np.array([0, 1]), np.array([2.0])),)),
+            "buckets[0] sizes must hold integer bucket sizes, got 2.0",
+        ),
+        (
+            lambda: build_from_merge_sets(NET6, LB6, ({0, 1},), buckets=((np.array([0, 1]), np.array([True, True])),)),
+            "buckets[0] sizes must hold integer bucket sizes, got True",
+        ),
+        # Named neither the merge set nor the neuron.
+        (lambda: build_from_merge_sets(NET6, LB6, ({0, 9},)), "merge_sets[0] must be below 6, got 9"),
+        # A bare TypeError, and a fraction accepted.
+        (lambda: MergeSpec((frozenset({"a"}),), (6,), "x"), "merge_sets[0] must hold integer neuron indices, got 'a'"),
+        (lambda: MergeSpec((frozenset({0.5}),), (6,), "x"), "merge_sets[0] must hold integer neuron indices, got 0.5"),
+        # -1 wrapped to the last group; 5 and 1.0 raised a bare IndexError and TypeError.
+        (lambda: PIXELS.features_of((-1,)), "group_indices must be nonnegative, got -1"),
+        (lambda: PIXELS.ids_of((-1,)), "group_indices must be nonnegative, got -1"),
+        (lambda: PIXELS.features_of((5,)), "group_indices must be below 2, got 5"),
+        (lambda: PIXELS.ids_of((5,)), "group_indices must be below 2, got 5"),
+        (lambda: PIXELS.features_of((1.0,)), "group_indices must hold integer group indices, got 1.0"),
+        (lambda: PIXELS.ids_of((1.0,)), "group_indices must hold integer group indices, got 1.0"),
+        # Named neither the group nor the member.
+        (lambda: FeatureOrdering((0, 2)), "ordering must be below 2, got 2"),
+        (lambda: FeatureGrouping(((0,), (2,)), ("a", "b")), "groups[1] must be below 2, got 2"),
+        (
+            lambda: FeatureGrouping(((0, 1), (1, 2)), ("a", "b")),
+            "groups must hold each feature once, got 1 more than once",
+        ),
+        (
+            lambda: FeatureGrouping(((0, 0), (1,)), ("a", "b")),
+            "groups[0] must hold each feature once, got 0 more than once",
+        ),
+    ],
+)
+def test_an_index_is_named_with_its_member(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_bucket_lists_are_kept_as_integer_arrays():
+    # Lists were stored as given, and refining the reduction raised a bare TypeError.
+    anet = build_from_merge_sets(NET6, LB6, ({0, 1, 2},), buckets=(([0, 1, 2], [3]),))
+    members, sizes = anet.buckets[0]
+    assert members.dtype.kind == sizes.dtype.kind == "i"
+    assert members.tolist() == [0, 1, 2] and sizes.tolist() == [3]
+    as_arrays = build_from_merge_sets(NET6, LB6, ({0, 1, 2},), buckets=((np.array([0, 1, 2]), np.array([3])),))
+    refined, expected = refine(NET6, anet, LB6, 0.8), refine(NET6, as_arrays, LB6, 0.8)
+    assert refined.spec.per_layer_merged == expected.spec.per_layer_merged
+
+
+@pytest.mark.parametrize(
+    "values, each, message",
+    [
+        ([0, 1.5], None, "x must hold integer indices, got 1.5"),
+        ((0, -1), None, "x must be nonnegative, got -1"),
+        ({0, 3}, None, "x must be below 3, got 3"),
+        ([0, 2, 0], "neuron", "x must hold each neuron once, got 0 more than once"),
+        (np.array([0, 2, 0]), "neuron", "x must hold each neuron once, got 0 more than once"),
+        (np.array([0, 3], dtype=np.uint64), None, "x must be below 3, got 3"),
+        (np.array([0.0]), None, "x must hold integer indices, got 0.0"),
+        (np.array([[0, 1]]), None, "x must hold integer indices, got [0, 1]"),
+        ([np.bool_(True)], None, "x must hold integer indices, got "),  # numpy's repr of it varies by version
+    ],
+)
+def test_index_forms(values, each, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+        check_indices("x", values, 3, each=each)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0, 2, 0], (np.int32(2), 1), frozenset({0, 1, 2}), range(3), np.array([2, 0], dtype=np.uint64), np.array([])],
+)
+def test_good_indices_pass_whole(values):
+    assert check_indices("x", values, 3) is values
 
 
 @pytest.mark.parametrize(

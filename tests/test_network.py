@@ -252,6 +252,16 @@ class TestFingerprint:
         hi[4] = 2.0
         assert self.rebuilt(net, domain=IntervalVector(np.zeros(5), hi)).fingerprint != net.fingerprint
 
+    def test_fingerprint_is_not_a_constructor_argument(self):
+        # A fingerprint passed in tied one network's bounds to another, whose
+        # reductions were then built from the wrong ranges.
+        net = random_network(4, (6,), 3, "relu", seed=1)
+        other = random_network(4, (6,), 3, "relu", seed=2)
+        lb = propagate_box(net, net.input_domain)
+        with pytest.raises(TypeError):
+            ConcreteNetwork(other.layers, None, net.fingerprint)
+        assert not lb.matches(ConcreteNetwork(other.layers, None))
+
 
 class TestForward:
     def test_demo_logits(self, demo):

@@ -472,6 +472,25 @@ class TestCandidates:
         assert out == propagate_abstract(anet, q.query_box())
 
 
+@pytest.mark.parametrize("rng", [5, "seed", np.random.RandomState(0)], ids=["int", "str", "RandomState"])
+@pytest.mark.parametrize("epsilon", [0.9, 0.0], ids=["witness-search", "separated"])
+def test_rng_that_is_no_generator_is_named(rng, epsilon):
+    # It raised a bare AttributeError or TypeError inside the witness search,
+    # or was accepted where the enclosure decided the query.
+    net = random_network(4, (6,), 3, "relu", seed=1)
+    x = np.full(4, 0.5)
+    q = make_query(net, x, fixed=set(), epsilon=epsilon)
+    scalar = random_network(4, (6,), 1, "relu", seed=1)
+    calls = [
+        lambda: check_concrete(net, q, rng=rng),
+        lambda: gen_counterexample(net, propagate_box(net, q.query_box()).final, q, rng=rng),
+        lambda: check_regression(scalar, RegressionQuery(x, frozenset(), epsilon, 1e-9, scalar.input_domain), rng=rng),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^rng must be a numpy Generator or None, got "):
+            call()
+
+
 class TestGenCounterexample:
     def test_degenerate_box_never_yields_witness(self):
         for seed in range(5):
