@@ -294,7 +294,7 @@ def build_from_merge_sets(
         for merged, as_set in zip(merge_sets, spec.per_layer_merged)
     ]
     if buckets is not None:
-        buckets = _check_buckets(buckets, spec)
+        buckets = _check_buckets(buckets, spec, merge_sets)
     merged_layers = [k for k, merged in enumerate(indices) if merged.size]
     first, last = (merged_layers[0], merged_layers[-1]) if merged_layers else (-1, -2)
     keep_prev: np.ndarray | None = None  # None means every column survives
@@ -415,26 +415,32 @@ def _check_fresh(net: ConcreteNetwork, lb: LayerBounds) -> None:
         raise ValidationError("stale layer bounds: computed for a different network")
 
 
-def _check_buckets(buckets, spec: MergeSpec) -> tuple[Buckets, ...]:
+def _check_buckets(buckets, spec: MergeSpec, merge_sets) -> tuple[Buckets, ...]:
     """Each layer's buckets as integer arrays, once they split its merge set exactly.
 
     Every merged neuron appears once and no bucket is empty; members are
-    checked as ``buckets[k]`` and sizes as ``buckets[k] sizes``.  A build
-    deletes every merged neuron but absorbs only the bucket members, so a
-    merged neuron left out of its buckets would drop its contribution from
-    the enclosure.
+    checked as ``buckets[k]`` and sizes as ``buckets[k] sizes``.  Members
+    that are the very object given as the layer's merge set, as
+    ``refine`` gives them, were checked by ``spec`` already and are not
+    checked again.  A build deletes every merged neuron but absorbs only
+    the bucket members, so a merged neuron left out of its buckets would
+    drop its contribution from the enclosure.
     """
-    merge_sets = spec.per_layer_merged
-    if len(buckets) != len(merge_sets):
-        raise DimensionError(f"expected {len(merge_sets)} bucket layers, got {len(buckets)}")
+    merged_sets = spec.per_layer_merged
+    if len(buckets) != len(merged_sets):
+        raise DimensionError(f"expected {len(merged_sets)} bucket layers, got {len(buckets)}")
     checked = []
-    for k, ((members, sizes), merged, width) in enumerate(zip(buckets, merge_sets, spec.hidden_sizes)):
-        check_indices(f"buckets[{k}]", members, width, must="hold integer neuron indices", each="neuron")
+    for k, ((members, sizes), given, merged, width) in enumerate(
+        zip(buckets, merge_sets, merged_sets, spec.hidden_sizes)
+    ):
+        own = members is given and isinstance(members, np.ndarray)  # checked as merge_sets[k]
+        if not own:
+            check_indices(f"buckets[{k}]", members, width, must="hold integer neuron indices", each="neuron")
         check_indices(f"buckets[{k}] sizes", sizes, len(merged) + 1, must="hold integer bucket sizes")
         members, sizes = np.asarray(members, dtype=int), np.asarray(sizes, dtype=int)
         # Distinct members, as many as the merge set holds and all in it, are the merge set.
         fits = sizes.all() and sizes.sum() == members.size == len(merged)
-        if not (fits and not merged.difference(members.tolist())):
+        if not (fits and (own or not merged.difference(members.tolist()))):
             raise ValidationError(
                 f"buckets[{k}] must split the merge set of hidden layer {k} into nonempty buckets, "
                 "each merged neuron once"

@@ -4,7 +4,9 @@ Both searches start from the full feature set and walk the features in a
 chosen order, dropping a feature whenever the remaining fixed set is still
 verified sufficient.  Both run one body, ``_search``, on one walk,
 ``_enclosure_walk``, which asks its enclosure checks in speculative batches,
-one ``enclosure_verdicts`` call per batch.
+one ``enclosure_verdicts`` call per batch; a large witness search runs on a
+worker thread beside the walk when the process has a CPU that BLAS does not
+use (``_PinSearches``), with the serial walk's samples and results.
 The abstraction-refinement search decides every feature with the concrete
 enclosure and uses reductions only to label its drops: a run of drops below
 the schedule's last rate is proved on one reduction built against the run's
@@ -21,8 +23,10 @@ valid (possibly non-minimal) explanation.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,13 +36,19 @@ from .errors import DimensionError, ValidationError, check_indices, check_number
 from .intervals import IntervalVector
 from .network import ConcreteNetwork, gradient, predict
 from .queries import (
+    BLAS_ENV,
+    BLAS_NAME,
+    N_RANDOM,
     ORACLE_BUDGET,
     SufficiencyQuery,
     VerdictKind,
+    _restored,
     _separation,
     enclosure_verdicts,
     find_witnesses,
+    one_blas_thread,
     oracle_check,
+    sample_draws,
 )
 
 STATUS_MINIMAL = "MinimalSufficient"
@@ -48,6 +58,55 @@ ORDERING_POLICIES = ("sensitivity", "in-order", "random")
 
 # Most query boxes a batch of the enclosure walk puts in one bound pass.
 MAX_BATCH = 16
+
+# Smallest sample product, boxes × n_random × |U| × first-layer width with U
+# the features free in any box, of a witness search handed to the worker
+# thread.  An mnist784 call, about 16·64·520·200 ≈ 1.1e8, spends its time in
+# BLAS and ufuncs, which release the GIL.  A relu100 call, about
+# 16·64·17·50 ≈ 9e5, is bound by Python and the GIL: with every search
+# handed off, relu100 got 25-50% slower, with identical steps.
+WORKER_PRODUCT = 1 << 24
+
+
+def spare_cpu(env, cpus: int, blas: str) -> bool:
+    """Whether a worker thread has a CPU that numpy's BLAS does not use.
+
+    It does when the process may use ``cpus`` >= 2 CPUs and ``blas``, the
+    name of numpy's BLAS library, runs one thread under the environment
+    ``env`` (``one_blas_thread``).  A BLAS with helper threads leaves no
+    CPU spare: its threads spin and fight the worker for the CPU (on a
+    2-vCPU VM under a two-thread OpenBLAS, the worker made the mnist784
+    baseline take 0.43-0.45 s instead of 0.23-0.25 s).
+    """
+    return cpus >= 2 and one_blas_thread(env, blas)
+
+
+_pool = None  # the worker's pool once made, or False when no CPU is spare; decided at first use
+
+
+def _worker():
+    """The pool of one thread that runs large witness searches, or None when the process has no spare CPU."""
+    global _pool
+    if _pool is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        _pool = False
+        if spare_cpu(BLAS_ENV, cpus, BLAS_NAME):
+            # Imported here: the import takes about 4 ms, which a process
+            # without a spare CPU, or without a large search, never pays.
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="provex-witness")
+    return _pool or None
+
+
+def _forget_pool() -> None:
+    """In a forked child, which has no worker thread, drop the parent's pool; the next search makes its own."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -68,6 +127,9 @@ class FeatureGrouping:
             if gid in named:
                 raise ValidationError(f"group id {gid!r} names more than one group")
             named.add(gid)
+        if not {tuple}.issuperset(map(type, self.groups)):
+            k, group = next((k, group) for k, group in enumerate(self.groups) if type(group) is not tuple)
+            raise ValidationError(f"groups[{k}] must be a tuple of feature indices, got {group!r}")
         if not all(self.groups):
             raise ValidationError("groups must be non-empty")
         # Every feature below the feature count, none twice: an exact partition.
@@ -107,6 +169,10 @@ class FeatureGrouping:
     def ids_of(self, group_indices) -> tuple[str, ...]:
         """The ids of the groups, in group order; each group once."""
         check_indices("group_indices", group_indices, len(self.groups), must="hold integer group indices", each="group")
+        return self._ids_of(group_indices)
+
+    def _ids_of(self, group_indices) -> tuple[str, ...]:
+        """``ids_of`` without its check, for a walk's own kept sets, which hold valid group indices."""
         return tuple([self.ids[g] for g in sorted(group_indices)])
 
 
@@ -245,14 +311,14 @@ def _search(net, x, epsilon, grouping, ordering, seed, schedule, timeout=None, b
     elif len(ordering.resolved) != len(grouping.groups):
         raise DimensionError("ordering and grouping disagree on the number of groups")
     target = predict(net, x)
-    rng = np.random.default_rng(seed)
     trace = ExplanationTrace(group_count=len(grouping.groups))
     t0 = time.monotonic()
     deadline = None if timeout is None else t0 + timeout
-    kept, stopped = _enclosure_walk(
-        net, x, epsilon, target, grouping, ordering.resolved, rng, trace, schedule, deadline, budget
-    )
-    trace.final = grouping.ids_of(kept)
+    with _PinSearches(net, target, np.random.default_rng(seed)) as searches:
+        kept, stopped = _enclosure_walk(
+            net, x, epsilon, target, grouping, ordering.resolved, searches, trace, schedule, deadline, budget
+        )
+    trace.final = grouping._ids_of(kept)
     trace.status = STATUS_EARLY_STOP if stopped else STATUS_MINIMAL
     trace.wall_time = time.monotonic() - t0
     return frozenset(kept), trace
@@ -288,7 +354,82 @@ def explain_baseline(
     return _search(net, x, epsilon, grouping, ordering, seed, ReductionSchedule((1.0,)), budget=oracle_budget)
 
 
-def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedule, deadline=None, budget=None):
+def _timed_search(net, target, lo, hi, out_hi, rng):
+    """``find_witnesses`` on the boxes, and its wall time on the thread that ran it."""
+    t = time.monotonic()
+    witnesses = find_witnesses(net, target, lo, hi, out_hi, rng)
+    return witnesses, time.monotonic() - t
+
+
+def _label(steps, witnesses, seconds: float) -> None:
+    """Mark each pin step whose box holds a witness ``insufficient``; give each an equal share of the search."""
+    for step, witness in zip(steps, witnesses):
+        if witness is not None:
+            step.verdict = VerdictKind.INSUFFICIENT.value
+        step.elapsed += seconds / len(steps)
+
+
+class _PinSearches:
+    """The witness searches of one walk's pins, in step order.
+
+    A search whose sample product (``sample_draws`` times the first
+    layer's width) reaches ``WORKER_PRODUCT`` goes to the worker thread
+    when the process has a spare CPU (``_worker``).  It takes a generator
+    restored from the state of the walk's, which then ``advance``s past
+    its draws, as a PCG64 can; every other search runs at once on the
+    walk's generator.  So each search draws the samples the serial walk
+    would.  Used as a context manager, it leaves no handed-off search
+    running when the walk ends, by return or by exception.
+    """
+
+    def __init__(self, net, target, rng):
+        self.net, self.target, self.rng = net, target, rng
+        self.handed = []  # (steps, job, future) per search on the worker, in step order
+
+    def search(self, pins) -> float:
+        """Search the boxes of ``pins``, (step, lo, hi, out_hi) each; return the seconds it took this thread."""
+        steps, lo, hi, out_hi = zip(*pins)
+        lo, hi, out_hi = np.stack(lo), np.stack(hi), np.stack(out_hi)
+        width = self.net.layers[0].out_dim
+        # A call below the threshold even with every feature free, as every
+        # relu100 call is, skips counting its free features.
+        draws = sample_draws(lo, hi) if lo.size * N_RANDOM * width >= WORKER_PRODUCT else 0
+        worker = _worker() if draws * width >= WORKER_PRODUCT else None
+        if worker is None:
+            witnesses, seconds = _timed_search(self.net, self.target, lo, hi, out_hi, self.rng)
+            _label(steps, witnesses, seconds)
+            return seconds
+        own = _restored(self.rng, self.rng.bit_generator.state)
+        self.rng.bit_generator.advance(draws)
+        job = partial(_timed_search, self.net, self.target, lo, hi, out_hi, own)
+        self.handed.append((steps, job, worker.submit(job)))
+        return 0.0
+
+    def finish(self) -> None:
+        """Label the pins of the handed-off searches, in step order, once all have run.
+
+        This thread runs the searches the worker has not started, from the
+        back of the queue, while the worker takes them from the front.  A
+        worker's exception is raised again here.
+        """
+        ran_here = [job() if future.cancel() else None for _, job, future in reversed(self.handed)][::-1]
+        for (steps, _, future), result in zip(self.handed, ran_here):
+            _label(steps, *(result or future.result()))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Cancel the handed-off searches not yet started and wait for the rest."""
+        futures = [future for _, _, future in self.handed]
+        for future in futures:
+            future.cancel()
+        for future in futures:
+            if not future.cancelled():
+                future.exception()
+
+
+def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, schedule, deadline=None, budget=None):
     """The greedy walk on concrete enclosure checks, in speculative batches.
 
     Walks the group indices in ``order`` from the full set and returns the
@@ -311,12 +452,24 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
     searches, which is searched in calls of exactly MAX_BATCH boxes, and
     whatever remains is searched when the walk ends or stops.  The boxes
     are searched in step order, and the samples of a call come from one
-    draw of ``rng`` over the features free in any of its boxes, so the
-    stream, and every witness, is that of one ``find_witnesses`` call per
-    MAX_BATCH pins in step order, and one for the rest; it is not the
-    stream of one search per pin.  A pin is ``uncertain`` until its search
-    returns and ``insufficient`` if the search confirms a witness; nothing
-    else waits on its verdict.
+    draw over the features free in any of its boxes, so the stream, and
+    every witness, is that of one ``find_witnesses`` call per MAX_BATCH
+    pins in step order, and one for the rest; it is not the stream of one
+    search per pin.  A pin is ``uncertain`` until its search returns and
+    ``insufficient`` if the search confirms a witness; nothing else waits
+    on its verdict.
+
+    ``searches`` (a ``_PinSearches``) runs each call.  A large call, when
+    the process has a CPU that BLAS does not use, goes to a worker thread
+    with a generator at the very position the serial call would draw from,
+    while the walk goes on; any other call runs at once.  When the walk
+    ends, this thread runs the handed-off calls the worker has not
+    started, from the back of the queue, and then the pins of every
+    handed-off call are labelled, in step order.  The worker runs no
+    function that the benchmark's tracer wraps (its span stack is not
+    thread-safe): ``gradients``, ``forward_rows``, ``_first_layer`` and
+    ``propagate_rows`` are untraced, and ``predict`` runs only to confirm
+    a flagged candidate, which no mnist784 search has.
 
     With a split ``budget`` (the baseline under the complete oracle), B is
     capped at 1: after a "keep" guess an oracle proof would change the
@@ -347,10 +500,12 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
     is kept.  The kept set is therefore the baseline's.
 
     A step's ``elapsed`` is its batch's wall time without the witness
-    searches made during it, split evenly over the steps the batch
-    recorded; a pin adds an equal share of the search that labels it.
-    These intervals do not overlap, so the steps' times add up to no more
-    than the walk's.  A rate's snapshot is the kept set after its
+    searches made during it on this thread, split evenly over the steps
+    the batch recorded; a pin adds an equal share of the search that
+    labels it, timed on the thread that ran it.  When every search runs on
+    this thread these intervals do not overlap, so the steps' times add up
+    to no more than the walk's; a search on the worker overlaps the walk,
+    so with one the sum can exceed it.  A rate's snapshot is the kept set after its
     last drop, so pins never move it; the snapshot at rate 1.0 is the kept
     set when the walk ends.
     """
@@ -393,19 +548,6 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
         q = SufficiencyQuery(x, grouping.features_of(kept - {g}), epsilon, target, net.input_domain)
         result = oracle_check(net, q, budget)
         record(g, 1.0, result.proved, margin, neurons * result.evaluations).verdict = result.verdict.value
-
-    def search(count):
-        """Label the first ``count`` queued pins with one witness search; return its wall time."""
-        t = time.monotonic()
-        steps, lo, hi, out_hi = zip(*pending[:count])
-        del pending[:count]
-        witnesses = find_witnesses(net, target, np.stack(lo), np.stack(hi), np.stack(out_hi), rng)
-        seconds = time.monotonic() - t
-        for step, witness in zip(steps, witnesses):
-            if witness is not None:
-                step.verdict = VerdictKind.INSUFFICIENT.value
-            step.elapsed += seconds / count
-        return seconds
 
     def label(g, lo, hi, lb=None, anet=None):
         """Drop a concretely separated row at the coarsest rate its own box's reduction proves.
@@ -472,7 +614,8 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
                 label(g, lo[i], hi[i], *own)
         searched = 0.0
         while len(pending) >= MAX_BATCH:
-            searched += search(MAX_BATCH)
+            searched += searches.search(pending[:MAX_BATCH])
+            del pending[:MAX_BATCH]
         share = (time.monotonic() - t1 - searched) / max(len(trace.steps) - walked, 1)
         for step in trace.steps[walked:]:
             step.elapsed += share
@@ -482,14 +625,15 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, rng, trace, schedu
         guess = batch[taken - 1] not in kept
         size = max(size // 2, 1) if broken else min(2 * size, cap)
     if pending:
-        search(len(pending))
+        searches.search(pending)
+    searches.finish()
 
     # A rate's snapshot is the kept set after its last drop, rebuilt once
     # here from the drop order rather than stored after every step.
     for rate, count in drops_at.items():
-        trace.snapshots[rate] = grouping.ids_of(every.difference(drops[:count]))
+        trace.snapshots[rate] = grouping._ids_of(every.difference(drops[:count]))
     if trace.steps:
-        trace.snapshots[1.0] = grouping.ids_of(kept)
+        trace.snapshots[1.0] = grouping._ids_of(kept)
     return kept, stopped
 
 

@@ -13,7 +13,9 @@ greedy walk.  A query is checked against its network once, by
 Counterexample search draws every candidate through ``_candidates``: each
 box's center and gradient corners as exact rows, and random samples drawn
 only over the features free in some box of the call, whose first layer is
-the box's lower corner through the layer plus a low-rank update.  One pass
+the box's lower corner through the layer plus a low-rank update.  The
+samples are drawn and multiplied in blocks of boxes and not kept; a flagged
+sample is drawn again from the generator's state before the draw.  One pass
 labels (for regression, measures) every candidate, and a flagged candidate
 is kept only if a pass of its own row confirms it, so every witness is a
 genuine counterexample.  On a network with more than one hidden layer
@@ -25,6 +27,7 @@ changes no label.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,6 +38,41 @@ from .bounds import propagate_abstract, propagate_box, propagate_rows
 from .errors import DimensionError, ValidationError, check_indices, check_number
 from .intervals import IntervalVector, apply_activation, iv_subset
 from .network import ConcreteNetwork, forward, forward_rows, gradient, gradients, predict
+
+
+# The variables that set a BLAS library's thread count, in the order the
+# library reads them: the first one set to a positive count wins.
+_BLAS_THREADS = {
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+}
+# BLAS reads them once, when numpy loads, which is before this module loads;
+# they are read here, at import, so a later change, which BLAS never sees
+# (benchmark/run.py's import under pytest makes one), does not count either.
+BLAS_ENV = {name: os.environ[name] for names in _BLAS_THREADS.values() for name in names if name in os.environ}
+BLAS_NAME = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {}).get("name", "")
+
+
+def one_blas_thread(env, blas: str) -> bool:
+    """Whether ``blas``, the name of numpy's BLAS library, runs one thread under the environment ``env``.
+
+    For a library not named in ``_BLAS_THREADS`` the variables of every
+    library named there must read 1.
+    """
+    chains = [names for library, names in _BLAS_THREADS.items() if library in blas.lower()]
+    return all(_thread_count(env, names) == 1 for names in chains or _BLAS_THREADS.values())
+
+
+def _thread_count(env, names) -> int | None:
+    """The count of the first of ``names`` that ``env`` sets to a positive integer, or None."""
+    for name in names:
+        try:
+            count = int(env.get(name, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            return count
+    return None
 
 
 class VerdictKind(str, Enum):
@@ -180,6 +218,10 @@ def _checked_box(net: ConcreteNetwork, q: SufficiencyQuery) -> IntervalVector:
     return box
 
 
+# Uniform samples per box of a witness search, unless told otherwise.
+N_RANDOM = 64
+
+
 def _generator(rng):
     """Check ``rng``; return a function that gives it, or a fresh generator seeded 0 when it is None.
 
@@ -238,7 +280,7 @@ def find_witnesses(
     hi: np.ndarray,
     out_hi: np.ndarray,
     rng: np.random.Generator | None,
-    n_random: int = 64,
+    n_random: int = N_RANDOM,
 ) -> list:
     """Search each box, one per row of ``lo``/``hi``, for a point not assigned to ``target``.
 
@@ -293,41 +335,59 @@ def _first_confirmed(candidate, b: int, flagged: np.ndarray, confirms):
     return None
 
 
+def _free_features(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The features free in any box of a call, the ones its samples are drawn over."""
+    return np.flatnonzero((hi > lo).any(axis=0))
+
+
+def sample_draws(lo: np.ndarray, hi: np.ndarray, n_random: int = N_RANDOM) -> int:
+    """How many doubles ``find_witnesses`` draws from its generator for these boxes.
+
+    Each box draws ``n_random`` samples over the features free in any box
+    (``_candidates``); a call with none draws nothing.  ``Generator.random``
+    takes one output of the bit generator per double, so a PCG64 that
+    ``advance``s by this count ends where the search leaves it.
+    """
+    return lo.shape[0] * n_random * _free_features(lo, hi).size
+
+
+def _restored(rng: np.random.Generator, state: dict) -> np.random.Generator:
+    """A fresh generator on a bit generator of ``rng``'s type, set to ``state``."""
+    bit_generator = type(rng.bit_generator)()
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
 def _candidates(layer, lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rng, n_random: int):
     """Every witness candidate of a batch of boxes, through ``layer``, the network's first.
 
     Per box the candidates are its center and one corner per mask of
     ``toward_hi`` (``_candidate_rows``), then ``n_random`` uniform samples.
     The samples are drawn only over the features free in any box of the
-    call: one ``rng.random((boxes, n_random, free))`` draw, box after box,
-    scaled in place by the boxes' widths there.  A fixed feature has zero
-    width, so each sample is uniform over its own box, and sample j of box
-    b is ``lo[b]`` plus row j of its offsets on those features, with the
-    bits of ``rng.uniform`` there.  Each box takes ``n_random`` times
-    ``free`` draws, so the stream depends on the call's boxes together.
-    With ``n_random`` 0, or no free feature in the call, nothing is drawn
-    (``rng`` may then be None).
+    call, box after box, as one ``rng.random((boxes, n_random, free))``
+    draw would give them, and scaled by the boxes' widths there
+    (``_sample_offsets``).  A fixed feature has zero width, so each sample
+    is uniform over its own box, and sample j of box b is ``lo[b]`` plus
+    row j of its offsets on those features, with the bits of
+    ``rng.uniform`` there.  Each box takes ``n_random`` times ``free``
+    draws (``sample_draws``), so the stream depends on the call's boxes
+    together.  With ``n_random`` 0, or no free feature in the call,
+    nothing is drawn (``rng`` may then be None).
 
     Returns the first layer's activations of every candidate
     (``_first_layer``); ``order``, where ``order[b, j]`` is the row there
     of box b's candidate j; and ``candidate(b, j)``, which rebuilds that
-    candidate as a fresh input row.
+    candidate as a fresh input row.  The offsets are not kept: a sample is
+    rebuilt by a generator restored to ``rng``'s state before the draw,
+    which draws again up to its row.  Only a flagged candidate is rebuilt.
     """
     boxes, inputs = lo.shape
     rows = _candidate_rows(lo, hi, toward_hi)
-    free = np.flatnonzero((hi > lo).any(axis=0))
+    free = _free_features(lo, hi)
     if free.size == 0:
         n_random = 0  # every box is a point, which its center already is
-    offsets = np.empty((boxes, 0, free.size))
-    if n_random:
-        # The draw fills the front of a buffer sized for every feature.  Its
-        # size does not grow as the walk frees features, so the allocator
-        # reuses it; a growing one is mapped afresh, page faults and all, on
-        # every call (about 20,000 minor faults per mnist instance).
-        size = boxes * n_random * free.size
-        offsets = np.empty(boxes * n_random * inputs)[:size].reshape(boxes, n_random, free.size)
-        rng.random(out=offsets)
-        offsets *= (hi - lo)[:, None, free]
+    state = rng.bit_generator.state if n_random else None
+    first_layer = _first_layer(layer, rows, lo, free, _sample_offsets(rng, lo, hi, free, n_random), n_random)
     exact, corners = rows.shape[0], toward_hi.shape[1]
     order = np.concatenate(
         [
@@ -341,36 +401,85 @@ def _candidates(layer, lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rn
     def candidate(b: int, j: int) -> np.ndarray:
         if j <= corners:
             return rows[order[b, j]].copy()
+        redraw = _restored(rng, state)
+        for _ in range(b):
+            redraw.random((n_random, free.size))
         point = lo[b].copy()
-        point[free] += offsets[b, j - 1 - corners]
+        point[free] += redraw.random((j - corners, free.size))[-1] * (hi[b, free] - lo[b, free])
         return point
 
-    return _first_layer(layer, rows, lo, free, offsets), order, candidate
+    return first_layer, order, candidate
 
 
-def _first_layer(layer, rows: np.ndarray, lo: np.ndarray, free: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+# Most offsets ``_sample_offsets`` draws into one block, or None for one
+# block per call.  Under a one-thread BLAS it is one mnist784 box (64 samples
+# over up to 784 free features) or all 16 boxes of a relu100 call: drawing a
+# call's 16 mnist784 boxes at once took a 6.4 MB buffer, and two searches
+# run at once there.  A BLAS with threads runs one product of all the
+# samples in parallel (a 16-box mnist784 search: 9.9 ms, against 12.4 ms in
+# blocks, under two OpenBLAS threads), and its searches run one at a time.
+SAMPLE_BLOCK = 1 << 15 if one_blas_thread(BLAS_ENV, BLAS_NAME) else None
+
+
+def _sample_offsets(rng, lo: np.ndarray, hi: np.ndarray, free: np.ndarray, n_random: int):
+    """The samples' offsets on the features ``free``, block after block of boxes.
+
+    Each block has shape (block boxes, n_random, free), with as many boxes
+    as fit in one buffer.  The buffer holds ``SAMPLE_BLOCK`` offsets or one
+    box's samples over every input, whichever is more, or every box's when
+    ``SAMPLE_BLOCK`` is None.  Its size does not grow as a walk frees
+    features, so the allocator reuses it; a growing one is mapped afresh,
+    page faults and all, on every call.  Every block is drawn into it and
+    overwritten by the next, so a consumer uses a block before asking for
+    the next.  The blocks follow one another in the generator's stream, so
+    they hold the bits of one draw of shape (boxes, n_random, free), scaled
+    by the boxes' widths.
+    """
+    if not n_random:
+        return
+    boxes, inputs = lo.shape
+    size = boxes * n_random * inputs if SAMPLE_BLOCK is None else max(SAMPLE_BLOCK, n_random * inputs)
+    buffer = np.empty(size)
+    block = size // (n_random * free.size)
+    for start in range(0, boxes, block):
+        end = min(start + block, boxes)
+        offsets = buffer[: (end - start) * n_random * free.size].reshape(end - start, n_random, free.size)
+        rng.random(out=offsets)
+        offsets *= (hi[start:end] - lo[start:end])[:, None, free]
+        yield offsets
+
+
+def _first_layer(layer, rows: np.ndarray, lo: np.ndarray, free: np.ndarray, offsets, n_random: int) -> np.ndarray:
     """The first layer's activations of the exact rows, then of the samples, in one array.
 
     ``rows`` go through ``rows @ Wᵀ + b``, with the bits of
-    ``forward_rows``.  Sample j of box b is ``lo[b]`` plus ``offsets[b, j]``
-    on the features ``free``, so its pre-activation is the box's anchor
-    ``lo[b] @ Wᵀ + b`` plus ``offsets[b, j] @ W[:, free]ᵀ``: one product of
-    shape (boxes * n_random, free) by (free, width) for all samples.
-    Returns shape (exact rows + boxes * n_random, width); the samples
-    follow the rows box after box.
+    ``forward_rows``.  ``offsets`` yields the samples' offsets block after
+    block of boxes, each of shape (block boxes, n_random, free), as
+    ``_sample_offsets`` does; sample j of box b is ``lo[b]`` plus
+    ``offsets[b, j]`` on the features ``free``, so its pre-activation is
+    the box's anchor ``lo[b] @ Wᵀ + b`` plus ``offsets[b, j] @ W[:, free]ᵀ``:
+    one product of shape (block boxes * n_random, free) by (free, width)
+    per block, written into the block's rows.  Returns shape
+    (exact rows + boxes * n_random, width); the samples follow the rows box
+    after box.
     """
     exact = rows.shape[0]
-    boxes, n_random, _ = offsets.shape
+    boxes = lo.shape[0]
     out = np.empty((exact + boxes * n_random, layer.out_dim))
     np.matmul(rows, layer.weights.T, out=out[:exact])
     out[:exact] += layer.bias
     if n_random:
-        samples = out[exact:]
-        np.matmul(offsets.reshape(-1, free.size), layer.weights.T[free], out=samples)
+        weights = layer.weights.T[free]
         anchor = lo @ layer.weights.T
         anchor += layer.bias
-        per_box = samples.reshape(boxes, n_random, -1)
-        per_box += anchor[:, None]
+        per_box = out[exact:].reshape(boxes, n_random, -1)
+        start = 0
+        for block in offsets:
+            end = start + block.shape[0]
+            samples = per_box[start:end]
+            np.matmul(block.reshape(-1, free.size), weights, out=samples.reshape(-1, layer.out_dim))
+            samples += anchor[start:end, None]
+            start = end
     return apply_activation(layer.activation.value, out, out=out)
 
 
@@ -451,9 +560,10 @@ def check_regression(
     if margin >= 0:
         return Verdict(VerdictKind.SUFFICIENT, margin)
     up = gradient(net, box.midpoint, 0) > 0
-    # The corners that maximize and minimize the linearized output, then 64 samples.
+    # The corners that maximize and minimize the linearized output, then the samples.
     corners = np.stack([up, ~up])[None]
-    first_layer, order, candidate = _candidates(net.layers[0], box.lo[None], box.hi[None], corners, generator(), 64)
+    lo, hi = box.lo[None], box.hi[None]
+    first_layer, order, candidate = _candidates(net.layers[0], lo, hi, corners, generator(), N_RANDOM)
     far = np.abs(forward_rows(net.layers[1:], first_layer)[order[0], 0] - ref) > q.delta
     witness = _first_confirmed(candidate, 0, far, lambda point: abs(forward(net, point)[0] - ref) > q.delta)
     if witness is not None:

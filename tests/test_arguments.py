@@ -323,6 +323,12 @@ PIXELS = FeatureGrouping.rgb_pixels(6)
             lambda: FeatureGrouping(((0, 0), (1,)), ("a", "b")),
             "groups[0] must hold each feature once, got 0 more than once",
         ),
+        # Groups that are not tuples raised a bare ValueError and a bare TypeError.
+        (
+            lambda: FeatureGrouping((np.array([0, 1]), np.array([2])), ("a", "b")),
+            "groups[0] must be a tuple of feature indices, got array([0, 1])",
+        ),
+        (lambda: FeatureGrouping(((0, 1), 2), ("a", "b")), "groups[1] must be a tuple of feature indices, got 2"),
     ],
 )
 def test_an_index_is_named_with_its_member(call, message):
@@ -339,6 +345,24 @@ def test_bucket_lists_are_kept_as_integer_arrays():
     as_arrays = build_from_merge_sets(NET6, LB6, ({0, 1, 2},), buckets=((np.array([0, 1, 2]), np.array([3])),))
     refined, expected = refine(NET6, anet, LB6, 0.8), refine(NET6, as_arrays, LB6, 0.8)
     assert refined.spec.per_layer_merged == expected.spec.per_layer_merged
+
+
+def test_refine_checks_each_merged_neuron_once(monkeypatch):
+    # Its buckets' members are its merge sets, which the spec checks.
+    from provex import abstraction
+
+    net = random_network(4, (6, 5), 3, "relu", seed=1)
+    lb = propagate_box(net, net.input_domain)
+    anet = build_abstract(net, lb, 0.2)
+    checked = []
+    def recording(name, *args, **kwargs):
+        checked.append(name)
+        return check_indices(name, *args, **kwargs)
+
+    monkeypatch.setattr(abstraction, "check_indices", recording)
+    refined = refine(net, anet, lb, 0.6)
+    assert checked == ["merge_sets[0]", "merge_sets[1]", "buckets[0] sizes", "buckets[1] sizes"]
+    assert refined.spec.merged_count > 0
 
 
 @pytest.mark.parametrize(

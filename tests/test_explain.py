@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import multiprocessing
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -31,10 +34,13 @@ from provex.queries import (
     OracleOutcome,
     SufficiencyQuery,
     VerdictKind,
+    _candidate_rows,
+    _gap_corners,
     check_abstract,
     check_concrete,
     enclosure_verdicts,
     find_witnesses,
+    one_blas_thread,
     oracle_check,
 )
 
@@ -1020,3 +1026,189 @@ class TestOracleWalk:
         assert set(rows) == {1} and not searched
         # Drops with and without splits, witnesses, and exhausted budgets all occur.
         assert {("sufficient", False), ("sufficient", True), ("insufficient", False), ("uncertain", False)} <= seen
+
+
+@pytest.fixture
+def on_worker(monkeypatch):
+    """Call to send every later witness search of a walk to the worker thread.
+
+    The gate reads a spare CPU and the size threshold is 0; the pool the
+    searches make is shut down after the test.
+    """
+
+    def enable():
+        monkeypatch.setattr(explain_module, "spare_cpu", lambda env, cpus, blas: True)
+        monkeypatch.setattr(explain_module, "WORKER_PRODUCT", 0)
+        monkeypatch.setattr(explain_module, "_pool", None)
+
+    yield enable
+    if explain_module._pool:
+        explain_module._pool.shutdown(cancel_futures=True)
+
+
+def observed(kept, trace):
+    """Everything a search returns but its times."""
+    steps = [(s.group_id, s.rate, s.verdict, repr(s.margin), s.neuron_evals) for s in trace.steps]
+    return sorted(kept), steps, trace.final, trace.status, trace.refinements, trace.snapshots
+
+
+def sample_witness_case():
+    """A relu100-boundary instance with a pin whose only witness is a random sample."""
+    net, x, epsilon, seed = list(relu100_cases(115))[-1]
+    return net, x, epsilon, seed
+
+
+def recording_searches(monkeypatch, worker_delay=0.0):
+    """Record the thread of every witness search, and count the witnesses that are samples.
+
+    ``starts`` maps each search's boxes to its generator's state as it
+    starts.  A search on the worker first sleeps ``worker_delay`` seconds,
+    so that the walk's thread takes searches from the back of the queue.
+    """
+    threads, samples, starts = [], [0], {}
+    find = explain_module.find_witnesses
+
+    def searching(net, target, lo, hi, out_hi, rng):
+        threads.append(threading.current_thread().name)
+        starts[lo.tobytes() + hi.tobytes()] = rng.bit_generator.state
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(worker_delay)
+        witnesses = find(net, target, lo, hi, out_hi, rng)
+        exact = {row.tobytes() for row in _candidate_rows(lo, hi, _gap_corners(net, target, lo, hi, out_hi))}
+        samples[0] += sum(w is not None and w.tobytes() not in exact for w in witnesses)
+        return witnesses
+
+    monkeypatch.setattr(explain_module, "find_witnesses", searching)
+    return threads, samples, starts
+
+
+class TestWorkerSearches:
+    """Large witness searches run on a worker thread, with the serial walk's samples and results."""
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_worker_traces_are_the_inline_traces(self, search, on_worker, monkeypatch):
+        cases = [*pin_search_cases(), sample_witness_case()]
+        _, _, serial = recording_searches(monkeypatch)
+        inline = [observed(*search(net, x, epsilon, seed=seed)) for net, x, epsilon, seed in cases]
+        monkeypatch.undo()
+        on_worker()
+        threads, samples, starts = recording_searches(monkeypatch, worker_delay=0.002)
+        for (net, x, epsilon, seed), want in zip(cases, inline):
+            kept, trace = search(net, x, epsilon, seed=seed)
+            assert observed(kept, trace) == want
+            assert all(step.elapsed > 0 for step in trace.steps)
+        # Every search drew from where the serial walk's did, on either thread.
+        assert starts == serial
+        # Both threads searched, and a sample's witness was confirmed on one of them.
+        assert {"MainThread"} < set(threads) and samples[0] > 0
+
+    def test_small_searches_stay_inline(self, monkeypatch):
+        # With a spare CPU, a relu100 search is far below the size threshold.
+        monkeypatch.setattr(explain_module, "spare_cpu", lambda env, cpus, blas: True)
+        monkeypatch.setattr(explain_module, "_pool", None)
+        threads, _, _ = recording_searches(monkeypatch)
+        for net, x, epsilon, seed in relu100_cases(4):
+            explain_baseline(net, x, epsilon, seed=seed)
+        assert threads and set(threads) == {"MainThread"} and explain_module._pool is None
+
+    def test_a_worker_exception_is_raised_again(self, on_worker, monkeypatch):
+        find = explain_module.find_witnesses
+        running = []
+
+        def failing(net, target, lo, hi, out_hi, rng):
+            running.append(1)
+            try:
+                time.sleep(0.01)
+                if threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError("search failed on the worker")
+                return find(net, target, lo, hi, out_hi, rng)
+            finally:
+                running.pop()
+
+        on_worker()
+        monkeypatch.setattr(explain_module, "find_witnesses", failing)
+        net, x, epsilon, seed = next(relu100_cases(1))
+        with pytest.raises(RuntimeError, match="search failed on the worker"):
+            explain_baseline(net, x, epsilon, seed=seed)
+        assert not running
+
+    def test_no_search_runs_after_the_call_returns(self, on_worker, monkeypatch):
+        # Every feature of this instance is a pin, so the walk has handed
+        # off three searches of 20 ms each when it fails at its 8th batch.
+        find, verdicts = explain_module.find_witnesses, explain_module.enclosure_verdicts
+        started, running, checks = [], [], []
+
+        def slow(net, target, lo, hi, out_hi, rng):
+            started.append(1)
+            running.append(1)
+            try:
+                time.sleep(0.02)
+                return find(net, target, lo, hi, out_hi, rng)
+            finally:
+                running.pop()
+
+        def failing_late(*args):
+            checks.append(1)
+            if len(checks) == 8:
+                raise RuntimeError("walk failed")
+            return verdicts(*args)
+
+        on_worker()
+        monkeypatch.setattr(explain_module, "find_witnesses", slow)
+        monkeypatch.setattr(explain_module, "enclosure_verdicts", failing_late)
+        net, x, epsilon, seed = next(relu100_cases(1))
+        with pytest.raises(RuntimeError, match="walk failed"):
+            explain_baseline(net, x, epsilon, seed=seed)
+        assert not running
+        count = len(started)
+        time.sleep(0.1)
+        assert 0 < len(started) == count < 3
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_searches_on_its_own_worker(self, on_worker, monkeypatch):
+        on_worker()
+        threads, _, _ = recording_searches(monkeypatch)
+        net, x, epsilon, seed = next(relu100_cases(1))
+        want = observed(*explain_baseline(net, x, epsilon, seed=seed))
+        assert any(name != "MainThread" for name in threads)
+
+        def child():
+            # The parent's pool has no thread here; a search on it would never run.
+            name = explain_module._worker().submit(lambda: threading.current_thread().name).result(timeout=30)
+            assert name != "MainThread"
+            assert observed(*explain_baseline(net, x, epsilon, seed=seed)) == want
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(timeout=60)
+        if process.is_alive():
+            process.kill()
+        assert process.exitcode == 0
+
+
+@pytest.mark.parametrize(
+    "env, cpus, blas, spare",
+    [
+        # Under pytest nothing is pinned; OpenBLAS then runs a thread per CPU.
+        ({}, 2, "scipy-openblas", False),
+        # benchmark/run.py pins every variable.
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 2, "scipy-openblas", True),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 1, "scipy-openblas", False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, "scipy-openblas", True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, "openblas", True),
+        ({"OMP_NUM_THREADS": "1"}, 2, "openblas", True),
+        # OpenBLAS reads its own variable before OpenMP's.
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, "openblas", False),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, "openblas", True),
+        ({"OPENBLAS_NUM_THREADS": "x"}, 2, "openblas", False),
+        ({"MKL_NUM_THREADS": "1"}, 2, "mkl-sdl", True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, "mkl", False),
+        # A library not known here must be pinned by every known variable chain.
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, "", False),
+        ({"OMP_NUM_THREADS": "1"}, 2, "accelerate", True),
+    ],
+)
+def test_a_cpu_is_spare_only_beside_a_one_thread_blas(env, cpus, blas, spare):
+    assert explain_module.spare_cpu(env, cpus, blas) is spare
+    if cpus >= 2:
+        assert one_blas_thread(env, blas) is spare

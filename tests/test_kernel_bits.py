@@ -440,7 +440,7 @@ class TestScreenedWitnessSearch:
             free = np.flatnonzero((hi > lo).any(axis=0))
             offsets = np.random.default_rng(seed).random((lo.shape[0], n_random, free.size))
             offsets *= (hi - lo)[:, None, free]
-            first_layer = _first_layer(net.layers[0], _candidate_rows(lo, hi, toward_hi), lo, free, offsets)
+            first_layer = _first_layer(net.layers[0], _candidate_rows(lo, hi, toward_hi), lo, free, [offsets], n_random)
             closed = _screen(net, target, first_layer, lo.shape[0], toward_hi.shape[1])
             # Every candidate as a whole row: center, corners, then lo plus the offsets on the free features.
             cands = reference_candidates(lo, hi, toward_hi, np.random.default_rng(seed), n_random, free)
@@ -591,7 +591,7 @@ class TestFreeFeatureSamples:
             free = np.flatnonzero((hi > lo).any(axis=0))
             offsets = np.random.default_rng(seed).random((lo.shape[0], n_random, free.size))
             offsets *= (hi - lo)[:, None, free]
-            got = _first_layer(net.layers[0], rows, lo, free, offsets)
+            got = _first_layer(net.layers[0], rows, lo, free, [offsets], n_random)
             first = net.layers[0]
             assert got[: len(rows)].tobytes() == forward_rows((first,), rows).tobytes()
             cands = reference_candidates(lo, hi, toward_hi, np.random.default_rng(seed), n_random, free)
@@ -605,9 +605,9 @@ def count_passes(monkeypatch):
     """
     calls = []
 
-    def first_layer(layer, rows, lo, free, offsets):
-        calls.append(("_first_layer", len(rows) + offsets.shape[0] * offsets.shape[1]))
-        return search_first_layer(layer, rows, lo, free, offsets)
+    def first_layer(layer, rows, lo, free, offsets, n_random):
+        calls.append(("_first_layer", len(rows) + lo.shape[0] * n_random))
+        return search_first_layer(layer, rows, lo, free, offsets, n_random)
 
     def recording(name, fn):
         def wrapped(first, xs):

@@ -1,17 +1,20 @@
 """Sufficiency verdicts, counterexample search, and the branch-and-bound oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_query, small_net_and_instance
+from test_kernel_bits import reference_candidates, reference_find_witnesses, screen_cases
 from provex.abstraction import build_abstract, build_from_merge_sets, refine
-from provex.bounds import propagate_abstract, propagate_box, sample_box
+from provex.bounds import propagate_abstract, propagate_box, propagate_rows, sample_box
 from provex.errors import DimensionError, ValidationError
 from provex.explain import explain_abstraction_refinement, explain_baseline
 from provex.fixtures import random_network, uniform_instances
 from provex.intervals import IntervalVector
 from provex import queries
-from provex.network import ConcreteNetwork, Layer, forward, forward_batch, predict
+from provex.network import ConcreteNetwork, Layer, forward, forward_batch, gradient, predict
 from provex.queries import (
     OracleOutcome,
     OracleResult,
@@ -28,6 +31,7 @@ from provex.queries import (
     find_witnesses,
     gen_counterexample,
     oracle_check,
+    sample_draws,
 )
 
 
@@ -470,6 +474,112 @@ class TestCandidates:
         anet = build_abstract(net, lb, 0.5)
         out = check_abstract(anet, q).enclosure
         assert out == propagate_abstract(anet, q.query_box())
+
+
+def bump_net(classes):
+    """A net on two inputs whose output is a bump of height 0.1 at x0 = 0.3; x1 has no weight.
+
+    With one output the output is the bump; with two, class 1's logit is
+    the bump and class 0's is 0.05.  Over x0 in [0, 1] the center and the
+    corners lie off the bump and the gradient at the center is zero, so
+    only a random sample can be a witness.
+    """
+    first = Layer(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-0.3, 0.3]), "relu")
+    bump = Layer(np.array([[-1.0, -1.0]]), np.array([0.1]), "relu")
+    if classes == 1:
+        return ConcreteNetwork((first, bump, Layer(np.array([[1.0]]), np.array([0.0]), "identity")))
+    return ConcreteNetwork((first, bump, Layer(np.array([[0.0], [1.0]]), np.array([0.05, 0.0]), "identity")))
+
+
+class TestSampleBlocks:
+    """Samples are drawn and multiplied in blocks of boxes, and a flagged one is drawn again."""
+
+    def test_a_search_moves_its_generator_by_its_draw_count(self):
+        drawn = 0
+        for seed, net, target, lo, hi, out_hi, n_random in screen_cases(30):
+            for hi in (hi, lo):  # with free features, then point boxes
+                ours, advanced = np.random.default_rng(seed), np.random.default_rng(seed)
+                find_witnesses(net, target, lo, hi, out_hi, ours, n_random)
+                draws = sample_draws(lo, hi, n_random)
+                advanced.bit_generator.advance(draws)
+                assert ours.bit_generator.state == advanced.bit_generator.state
+                assert (draws == 0) == (hi is lo or n_random == 0)
+                drawn += draws > 0
+        assert drawn > 0
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_witnesses_rebuilt_from_samples_are_the_drawn_rows(self, bit_generator):
+        x = np.array([0.5, 0.4])
+        found = 0
+        for seed in range(10):
+            for classes in (1, 2):
+                net = bump_net(classes)
+                if classes == 1:
+                    q = RegressionQuery(x, frozenset({1}), 0.5, 0.05, net.input_domain)
+                    got = check_regression(net, q, np.random.Generator(bit_generator(seed))).witness
+                else:
+                    q = SufficiencyQuery(x, frozenset({1}), 0.5, 0, net.input_domain)
+                    got = check_concrete(net, q, np.random.Generator(bit_generator(seed))).witness
+                box = q.query_box()
+                lo, hi = box.lo[None], box.hi[None]
+                theirs = np.random.Generator(bit_generator(seed))
+                if classes == 1:
+                    # The regression candidates, every row evaluated whole.
+                    up = gradient(net, box.midpoint, 0) > 0
+                    cands = reference_candidates(lo, hi, np.stack([up, ~up])[None], theirs, 64, np.array([0]))[0]
+                    far = [c for c in cands if abs(forward(net, c)[0] - forward(net, x)[0]) > q.delta]
+                    want = far[0] if far else None
+                else:
+                    out_hi = propagate_rows(net.layers, lo, hi)[1]
+                    want = reference_find_witnesses(net, 0, lo, hi, out_hi, theirs)[0]
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.tobytes() == want.tobytes()
+                    assert got.tobytes() not in {box.midpoint.tobytes(), box.lo.tobytes(), box.hi.tobytes()}
+                    found += 1
+        assert found >= 15
+
+    @pytest.mark.parametrize("block", [1, 2000])
+    def test_small_blocks_keep_the_witnesses_and_the_stream(self, block, monkeypatch):
+        # Blocks of one box's samples over every input, and of 2000 offsets.
+        monkeypatch.setattr(queries, "SAMPLE_BLOCK", block)
+        found = 0
+        for seed, net, target, lo, hi, out_hi, n_random in screen_cases(60):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = find_witnesses(net, target, lo, hi, out_hi, ours, n_random)
+            want = reference_find_witnesses(net, target, lo, hi, out_hi, theirs, n_random)
+            assert [g is None for g in got] == [w is None for w in want]
+            assert all(w is None or g.tobytes() == w.tobytes() for g, w in zip(got, want))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            found += sum(w is not None for w in want)
+        assert found > 100
+
+    def test_a_search_holds_one_block_of_offsets(self, monkeypatch):
+        # 16 mnist boxes, every feature free in some box: all their offsets
+        # at once take 16 * 64 * 784 doubles, 6.4 MB, and blocks one box's.
+        from provex.fixtures import mnist_shape_network
+
+        net = mnist_shape_network(seed=3)
+        x = uniform_instances(net, 1, seed=11)[0]
+        free = np.random.default_rng(5).random((16, 784)) < 0.65
+        lo, hi = np.where(free, np.maximum(0.0, x - 1e-4), x), np.where(free, np.minimum(1.0, x + 1e-4), x)
+        out_hi = propagate_rows(net.layers, lo, hi)[1]
+        target = predict(net, x)
+
+        def peak():
+            find_witnesses(net, target, lo, hi, out_hi, np.random.default_rng(0))
+            tracemalloc.start()
+            try:
+                find_witnesses(net, target, lo, hi, out_hi, np.random.default_rng(0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(queries, "SAMPLE_BLOCK", 1 << 15)
+        blocked = peak()
+        monkeypatch.setattr(queries, "SAMPLE_BLOCK", None)
+        whole = peak()
+        assert whole - blocked > 0.9 * 15 * 64 * 784 * 8
 
 
 @pytest.mark.parametrize("rng", [5, "seed", np.random.RandomState(0)], ids=["int", "str", "RandomState"])
