@@ -203,12 +203,6 @@ class ReductionSchedule:
             raise ValidationError(f"could not parse schedule {text!r}") from exc
         return cls(rates)
 
-    def next_after(self, rate: float) -> float | None:
-        for r in self.rates:
-            if r > rate:
-                return r
-        return None
-
 
 def score_neurons(net: ConcreteNetwork, lb: LayerBounds) -> Ranking:
     """Rank hidden neurons by estimated enclosure damage if merged.

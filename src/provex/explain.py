@@ -7,15 +7,12 @@ verified sufficient.  Both run one body, ``_search``, on one walk,
 one ``enclosure_verdicts`` call per batch; a large witness search runs on a
 worker thread beside the walk when the process has a CPU that BLAS does not
 use (``_PinSearches``), with the serial walk's samples and results.
-The abstraction-refinement search decides every feature with the concrete
-enclosure and uses reductions only to label its drops: a run of drops below
-the schedule's last rate is proved on one reduction built against the run's
-largest box, and a drop that reduction cannot prove is labelled with the
-coarsest scheduled rate whose reduction of its own box proves it.  A feature
-the concrete enclosure does not drop is pinned at once, with no reduction
-and no refinement.  The baseline is that search under the one-rate schedule
-(1.0,), so it asks every check on the original network and keeps the same
-features; under the complete oracle, a step the enclosure check cannot drop
+The abstraction-refinement search is that walk, which decides every
+feature with the concrete enclosure and so keeps the baseline's features,
+plus one pass after it, ``_label_drops``, which labels each drop with the
+coarsest scheduled rate whose reduction proves it.  The baseline is that
+search under the one-rate schedule (1.0,), which has no rate to label
+with; under the complete oracle, a step the enclosure check cannot drop
 goes to ``oracle_check``.  After every step the kept set is provably
 sufficient, so the search can stop early at any time and still return a
 valid (possibly non-minimal) explanation.
@@ -30,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .abstraction import ReductionSchedule, build_abstract, refine
+from .abstraction import ReductionSchedule, build_abstract
 from .bounds import propagate_box
 from .errors import DimensionError, ValidationError, check_indices, check_number
 from .intervals import IntervalVector
@@ -43,7 +40,6 @@ from .queries import (
     SufficiencyQuery,
     VerdictKind,
     _restored,
-    _separation,
     enclosure_verdicts,
     find_witnesses,
     one_blas_thread,
@@ -299,7 +295,7 @@ def count_work(trace: ExplanationTrace) -> WorkReport:
 
 
 def _search(net, x, epsilon, grouping, ordering, seed, schedule, timeout=None, budget=None):
-    """Both searches' body: ``_enclosure_walk`` under ``schedule``, timed from after the setup."""
+    """Both searches' body: ``_enclosure_walk``, then ``_label_drops`` under ``schedule``, timed after the setup."""
     check_number("seed", seed, integer=True, minimum=0)
     x = np.asarray(x, dtype=np.float64)
     if grouping is None:
@@ -315,10 +311,15 @@ def _search(net, x, epsilon, grouping, ordering, seed, schedule, timeout=None, b
     t0 = time.monotonic()
     deadline = None if timeout is None else t0 + timeout
     with _PinSearches(net, target, np.random.default_rng(seed)) as searches:
-        kept, stopped = _enclosure_walk(
-            net, x, epsilon, target, grouping, ordering.resolved, searches, trace, schedule, deadline, budget
+        kept, stopped, drops = _enclosure_walk(
+            net, x, epsilon, target, grouping, ordering.resolved, searches, trace, deadline, budget
         )
+        # A handed-off witness search runs on the worker meanwhile.
+        _label_drops(net, x, epsilon, target, grouping, drops, schedule, trace, deadline)
+        searches.finish()
     trace.final = grouping._ids_of(kept)
+    if trace.steps:
+        trace.snapshots[1.0] = trace.final
     trace.status = STATUS_EARLY_STOP if stopped else STATUS_MINIMAL
     trace.wall_time = time.monotonic() - t0
     return frozenset(kept), trace
@@ -429,13 +430,13 @@ class _PinSearches:
                 future.exception()
 
 
-def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, schedule, deadline=None, budget=None):
+def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, deadline=None, budget=None):
     """The greedy walk on concrete enclosure checks, in speculative batches.
 
     Walks the group indices in ``order`` from the full set and returns the
-    kept set and whether the deadline stopped the walk before the end of
-    ``order``; the deadline is checked before every batch and every
-    refinement.
+    kept set, whether the deadline stopped the walk before the end of
+    ``order`` (it is checked before every batch), and the dropped groups in
+    drop order, each with its step.  Every step is at rate 1.0.
 
     A batch takes the next groups g_1..g_B and guesses that the last
     verdict repeats.  After a drop, box i frees g_1..g_i on top of the
@@ -444,9 +445,9 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, s
     guess, every box is exactly the query the one-at-a-time walk asks at
     that step, so those steps are taken and the rest of the batch is
     discarded.  All B boxes share one bound pass, one ``enclosure_verdicts``
-    call on the network or on the batch's reduction.  B starts at 1, doubles
-    after a batch that matches the guess throughout and halves after one
-    that breaks it, within 1..MAX_BATCH.
+    call on the network.  B starts at 1, doubles after a batch that matches
+    the guess throughout and halves after one that breaks it, within
+    1..MAX_BATCH.
 
     A step that fails is a pin.  Its box joins a queue of witness
     searches, which is searched in calls of exactly MAX_BATCH boxes, and
@@ -462,14 +463,12 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, s
     ``searches`` (a ``_PinSearches``) runs each call.  A large call, when
     the process has a CPU that BLAS does not use, goes to a worker thread
     with a generator at the very position the serial call would draw from,
-    while the walk goes on; any other call runs at once.  When the walk
-    ends, this thread runs the handed-off calls the worker has not
-    started, from the back of the queue, and then the pins of every
-    handed-off call are labelled, in step order.  The worker runs no
-    function that the benchmark's tracer wraps (its span stack is not
-    thread-safe): ``gradients``, ``forward_rows``, ``_first_layer`` and
-    ``propagate_rows`` are untraced, and ``predict`` runs only to confirm
-    a flagged candidate, which no mnist784 search has.
+    while the walk goes on; any other call runs at once.  The caller ends
+    the searches (``_PinSearches.finish``).  The worker runs no function
+    that the benchmark's tracer wraps (its span stack is not thread-safe):
+    ``gradients``, ``forward_rows``, ``_first_layer`` and
+    ``propagate_rows`` are untraced, and ``predict`` runs only to confirm a
+    flagged candidate, which no mnist784 search has.
 
     With a split ``budget`` (the baseline under the complete oracle), B is
     capped at 1: after a "keep" guess an oracle proof would change the
@@ -480,99 +479,48 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, s
     separated row is a drop with no split, as the oracle's root box would
     discharge it.
 
-    The carried rate starts at the schedule's first rate; under the
-    one-rate schedule (1.0,), the baseline's, every batch is checked on the
-    network itself.  While it is below 1.0 a batch that guesses "drop" is
-    checked on one reduction, built against its last (largest) box at the
-    carried rate.  Its leading separated rows are drops at the carried
-    rate, with their margins on that reduction: a reduction encloses the
-    concrete enclosure of every box inside its build box.  Its first
-    failing row, and every row of any other batch, is decided by the
-    concrete enclosure.  A row it does not separate is pinned at once:
-    one step at rate 1.0 with its concrete margin, queued for the witness
-    search like any other pin.  A row it separates below rate 1.0 goes to the
-    reduction built against its own box at the carried rate, refined rate
-    by rate until it separates, with one step per rate and no witness
-    search (a concretely separated box has none); the rate that proves the
-    drop becomes the carried rate.  A reduction at rate 1.0 is the network
-    itself, so the chain's last rung checks ``net`` (still counted as a
-    refinement) and ends there; a row still unseparated there by rounding
-    is kept.  The kept set is therefore the baseline's.
-
     A step's ``elapsed`` is its batch's wall time without the witness
     searches made during it on this thread, split evenly over the steps
     the batch recorded; a pin adds an equal share of the search that
     labels it, timed on the thread that ran it.  When every search runs on
     this thread these intervals do not overlap, so the steps' times add up
     to no more than the walk's; a search on the worker overlaps the walk,
-    so with one the sum can exceed it.  A rate's snapshot is the kept set after its
-    last drop, so pins never move it; the snapshot at rate 1.0 is the kept
-    set when the walk ends.
+    so with one the sum can exceed it.
     """
     box = SufficiencyQuery(x, frozenset(), epsilon, target, net.input_domain).query_box()
     members = [np.asarray(group, dtype=int) for group in grouping.groups]
     neurons = net.neuron_count
-    every = set(range(len(grouping.groups)))
-    kept = set(every)
+    kept = set(range(len(grouping.groups)))
     dropped = np.zeros(net.input_dim, dtype=bool)  # features of the dropped groups
-    drops: list[int] = []  # dropped groups, in the order they were dropped
-    drops_at: dict[float, int] = {}  # per rate below 1.0, the drops made up to its last drop
+    drops = []  # (group, step) per drop, in drop order
     pending = []  # pins awaiting their witness search: (step, lo, hi, out_hi), in step order
-    carried = schedule.rates[0]
     cap = MAX_BATCH if budget is None else 1
     start, size, guess, stopped = 0, 1, True, False
 
-    def record(g, rate, separated, margin, neuron_evals):
-        if separated:
-            kept.discard(g)
-            dropped[members[g]] = True
-            drops.append(g)
-            if rate < 1.0:
-                drops_at[rate] = len(drops)
+    def record(g, separated, margin, neuron_evals):
         step = StepRecord(
             group_id=grouping.ids[g],
-            rate=rate,
+            rate=1.0,
             verdict=(VerdictKind.SUFFICIENT if separated else VerdictKind.UNCERTAIN).value,
             elapsed=0.0,
             margin=float(margin),
             neuron_evals=neuron_evals,
         )
         trace.steps.append(step)
+        if separated:
+            kept.discard(g)
+            dropped[members[g]] = True
+            drops.append((g, step))
         return step
 
     def pin(g, margin, lo, hi, out_hi):
-        """Keep g at rate 1.0 with its box queued for a witness search, or let the oracle decide it."""
+        """Keep g with its box queued for a witness search, or let the oracle decide it."""
         if budget is None:
-            pending.append((record(g, 1.0, False, margin, neurons), lo, hi, out_hi))
+            pending.append((record(g, False, margin, neurons), lo, hi, out_hi))
             return
         q = SufficiencyQuery(x, grouping.features_of(kept - {g}), epsilon, target, net.input_domain)
         result = oracle_check(net, q, budget)
-        record(g, 1.0, result.proved, margin, neurons * result.evaluations).verdict = result.verdict.value
-
-    def label(g, lo, hi, lb=None, anet=None):
-        """Drop a concretely separated row at the coarsest rate its own box's reduction proves.
-
-        ``lb``, when given, holds the bounds of the row's own box, and
-        ``anet`` its reduction at the carried rate.
-        """
-        nonlocal carried, stopped
-        rate = carried
-        lb = lb if lb is not None else propagate_box(net, IntervalVector(lo, hi))
-        anet = anet if anet is not None else build_abstract(net, lb, rate)
-        while True:
-            margin, separated, _ = enclosure_verdicts(anet, target, lo, hi)
-            record(g, rate, separated, margin, anet.neuron_count)
-            if separated:
-                carried = rate
-                return
-            rate = None if anet is net else schedule.next_after(max(rate, anet.reduction_rate))
-            if rate is None:
-                return
-            if deadline is not None and time.monotonic() >= deadline:
-                stopped = True
-                return
-            anet = net if rate == 1.0 else refine(net, anet, lb, rate)
-            trace.refinements += 1
+        record(g, result.proved, margin, neurons * result.evaluations).verdict = result.verdict.value
 
     while start < len(order):
         if deadline is not None and time.monotonic() >= deadline:
@@ -586,32 +534,15 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, s
             free[slice(i, None) if guess else i, members[g]] = True
         lo = np.where(free, box.lo, x)
         hi = np.where(free, box.hi, x)
-        anet = net
-        if guess and carried < 1.0:
-            lb = propagate_box(net, IntervalVector(lo[-1], hi[-1]))
-            anet = build_abstract(net, lb, carried)
-        margins, separated, out_hi = enclosure_verdicts(anet, target, lo, hi)
+        margins, separated, out_hi = enclosure_verdicts(net, target, lo, hi)
         breaks = np.flatnonzero(separated != guess)
         broken = breaks.size > 0
         taken = int(breaks[0]) + 1 if broken else len(batch)
         for i, g in enumerate(batch[:taken]):
-            if anet is not net and separated[i]:
-                record(g, carried, True, margins[i], anet.neuron_count)
-                continue
-            own = (None, None)  # the row's own box's bounds and reduction, where already built
-            if anet is not net:
-                # The reduction's failing row is decided by its own box's concrete
-                # enclosure, which replaces the reduction's verdict in the batch's arrays.
-                own = (lb, anet) if i == len(batch) - 1 else (propagate_box(net, IntervalVector(lo[i], hi[i])), None)
-                out = own[0].final
-                margins[i], separated[i] = _separation(out.lo, out.hi, target)
-                out_hi[i] = out.hi
-            if not separated[i]:
-                pin(g, margins[i], lo[i], hi[i], out_hi[i])
-            elif carried == 1.0:
-                record(g, 1.0, True, margins[i], neurons)
+            if separated[i]:
+                record(g, True, margins[i], neurons)
             else:
-                label(g, lo[i], hi[i], *own)
+                pin(g, margins[i], lo[i], hi[i], out_hi[i])
         searched = 0.0
         while len(pending) >= MAX_BATCH:
             searched += searches.search(pending[:MAX_BATCH])
@@ -619,22 +550,94 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, s
         share = (time.monotonic() - t1 - searched) / max(len(trace.steps) - walked, 1)
         for step in trace.steps[walked:]:
             step.elapsed += share
-        if stopped:
-            break
         start += taken
         guess = batch[taken - 1] not in kept
         size = max(size // 2, 1) if broken else min(2 * size, cap)
     if pending:
         searches.search(pending)
-    searches.finish()
+    return kept, stopped, drops
 
-    # A rate's snapshot is the kept set after its last drop, rebuilt once
-    # here from the drop order rather than stored after every step.
-    for rate, count in drops_at.items():
-        trace.snapshots[rate] = grouping._ids_of(every.difference(drops[:count]))
-    if trace.steps:
-        trace.snapshots[1.0] = grouping._ids_of(kept)
-    return kept, stopped
+
+def _label_drops(net, x, epsilon, target, grouping, drops, schedule, trace, deadline=None):
+    """Label the walk's drops with the coarsest scheduled rates that prove them, in one pass.
+
+    ``drops`` holds the walk's dropped groups in drop order, each with its
+    step at rate 1.0, and box k is the query box that frees the first k + 1
+    of them.  For each rate below 1.0, in schedule order, the pass starts
+    where the previous rate's prefix ended and finds the last drop e whose
+    reduction of its own box at that rate proves that box: it gallops from
+    the previous prefix's length (MAX_BATCH at first), doubling after each
+    proof, then bisects after the first failure.  A probe is one
+    ``propagate_box``, one ``build_abstract`` and a one-row
+    ``enclosure_verdicts`` call; only the reduction of the last proof is
+    kept.  The drops from the start to e take the rate, the neuron count of
+    e's reduction and their rows' margins on it, asked MAX_BATCH rows at a
+    time.  Every such box lies inside that reduction's build box, so each
+    separated row is a sound drop at that rate; a row that does not
+    separate ends the prefix before it.  Where the boxes that a rate's own
+    reductions prove form a prefix of the drops, these are the labels of
+    asking each drop alone, from the rate the drop before it took.  Drops
+    left after the last prefix keep their walk steps.
+
+    A drop's step is rewritten in place.  Each rate's time, probes and
+    margins, is split over the drops it labels; a rate that labels none
+    hands its time on to the next one that does, and what is left goes to
+    the drops left at rate 1.0.  A rate's snapshot, for each rate that
+    labels a drop, is every group minus the drops labelled at or below it,
+    and ``refinements`` is the schedule index of the last drop's rate (0
+    with no drop).  The deadline is checked before every rate, so a walk
+    the deadline stopped is labelled with nothing.  The pass runs the
+    functions the benchmark's tracer wraps on the walk's thread, as the
+    walk does, while the worker runs the queued witness searches.
+    """
+    rates = schedule.rates
+    if not drops or len(rates) == 1:
+        return  # no drop, or no rate below 1.0: every step stays the walk's
+    n = len(drops)
+    box = SufficiencyQuery(x, frozenset(), epsilon, target, net.input_domain).query_box()
+    freed_at = np.full(net.input_dim, n)  # the position of the drop that frees each feature
+    for k, (g, _) in enumerate(drops):
+        freed_at[list(grouping.groups[g])] = k
+
+    def boxes(k):
+        """Box k, or one row per entry of an array of positions k."""
+        free = freed_at <= np.asarray(k)[..., None]
+        return np.where(free, box.lo, x), np.where(free, box.hi, x)
+
+    start, length, mark = 0, MAX_BATCH, time.monotonic()
+    for rate in rates[:-1]:
+        if start == n or deadline is not None and time.monotonic() >= deadline:
+            break
+        good, bad, proving = start - 1, n, None  # the last drop proved, the first refuted, good's reduction
+        probe = min(start + length, n) - 1
+        while good + 1 < bad:
+            lo, hi = boxes(probe)
+            anet = build_abstract(net, propagate_box(net, IntervalVector(lo, hi)), rate)
+            if enclosure_verdicts(anet, target, lo, hi)[1]:
+                good, proving = probe, anet
+            else:
+                bad = probe
+            probe = min(start + 2 * (good + 1 - start), n) - 1 if bad == n else (good + bad) // 2
+        end = start
+        while end <= good:
+            rows = np.arange(end, min(end + MAX_BATCH, good + 1))
+            margins, separated, _ = enclosure_verdicts(proving, target, *boxes(rows))
+            taken = int(np.minimum.accumulate(separated).sum())  # the leading separated rows
+            for (_, step), margin in zip(drops[end : end + taken], margins):
+                step.rate, step.margin, step.neuron_evals = rate, float(margin), proving.neuron_count
+            end += taken
+            if taken < len(rows):
+                break
+        if end > start:
+            now = time.monotonic()
+            for _, step in drops[start:end]:
+                step.elapsed += (now - mark) / (end - start)
+            trace.snapshots[rate] = grouping._ids_of(set(range(len(grouping.groups))) - {g for g, _ in drops[:end]})
+            start, length, mark = end, end - start, now
+    share = (time.monotonic() - mark) / max(n - start, 1)
+    for _, step in drops[start:]:
+        step.elapsed += share
+    trace.refinements = rates.index(drops[-1][1].rate)
 
 
 def explain_abstraction_refinement(
@@ -649,24 +652,25 @@ def explain_abstraction_refinement(
 ) -> tuple[frozenset[int], ExplanationTrace]:
     """Greedy search whose drops are labelled with the coarsest reduction that proves them.
 
-    Every feature is decided by the concrete enclosure check, as in the
-    baseline, so both searches keep the same features.  A feature the
-    concrete check cannot drop is pinned at once: one step at rate 1.0 with
-    its concrete margin and the full network's neuron count, ``insufficient``
-    when a counterexample was found and ``uncertain`` otherwise.  A dropped
-    feature is checked on a reduction of the network at the carried rate,
-    which is refined to the next scheduled rate until it proves the drop;
-    each rate tried is one step and each refinement counts in
-    ``trace.refinements``.  The rate that proved a drop carries forward to
-    later features and never decreases, so per-rate snapshots shrink as
-    the rate grows.  Below rate 1.0, a run of drops shares one reduction
-    built against the run's largest box (see ``_enclosure_walk``); from
-    rate 1.0 on, every step is the baseline's.  With the schedule (1.0,)
-    this search is the baseline.
+    Every feature is decided by the concrete enclosure check, in the
+    baseline's walk, so both searches keep the same features and ask the
+    same steps: a feature the concrete check cannot drop is one step at
+    rate 1.0 with its concrete margin and the full network's neuron count,
+    ``insufficient`` when a counterexample was found and ``uncertain``
+    otherwise.  After the walk, one pass (``_label_drops``) gives each drop
+    the coarsest scheduled rate, at or above the rate of the drop before
+    it, whose reduction proves it, and rewrites its step with that rate,
+    the reduction's margin and its neuron count; a drop no rate below 1.0
+    proves keeps its concrete step.  So a trace has one step per group,
+    labels never decrease along the drops, per-rate snapshots shrink as the
+    rate grows, and ``trace.refinements`` is the schedule index of the
+    last drop's rate.  With the schedule (1.0,) this search is the
+    baseline.
 
-    The deadline is checked before every batch and every refinement.  On
-    timeout the current kept set, which is sufficient after every step, is
-    returned as an early stop.
+    The deadline is checked before every batch of the walk and every rate
+    of the pass.  On timeout the current kept set, which is sufficient
+    after every step, is returned as an early stop; a drop the pass did not
+    reach keeps its step at rate 1.0.
     """
     if timeout is not None:
         check_number("timeout", timeout, minimum=0)

@@ -378,12 +378,6 @@ class TestSchedule:
         with pytest.raises(ValidationError, match="not a finite number"):
             ReductionSchedule.from_string(",".join(str(r) for r in rates))
 
-    def test_next_after(self):
-        sched = ReductionSchedule((0.25, 0.5, 1.0))
-        assert sched.next_after(0.25) == 0.5
-        assert sched.next_after(0.7) == 1.0
-        assert sched.next_after(1.0) is None
-
     def test_from_string(self):
         sched = ReductionSchedule.from_string("0.1,0.4,1.0")
         assert sched.rates == (0.1, 0.4, 1.0)

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import make_query, small_net_and_instance
 from test_kernel_bits import reference_find_witnesses
-from provex.abstraction import ReductionSchedule, build_abstract, refine
+from provex.abstraction import ReductionSchedule, build_abstract
 from provex.bounds import propagate_box
 from provex.errors import ValidationError
 from provex.explain import (
@@ -249,8 +249,8 @@ class TestAbstractionRefinement:
         assert verdicts == {kind.value for kind in VerdictKind}
 
     def test_demo_trace_shows_refinement_progress(self, demo):
-        # Feature 2 needs one refinement to prove its drop; feature 3 fails
-        # the concrete check and is pinned in one step, with no refinement.
+        # Feature 2's drop is proved at rate 0.4, not 0.1; feature 3 fails
+        # the concrete check and is pinned in one step at rate 1.0.
         net, x = demo
         sched = ReductionSchedule((0.1, 0.4, 1.0))
         kept, trace = explain_abstraction_refinement(net, x, 1.0, schedule=sched)
@@ -262,7 +262,6 @@ class TestAbstractionRefinement:
         assert trace.refinements == 1
         assert [(s.group_id, s.rate, s.verdict) for s in trace.steps] == [
             ("1", 0.1, "sufficient"),
-            ("2", 0.1, "uncertain"),
             ("2", 0.4, "sufficient"),
             ("3", 1.0, "uncertain"),
         ]
@@ -480,107 +479,104 @@ class TestBatchedWalk:
         assert sum(step.elapsed for step in trace.steps) <= trace.wall_time
 
 
-def one_query_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed):
-    """The concrete-first abstraction-refinement search asking every query alone.
+def one_drop_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed):
+    """The abstraction-refinement search asking every query alone.
 
-    Kept as the reference for the search.  Each step asks its query with
-    ``check_concrete`` and the seeded generator.  A feature the check cannot
-    drop is pinned with one step at rate 1.0, named by that check.  A
-    dropped one is checked on the reduction of its own box at the carried
-    rate, refined rate by rate until it proves the drop, with one step per
-    rate; that rate is carried on.  A rate's snapshot is the kept set after its last drop, and the
-    snapshot at rate 1.0 is the final set.
+    Kept as the reference for the walk and its labels.  Each step asks its
+    query with ``check_concrete`` and the seeded generator, one step per
+    group at rate 1.0 with the network's neuron count, named by that check.
+    Then each drop, in drop order, is labelled with the first scheduled
+    rate, from the rate the drop before it took, whose reduction of the
+    drop's own box proves it; its step takes that rate, that reduction's
+    margin and its neuron count.  A drop no rate below 1.0 proves keeps its
+    step.  A rate's snapshot is every group minus the drops labelled at or
+    below it, and the snapshot at rate 1.0 is the final set.
     """
     target = predict(net, x)
     rng = np.random.default_rng(seed)
     kept = set(range(len(grouping.groups)))
     trace = ExplanationTrace(group_count=len(grouping.groups))
-    carried = schedule.rates[0]
+    drops = []
     for g in ordering.resolved:
         q = SufficiencyQuery(x, grouping.features_of(kept - {g}), epsilon, target, net.input_domain)
         verdict = check_concrete(net, q, rng=rng)
-        if not verdict.is_sufficient:
-            trace.steps.append(
-                StepRecord(grouping.ids[g], 1.0, verdict.kind.value, 0.0, verdict.margin, net.neuron_count)
-            )
-            continue
+        trace.steps.append(
+            StepRecord(grouping.ids[g], 1.0, verdict.kind.value, 0.0, verdict.margin, net.neuron_count)
+        )
+        if verdict.is_sufficient:
+            kept.discard(g)
+            drops.append((g, q, trace.steps[-1]))
+    rates, carried = schedule.rates, 0
+    for k, (g, q, step) in enumerate(drops):
         lb = propagate_box(net, q.query_box())
-        rate = carried
-        anet = build_abstract(net, lb, rate)
-        while True:
+        while rates[carried] < 1.0:
+            anet = build_abstract(net, lb, rates[carried])
             verdict = check_abstract(anet, q)
-            trace.steps.append(
-                StepRecord(grouping.ids[g], rate, verdict.kind.value, 0.0, verdict.margin, anet.neuron_count)
-            )
             if verdict.is_sufficient:
-                kept.discard(g)
-                carried = rate
-                if rate < 1.0:
-                    trace.snapshots[rate] = grouping.ids_of(kept)
+                step.rate, step.margin, step.neuron_evals = rates[carried], verdict.margin, anet.neuron_count
+                trace.snapshots[step.rate] = grouping.ids_of(kept.union(d for d, _, _ in drops[k + 1 :]))
                 break
-            rate = schedule.next_after(max(rate, anet.reduction_rate))
-            if rate is None:
-                break
-            anet = refine(net, anet, lb, rate)
-            trace.refinements += 1
-    trace.snapshots[1.0] = grouping.ids_of(kept)
+            carried += 1
+    trace.refinements = rates.index(drops[-1][2].rate) if drops else 0
+    if trace.steps:
+        trace.snapshots[1.0] = grouping.ids_of(kept)
     trace.final = grouping.ids_of(kept)
     return frozenset(kept), trace
 
 
 def record_reduced_checks(net, monkeypatch):
-    """Wrap the search's reductions and reduced checks; return the row count of every batched reduced check.
+    """Wrap the search's reductions and reduced checks; return every reduced check made.
 
-    Every reduced check must keep its rows inside its reduction's build
+    Each check is (its reduction, lo, hi, margins, separated), its boxes
+    one per row, and it must keep its rows inside its reduction's build
     box, which is what makes a separated row a sound drop.
     """
     built = {}  # id of a reduction -> (the reduction, its build box)
-    rows = []
-    build, refine_, verdicts = explain_module.build_abstract, explain_module.refine, explain_module.enclosure_verdicts
+    checks = []
+    build, verdicts = explain_module.build_abstract, explain_module.enclosure_verdicts
 
     def building(net_, lb, rate):
         anet = build(net_, lb, rate)
         built[id(anet)] = anet, lb.input_box
         return anet
 
-    def refining(net_, prev, lb, rate):
-        anet = refine_(net_, prev, lb, rate)
-        built[id(anet)] = anet, lb.input_box
-        return anet
-
     def checking(net_, target, lo, hi):
+        margins, separated, out_hi = verdicts(net_, target, lo, hi)
         if net_ is not net:
             _, box = built[id(net_)]
             assert np.all(box.lo <= lo) and np.all(hi <= box.hi)
-            if lo.ndim == 2:
-                rows.append(lo.shape[0])
-        return verdicts(net_, target, lo, hi)
+            checks.append((net_, np.atleast_2d(lo), np.atleast_2d(hi), np.atleast_1d(margins), np.atleast_1d(separated)))
+        return margins, separated, out_hi
 
     monkeypatch.setattr(explain_module, "build_abstract", building)
-    monkeypatch.setattr(explain_module, "refine", refining)
     monkeypatch.setattr(explain_module, "enclosure_verdicts", checking)
-    return rows
+    return checks
 
 
-def assert_same_search(net, x, epsilon, schedule, seed, monkeypatch, exact=False):
-    """Run the search and its one-query-at-a-time reference; return the trace and the windowed step count.
+def assert_same_labels(net, x, epsilon, schedule, seed, monkeypatch):
+    """Run the search and its one-drop-at-a-time reference; return the trace and the count of labelled drops.
 
     Kept sets, finals, snapshots, refinements and every step's group,
-    rate, verdict and neuron counts must be the reference's, and
-    the kept set must be the baseline's.  A step asked alone on its own
-    box has the reference's margin bit for bit (with ``exact``, every step
-    must).  Otherwise the step is either a concrete step at rate 1.0 from
-    a batched pass, whose margin may differ in the last bits, or a drop a
-    window took on a larger box's reduction: a windowed step, which is
-    re-certified by ``check_concrete`` with the kept set as of that step
-    and whose margin lies between 0 and the concrete enclosure's.
+    rate, verdict and neuron count must be the reference's, and the kept
+    set must be the baseline's.  A step at rate 1.0 comes from a batched
+    pass on the network, whose margin may differ from the reference's in
+    the last bits.  A labelled drop, below rate 1.0, records its margin on
+    a reduction built against a box that holds its own: its box must be a
+    row that separates, with that margin, in a reduced check of a
+    reduction with its neuron count, whose rows all lie inside its build
+    box; it is re-certified by ``check_concrete`` with the kept set as of
+    that step, and its margin lies between 0 and the concrete enclosure's.
     """
-    record_reduced_checks(net, monkeypatch)
+    checks = record_reduced_checks(net, monkeypatch)
     grouping = FeatureGrouping.singletons(net.input_dim)
     ordering = order_features(net, x, grouping, "sensitivity")
     kept, trace = explain_abstraction_refinement(net, x, epsilon, grouping, ordering, schedule, seed=seed)
     monkeypatch.undo()
-    ref_kept, ref = one_query_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed)
+    proved = {}  # each separated row of a reduced check -> its (margin, neuron count) pairs
+    for anet, lo, hi, margins, separated in checks:
+        for row_lo, row_hi, margin in zip(lo[separated], hi[separated], margins[separated]):
+            proved.setdefault(row_lo.tobytes() + row_hi.tobytes(), set()).add((float(margin), anet.neuron_count))
+    ref_kept, ref = one_drop_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed)
     assert kept == ref_kept
     assert kept == explain_baseline(net, x, epsilon, grouping, ordering, seed=seed)[0]
     assert trace.final == ref.final
@@ -590,37 +586,35 @@ def assert_same_search(net, x, epsilon, schedule, seed, monkeypatch, exact=False
     assert len(trace.steps) == len(ref.steps)
     target = predict(net, x)
     replay_kept = set(range(len(grouping.groups)))
-    windowed = 0
+    labelled = 0
     for got, want in zip(trace.steps, ref.steps):
         assert (got.group_id, got.rate, got.verdict, got.neuron_evals) == (
             want.group_id, want.rate, want.verdict, want.neuron_evals
         )
         g = grouping.ids.index(got.group_id)
-        if got.margin != want.margin:
-            assert not exact
-            q = make_query(net, x, grouping.features_of(replay_kept - {g}), epsilon)
-            if got.rate == 1.0 and got.neuron_evals == net.neuron_count:
-                assert abs(got.margin - want.margin) <= 1e-12
-            else:
-                assert got.verdict == "sufficient"
-                assert check_concrete(net, q).is_sufficient
-                box = q.query_box()
-                concrete = explain_module.enclosure_verdicts(net, target, box.lo, box.hi)[0]
-                assert 0.0 <= got.margin <= concrete + 1e-12
-                windowed += 1
+        q = make_query(net, x, grouping.features_of(replay_kept - {g}), epsilon)
+        if got.rate == 1.0:
+            assert abs(got.margin - want.margin) <= 1e-12
+        else:
+            assert check_concrete(net, q).is_sufficient
+            box = q.query_box()
+            assert (got.margin, got.neuron_evals) in proved[box.lo.tobytes() + box.hi.tobytes()]
+            concrete = explain_module.enclosure_verdicts(net, target, box.lo, box.hi)[0]
+            assert 0.0 <= got.margin <= concrete + 1e-12
+            labelled += 1
         if got.verdict == "sufficient":
             replay_kept.discard(g)
-    return trace, windowed
+    return trace, labelled
 
 
 def tail_net():
-    """A 40-input sigmoid net whose carried rate reaches 1.0 at its 15th feature of 40."""
+    """A 40-input sigmoid net whose drops climb every rate of the default schedule, ending in two at 1.0."""
     net = random_network(40, (30, 30), 3, "sigmoid", seed=1)
     return net, uniform_instances(net, 1, seed=1)[0], 0.2
 
 
 def long_window_net():
-    """A 64-input sigmoid net whose windows reach MAX_BATCH before its carried rate reaches 1.0."""
+    """A 64-input sigmoid net whose first 17 drops are all labelled at rate 0.1."""
     net = random_network(64, (32, 32), 4, "sigmoid", seed=3)
     return net, uniform_instances(net, 1, seed=3)[0], 0.1
 
@@ -633,31 +627,30 @@ def relu100_cases(count=4):
 
 
 class TestRateOneTail:
-    """Once the carried rate is 1.0, every later step is the baseline's concrete batch."""
+    """The drops that no rate below 1.0 proves are a tail of the drop order, and keep the baseline's steps."""
 
     def test_same_trace_on_the_search_equivalence_nets(self, monkeypatch):
-        # The default schedule, and a short one that reaches 1.0 sooner.
-        # ``tails`` counts the runs that carry rate 1.0 into later features.
+        # The default schedule, a short one that reaches 1.0 sooner, and
+        # one whose coarsest rate is 0.3.  ``tails`` counts the runs that
+        # leave a drop at rate 1.0.
         tails = {}
-        windowed = 0
-        for rates in ((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0), (0.5, 1.0)):
+        labelled = 0
+        for rates in ((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0), (0.5, 1.0), (0.3, 0.6, 1.0)):
             tails[rates] = 0
             for net, x, epsilon, seed in search_equivalence_nets():
-                trace, count = assert_same_search(net, x, epsilon, ReductionSchedule(rates), seed, monkeypatch)
-                drops = [k for k, s in enumerate(trace.steps) if s.rate == 1.0 and s.verdict == "sufficient"]
-                tails[rates] += bool(drops) and drops[0] < len(trace.steps) - 1
-                windowed += count
-        assert tails == {(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0): 1, (0.5, 1.0): 28}
-        assert windowed > 0
+                trace, count = assert_same_labels(net, x, epsilon, ReductionSchedule(rates), seed, monkeypatch)
+                tails[rates] += any(s.rate == 1.0 and s.verdict == "sufficient" for s in trace.steps)
+                labelled += count
+        assert all(tails.values()) and labelled > 0
 
     def test_whole_walk_as_a_tail_keeps_the_search_verdict_names(self, monkeypatch):
         # With only rate 1.0 the whole walk is the baseline's, with no
         # reduction; a witnessed pin is insufficient, as in the baseline.
         witnessed = 0
         for net, x, epsilon, seed in search_equivalence_nets():
-            rows = record_reduced_checks(net, monkeypatch)
-            trace, _ = assert_same_search(net, x, epsilon, ReductionSchedule((1.0,)), seed, monkeypatch)
-            assert rows == []
+            checks = record_reduced_checks(net, monkeypatch)
+            trace, _ = assert_same_labels(net, x, epsilon, ReductionSchedule((1.0,)), seed, monkeypatch)
+            assert checks == []
             _, base = explain_baseline(net, x, epsilon, seed=seed)
             assert [(s.group_id, s.margin, s.verdict) for s in trace.steps] == [
                 (s.group_id, s.margin, s.verdict) for s in base.steps
@@ -665,91 +658,22 @@ class TestRateOneTail:
             witnessed += sum(step.verdict == "insufficient" for step in trace.steps)
         assert witnessed > 0
 
-    def test_wider_net_hands_off_before_its_last_feature(self, monkeypatch):
-        # The carried rate reaches 1.0 at the 15th feature; the last 25
-        # features are asked in concrete batches, with no reduction built
-        # or refined after that drop.
-        net, x, epsilon = tail_net()
-        events = []
-        build, refine_ = explain_module.build_abstract, explain_module.refine
-        monkeypatch.setattr(explain_module, "build_abstract", lambda *a: events.append("build") or build(*a))
-        monkeypatch.setattr(explain_module, "refine", lambda *a: events.append("refine") or refine_(*a))
-        monkeypatch.setattr(
-            explain_module, "StepRecord", lambda **kw: events.append((kw["rate"], kw["verdict"])) or StepRecord(**kw)
-        )
-        _, trace = explain_abstraction_refinement(net, x, epsilon)
-        monkeypatch.undo()
-        first = events.index((1.0, "sufficient"))
-        assert "build" in events[:first] and not {"build", "refine"} & set(events[first:])
-        steps = [(s.rate, s.verdict) for s in trace.steps]
-        assert len({s.group_id for s in trace.steps[steps.index((1.0, "sufficient")) + 1 :]}) == 25
-        _, windowed = assert_same_search(net, x, epsilon, ReductionSchedule.default(), 0, monkeypatch)
-        assert windowed > 0
-
-    def test_timeout_inside_the_tail(self, monkeypatch):
-        # A fake clock that only concrete checks advance, one second each.
-        # The timeout lets the walk ask two batches past the last reduction
-        # of the full run, so it stops inside the rate-1.0 tail.
-        net, x, epsilon = tail_net()
-        clock = [0.0]
-        events = []
-        build, verdicts = explain_module.build_abstract, explain_module.enclosure_verdicts
-
-        def ticking(net_, target, lo, hi):
-            if net_ is net:
-                clock[0] += 1.0
-                events.append("concrete")
-            return verdicts(net_, target, lo, hi)
-
-        def building(*args):
-            events.append("build")
-            return build(*args)
-
-        monkeypatch.setattr(explain_module.time, "monotonic", lambda: clock[0])
-        monkeypatch.setattr(explain_module, "enclosure_verdicts", ticking)
-        monkeypatch.setattr(explain_module, "build_abstract", building)
-        _, full = explain_abstraction_refinement(net, x, epsilon)
-        before_tail = events[: len(events) - events[::-1].index("build")].count("concrete")
-        clock[0] = 0.0
-        kept, trace = explain_abstraction_refinement(net, x, epsilon, timeout=before_tail + 1.5)
-        monkeypatch.undo()
-        assert clock[0] == before_tail + 2.0
-        assert trace.status == STATUS_EARLY_STOP
-        walked = len({step.group_id for step in trace.steps})
-        assert 15 < walked < 40
-        assert [s.to_dict() | {"elapsed": 0} for s in trace.steps] == [
-            s.to_dict() | {"elapsed": 0} for s in full.steps[: len(trace.steps)]
-        ]
-        assert frozenset(kept) >= frozenset(int(i) - 1 for i in full.final)
-        grouping = FeatureGrouping.singletons(40)
-        q = make_query(net, x, grouping.features_of(kept), epsilon)
-        assert check_concrete(net, q).is_sufficient
-
 
 class TestWindows:
     """Below rate 1.0 a run of drops shares one reduction, built against the run's largest box.
 
-    ``assert_same_search`` checks every window: its rows lie inside its
-    build box, the steps it takes are re-certified by the concrete check,
-    and every other step has the reference's margin.
+    ``assert_same_labels`` checks every run: its rows lie inside its build
+    box, and each drop it labels is re-certified by the concrete check.
     """
 
     def test_long_runs_fill_whole_windows(self, monkeypatch):
         net, x, epsilon = long_window_net()
-        rows = record_reduced_checks(net, monkeypatch)
+        checks = record_reduced_checks(net, monkeypatch)
         explain_abstraction_refinement(net, x, epsilon)
         monkeypatch.undo()
-        assert max(rows) == explain_module.MAX_BATCH
-        _, windowed = assert_same_search(net, x, epsilon, ReductionSchedule.default(), 0, monkeypatch)
-        assert windowed >= explain_module.MAX_BATCH
-
-    def test_one_row_windows_are_the_reference_search(self, monkeypatch):
-        # With batches of one row every step is asked on its own box, so
-        # every margin is the reference's, bit for bit.
-        cases = list(search_equivalence_nets()) + [(*tail_net(), 0), (*long_window_net(), 0)]
-        for net, x, epsilon, seed in cases:
-            monkeypatch.setattr(explain_module, "MAX_BATCH", 1)
-            assert_same_search(net, x, epsilon, ReductionSchedule.default(), seed, monkeypatch, exact=True)
+        assert max(lo.shape[0] for _, lo, _, _, _ in checks) == explain_module.MAX_BATCH
+        _, labelled = assert_same_labels(net, x, epsilon, ReductionSchedule.default(), 0, monkeypatch)
+        assert labelled >= explain_module.MAX_BATCH
 
     def test_step_times_share_out_the_windows(self):
         net, x, epsilon = long_window_net()
@@ -828,6 +752,51 @@ class TestConcreteFirst:
             assert sum(searched) == len(kept)
             chains += trace.refinements > 0
         assert chains > 0
+
+
+class TestLabelPass:
+    """After the walk, one pass labels the drops with the coarsest rates that prove them."""
+
+    def test_same_labels_as_the_reference_on_the_invariant_cases(self, monkeypatch):
+        # ``assert_same_labels`` also finds every label's row separated in a
+        # reduced check whose rows lie inside its reduction's build box.
+        labelled = 0
+        for net, x, epsilon, seed in invariant_cases():
+            labelled += assert_same_labels(net, x, epsilon, ReductionSchedule.default(), seed, monkeypatch)[1]
+        assert labelled > 0
+
+    def test_deadline_cuts_the_pass_between_rates(self, monkeypatch):
+        # A fake clock that only builds advance, one second each, so the walk
+        # takes no time and the deadline falls between two rates of the pass.
+        net, x, epsilon = tail_net()
+        clock = [0.0]
+        rates = []  # the rate of every build
+        build = explain_module.build_abstract
+
+        def ticking(net_, lb, rate):
+            clock[0] += 1.0
+            rates.append(rate)
+            return build(net_, lb, rate)
+
+        monkeypatch.setattr(explain_module.time, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(explain_module, "build_abstract", ticking)
+        kept_full, full = explain_abstraction_refinement(net, x, epsilon)
+        probed = sorted(set(rates))
+        cuts = {cut: sum(rate <= cut for rate in rates) for cut in probed[:-1]}  # the builds up to each rate
+        _, base = explain_baseline(net, x, epsilon)
+        untimed = [s.to_dict() | {"elapsed": 0} for s in full.steps]
+        walked = [s.to_dict() | {"elapsed": 0} for s in base.steps]
+        for cut, builds in cuts.items():
+            clock[0] = 0.0
+            kept, trace = explain_abstraction_refinement(net, x, epsilon, timeout=builds - 0.5)
+            assert clock[0] == builds
+            assert (kept, trace.status, trace.final) == (kept_full, full.status, full.final)
+            steps = [s.to_dict() | {"elapsed": 0} for s in trace.steps]
+            assert steps == [want if want["rate"] <= cut else step for want, step in zip(untimed, walked)]
+            assert trace.refinements == len(ReductionSchedule.default().rates) - 1
+            assert trace.snapshots == {r: ids for r, ids in full.snapshots.items() if r <= cut or r == 1.0}
+        monkeypatch.undo()
+        assert len(probed) == 9 and full.refinements == 9
 
 
 SEARCHES = (explain_baseline, explain_abstraction_refinement)
@@ -918,7 +887,8 @@ class TestPinSearches:
         # A fake clock that only concrete checks advance, one second each.
         # With a timeout of k + 0.5 a run stops after k + 1 concrete checks
         # of the full run's n; the pins it queued before the stop are
-        # searched and labelled as in the full run.
+        # searched and labelled as in the full run.  A stopped walk's drops
+        # are not labelled, so its trace is a prefix of the baseline's.
         clock = [0.0]
         verdicts, find = explain_module.enclosure_verdicts, explain_module.find_witnesses
         searched = []
@@ -938,7 +908,7 @@ class TestPinSearches:
         stops = witnessed = 0
         for net, x, epsilon, seed in itertools.islice(search_equivalence_nets(), 40):
             clock[0] = 0.0
-            _, full = explain_abstraction_refinement(net, x, epsilon, seed=seed)
+            _, full = explain_baseline(net, x, epsilon, seed=seed)
             for k in range(int(clock[0]) - 1):
                 clock[0] = 0.0
                 searched.clear()
