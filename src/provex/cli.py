@@ -109,18 +109,24 @@ def _report_config(args) -> dict:
         "schedule": schedule,
         "timeout": args.timeout,
         "backend": args.backend,
+        "budget": args.budget,
         "seed": args.seed,
         "out": args.out,
     }
 
 
 def cmd_explain(args) -> int:
+    # The oracle search has no deadline and no reduction schedule; the enclosure search has no split budget.
     if args.backend == "oracle":
-        # The oracle search has no deadline and no reduction schedule.
-        for flag, value in (("--timeout", args.timeout), ("--schedule", args.schedule)):
-            if value is not None:
-                raise ProvexError(f"{flag} does not apply to --backend oracle")
-    for flag, value in (("--seed", args.seed), ("--epsilon", args.epsilon), ("--timeout", args.timeout)):
+        unread = (("--timeout", args.timeout), ("--schedule", args.schedule))
+    else:
+        unread = (("--budget", args.budget),)
+    for flag, value in unread:
+        if value is not None:
+            raise ProvexError(f"{flag} does not apply to --backend {args.backend}")
+    for flag, value in (
+        ("--seed", args.seed), ("--epsilon", args.epsilon), ("--timeout", args.timeout), ("--budget", args.budget)
+    ):
         if value is not None:
             check_number(flag, value, minimum=0)
     schedule = _schedule(args.schedule)
@@ -131,7 +137,7 @@ def cmd_explain(args) -> int:
     ordering = order_features(net, x, grouping, args.order, seed=args.seed)
     if args.backend == "oracle":
         _, trace = explain_baseline(
-            net, x, args.epsilon, grouping, ordering, backend="oracle", seed=args.seed
+            net, x, args.epsilon, grouping, ordering, backend="oracle", seed=args.seed, oracle_budget=args.budget
         )
     else:
         _, trace = explain_abstraction_refinement(
@@ -406,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_explain)
     p_explain.add_argument("--timeout", type=float, help="seconds before early stop")
     p_explain.add_argument("--backend", choices=["enclosure", "oracle"], default="enclosure")
+    p_explain.add_argument("--budget", type=int, help=f"oracle split budget (default: {ORACLE_BUDGET})")
     p_explain.set_defaults(func=cmd_explain)
 
     p_verify = sub.add_parser("verify", help="check one feature subset for sufficiency")

@@ -4,9 +4,11 @@ Both searches start from the full feature set and walk the features in a
 chosen order, dropping a feature whenever the remaining fixed set is still
 verified sufficient.  Both run one body, ``_search``, on one walk,
 ``_enclosure_walk``, which asks its enclosure checks in speculative batches,
-one ``enclosure_verdicts`` call per batch; a large witness search runs on a
-worker thread beside the walk when the process has a CPU that BLAS does not
-use (``_PinSearches``), with the serial walk's samples and results.
+one ``enclosure_verdicts`` call per batch, which a full batch of nested
+drops makes only if its last box alone does not separate; a large witness
+search runs on a worker thread beside the walk when the process has a CPU
+that BLAS does not use (``_PinSearches``), with the serial walk's samples
+and results.
 The abstraction-refinement search is that walk, which decides every
 feature with the concrete enclosure and so keeps the baseline's features,
 plus one pass after it, ``_label_drops``, which labels each drop with the
@@ -449,6 +451,14 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, d
     the guess throughout and halves after one that breaks it, within
     1..MAX_BATCH.
 
+    A batch of MAX_BATCH boxes that guesses "drop" first asks its last box
+    alone, which holds every box of the batch.  If that row separates, its
+    sound enclosure proves every box, so the batch is taken whole and each
+    drop records that row's margin, a lower bound on its own box's;
+    otherwise the batch asks every row as above.  Only a full batch
+    gallops: shorter drop runs often end inside the batch, where the extra
+    row is wasted.
+
     A step that fails is a pin.  Its box joins a queue of witness
     searches, which is searched in calls of exactly MAX_BATCH boxes, and
     whatever remains is searched when the walk ends or stops.  The boxes
@@ -471,13 +481,13 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, d
     flagged candidate, which no mnist784 search has.
 
     With a split ``budget`` (the baseline under the complete oracle), B is
-    capped at 1: after a "keep" guess an oracle proof would change the
-    boxes of the batch's later rows.  A pin goes to ``oracle_check`` on the
-    same query instead of the queue: a proof drops its group, a witness
-    makes it ``insufficient``, an exhausted budget leaves it ``uncertain``,
-    and its ``neuron_evals`` count every box the oracle propagated.  A
-    separated row is a drop with no split, as the oracle's root box would
-    discharge it.
+    capped at 1, so it never gallops: after a "keep" guess an oracle proof
+    would change the boxes of the batch's later rows.  A pin goes to
+    ``oracle_check`` on the same query instead of the queue: a proof drops
+    its group, a witness makes it ``insufficient``, an exhausted budget
+    leaves it ``uncertain``, and its ``neuron_evals`` count every box the
+    oracle propagated.  A separated row is a drop with no split, as the
+    oracle's root box would discharge it.
 
     A step's ``elapsed`` is its batch's wall time without the witness
     searches made during it on this thread, split evenly over the steps
@@ -534,7 +544,14 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, d
             free[slice(i, None) if guess else i, members[g]] = True
         lo = np.where(free, box.lo, x)
         hi = np.where(free, box.hi, x)
-        margins, separated, out_hi = enclosure_verdicts(net, target, lo, hi)
+        separated = None
+        if guess and len(batch) == MAX_BATCH:
+            # Every box of the batch lies inside the last: if it separates, all do.
+            margin, proof, _ = enclosure_verdicts(net, target, lo[-1:], hi[-1:])
+            if proof[0]:
+                margins, separated = np.repeat(margin, len(batch)), np.repeat(proof, len(batch))
+        if separated is None:
+            margins, separated, out_hi = enclosure_verdicts(net, target, lo, hi)
         breaks = np.flatnonzero(separated != guess)
         broken = breaks.size > 0
         taken = int(breaks[0]) + 1 if broken else len(batch)
@@ -569,20 +586,20 @@ def _label_drops(net, x, epsilon, target, grouping, drops, schedule, trace, dead
     the previous prefix's length (MAX_BATCH at first), doubling after each
     proof, then bisects after the first failure.  A probe is one
     ``propagate_box``, one ``build_abstract`` and a one-row
-    ``enclosure_verdicts`` call; only the reduction of the last proof is
-    kept.  The drops from the start to e take the rate, the neuron count of
-    e's reduction and their rows' margins on it, asked MAX_BATCH rows at a
-    time.  Every such box lies inside that reduction's build box, so each
-    separated row is a sound drop at that rate; a row that does not
-    separate ends the prefix before it.  Where the boxes that a rate's own
-    reductions prove form a prefix of the drops, these are the labels of
-    asking each drop alone, from the rate the drop before it took.  Drops
-    left after the last prefix keep their walk steps.
+    ``enclosure_verdicts`` call; only the label of the last proof is kept.
+    The drops from the start to e take the rate, the neuron count of e's
+    reduction and the margin of its probe.  Every such box lies inside box
+    e, that reduction's build box, so the probe's proof proves each of them
+    at that rate, and its margin is a lower bound on each one's own.  Where
+    the boxes that a rate's own reductions prove form a prefix of the
+    drops, these are the labels of asking each drop alone, from the rate
+    the drop before it took.  Drops left after the last prefix keep their
+    walk steps.
 
-    A drop's step is rewritten in place.  Each rate's time, probes and
-    margins, is split over the drops it labels; a rate that labels none
-    hands its time on to the next one that does, and what is left goes to
-    the drops left at rate 1.0.  A rate's snapshot, for each rate that
+    A drop's step is rewritten in place.  Each rate's time, its probes, is
+    split over the drops it labels; a rate that labels none hands its time
+    on to the next one that does, and what is left goes to the drops left
+    at rate 1.0.  A rate's snapshot, for each rate that
     labels a drop, is every group minus the drops labelled at or below it,
     and ``refinements`` is the schedule index of the last drop's rate (0
     with no drop).  The deadline is checked before every rate, so a walk
@@ -608,29 +625,22 @@ def _label_drops(net, x, epsilon, target, grouping, drops, schedule, trace, dead
     for rate in rates[:-1]:
         if start == n or deadline is not None and time.monotonic() >= deadline:
             break
-        good, bad, proving = start - 1, n, None  # the last drop proved, the first refuted, good's reduction
+        good, bad = start - 1, n  # the last drop proved and the first refuted
         probe = min(start + length, n) - 1
         while good + 1 < bad:
             lo, hi = boxes(probe)
             anet = build_abstract(net, propagate_box(net, IntervalVector(lo, hi)), rate)
-            if enclosure_verdicts(anet, target, lo, hi)[1]:
-                good, proving = probe, anet
+            margin, separated, _ = enclosure_verdicts(anet, target, lo, hi)
+            if separated:
+                good, label = probe, (rate, float(margin), anet.neuron_count)
             else:
                 bad = probe
             probe = min(start + 2 * (good + 1 - start), n) - 1 if bad == n else (good + bad) // 2
-        end = start
-        while end <= good:
-            rows = np.arange(end, min(end + MAX_BATCH, good + 1))
-            margins, separated, _ = enclosure_verdicts(proving, target, *boxes(rows))
-            taken = int(np.minimum.accumulate(separated).sum())  # the leading separated rows
-            for (_, step), margin in zip(drops[end : end + taken], margins):
-                step.rate, step.margin, step.neuron_evals = rate, float(margin), proving.neuron_count
-            end += taken
-            if taken < len(rows):
-                break
+        end = good + 1
         if end > start:
             now = time.monotonic()
             for _, step in drops[start:end]:
+                step.rate, step.margin, step.neuron_evals = label
                 step.elapsed += (now - mark) / (end - start)
             trace.snapshots[rate] = grouping._ids_of(set(range(len(grouping.groups))) - {g for g, _ in drops[:end]})
             start, length, mark = end, end - start, now
@@ -660,7 +670,8 @@ def explain_abstraction_refinement(
     otherwise.  After the walk, one pass (``_label_drops``) gives each drop
     the coarsest scheduled rate, at or above the rate of the drop before
     it, whose reduction proves it, and rewrites its step with that rate,
-    the reduction's margin and its neuron count; a drop no rate below 1.0
+    the reduction's neuron count and the margin of its proof of the run's
+    last box, which holds the drop's box; a drop no rate below 1.0
     proves keeps its concrete step.  So a trace has one step per group,
     labels never decrease along the drops, per-rate snapshots shrink as the
     rate grows, and ``trace.refinements`` is the schedule index of the

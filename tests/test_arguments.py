@@ -399,6 +399,7 @@ def test_good_indices_pass_whole(values):
         ("explain", "--epsilon", "-0.5"),
         ("explain", "--epsilon", "nan"),
         ("explain", "--timeout", "nan"),
+        ("explain-oracle", "--budget", "-1"),
         ("verify", "--seed", "-1"),
         ("verify", "--epsilon", "nan"),
         ("verify-oracle", "--budget", "-1"),
@@ -415,6 +416,7 @@ def test_cli_names_the_flag_before_reading_a_file(tmp_path, capsys, command, fla
     out = ["--out", str(tmp_path / "out")]
     argv = {
         "explain": ["explain", *files, "--epsilon", "0.5", *out],
+        "explain-oracle": ["explain", *files, "--epsilon", "0.5", "--backend", "oracle", *out],
         "verify": ["verify", *files, "--subset", "1", "--epsilon", "0.5"],
         "verify-oracle": ["verify", *files, "--subset", "1", "--epsilon", "0.5", "--backend", "oracle"],
         "bench": ["bench", *files, "--epsilon", "0.5", *out],

@@ -160,7 +160,7 @@ class TestExplainCommand:
         config = read_report(out)["config"]
         assert list(config) == [
             "network", "inputs", "epsilon", "order", "groups",
-            "schedule", "timeout", "backend", "seed", "out",
+            "schedule", "timeout", "backend", "budget", "seed", "out",
         ]
         assert config == {
             "network": net_path,
@@ -171,6 +171,7 @@ class TestExplainCommand:
             "schedule": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
             "timeout": None,
             "backend": "enclosure",
+            "budget": None,
             "seed": 0,
             "out": str(out),
         }
@@ -186,6 +187,36 @@ class TestExplainCommand:
         assert config["backend"] == "oracle"
         assert config["schedule"] == "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
         assert config["timeout"] is None
+
+    def test_oracle_budget_is_passed_and_recorded(self, demo_files, tmp_path):
+        # Feature 3 is dropped only after splits on the demo net, so with no
+        # split it stays, uncertain; the default budget drops it.
+        net_path, inst_path = demo_files
+        runs = {}
+        for budget in ("0", None):
+            out = tmp_path / f"out-{budget}"
+            flags = [] if budget is None else ["--budget", budget]
+            assert main([
+                "explain", "--network", net_path, "--input", inst_path,
+                "--epsilon", "1.0", "--backend", "oracle", *flags, "--out", str(out),
+            ]) == 0
+            runs[budget] = read_report(out)
+        assert runs["0"]["config"]["budget"] == 0
+        assert runs["0"]["final"] == ["3"]
+        assert runs["0"]["trace"]["steps"][-1]["verdict"] == "uncertain"
+        assert runs[None]["config"]["budget"] is None
+        assert runs[None]["final"] == []
+
+    def test_enclosure_rejects_a_budget(self, tmp_path, capsys):
+        # Rejected before the network is read: the path does not exist.
+        out = tmp_path / "out"
+        code = main([
+            "explain", "--network", str(tmp_path / "missing.json"), "--input", str(tmp_path / "x.csv"),
+            "--epsilon", "1.0", "--budget", "0", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --budget does not apply to --backend enclosure\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--timeout", "0"), ("--schedule", "0.5,1.0")])
     def test_oracle_rejects_flags_it_cannot_honour(self, demo_files, tmp_path, capsys, flag, value):

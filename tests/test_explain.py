@@ -6,6 +6,7 @@ import multiprocessing
 import re
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -527,9 +528,10 @@ def one_drop_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed):
 def record_reduced_checks(net, monkeypatch):
     """Wrap the search's reductions and reduced checks; return every reduced check made.
 
-    Each check is (its reduction, lo, hi, margins, separated), its boxes
-    one per row, and it must keep its rows inside its reduction's build
-    box, which is what makes a separated row a sound drop.
+    Each check is (its reduction, its build box, lo, hi, margins,
+    separated), its boxes one per row, and it must keep its rows inside its
+    reduction's build box, which is what makes a separated row a sound
+    drop.
     """
     built = {}  # id of a reduction -> (the reduction, its build box)
     checks = []
@@ -545,7 +547,9 @@ def record_reduced_checks(net, monkeypatch):
         if net_ is not net:
             _, box = built[id(net_)]
             assert np.all(box.lo <= lo) and np.all(hi <= box.hi)
-            checks.append((net_, np.atleast_2d(lo), np.atleast_2d(hi), np.atleast_1d(margins), np.atleast_1d(separated)))
+            checks.append(
+                (net_, box, np.atleast_2d(lo), np.atleast_2d(hi), np.atleast_1d(margins), np.atleast_1d(separated))
+            )
         return margins, separated, out_hi
 
     monkeypatch.setattr(explain_module, "build_abstract", building)
@@ -560,22 +564,23 @@ def assert_same_labels(net, x, epsilon, schedule, seed, monkeypatch):
     rate, verdict and neuron count must be the reference's, and the kept
     set must be the baseline's.  A step at rate 1.0 comes from a batched
     pass on the network, whose margin may differ from the reference's in
-    the last bits.  A labelled drop, below rate 1.0, records its margin on
-    a reduction built against a box that holds its own: its box must be a
-    row that separates, with that margin, in a reduced check of a
-    reduction with its neuron count, whose rows all lie inside its build
-    box; it is re-certified by ``check_concrete`` with the kept set as of
-    that step, and its margin lies between 0 and the concrete enclosure's.
+    the last bits.  A labelled drop, below rate 1.0, records the margin of
+    its run's proving box: its margin and neuron count must be those of a
+    separated one-row reduced check whose reduction's build box holds the
+    drop's own box; it is re-certified by ``check_concrete`` with the kept
+    set as of that step, and its margin lies between 0 and the concrete
+    enclosure's of its own box.
     """
     checks = record_reduced_checks(net, monkeypatch)
     grouping = FeatureGrouping.singletons(net.input_dim)
     ordering = order_features(net, x, grouping, "sensitivity")
     kept, trace = explain_abstraction_refinement(net, x, epsilon, grouping, ordering, schedule, seed=seed)
     monkeypatch.undo()
-    proved = {}  # each separated row of a reduced check -> its (margin, neuron count) pairs
-    for anet, lo, hi, margins, separated in checks:
-        for row_lo, row_hi, margin in zip(lo[separated], hi[separated], margins[separated]):
-            proved.setdefault(row_lo.tobytes() + row_hi.tobytes(), set()).add((float(margin), anet.neuron_count))
+    # (margin, neuron count) -> the build boxes of the separated one-row reduced checks that found it
+    proved = {}
+    for anet, built, lo, _, margins, separated in checks:
+        if len(lo) == 1 and separated[0]:
+            proved.setdefault((float(margins[0]), anet.neuron_count), []).append(built)
     ref_kept, ref = one_drop_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed)
     assert kept == ref_kept
     assert kept == explain_baseline(net, x, epsilon, grouping, ordering, seed=seed)[0]
@@ -598,7 +603,8 @@ def assert_same_labels(net, x, epsilon, schedule, seed, monkeypatch):
         else:
             assert check_concrete(net, q).is_sufficient
             box = q.query_box()
-            assert (got.margin, got.neuron_evals) in proved[box.lo.tobytes() + box.hi.tobytes()]
+            holders = proved[got.margin, got.neuron_evals]
+            assert any(np.all(built.lo <= box.lo) and np.all(box.hi <= built.hi) for built in holders)
             concrete = explain_module.enclosure_verdicts(net, target, box.lo, box.hi)[0]
             assert 0.0 <= got.margin <= concrete + 1e-12
             labelled += 1
@@ -662,16 +668,21 @@ class TestRateOneTail:
 class TestWindows:
     """Below rate 1.0 a run of drops shares one reduction, built against the run's largest box.
 
-    ``assert_same_labels`` checks every run: its rows lie inside its build
-    box, and each drop it labels is re-certified by the concrete check.
+    ``assert_same_labels`` checks every run: its label is a one-row check
+    of a box that holds each of its drops, and each drop it labels is
+    re-certified by the concrete check.
     """
 
     def test_long_runs_fill_whole_windows(self, monkeypatch):
+        # Every reduced check is one probe row, and the 17 drops of the
+        # first run all carry the margin of the one probe that proved it.
         net, x, epsilon = long_window_net()
         checks = record_reduced_checks(net, monkeypatch)
-        explain_abstraction_refinement(net, x, epsilon)
+        _, trace = explain_abstraction_refinement(net, x, epsilon)
         monkeypatch.undo()
-        assert max(lo.shape[0] for _, lo, _, _, _ in checks) == explain_module.MAX_BATCH
+        assert {lo.shape[0] for _, _, lo, _, _, _ in checks} == {1}
+        runs = Counter((s.rate, s.margin) for s in trace.steps if s.rate < 1.0)
+        assert max(runs.values()) > explain_module.MAX_BATCH
         _, labelled = assert_same_labels(net, x, epsilon, ReductionSchedule.default(), 0, monkeypatch)
         assert labelled >= explain_module.MAX_BATCH
 
@@ -797,6 +808,136 @@ class TestLabelPass:
             assert trace.snapshots == {r: ids for r, ids in full.snapshots.items() if r <= cut or r == 1.0}
         monkeypatch.undo()
         assert len(probed) == 9 and full.refinements == 9
+
+
+def gallop_net():
+    """A 64-input sigmoid net whose drops fill two ``MAX_BATCH``-row batches, and a third that ends in a pin."""
+    net = random_network(64, (32,), 4, "sigmoid", seed=2)
+    return net, uniform_instances(net, 1, seed=2)[0], 0.05
+
+
+def walk_batches(drops, cap):
+    """The walk's batches, from the one-at-a-time verdicts (True for a drop).
+
+    One (first step, rows, steps taken, whether it gallops) per batch: the
+    batch guesses the last verdict, breaks at its first row that differs,
+    doubles its size after a batch that matches throughout and halves it
+    after one that breaks, within 1..cap; a full batch that guesses "drop"
+    gallops.
+    """
+    batches, start, size, guess = [], 0, 1, True
+    while start < len(drops):
+        rows = drops[start : start + size]
+        breaks = [i for i, drop in enumerate(rows) if drop != guess]
+        taken = breaks[0] + 1 if breaks else len(rows)
+        batches.append((start, len(rows), taken, guess and len(rows) == explain_module.MAX_BATCH))
+        start += taken
+        guess = rows[taken - 1]
+        size = max(size // 2, 1) if breaks else min(2 * size, cap)
+    return batches
+
+
+def network_checks(net, monkeypatch):
+    """Record the margins of every ``enclosure_verdicts`` call on ``net`` itself, one array per call."""
+    calls = []
+    verdicts = explain_module.enclosure_verdicts
+
+    def recording(net_, target, lo, hi):
+        result = verdicts(net_, target, lo, hi)
+        if net_ is net:
+            calls.append(np.atleast_1d(result[0]).copy())
+        return result
+
+    monkeypatch.setattr(explain_module, "enclosure_verdicts", recording)
+    return calls
+
+
+def assert_walk_calls(net, x, epsilon, grouping, ordering, trace, calls, cap=None):
+    """Match the walk's network calls to its batches; return the counts of galloped batches that held and failed.
+
+    The batches come from ``walk_batches`` on the trace's verdicts.  A
+    batch that gallops makes a one-row call on its last box first.  If
+    that row separates, the batch is taken whole and each of its drops
+    records that row's margin, which is at most the drop's own box's
+    concrete margin.  Otherwise, and for a batch that does not gallop, one
+    call asks every row, the batch's last step taken is a pin where it
+    broke a "drop" guess, and each step records its own row's margin bit
+    for bit.
+    """
+    cap = explain_module.MAX_BATCH if cap is None else cap
+    target = predict(net, x)
+    drops = [step.verdict == "sufficient" for step in trace.steps]
+    replay_kept, own = set(range(len(grouping.groups))), []  # each step's own-box concrete margin
+    for g, step in zip(ordering.resolved, trace.steps):
+        box = make_query(net, x, grouping.features_of(replay_kept - {g}), epsilon).query_box()
+        own.append(float(enclosure_verdicts(net, target, box.lo, box.hi)[0]))
+        if step.verdict == "sufficient":
+            replay_kept.discard(g)
+    held = failed = 0
+    calls = iter(calls)
+    for start, rows, taken, gallops in walk_batches(drops, cap):
+        steps = trace.steps[start : start + taken]
+        margins = next(calls)
+        if gallops:
+            assert len(margins) == 1
+            if taken == rows and all(drops[start : start + taken]):
+                assert all(step.margin == margins[0] for step in steps)
+                assert all(step.margin <= own[start + k] + 1e-12 for k, step in enumerate(steps))
+                held += 1
+                continue
+            assert margins[0] <= 0.0
+            assert steps[-1].verdict != "sufficient"
+            failed += 1
+            margins = next(calls)
+        assert len(margins) == rows
+        assert [repr(step.margin) for step in steps] == [repr(float(m)) for m in margins[:taken]]
+    assert next(calls, None) is None
+    return held, failed
+
+
+class TestGallop:
+    """A full batch that guesses "drop" asks its last box alone first, since it holds every box of the batch."""
+
+    def test_one_row_decides_a_full_drop_batch(self, monkeypatch):
+        net, x, epsilon = gallop_net()
+        grouping = FeatureGrouping.singletons(net.input_dim)
+        ordering = order_features(net, x, grouping, "sensitivity")
+        calls = network_checks(net, monkeypatch)
+        kept, trace = explain_baseline(net, x, epsilon, grouping, ordering)
+        monkeypatch.undo()
+        ref_kept, ref = one_drop_at_a_time(net, x, epsilon, grouping, ordering, ReductionSchedule((1.0,)), 0)
+        assert (kept, trace.final, trace.snapshots) == (ref_kept, ref.final, ref.snapshots)
+        assert [(s.group_id, s.rate, s.verdict) for s in trace.steps] == [
+            (s.group_id, s.rate, s.verdict) for s in ref.steps
+        ]
+        assert assert_walk_calls(net, x, epsilon, grouping, ordering, trace, calls) == (2, 1)
+
+    def test_labels_and_snapshots_are_the_reference_search(self, monkeypatch):
+        net, x, epsilon = gallop_net()
+        _, labelled = assert_same_labels(net, x, epsilon, ReductionSchedule.default(), 0, monkeypatch)
+        assert labelled > explain_module.MAX_BATCH
+
+    def test_the_oracle_backend_never_gallops(self, monkeypatch):
+        # Its batches hold one row each, so no call can have fewer rows than its batch.
+        net, x, epsilon = gallop_net()
+        grouping = FeatureGrouping.singletons(net.input_dim)
+        ordering = order_features(net, x, grouping, "sensitivity")
+        calls = network_checks(net, monkeypatch)
+        _, trace = explain_baseline(net, x, epsilon, grouping, ordering, backend="oracle", oracle_budget=0)
+        monkeypatch.undo()
+        assert sum(s.verdict == "sufficient" for s in trace.steps) > explain_module.MAX_BATCH
+        assert assert_walk_calls(net, x, epsilon, grouping, ordering, trace, calls, cap=1) == (0, 0)
+        assert len(calls) == len(trace.steps)
+
+    def test_relu100_walks_are_unchanged(self, monkeypatch):
+        # No relu100 drop run fills a batch, so every step keeps its own row's margin.
+        for net, x, epsilon, seed in relu100_cases(16):
+            grouping = FeatureGrouping.singletons(net.input_dim)
+            ordering = order_features(net, x, grouping, "sensitivity")
+            calls = network_checks(net, monkeypatch)
+            _, trace = explain_baseline(net, x, epsilon, grouping, ordering, seed=seed)
+            monkeypatch.undo()
+            assert assert_walk_calls(net, x, epsilon, grouping, ordering, trace, calls) == (0, 0)
 
 
 SEARCHES = (explain_baseline, explain_abstraction_refinement)
