@@ -1,9 +1,11 @@
 """Provably sufficient and minimal explanations for feed-forward networks.
 
 The package verifies feature-subset sufficiency with sound interval bound
-propagation and searches for subset-minimal explanations, accelerating the
-search by reducing the network through neuron merging and refining the
-reduction only when a query is inconclusive.
+propagation and searches for subset-minimal explanations with a greedy walk
+that decides every feature on the concrete network.  The
+abstraction-refinement search is that walk plus one labelling pass, which
+gives each dropped feature the coarsest rate of a reduction schedule whose
+network, reduced by neuron merging, still proves the drop.
 """
 
 from .abstraction import (

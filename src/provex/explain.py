@@ -6,9 +6,9 @@ verified sufficient.  Both run one body, ``_search``, on one walk,
 ``_enclosure_walk``, which asks its enclosure checks in speculative batches,
 one ``enclosure_verdicts`` call per batch, which a full batch of nested
 drops makes only if its last box alone does not separate; a large witness
-search runs on a worker thread beside the walk when the process has a CPU
-that BLAS does not use (``_PinSearches``), with the serial walk's samples
-and results.
+search draws from a generator of its own and runs on a worker thread beside
+the walk when the process has a CPU that BLAS does not use
+(``_PinSearches``), with the same results either way.
 The abstraction-refinement search is that walk, which decides every
 feature with the concrete enclosure and so keeps the baseline's features,
 plus one pass after it, ``_label_drops``, which labels each drop with the
@@ -41,12 +41,10 @@ from .queries import (
     ORACLE_BUDGET,
     SufficiencyQuery,
     VerdictKind,
-    _restored,
     enclosure_verdicts,
     find_witnesses,
     one_blas_thread,
     oracle_check,
-    sample_draws,
 )
 
 STATUS_MINIMAL = "MinimalSufficient"
@@ -57,11 +55,11 @@ ORDERING_POLICIES = ("sensitivity", "in-order", "random")
 # Most query boxes a batch of the enclosure walk puts in one bound pass.
 MAX_BATCH = 16
 
-# Smallest sample product, boxes × n_random × |U| × first-layer width with U
-# the features free in any box, of a witness search handed to the worker
-# thread.  An mnist784 call, about 16·64·520·200 ≈ 1.1e8, spends its time in
-# BLAS and ufuncs, which release the GIL.  A relu100 call, about
-# 16·64·17·50 ≈ 9e5, is bound by Python and the GIL: with every search
+# Smallest sample product, boxes × n_random × inputs × first-layer width, of a
+# witness search that draws from its own generator and may go to the worker
+# thread.  A 16-box mnist784 call, 16·64·784·200 ≈ 1.6e8, spends its time in
+# BLAS and ufuncs, which release the GIL.  A relu100 call, at most
+# 16·64·100·50 ≈ 5.1e6, is bound by Python and the GIL: with every search
 # handed off, relu100 got 25-50% slower, with identical steps.
 WORKER_PRODUCT = 1 << 24
 
@@ -312,7 +310,7 @@ def _search(net, x, epsilon, grouping, ordering, seed, schedule, timeout=None, b
     trace = ExplanationTrace(group_count=len(grouping.groups))
     t0 = time.monotonic()
     deadline = None if timeout is None else t0 + timeout
-    with _PinSearches(net, target, np.random.default_rng(seed)) as searches:
+    with _PinSearches(net, target, seed) as searches:
         kept, stopped, drops = _enclosure_walk(
             net, x, epsilon, target, grouping, ordering.resolved, searches, trace, deadline, budget
         )
@@ -375,36 +373,35 @@ def _label(steps, witnesses, seconds: float) -> None:
 class _PinSearches:
     """The witness searches of one walk's pins, in step order.
 
-    A search whose sample product (``sample_draws`` times the first
-    layer's width) reaches ``WORKER_PRODUCT`` goes to the worker thread
-    when the process has a spare CPU (``_worker``).  It takes a generator
-    restored from the state of the walk's, which then ``advance``s past
-    its draws, as a PCG64 can; every other search runs at once on the
-    walk's generator.  So each search draws the samples the serial walk
-    would.  Used as a context manager, it leaves no handed-off search
-    running when the walk ends, by return or by exception.
+    A large search, whose sample product with every feature free reaches
+    ``WORKER_PRODUCT``, draws from a generator of its own: the next child
+    of ``SeedSequence(seed)``, spawned here, on the walk's thread, in call
+    order.  It goes to the worker thread when the process has a spare CPU
+    (``_worker``) and runs at once otherwise, with the same samples either
+    way.  Every other search runs at once on the walk's generator,
+    ``default_rng(SeedSequence(seed))``.  Used as a context manager, it
+    leaves no handed-off search running when the walk ends, by return or
+    by exception.
     """
 
-    def __init__(self, net, target, rng):
-        self.net, self.target, self.rng = net, target, rng
+    def __init__(self, net, target, seed: int):
+        self.net, self.target = net, target
+        self.seeds = np.random.SeedSequence(seed)
+        self.rng = np.random.default_rng(self.seeds)
         self.handed = []  # (steps, job, future) per search on the worker, in step order
 
     def search(self, pins) -> float:
         """Search the boxes of ``pins``, (step, lo, hi, out_hi) each; return the seconds it took this thread."""
         steps, lo, hi, out_hi = zip(*pins)
         lo, hi, out_hi = np.stack(lo), np.stack(hi), np.stack(out_hi)
-        width = self.net.layers[0].out_dim
-        # A call below the threshold even with every feature free, as every
-        # relu100 call is, skips counting its free features.
-        draws = sample_draws(lo, hi) if lo.size * N_RANDOM * width >= WORKER_PRODUCT else 0
-        worker = _worker() if draws * width >= WORKER_PRODUCT else None
+        rng, worker = self.rng, None
+        if lo.size * N_RANDOM * self.net.layers[0].out_dim >= WORKER_PRODUCT:
+            rng, worker = np.random.default_rng(self.seeds.spawn(1)[0]), _worker()
+        job = partial(_timed_search, self.net, self.target, lo, hi, out_hi, rng)
         if worker is None:
-            witnesses, seconds = _timed_search(self.net, self.target, lo, hi, out_hi, self.rng)
+            witnesses, seconds = job()
             _label(steps, witnesses, seconds)
             return seconds
-        own = _restored(self.rng, self.rng.bit_generator.state)
-        self.rng.bit_generator.advance(draws)
-        job = partial(_timed_search, self.net, self.target, lo, hi, out_hi, own)
         self.handed.append((steps, job, worker.submit(job)))
         return 0.0
 
@@ -462,17 +459,15 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, d
     A step that fails is a pin.  Its box joins a queue of witness
     searches, which is searched in calls of exactly MAX_BATCH boxes, and
     whatever remains is searched when the walk ends or stops.  The boxes
-    are searched in step order, and the samples of a call come from one
-    draw over the features free in any of its boxes, so the stream, and
-    every witness, is that of one ``find_witnesses`` call per MAX_BATCH
-    pins in step order, and one for the rest; it is not the stream of one
-    search per pin.  A pin is ``uncertain`` until its search returns and
-    ``insufficient`` if the search confirms a witness; nothing else waits
-    on its verdict.
+    are searched in step order, so every witness is that of one
+    ``find_witnesses`` call per MAX_BATCH pins in step order, and one for
+    the rest, each on the generator ``searches`` gives it; it is not that
+    of one search per pin.  A pin is ``uncertain`` until its search
+    returns and ``insufficient`` if the search confirms a witness; nothing
+    else waits on its verdict.
 
     ``searches`` (a ``_PinSearches``) runs each call.  A large call, when
     the process has a CPU that BLAS does not use, goes to a worker thread
-    with a generator at the very position the serial call would draw from,
     while the walk goes on; any other call runs at once.  The caller ends
     the searches (``_PinSearches.finish``).  The worker runs no function
     that the benchmark's tracer wraps (its span stack is not thread-safe):

@@ -335,22 +335,6 @@ def _first_confirmed(candidate, b: int, flagged: np.ndarray, confirms):
     return None
 
 
-def _free_features(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The features free in any box of a call, the ones its samples are drawn over."""
-    return np.flatnonzero((hi > lo).any(axis=0))
-
-
-def sample_draws(lo: np.ndarray, hi: np.ndarray, n_random: int = N_RANDOM) -> int:
-    """How many doubles ``find_witnesses`` draws from its generator for these boxes.
-
-    Each box draws ``n_random`` samples over the features free in any box
-    (``_candidates``); a call with none draws nothing.  ``Generator.random``
-    takes one output of the bit generator per double, so a PCG64 that
-    ``advance``s by this count ends where the search leaves it.
-    """
-    return lo.shape[0] * n_random * _free_features(lo, hi).size
-
-
 def _restored(rng: np.random.Generator, state: dict) -> np.random.Generator:
     """A fresh generator on a bit generator of ``rng``'s type, set to ``state``."""
     bit_generator = type(rng.bit_generator)()
@@ -366,13 +350,13 @@ def _candidates(layer, lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rn
     The samples are drawn only over the features free in any box of the
     call, box after box, as one ``rng.random((boxes, n_random, free))``
     draw would give them, and scaled by the boxes' widths there
-    (``_sample_offsets``).  A fixed feature has zero width, so each sample
+    (``_first_layer``).  A fixed feature has zero width, so each sample
     is uniform over its own box, and sample j of box b is ``lo[b]`` plus
     row j of its offsets on those features, with the bits of
     ``rng.uniform`` there.  Each box takes ``n_random`` times ``free``
-    draws (``sample_draws``), so the stream depends on the call's boxes
-    together.  With ``n_random`` 0, or no free feature in the call,
-    nothing is drawn (``rng`` may then be None).
+    draws, so the stream depends on the call's boxes together.  With
+    ``n_random`` 0, or no free feature in the call, nothing is drawn
+    (``rng`` may then be None).
 
     Returns the first layer's activations of every candidate
     (``_first_layer``); ``order``, where ``order[b, j]`` is the row there
@@ -383,11 +367,11 @@ def _candidates(layer, lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rn
     """
     boxes, inputs = lo.shape
     rows = _candidate_rows(lo, hi, toward_hi)
-    free = _free_features(lo, hi)
+    free = np.flatnonzero((hi > lo).any(axis=0))
     if free.size == 0:
         n_random = 0  # every box is a point, which its center already is
     state = rng.bit_generator.state if n_random else None
-    first_layer = _first_layer(layer, rows, lo, free, _sample_offsets(rng, lo, hi, free, n_random), n_random)
+    first_layer = _first_layer(layer, rows, lo, hi, free, rng, n_random)
     exact, corners = rows.shape[0], toward_hi.shape[1]
     order = np.concatenate(
         [
@@ -411,9 +395,9 @@ def _candidates(layer, lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rn
     return first_layer, order, candidate
 
 
-# Most offsets ``_sample_offsets`` draws into one block, or None for one
-# block per call.  Under a one-thread BLAS it is one mnist784 box (64 samples
-# over up to 784 free features) or all 16 boxes of a relu100 call: drawing a
+# Most offsets ``_first_layer`` draws into one block, or None for one block
+# per call.  Under a one-thread BLAS it is one mnist784 box (64 samples over
+# up to 784 free features) or all 16 boxes of a relu100 call: drawing a
 # call's 16 mnist784 boxes at once took a 6.4 MB buffer, and two searches
 # run at once there.  A BLAS with threads runs one product of all the
 # samples in parallel (a 16-box mnist784 search: 9.9 ms, against 12.4 ms in
@@ -421,50 +405,32 @@ def _candidates(layer, lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rn
 SAMPLE_BLOCK = 1 << 15 if one_blas_thread(BLAS_ENV, BLAS_NAME) else None
 
 
-def _sample_offsets(rng, lo: np.ndarray, hi: np.ndarray, free: np.ndarray, n_random: int):
-    """The samples' offsets on the features ``free``, block after block of boxes.
-
-    Each block has shape (block boxes, n_random, free), with as many boxes
-    as fit in one buffer.  The buffer holds ``SAMPLE_BLOCK`` offsets or one
-    box's samples over every input, whichever is more, or every box's when
-    ``SAMPLE_BLOCK`` is None.  Its size does not grow as a walk frees
-    features, so the allocator reuses it; a growing one is mapped afresh,
-    page faults and all, on every call.  Every block is drawn into it and
-    overwritten by the next, so a consumer uses a block before asking for
-    the next.  The blocks follow one another in the generator's stream, so
-    they hold the bits of one draw of shape (boxes, n_random, free), scaled
-    by the boxes' widths.
-    """
-    if not n_random:
-        return
-    boxes, inputs = lo.shape
-    size = boxes * n_random * inputs if SAMPLE_BLOCK is None else max(SAMPLE_BLOCK, n_random * inputs)
-    buffer = np.empty(size)
-    block = size // (n_random * free.size)
-    for start in range(0, boxes, block):
-        end = min(start + block, boxes)
-        offsets = buffer[: (end - start) * n_random * free.size].reshape(end - start, n_random, free.size)
-        rng.random(out=offsets)
-        offsets *= (hi[start:end] - lo[start:end])[:, None, free]
-        yield offsets
-
-
-def _first_layer(layer, rows: np.ndarray, lo: np.ndarray, free: np.ndarray, offsets, n_random: int) -> np.ndarray:
-    """The first layer's activations of the exact rows, then of the samples, in one array.
+def _first_layer(
+    layer, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, free: np.ndarray, rng, n_random: int
+) -> np.ndarray:
+    """The first layer's activations of the exact rows, then of ``n_random`` samples per box, in one array.
 
     ``rows`` go through ``rows @ Wᵀ + b``, with the bits of
-    ``forward_rows``.  ``offsets`` yields the samples' offsets block after
-    block of boxes, each of shape (block boxes, n_random, free), as
-    ``_sample_offsets`` does; sample j of box b is ``lo[b]`` plus
-    ``offsets[b, j]`` on the features ``free``, so its pre-activation is
-    the box's anchor ``lo[b] @ Wᵀ + b`` plus ``offsets[b, j] @ W[:, free]ᵀ``:
-    one product of shape (block boxes * n_random, free) by (free, width)
-    per block, written into the block's rows.  Returns shape
+    ``forward_rows``.  Sample j of box b is ``lo[b]`` plus
+    ``offsets[b, j]`` on the features ``free`` (at least one when
+    ``n_random`` is not 0), where ``offsets`` holds the bits of one
+    ``rng.random((boxes, n_random, free))`` draw scaled by the boxes'
+    widths there.  Its pre-activation is the box's anchor
+    ``lo[b] @ Wᵀ + b`` plus ``offsets[b, j] @ W[:, free]ᵀ``.
+
+    The offsets are drawn block after block of boxes into one buffer,
+    which holds ``SAMPLE_BLOCK`` offsets or one box's samples over every
+    input, whichever is more, or every box's when ``SAMPLE_BLOCK`` is
+    None.  Its size does not grow as a walk frees features, so the
+    allocator reuses it; a growing one is mapped afresh, page faults and
+    all, on every call.  Each block is scaled and multiplied into its
+    boxes' rows, one product of shape (block boxes * n_random, free) by
+    (free, width), before the next block overwrites it.  Returns shape
     (exact rows + boxes * n_random, width); the samples follow the rows box
     after box.
     """
     exact = rows.shape[0]
-    boxes = lo.shape[0]
+    boxes, inputs = lo.shape
     out = np.empty((exact + boxes * n_random, layer.out_dim))
     np.matmul(rows, layer.weights.T, out=out[:exact])
     out[:exact] += layer.bias
@@ -473,13 +439,17 @@ def _first_layer(layer, rows: np.ndarray, lo: np.ndarray, free: np.ndarray, offs
         anchor = lo @ layer.weights.T
         anchor += layer.bias
         per_box = out[exact:].reshape(boxes, n_random, -1)
-        start = 0
-        for block in offsets:
-            end = start + block.shape[0]
+        size = boxes * n_random * inputs if SAMPLE_BLOCK is None else max(SAMPLE_BLOCK, n_random * inputs)
+        buffer = np.empty(size)
+        block = size // (n_random * free.size)
+        for start in range(0, boxes, block):
+            end = min(start + block, boxes)
+            offsets = buffer[: (end - start) * n_random * free.size].reshape(end - start, n_random, free.size)
+            rng.random(out=offsets)
+            offsets *= (hi[start:end] - lo[start:end])[:, None, free]
             samples = per_box[start:end]
-            np.matmul(block.reshape(-1, free.size), weights, out=samples.reshape(-1, layer.out_dim))
+            np.matmul(offsets.reshape(-1, free.size), weights, out=samples.reshape(-1, layer.out_dim))
             samples += anchor[start:end, None]
-            start = end
     return apply_activation(layer.activation.value, out, out=out)
 
 

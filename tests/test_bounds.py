@@ -310,3 +310,132 @@ class TestPointBoxes:
             lb = propagate_box(net, IntervalVector(xs[0], xs[0]))
             assert lb.final.contains_point(forward(net, xs[0]))
         assert outside == 0
+
+
+# Boxes of half-width 1e-15 around an instance, about half the features free,
+# on sigmoid nets random_network(8, (16, 16), 3, "sigmoid", seed=s + 9000):
+# (s, box lo, box hi, a point of the box).  Each point's logits, as
+# ``forward`` evaluates them in binary64, fall outside the box's enclosure by
+# 1.4e-17 to 5.6e-17.
+ZERO_SLACK_BOXES = (
+    (
+        106,
+        (
+            0.09828556221551821, 0.9964537630877122, 0.16826479820042273, 0.7790086184138122,
+            0.28020487138351347, 0.058453102240930255, 0.8137853921231998, 0.6124753393337241,
+        ),
+        (
+            0.09828556221551821, 0.9964537630877122, 0.16826479820042273, 0.7790086184138142,
+            0.28020487138351347, 0.058453102240930255, 0.8137853921231998, 0.6124753393337261,
+        ),
+        (
+            0.09828556221551821, 0.9964537630877122, 0.16826479820042273, 0.779008618413813,
+            0.28020487138351347, 0.058453102240930255, 0.8137853921231998, 0.612475339333725,
+        ),
+    ),
+    (
+        124,
+        (
+            0.6872474405854914, 0.24099102951122875, 0.17020075569831983, 0.6795457853637069,
+            0.6400054137038489, 0.11695624743553479, 0.5617701339355651, 0.9333730142743146,
+        ),
+        (
+            0.6872474405854914, 0.24099102951123075, 0.17020075569831983, 0.6795457853637069,
+            0.6400054137038489, 0.11695624743553479, 0.5617701339355651, 0.9333730142743166,
+        ),
+        (
+            0.6872474405854914, 0.24099102951122914, 0.17020075569831983, 0.6795457853637069,
+            0.6400054137038489, 0.11695624743553479, 0.5617701339355651, 0.933373014274315,
+        ),
+    ),
+    (
+        151,
+        (
+            0.5964636609138685, 0.4819717393552012, 0.12413862640866336, 0.8639189600242599,
+            0.9504266472119183, 0.363088334128022, 0.8383075750027207, 0.6597928308345513,
+        ),
+        (
+            0.5964636609138685, 0.4819717393552012, 0.12413862640866535, 0.8639189600242599,
+            0.9504266472119203, 0.363088334128022, 0.8383075750027207, 0.6597928308345533,
+        ),
+        (
+            0.5964636609138685, 0.4819717393552012, 0.1241386264086642, 0.8639189600242599,
+            0.9504266472119203, 0.363088334128022, 0.8383075750027207, 0.6597928308345523,
+        ),
+    ),
+    (
+        184,
+        (
+            0.5717705233335938, 0.3987817385476835, 0.4749296647785055, 0.7754822716535792,
+            0.8437244673785262, 0.8635819198582667, 0.6741615777542036, 0.8025487742123552,
+        ),
+        (
+            0.5717705233335938, 0.3987817385476835, 0.4749296647785055, 0.7754822716535812,
+            0.8437244673785262, 0.8635819198582687, 0.6741615777542036, 0.8025487742123572,
+        ),
+        (
+            0.5717705233335938, 0.3987817385476835, 0.4749296647785055, 0.7754822716535793,
+            0.8437244673785262, 0.8635819198582674, 0.6741615777542036, 0.8025487742123556,
+        ),
+    ),
+    (
+        196,
+        (
+            0.8801424425567134, 0.18641527805185798, 0.6084529872554071, 0.9459962966647993,
+            0.2986299795706454, 0.22930164344726278, 0.34520579351605174, 0.08911952211842744,
+        ),
+        (
+            0.8801424425567154, 0.18641527805185798, 0.6084529872554071, 0.9459962966647993,
+            0.2986299795706454, 0.22930164344726278, 0.34520579351605174, 0.08911952211842944,
+        ),
+        (
+            0.8801424425567148, 0.18641527805185798, 0.6084529872554071, 0.9459962966647993,
+            0.2986299795706454, 0.22930164344726278, 0.34520579351605174, 0.08911952211842866,
+        ),
+    ),
+    (
+        223,
+        (
+            0.6496995574420268, 0.7935691874581631, 0.19732631869386108, 0.23694429908555426,
+            0.9920617645356776, 0.35640022133858174, 0.01918420969457424, 0.450165472196139,
+        ),
+        (
+            0.6496995574420268, 0.7935691874581631, 0.19732631869386308, 0.23694429908555625,
+            0.9920617645356776, 0.35640022133858373, 0.01918420969457424, 0.450165472196139,
+        ),
+        (
+            0.6496995574420268, 0.7935691874581631, 0.1973263186938628, 0.23694429908555437,
+            0.9920617645356776, 0.35640022133858196, 0.01918420969457424, 0.450165472196139,
+        ),
+    ),
+    (
+        247,
+        (
+            0.21974493068235723, 0.06419770094724964, 0.8815072602982942, 0.9658255393017748,
+            0.7426436288563889, 0.5611098952077644, 0.07682404163367329, 0.6894897202988813,
+        ),
+        (
+            0.21974493068235723, 0.06419770094724964, 0.8815072602982942, 0.9658255393017748,
+            0.7426436288563909, 0.5611098952077664, 0.07682404163367329, 0.6894897202988813,
+        ),
+        (
+            0.21974493068235723, 0.06419770094724964, 0.8815072602982942, 0.9658255393017748,
+            0.7426436288563895, 0.5611098952077662, 0.07682404163367329, 0.6894897202988813,
+        ),
+    ),
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: enclose_affine rounds to nearest, not outward, so a box of nonzero width "
+    "may miss reachable logits by an ulp",
+)
+@pytest.mark.parametrize("seed, lo, hi, point", ZERO_SLACK_BOXES, ids=[str(case[0]) for case in ZERO_SLACK_BOXES])
+def test_enclosure_holds_every_point_with_zero_slack(seed, lo, hi, point):
+    net = random_network(8, (16, 16), 3, "sigmoid", seed=seed + 9000)
+    box = IntervalVector(np.array(lo), np.array(hi))
+    point = np.array(point)
+    assert box.contains_point(point)
+    assert propagate_box(net, box).final.contains_point(forward(net, point))

@@ -28,7 +28,7 @@ from provex.explain import (
     explain_baseline,
     order_features,
 )
-from provex.fixtures import random_network, uniform_instances
+from provex.fixtures import mnist_shape_network, random_network, uniform_instances
 from provex import explain as explain_module
 from provex.network import ConcreteNetwork, Layer, load_network, predict
 from provex.queries import (
@@ -1193,25 +1193,58 @@ def recording_searches(monkeypatch, worker_delay=0.0):
     return threads, samples, starts
 
 
+def child_states(seed, count):
+    """The starting states of the generators of the first ``count`` children of ``SeedSequence(seed)``."""
+    return [np.random.default_rng(child).bit_generator.state for child in np.random.SeedSequence(seed).spawn(count)]
+
+
 class TestWorkerSearches:
-    """Large witness searches run on a worker thread, with the serial walk's samples and results."""
+    """A large witness search draws from a child generator of its own, with the same results on either thread."""
 
     @pytest.mark.parametrize("search", SEARCHES)
     def test_worker_traces_are_the_inline_traces(self, search, on_worker, monkeypatch):
+        # Both runs make every call large; only the second has a spare CPU.
         cases = [*pin_search_cases(), sample_witness_case()]
-        _, _, serial = recording_searches(monkeypatch)
-        inline = [observed(*search(net, x, epsilon, seed=seed)) for net, x, epsilon, seed in cases]
+        monkeypatch.setattr(explain_module, "WORKER_PRODUCT", 0)
+        monkeypatch.setattr(explain_module, "_pool", False)
+        _, _, starts = recording_searches(monkeypatch)
+        inline = []
+        for net, x, epsilon, seed in cases:
+            inline.append((observed(*search(net, x, epsilon, seed=seed)), dict(starts)))
+            # Call k drew from child k of SeedSequence(seed).
+            assert list(starts.values()) == child_states(seed, len(starts))
+            starts.clear()
         monkeypatch.undo()
         on_worker()
         threads, samples, starts = recording_searches(monkeypatch, worker_delay=0.002)
-        for (net, x, epsilon, seed), want in zip(cases, inline):
+        for (net, x, epsilon, seed), (want, serial) in zip(cases, inline):
             kept, trace = search(net, x, epsilon, seed=seed)
             assert observed(kept, trace) == want
             assert all(step.elapsed > 0 for step in trace.steps)
-        # Every search drew from where the serial walk's did, on either thread.
-        assert starts == serial
+            # Every call drew from the child it drew from inline, on either thread.
+            assert starts == serial
+            starts.clear()
         # Both threads searched, and a sample's witness was confirmed on one of them.
         assert {"MainThread"} < set(threads) and samples[0] > 0
+
+    def test_full_mnist_calls_are_large(self, monkeypatch):
+        # With no spare CPU every call runs at once, in call order.
+        monkeypatch.setattr(explain_module, "_pool", False)
+        _, _, starts = recording_searches(monkeypatch)
+        boxes = []
+        find = explain_module.find_witnesses
+
+        def counting(net_, target, lo, *rest):
+            boxes.append(lo.shape[0])
+            return find(net_, target, lo, *rest)
+
+        monkeypatch.setattr(explain_module, "find_witnesses", counting)
+        net = mnist_shape_network(seed=3)
+        explain_baseline(net, uniform_instances(net, 1, seed=11)[0], 1e-4, seed=5)
+        full = boxes.count(explain_module.MAX_BATCH)
+        assert full > 0 and boxes[:full] == [explain_module.MAX_BATCH] * full
+        # Each 16-box call drew from the next child of SeedSequence(seed).
+        assert list(starts.values())[:full] == child_states(5, full)
 
     def test_small_searches_stay_inline(self, monkeypatch):
         # With a spare CPU, a relu100 search is far below the size threshold.

@@ -438,9 +438,8 @@ class TestScreenedWitnessSearch:
                 continue
             toward_hi = _gap_corners(net, target, lo, hi, out_hi)
             free = np.flatnonzero((hi > lo).any(axis=0))
-            offsets = np.random.default_rng(seed).random((lo.shape[0], n_random, free.size))
-            offsets *= (hi - lo)[:, None, free]
-            first_layer = _first_layer(net.layers[0], _candidate_rows(lo, hi, toward_hi), lo, free, [offsets], n_random)
+            rows = _candidate_rows(lo, hi, toward_hi)
+            first_layer = _first_layer(net.layers[0], rows, lo, hi, free, np.random.default_rng(seed), n_random)
             closed = _screen(net, target, first_layer, lo.shape[0], toward_hi.shape[1])
             # Every candidate as a whole row: center, corners, then lo plus the offsets on the free features.
             cands = reference_candidates(lo, hi, toward_hi, np.random.default_rng(seed), n_random, free)
@@ -589,9 +588,7 @@ class TestFreeFeatureSamples:
             toward_hi = _gap_corners(net, target, lo, hi, out_hi)
             rows = _candidate_rows(lo, hi, toward_hi)
             free = np.flatnonzero((hi > lo).any(axis=0))
-            offsets = np.random.default_rng(seed).random((lo.shape[0], n_random, free.size))
-            offsets *= (hi - lo)[:, None, free]
-            got = _first_layer(net.layers[0], rows, lo, free, [offsets], n_random)
+            got = _first_layer(net.layers[0], rows, lo, hi, free, np.random.default_rng(seed), n_random)
             first = net.layers[0]
             assert got[: len(rows)].tobytes() == forward_rows((first,), rows).tobytes()
             cands = reference_candidates(lo, hi, toward_hi, np.random.default_rng(seed), n_random, free)
@@ -605,9 +602,9 @@ def count_passes(monkeypatch):
     """
     calls = []
 
-    def first_layer(layer, rows, lo, free, offsets, n_random):
+    def first_layer(layer, rows, lo, hi, free, rng, n_random):
         calls.append(("_first_layer", len(rows) + lo.shape[0] * n_random))
-        return search_first_layer(layer, rows, lo, free, offsets, n_random)
+        return search_first_layer(layer, rows, lo, hi, free, rng, n_random)
 
     def recording(name, fn):
         def wrapped(first, xs):

@@ -31,7 +31,6 @@ from provex.queries import (
     find_witnesses,
     gen_counterexample,
     oracle_check,
-    sample_draws,
 )
 
 
@@ -500,7 +499,8 @@ class TestSampleBlocks:
             for hi in (hi, lo):  # with free features, then point boxes
                 ours, advanced = np.random.default_rng(seed), np.random.default_rng(seed)
                 find_witnesses(net, target, lo, hi, out_hi, ours, n_random)
-                draws = sample_draws(lo, hi, n_random)
+                # One double, one output of the PCG64, per sample and feature free in any box.
+                draws = lo.shape[0] * n_random * int((hi > lo).any(axis=0).sum())
                 advanced.bit_generator.advance(draws)
                 assert ours.bit_generator.state == advanced.bit_generator.state
                 assert (draws == 0) == (hi is lo or n_random == 0)
