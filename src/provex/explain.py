@@ -6,9 +6,13 @@ verified sufficient.  Both run one body, ``_search``, on one walk,
 ``_enclosure_walk``, which asks its enclosure checks in speculative batches,
 one ``enclosure_verdicts`` call per batch, which a full batch of nested
 drops makes only if its last box alone does not separate; a large witness
-search draws from a generator of its own and runs on a worker thread beside
-the walk when the process has a CPU that BLAS does not use
-(``_PinSearches``), with the same results either way.
+search draws from a generator of its own and runs in a worker process,
+forked from this one, beside the walk when the process has a CPU that BLAS
+does not use (``_PinSearches``), with the same results either way.  The
+worker inherits the network at the fork; a job sends only its boxes and
+generator.  A process's ``ru_maxrss`` therefore counts the walk's buffers,
+not the searches' (those are the worker's, ``RUSAGE_CHILDREN`` once it has
+been shut down at exit).
 The abstraction-refinement search is that walk, which decides every
 feature with the concrete enclosure and so keeps the baseline's features,
 plus one pass after it, ``_label_drops``, which labels each drop with the
@@ -22,14 +26,17 @@ valid (possibly non-minimal) explanation.
 
 from __future__ import annotations
 
+import atexit
 import os
+import signal
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .abstraction import ReductionSchedule, build_abstract
+from .abstraction import ReductionSchedule, build_from_merge_sets, score_neurons, select_merge_sets
 from .bounds import propagate_box
 from .errors import DimensionError, ValidationError, check_indices, check_number
 from .intervals import IntervalVector
@@ -57,50 +64,102 @@ MAX_BATCH = 16
 
 # Smallest sample product, boxes × n_random × inputs × first-layer width, of a
 # witness search that draws from its own generator and may go to the worker
-# thread.  A 16-box mnist784 call, 16·64·784·200 ≈ 1.6e8, spends its time in
-# BLAS and ufuncs, which release the GIL.  A relu100 call, at most
-# 16·64·100·50 ≈ 5.1e6, is bound by Python and the GIL: with every search
-# handed off, relu100 got 25-50% slower, with identical steps.
+# process.  A 16-box mnist784 call is about 1.6e8 (16·64·784·200), a relu100
+# call at most 5.1e6 (16·64·100·50).  With every relu100 call handed to the
+# process, its p50s moved within noise (baseline +4%, AR -2%, 3 pairs of
+# 60 s runs; a worker thread had made them 25-50% slower).  The threshold
+# stays: it decides which generator a call draws from, so moving it below
+# relu100's calls would change relu100's samples and witnesses.
 WORKER_PRODUCT = 1 << 24
 
 
 def spare_cpu(env, cpus: int, blas: str) -> bool:
-    """Whether a worker thread has a CPU that numpy's BLAS does not use.
+    """Whether a worker process has a CPU that numpy's BLAS does not use.
 
     It does when the process may use ``cpus`` >= 2 CPUs and ``blas``, the
     name of numpy's BLAS library, runs one thread under the environment
-    ``env`` (``one_blas_thread``).  A BLAS with helper threads leaves no
-    CPU spare: its threads spin and fight the worker for the CPU (on a
-    2-vCPU VM under a two-thread OpenBLAS, the worker made the mnist784
-    baseline take 0.43-0.45 s instead of 0.23-0.25 s).
+    ``env`` (``one_blas_thread``), which the forked worker inherits.  A
+    BLAS with helper threads leaves no CPU spare: its threads spin and
+    fight the worker for the CPU (on a 2-vCPU VM under a two-thread
+    OpenBLAS, a worker thread made the mnist784 baseline take 0.43-0.45 s
+    instead of 0.23-0.25 s).
     """
     return cpus >= 2 and one_blas_thread(env, blas)
 
 
-_pool = None  # the worker's pool once made, or False when no CPU is spare; decided at first use
+_pool = None  # the worker's pool once made, or False when it may never be made; decided at first use
+_held = {}  # the one network the worker process holds, by fingerprint; inherited at the fork, replaced by a job
 
 
-def _worker():
-    """The pool of one thread that runs large witness searches, or None when the process has no spare CPU."""
+def _worker(net):
+    """The pool of one forked process that runs large witness searches on ``net``, or None.
+
+    The pool is made at the first large search of a process with a spare
+    CPU where ``fork`` is a start method, at a moment when no other Python
+    thread runs: the fork happens at its first job, before the pool's own
+    threads start.  ``net`` is put in ``_held`` first, so the child
+    inherits it.  Without a spare CPU or ``fork`` there is never a pool;
+    while another thread runs, none is made yet.  Either way the search
+    runs inline.
+    """
     global _pool
     if _pool is None:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        _pool = False
-        if spare_cpu(BLAS_ENV, cpus, BLAS_NAME):
-            # Imported here: the import takes about 4 ms, which a process
-            # without a spare CPU, or without a large search, never pays.
-            from concurrent.futures import ThreadPoolExecutor
+        # Imported here: the imports take several ms, which a process
+        # without a spare CPU, or without a large search, never pays.
+        import multiprocessing
 
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="provex-witness")
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        if not (spare_cpu(BLAS_ENV, cpus, BLAS_NAME) and "fork" in multiprocessing.get_all_start_methods()):
+            _pool = False
+        elif threading.active_count() == 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            _held.clear()
+            _held[net.fingerprint] = net
+            context = multiprocessing.get_context("fork")
+            _pool = ProcessPoolExecutor(max_workers=1, mp_context=context, initializer=_in_worker, initargs=(os.getpid(),))
     return _pool or None
 
 
+def _in_worker(parent: int) -> None:
+    """Set up the worker process: it ignores Ctrl-C, which its parent handles, and on Linux it dies with its parent."""
+    import ctypes
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        pass  # not Linux: the parent's exit still shuts the pool down
+    else:
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(0)  # the parent died before the request took hold
+
+
+def _held_search(key, net, target, lo, hi, out_hi, rng):
+    """In the worker process, ``_timed_search`` on the held network ``key`` names, which ``net`` replaces when given."""
+    if net is not None:
+        _held.clear()
+        _held[key] = net
+    return _timed_search(_held[key], target, lo, hi, out_hi, rng)
+
+
+def _shut_pool() -> None:
+    """Stop the worker process and wait for it; the next large search makes a new pool."""
+    global _pool
+    if _pool:
+        _pool.shutdown(cancel_futures=True)
+    _pool = None
+
+
 def _forget_pool() -> None:
-    """In a forked child, which has no worker thread, drop the parent's pool; the next search makes its own."""
+    """In a forked child, which has no worker process of its own, drop the parent's pool; the next search makes its own."""
     global _pool
     _pool = None
 
 
+atexit.register(_shut_pool)
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
@@ -356,7 +415,7 @@ def explain_baseline(
 
 
 def _timed_search(net, target, lo, hi, out_hi, rng):
-    """``find_witnesses`` on the boxes, and its wall time on the thread that ran it."""
+    """``find_witnesses`` on the boxes, and its wall time in the process that ran it."""
     t = time.monotonic()
     witnesses = find_witnesses(net, target, lo, hi, out_hi, rng)
     return witnesses, time.monotonic() - t
@@ -376,12 +435,18 @@ class _PinSearches:
     A large search, whose sample product with every feature free reaches
     ``WORKER_PRODUCT``, draws from a generator of its own: the next child
     of ``SeedSequence(seed)``, spawned here, on the walk's thread, in call
-    order.  It goes to the worker thread when the process has a spare CPU
+    order.  It goes to the worker process when the process has a spare CPU
     (``_worker``) and runs at once otherwise, with the same samples either
     way.  Every other search runs at once on the walk's generator,
-    ``default_rng(SeedSequence(seed))``.  Used as a context manager, it
-    leaves no handed-off search running when the walk ends, by return or
-    by exception.
+    ``default_rng(SeedSequence(seed))``.
+
+    A job sent to the worker carries the target, the boxes and the child
+    generator, and returns the witnesses and the seconds the search took
+    there.  The network stays behind: the worker holds one, by fingerprint,
+    inherited at the fork or carried by the first job on another network.
+    Used as a context manager, it leaves no handed-off search running when
+    the walk ends, by return or by exception; a broken pool is raised and
+    then dropped, so the next large search makes a new one.
     """
 
     def __init__(self, net, target, seed: int):
@@ -389,6 +454,7 @@ class _PinSearches:
         self.seeds = np.random.SeedSequence(seed)
         self.rng = np.random.default_rng(self.seeds)
         self.handed = []  # (steps, job, future) per search on the worker, in step order
+        self.carrier = None  # the future of the job that carries the network, if one does
 
     def search(self, pins) -> float:
         """Search the boxes of ``pins``, (step, lo, hi, out_hi) each; return the seconds it took this thread."""
@@ -396,13 +462,20 @@ class _PinSearches:
         lo, hi, out_hi = np.stack(lo), np.stack(hi), np.stack(out_hi)
         rng, worker = self.rng, None
         if lo.size * N_RANDOM * self.net.layers[0].out_dim >= WORKER_PRODUCT:
-            rng, worker = np.random.default_rng(self.seeds.spawn(1)[0]), _worker()
+            rng, worker = np.random.default_rng(self.seeds.spawn(1)[0]), _worker(self.net)
         job = partial(_timed_search, self.net, self.target, lo, hi, out_hi, rng)
         if worker is None:
             witnesses, seconds = job()
             _label(steps, witnesses, seconds)
             return seconds
-        self.handed.append((steps, job, worker.submit(job)))
+        key = self.net.fingerprint
+        carried = None if key in _held else self.net
+        future = worker.submit(_held_search, key, carried, self.target, lo, hi, out_hi, rng)
+        if carried is not None:
+            _held.clear()
+            _held[key] = self.net
+            self.carrier = future
+        self.handed.append((steps, job, future))
         return 0.0
 
     def finish(self) -> None:
@@ -419,14 +492,19 @@ class _PinSearches:
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc) -> None:
-        """Cancel the handed-off searches not yet started and wait for the rest."""
+    def __exit__(self, kind, error, _) -> None:
+        """Cancel the handed-off searches not yet started, wait for the rest, and drop a broken pool."""
         futures = [future for _, _, future in self.handed]
         for future in futures:
             future.cancel()
-        for future in futures:
-            if not future.cancelled():
-                future.exception()
+        errors = [error] + [future.exception() for future in futures if not future.cancelled()]
+        if self.carrier is not None and self.carrier.cancelled():
+            _held.clear()  # the network never reached the worker; the next job carries it
+        if _pool:
+            from concurrent.futures.process import BrokenProcessPool
+
+            if any(isinstance(e, BrokenProcessPool) for e in errors):
+                _shut_pool()
 
 
 def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, deadline=None, budget=None):
@@ -467,13 +545,11 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, d
     else waits on its verdict.
 
     ``searches`` (a ``_PinSearches``) runs each call.  A large call, when
-    the process has a CPU that BLAS does not use, goes to a worker thread
+    the process has a CPU that BLAS does not use, goes to a worker process
     while the walk goes on; any other call runs at once.  The caller ends
-    the searches (``_PinSearches.finish``).  The worker runs no function
-    that the benchmark's tracer wraps (its span stack is not thread-safe):
-    ``gradients``, ``forward_rows``, ``_first_layer`` and
-    ``propagate_rows`` are untraced, and ``predict`` runs only to confirm a
-    flagged candidate, which no mnist784 search has.
+    the searches (``_PinSearches.finish``).  A call in the worker runs on
+    the worker's own copy of the module, so a tracer that wraps functions
+    in this process sees none of it.
 
     With a split ``budget`` (the baseline under the complete oracle), B is
     capped at 1, so it never gallops: after a "keep" guess an oracle proof
@@ -487,9 +563,9 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, d
     A step's ``elapsed`` is its batch's wall time without the witness
     searches made during it on this thread, split evenly over the steps
     the batch recorded; a pin adds an equal share of the search that
-    labels it, timed on the thread that ran it.  When every search runs on
+    labels it, timed in the process that ran it.  When every search runs on
     this thread these intervals do not overlap, so the steps' times add up
-    to no more than the walk's; a search on the worker overlaps the walk,
+    to no more than the walk's; a search in the worker overlaps the walk,
     so with one the sum can exceed it.
     """
     box = SufficiencyQuery(x, frozenset(), epsilon, target, net.input_domain).query_box()
@@ -580,8 +656,11 @@ def _label_drops(net, x, epsilon, target, grouping, drops, schedule, trace, dead
     reduction of its own box at that rate proves that box: it gallops from
     the previous prefix's length (MAX_BATCH at first), doubling after each
     proof, then bisects after the first failure.  A probe is one
-    ``propagate_box``, one ``build_abstract`` and a one-row
-    ``enclosure_verdicts`` call; only the label of the last proof is kept.
+    ``build_from_merge_sets`` at the rate and a one-row
+    ``enclosure_verdicts`` call; a box's ``propagate_box`` and
+    ``score_neurons`` ranking are made at its first probe and kept for the
+    rest of the pass, since a later rate may probe it again.  Only the
+    label of the last proof is kept.
     The drops from the start to e take the rate, the neuron count of e's
     reduction and the margin of its probe.  Every such box lies inside box
     e, that reduction's build box, so the probe's proof proves each of them
@@ -598,9 +677,9 @@ def _label_drops(net, x, epsilon, target, grouping, drops, schedule, trace, dead
     labels a drop, is every group minus the drops labelled at or below it,
     and ``refinements`` is the schedule index of the last drop's rate (0
     with no drop).  The deadline is checked before every rate, so a walk
-    the deadline stopped is labelled with nothing.  The pass runs the
-    functions the benchmark's tracer wraps on the walk's thread, as the
-    walk does, while the worker runs the queued witness searches.
+    the deadline stopped is labelled with nothing.  The pass runs on the
+    walk's thread, as the walk does, while the worker process runs the
+    queued witness searches.
     """
     rates = schedule.rates
     if not drops or len(rates) == 1:
@@ -611,10 +690,17 @@ def _label_drops(net, x, epsilon, target, grouping, drops, schedule, trace, dead
     for k, (g, _) in enumerate(drops):
         freed_at[list(grouping.groups[g])] = k
 
-    def boxes(k):
-        """Box k, or one row per entry of an array of positions k."""
-        free = freed_at <= np.asarray(k)[..., None]
-        return np.where(free, box.lo, x), np.where(free, box.hi, x)
+    bounded = {}  # position -> (lo, hi, its LayerBounds, their ranking), for each box probed so far at or after start
+
+    def reduction(k, rate):
+        """Box k and its reduction at ``rate``; the box is bounded and ranked at its first probe only."""
+        if k not in bounded:
+            free = freed_at <= k
+            lo, hi = np.where(free, box.lo, x), np.where(free, box.hi, x)
+            lb = propagate_box(net, IntervalVector(lo, hi))
+            bounded[k] = lo, hi, lb, score_neurons(net, lb)
+        lo, hi, lb, ranked = bounded[k]
+        return lo, hi, build_from_merge_sets(net, lb, select_merge_sets(ranked, rate))
 
     start, length, mark = 0, MAX_BATCH, time.monotonic()
     for rate in rates[:-1]:
@@ -623,8 +709,7 @@ def _label_drops(net, x, epsilon, target, grouping, drops, schedule, trace, dead
         good, bad = start - 1, n  # the last drop proved and the first refuted
         probe = min(start + length, n) - 1
         while good + 1 < bad:
-            lo, hi = boxes(probe)
-            anet = build_abstract(net, propagate_box(net, IntervalVector(lo, hi)), rate)
+            lo, hi, anet = reduction(probe, rate)
             margin, separated, _ = enclosure_verdicts(anet, target, lo, hi)
             if separated:
                 good, label = probe, (rate, float(margin), anet.neuron_count)
@@ -639,6 +724,7 @@ def _label_drops(net, x, epsilon, target, grouping, drops, schedule, trace, dead
                 step.elapsed += (now - mark) / (end - start)
             trace.snapshots[rate] = grouping._ids_of(set(range(len(grouping.groups))) - {g for g, _ in drops[:end]})
             start, length, mark = end, end - start, now
+            bounded = {k: kept for k, kept in bounded.items() if k >= start}  # no later rate probes before start
     share = (time.monotonic() - mark) / max(n - start, 1)
     for _, step in drops[start:]:
         step.elapsed += share

@@ -1,12 +1,18 @@
 """Explanation searches: orderings, traces, equivalence, and early stop."""
 
+import hashlib
 import itertools
 import json
 import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +50,8 @@ from provex.queries import (
     one_blas_thread,
     oracle_check,
 )
+
+SOURCES = Path(__file__).resolve().parent.parent / "src"
 
 IDENTITY_DOC = json.dumps(
     {
@@ -535,10 +543,10 @@ def record_reduced_checks(net, monkeypatch):
     """
     built = {}  # id of a reduction -> (the reduction, its build box)
     checks = []
-    build, verdicts = explain_module.build_abstract, explain_module.enclosure_verdicts
+    build, verdicts = explain_module.build_from_merge_sets, explain_module.enclosure_verdicts
 
-    def building(net_, lb, rate):
-        anet = build(net_, lb, rate)
+    def building(net_, lb, merge_sets):
+        anet = build(net_, lb, merge_sets)
         built[id(anet)] = anet, lb.input_box
         return anet
 
@@ -552,7 +560,7 @@ def record_reduced_checks(net, monkeypatch):
             )
         return margins, separated, out_hi
 
-    monkeypatch.setattr(explain_module, "build_abstract", building)
+    monkeypatch.setattr(explain_module, "build_from_merge_sets", building)
     monkeypatch.setattr(explain_module, "enclosure_verdicts", checking)
     return checks
 
@@ -779,18 +787,19 @@ class TestLabelPass:
     def test_deadline_cuts_the_pass_between_rates(self, monkeypatch):
         # A fake clock that only builds advance, one second each, so the walk
         # takes no time and the deadline falls between two rates of the pass.
+        # Each build selects its merge sets once, at its rate.
         net, x, epsilon = tail_net()
         clock = [0.0]
         rates = []  # the rate of every build
-        build = explain_module.build_abstract
+        select = explain_module.select_merge_sets
 
-        def ticking(net_, lb, rate):
+        def ticking(ranked, rate):
             clock[0] += 1.0
             rates.append(rate)
-            return build(net_, lb, rate)
+            return select(ranked, rate)
 
         monkeypatch.setattr(explain_module.time, "monotonic", lambda: clock[0])
-        monkeypatch.setattr(explain_module, "build_abstract", ticking)
+        monkeypatch.setattr(explain_module, "select_merge_sets", ticking)
         kept_full, full = explain_abstraction_refinement(net, x, epsilon)
         probed = sorted(set(rates))
         cuts = {cut: sum(rate <= cut for rate in rates) for cut in probed[:-1]}  # the builds up to each rate
@@ -1141,10 +1150,11 @@ class TestOracleWalk:
 
 @pytest.fixture
 def on_worker(monkeypatch):
-    """Call to send every later witness search of a walk to the worker thread.
+    """Call to send every later witness search of a walk to a worker process.
 
-    The gate reads a spare CPU and the size threshold is 0; the pool the
-    searches make is shut down after the test.
+    The gate reads a spare CPU and the size threshold is 0; the pool is
+    made, and its process forked, at the next search, so it runs whatever
+    the test has patched by then.  The pool is shut down after the test.
     """
 
     def enable():
@@ -1153,8 +1163,7 @@ def on_worker(monkeypatch):
         monkeypatch.setattr(explain_module, "_pool", None)
 
     yield enable
-    if explain_module._pool:
-        explain_module._pool.shutdown(cancel_futures=True)
+    explain_module._shut_pool()
 
 
 def observed(kept, trace):
@@ -1169,28 +1178,41 @@ def sample_witness_case():
     return net, x, epsilon, seed
 
 
-def recording_searches(monkeypatch, worker_delay=0.0):
-    """Record the thread of every witness search, and count the witnesses that are samples.
+def log_event(path, **event):
+    """Append ``event`` and the pid of the process that made it to the JSON-lines file at ``path``."""
+    with open(path, "a") as log:
+        log.write(json.dumps({"pid": os.getpid(), **event}) + "\n")
 
-    ``starts`` maps each search's boxes to its generator's state as it
-    starts.  A search on the worker first sleeps ``worker_delay`` seconds,
-    so that the walk's thread takes searches from the back of the queue.
+
+def read_events(path):
+    """The events ``log_event`` wrote to ``path``, in order."""
+    return [json.loads(line) for line in path.read_text().splitlines()] if path.exists() else []
+
+
+def recording_searches(monkeypatch, path, worker_delay=0.0):
+    """Log every witness search to ``path``: its process, boxes, generator start and sample witnesses.
+
+    A search that runs in a worker process logs there, so the log is a
+    file.  Each event holds a digest of the search's boxes (``boxes``), its
+    generator's state as it starts (``start``) and how many of its
+    witnesses are samples (``samples``).  A search outside this process
+    first sleeps ``worker_delay`` seconds, so that the walk's thread takes
+    searches from the back of the queue.
     """
-    threads, samples, starts = [], [0], {}
-    find = explain_module.find_witnesses
+    find, parent = explain_module.find_witnesses, os.getpid()
 
     def searching(net, target, lo, hi, out_hi, rng):
-        threads.append(threading.current_thread().name)
-        starts[lo.tobytes() + hi.tobytes()] = rng.bit_generator.state
-        if threading.current_thread() is not threading.main_thread():
+        start = rng.bit_generator.state
+        if os.getpid() != parent:
             time.sleep(worker_delay)
         witnesses = find(net, target, lo, hi, out_hi, rng)
         exact = {row.tobytes() for row in _candidate_rows(lo, hi, _gap_corners(net, target, lo, hi, out_hi))}
-        samples[0] += sum(w is not None and w.tobytes() not in exact for w in witnesses)
+        samples = sum(w is not None and w.tobytes() not in exact for w in witnesses)
+        boxes = hashlib.sha256(lo.tobytes() + hi.tobytes()).hexdigest()
+        log_event(path, boxes=boxes, start=start, samples=samples)
         return witnesses
 
     monkeypatch.setattr(explain_module, "find_witnesses", searching)
-    return threads, samples, starts
 
 
 def child_states(seed, count):
@@ -1199,38 +1221,44 @@ def child_states(seed, count):
 
 
 class TestWorkerSearches:
-    """A large witness search draws from a child generator of its own, with the same results on either thread."""
+    """A large witness search draws from a child generator of its own, with the same results in either process."""
 
     @pytest.mark.parametrize("search", SEARCHES)
-    def test_worker_traces_are_the_inline_traces(self, search, on_worker, monkeypatch):
+    def test_worker_traces_are_the_inline_traces(self, search, on_worker, monkeypatch, tmp_path):
         # Both runs make every call large; only the second has a spare CPU.
         cases = [*pin_search_cases(), sample_witness_case()]
         monkeypatch.setattr(explain_module, "WORKER_PRODUCT", 0)
         monkeypatch.setattr(explain_module, "_pool", False)
-        _, _, starts = recording_searches(monkeypatch)
+        recording_searches(monkeypatch, tmp_path / "inline")
         inline = []
         for net, x, epsilon, seed in cases:
-            inline.append((observed(*search(net, x, epsilon, seed=seed)), dict(starts)))
+            want = observed(*search(net, x, epsilon, seed=seed))
+            calls = read_events(tmp_path / "inline")
+            (tmp_path / "inline").unlink(missing_ok=True)
+            inline.append((want, {call["boxes"]: call["start"] for call in calls}))
             # Call k drew from child k of SeedSequence(seed).
-            assert list(starts.values()) == child_states(seed, len(starts))
-            starts.clear()
+            assert [call["start"] for call in calls] == child_states(seed, len(calls))
         monkeypatch.undo()
         on_worker()
-        threads, samples, starts = recording_searches(monkeypatch, worker_delay=0.002)
-        for (net, x, epsilon, seed), (want, serial) in zip(cases, inline):
+        recording_searches(monkeypatch, tmp_path / "handed", worker_delay=0.002)
+        for k, ((net, x, epsilon, seed), (want, serial)) in enumerate(zip(cases, inline)):
             kept, trace = search(net, x, epsilon, seed=seed)
             assert observed(kept, trace) == want
             assert all(step.elapsed > 0 for step in trace.steps)
-            # Every call drew from the child it drew from inline, on either thread.
-            assert starts == serial
-            starts.clear()
-        # Both threads searched, and a sample's witness was confirmed on one of them.
-        assert {"MainThread"} < set(threads) and samples[0] > 0
+            # Every call drew from the child it drew from inline, in either process.
+            calls = read_events(tmp_path / "handed")
+            (tmp_path / "handed").touch()
+            (tmp_path / "handed").rename(tmp_path / f"handed-{k}")
+            assert {call["boxes"]: call["start"] for call in calls} == serial
+        calls = [call for k in range(len(cases)) for call in read_events(tmp_path / f"handed-{k}")]
+        # Both processes searched, and a sample's witness was confirmed in one of them.
+        assert {os.getpid()} < {call["pid"] for call in calls}
+        assert sum(call["samples"] for call in calls) > 0
 
-    def test_full_mnist_calls_are_large(self, monkeypatch):
+    def test_full_mnist_calls_are_large(self, monkeypatch, tmp_path):
         # With no spare CPU every call runs at once, in call order.
         monkeypatch.setattr(explain_module, "_pool", False)
-        _, _, starts = recording_searches(monkeypatch)
+        recording_searches(monkeypatch, tmp_path / "calls")
         boxes = []
         find = explain_module.find_witnesses
 
@@ -1244,56 +1272,60 @@ class TestWorkerSearches:
         full = boxes.count(explain_module.MAX_BATCH)
         assert full > 0 and boxes[:full] == [explain_module.MAX_BATCH] * full
         # Each 16-box call drew from the next child of SeedSequence(seed).
-        assert list(starts.values())[:full] == child_states(5, full)
+        starts = [call["start"] for call in read_events(tmp_path / "calls")]
+        assert starts[:full] == child_states(5, full)
 
-    def test_small_searches_stay_inline(self, monkeypatch):
+    def test_small_searches_stay_inline(self, monkeypatch, tmp_path):
         # With a spare CPU, a relu100 search is far below the size threshold.
         monkeypatch.setattr(explain_module, "spare_cpu", lambda env, cpus, blas: True)
         monkeypatch.setattr(explain_module, "_pool", None)
-        threads, _, _ = recording_searches(monkeypatch)
+        recording_searches(monkeypatch, tmp_path / "calls")
         for net, x, epsilon, seed in relu100_cases(4):
             explain_baseline(net, x, epsilon, seed=seed)
-        assert threads and set(threads) == {"MainThread"} and explain_module._pool is None
+        calls = read_events(tmp_path / "calls")
+        assert calls and {call["pid"] for call in calls} == {os.getpid()} and explain_module._pool is None
 
-    def test_a_worker_exception_is_raised_again(self, on_worker, monkeypatch):
-        find = explain_module.find_witnesses
-        running = []
+    def test_a_worker_exception_is_raised_again(self, on_worker, monkeypatch, tmp_path):
+        find, parent, log = explain_module.find_witnesses, os.getpid(), tmp_path / "events"
 
         def failing(net, target, lo, hi, out_hi, rng):
-            running.append(1)
+            log_event(log, event="start")
             try:
                 time.sleep(0.01)
-                if threading.current_thread() is not threading.main_thread():
-                    raise RuntimeError("search failed on the worker")
+                if os.getpid() != parent:
+                    raise RuntimeError("search failed in the worker")
                 return find(net, target, lo, hi, out_hi, rng)
             finally:
-                running.pop()
+                log_event(log, event="end")
 
         on_worker()
         monkeypatch.setattr(explain_module, "find_witnesses", failing)
         net, x, epsilon, seed = next(relu100_cases(1))
-        with pytest.raises(RuntimeError, match="search failed on the worker"):
+        with pytest.raises(RuntimeError, match="search failed in the worker"):
             explain_baseline(net, x, epsilon, seed=seed)
-        assert not running
+        # No search is still running, and one ran in the worker.
+        events = read_events(log)
+        assert Counter(e["event"] for e in events) == {"start": len(events) // 2, "end": len(events) // 2}
+        assert any(e["pid"] != parent for e in events)
 
-    def test_no_search_runs_after_the_call_returns(self, on_worker, monkeypatch):
-        # Every feature of this instance is a pin, so the walk has handed
-        # off three searches of 20 ms each when it fails at its 8th batch.
+    def test_no_search_runs_after_the_call_returns(self, on_worker, monkeypatch, tmp_path):
+        # Every feature of this instance is a pin, so the walk has handed off
+        # five searches of 50 ms each when it fails at its 10th batch.  The
+        # worker has started one, and at most two more wait in its queue.
         find, verdicts = explain_module.find_witnesses, explain_module.enclosure_verdicts
-        started, running, checks = [], [], []
+        log, checks = tmp_path / "events", []
 
         def slow(net, target, lo, hi, out_hi, rng):
-            started.append(1)
-            running.append(1)
+            log_event(log, event="start")
             try:
-                time.sleep(0.02)
+                time.sleep(0.05)
                 return find(net, target, lo, hi, out_hi, rng)
             finally:
-                running.pop()
+                log_event(log, event="end")
 
         def failing_late(*args):
             checks.append(1)
-            if len(checks) == 8:
+            if len(checks) == 10:
                 raise RuntimeError("walk failed")
             return verdicts(*args)
 
@@ -1303,24 +1335,45 @@ class TestWorkerSearches:
         net, x, epsilon, seed = next(relu100_cases(1))
         with pytest.raises(RuntimeError, match="walk failed"):
             explain_baseline(net, x, epsilon, seed=seed)
-        assert not running
-        count = len(started)
+        events = read_events(log)
         time.sleep(0.1)
-        assert 0 < len(started) == count < 3
+        assert read_events(log) == events
+        started = sum(e["event"] == "start" for e in events)
+        assert 0 < started == len(events) // 2 < 5
+        assert all(e["pid"] != os.getpid() for e in events)
 
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-    def test_a_forked_child_searches_on_its_own_worker(self, on_worker, monkeypatch):
+    def test_a_broken_pool_is_raised_and_then_replaced(self, on_worker):
+        # The worker process dies between two searches; the next search raises, and the one after makes a new pool.
+        from concurrent.futures.process import BrokenProcessPool
+
         on_worker()
-        threads, _, _ = recording_searches(monkeypatch)
         net, x, epsilon, seed = next(relu100_cases(1))
         want = observed(*explain_baseline(net, x, epsilon, seed=seed))
-        assert any(name != "MainThread" for name in threads)
+        pool = explain_module._pool
+        os.kill(pool.submit(os.getpid).result(timeout=30), signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):
+            pool.submit(os.getpid).result(timeout=30)
+        with pytest.raises(BrokenProcessPool):
+            explain_baseline(net, x, epsilon, seed=seed)
+        assert explain_module._pool is None
+        assert observed(*explain_baseline(net, x, epsilon, seed=seed)) == want
+        assert explain_module._pool not in (None, pool)
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_searches_on_its_own_worker(self, on_worker, monkeypatch, tmp_path):
+        on_worker()
+        recording_searches(monkeypatch, tmp_path / "parent")
+        net, x, epsilon, seed = next(relu100_cases(1))
+        want = observed(*explain_baseline(net, x, epsilon, seed=seed))
+        workers = {call["pid"] for call in read_events(tmp_path / "parent")} - {os.getpid()}
+        assert workers
 
         def child():
-            # The parent's pool has no thread here; a search on it would never run.
-            name = explain_module._worker().submit(lambda: threading.current_thread().name).result(timeout=30)
-            assert name != "MainThread"
+            # The parent's pool has no process here; a search on it would never run.
+            assert explain_module._pool is None
+            recording_searches(monkeypatch, tmp_path / "child")
             assert observed(*explain_baseline(net, x, epsilon, seed=seed)) == want
+            explain_module._shut_pool()
 
         process = multiprocessing.get_context("fork").Process(target=child)
         process.start()
@@ -1328,6 +1381,65 @@ class TestWorkerSearches:
         if process.is_alive():
             process.kill()
         assert process.exitcode == 0
+        searched = {call["pid"] for call in read_events(tmp_path / "child")}
+        # The child's worker is its own, not its parent's.
+        assert searched - {process.pid} and not searched & workers
+
+    @pytest.mark.parametrize(
+        "spare, methods, other_thread, made",
+        [
+            (False, ["fork", "spawn"], False, False),
+            (True, ["fork", "spawn"], False, True),
+            # No fork start method: never a pool.
+            (True, ["spawn"], False, False),
+            # Another thread runs: no pool yet, but one may be made later.
+            (True, ["fork", "spawn"], True, None),
+        ],
+    )
+    def test_a_pool_is_made_only_where_a_fork_is_safe(self, spare, methods, other_thread, made, monkeypatch, request):
+        request.addfinalizer(explain_module._shut_pool)
+        monkeypatch.setattr(explain_module, "spare_cpu", lambda env, cpus, blas: spare)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        monkeypatch.setattr(explain_module, "_pool", None)
+        net = random_network(4, (3,), 2, "relu", seed=1)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if other_thread:
+            thread.start()
+        try:
+            worker = explain_module._worker(net)
+            # A pool when made; else False for good, or None to try again at the next search.
+            assert explain_module._pool is (worker if made else made)
+            assert (worker is not None) == bool(made)
+        finally:
+            release.set()
+            if other_thread:
+                thread.join()
+        if made:
+            assert list(explain_module._held.values()) == [net]
+            assert worker.submit(os.getpid).result(timeout=30) != os.getpid()
+        elif made is None:
+            assert explain_module._worker(net) is not None
+
+
+def test_the_worker_process_ends_with_its_parent():
+    # A search handed to the worker process; the parent prints the worker's pid and exits.
+    script = f"""
+import sys
+sys.path.insert(0, {str(SOURCES)!r})
+from provex import explain
+from provex.fixtures import random_network, uniform_instances
+explain.spare_cpu = lambda env, cpus, blas: True
+explain.WORKER_PRODUCT = 0
+net = random_network(100, (50,), 10, "relu", seed=4)
+explain.explain_baseline(net, uniform_instances(net, 1, seed=11)[0], 0.3)
+print(*explain._pool._processes)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    (pid,) = map(int, proc.stdout.split())
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
 
 
 @pytest.mark.parametrize(
