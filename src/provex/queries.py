@@ -20,9 +20,13 @@ labels (for regression, measures) every candidate, and a flagged candidate
 is kept only if a pass of its own row confirms it, so every witness is a
 genuine counterexample.  On a network with more than one hidden layer
 ``find_witnesses`` screens each box first: where the interval pass of the
-remaining layers over the hull of its candidates' first-layer activations
-certifies the target, the box skips the rest of the pass.  The screen
-changes no label.
+remaining layers over a hull of its candidates' first-layer activations
+certifies the target, the box skips the rest of the pass.  The hull takes
+the centers' and corners' activations exactly and bounds the samples' from
+a float32 product, widened by a proven rounding bound; the samples' float64
+activations are computed only in a call that leaves a box open, from a draw
+repeated from the generator's state before the screen's.  The screen
+changes no label, no witness and no draw.
 """
 
 from __future__ import annotations
@@ -299,31 +303,40 @@ def find_witnesses(
     first (``_screen``): a box whose candidates' first-layer hull
     certifies ``target`` holds no witness, and its rows are left out of
     the label pass.  The screen drops a candidate only where an enclosure
-    proves it is classified as ``target``, so no label changes.  With one
-    layer after the first it would cost the very layer it saves.
+    proves it is classified as ``target``, so no label changes.  It bounds
+    the samples' activations from a float32 product (``_sample_bounds``);
+    a call with a box left open draws the samples again, from the
+    generator's state before the screen's draw, for the float64 pass
+    ``_candidates`` makes.  So the witnesses and the generator's final
+    state are those of the unscreened search.  With one layer after the
+    first the screen would cost the very layer it saves.
     """
     check_number("n_random", n_random, integer=True, minimum=0)
     boxes = lo.shape[0]
     if boxes == 0:
         return []
     toward_hi = _gap_corners(net, target, lo, hi, out_hi)
-    first_layer, order, candidate = _candidates(net.layers[0], lo, hi, toward_hi, rng, n_random)
-    rest = net.layers[1:]
-    open_rows = slice(None)
-    if len(rest) >= 2:
-        closed = _screen(net, target, first_layer, boxes, toward_hi.shape[1])
+    closed = np.zeros(boxes, dtype=bool)
+    if len(net.layers) > 2:
+        state = rng.bit_generator.state if n_random and (hi > lo).any() else None
+        closed = _screen(net, target, lo, hi, toward_hi, rng, n_random)
         if closed.all():
             return [None] * boxes
-        if closed.any():
-            # A closed box's candidates are all classified as the target.
-            open_rows = np.zeros(first_layer.shape[0], dtype=bool)
-            open_rows[order[~closed]] = True
+        if state is not None:
+            rng = _restored(rng, state)
+    first_layer, order, candidate = _candidates(net.layers[0], lo, hi, toward_hi, rng, n_random)
+    open_rows = slice(None)
+    if closed.any():
+        # A closed box's candidates are all classified as the target.
+        open_rows = np.zeros(first_layer.shape[0], dtype=bool)
+        open_rows[order[~closed]] = True
     labels = np.full(first_layer.shape[0], target)
-    labels[open_rows] = np.argmax(forward_rows(rest, first_layer[open_rows]), axis=1)
+    labels[open_rows] = np.argmax(forward_rows(net.layers[1:], first_layer[open_rows]), axis=1)
     wrong = (labels != target)[order]
-    return [
-        _first_confirmed(candidate, b, wrong[b], lambda point: predict(net, point) != target) for b in range(boxes)
-    ]
+    witnesses = [None] * boxes
+    for b in np.flatnonzero(wrong.any(axis=1)):
+        witnesses[b] = _first_confirmed(candidate, b, wrong[b], lambda point: predict(net, point) != target)
+    return witnesses
 
 
 def _first_confirmed(candidate, b: int, flagged: np.ndarray, confirms):
@@ -395,14 +408,45 @@ def _candidates(layer, lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rn
     return first_layer, order, candidate
 
 
-# Most offsets ``_first_layer`` draws into one block, or None for one block
-# per call.  Under a one-thread BLAS it is one mnist784 box (64 samples over
-# up to 784 free features) or all 16 boxes of a relu100 call: drawing a
-# call's 16 mnist784 boxes at once took a 6.4 MB buffer, and two searches
-# run at once there.  A BLAS with threads runs one product of all the
-# samples in parallel (a 16-box mnist784 search: 9.9 ms, against 12.4 ms in
-# blocks, under two OpenBLAS threads), and its searches run one at a time.
+# Most offsets a search draws into one block, or None for one block per
+# call; the float64 pass (``_first_layer``) and the screen's float32 one
+# (``_sample_bounds``) draw in the same blocks (``_draws``).  Under a
+# one-thread BLAS it is one mnist784 box (64 samples over up to 784 free
+# features) or all 16 boxes of a relu100 call: drawing a call's 16 mnist784
+# boxes at once took a 6.4 MB buffer, and two searches run at once there.
+# A BLAS with threads runs one product of all the samples in parallel (a
+# 16-box mnist784 search: 9.9 ms, against 12.4 ms in blocks, under two
+# OpenBLAS threads), and its searches run one at a time.
 SAMPLE_BLOCK = 1 << 15 if one_blas_thread(BLAS_ENV, BLAS_NAME) else None
+
+
+def _draws(lo: np.ndarray, free: np.ndarray, rng, n_random: int):
+    """The bits of one ``rng.random((boxes, n_random, free))`` draw, block after block of boxes.
+
+    Yields ``(start, end, draws)``, where ``draws`` holds the draws of
+    boxes ``start`` to ``end``, shape (end - start, n_random, free).  They
+    are drawn into one buffer, which holds ``SAMPLE_BLOCK`` offsets or one
+    box's samples over every input, whichever is more, or every box's when
+    ``SAMPLE_BLOCK`` is None, and the next block overwrites them.  Its size
+    does not grow as a walk frees features, so the allocator reuses it; a
+    growing one is mapped afresh, page faults and all, on every call.
+    """
+    boxes, inputs = lo.shape
+    size = boxes * n_random * inputs if SAMPLE_BLOCK is None else max(SAMPLE_BLOCK, n_random * inputs)
+    buffer = np.empty(size)
+    block = size // (n_random * free.size)
+    for start in range(0, boxes, block):
+        end = min(start + block, boxes)
+        draws = buffer[: (end - start) * n_random * free.size].reshape(end - start, n_random, free.size)
+        rng.random(out=draws)
+        yield start, end, draws
+
+
+def _anchors(layer, lo: np.ndarray) -> np.ndarray:
+    """Each box's lower corner through the layer's affine part: ``lo @ Wᵀ + b``."""
+    anchor = lo @ layer.weights.T
+    anchor += layer.bias
+    return anchor
 
 
 def _first_layer(
@@ -418,34 +462,21 @@ def _first_layer(
     widths there.  Its pre-activation is the box's anchor
     ``lo[b] @ Wᵀ + b`` plus ``offsets[b, j] @ W[:, free]ᵀ``.
 
-    The offsets are drawn block after block of boxes into one buffer,
-    which holds ``SAMPLE_BLOCK`` offsets or one box's samples over every
-    input, whichever is more, or every box's when ``SAMPLE_BLOCK`` is
-    None.  Its size does not grow as a walk frees features, so the
-    allocator reuses it; a growing one is mapped afresh, page faults and
-    all, on every call.  Each block is scaled and multiplied into its
-    boxes' rows, one product of shape (block boxes * n_random, free) by
-    (free, width), before the next block overwrites it.  Returns shape
-    (exact rows + boxes * n_random, width); the samples follow the rows box
-    after box.
+    Each block of ``_draws`` is scaled and multiplied into its boxes'
+    rows, one product of shape (block boxes * n_random, free) by (free,
+    width).  Returns shape (exact rows + boxes * n_random, width); the
+    samples follow the rows box after box.
     """
     exact = rows.shape[0]
-    boxes, inputs = lo.shape
+    boxes = lo.shape[0]
     out = np.empty((exact + boxes * n_random, layer.out_dim))
     np.matmul(rows, layer.weights.T, out=out[:exact])
     out[:exact] += layer.bias
     if n_random:
         weights = layer.weights.T[free]
-        anchor = lo @ layer.weights.T
-        anchor += layer.bias
+        anchor = _anchors(layer, lo)
         per_box = out[exact:].reshape(boxes, n_random, -1)
-        size = boxes * n_random * inputs if SAMPLE_BLOCK is None else max(SAMPLE_BLOCK, n_random * inputs)
-        buffer = np.empty(size)
-        block = size // (n_random * free.size)
-        for start in range(0, boxes, block):
-            end = min(start + block, boxes)
-            offsets = buffer[: (end - start) * n_random * free.size].reshape(end - start, n_random, free.size)
-            rng.random(out=offsets)
+        for start, end, offsets in _draws(lo, free, rng, n_random):
             offsets *= (hi[start:end] - lo[start:end])[:, None, free]
             samples = per_box[start:end]
             np.matmul(offsets.reshape(-1, free.size), weights, out=samples.reshape(-1, layer.out_dim))
@@ -453,29 +484,130 @@ def _first_layer(
     return apply_activation(layer.activation.value, out, out=out)
 
 
-def _screen(net: ConcreteNetwork, target: int, first_layer: np.ndarray, boxes: int, corners: int) -> np.ndarray:
-    """Per box, whether the hull of its candidates' first-layer activations certifies ``target``.
+def _screen(net: ConcreteNetwork, target: int, lo, hi, toward_hi, rng, n_random: int) -> np.ndarray:
+    """Per box, whether a hull of its candidates' first-layer activations certifies ``target``.
 
-    ``first_layer`` holds the first layer's output for every row of a
-    ``_candidate_rows`` buffer of ``boxes`` boxes with ``corners`` corners
-    each.  Its blocks reshape to views of shape (boxes, k, width), so each
-    box's hull is a min and a max per block, with no gather.  The hulls,
-    one row per box, go through the remaining layers in one interval pass;
-    where the output enclosure separates, every candidate of that box is
-    classified as the target, ties included, as ``_separation`` decides.
+    The hulls (``_first_layer_hull``), one row per box, go through the
+    remaining layers in one interval pass; where the output enclosure
+    separates, every candidate of that box is classified as the target,
+    ties included, as ``_separation`` decides.  Where no hull is found,
+    no box closes.  Draws what ``_first_layer`` draws from ``rng``.
     """
-    hull_lo = first_layer[:boxes].copy()
-    hull_hi = hull_lo.copy()
-    width = first_layer.shape[1]
-    corner_end = boxes * (1 + corners)
-    for block in (first_layer[boxes:corner_end], first_layer[corner_end:]):
-        # With no runner-up class or no samples, a block is empty.
-        if block.size:
-            block = block.reshape(boxes, -1, width)
-            np.minimum(hull_lo, block.min(axis=1), out=hull_lo)
-            np.maximum(hull_hi, block.max(axis=1), out=hull_hi)
-    out_lo, out_hi = propagate_rows(net.layers[1:], hull_lo, hull_hi)
+    hull = _first_layer_hull(net.layers[0], lo, hi, toward_hi, rng, n_random)
+    if hull is None:
+        return np.zeros(lo.shape[0], dtype=bool)
+    out_lo, out_hi = propagate_rows(net.layers[1:], *hull)
     return _separation(out_lo, out_hi, target)[1]
+
+
+def _first_layer_hull(layer, lo, hi, toward_hi, rng, n_random: int):
+    """Per box, bounds that hold the first-layer activation of each of its candidates, or None.
+
+    The candidates are those ``_candidates`` makes of the same arguments:
+    centers and corners (``_candidate_rows``), whose activations are
+    taken exactly, with the bits of ``forward_rows``, then ``n_random``
+    samples per box over the call's free features, which are bounded
+    (``_sample_bounds``) and not computed.  Returns a pair of arrays of
+    shape (boxes, width), or None where the sample bounds are not finite.
+    """
+    boxes = lo.shape[0]
+    exact = forward_rows((layer,), _candidate_rows(lo, hi, toward_hi))
+    hull_lo = exact[:boxes].copy()
+    hull_hi = hull_lo.copy()
+    # With no runner-up class there are no corners.
+    if exact.shape[0] > boxes:
+        corners = exact[boxes:].reshape(boxes, -1, exact.shape[1])
+        np.minimum(hull_lo, corners.min(axis=1), out=hull_lo)
+        np.maximum(hull_hi, corners.max(axis=1), out=hull_hi)
+    free = np.flatnonzero((hi > lo).any(axis=0))
+    if n_random and free.size:
+        samples = _sample_bounds(layer, lo, hi, free, rng, n_random)
+        if samples is None:
+            return None
+        np.minimum(hull_lo, samples[0], out=hull_lo)
+        np.maximum(hull_hi, samples[1], out=hull_hi)
+    return hull_lo, hull_hi
+
+
+def _gamma(k: int, u: float) -> float:
+    """γ_k = k·u / (1 - k·u), the relative error bound of a k-term dot product in precision u (inf where k·u ≥ 1)."""
+    return k * u / (1 - k * u) if k * u < 1 else np.inf
+
+
+def _sample_bounds(layer, lo, hi, free, rng, n_random: int):
+    """Per box, bounds that hold ``_first_layer``'s float64 activations of its samples, or None.
+
+    Draws what ``_first_layer`` draws, block for block (``_draws``), and
+    scales the draws by the widths in float64, so the offsets are the
+    float64 pass's, o.  They are rounded to float32 and multiplied by the
+    free columns of W, rounded to float32, in float32; each box keeps its
+    samples' min and max, p_lo and p_hi, per neuron.
+
+    Bound.  For one sample and neuron, with K free features, u = 2⁻²⁴,
+    v = 2⁻⁵³ and η = 2⁻¹²⁶ (float32's least normal, so flushed subnormals
+    are covered too), the float32 product p and the float64 product q of
+    ``_first_layer`` satisfy (Higham, Accuracy and Stability of Numerical
+    Algorithms, §3.1, in any summation order)
+        |p - q| ≤ (γ_K(u)·(1 + u)² + 2u + u² + γ_K(v))·Σ|o_k||W_k|
+                  + 2η·(Σ|o_k| + Σ|W_k| + K),
+    from the float32 rounding of o and W (relative u, absolute η each),
+    the float32 sum (γ_K(u), and η per product) and the float64 one
+    (γ_K(v)).  A draw is below 1, so 0 ≤ o_k ≤ w_k, the box's width, and
+    |W_k| is at most the column's largest weight c_k; so Σ|o_k||W_k| ≤
+    Σ w_k c_k.  ``err`` is that bound with its coefficient raised by
+    2⁻¹⁰, which covers the u² terms and the float64 rounding of ``err``
+    itself.  So q lies in [p_lo - err, p_hi + err], each end rounded
+    outward by one ulp.  The float64 pass adds the anchor ``_anchors``
+    gives to q, and rounding is monotone, so adding it to both ends bounds
+    the pre-activation with no further slack.  The activation is
+    monotone, but its computed value may not be: numpy's exp is within
+    1 ulp and its tanh within 2, so the computed sigmoid and tanh are
+    within a relative c = 4·2⁻⁵³ of their true values f.  For z in
+    [a, b], the computed f(z) is at most f(b) + c|f(b)|, which is within
+    8 ulps above the computed f(b), and likewise below at a; each
+    activated end is widened by 16 ulps.
+
+    Returns a pair of arrays of shape (boxes, width), or None where a
+    bound is not finite (a float32 overflow, or K·u ≥ 1).
+    """
+    boxes = lo.shape[0]
+    widths = (hi - lo)[:, free]
+    u, v, eta = np.finfo(np.float32).eps / 2, np.finfo(np.float64).eps / 2, np.finfo(np.float32).tiny
+    colmax = layer.weights_abs_colmax[free]
+    anchor = _anchors(layer, lo)
+    p_lo = np.empty((boxes, layer.out_dim), dtype=np.float32)
+    p_hi = np.empty_like(p_lo)
+    offsets = products = None
+    # An overflow shows below, as an end that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficient = (_gamma(free.size, u) + 2 * u + _gamma(free.size, v)) * (1 + 2**-10)
+        err = coefficient * (widths @ colmax) + 2 * eta * (widths.sum(axis=1) + colmax.sum() + free.size)
+        weights = layer.weights[:, free].astype(np.float32)
+        for start, end, draws in _draws(lo, free, rng, n_random):
+            if offsets is None:
+                # The first block is the largest.
+                offsets = np.empty(draws.shape, dtype=np.float32)
+                products = np.empty((draws.shape[0] * n_random, layer.out_dim), dtype=np.float32)
+            draws *= widths[start:end, None]
+            block = offsets[: end - start]
+            block[...] = draws
+            sums = np.matmul(block.reshape(-1, free.size), weights.T, out=products[: (end - start) * n_random])
+            sums = sums.reshape(end - start, n_random, -1)
+            sums.min(axis=1, out=p_lo[start:end])
+            sums.max(axis=1, out=p_hi[start:end])
+        ends = []
+        for hull, outward in ((p_lo, -np.inf), (p_hi, np.inf)):
+            pre = hull.astype(np.float64)
+            pre += np.copysign(err, outward)[:, None]
+            np.nextafter(pre, outward, out=pre)
+            pre += anchor
+            ends.append(pre)
+    if not all(np.isfinite(pre).all() for pre in ends):
+        return None
+    for pre, outward in zip(ends, (-np.inf, np.inf)):
+        apply_activation(layer.activation.value, pre, out=pre)
+        pre += np.copysign(16 * np.spacing(np.abs(pre)), outward)
+    return ends
 
 
 def check_abstract(anet: AbstractNetwork, q: SufficiencyQuery) -> Verdict:

@@ -16,7 +16,16 @@ from provex.intervals import apply_activation
 from provex import queries
 from provex.network import ConcreteNetwork, Layer, forward, forward_batch, forward_rows, gradients
 from provex.errors import ValidationError
-from provex.queries import _candidate_rows, _candidates, _first_layer, _gap_corners, _screen, _separation, find_witnesses
+from provex.queries import (
+    _candidate_rows,
+    _candidates,
+    _first_layer,
+    _first_layer_hull,
+    _gap_corners,
+    _screen,
+    _separation,
+    find_witnesses,
+)
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
@@ -165,6 +174,18 @@ def screen_cases(count):
                 target = int(np.argmax(forward(net, xs[0])))
                 out_hi = propagate_rows(net.layers, lo, hi)[1]
                 yield seed, net, target, lo, hi, out_hi, n_random
+
+
+def pin_boxes(xs, half):
+    """Per instance, 8 boxes of half-width ``half`` that free a share of 0.75-1.0 of its features, as pins do."""
+    rng = np.random.default_rng(5)
+    lo, hi = [], []
+    for x in xs:
+        for share in np.linspace(0.75, 1.0, 8):
+            free = rng.random(x.shape) < share
+            lo.append(np.where(free, np.maximum(0.0, x - half), x))
+            hi.append(np.where(free, np.minimum(1.0, x + half), x))
+    return np.array(lo), np.array(hi)
 
 
 def boxes_of(net, count, seed, width=0.5):
@@ -438,9 +459,7 @@ class TestScreenedWitnessSearch:
                 continue
             toward_hi = _gap_corners(net, target, lo, hi, out_hi)
             free = np.flatnonzero((hi > lo).any(axis=0))
-            rows = _candidate_rows(lo, hi, toward_hi)
-            first_layer = _first_layer(net.layers[0], rows, lo, hi, free, np.random.default_rng(seed), n_random)
-            closed = _screen(net, target, first_layer, lo.shape[0], toward_hi.shape[1])
+            closed = _screen(net, target, lo, hi, toward_hi, np.random.default_rng(seed), n_random)
             # Every candidate as a whole row: center, corners, then lo plus the offsets on the free features.
             cands = reference_candidates(lo, hi, toward_hi, np.random.default_rng(seed), n_random, free)
             for b in np.flatnonzero(closed):
@@ -466,29 +485,24 @@ class TestScreenedWitnessSearch:
         out_hi = propagate_rows(net.layers, lo, hi)[1]
         find_witnesses(net, 0, lo, hi, out_hi, np.random.default_rng(0))
         corners = min(2, net.output_dim - 1)
-        assert calls[0] == ("_first_layer", 16 * (1 + corners + 64))
-        assert all(name == "forward_rows" for name, _ in calls[1:])
+        # The screen's exact pass of the centers and corners, then, with a box left open, the float64 pass.
+        assert calls[:2] == [("forward_rows", 16 * (1 + corners)), ("_first_layer", 16 * (1 + corners + 64))]
+        assert all(name == "forward_rows" for name, _ in calls[2:])
 
     def test_mnist_pins_close_without_the_later_layers(self, monkeypatch):
         # The boxes' own enclosures do not separate, as for every pin; the
         # hull of their candidates' first-layer activations does.
         net = mnist_shape_network(seed=3)
         xs = uniform_instances(net, 2, seed=11)
-        rng = np.random.default_rng(5)
-        lo, hi = [], []
-        for x in xs:
-            for share in np.linspace(0.75, 1.0, 8):
-                free = rng.random(x.shape) < share
-                lo.append(np.where(free, np.maximum(0.0, x - 1e-4), x))
-                hi.append(np.where(free, np.minimum(1.0, x + 1e-4), x))
-        lo, hi = np.array(lo), np.array(hi)
+        lo, hi = pin_boxes(xs, 1e-4)
         target = int(np.argmax(forward(net, xs[0])))
         assert all(int(np.argmax(forward(net, x))) == target for x in xs)
         out_lo, out_hi = propagate_rows(net.layers, lo, hi)
         assert not _separation(out_lo, out_hi, target)[1].any()
         calls = count_passes(monkeypatch)
         assert find_witnesses(net, target, lo, hi, out_hi, np.random.default_rng(0)) == [None] * 16
-        assert calls == [("_first_layer", 16 * 67)]
+        # The screen's exact pass of the centers and corners only: no float64 sample pass, no later layer.
+        assert calls == [("forward_rows", 16 * 3)]
 
     @pytest.mark.parametrize("n_random", [0, 64])
     def test_one_class_deep_net_never_has_a_witness(self, n_random):
@@ -497,6 +511,84 @@ class TestScreenedWitnessSearch:
         _, lo, hi = boxes_of(net, 16, seed=1)
         out_hi = propagate_rows(net.layers, lo, hi)[1]
         assert find_witnesses(net, 0, lo, hi, out_hi, np.random.default_rng(0), n_random) == [None] * 16
+
+
+def hull_cases():
+    """Calls whose first-layer hull is checked: ``screen_cases(300)``, then pin boxes on 784-input nets.
+
+    Per activation, a net with the first layer's shape of the mnist784
+    fixture takes the pin boxes of half-width 1e-4 (mnist784-sigmoid's),
+    1e-13 and 1e-15, and the 1e-4 boxes once more with one feature freed
+    over a width below float32's least normal, 2⁻¹²⁶.
+    """
+    for _, net, target, lo, hi, out_hi, n_random in screen_cases(300):
+        yield net, target, lo, hi, out_hi, n_random
+    for kind in ACTIVATIONS:
+        net = random_network(784, (200, 200), 10, kind, seed=3)
+        xs = uniform_instances(net, 2, seed=11)
+        target = int(np.argmax(forward(net, xs[0])))
+        boxes = [pin_boxes(xs, half) for half in (1e-4, 1e-13, 1e-15)]
+        lo, hi = pin_boxes(xs, 1e-4)
+        lo[:, 0], hi[:, 0] = 0.0, 1e-39
+        for lo, hi in [*boxes, (lo, hi)]:
+            yield net, target, lo, hi, propagate_rows(net.layers, lo, hi)[1], 64
+
+
+class TestBoundedScreen:
+    """The screen bounds the samples' first-layer activations from a float32 product."""
+
+    @pytest.mark.parametrize("block", [1 << 15, None])
+    def test_hull_holds_every_first_layer_activation(self, block, monkeypatch):
+        monkeypatch.setattr(queries, "SAMPLE_BLOCK", block)
+        kinds = set()
+        for net, target, lo, hi, out_hi, n_random in hull_cases():
+            layer = net.layers[0]
+            toward_hi = _gap_corners(net, target, lo, hi, out_hi)
+            hull_lo, hull_hi = _first_layer_hull(layer, lo, hi, toward_hi, np.random.default_rng(1), n_random)
+            first_layer, order, _ = _candidates(layer, lo, hi, toward_hi, np.random.default_rng(1), n_random)
+            per_box = first_layer[order]
+            assert (hull_lo[:, None] <= per_box).all() and (per_box <= hull_hi[:, None]).all()
+            kinds.add(layer.activation.value)
+        assert kinds == set(ACTIVATIONS)
+
+    def test_a_partly_closed_call_takes_the_float64_path(self, monkeypatch):
+        calls = count_passes(monkeypatch)
+        partly_closed = found = 0
+        for seed, net, target, lo, hi, out_hi, n_random in screen_cases(150):
+            if len(net.layers) < 3 or n_random == 0:
+                continue
+            toward_hi = _gap_corners(net, target, lo, hi, out_hi)
+            closed = _screen(net, target, lo, hi, toward_hi, np.random.default_rng(seed), n_random)
+            if closed.all() or not closed.any():
+                continue
+            calls.clear()
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = find_witnesses(net, target, lo, hi, out_hi, ours, n_random)
+            want = reference_find_witnesses(net, target, lo, hi, out_hi, theirs, n_random)
+            # The screen's exact pass, then the float64 pass of the whole buffer, drawn again.
+            assert calls[1] == ("_first_layer", lo.shape[0] * (1 + toward_hi.shape[1] + n_random))
+            assert [g is None for g in got] == [w is None for w in want]
+            assert all(w is None or g.tobytes() == w.tobytes() for g, w in zip(got, want))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            partly_closed += 1
+            found += sum(w is not None for w in want)
+        assert partly_closed > 50 and found > 50
+
+    def test_a_float32_overflow_screens_nothing(self):
+        # First-layer weights beyond float32's range give no hull, so every box takes the float64 path.
+        base = random_network(9, (12, 8), 3, "tanh", seed=41)
+        first = base.layers[0]
+        net = ConcreteNetwork((Layer(first.weights * 1e39, first.bias, "tanh"), *base.layers[1:]))
+        _, lo, hi = boxes_of(net, 16, seed=1)
+        out_hi = propagate_rows(net.layers, lo, hi)[1]
+        toward_hi = _gap_corners(net, 0, lo, hi, out_hi)
+        assert _first_layer_hull(net.layers[0], lo, hi, toward_hi, np.random.default_rng(0), 64) is None
+        assert not _screen(net, 0, lo, hi, toward_hi, np.random.default_rng(0), 64).any()
+        ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
+        got = find_witnesses(net, 0, lo, hi, out_hi, ours)
+        want = reference_find_witnesses(net, 0, lo, hi, out_hi, theirs)
+        assert [g if g is None else g.tobytes() for g in got] == [w if w is None else w.tobytes() for w in want]
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def exact_rows_of(net, target, lo, hi, out_hi):

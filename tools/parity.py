@@ -12,7 +12,7 @@ time; the last line holds the SHA-256 of the instance lines.  Two checkouts
 agree on a workload when their digests are equal.
 
 Run as a script, it pins BLAS to one thread before numpy loads, as the
-benchmark does, so large witness searches may run on the worker thread and
+benchmark does, so large witness searches may run in the worker process and
 batched products keep one summation order.
 """
 
