@@ -10,7 +10,7 @@ Every such check that needs only the output asks ``enclosure_verdicts``:
 greedy walk.  A query is checked against its network once, by
 ``_checked_box``, and every box asked after it lies inside its box.
 
-Counterexample search draws every candidate through ``_candidates``: each
+Counterexample search draws every candidate through ``_Candidates``: each
 box's center and gradient corners as exact rows, and random samples drawn
 only over the features free in some box of the call, whose first layer is
 the box's lower corner through the layer plus a low-rank update.  The
@@ -288,7 +288,7 @@ def find_witnesses(
 ) -> list:
     """Search each box, one per row of ``lo``/``hi``, for a point not assigned to ``target``.
 
-    Per box the candidates are those of ``_candidates``: its center, then
+    Per box the candidates are those of ``_Candidates``: its center, then
     its ``_gap_corners`` (ranked by the box's output upper bounds, a row of
     ``out_hi``), then ``n_random`` uniform samples drawn over the features
     free in any box of the call.  The remaining layers label every
@@ -306,25 +306,25 @@ def find_witnesses(
     proves it is classified as ``target``, so no label changes.  It bounds
     the samples' activations from a float32 product (``_sample_bounds``);
     a call with a box left open draws the samples again, from the
-    generator's state before the screen's draw, for the float64 pass
-    ``_candidates`` makes.  So the witnesses and the generator's final
-    state are those of the unscreened search.  With one layer after the
-    first the screen would cost the very layer it saves.
+    generator's state before the screen's draw, for the float64 pass.  The
+    centers' and corners' activations and the anchors serve both passes.
+    So the witnesses and the generator's final state are those of the
+    unscreened search.  With one layer after the first the screen would
+    cost the very layer it saves.
     """
     check_number("n_random", n_random, integer=True, minimum=0)
     boxes = lo.shape[0]
     if boxes == 0:
         return []
     toward_hi = _gap_corners(net, target, lo, hi, out_hi)
+    candidates = _Candidates(net.layers[0], lo, hi, toward_hi, rng, n_random)
     closed = np.zeros(boxes, dtype=bool)
     if len(net.layers) > 2:
-        state = rng.bit_generator.state if n_random and (hi > lo).any() else None
-        closed = _screen(net, target, lo, hi, toward_hi, rng, n_random)
+        closed = _screen(net, target, candidates)
         if closed.all():
             return [None] * boxes
-        if state is not None:
-            rng = _restored(rng, state)
-    first_layer, order, candidate = _candidates(net.layers[0], lo, hi, toward_hi, rng, n_random)
+    first_layer = candidates.first_layer()
+    order = candidates.order
     open_rows = slice(None)
     if closed.any():
         # A closed box's candidates are all classified as the target.
@@ -335,7 +335,7 @@ def find_witnesses(
     wrong = (labels != target)[order]
     witnesses = [None] * boxes
     for b in np.flatnonzero(wrong.any(axis=1)):
-        witnesses[b] = _first_confirmed(candidate, b, wrong[b], lambda point: predict(net, point) != target)
+        witnesses[b] = _first_confirmed(candidates.candidate, b, wrong[b], lambda point: predict(net, point) != target)
     return witnesses
 
 
@@ -355,86 +355,149 @@ def _restored(rng: np.random.Generator, state: dict) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-def _candidates(layer, lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rng, n_random: int):
+class _Candidates:
     """Every witness candidate of a batch of boxes, through ``layer``, the network's first.
 
     Per box the candidates are its center and one corner per mask of
     ``toward_hi`` (``_candidate_rows``), then ``n_random`` uniform samples.
     The samples are drawn only over the features free in any box of the
     call, box after box, as one ``rng.random((boxes, n_random, free))``
-    draw would give them, and scaled by the boxes' widths there
-    (``_first_layer``).  A fixed feature has zero width, so each sample
-    is uniform over its own box, and sample j of box b is ``lo[b]`` plus
-    row j of its offsets on those features, with the bits of
-    ``rng.uniform`` there.  Each box takes ``n_random`` times ``free``
-    draws, so the stream depends on the call's boxes together.  With
-    ``n_random`` 0, or no free feature in the call, nothing is drawn
-    (``rng`` may then be None).
+    draw would give them, and scaled by the boxes' widths there.  A fixed
+    feature has zero width, so each sample is uniform over its own box, and
+    sample j of box b is ``lo[b]`` plus row j of its offsets on those
+    features, with the bits of ``rng.uniform`` there.  Each box takes
+    ``n_random`` times ``free`` draws, so the stream depends on the call's
+    boxes together.  With ``n_random`` 0, or no free feature in the call,
+    nothing is drawn (``rng`` may then be None).
 
-    Returns the first layer's activations of every candidate
-    (``_first_layer``); ``order``, where ``order[b, j]`` is the row there
-    of box b's candidate j; and ``candidate(b, j)``, which rebuilds that
-    candidate as a fresh input row.  The offsets are not kept: a sample is
-    rebuilt by a generator restored to ``rng``'s state before the draw,
+    The centers' and corners' first-layer activations (``exact``, with
+    the bits of ``forward_rows``), the free features and each box's anchor
+    are made once, for both passes over the samples: ``hull`` bounds their
+    activations from a float32 product, and ``first_layer`` computes them
+    in float64.  The first pass to draw draws from ``rng``; a later one
+    draws the same again from a generator restored to ``rng``'s state
+    before the first, so ``rng`` ends where one draw leaves it.
+    ``order[b, j]`` is the row of ``first_layer()`` that holds box b's
+    candidate j, and ``candidate(b, j)`` rebuilds that candidate as a fresh
+    input row.  Neither the rows nor the offsets are kept: a center or
+    corner is made again from its box, a sample by a restored generator,
     which draws again up to its row.  Only a flagged candidate is rebuilt.
+    Keeping the 16 × 3 rows of a mnist784 call through the screen took
+    about 550 page faults per call, as did making the screen's float32
+    buffers before its draws' buffer (one BLAS thread, glibc malloc).
     """
-    boxes, inputs = lo.shape
-    rows = _candidate_rows(lo, hi, toward_hi)
-    free = np.flatnonzero((hi > lo).any(axis=0))
-    if free.size == 0:
-        n_random = 0  # every box is a point, which its center already is
-    state = rng.bit_generator.state if n_random else None
-    first_layer = _first_layer(layer, rows, lo, hi, free, rng, n_random)
-    exact, corners = rows.shape[0], toward_hi.shape[1]
-    order = np.concatenate(
-        [
-            np.arange(boxes)[:, None],
-            boxes + np.arange(boxes * corners).reshape(boxes, corners),
-            exact + np.arange(boxes * n_random).reshape(boxes, n_random),
-        ],
-        axis=1,
-    )
 
-    def candidate(b: int, j: int) -> np.ndarray:
-        if j <= corners:
-            return rows[order[b, j]].copy()
-        redraw = _restored(rng, state)
+    def __init__(self, layer, lo: np.ndarray, hi: np.ndarray, toward_hi: np.ndarray, rng, n_random: int):
+        boxes = lo.shape[0]
+        self.layer, self.lo, self.hi, self.toward_hi, self.rng = layer, lo, hi, toward_hi, rng
+        self.exact = forward_rows((layer,), _candidate_rows(lo, hi, toward_hi))
+        self.free = np.flatnonzero((hi > lo).any(axis=0))
+        # With no free feature every box is a point, which its center already is.
+        self.n_random = n_random if self.free.size else 0
+        self.state = rng.bit_generator.state if self.n_random else None
+        self.anchor = _anchors(layer, lo) if self.n_random else None
+        self.drawn = False
+        exact, self.corners = self.exact.shape[0], toward_hi.shape[1]
+        self.order = np.concatenate(
+            [
+                np.arange(boxes)[:, None],
+                boxes + np.arange(boxes * self.corners).reshape(boxes, self.corners),
+                exact + np.arange(boxes * self.n_random).reshape(boxes, self.n_random),
+            ],
+            axis=1,
+        )
+
+    def _draw_from(self):
+        """``rng`` for the call's first draw, a generator restored to its state before it for a later one."""
+        if self.drawn:
+            return _restored(self.rng, self.state)
+        self.drawn = True
+        return self.rng
+
+    def hull(self):
+        """Per box, bounds that hold the first-layer activation of each of its candidates, or None.
+
+        The centers' and corners' activations are ``exact``; the samples'
+        are bounded (``_sample_bounds``) and not computed.  Returns a pair
+        of arrays of shape (boxes, width), or None where the sample bounds
+        are not finite.
+        """
+        boxes = self.lo.shape[0]
+        hull_lo = self.exact[:boxes].copy()
+        hull_hi = hull_lo.copy()
+        # With no runner-up class there are no corners.
+        if self.corners:
+            corners = self.exact[boxes:].reshape(boxes, self.corners, -1)
+            np.minimum(hull_lo, corners.min(axis=1), out=hull_lo)
+            np.maximum(hull_hi, corners.max(axis=1), out=hull_hi)
+        if self.n_random:
+            samples = _sample_bounds(
+                self.layer, self.anchor, self.lo, self.hi, self.free, self._draw_from(), self.n_random
+            )
+            if samples is None:
+                return None
+            np.minimum(hull_lo, samples[0], out=hull_lo)
+            np.maximum(hull_hi, samples[1], out=hull_hi)
+        return hull_lo, hull_hi
+
+    def first_layer(self) -> np.ndarray:
+        """The first layer's activations of every candidate (``_first_layer``), in the rows ``order`` names."""
+        rng = self._draw_from() if self.n_random else None
+        return _first_layer(self.layer, self.exact, self.anchor, self.lo, self.hi, self.free, rng, self.n_random)
+
+    def candidate(self, b: int, j: int) -> np.ndarray:
+        """Box b's candidate j as a fresh input row."""
+        if j <= self.corners:
+            return _candidate_rows(self.lo[b : b + 1], self.hi[b : b + 1], self.toward_hi[b : b + 1])[j]
+        lo, hi, free = self.lo, self.hi, self.free
+        redraw = _restored(self.rng, self.state)
         for _ in range(b):
-            redraw.random((n_random, free.size))
+            redraw.random((self.n_random, free.size))
         point = lo[b].copy()
-        point[free] += redraw.random((j - corners, free.size))[-1] * (hi[b, free] - lo[b, free])
+        point[free] += redraw.random((j - self.corners, free.size))[-1] * (hi[b, free] - lo[b, free])
         return point
-
-    return first_layer, order, candidate
 
 
 # Most offsets a search draws into one block, or None for one block per
 # call; the float64 pass (``_first_layer``) and the screen's float32 one
-# (``_sample_bounds``) draw in the same blocks (``_draws``).  Under a
-# one-thread BLAS it is one mnist784 box (64 samples over up to 784 free
-# features) or all 16 boxes of a relu100 call: drawing a call's 16 mnist784
-# boxes at once took a 6.4 MB buffer, and two searches run at once there.
-# A BLAS with threads runs one product of all the samples in parallel (a
-# 16-box mnist784 search: 9.9 ms, against 12.4 ms in blocks, under two
-# OpenBLAS threads), and its searches run one at a time.
+# (``_sample_bounds``) both draw through ``_draws``, the screen at most as
+# many boxes at a time as fit with every input free.  Under a one-thread
+# BLAS it is one mnist784 box (64 samples over up to 784 free features) or
+# all 16 boxes of a relu100 call: drawing a call's 16 mnist784 boxes at
+# once took a 6.4 MB buffer, and two searches run at once there.  A BLAS
+# with threads runs one product of all the samples in parallel (a 16-box
+# mnist784 search: 9.9 ms, against 12.4 ms in blocks, under two OpenBLAS
+# threads), and its searches run one at a time.
 SAMPLE_BLOCK = 1 << 15 if one_blas_thread(BLAS_ENV, BLAS_NAME) else None
 
 
-def _draws(lo: np.ndarray, free: np.ndarray, rng, n_random: int):
+def _draw_size(lo: np.ndarray, n_random: int) -> int:
+    """The offsets ``_draws`` holds at once.
+
+    ``SAMPLE_BLOCK`` or one box's samples over every input, whichever is
+    more, or every box's samples when ``SAMPLE_BLOCK`` is None.
+    """
+    boxes, inputs = lo.shape
+    return boxes * n_random * inputs if SAMPLE_BLOCK is None else max(SAMPLE_BLOCK, n_random * inputs)
+
+
+def _draws(lo: np.ndarray, free: np.ndarray, rng, n_random: int, most: int | None = None):
     """The bits of one ``rng.random((boxes, n_random, free))`` draw, block after block of boxes.
 
     Yields ``(start, end, draws)``, where ``draws`` holds the draws of
     boxes ``start`` to ``end``, shape (end - start, n_random, free).  They
-    are drawn into one buffer, which holds ``SAMPLE_BLOCK`` offsets or one
-    box's samples over every input, whichever is more, or every box's when
-    ``SAMPLE_BLOCK`` is None, and the next block overwrites them.  Its size
-    does not grow as a walk frees features, so the allocator reuses it; a
-    growing one is mapped afresh, page faults and all, on every call.
+    are drawn into one buffer of ``_draw_size`` offsets, as many boxes at a
+    time as it holds, or at most ``most``, and the next block overwrites
+    them.  The blocks follow one another in the generator's stream, so
+    their bits are the one draw's however the boxes are split.  The
+    buffer's size does not grow as a walk frees features, so the allocator
+    reuses it; a growing one is mapped afresh, page faults and all, on
+    every call.
     """
-    boxes, inputs = lo.shape
-    size = boxes * n_random * inputs if SAMPLE_BLOCK is None else max(SAMPLE_BLOCK, n_random * inputs)
+    boxes = lo.shape[0]
+    size = _draw_size(lo, n_random)
     buffer = np.empty(size)
-    block = size // (n_random * free.size)
+    block = min(size // (n_random * free.size), most or boxes)
     for start in range(0, boxes, block):
         end = min(start + block, boxes)
         draws = buffer[: (end - start) * n_random * free.size].reshape(end - start, n_random, free.size)
@@ -450,83 +513,53 @@ def _anchors(layer, lo: np.ndarray) -> np.ndarray:
 
 
 def _first_layer(
-    layer, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, free: np.ndarray, rng, n_random: int
+    layer, exact: np.ndarray, anchor, lo: np.ndarray, hi: np.ndarray, free: np.ndarray, rng, n_random: int
 ) -> np.ndarray:
-    """The first layer's activations of the exact rows, then of ``n_random`` samples per box, in one array.
+    """The exact rows' activations ``exact``, then the first layer's of ``n_random`` samples per box, in one array.
 
-    ``rows`` go through ``rows @ Wᵀ + b``, with the bits of
-    ``forward_rows``.  Sample j of box b is ``lo[b]`` plus
-    ``offsets[b, j]`` on the features ``free`` (at least one when
-    ``n_random`` is not 0), where ``offsets`` holds the bits of one
-    ``rng.random((boxes, n_random, free))`` draw scaled by the boxes'
-    widths there.  Its pre-activation is the box's anchor
-    ``lo[b] @ Wᵀ + b`` plus ``offsets[b, j] @ W[:, free]ᵀ``.
+    Sample j of box b is ``lo[b]`` plus ``offsets[b, j]`` on the features
+    ``free`` (at least one when ``n_random`` is not 0), where ``offsets``
+    holds the bits of one ``rng.random((boxes, n_random, free))`` draw
+    scaled by the boxes' widths there.  Its pre-activation is the box's
+    anchor, ``anchor[b]`` (``_anchors``), plus ``offsets[b, j] @ W[:,
+    free]ᵀ``.
 
     Each block of ``_draws`` is scaled and multiplied into its boxes'
     rows, one product of shape (block boxes * n_random, free) by (free,
     width).  Returns shape (exact rows + boxes * n_random, width); the
     samples follow the rows box after box.
     """
-    exact = rows.shape[0]
+    rows = exact.shape[0]
     boxes = lo.shape[0]
-    out = np.empty((exact + boxes * n_random, layer.out_dim))
-    np.matmul(rows, layer.weights.T, out=out[:exact])
-    out[:exact] += layer.bias
+    out = np.empty((rows + boxes * n_random, layer.out_dim))
+    out[:rows] = exact
     if n_random:
         weights = layer.weights.T[free]
-        anchor = _anchors(layer, lo)
-        per_box = out[exact:].reshape(boxes, n_random, -1)
+        samples = out[rows:]
+        per_box = samples.reshape(boxes, n_random, -1)
         for start, end, offsets in _draws(lo, free, rng, n_random):
             offsets *= (hi[start:end] - lo[start:end])[:, None, free]
-            samples = per_box[start:end]
-            np.matmul(offsets.reshape(-1, free.size), weights, out=samples.reshape(-1, layer.out_dim))
-            samples += anchor[start:end, None]
-    return apply_activation(layer.activation.value, out, out=out)
+            block = per_box[start:end]
+            np.matmul(offsets.reshape(-1, free.size), weights, out=block.reshape(-1, layer.out_dim))
+            block += anchor[start:end, None]
+        apply_activation(layer.activation.value, samples, out=samples)
+    return out
 
 
-def _screen(net: ConcreteNetwork, target: int, lo, hi, toward_hi, rng, n_random: int) -> np.ndarray:
-    """Per box, whether a hull of its candidates' first-layer activations certifies ``target``.
+def _screen(net: ConcreteNetwork, target: int, candidates: _Candidates) -> np.ndarray:
+    """Per box, whether the hull of its candidates' first-layer activations certifies ``target``.
 
-    The hulls (``_first_layer_hull``), one row per box, go through the
+    The hulls (``candidates.hull()``), one row per box, go through the
     remaining layers in one interval pass; where the output enclosure
     separates, every candidate of that box is classified as the target,
-    ties included, as ``_separation`` decides.  Where no hull is found,
-    no box closes.  Draws what ``_first_layer`` draws from ``rng``.
+    ties included, as ``_separation`` decides.  Where there is no hull, no
+    box closes.
     """
-    hull = _first_layer_hull(net.layers[0], lo, hi, toward_hi, rng, n_random)
+    hull = candidates.hull()
     if hull is None:
-        return np.zeros(lo.shape[0], dtype=bool)
+        return np.zeros(candidates.order.shape[0], dtype=bool)
     out_lo, out_hi = propagate_rows(net.layers[1:], *hull)
     return _separation(out_lo, out_hi, target)[1]
-
-
-def _first_layer_hull(layer, lo, hi, toward_hi, rng, n_random: int):
-    """Per box, bounds that hold the first-layer activation of each of its candidates, or None.
-
-    The candidates are those ``_candidates`` makes of the same arguments:
-    centers and corners (``_candidate_rows``), whose activations are
-    taken exactly, with the bits of ``forward_rows``, then ``n_random``
-    samples per box over the call's free features, which are bounded
-    (``_sample_bounds``) and not computed.  Returns a pair of arrays of
-    shape (boxes, width), or None where the sample bounds are not finite.
-    """
-    boxes = lo.shape[0]
-    exact = forward_rows((layer,), _candidate_rows(lo, hi, toward_hi))
-    hull_lo = exact[:boxes].copy()
-    hull_hi = hull_lo.copy()
-    # With no runner-up class there are no corners.
-    if exact.shape[0] > boxes:
-        corners = exact[boxes:].reshape(boxes, -1, exact.shape[1])
-        np.minimum(hull_lo, corners.min(axis=1), out=hull_lo)
-        np.maximum(hull_hi, corners.max(axis=1), out=hull_hi)
-    free = np.flatnonzero((hi > lo).any(axis=0))
-    if n_random and free.size:
-        samples = _sample_bounds(layer, lo, hi, free, rng, n_random)
-        if samples is None:
-            return None
-        np.minimum(hull_lo, samples[0], out=hull_lo)
-        np.maximum(hull_hi, samples[1], out=hull_hi)
-    return hull_lo, hull_hi
 
 
 def _gamma(k: int, u: float) -> float:
@@ -534,14 +567,16 @@ def _gamma(k: int, u: float) -> float:
     return k * u / (1 - k * u) if k * u < 1 else np.inf
 
 
-def _sample_bounds(layer, lo, hi, free, rng, n_random: int):
+def _sample_bounds(layer, anchor: np.ndarray, lo, hi, free, rng, n_random: int):
     """Per box, bounds that hold ``_first_layer``'s float64 activations of its samples, or None.
 
-    Draws what ``_first_layer`` draws, block for block (``_draws``), and
-    scales the draws by the widths in float64, so the offsets are the
-    float64 pass's, o.  They are rounded to float32 and multiplied by the
+    Draws what ``_first_layer`` draws (``_draws``) and scales the draws by
+    the widths in float64, so the offsets are the float64 pass's, o.  They are rounded to float32 and multiplied by the
     free columns of W, rounded to float32, in float32; each box keeps its
-    samples' min and max, p_lo and p_hi, per neuron.
+    samples' min and max, p_lo and p_hi, per neuron.  The draws come in
+    blocks of at most as many boxes as ``_draw_size`` holds with every
+    input free, so the float32 offsets and products fit buffers whose size
+    does not grow as a walk frees features.
 
     Bound.  For one sample and neuron, with K free features, u = 2⁻²⁴,
     v = 2⁻⁵³ and η = 2⁻¹²⁶ (float32's least normal, so flushed subnormals
@@ -557,15 +592,19 @@ def _sample_bounds(layer, lo, hi, free, rng, n_random: int):
     Σ w_k c_k.  ``err`` is that bound with its coefficient raised by
     2⁻¹⁰, which covers the u² terms and the float64 rounding of ``err``
     itself.  So q lies in [p_lo - err, p_hi + err], each end rounded
-    outward by one ulp.  The float64 pass adds the anchor ``_anchors``
-    gives to q, and rounding is monotone, so adding it to both ends bounds
-    the pre-activation with no further slack.  The activation is
-    monotone, but its computed value may not be: numpy's exp is within
-    1 ulp and its tanh within 2, so the computed sigmoid and tanh are
-    within a relative c = 4·2⁻⁵³ of their true values f.  For z in
-    [a, b], the computed f(z) is at most f(b) + c|f(b)|, which is within
-    8 ulps above the computed f(b), and likewise below at a; each
-    activated end is widened by 16 ulps.
+    outward by one ulp.  The float64 pass adds ``anchor`` to q, and
+    rounding is monotone, so adding it to both ends bounds the
+    pre-activation with no further slack.
+
+    The activation is monotone, but its computed value need not be, and
+    numpy picks its exp and tanh kernels by CPU.  The bound assumes only
+    that a computed value away from underflow is within a relative
+    c ≤ 2⁻⁴² (2,048 ulps, far above any libm's error) of the true f.  For
+    z in [a, b], the computed f(z) is then at most f(b) + c|f(b)|, which is
+    below the computed f(b) plus 2c/(1 - c) < 2⁻⁴⁰ times its magnitude,
+    and likewise above the computed f(a) less as much.  So each activated
+    end is widened outward by 2⁻⁴⁰ of its magnitude, plus 16 ulps for
+    results near underflow, whose error is absolute.
 
     Returns a pair of arrays of shape (boxes, width), or None where a
     bound is not finite (a float32 overflow, or K·u ≥ 1).
@@ -574,24 +613,25 @@ def _sample_bounds(layer, lo, hi, free, rng, n_random: int):
     widths = (hi - lo)[:, free]
     u, v, eta = np.finfo(np.float32).eps / 2, np.finfo(np.float64).eps / 2, np.finfo(np.float32).tiny
     colmax = layer.weights_abs_colmax[free]
-    anchor = _anchors(layer, lo)
     p_lo = np.empty((boxes, layer.out_dim), dtype=np.float32)
     p_hi = np.empty_like(p_lo)
+    most = _draw_size(lo, n_random) // (n_random * lo.shape[1])
     offsets = products = None
     # An overflow shows below, as an end that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         coefficient = (_gamma(free.size, u) + 2 * u + _gamma(free.size, v)) * (1 + 2**-10)
         err = coefficient * (widths @ colmax) + 2 * eta * (widths.sum(axis=1) + colmax.sum() + free.size)
         weights = layer.weights[:, free].astype(np.float32)
-        for start, end, draws in _draws(lo, free, rng, n_random):
+        for start, end, draws in _draws(lo, free, rng, n_random, most):
             if offsets is None:
-                # The first block is the largest.
-                offsets = np.empty(draws.shape, dtype=np.float32)
-                products = np.empty((draws.shape[0] * n_random, layer.out_dim), dtype=np.float32)
+                # Made after the draws' buffer (see ``_Candidates``).
+                offsets = np.empty(most * n_random * lo.shape[1], dtype=np.float32)
+                products = np.empty((most * n_random, layer.out_dim), dtype=np.float32)
             draws *= widths[start:end, None]
-            block = offsets[: end - start]
+            block = offsets[: draws.size].reshape(draws.shape)
             block[...] = draws
-            sums = np.matmul(block.reshape(-1, free.size), weights.T, out=products[: (end - start) * n_random])
+            sums = products[: (end - start) * n_random]
+            np.matmul(block.reshape(-1, free.size), weights.T, out=sums)
             sums = sums.reshape(end - start, n_random, -1)
             sums.min(axis=1, out=p_lo[start:end])
             sums.max(axis=1, out=p_hi[start:end])
@@ -606,7 +646,8 @@ def _sample_bounds(layer, lo, hi, free, rng, n_random: int):
         return None
     for pre, outward in zip(ends, (-np.inf, np.inf)):
         apply_activation(layer.activation.value, pre, out=pre)
-        pre += np.copysign(16 * np.spacing(np.abs(pre)), outward)
+        magnitude = np.abs(pre)
+        pre += np.copysign(2**-40 * magnitude + 16 * np.spacing(magnitude), outward)
     return ends
 
 
@@ -649,7 +690,7 @@ def check_regression(
 ) -> Verdict:
     """Sufficiency for scalar outputs: enclosure within f(x) +- delta.
 
-    Failing that, the first ``_candidates`` point that ``forward`` on its
+    Failing that, the first ``_Candidates`` point that ``forward`` on its
     own row puts outside f(x) +- delta is a witness.
     """
     generator = _generator(rng)
@@ -665,9 +706,9 @@ def check_regression(
     # The corners that maximize and minimize the linearized output, then the samples.
     corners = np.stack([up, ~up])[None]
     lo, hi = box.lo[None], box.hi[None]
-    first_layer, order, candidate = _candidates(net.layers[0], lo, hi, corners, generator(), N_RANDOM)
-    far = np.abs(forward_rows(net.layers[1:], first_layer)[order[0], 0] - ref) > q.delta
-    witness = _first_confirmed(candidate, 0, far, lambda point: abs(forward(net, point)[0] - ref) > q.delta)
+    candidates = _Candidates(net.layers[0], lo, hi, corners, generator(), N_RANDOM)
+    far = np.abs(forward_rows(net.layers[1:], candidates.first_layer())[candidates.order[0], 0] - ref) > q.delta
+    witness = _first_confirmed(candidates.candidate, 0, far, lambda point: abs(forward(net, point)[0] - ref) > q.delta)
     if witness is not None:
         return Verdict(VerdictKind.INSUFFICIENT, margin, witness=witness)
     return Verdict(VerdictKind.UNCERTAIN, margin)

@@ -17,10 +17,10 @@ from provex import queries
 from provex.network import ConcreteNetwork, Layer, forward, forward_batch, forward_rows, gradients
 from provex.errors import ValidationError
 from provex.queries import (
+    _Candidates,
+    _anchors,
     _candidate_rows,
-    _candidates,
     _first_layer,
-    _first_layer_hull,
     _gap_corners,
     _screen,
     _separation,
@@ -387,11 +387,12 @@ class TestWitnessSearchBits:
             corners = np.random.default_rng(4).random((boxes, 2, net.input_dim)) < 0.5
             free = np.flatnonzero((hi > lo).any(axis=0))
             ours, theirs = np.random.default_rng(6), np.random.default_rng(6)
-            first_layer, order, candidate = _candidates(net.layers[0], lo, hi, corners, ours, n_random)
+            candidates = _Candidates(net.layers[0], lo, hi, corners, ours, n_random)
+            first_layer, order = candidates.first_layer(), candidates.order
             want = reference_candidates(lo, hi, corners, theirs, n_random, free)
             assert order.shape == want.shape[:2] == (boxes, 3 + n_random)
             assert sorted(order.ravel()) == list(range(first_layer.shape[0]))
-            got = np.array([[candidate(b, j) for j in range(order.shape[1])] for b in range(boxes)])
+            got = np.array([[candidates.candidate(b, j) for j in range(order.shape[1])] for b in range(boxes)])
             assert got.tobytes() == want.tobytes()
             assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -459,7 +460,8 @@ class TestScreenedWitnessSearch:
                 continue
             toward_hi = _gap_corners(net, target, lo, hi, out_hi)
             free = np.flatnonzero((hi > lo).any(axis=0))
-            closed = _screen(net, target, lo, hi, toward_hi, np.random.default_rng(seed), n_random)
+            candidates = _Candidates(net.layers[0], lo, hi, toward_hi, np.random.default_rng(seed), n_random)
+            closed = _screen(net, target, candidates)
             # Every candidate as a whole row: center, corners, then lo plus the offsets on the free features.
             cands = reference_candidates(lo, hi, toward_hi, np.random.default_rng(seed), n_random, free)
             for b in np.flatnonzero(closed):
@@ -475,7 +477,8 @@ class TestScreenedWitnessSearch:
         _, lo, hi = boxes_of(net, 16, seed=2)
         out_hi = propagate_rows(net.layers, lo, hi)[1]
         find_witnesses(net, 0, lo, hi, out_hi, np.random.default_rng(0))
-        assert calls == [("_first_layer", 16 * 67), ("forward_rows", 16 * 67)]
+        # The centers' and corners' first layer, the samples' joined to it, then the output layer on every row.
+        assert calls == [("forward_rows", 16 * 3), ("_first_layer", 16 * 67), ("forward_rows", 16 * 67)]
 
     def test_deeper_net_runs_the_first_layer_on_the_whole_buffer(self, monkeypatch):
         calls = count_passes(monkeypatch)
@@ -518,8 +521,10 @@ def hull_cases():
 
     Per activation, a net with the first layer's shape of the mnist784
     fixture takes the pin boxes of half-width 1e-4 (mnist784-sigmoid's),
-    1e-13 and 1e-15, and the 1e-4 boxes once more with one feature freed
-    over a width below float32's least normal, 2⁻¹²⁶.
+    1e-13 and 1e-15, the 1e-4 boxes once more with one feature freed over
+    a width below float32's least normal, 2⁻¹²⁶, and once more with every
+    feature from 300 on fixed, where a float64 block holds two boxes and
+    the screen's one.
     """
     for _, net, target, lo, hi, out_hi, n_random in screen_cases(300):
         yield net, target, lo, hi, out_hi, n_random
@@ -530,6 +535,9 @@ def hull_cases():
         boxes = [pin_boxes(xs, half) for half in (1e-4, 1e-13, 1e-15)]
         lo, hi = pin_boxes(xs, 1e-4)
         lo[:, 0], hi[:, 0] = 0.0, 1e-39
+        boxes.append((lo, hi))
+        lo, hi = pin_boxes(xs, 1e-4)
+        hi[:, 300:] = lo[:, 300:]
         for lo, hi in [*boxes, (lo, hi)]:
             yield net, target, lo, hi, propagate_rows(net.layers, lo, hi)[1], 64
 
@@ -544,9 +552,10 @@ class TestBoundedScreen:
         for net, target, lo, hi, out_hi, n_random in hull_cases():
             layer = net.layers[0]
             toward_hi = _gap_corners(net, target, lo, hi, out_hi)
-            hull_lo, hull_hi = _first_layer_hull(layer, lo, hi, toward_hi, np.random.default_rng(1), n_random)
-            first_layer, order, _ = _candidates(layer, lo, hi, toward_hi, np.random.default_rng(1), n_random)
-            per_box = first_layer[order]
+            # The float64 pass draws after the screen, from the generator's state before it, as an open call does.
+            candidates = _Candidates(layer, lo, hi, toward_hi, np.random.default_rng(1), n_random)
+            hull_lo, hull_hi = candidates.hull()
+            per_box = candidates.first_layer()[candidates.order]
             assert (hull_lo[:, None] <= per_box).all() and (per_box <= hull_hi[:, None]).all()
             kinds.add(layer.activation.value)
         assert kinds == set(ACTIVATIONS)
@@ -558,7 +567,8 @@ class TestBoundedScreen:
             if len(net.layers) < 3 or n_random == 0:
                 continue
             toward_hi = _gap_corners(net, target, lo, hi, out_hi)
-            closed = _screen(net, target, lo, hi, toward_hi, np.random.default_rng(seed), n_random)
+            candidates = _Candidates(net.layers[0], lo, hi, toward_hi, np.random.default_rng(seed), n_random)
+            closed = _screen(net, target, candidates)
             if closed.all() or not closed.any():
                 continue
             calls.clear()
@@ -582,8 +592,9 @@ class TestBoundedScreen:
         _, lo, hi = boxes_of(net, 16, seed=1)
         out_hi = propagate_rows(net.layers, lo, hi)[1]
         toward_hi = _gap_corners(net, 0, lo, hi, out_hi)
-        assert _first_layer_hull(net.layers[0], lo, hi, toward_hi, np.random.default_rng(0), 64) is None
-        assert not _screen(net, 0, lo, hi, toward_hi, np.random.default_rng(0), 64).any()
+        candidates = _Candidates(net.layers[0], lo, hi, toward_hi, np.random.default_rng(0), 64)
+        assert candidates.hull() is None
+        assert not _screen(net, 0, candidates).any()
         ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
         got = find_witnesses(net, 0, lo, hi, out_hi, ours)
         want = reference_find_witnesses(net, 0, lo, hi, out_hi, theirs)
@@ -680,9 +691,10 @@ class TestFreeFeatureSamples:
             toward_hi = _gap_corners(net, target, lo, hi, out_hi)
             rows = _candidate_rows(lo, hi, toward_hi)
             free = np.flatnonzero((hi > lo).any(axis=0))
-            got = _first_layer(net.layers[0], rows, lo, hi, free, np.random.default_rng(seed), n_random)
             first = net.layers[0]
-            assert got[: len(rows)].tobytes() == forward_rows((first,), rows).tobytes()
+            exact = forward_rows((first,), rows)
+            got = _first_layer(first, exact, _anchors(first, lo), lo, hi, free, np.random.default_rng(seed), n_random)
+            assert got[: len(rows)].tobytes() == exact.tobytes()
             cands = reference_candidates(lo, hi, toward_hi, np.random.default_rng(seed), n_random, free)
             whole = forward_rows((first,), cands[:, 1 + toward_hi.shape[1] :].reshape(-1, lo.shape[1]))
             assert np.allclose(got[len(rows) :], whole, rtol=1e-12, atol=1e-12)
@@ -694,9 +706,9 @@ def count_passes(monkeypatch):
     """
     calls = []
 
-    def first_layer(layer, rows, lo, hi, free, rng, n_random):
-        calls.append(("_first_layer", len(rows) + lo.shape[0] * n_random))
-        return search_first_layer(layer, rows, lo, hi, free, rng, n_random)
+    def first_layer(layer, exact, anchor, lo, hi, free, rng, n_random):
+        calls.append(("_first_layer", len(exact) + lo.shape[0] * n_random))
+        return search_first_layer(layer, exact, anchor, lo, hi, free, rng, n_random)
 
     def recording(name, fn):
         def wrapped(first, xs):

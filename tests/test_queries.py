@@ -21,8 +21,8 @@ from provex.queries import (
     RegressionQuery,
     SufficiencyQuery,
     VerdictKind,
+    _Candidates,
     _candidate_rows,
-    _candidates,
     _gap_corners,
     _separation,
     check_abstract,
@@ -396,9 +396,10 @@ class TestTieBreaking:
         assert oracle_check(net, q).proved
 
 
-def rebuilt(candidate, order):
-    """Every candidate of a ``_candidates`` call as an input row, shape (boxes, candidates, inputs)."""
-    return np.array([[candidate(b, j) for j in range(order.shape[1])] for b in range(order.shape[0])])
+def rebuilt(candidates):
+    """Every candidate of a ``_Candidates`` call as an input row, shape (boxes, candidates, inputs)."""
+    order = candidates.order
+    return np.array([[candidates.candidate(b, j) for j in range(order.shape[1])] for b in range(order.shape[0])])
 
 
 class TestCandidates:
@@ -407,10 +408,10 @@ class TestCandidates:
         q = make_query(net, x, fixed={1, 3}, epsilon=0.3)
         box = q.query_box()
         up = np.array([True, False, True, False, False])
-        _, order, candidate = _candidates(
+        candidates = _Candidates(
             net.layers[0], box.lo[None], box.hi[None], np.stack([up, ~up])[None], np.random.default_rng(5), 4
         )
-        cands = rebuilt(candidate, order)[0]
+        cands = rebuilt(candidates)[0]
         assert cands.shape == (7, 5)
         np.testing.assert_array_equal(cands[0], box.midpoint)
         for row, mask in zip(cands[1:3], (up, ~up)):
@@ -430,8 +431,7 @@ class TestCandidates:
         lo = np.stack([b.lo for b in boxes])
         hi = np.stack([b.hi for b in boxes])
         corners = np.zeros((3, 2, 5), dtype=bool)
-        _, order, candidate = _candidates(net.layers[0], lo, hi, corners, np.random.default_rng(8), 6)
-        cands = rebuilt(candidate, order)
+        cands = rebuilt(_Candidates(net.layers[0], lo, hi, corners, np.random.default_rng(8), 6))
         rng = np.random.default_rng(8)
         for b, box in enumerate(boxes):
             np.testing.assert_array_equal(cands[b, 3:], sample_box(box, 6, rng))
@@ -453,8 +453,9 @@ class TestCandidates:
         shape = (boxes, 64, free.size)
         ours, numpys = np.random.default_rng(7), np.random.default_rng(7)
         layer = Layer(np.ones((2, inputs)), np.zeros(2), "relu")
-        _, order, candidate = _candidates(layer, lo, hi, np.zeros((boxes, 0, inputs), dtype=bool), ours, 64)
-        cands = rebuilt(candidate, order)[:, 1:]
+        candidates = _Candidates(layer, lo, hi, np.zeros((boxes, 0, inputs), dtype=bool), ours, 64)
+        candidates.first_layer()
+        cands = rebuilt(candidates)[:, 1:]
         want = numpys.uniform(np.broadcast_to(lo[:, None, free], shape), np.broadcast_to(hi[:, None, free], shape))
         assert cands[..., free].tobytes() == want.tobytes()
         fixed = np.setdiff1d(np.arange(inputs), free)
