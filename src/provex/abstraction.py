@@ -22,17 +22,17 @@ The ranking, merge sets and buckets are kept as index arrays and ordered
 with numpy sorts whose keys reproduce the documented tie-breaking exactly;
 a ``MergeSpec`` checks each merge set and keeps it as a frozenset.
 
-Cost model.  A build costs what the reduction keeps.  Each layer with
-merged neurons takes one full-width ``bounds.enclose_affine`` pass of the
-next layer's weights against its hulled endpoints, masked to exact zeros
-at the kept neurons, so no weight column is gathered for it.  When a layer
-is merged whole, that pass is the next layer's pre-activation over the
-hulled box, bit for bit, so the next layer's bounds are its activation and
-no second pass runs.  Only a layer that keeps neurons, between the first
-merged layer and the last, pays one ``enclose_layer`` more for the next
-layer's bounds.  A reduced check of a network with a layer merged whole
-carries one row from the last layer with no inputs on (see
-``bounds.propagate_rows``).
+Cost model.  A reduction is bounded in one full-width pass, ``hull_pass``,
+with no reduced network built: from the first merged layer, whose bounds
+are the build box's own, each layer overwrites its merged neurons'
+coordinates with their bucket hulls and bounds the next layer with one
+``enclose_layer``, so no weight column is gathered.  The labelling pass of
+the abstraction-refinement search probes reductions this way.  A build,
+which checks other boxes inside its build box and which ``refine``
+refines, runs the same loop up to its last merged layer and adds one masked kernel pass per
+merged layer for its absorbed bias interval (for a layer merged whole,
+that interval also gives the next layer's bounds) and the row and column
+selections of the reduced weights.
 """
 
 from __future__ import annotations
@@ -259,23 +259,15 @@ def build_from_merge_sets(
     its merge set, each neuron once, in buckets of positive size; they are
     kept as integer arrays.
 
-    Bounds are propagated at full width, from the first merged layer to the
-    last: a deleted neuron's coordinate is overwritten with its bucket hull.
-    Up to the first merged layer nothing upstream is merged, so the build
-    box's own bounds in ``lb`` hold there bit for bit and are copied rather
-    than recomputed; an unreduced build reuses every layer and needs none.
-
-    Cost: a layer with merged neurons takes one full-width kernel pass of
-    the next layer against its hulled endpoints, with exact zeros at the
-    kept neurons, so no weight column is gathered and only the order of
-    summation differs from a pass over the merged columns alone.  A layer
-    merged whole has no zeros, so that pass is the next layer's
-    pre-activation over the hulled box, with ``enclose_layer``'s
-    bits: the next layer's bounds are its activation, and no second pass
-    runs.  A layer that keeps neurons pays one ``enclose_layer`` more for
-    the next layer's bounds.  The reduced weights are row and column
-    selections of the source layer's, and a fully merged layer's are
-    empty.
+    The bounds are those of ``hull_pass``, the same loop: from the first
+    merged layer, whose bounds are the build box's own in ``lb``, a deleted
+    neuron's coordinate is overwritten with its bucket hull.  The build
+    stops that pass at the last merged layer and adds two things on top:
+    each merged layer's absorbed bias interval, one full-width kernel pass
+    of the next layer against its hulled endpoints with exact zeros at the
+    kept neurons (``_absorb_buckets``), and the reduced weights, row and
+    column selections of the source layer's.  An unreduced build reuses
+    every layer and propagates nothing.
     """
     _check_fresh(net, lb)
     hidden = len(net.layers) - 1
@@ -289,57 +281,82 @@ def build_from_merge_sets(
     ]
     if buckets is not None:
         buckets = _check_buckets(buckets, spec, merge_sets)
-    merged_layers = [k for k, merged in enumerate(indices) if merged.size]
-    first, last = (merged_layers[0], merged_layers[-1]) if merged_layers else (-1, -2)
+    absorbed: dict[int, tuple[Buckets, tuple]] = {}  # merged layer -> (its buckets, the next layer's bias interval)
+    hull_pass(net, lb, indices, buckets, absorbed)
     keep_prev: np.ndarray | None = None  # None means every column survives
-    absorbed = None  # this layer's bias interval, when the previous layer lost neurons
     out_layers = []
-    out_buckets: list[Buckets] = []
-
     for k, layer in enumerate(net.layers):
-        if k == first:
-            lo, hi = lb.per_layer[k].lo.copy(), lb.per_layer[k].hi.copy()
-        bias_lo, bias_hi = absorbed if absorbed is not None else (layer.bias_lo, layer.bias_hi)
-        absorbed = None
-        merged = indices[k] if k < hidden else _NO_NEURONS
-        layer_buckets = NO_BUCKETS
-        whole = k < hidden and len(spec.per_layer_merged[k]) == layer.out_dim
-        if merged.size:
-            layer_buckets = buckets[k] if buckets is not None else _chain_buckets(lo, hi, merged)
-            absorbed, (flat, hull_lo, hull_hi) = _absorb_buckets(net.layers[k + 1], lo, hi, layer_buckets)
-            if whole:
-                keep = _NO_NEURONS  # spares building and scanning a mask that keeps nothing
-            else:
-                survives = np.ones(layer.out_dim, dtype=bool)
-                survives[merged] = False
-                keep = np.flatnonzero(survives)
+        bias_lo, bias_hi = absorbed[k - 1][1] if k - 1 in absorbed else (layer.bias_lo, layer.bias_hi)
+        if k in absorbed:
+            survives = np.ones(layer.out_dim, dtype=bool)
+            survives[indices[k]] = False
+            keep = np.flatnonzero(survives)
             out_layers.append(_reduced_layer(layer, keep, keep_prev, bias_lo[keep], bias_hi[keep]))
-            # lo and hi are this build's own arrays, so they are overwritten in place.
-            lo[flat] = hull_lo
-            hi[flat] = hull_hi
             keep_prev = keep
         elif keep_prev is not None:
             out_layers.append(_reduced_layer(layer, None, keep_prev, bias_lo, bias_hi))
             keep_prev = None
         else:
             out_layers.append(layer)
-        if k < hidden:
-            out_buckets.append(layer_buckets)
-        if first <= k < last:
-            # The next layer's bounds over the hulled box.  Merged whole,
-            # this layer feeds the next one only through the absorbed
-            # interval, which is that layer's pre-activation.
-            following = net.layers[k + 1]
-            if whole:
-                kind = following.activation.value
-                lo = apply_activation(kind, absorbed[0], out=np.empty_like(absorbed[0]))
-                hi = apply_activation(kind, absorbed[1], out=np.empty_like(absorbed[1]))
-            else:
-                lo, hi = enclose_layer(following, lo, hi)
+    out_buckets = tuple(absorbed[k][0] if k in absorbed else NO_BUCKETS for k in range(hidden))
+    return AbstractNetwork(layers=tuple(out_layers), spec=spec, buckets=out_buckets, build_box=lb.input_box)
 
-    return AbstractNetwork(
-        layers=tuple(out_layers), spec=spec, buckets=tuple(out_buckets), build_box=lb.input_box
-    )
+
+def hull_pass(net: ConcreteNetwork, lb: LayerBounds, merged, buckets=None, absorbed=None):
+    """Output bounds of the reduction that merges ``merged``, over the box of ``lb``, with no reduction built.
+
+    ``merged`` holds one index array per hidden layer, as
+    ``select_merge_sets`` gives them, and is not checked.  From the first
+    merged layer, whose bounds are ``lb``'s, each layer with merged neurons
+    chains them into buckets (or takes ``buckets[k]``), overwrites their
+    coordinates with the bucket hulls, and bounds the next layer with
+    ``enclose_layer`` over the full-width hulled box, on to the output;
+    with no merged neuron the bounds are ``lb``'s own.
+
+    Interval bound propagation adds up over coordinates, so in real
+    arithmetic a pass over [kept bounds | hulls] is the reduced layer's pass
+    plus its absorbed bias interval: these are the bounds of
+    ``propagate_abstract`` on ``build_from_merge_sets(net, lb, merged)``
+    over its build box.  Only rounding differs, and only after a partly
+    merged layer: a layer merged whole gives the build's bits.
+
+    ``build_from_merge_sets`` runs this pass with an empty dict as
+    ``absorbed``.  Each merged layer k then stores under k its buckets,
+    members in index order, and the next layer's absorbed bias interval
+    (``_absorb_buckets``); a layer merged whole takes the next layer's
+    bounds from that interval, which is that layer's pre-activation over
+    the hulled box bit for bit, so no second pass runs; and the pass ends
+    at the last merged layer, past which a build needs no bounds, and
+    returns the bounds it reached there.
+    """
+    hidden = len(net.layers) - 1
+    layers = [k for k in range(hidden) if merged[k].size]
+    if not layers:
+        return lb.final.lo, lb.final.hi
+    build = absorbed is not None
+    lo, hi = lb.per_layer[layers[0]].lo.copy(), lb.per_layer[layers[0]].hi.copy()
+    for k in range(layers[0], layers[-1] + 1 if build else hidden):
+        following = net.layers[k + 1]
+        bias = None
+        if merged[k].size:
+            layer_buckets = buckets[k] if buckets is not None else _chain_buckets(lo, hi, merged[k], ordered=build)
+            if build:
+                bias, (flat, hull_lo, hull_hi) = _absorb_buckets(following, lo, hi, layer_buckets)
+                absorbed[k] = layer_buckets, bias
+            else:
+                flat, hull_lo, hull_hi = _bucket_hulls(lo, hi, layer_buckets)
+            # lo and hi are this pass's own arrays, so they are overwritten in place.
+            lo[flat] = hull_lo
+            hi[flat] = hull_hi
+        if build and k == layers[-1]:
+            break
+        if bias is not None and merged[k].size == following.in_dim:
+            kind = following.activation.value
+            lo = apply_activation(kind, bias[0], out=np.empty_like(bias[0]))
+            hi = apply_activation(kind, bias[1], out=np.empty_like(bias[1]))
+        else:
+            lo, hi = enclose_layer(following, lo, hi)
+    return lo, hi
 
 
 def refine(net: ConcreteNetwork, prev: AbstractNetwork, lb: LayerBounds, rate: float) -> AbstractNetwork:
@@ -383,16 +400,8 @@ def _reduced_layer(layer, rows, cols, bias_lo: np.ndarray, bias_hi: np.ndarray) 
     """The ``rows`` and ``cols`` of a source layer (None keeps all), its ``weights_neg`` selected alike.
 
     Rows and columns are selected one after the other, which copies the
-    same entries as one outer-product index in half the time.  When a
-    layer merged whole leaves no rows or no columns, the selections are
-    one shared empty array, and nothing is gathered: selected one after
-    the other, the kept rows of the layer after it would be copied only
-    for the empty column selection to drop them.
+    same entries as one outer-product index in half the time.
     """
-    shape = (layer.out_dim if rows is None else rows.size, layer.in_dim if cols is None else cols.size)
-    if 0 in shape:
-        empty = np.empty(shape)
-        return AbstractLayer(empty, bias_lo, bias_hi, layer.activation, weights_neg=empty)
 
     def select(matrix):
         if rows is not None:
@@ -448,7 +457,7 @@ def _indices(merged) -> np.ndarray:
     return np.fromiter(merged, dtype=int, count=len(merged))
 
 
-def _chain_buckets(lo: np.ndarray, hi: np.ndarray, merged: np.ndarray) -> Buckets:
+def _chain_buckets(lo: np.ndarray, hi: np.ndarray, merged: np.ndarray, ordered: bool = True) -> Buckets:
     """Group merged neurons with pairwise-overlapping ranges into buckets.
 
     Walking the ranges by lower endpoint (then upper endpoint, then index),
@@ -456,7 +465,9 @@ def _chain_buckets(lo: np.ndarray, hi: np.ndarray, merged: np.ndarray) -> Bucket
     common point (its lower endpoint does not exceed the smallest upper
     endpoint seen).  Saturated clusters pool together while scattered
     ranges stay in their own buckets, keeping each absorbed hull close to
-    its members.
+    its members.  Each bucket's members come in index order, or, when not
+    ``ordered``, in walking order, which gives the same hulls for one sort
+    less.
     """
     order = merged[np.lexsort((merged, hi[merged], lo[merged]))]
     starts = []
@@ -468,8 +479,19 @@ def _chain_buckets(lo: np.ndarray, hi: np.ndarray, merged: np.ndarray) -> Bucket
         elif h < min_hi:
             min_hi = h
     sizes = np.diff(starts + [order.size])
+    if not ordered:
+        return order, sizes
     bucket_of = np.repeat(np.arange(sizes.size), sizes)
     return order[np.lexsort((order, bucket_of))], sizes
+
+
+def _bucket_hulls(lo: np.ndarray, hi: np.ndarray, layer_buckets: Buckets):
+    """The members of the buckets, and each member's bucket hull."""
+    flat, sizes = layer_buckets
+    starts = np.cumsum(sizes) - sizes
+    hull_lo = np.repeat(np.minimum.reduceat(lo[flat], starts), sizes)
+    hull_hi = np.repeat(np.maximum.reduceat(hi[flat], starts), sizes)
+    return flat, hull_lo, hull_hi
 
 
 def _absorb_buckets(next_layer, lo: np.ndarray, hi: np.ndarray, layer_buckets: Buckets):
@@ -484,10 +506,7 @@ def _absorb_buckets(next_layer, lo: np.ndarray, hi: np.ndarray, layer_buckets: B
     bias interval together with the per-neuron hull arrays so the caller
     can reuse them.
     """
-    flat, sizes = layer_buckets
-    starts = np.cumsum(sizes) - sizes
-    hull_lo = np.repeat(np.minimum.reduceat(lo[flat], starts), sizes)
-    hull_hi = np.repeat(np.maximum.reduceat(hi[flat], starts), sizes)
+    flat, hull_lo, hull_hi = _bucket_hulls(lo, hi, layer_buckets)
     masked_lo = np.zeros_like(lo)
     masked_hi = np.zeros_like(hi)
     masked_lo[flat] = hull_lo

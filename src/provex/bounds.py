@@ -115,29 +115,9 @@ def propagate_rows(layers, lo, hi):
     All boxes go through every layer together, three matrix products per
     layer.  Unchecked: the caller keeps the boxes inside the input domain
     (and, for a reduced network, inside its build box).
-
-    Row collapse: a layer with no inputs (``in_dim == 0``, because a
-    reduction merged the whole layer before it) gives every box the same
-    enclosure, its activated bias interval, whatever came before.  So the
-    pass starts at the last such layer with one empty row, skips the layers
-    before it, and repeats the one-row result once per box at the end.  A
-    reduced check then costs the layers after its last fully merged layer,
-    on one row: on the 784-input sigmoid net, every rate from 0.1 to 0.8
-    reduces to this shape.  The one-row result has the bits of that row
-    passed alone, which may differ in rounding from the same row inside a
-    batch (the matrix product may take another kernel).
     """
-    rows = None
-    for k in range(len(layers) - 1, 0, -1):
-        if layers[k].in_dim == 0:
-            rows, layers = lo.shape[:-1], layers[k:]
-            lo = hi = np.empty(0)
-            break
     for layer in layers:
         lo, hi = enclose_layer(layer, lo, hi)
-    if rows is not None:
-        lo = np.broadcast_to(lo, rows + lo.shape).copy()
-        hi = np.broadcast_to(hi, rows + hi.shape).copy()
     return lo, hi
 
 

@@ -16,7 +16,8 @@ been shut down at exit).
 The abstraction-refinement search is that walk, which decides every
 feature with the concrete enclosure and so keeps the baseline's features,
 plus one pass after it, ``_label_drops``, which labels each drop with the
-coarsest scheduled rate whose reduction proves it.  The baseline is that
+coarsest scheduled rate whose reduction proves it; each reduction it
+probes is bounded in one ``hull_pass``, with none built.  The baseline is that
 search under the one-rate schedule (1.0,), which has no rate to label
 with; under the complete oracle, a step the enclosure check cannot drop
 goes to ``oracle_check``.  After every step the kept set is provably
@@ -36,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .abstraction import ReductionSchedule, build_from_merge_sets, score_neurons, select_merge_sets
+from .abstraction import ReductionSchedule, hull_pass, score_neurons, select_merge_sets
 from .bounds import propagate_box
 from .errors import DimensionError, ValidationError, check_indices, check_number
 from .intervals import IntervalVector
@@ -48,6 +49,7 @@ from .queries import (
     ORACLE_BUDGET,
     SufficiencyQuery,
     VerdictKind,
+    _separation,
     enclosure_verdicts,
     find_witnesses,
     one_blas_thread,
@@ -366,15 +368,16 @@ def _search(net, x, epsilon, grouping, ordering, seed, schedule, timeout=None, b
     elif len(ordering.resolved) != len(grouping.groups):
         raise DimensionError("ordering and grouping disagree on the number of groups")
     target = predict(net, x)
+    box = SufficiencyQuery(x, frozenset(), epsilon, target, net.input_domain).query_box()  # every feature free
     trace = ExplanationTrace(group_count=len(grouping.groups))
     t0 = time.monotonic()
     deadline = None if timeout is None else t0 + timeout
     with _PinSearches(net, target, seed) as searches:
         kept, stopped, drops = _enclosure_walk(
-            net, x, epsilon, target, grouping, ordering.resolved, searches, trace, deadline, budget
+            net, x, epsilon, box, target, grouping, ordering.resolved, searches, trace, deadline, budget
         )
         # A handed-off witness search runs on the worker meanwhile.
-        _label_drops(net, x, epsilon, target, grouping, drops, schedule, trace, deadline)
+        _label_drops(net, x, box, target, grouping, drops, schedule, trace, deadline)
         searches.finish()
     trace.final = grouping._ids_of(kept)
     if trace.steps:
@@ -507,10 +510,12 @@ class _PinSearches:
                 _shut_pool()
 
 
-def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, deadline=None, budget=None):
+def _enclosure_walk(net, x, epsilon, box, target, grouping, order, searches, trace, deadline=None, budget=None):
     """The greedy walk on concrete enclosure checks, in speculative batches.
 
-    Walks the group indices in ``order`` from the full set and returns the
+    ``box`` is the query box with every feature free; a query box takes
+    its free features from it and the rest from ``x``.  The walk goes
+    through the group indices in ``order`` from the full set and returns the
     kept set, whether the deadline stopped the walk before the end of
     ``order`` (it is checked before every batch), and the dropped groups in
     drop order, each with its step.  Every step is at rate 1.0.
@@ -568,7 +573,6 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, d
     to no more than the walk's; a search in the worker overlaps the walk,
     so with one the sum can exceed it.
     """
-    box = SufficiencyQuery(x, frozenset(), epsilon, target, net.input_domain).query_box()
     members = [np.asarray(group, dtype=int) for group in grouping.groups]
     neurons = net.neuron_count
     kept = set(range(len(grouping.groups)))
@@ -646,21 +650,23 @@ def _enclosure_walk(net, x, epsilon, target, grouping, order, searches, trace, d
     return kept, stopped, drops
 
 
-def _label_drops(net, x, epsilon, target, grouping, drops, schedule, trace, deadline=None):
+def _label_drops(net, x, box, target, grouping, drops, schedule, trace, deadline=None):
     """Label the walk's drops with the coarsest scheduled rates that prove them, in one pass.
 
     ``drops`` holds the walk's dropped groups in drop order, each with its
     step at rate 1.0, and box k is the query box that frees the first k + 1
-    of them.  For each rate below 1.0, in schedule order, the pass starts
-    where the previous rate's prefix ended and finds the last drop e whose
-    reduction of its own box at that rate proves that box: it gallops from
-    the previous prefix's length (MAX_BATCH at first), doubling after each
-    proof, then bisects after the first failure.  A probe is one
-    ``build_from_merge_sets`` at the rate and a one-row
-    ``enclosure_verdicts`` call; a box's ``propagate_box`` and
-    ``score_neurons`` ranking are made at its first probe and kept for the
-    rest of the pass, since a later rate may probe it again.  Only the
-    label of the last proof is kept.
+    of them (its free features from ``box``, the rest from ``x``).  For
+    each rate below 1.0, in schedule order, the pass starts where the
+    previous rate's prefix ended and finds the last drop e whose reduction
+    of its own box at that rate proves that box: it gallops from the
+    previous prefix's length (MAX_BATCH at first), doubling after each
+    proof, then bisects after the first failure.  A probe builds no
+    reduction: it selects the merge sets at the rate, bounds the box with
+    one ``hull_pass`` and reads its verdict and margin with ``_separation``;
+    its neuron count is the network's less the merged neurons.  A box's
+    ``propagate_box`` and ``score_neurons`` ranking are made at its first
+    probe and kept for the rest of the pass, since a later rate may probe
+    it again.  Only the label of the last proof is kept.
     The drops from the start to e take the rate, the neuron count of e's
     reduction and the margin of its probe.  Every such box lies inside box
     e, that reduction's build box, so the probe's proof proves each of them
@@ -685,22 +691,22 @@ def _label_drops(net, x, epsilon, target, grouping, drops, schedule, trace, dead
     if not drops or len(rates) == 1:
         return  # no drop, or no rate below 1.0: every step stays the walk's
     n = len(drops)
-    box = SufficiencyQuery(x, frozenset(), epsilon, target, net.input_domain).query_box()
     freed_at = np.full(net.input_dim, n)  # the position of the drop that frees each feature
     for k, (g, _) in enumerate(drops):
         freed_at[list(grouping.groups[g])] = k
 
-    bounded = {}  # position -> (lo, hi, its LayerBounds, their ranking), for each box probed so far at or after start
+    bounded = {}  # position -> (its LayerBounds, their ranking), for each box probed so far at or after start
 
-    def reduction(k, rate):
-        """Box k and its reduction at ``rate``; the box is bounded and ranked at its first probe only."""
+    def check(k, rate):
+        """Whether box k's reduction at ``rate`` proves it, and its label; box k is bounded and ranked once."""
         if k not in bounded:
             free = freed_at <= k
-            lo, hi = np.where(free, box.lo, x), np.where(free, box.hi, x)
-            lb = propagate_box(net, IntervalVector(lo, hi))
-            bounded[k] = lo, hi, lb, score_neurons(net, lb)
-        lo, hi, lb, ranked = bounded[k]
-        return lo, hi, build_from_merge_sets(net, lb, select_merge_sets(ranked, rate))
+            lb = propagate_box(net, IntervalVector(np.where(free, box.lo, x), np.where(free, box.hi, x)))
+            bounded[k] = lb, score_neurons(net, lb)
+        lb, ranked = bounded[k]
+        merged = select_merge_sets(ranked, rate)
+        margin, separated = _separation(*hull_pass(net, lb, merged), target)
+        return separated, (rate, float(margin), net.neuron_count - sum(m.size for m in merged))
 
     start, length, mark = 0, MAX_BATCH, time.monotonic()
     for rate in rates[:-1]:
@@ -709,10 +715,9 @@ def _label_drops(net, x, epsilon, target, grouping, drops, schedule, trace, dead
         good, bad = start - 1, n  # the last drop proved and the first refuted
         probe = min(start + length, n) - 1
         while good + 1 < bad:
-            lo, hi, anet = reduction(probe, rate)
-            margin, separated, _ = enclosure_verdicts(anet, target, lo, hi)
+            separated, proved = check(probe, rate)
             if separated:
-                good, label = probe, (rate, float(margin), anet.neuron_count)
+                good, label = probe, proved
             else:
                 bad = probe
             probe = min(start + 2 * (good + 1 - start), n) - 1 if bad == n else (good + bad) // 2

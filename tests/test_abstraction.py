@@ -918,48 +918,75 @@ class TestGatherFreeBuild:
         assert fused > 100  # layers merged whole, which take the fused path, are covered
 
 
-
-class TestRowCollapse:
-    """From the last layer with no inputs on, a reduced pass carries one row."""
+class TestHullPass:
+    """A hull pass bounds the reduction that a build makes of its box, without building it."""
 
     @staticmethod
-    def uncollapsed(layers, lo, hi):
-        from provex.bounds import enclose_layer
+    def cases():
+        """c07's two-layer relu, sigmoid and tanh nets, three-layer ones, and the mnist boxes."""
+        yield from TestBuildFromBounds.c07_cases()
+        for seed in range(24):
+            act = ("relu", "sigmoid", "tanh")[seed % 3]
+            net = random_network(8, (7, 6, 5), 4, act, seed=seed + 7100)
+            x = uniform_instances(net, 1, seed=seed)[0]
+            free = np.random.default_rng(seed).random(8) < 0.5
+            lo, hi = np.maximum(0.0, x - 0.25), np.minimum(1.0, x + 0.25)
+            yield net, IntervalVector(np.where(free, lo, x), np.where(free, hi, x))
+        yield from mnist_cases()
 
-        for layer in layers:
-            lo, hi = enclose_layer(layer, lo, hi)
-        return lo, hi
+    def test_every_rate_against_the_built_reduction(self):
+        from provex.abstraction import hull_pass, select_merge_sets
+        from provex.network import predict
+        from provex.queries import _separation
 
-    def test_rows_are_copies_of_the_one_row_result(self):
-        from provex.bounds import propagate_rows
+        def close(got, want):
+            return np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
 
-        rng = np.random.default_rng(23)
-        collapsed = whole = 0
-        for net, lb, built, chain in reduction_cases():
-            for anet in built + chain[1:]:
-                a, b = sample_box(lb.input_box, 5, rng), sample_box(lb.input_box, 5, rng)
-                lo, hi = np.minimum(a, b), np.maximum(a, b)
-                got = propagate_rows(anet.layers, lo, hi)
-                want = self.uncollapsed(anet.layers, lo, hi)
-                if any(layer.in_dim == 0 for layer in anet.layers[1:]):
-                    collapsed += 1
-                    one = propagate_rows(anet.layers, lo[0], hi[0])
-                    for have, row, ref in zip(got, one, want):
-                        assert have.shape == ref.shape and row.shape == ref.shape[1:]
-                        assert have.tobytes() == np.tile(row, (5, 1)).tobytes()
-                        assert np.all(np.abs(have - ref) <= 1e-12 * (1.0 + np.abs(ref)))
-                else:
-                    whole += 1
-                    for have, ref in zip(got, want):
-                        assert have.tobytes() == ref.tobytes()
-        assert collapsed > 100 and whole > 100
+        rng = np.random.default_rng(31)
+        unreduced = whole = partial = separated = 0
+        for net, box in self.cases():
+            lb = propagate_box(net, box)
+            ranked = score_neurons(net, lb)
+            target = predict(net, (box.lo + box.hi) / 2)
+            # The box itself and boxes inside it: each one's concrete enclosure.
+            inner = [lb.final]
+            for _ in range(3):
+                a, b = sample_box(box, 2, rng)
+                inner.append(propagate_box(net, IntervalVector(np.minimum(a, b), np.maximum(a, b))).final)
+            for rate in ReductionSchedule.default().rates:
+                merged = select_merge_sets(ranked, rate)
+                lo, hi = hull_pass(net, lb, merged)
+                anet = build_from_merge_sets(net, lb, merged)
+                want = propagate_abstract(anet, box)
+                assert close(lo, want.lo) and close(hi, want.hi)
+                for got_lo, got_hi in ((lo, hi), (want.lo, want.hi)):
+                    for enclosure in inner:
+                        slack = 1e-12 * (1.0 + np.abs(enclosure.lo)), 1e-12 * (1.0 + np.abs(enclosure.hi))
+                        assert np.all(got_lo <= enclosure.lo + slack[0]) and np.all(enclosure.hi <= got_hi + slack[1])
+                assert net.neuron_count - sum(m.size for m in merged) == anet.neuron_count
+                _, proved = _separation(lo, hi, target)
+                want_margin, want_proved = _separation(want.lo, want.hi, target)
+                assert proved == want_proved or abs(want_margin) <= 1e-12
+                separated += bool(proved)
+                sizes = [m.size for m in merged]
+                unreduced += not any(sizes)
+                whole += any(size == width for size, width in zip(sizes, net.hidden_sizes))
+                partial += any(0 < size < width for size, width in zip(sizes, net.hidden_sizes))
+                if not any(sizes):
+                    assert lo.tobytes() == lb.final.lo.tobytes() and hi.tobytes() == lb.final.hi.tobytes()
+        assert min(unreduced, whole, partial, separated) > 20
 
-    def test_concrete_networks_are_never_collapsed(self):
-        from provex.bounds import propagate_rows
+    def test_a_layer_merged_whole_keeps_the_build_bits(self):
+        # Up to and after a layer merged whole, the hull pass is the build's
+        # pass bit for bit: only a partly merged layer changes the rounding.
+        from provex.abstraction import hull_pass
 
-        rng = np.random.default_rng(29)
+        checked = 0
         for net, box in TestBuildFromBounds.c07_cases():
-            lo = sample_box(box, 4, rng)
-            got = propagate_rows(net.layers, lo, lo)
-            want = self.uncollapsed(net.layers, lo, lo)
-            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+            lb = propagate_box(net, box)
+            merged = (np.arange(net.hidden_sizes[0]), np.empty(0, dtype=int))
+            lo, hi = hull_pass(net, lb, merged)
+            want = propagate_abstract(build_from_merge_sets(net, lb, merged), box)
+            assert lo.tobytes() == want.lo.tobytes() and hi.tobytes() == want.hi.tobytes()
+            checked += 1
+        assert checked == 50

@@ -19,7 +19,7 @@ import pytest
 
 from conftest import make_query, small_net_and_instance
 from test_kernel_bits import reference_find_witnesses
-from provex.abstraction import ReductionSchedule, build_abstract
+from provex.abstraction import ReductionSchedule, build_abstract, build_from_merge_sets
 from provex.bounds import propagate_box
 from provex.errors import ValidationError
 from provex.explain import (
@@ -43,6 +43,7 @@ from provex.queries import (
     VerdictKind,
     _candidate_rows,
     _gap_corners,
+    _separation,
     check_abstract,
     check_concrete,
     enclosure_verdicts,
@@ -533,36 +534,35 @@ def one_drop_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed):
     return frozenset(kept), trace
 
 
-def record_reduced_checks(net, monkeypatch):
-    """Wrap the search's reductions and reduced checks; return every reduced check made.
+def record_probes(net, x, monkeypatch):
+    """Wrap the labelling pass's hull passes; return every probe made.
 
-    Each check is (its reduction, its build box, lo, hi, margins,
-    separated), its boxes one per row, and it must keep its rows inside its
-    reduction's build box, which is what makes a separated row a sound
-    drop.
+    Each probe is (its box, margin, separated, neuron count).  Each is held
+    at once to a reference that builds the reduction from the same bounds
+    and merge sets with ``build_from_merge_sets`` and checks its build box
+    in one row: the neuron counts are equal, the margins agree within
+    1e-12, and so do the verdicts wherever the margin is further than that
+    from 0.
     """
-    built = {}  # id of a reduction -> (the reduction, its build box)
-    checks = []
-    build, verdicts = explain_module.build_from_merge_sets, explain_module.enclosure_verdicts
+    target = predict(net, x)
+    probes = []
+    hull = explain_module.hull_pass
 
-    def building(net_, lb, merge_sets):
-        anet = build(net_, lb, merge_sets)
-        built[id(anet)] = anet, lb.input_box
-        return anet
+    def probing(net_, lb, merged):
+        lo, hi = hull(net_, lb, merged)
+        margin, separated = _separation(lo, hi, target)
+        box = lb.input_box
+        anet = build_from_merge_sets(net_, lb, merged)
+        want, proved, _ = enclosure_verdicts(anet, target, box.lo, box.hi)
+        neurons = net.neuron_count - sum(m.size for m in merged)
+        assert neurons == anet.neuron_count
+        assert abs(margin - want) <= 1e-12
+        assert separated == proved or abs(want) <= 1e-12
+        probes.append((box, float(margin), bool(separated), neurons))
+        return lo, hi
 
-    def checking(net_, target, lo, hi):
-        margins, separated, out_hi = verdicts(net_, target, lo, hi)
-        if net_ is not net:
-            _, box = built[id(net_)]
-            assert np.all(box.lo <= lo) and np.all(hi <= box.hi)
-            checks.append(
-                (net_, box, np.atleast_2d(lo), np.atleast_2d(hi), np.atleast_1d(margins), np.atleast_1d(separated))
-            )
-        return margins, separated, out_hi
-
-    monkeypatch.setattr(explain_module, "build_from_merge_sets", building)
-    monkeypatch.setattr(explain_module, "enclosure_verdicts", checking)
-    return checks
+    monkeypatch.setattr(explain_module, "hull_pass", probing)
+    return probes
 
 
 def assert_same_labels(net, x, epsilon, schedule, seed, monkeypatch):
@@ -574,21 +574,21 @@ def assert_same_labels(net, x, epsilon, schedule, seed, monkeypatch):
     pass on the network, whose margin may differ from the reference's in
     the last bits.  A labelled drop, below rate 1.0, records the margin of
     its run's proving box: its margin and neuron count must be those of a
-    separated one-row reduced check whose reduction's build box holds the
-    drop's own box; it is re-certified by ``check_concrete`` with the kept
-    set as of that step, and its margin lies between 0 and the concrete
-    enclosure's of its own box.
+    separated probe (``record_probes``, which holds each probe to a built
+    reduction) whose box holds the drop's own box; it is re-certified by
+    ``check_concrete`` with the kept set as of that step, and its margin
+    lies between 0 and the concrete enclosure's of its own box.
     """
-    checks = record_reduced_checks(net, monkeypatch)
+    probes = record_probes(net, x, monkeypatch)
     grouping = FeatureGrouping.singletons(net.input_dim)
     ordering = order_features(net, x, grouping, "sensitivity")
     kept, trace = explain_abstraction_refinement(net, x, epsilon, grouping, ordering, schedule, seed=seed)
     monkeypatch.undo()
-    # (margin, neuron count) -> the build boxes of the separated one-row reduced checks that found it
+    # (margin, neuron count) -> the boxes of the separated probes that found it
     proved = {}
-    for anet, built, lo, _, margins, separated in checks:
-        if len(lo) == 1 and separated[0]:
-            proved.setdefault((float(margins[0]), anet.neuron_count), []).append(built)
+    for built, margin, separated, neurons in probes:
+        if separated:
+            proved.setdefault((margin, neurons), []).append(built)
     ref_kept, ref = one_drop_at_a_time(net, x, epsilon, grouping, ordering, schedule, seed)
     assert kept == ref_kept
     assert kept == explain_baseline(net, x, epsilon, grouping, ordering, seed=seed)[0]
@@ -662,9 +662,9 @@ class TestRateOneTail:
         # reduction; a witnessed pin is insufficient, as in the baseline.
         witnessed = 0
         for net, x, epsilon, seed in search_equivalence_nets():
-            checks = record_reduced_checks(net, monkeypatch)
+            probes = record_probes(net, x, monkeypatch)
             trace, _ = assert_same_labels(net, x, epsilon, ReductionSchedule((1.0,)), seed, monkeypatch)
-            assert checks == []
+            assert probes == []
             _, base = explain_baseline(net, x, epsilon, seed=seed)
             assert [(s.group_id, s.margin, s.verdict) for s in trace.steps] == [
                 (s.group_id, s.margin, s.verdict) for s in base.steps
@@ -674,21 +674,18 @@ class TestRateOneTail:
 
 
 class TestWindows:
-    """Below rate 1.0 a run of drops shares one reduction, built against the run's largest box.
+    """Below rate 1.0 a run of drops shares one probe, of the run's largest box.
 
-    ``assert_same_labels`` checks every run: its label is a one-row check
-    of a box that holds each of its drops, and each drop it labels is
-    re-certified by the concrete check.
+    ``assert_same_labels`` checks every run: its label is a probe of a box
+    that holds each of its drops, and each drop it labels is re-certified
+    by the concrete check.
     """
 
     def test_long_runs_fill_whole_windows(self, monkeypatch):
-        # Every reduced check is one probe row, and the 17 drops of the
-        # first run all carry the margin of the one probe that proved it.
+        # The 17 drops of the first run all carry the margin of the one
+        # probe that proved it.
         net, x, epsilon = long_window_net()
-        checks = record_reduced_checks(net, monkeypatch)
         _, trace = explain_abstraction_refinement(net, x, epsilon)
-        monkeypatch.undo()
-        assert {lo.shape[0] for _, _, lo, _, _, _ in checks} == {1}
         runs = Counter((s.rate, s.margin) for s in trace.steps if s.rate < 1.0)
         assert max(runs.values()) > explain_module.MAX_BATCH
         _, labelled = assert_same_labels(net, x, epsilon, ReductionSchedule.default(), 0, monkeypatch)
@@ -777,20 +774,44 @@ class TestLabelPass:
     """After the walk, one pass labels the drops with the coarsest rates that prove them."""
 
     def test_same_labels_as_the_reference_on_the_invariant_cases(self, monkeypatch):
-        # ``assert_same_labels`` also finds every label's row separated in a
-        # reduced check whose rows lie inside its reduction's build box.
+        # ``assert_same_labels`` also finds every label's margin in a
+        # separated probe whose box holds the drop's, and holds every probe
+        # to a built reduction.
         labelled = 0
         for net, x, epsilon, seed in invariant_cases():
             labelled += assert_same_labels(net, x, epsilon, ReductionSchedule.default(), seed, monkeypatch)[1]
         assert labelled > 0
 
+    def test_no_reduction_is_built(self, monkeypatch):
+        # Every probe is a hull pass: a build, wherever the package binds
+        # it, fails the search.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search built a reduction")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "provex" and hasattr(module, "build_from_merge_sets"):
+                monkeypatch.setattr(module, "build_from_merge_sets", refuse)
+        probes = labelled = 0
+        hull = explain_module.hull_pass
+
+        def counting(*args):
+            nonlocal probes
+            probes += 1
+            return hull(*args)
+
+        monkeypatch.setattr(explain_module, "hull_pass", counting)
+        for net, x, epsilon, seed in invariant_cases():
+            _, trace = explain_abstraction_refinement(net, x, epsilon, seed=seed)
+            labelled += sum(step.rate < 1.0 for step in trace.steps)
+        assert probes > 0 and labelled > 0
+
     def test_deadline_cuts_the_pass_between_rates(self, monkeypatch):
-        # A fake clock that only builds advance, one second each, so the walk
+        # A fake clock that only probes advance, one second each, so the walk
         # takes no time and the deadline falls between two rates of the pass.
-        # Each build selects its merge sets once, at its rate.
+        # Each probe selects its merge sets once, at its rate.
         net, x, epsilon = tail_net()
         clock = [0.0]
-        rates = []  # the rate of every build
+        rates = []  # the rate of every probe
         select = explain_module.select_merge_sets
 
         def ticking(ranked, rate):
@@ -802,14 +823,14 @@ class TestLabelPass:
         monkeypatch.setattr(explain_module, "select_merge_sets", ticking)
         kept_full, full = explain_abstraction_refinement(net, x, epsilon)
         probed = sorted(set(rates))
-        cuts = {cut: sum(rate <= cut for rate in rates) for cut in probed[:-1]}  # the builds up to each rate
+        cuts = {cut: sum(rate <= cut for rate in rates) for cut in probed[:-1]}  # the probes up to each rate
         _, base = explain_baseline(net, x, epsilon)
         untimed = [s.to_dict() | {"elapsed": 0} for s in full.steps]
         walked = [s.to_dict() | {"elapsed": 0} for s in base.steps]
-        for cut, builds in cuts.items():
+        for cut, probes in cuts.items():
             clock[0] = 0.0
-            kept, trace = explain_abstraction_refinement(net, x, epsilon, timeout=builds - 0.5)
-            assert clock[0] == builds
+            kept, trace = explain_abstraction_refinement(net, x, epsilon, timeout=probes - 0.5)
+            assert clock[0] == probes
             assert (kept, trace.status, trace.final) == (kept_full, full.status, full.final)
             steps = [s.to_dict() | {"elapsed": 0} for s in trace.steps]
             assert steps == [want if want["rate"] <= cut else step for want, step in zip(untimed, walked)]

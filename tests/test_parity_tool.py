@@ -1,4 +1,4 @@
-"""Smoke test of ``tools/parity.py``, which prints both searches' results on a benchmark workload."""
+"""Tests of ``tools/parity.py``, which prints both searches' results on a benchmark workload and compares two such outputs."""
 
 import hashlib
 import json
@@ -43,3 +43,37 @@ def test_two_runs_print_the_same_lines_and_digest():
 def test_more_instances_than_the_pool_is_an_error():
     code, out, err = run_tool("--workload", "mnist784-sigmoid", "--seed", "11", "--instances", "33")
     assert code == 2 and not out and "--instances within 0..32" in err
+
+
+def saved_output(path, margins, verdict="sufficient"):
+    """A saved output of one instance whose two searches take ``margins`` for their (rate, margin) steps."""
+    steps = [
+        {"group": str(k), "rate": rate, "verdict": verdict, "margin": m, "neuron_evals": 9}
+        for k, (rate, m) in enumerate(margins)
+    ]
+    search = {"kept": [], "final": [], "status": "MinimalSufficient", "refinements": 1, "snapshots": [], "steps": steps}
+    lines = [json.dumps({"instance": 0, "baseline": search, "ar": search}), json.dumps({"sha256": "0"})]
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+def test_compare_counts_differing_steps_and_splits_margin_changes(tmp_path):
+    old = saved_output(tmp_path / "old.jsonl", [(0.1, 0.5), (0.1, 0.5), (1.0, 0.25), (1.0, float("inf"))])
+    moved = [(0.1, 0.5 + 1e-15), (0.2, 0.5), (1.0, 0.25 - 2**-20), (1.0, float("inf"))]
+    new = saved_output(tmp_path / "new.jsonl", moved)
+    code, out, err = run_tool("--compare", old, new)
+    assert code == 0, err
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["search"] for r in reports] == ["baseline", "ar"]
+    for report in reports:
+        assert (report["instances"], report["steps"]) == (1, 4)
+        assert set(report["differing_instances"].values()) == {0}
+        assert report["differing_steps"] == {"group": 0, "rate": 1, "verdict": 0, "margin": 2, "neuron_evals": 0}
+        assert report["largest_margin_change"] == {"rate_1": 2**-20, "labelled": abs(0.5 + 1e-15 - 0.5)}
+    # A step one output lacks differs in every field.
+    code, out, err = run_tool("--compare", old, saved_output(tmp_path / "short.jsonl", [(0.1, 0.5)] * 3, "uncertain"))
+    report = json.loads(out.splitlines()[1])
+    assert report["steps"] == 4
+    assert (report["differing_steps"]["verdict"], report["differing_steps"]["group"]) == (4, 1)
+    code, out, err = run_tool("--compare", old, new, "--seed", "11")
+    assert code == 2 and "--compare takes no" in err
