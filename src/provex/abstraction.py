@@ -29,10 +29,10 @@ coordinates with their bucket hulls and bounds the next layer with one
 ``enclose_layer``, so no weight column is gathered.  The labelling pass of
 the abstraction-refinement search probes reductions this way.  A build,
 which checks other boxes inside its build box and which ``refine``
-refines, runs the same loop up to its last merged layer and adds one masked kernel pass per
-merged layer for its absorbed bias interval (for a layer merged whole,
-that interval also gives the next layer's bounds) and the row and column
-selections of the reduced weights.
+refines, runs the same pass to the output and adds one masked kernel pass
+per merged layer for its absorbed bias interval and the row and column
+selections of the reduced weights.  Builds serve the public API
+(``build_abstract``, ``refine``); the searches build none.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from .bounds import LayerBounds, enclose_affine, enclose_layer
 from .errors import DimensionError, ValidationError, check_indices, check_number
-from .intervals import IntervalVector, apply_activation
+from .intervals import IntervalVector
 from .network import ActivationKind, ConcreteNetwork
 
 # Every hidden neuron's score by flat id (its layer's offset plus its index),
@@ -259,15 +259,15 @@ def build_from_merge_sets(
     its merge set, each neuron once, in buckets of positive size; they are
     kept as integer arrays.
 
-    The bounds are those of ``hull_pass``, the same loop: from the first
-    merged layer, whose bounds are the build box's own in ``lb``, a deleted
-    neuron's coordinate is overwritten with its bucket hull.  The build
-    stops that pass at the last merged layer and adds two things on top:
-    each merged layer's absorbed bias interval, one full-width kernel pass
-    of the next layer against its hulled endpoints with exact zeros at the
-    kept neurons (``_absorb_buckets``), and the reduced weights, row and
-    column selections of the source layer's.  An unreduced build reuses
-    every layer and propagates nothing.
+    The bounds are those of ``hull_pass``, which the build runs whole: from
+    the first merged layer, whose bounds are the build box's own in ``lb``,
+    a deleted neuron's coordinate is overwritten with its bucket hull.  The
+    build adds two things on top: each merged layer's absorbed bias
+    interval, one full-width kernel pass of the next layer against its
+    hulled endpoints with exact zeros at the kept neurons
+    (``_absorb_buckets``), and the reduced weights, row and column
+    selections of the source layer's.  An unreduced build reuses every
+    layer and propagates nothing.
     """
     _check_fresh(net, lb)
     hidden = len(net.layers) - 1
@@ -323,11 +323,7 @@ def hull_pass(net: ConcreteNetwork, lb: LayerBounds, merged, buckets=None, absor
     ``build_from_merge_sets`` runs this pass with an empty dict as
     ``absorbed``.  Each merged layer k then stores under k its buckets,
     members in index order, and the next layer's absorbed bias interval
-    (``_absorb_buckets``); a layer merged whole takes the next layer's
-    bounds from that interval, which is that layer's pre-activation over
-    the hulled box bit for bit, so no second pass runs; and the pass ends
-    at the last merged layer, past which a build needs no bounds, and
-    returns the bounds it reached there.
+    (``_absorb_buckets``).
     """
     hidden = len(net.layers) - 1
     layers = [k for k in range(hidden) if merged[k].size]
@@ -335,9 +331,8 @@ def hull_pass(net: ConcreteNetwork, lb: LayerBounds, merged, buckets=None, absor
         return lb.final.lo, lb.final.hi
     build = absorbed is not None
     lo, hi = lb.per_layer[layers[0]].lo.copy(), lb.per_layer[layers[0]].hi.copy()
-    for k in range(layers[0], layers[-1] + 1 if build else hidden):
+    for k in range(layers[0], hidden):
         following = net.layers[k + 1]
-        bias = None
         if merged[k].size:
             layer_buckets = buckets[k] if buckets is not None else _chain_buckets(lo, hi, merged[k], ordered=build)
             if build:
@@ -348,14 +343,7 @@ def hull_pass(net: ConcreteNetwork, lb: LayerBounds, merged, buckets=None, absor
             # lo and hi are this pass's own arrays, so they are overwritten in place.
             lo[flat] = hull_lo
             hi[flat] = hull_hi
-        if build and k == layers[-1]:
-            break
-        if bias is not None and merged[k].size == following.in_dim:
-            kind = following.activation.value
-            lo = apply_activation(kind, bias[0], out=np.empty_like(bias[0]))
-            hi = apply_activation(kind, bias[1], out=np.empty_like(bias[1]))
-        else:
-            lo, hi = enclose_layer(following, lo, hi)
+        lo, hi = enclose_layer(following, lo, hi)
     return lo, hi
 
 

@@ -9,10 +9,11 @@ drops makes only if its last box alone does not separate; a large witness
 search draws from a generator of its own and runs in a worker process,
 forked from this one, beside the walk when the process has a CPU that BLAS
 does not use (``_PinSearches``), with the same results either way.  The
-worker inherits the network at the fork; a job sends only its boxes and
-generator.  A process's ``ru_maxrss`` therefore counts the walk's buffers,
-not the searches' (those are the worker's, ``RUSAGE_CHILDREN`` once it has
-been shut down at exit).
+worker is forked with the network it searches and keeps it for its life; a
+job sends only its boxes, their output bounds and its generator, and a
+search on another network forks a new worker.  A process's ``ru_maxrss``
+therefore counts the walk's buffers, not the searches' (those are the
+worker's, in ``RUSAGE_CHILDREN`` once it has been joined).
 The abstraction-refinement search is that walk, which decides every
 feature with the concrete enclosure and so keeps the baseline's features,
 plus one pass after it, ``_label_drops``, which labels each drop with the
@@ -27,13 +28,12 @@ valid (possibly non-minimal) explanation.
 
 from __future__ import annotations
 
-import atexit
 import os
 import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -89,49 +89,64 @@ def spare_cpu(env, cpus: int, blas: str) -> bool:
     return cpus >= 2 and one_blas_thread(env, blas)
 
 
-_pool = None  # the worker's pool once made, or False when it may never be made; decided at first use
-_held = {}  # the one network the worker process holds, by fingerprint; inherited at the fork, replaced by a job
+@cache
+def _may_fork() -> bool:
+    """Whether this process may run large witness searches in a forked worker process.
+
+    It may when it has a spare CPU (``spare_cpu``) and ``fork`` is a start
+    method.  Decided at the first large search and kept for the process's
+    life; the imports take several ms, which a process without a large
+    search never pays.
+    """
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return spare_cpu(BLAS_ENV, cpus, BLAS_NAME) and "fork" in multiprocessing.get_all_start_methods()
+
+
+_pool = None  # (forking pid, network fingerprint, pool) of the worker, once forked
+_forked_net = None  # in the worker process, the network it was forked with
 
 
 def _worker(net):
-    """The pool of one forked process that runs large witness searches on ``net``, or None.
+    """The pool of one process, forked with ``net``, that runs large witness searches on it; or None.
 
-    The pool is made at the first large search of a process with a spare
-    CPU where ``fork`` is a start method, at a moment when no other Python
-    thread runs: the fork happens at its first job, before the pool's own
-    threads start.  ``net`` is put in ``_held`` first, so the child
-    inherits it.  Without a spare CPU or ``fork`` there is never a pool;
-    while another thread runs, none is made yet.  Either way the search
+    Where ``_may_fork``, the pool is made at the first large search on
+    ``net`` at a moment when no other Python thread runs: the fork happens
+    at its first job, before the pool's own threads start, and the child
+    inherits ``net`` as its initializer's argument, never pickled.  A
+    worker forked with another network is shut down first, and a pool that
+    another process recorded, a forked child's copy of its parent's, is
+    dropped.  While another thread runs no pool is made yet, and the search
     runs inline.
     """
     global _pool
-    if _pool is None:
-        # Imported here: the imports take several ms, which a process
-        # without a spare CPU, or without a large search, never pays.
+    if not _may_fork():
+        return None
+    if _pool is None or _pool[:2] != (os.getpid(), net.fingerprint):
+        _shut_pool()
+        if threading.active_count() > 1:
+            return None
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        if not (spare_cpu(BLAS_ENV, cpus, BLAS_NAME) and "fork" in multiprocessing.get_all_start_methods()):
-            _pool = False
-        elif threading.active_count() == 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            _held.clear()
-            _held[net.fingerprint] = net
-            context = multiprocessing.get_context("fork")
-            _pool = ProcessPoolExecutor(max_workers=1, mp_context=context, initializer=_in_worker, initargs=(os.getpid(),))
-    return _pool or None
+        pid, context = os.getpid(), multiprocessing.get_context("fork")
+        pool = ProcessPoolExecutor(max_workers=1, mp_context=context, initializer=_in_worker, initargs=(pid, net))
+        _pool = pid, net.fingerprint, pool
+    return _pool[2]
 
 
-def _in_worker(parent: int) -> None:
-    """Set up the worker process: it ignores Ctrl-C, which its parent handles, and on Linux it dies with its parent."""
+def _in_worker(parent: int, net) -> None:
+    """Set up the worker process: it keeps ``net`` for its searches, leaves Ctrl-C to its parent and on Linux dies with it."""
     import ctypes
 
+    global _forked_net
+    _forked_net = net
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         prctl = ctypes.CDLL(None, use_errno=True).prctl
     except (OSError, AttributeError):
-        pass  # not Linux: the parent's exit still shuts the pool down
+        pass  # not Linux: the parent's exit still joins the worker
     else:
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
         prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
@@ -139,31 +154,17 @@ def _in_worker(parent: int) -> None:
         os._exit(0)  # the parent died before the request took hold
 
 
-def _held_search(key, net, target, lo, hi, out_hi, rng):
-    """In the worker process, ``_timed_search`` on the held network ``key`` names, which ``net`` replaces when given."""
-    if net is not None:
-        _held.clear()
-        _held[key] = net
-    return _timed_search(_held[key], target, lo, hi, out_hi, rng)
+def _forked_search(target, lo, hi, out_hi, rng):
+    """In the worker process, ``_timed_search`` on the network it was forked with."""
+    return _timed_search(_forked_net, target, lo, hi, out_hi, rng)
 
 
 def _shut_pool() -> None:
-    """Stop the worker process and wait for it; the next large search makes a new pool."""
+    """Stop this process's worker and wait for it; the next large search forks a new one."""
     global _pool
-    if _pool:
-        _pool.shutdown(cancel_futures=True)
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown(cancel_futures=True)
     _pool = None
-
-
-def _forget_pool() -> None:
-    """In a forked child, which has no worker process of its own, drop the parent's pool; the next search makes its own."""
-    global _pool
-    _pool = None
-
-
-atexit.register(_shut_pool)
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -443,13 +444,13 @@ class _PinSearches:
     way.  Every other search runs at once on the walk's generator,
     ``default_rng(SeedSequence(seed))``.
 
-    A job sent to the worker carries the target, the boxes and the child
-    generator, and returns the witnesses and the seconds the search took
-    there.  The network stays behind: the worker holds one, by fingerprint,
-    inherited at the fork or carried by the first job on another network.
-    Used as a context manager, it leaves no handed-off search running when
-    the walk ends, by return or by exception; a broken pool is raised and
-    then dropped, so the next large search makes a new one.
+    A job sent to the worker carries the target, the boxes, their output
+    bounds and the child generator, and returns the witnesses and the
+    seconds the search took there.  The network stays behind: the worker
+    was forked with it and keeps it for its life.  Used as a context
+    manager, it leaves no handed-off search running when the walk ends, by
+    return or by exception; a broken pool is raised and then dropped, so
+    the next large search forks a new one.
     """
 
     def __init__(self, net, target, seed: int):
@@ -457,7 +458,6 @@ class _PinSearches:
         self.seeds = np.random.SeedSequence(seed)
         self.rng = np.random.default_rng(self.seeds)
         self.handed = []  # (steps, job, future) per search on the worker, in step order
-        self.carrier = None  # the future of the job that carries the network, if one does
 
     def search(self, pins) -> float:
         """Search the boxes of ``pins``, (step, lo, hi, out_hi) each; return the seconds it took this thread."""
@@ -471,14 +471,7 @@ class _PinSearches:
             witnesses, seconds = job()
             _label(steps, witnesses, seconds)
             return seconds
-        key = self.net.fingerprint
-        carried = None if key in _held else self.net
-        future = worker.submit(_held_search, key, carried, self.target, lo, hi, out_hi, rng)
-        if carried is not None:
-            _held.clear()
-            _held[key] = self.net
-            self.carrier = future
-        self.handed.append((steps, job, future))
+        self.handed.append((steps, job, worker.submit(_forked_search, self.target, lo, hi, out_hi, rng)))
         return 0.0
 
     def finish(self) -> None:
@@ -501,8 +494,6 @@ class _PinSearches:
         for future in futures:
             future.cancel()
         errors = [error] + [future.exception() for future in futures if not future.cancelled()]
-        if self.carrier is not None and self.carrier.cancelled():
-            _held.clear()  # the network never reached the worker; the next job carries it
         if _pool:
             from concurrent.futures.process import BrokenProcessPool
 

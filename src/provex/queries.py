@@ -179,16 +179,12 @@ def _separation(lo: np.ndarray, hi: np.ndarray, target: int):
     class below the target must stay strictly under the target's lower
     bound, while a class above it may touch it.
     """
-    if hi.shape[-1] == 1:
-        return np.full(lo.shape[:-1], np.inf), np.ones(lo.shape[:-1], dtype=bool)
-    # The target's own upper bound is masked with -inf rather than deleted;
-    # the other bounds are finite, so the maximum is theirs.
-    others_hi = hi.copy()
-    others_hi[..., target] = -np.inf
     target_lo = lo[..., target]
-    margin = target_lo - np.max(others_hi, axis=-1)
-    lower_touch = np.any(hi[..., :target] >= target_lo[..., None], axis=-1)
-    return margin, (margin >= 0) & ~lower_touch
+    # With no class on a side its maximum is -inf, so one class has margin +inf.
+    below = hi[..., :target].max(axis=-1, initial=-np.inf)
+    above = hi[..., target + 1 :].max(axis=-1, initial=-np.inf)
+    margin = target_lo - np.maximum(below, above)
+    return margin, (margin >= 0) & (below < target_lo)
 
 
 def enclosure_verdicts(net, target: int, lo: np.ndarray, hi: np.ndarray):

@@ -1173,13 +1173,15 @@ class TestOracleWalk:
 def on_worker(monkeypatch):
     """Call to send every later witness search of a walk to a worker process.
 
-    The gate reads a spare CPU and the size threshold is 0; the pool is
-    made, and its process forked, at the next search, so it runs whatever
-    the test has patched by then.  The pool is shut down after the test.
+    The gate ``_may_fork`` itself is patched, not ``spare_cpu``, which the
+    cached gate would not read again, and the size threshold is 0; the pool
+    is made, and its process forked, at the next search, so it runs
+    whatever the test has patched by then.  The pool is shut down after the
+    test.
     """
 
     def enable():
-        monkeypatch.setattr(explain_module, "spare_cpu", lambda env, cpus, blas: True)
+        monkeypatch.setattr(explain_module, "_may_fork", lambda: True)
         monkeypatch.setattr(explain_module, "WORKER_PRODUCT", 0)
         monkeypatch.setattr(explain_module, "_pool", None)
 
@@ -1249,7 +1251,7 @@ class TestWorkerSearches:
         # Both runs make every call large; only the second has a spare CPU.
         cases = [*pin_search_cases(), sample_witness_case()]
         monkeypatch.setattr(explain_module, "WORKER_PRODUCT", 0)
-        monkeypatch.setattr(explain_module, "_pool", False)
+        monkeypatch.setattr(explain_module, "_may_fork", lambda: False)
         recording_searches(monkeypatch, tmp_path / "inline")
         inline = []
         for net, x, epsilon, seed in cases:
@@ -1278,7 +1280,7 @@ class TestWorkerSearches:
 
     def test_full_mnist_calls_are_large(self, monkeypatch, tmp_path):
         # With no spare CPU every call runs at once, in call order.
-        monkeypatch.setattr(explain_module, "_pool", False)
+        monkeypatch.setattr(explain_module, "_may_fork", lambda: False)
         recording_searches(monkeypatch, tmp_path / "calls")
         boxes = []
         find = explain_module.find_witnesses
@@ -1298,7 +1300,7 @@ class TestWorkerSearches:
 
     def test_small_searches_stay_inline(self, monkeypatch, tmp_path):
         # With a spare CPU, a relu100 search is far below the size threshold.
-        monkeypatch.setattr(explain_module, "spare_cpu", lambda env, cpus, blas: True)
+        monkeypatch.setattr(explain_module, "_may_fork", lambda: True)
         monkeypatch.setattr(explain_module, "_pool", None)
         recording_searches(monkeypatch, tmp_path / "calls")
         for net, x, epsilon, seed in relu100_cases(4):
@@ -1370,7 +1372,7 @@ class TestWorkerSearches:
         on_worker()
         net, x, epsilon, seed = next(relu100_cases(1))
         want = observed(*explain_baseline(net, x, epsilon, seed=seed))
-        pool = explain_module._pool
+        pool = explain_module._pool[-1]
         os.kill(pool.submit(os.getpid).result(timeout=30), signal.SIGKILL)
         with pytest.raises(BrokenProcessPool):
             pool.submit(os.getpid).result(timeout=30)
@@ -1378,7 +1380,27 @@ class TestWorkerSearches:
             explain_baseline(net, x, epsilon, seed=seed)
         assert explain_module._pool is None
         assert observed(*explain_baseline(net, x, epsilon, seed=seed)) == want
-        assert explain_module._pool not in (None, pool)
+        assert explain_module._pool is not None and explain_module._pool[-1] is not pool
+
+    def test_a_search_on_another_network_forks_a_new_worker(self, on_worker, monkeypatch, tmp_path):
+        net, x, epsilon, seed = next(relu100_cases(1))
+        cases = [(net, x, epsilon, seed), (random_network(100, (50,), 10, "relu", seed=5), x, epsilon, seed)]
+        monkeypatch.setattr(explain_module, "WORKER_PRODUCT", 0)
+        monkeypatch.setattr(explain_module, "_may_fork", lambda: False)
+        inline = [observed(*explain_baseline(net, x, epsilon, seed=seed)) for net, x, epsilon, seed in cases]
+        on_worker()
+        workers, pools = [], []
+        for k, ((net, x, epsilon, seed), want) in enumerate(zip(cases, inline)):
+            recording_searches(monkeypatch, tmp_path / f"calls-{k}")
+            assert observed(*explain_baseline(net, x, epsilon, seed=seed)) == want
+            workers.append({call["pid"] for call in read_events(tmp_path / f"calls-{k}")} - {os.getpid()})
+            pools.append(explain_module._pool)
+            assert pools[-1][:2] == (os.getpid(), net.fingerprint)
+        # Each network's searches ran in a worker of its own; the first worker was shut down and has exited.
+        assert len(workers[0]) == len(workers[1]) == 1 and workers[0] != workers[1]
+        assert pools[1][-1] is not pools[0][-1]
+        with pytest.raises(ProcessLookupError):
+            os.kill(workers[0].pop(), 0)
 
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_a_forked_child_searches_on_its_own_worker(self, on_worker, monkeypatch, tmp_path):
@@ -1388,12 +1410,14 @@ class TestWorkerSearches:
         want = observed(*explain_baseline(net, x, epsilon, seed=seed))
         workers = {call["pid"] for call in read_events(tmp_path / "parent")} - {os.getpid()}
         assert workers
+        parent = os.getpid()
 
         def child():
-            # The parent's pool has no process here; a search on it would never run.
-            assert explain_module._pool is None
+            # No at-fork hook runs: the child holds its parent's record, whose pool has no process here.
+            assert explain_module._pool[0] == parent
             recording_searches(monkeypatch, tmp_path / "child")
             assert observed(*explain_baseline(net, x, epsilon, seed=seed)) == want
+            assert explain_module._pool[0] == os.getpid()
             explain_module._shut_pool()
 
         process = multiprocessing.get_context("fork").Process(target=child)
@@ -1403,8 +1427,9 @@ class TestWorkerSearches:
             process.kill()
         assert process.exitcode == 0
         searched = {call["pid"] for call in read_events(tmp_path / "child")}
-        # The child's worker is its own, not its parent's.
+        # The child's worker is its own, not its parent's, which still runs.
         assert searched - {process.pid} and not searched & workers
+        assert explain_module._pool[-1].submit(os.getpid).result(timeout=30) in workers
 
     @pytest.mark.parametrize(
         "spare, methods, other_thread, made",
@@ -1413,7 +1438,7 @@ class TestWorkerSearches:
             (True, ["fork", "spawn"], False, True),
             # No fork start method: never a pool.
             (True, ["spawn"], False, False),
-            # Another thread runs: no pool yet, but one may be made later.
+            # Another thread runs: no pool yet, but one is made at the next search.
             (True, ["fork", "spawn"], True, None),
         ],
     )
@@ -1421,6 +1446,10 @@ class TestWorkerSearches:
         request.addfinalizer(explain_module._shut_pool)
         monkeypatch.setattr(explain_module, "spare_cpu", lambda env, cpus, blas: spare)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        # The gate as a process decides it; the cached one keeps this session's answer.
+        may_fork = explain_module._may_fork.__wrapped__()
+        assert may_fork is (made is not False)
+        monkeypatch.setattr(explain_module, "_may_fork", lambda: may_fork)
         monkeypatch.setattr(explain_module, "_pool", None)
         net = random_network(4, (3,), 2, "relu", seed=1)
         release = threading.Event()
@@ -1429,18 +1458,23 @@ class TestWorkerSearches:
             thread.start()
         try:
             worker = explain_module._worker(net)
-            # A pool when made; else False for good, or None to try again at the next search.
-            assert explain_module._pool is (worker if made else made)
             assert (worker is not None) == bool(made)
+            # The one slot: the forking process, the network's fingerprint and the pool.
+            assert explain_module._pool == ((os.getpid(), net.fingerprint, worker) if made else None)
         finally:
             release.set()
             if other_thread:
                 thread.join()
-        if made:
-            assert list(explain_module._held.values()) == [net]
-            assert worker.submit(os.getpid).result(timeout=30) != os.getpid()
-        elif made is None:
-            assert explain_module._worker(net) is not None
+        if made is None:
+            worker = explain_module._worker(net)
+        if made is not False:
+            # The worker was forked with the network, which no job sends.
+            assert worker.submit(forked_fingerprint).result(timeout=30) == (net.fingerprint, True)
+
+
+def forked_fingerprint():
+    """In the worker process, the fingerprint of the network it was forked with, and whether this is a child."""
+    return explain_module._forked_net.fingerprint, os.getpid() != explain_module._pool[0]
 
 
 def test_the_worker_process_ends_with_its_parent():
@@ -1450,11 +1484,11 @@ import sys
 sys.path.insert(0, {str(SOURCES)!r})
 from provex import explain
 from provex.fixtures import random_network, uniform_instances
-explain.spare_cpu = lambda env, cpus, blas: True
+explain._may_fork = lambda: True
 explain.WORKER_PRODUCT = 0
 net = random_network(100, (50,), 10, "relu", seed=4)
 explain.explain_baseline(net, uniform_instances(net, 1, seed=11)[0], 0.3)
-print(*explain._pool._processes)
+print(*explain._pool[-1]._processes)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == ""
