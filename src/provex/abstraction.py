@@ -102,10 +102,9 @@ class MergeSpec:
 class AbstractLayer:
     """Dense layer with an interval bias, answering the layer protocol.
 
-    Built directly rather than through ``Layer``: a reduction is rebuilt
-    for every query, and ``Layer``'s validation and column statistics
-    would cost more than the layer itself.  ``weights_neg``, the
-    nonpositive part the bound kernel reads beside ``weights``, is the
+    Built directly rather than through ``Layer``, whose validation would
+    check again weights selected from a checked layer.  ``weights_neg``,
+    the nonpositive part the bound kernel reads beside ``weights``, is the
     same selection of the source layer's, so it is never recomputed.
     """
 
@@ -117,14 +116,11 @@ class AbstractLayer:
 
     def __post_init__(self):
         for name in ("weights", "weights_neg"):
-            array = getattr(self, name)
-            # A row selection arrives C-contiguous and is kept; a column
-            # selection arrives Fortran-ordered and, like any other array,
-            # is converted.
-            if not (isinstance(array, np.ndarray) and array.dtype == np.float64 and array.flags.c_contiguous):
-                array = np.ascontiguousarray(array, dtype=np.float64)
-                object.__setattr__(self, name, array)
+            # A row selection arrives C-contiguous and is kept as it is; a
+            # column selection arrives Fortran-ordered and is converted.
+            array = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def out_dim(self) -> int:
@@ -251,11 +247,10 @@ def build_from_merge_sets(
 
     ``merge_sets`` holds one set of neuron indices per hidden layer, as any
     collection or an integer array, each neuron once; the reduction's spec
-    checks it and keeps it as a frozenset, and an integer array indexes the
-    build as it is.  When ``buckets`` is omitted, merged
-    neurons within each layer are grouped by chaining overlapping
-    activation ranges; passing buckets (as refinement does) preserves a
-    previously chosen structure.  Each layer's buckets must hold exactly
+    checks it and keeps it as a frozenset, which indexes the build.  When
+    ``buckets`` is omitted, merged neurons within each layer are grouped by
+    chaining overlapping activation ranges; passing buckets (as refinement
+    does) preserves a previously chosen structure.  Each layer's buckets must hold exactly
     its merge set, each neuron once, in buckets of positive size; they are
     kept as integer arrays.
 
@@ -274,13 +269,9 @@ def build_from_merge_sets(
     if len(merge_sets) != hidden:
         raise DimensionError(f"expected {hidden} merge sets, got {len(merge_sets)}")
     spec = MergeSpec(per_layer_merged=tuple(merge_sets), hidden_sizes=net.hidden_sizes, source_net_id=net.fingerprint)
-    # A checked integer array indexes as it is; any other merge set through its frozenset.
-    indices = [
-        merged if isinstance(merged, np.ndarray) and merged.dtype.kind in "iu" else _indices(as_set)
-        for merged, as_set in zip(merge_sets, spec.per_layer_merged)
-    ]
+    indices = [_indices(merged) for merged in spec.per_layer_merged]
     if buckets is not None:
-        buckets = _check_buckets(buckets, spec, merge_sets)
+        buckets = _check_buckets(buckets, spec)
     absorbed: dict[int, tuple[Buckets, tuple]] = {}  # merged layer -> (its buckets, the next layer's bias interval)
     hull_pass(net, lb, indices, buckets, absorbed)
     keep_prev: np.ndarray | None = None  # None means every column survives
@@ -406,32 +397,26 @@ def _check_fresh(net: ConcreteNetwork, lb: LayerBounds) -> None:
         raise ValidationError("stale layer bounds: computed for a different network")
 
 
-def _check_buckets(buckets, spec: MergeSpec, merge_sets) -> tuple[Buckets, ...]:
+def _check_buckets(buckets, spec: MergeSpec) -> tuple[Buckets, ...]:
     """Each layer's buckets as integer arrays, once they split its merge set exactly.
 
     Every merged neuron appears once and no bucket is empty; members are
-    checked as ``buckets[k]`` and sizes as ``buckets[k] sizes``.  Members
-    that are the very object given as the layer's merge set, as
-    ``refine`` gives them, were checked by ``spec`` already and are not
-    checked again.  A build deletes every merged neuron but absorbs only
-    the bucket members, so a merged neuron left out of its buckets would
-    drop its contribution from the enclosure.
+    checked as ``buckets[k]`` and sizes as ``buckets[k] sizes``.  A build
+    deletes every merged neuron but absorbs only the bucket members, so a
+    merged neuron left out of its buckets would drop its contribution from
+    the enclosure.
     """
     merged_sets = spec.per_layer_merged
     if len(buckets) != len(merged_sets):
         raise DimensionError(f"expected {len(merged_sets)} bucket layers, got {len(buckets)}")
     checked = []
-    for k, ((members, sizes), given, merged, width) in enumerate(
-        zip(buckets, merge_sets, merged_sets, spec.hidden_sizes)
-    ):
-        own = members is given and isinstance(members, np.ndarray)  # checked as merge_sets[k]
-        if not own:
-            check_indices(f"buckets[{k}]", members, width, must="hold integer neuron indices", each="neuron")
+    for k, ((members, sizes), merged, width) in enumerate(zip(buckets, merged_sets, spec.hidden_sizes)):
+        check_indices(f"buckets[{k}]", members, width, must="hold integer neuron indices", each="neuron")
         check_indices(f"buckets[{k}] sizes", sizes, len(merged) + 1, must="hold integer bucket sizes")
         members, sizes = np.asarray(members, dtype=int), np.asarray(sizes, dtype=int)
         # Distinct members, as many as the merge set holds and all in it, are the merge set.
         fits = sizes.all() and sizes.sum() == members.size == len(merged)
-        if not (fits and (own or not merged.difference(members.tolist()))):
+        if not (fits and not merged.difference(members.tolist())):
             raise ValidationError(
                 f"buckets[{k}] must split the merge set of hidden layer {k} into nonempty buckets, "
                 "each merged neuron once"

@@ -7,11 +7,11 @@ verified sufficient.  Both run one body, ``_search``, on one walk,
 one ``enclosure_verdicts`` call per batch, which a full batch of nested
 drops makes only if its last box alone does not separate; a large witness
 search draws from a generator of its own and runs in a worker process,
-forked from this one, beside the walk when the process has a CPU that BLAS
-does not use (``_PinSearches``), with the same results either way.  The
-worker is forked with the network it searches and keeps it for its life; a
-job sends only its boxes, their output bounds and its generator, and a
-search on another network forks a new worker.  A process's ``ru_maxrss``
+forked from this one, beside the walk when the process runs one thread and
+may use a second CPU (``_PinSearches``), with the same results either way.
+The worker is forked with the network it searches and keeps it for its
+life; a job sends only its boxes, their output bounds and its generator,
+and a search on another network forks a new worker.  A process's ``ru_maxrss``
 therefore counts the walk's buffers, not the searches' (those are the
 worker's, in ``RUSAGE_CHILDREN`` once it has been joined).
 The abstraction-refinement search is that walk, which decides every
@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import os
 import signal
-import threading
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -43,8 +42,6 @@ from .errors import DimensionError, ValidationError, check_indices, check_number
 from .intervals import IntervalVector
 from .network import ConcreteNetwork, gradient, predict
 from .queries import (
-    BLAS_ENV,
-    BLAS_NAME,
     N_RANDOM,
     ORACLE_BUDGET,
     SufficiencyQuery,
@@ -52,7 +49,6 @@ from .queries import (
     _separation,
     enclosure_verdicts,
     find_witnesses,
-    one_blas_thread,
     oracle_check,
 )
 
@@ -75,33 +71,24 @@ MAX_BATCH = 16
 WORKER_PRODUCT = 1 << 24
 
 
-def spare_cpu(env, cpus: int, blas: str) -> bool:
-    """Whether a worker process has a CPU that numpy's BLAS does not use.
-
-    It does when the process may use ``cpus`` >= 2 CPUs and ``blas``, the
-    name of numpy's BLAS library, runs one thread under the environment
-    ``env`` (``one_blas_thread``), which the forked worker inherits.  A
-    BLAS with helper threads leaves no CPU spare: its threads spin and
-    fight the worker for the CPU (on a 2-vCPU VM under a two-thread
-    OpenBLAS, a worker thread made the mnist784 baseline take 0.43-0.45 s
-    instead of 0.23-0.25 s).
-    """
-    return cpus >= 2 and one_blas_thread(env, blas)
-
-
-@cache
 def _may_fork() -> bool:
-    """Whether this process may run large witness searches in a forked worker process.
+    """Whether this process may fork a worker process for large witness searches now.
 
-    It may when it has a spare CPU (``spare_cpu``) and ``fork`` is a start
-    method.  Decided at the first large search and kept for the process's
-    life; the imports take several ms, which a process without a large
-    search never pays.
+    It may when it runs one thread, as ``/proc/self/task`` lists them, and
+    may use at least two CPUs.  One thread means no other Python thread,
+    which a fork would leave holding locks in the child, and no BLAS helper
+    thread: those spin and fight the worker for the CPU (on a 2-vCPU VM
+    under a two-thread OpenBLAS, a worker thread made the mnist784 baseline
+    take 0.43-0.45 s instead of 0.23-0.25 s).  Where the threads cannot be
+    listed, as off Linux, whose death signal the worker also takes
+    (``_in_worker``), it may not.  Asked at each fork attempt, so it reads
+    the process as it is then.
     """
-    import multiprocessing
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return spare_cpu(BLAS_ENV, cpus, BLAS_NAME) and "fork" in multiprocessing.get_all_start_methods()
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return False
+    return threads == 1 and len(os.sched_getaffinity(0)) >= 2
 
 
 _pool = None  # (forking pid, network fingerprint, pool) of the worker, once forked
@@ -111,21 +98,22 @@ _forked_net = None  # in the worker process, the network it was forked with
 def _worker(net):
     """The pool of one process, forked with ``net``, that runs large witness searches on it; or None.
 
-    Where ``_may_fork``, the pool is made at the first large search on
-    ``net`` at a moment when no other Python thread runs: the fork happens
-    at its first job, before the pool's own threads start, and the child
-    inherits ``net`` as its initializer's argument, never pickled.  A
-    worker forked with another network is shut down first, and a pool that
-    another process recorded, a forked child's copy of its parent's, is
-    dropped.  While another thread runs no pool is made yet, and the search
-    runs inline.
+    The pool is made at the first large search on ``net`` at which
+    ``_may_fork`` holds: the fork happens at its first job, before the
+    pool's own threads start, and the child inherits ``net`` as its
+    initializer's argument, never pickled.  A worker forked with another
+    network is shut down first, and a pool that another process recorded,
+    a forked child's copy of its parent's, is dropped; the gate is asked
+    after that.  Where it does not hold, no pool is made yet, the search
+    runs inline and the next large search asks again.  The shut-down
+    pool's threads can stay listed for a few ms after they are joined, so
+    the search that switches networks often runs inline and a later one
+    forks.
     """
     global _pool
-    if not _may_fork():
-        return None
     if _pool is None or _pool[:2] != (os.getpid(), net.fingerprint):
         _shut_pool()
-        if threading.active_count() > 1:
+        if not _may_fork():
             return None
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -137,19 +125,15 @@ def _worker(net):
 
 
 def _in_worker(parent: int, net) -> None:
-    """Set up the worker process: it keeps ``net`` for its searches, leaves Ctrl-C to its parent and on Linux dies with it."""
+    """Set up the worker process: it keeps ``net`` for its searches, leaves Ctrl-C to its parent and dies with it."""
     import ctypes
 
     global _forked_net
     _forked_net = net
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        prctl = ctypes.CDLL(None, use_errno=True).prctl
-    except (OSError, AttributeError):
-        pass  # not Linux: the parent's exit still joins the worker
-    else:
-        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
     if os.getppid() != parent:
         os._exit(0)  # the parent died before the request took hold
 
@@ -439,9 +423,10 @@ class _PinSearches:
     A large search, whose sample product with every feature free reaches
     ``WORKER_PRODUCT``, draws from a generator of its own: the next child
     of ``SeedSequence(seed)``, spawned here, on the walk's thread, in call
-    order.  It goes to the worker process when the process has a spare CPU
-    (``_worker``) and runs at once otherwise, with the same samples either
-    way.  Every other search runs at once on the walk's generator,
+    order.  It goes to the worker process when ``_worker`` gives one (the
+    process ran one thread and could use a second CPU when it forked) and
+    runs at once otherwise, with the same samples either way.  Every other
+    search runs at once on the walk's generator,
     ``default_rng(SeedSequence(seed))``.
 
     A job sent to the worker carries the target, the boxes, their output
@@ -541,11 +526,11 @@ def _enclosure_walk(net, x, epsilon, box, target, grouping, order, searches, tra
     else waits on its verdict.
 
     ``searches`` (a ``_PinSearches``) runs each call.  A large call, when
-    the process has a CPU that BLAS does not use, goes to a worker process
-    while the walk goes on; any other call runs at once.  The caller ends
-    the searches (``_PinSearches.finish``).  A call in the worker runs on
-    the worker's own copy of the module, so a tracer that wraps functions
-    in this process sees none of it.
+    the process runs one thread and may use a second CPU, goes to a worker
+    process while the walk goes on; any other call runs at once.  The
+    caller ends the searches (``_PinSearches.finish``).  A call in the
+    worker runs on the worker's own copy of the module, so a tracer that
+    wraps functions in this process sees none of it.
 
     With a split ``budget`` (the baseline under the complete oracle), B is
     capped at 1, so it never gallops: after a "keep" guess an oracle proof

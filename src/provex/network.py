@@ -59,8 +59,8 @@ class Layer:
         object.__setattr__(self, "weights", W)
         object.__setattr__(self, "bias", b)
         object.__setattr__(self, "activation", ActivationKind(self.activation))
-        # The nonpositive part is precomputed once; box propagation and
-        # reduction building hit it on every query.
+        # The nonpositive part is precomputed once; every box propagation
+        # reads it.
         neg = np.clip(W, None, 0.0)
         neg.setflags(write=False)
         object.__setattr__(self, "weights_neg", neg)

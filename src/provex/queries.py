@@ -31,7 +31,6 @@ changes no label, no witness and no draw.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,41 +41,6 @@ from .bounds import propagate_abstract, propagate_box, propagate_rows
 from .errors import DimensionError, ValidationError, check_indices, check_number
 from .intervals import IntervalVector, apply_activation, iv_subset
 from .network import ConcreteNetwork, forward, forward_rows, gradient, gradients, predict
-
-
-# The variables that set a BLAS library's thread count, in the order the
-# library reads them: the first one set to a positive count wins.
-_BLAS_THREADS = {
-    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
-    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
-}
-# BLAS reads them once, when numpy loads, which is before this module loads;
-# they are read here, at import, so a later change, which BLAS never sees
-# (benchmark/run.py's import under pytest makes one), does not count either.
-BLAS_ENV = {name: os.environ[name] for names in _BLAS_THREADS.values() for name in names if name in os.environ}
-BLAS_NAME = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {}).get("name", "")
-
-
-def one_blas_thread(env, blas: str) -> bool:
-    """Whether ``blas``, the name of numpy's BLAS library, runs one thread under the environment ``env``.
-
-    For a library not named in ``_BLAS_THREADS`` the variables of every
-    library named there must read 1.
-    """
-    chains = [names for library, names in _BLAS_THREADS.items() if library in blas.lower()]
-    return all(_thread_count(env, names) == 1 for names in chains or _BLAS_THREADS.values())
-
-
-def _thread_count(env, names) -> int | None:
-    """The count of the first of ``names`` that ``env`` sets to a positive integer, or None."""
-    for name in names:
-        try:
-            count = int(env.get(name, ""))
-        except ValueError:
-            continue
-        if count > 0:
-            return count
-    return None
 
 
 class VerdictKind(str, Enum):
@@ -454,27 +418,19 @@ class _Candidates:
         return point
 
 
-# Most offsets a search draws into one block, or None for one block per
-# call; the float64 pass (``_first_layer``) and the screen's float32 one
-# (``_sample_bounds``) both draw through ``_draws``, the screen at most as
-# many boxes at a time as fit with every input free.  Under a one-thread
-# BLAS it is one mnist784 box (64 samples over up to 784 free features) or
-# all 16 boxes of a relu100 call: drawing a call's 16 mnist784 boxes at
-# once took a 6.4 MB buffer, and two searches run at once there.  A BLAS
-# with threads runs one product of all the samples in parallel (a 16-box
-# mnist784 search: 9.9 ms, against 12.4 ms in blocks, under two OpenBLAS
-# threads), and its searches run one at a time.
-SAMPLE_BLOCK = 1 << 15 if one_blas_thread(BLAS_ENV, BLAS_NAME) else None
+# Most offsets a search draws into one block; the float64 pass
+# (``_first_layer``) and the screen's float32 one (``_sample_bounds``) both
+# draw through ``_draws``, the screen at most as many boxes at a time as fit
+# with every input free.  It is one mnist784 box (64 samples over up to 784
+# free features) or all 16 boxes of a relu100 call: drawing a call's 16
+# mnist784 boxes at once took a 6.4 MB buffer, and two searches run at once
+# there.
+SAMPLE_BLOCK = 1 << 15
 
 
 def _draw_size(lo: np.ndarray, n_random: int) -> int:
-    """The offsets ``_draws`` holds at once.
-
-    ``SAMPLE_BLOCK`` or one box's samples over every input, whichever is
-    more, or every box's samples when ``SAMPLE_BLOCK`` is None.
-    """
-    boxes, inputs = lo.shape
-    return boxes * n_random * inputs if SAMPLE_BLOCK is None else max(SAMPLE_BLOCK, n_random * inputs)
+    """The offsets ``_draws`` holds at once: ``SAMPLE_BLOCK``, or one box's samples over every input if more."""
+    return max(SAMPLE_BLOCK, n_random * lo.shape[1])
 
 
 def _draws(lo: np.ndarray, free: np.ndarray, rng, n_random: int, most: int | None = None):

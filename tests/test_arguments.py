@@ -348,7 +348,7 @@ def test_bucket_lists_are_kept_as_integer_arrays():
 
 
 def test_refine_checks_each_merged_neuron_once(monkeypatch):
-    # Its buckets' members are its merge sets, which the spec checks.
+    # The spec checks each merge set, and the buckets check their members and sizes.
     from provex import abstraction
 
     net = random_network(4, (6, 5), 3, "relu", seed=1)
@@ -361,7 +361,9 @@ def test_refine_checks_each_merged_neuron_once(monkeypatch):
 
     monkeypatch.setattr(abstraction, "check_indices", recording)
     refined = refine(net, anet, lb, 0.6)
-    assert checked == ["merge_sets[0]", "merge_sets[1]", "buckets[0] sizes", "buckets[1] sizes"]
+    assert checked == [
+        "merge_sets[0]", "merge_sets[1]", "buckets[0]", "buckets[0] sizes", "buckets[1]", "buckets[1] sizes"
+    ]
     assert refined.spec.merged_count > 0
 
 

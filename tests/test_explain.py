@@ -9,7 +9,6 @@ import re
 import signal
 import subprocess
 import sys
-import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -48,7 +47,6 @@ from provex.queries import (
     check_concrete,
     enclosure_verdicts,
     find_witnesses,
-    one_blas_thread,
     oracle_check,
 )
 
@@ -1173,11 +1171,10 @@ class TestOracleWalk:
 def on_worker(monkeypatch):
     """Call to send every later witness search of a walk to a worker process.
 
-    The gate ``_may_fork`` itself is patched, not ``spare_cpu``, which the
-    cached gate would not read again, and the size threshold is 0; the pool
-    is made, and its process forked, at the next search, so it runs
-    whatever the test has patched by then.  The pool is shut down after the
-    test.
+    The gate ``_may_fork`` is patched, since numpy's BLAS threads shut it
+    under pytest, and the size threshold is 0; the pool is made, and its
+    process forked, at the next search, so it runs whatever the test has
+    patched by then.  The pool is shut down after the test.
     """
 
     def enable():
@@ -1431,43 +1428,17 @@ class TestWorkerSearches:
         assert searched - {process.pid} and not searched & workers
         assert explain_module._pool[-1].submit(os.getpid).result(timeout=30) in workers
 
-    @pytest.mark.parametrize(
-        "spare, methods, other_thread, made",
-        [
-            (False, ["fork", "spawn"], False, False),
-            (True, ["fork", "spawn"], False, True),
-            # No fork start method: never a pool.
-            (True, ["spawn"], False, False),
-            # Another thread runs: no pool yet, but one is made at the next search.
-            (True, ["fork", "spawn"], True, None),
-        ],
-    )
-    def test_a_pool_is_made_only_where_a_fork_is_safe(self, spare, methods, other_thread, made, monkeypatch, request):
+    @pytest.mark.parametrize("opens", [False, True])
+    def test_a_pool_is_made_only_where_the_gate_opens(self, opens, monkeypatch, request):
         request.addfinalizer(explain_module._shut_pool)
-        monkeypatch.setattr(explain_module, "spare_cpu", lambda env, cpus, blas: spare)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-        # The gate as a process decides it; the cached one keeps this session's answer.
-        may_fork = explain_module._may_fork.__wrapped__()
-        assert may_fork is (made is not False)
-        monkeypatch.setattr(explain_module, "_may_fork", lambda: may_fork)
+        monkeypatch.setattr(explain_module, "_may_fork", lambda: opens)
         monkeypatch.setattr(explain_module, "_pool", None)
         net = random_network(4, (3,), 2, "relu", seed=1)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        if other_thread:
-            thread.start()
-        try:
-            worker = explain_module._worker(net)
-            assert (worker is not None) == bool(made)
-            # The one slot: the forking process, the network's fingerprint and the pool.
-            assert explain_module._pool == ((os.getpid(), net.fingerprint, worker) if made else None)
-        finally:
-            release.set()
-            if other_thread:
-                thread.join()
-        if made is None:
-            worker = explain_module._worker(net)
-        if made is not False:
+        worker = explain_module._worker(net)
+        assert (worker is not None) == opens
+        # The one slot: the forking process, the network's fingerprint and the pool.
+        assert explain_module._pool == ((os.getpid(), net.fingerprint, worker) if opens else None)
+        if opens:
             # The worker was forked with the network, which no job sends.
             assert worker.submit(forked_fingerprint).result(timeout=30) == (net.fingerprint, True)
 
@@ -1497,29 +1468,90 @@ print(*explain._pool[-1]._processes)
         os.kill(pid, 0)
 
 
-@pytest.mark.parametrize(
-    "env, cpus, blas, spare",
-    [
-        # Under pytest nothing is pinned; OpenBLAS then runs a thread per CPU.
-        ({}, 2, "scipy-openblas", False),
-        # benchmark/run.py pins every variable.
-        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 2, "scipy-openblas", True),
-        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 1, "scipy-openblas", False),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, "scipy-openblas", True),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 8, "openblas", True),
-        ({"OMP_NUM_THREADS": "1"}, 2, "openblas", True),
-        # OpenBLAS reads its own variable before OpenMP's.
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, "openblas", False),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, "openblas", True),
-        ({"OPENBLAS_NUM_THREADS": "x"}, 2, "openblas", False),
-        ({"MKL_NUM_THREADS": "1"}, 2, "mkl-sdl", True),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, "mkl", False),
-        # A library not known here must be pinned by every known variable chain.
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, "", False),
-        ({"OMP_NUM_THREADS": "1"}, 2, "accelerate", True),
-    ],
+TWO_CPUS = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs two usable CPUs"
 )
-def test_a_cpu_is_spare_only_beside_a_one_thread_blas(env, cpus, blas, spare):
-    assert explain_module.spare_cpu(env, cpus, blas) is spare
-    if cpus >= 2:
-        assert one_blas_thread(env, blas) is spare
+
+
+def run_provex(script, blas_threads=1):
+    """Run ``script`` in a fresh interpreter on these sources, numpy's BLAS set to ``blas_threads``; its stdout."""
+    env = dict(os.environ)
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), str(blas_threads)))
+    script = f"import sys\nsys.path.insert(0, {str(SOURCES)!r})\n{script}"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, opens",
+    [
+        (["1"], {0, 1}, True),
+        (["1", "2"], {0, 1}, False),
+        (["1"], {0}, False),
+        # Where the threads cannot be listed (not Linux), no worker is forked.
+        (OSError("no /proc"), {0, 1}, False),
+    ],
+    ids=["one-thread", "two-threads", "one-cpu", "unlisted"],
+)
+def test_the_gate_reads_the_thread_list_and_the_affinity(threads, cpus, opens, monkeypatch):
+    listdir = os.listdir
+
+    def listing(path="."):
+        if path != "/proc/self/task":
+            return listdir(path)
+        if isinstance(threads, OSError):
+            raise threads
+        return threads
+
+    monkeypatch.setattr(os, "listdir", listing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert explain_module._may_fork() is opens
+
+
+@TWO_CPUS
+@pytest.mark.parametrize("blas_threads, opens", [(1, True), (2, False)])
+def test_the_gate_opens_only_beside_one_blas_thread(blas_threads, opens):
+    assert run_provex("from provex import explain\nprint(explain._may_fork())", blas_threads).split() == [str(opens)]
+
+
+@TWO_CPUS
+def test_a_running_thread_shuts_the_gate():
+    script = """
+import threading, time
+from provex import explain
+release = threading.Event()
+thread = threading.Thread(target=release.wait)
+before = explain._may_fork()
+thread.start()
+during = explain._may_fork()
+release.set()
+thread.join()
+# A joined thread's task can stay listed for a few ms while it exits.
+deadline = time.monotonic() + 10
+while not explain._may_fork() and time.monotonic() < deadline:
+    time.sleep(0.001)
+print(before, during, explain._may_fork())
+"""
+    assert run_provex(script).split() == ["True", "False", "True"]
+
+
+@TWO_CPUS
+def test_a_second_network_forks_a_new_worker_under_the_real_gate():
+    # Every search is large; each network's searches fork a worker of their own.
+    script = """
+import os
+from provex import explain
+from provex.fixtures import random_network, uniform_instances
+explain.WORKER_PRODUCT = 0
+for seed in (4, 5):
+    net = random_network(100, (50,), 10, "relu", seed=seed)
+    for x in uniform_instances(net, 4, seed=11):
+        explain.explain_baseline(net, x, 0.3)
+    assert explain._pool[:2] == (os.getpid(), net.fingerprint)
+    print(explain._pool[-1].submit(os.getpid).result(timeout=30))
+"""
+    first, second = map(int, run_provex(script).split())
+    assert first != second
+    with pytest.raises(ProcessLookupError):
+        os.kill(first, 0)

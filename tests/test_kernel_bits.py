@@ -545,7 +545,8 @@ def hull_cases():
 class TestBoundedScreen:
     """The screen bounds the samples' first-layer activations from a float32 product."""
 
-    @pytest.mark.parametrize("block", [1 << 15, None])
+    # Blocks of the default size, and of one box's samples over every input.
+    @pytest.mark.parametrize("block", [1 << 15, 1])
     def test_hull_holds_every_first_layer_activation(self, block, monkeypatch):
         monkeypatch.setattr(queries, "SAMPLE_BLOCK", block)
         kinds = set()

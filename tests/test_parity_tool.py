@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from provex import explain_baseline
 from provex.fixtures import random_network, uniform_instances
@@ -38,6 +42,27 @@ def test_two_runs_print_the_same_lines_and_digest():
             assert set(result[search]) == {"kept", "final", "status", "refinements", "snapshots", "steps"}
             fields = {"group", "rate", "verdict", "margin", "neuron_evals"}
             assert all(set(step) == fields for step in result[search]["steps"])
+
+
+@pytest.mark.parametrize(
+    "workload, where",
+    [
+        # No relu100 search is large.
+        ("relu100-boundary", r"inline"),
+        pytest.param(
+            "mnist784-sigmoid",
+            r"worker \d+",
+            marks=pytest.mark.skipif(
+                len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs two usable CPUs"
+            ),
+        ),
+    ],
+)
+def test_stderr_says_where_the_large_searches_ran(workload, where):
+    code, out, err = run_tool("--workload", workload, "--seed", "11", "--instances", "1")
+    assert code == 0, err
+    assert re.fullmatch(f"large witness searches: {where}\n", err)
+    assert len(out.splitlines()) == 2
 
 
 def test_more_instances_than_the_pool_is_an_error():

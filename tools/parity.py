@@ -10,7 +10,9 @@ default schedule, singleton features, sensitivity order, search seed 0.
 Each instance prints one JSON line with each search's kept set, final
 explanation, status, refinements, snapshots and every step field but its
 time; the last line holds the SHA-256 of the instance lines.  Two checkouts
-agree on a workload when their digests are equal.
+agree on a workload when their digests are equal.  One line on stderr, outside
+the digest, says where the large witness searches ran: ``worker`` and the
+worker process's pid, or ``inline`` where no worker was forked.
 
 ``--compare OLD NEW`` reads two such outputs of the same instances and
 prints, per search, one JSON line: how many instances differ in each
@@ -68,6 +70,12 @@ def instance_lines(workload, seed: int, count: int):
         for name, search in (("baseline", provex.explain_baseline), ("ar", provex.explain_abstraction_refinement)):
             result[name] = observed(*search(net, x, workload.epsilon))
         yield json.dumps(result, sort_keys=True)
+
+
+def searches_ran_in(provex) -> str:
+    """The pid of this process's witness-search worker as ``worker PID``, or ``inline`` where none was forked."""
+    pool = provex.explain._pool
+    return f"worker {pool[-1].submit(os.getpid).result()}" if pool else "inline"
 
 
 INSTANCE_FIELDS = ("kept", "final", "status", "refinements", "snapshots")
@@ -152,6 +160,7 @@ def main(argv=None) -> int:
         print(line)
         digest.update(line.encode() + b"\n")
     print(json.dumps({"sha256": digest.hexdigest()}))
+    print(f"large witness searches: {searches_ran_in(benchmark_workloads().import_provex())}", file=sys.stderr)
     return 0
 
 
