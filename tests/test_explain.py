@@ -1473,10 +1473,17 @@ TWO_CPUS = pytest.mark.skipif(
 )
 
 
-def run_provex(script, blas_threads=1):
-    """Run ``script`` in a fresh interpreter on these sources, numpy's BLAS set to ``blas_threads``; its stdout."""
-    env = dict(os.environ)
-    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), str(blas_threads)))
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_provex(script, blas_threads=1, blas_env=None):
+    """Run ``script`` in a fresh interpreter on these sources; its stdout.
+
+    numpy's BLAS is set to ``blas_threads`` by every thread variable, or,
+    where ``blas_env`` is given, by just the variables it holds.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(dict.fromkeys(BLAS_VARS, str(blas_threads)) if blas_env is None else blas_env)
     script = f"import sys\nsys.path.insert(0, {str(SOURCES)!r})\n{script}"
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
@@ -1513,6 +1520,30 @@ def test_the_gate_reads_the_thread_list_and_the_affinity(threads, cpus, opens, m
 @pytest.mark.parametrize("blas_threads, opens", [(1, True), (2, False)])
 def test_the_gate_opens_only_beside_one_blas_thread(blas_threads, opens):
     assert run_provex("from provex import explain\nprint(explain._may_fork())", blas_threads).split() == [str(opens)]
+
+
+@pytest.mark.parametrize(
+    "env, cpus, blas, spare",
+    [
+        # benchmark/run.py pins every variable.
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 2, "scipy-openblas", True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, "scipy-openblas", True),
+    ],
+    ids=["env1-2-scipy-openblas-True", "env3-2-scipy-openblas-True"],
+)
+def test_a_cpu_is_spare_only_beside_a_one_thread_blas(env, cpus, blas, spare):
+    # Observed in a fresh process under just these variables, as if it had ``cpus`` CPUs.
+    script = f"""
+import os
+import numpy as np
+from provex import explain
+os.sched_getaffinity = lambda pid: set(range({cpus}))
+print(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"], explain._may_fork())
+"""
+    name, opens = run_provex(script, blas_env=env).split()
+    if name != blas:
+        pytest.skip(f"numpy's BLAS is {name}, not {blas}")
+    assert opens == str(spare)
 
 
 @TWO_CPUS
